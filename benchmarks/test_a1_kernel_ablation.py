@@ -2,7 +2,7 @@
 
 The paper's single-node speedups come from replacing generic kernels
 with blocked, vectorized MKL-DNN kernels (Algorithm 1).  The analogue
-here: the GEMM-decomposition path (NumPy BLAS doing the inner loops in
+here: the one-GEMM-per-pass path (NumPy BLAS doing the inner loops in
 C) versus the structurally faithful Algorithm-1 direct path (blocked
 loops in Python, vectorized only across the innermost block), plus the
 two dispatch strategies this repo layers on top:
@@ -93,9 +93,9 @@ def test_kernel_ablation(benchmark, tmp_path):
         "\n'blocked' is the direct kernel running natively in the "
         "16-channel-blocked layout with content-addressed weight packs — "
         "steady state pays zero per-call repacks.  On large, channel-rich "
-        "shapes the paper's blocking WINS even in Python; on small tail "
-        "layers Python loop overhead hands the win to the single-GEMM path, "
-        "which is exactly the trade the autotuner arbitrates per shape."
+        "shapes the paper's blocking gets closest to the single-GEMM path "
+        "even in Python; on small tail layers Python loop overhead widens "
+        "the gap, which is the trade the autotuner arbitrates per shape."
     )
     save_report("a1_kernel_ablation", "\n".join(lines))
 

@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "or Perfetto) and print the metrics registry")
     p.add_argument(
         "--conv-impl",
-        choices=("gemm", "im2col", "direct", "blocked", "auto"),
+        choices=("gemm", "direct", "blocked", "auto"),
         default=None,
         help="conv kernel implementation: 'blocked' runs the conv stack "
              "in the 16-channel-blocked layout end to end; 'auto' picks "

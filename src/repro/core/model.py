@@ -38,7 +38,7 @@ class CosmoFlowModel:
         from the config's output count when omitted.
     impl
         Convolution kernel implementation override (``"gemm"``,
-        ``"im2col"``, ``"direct"``, ``"blocked"``, or ``"auto"``).
+        ``"direct"``, ``"blocked"``, or ``"auto"``).
         ``"blocked"`` keeps activations in the 16-channel-blocked layout
         across the whole conv stack (one entry reorder at conv1, one
         exit at flatten); ``"auto"`` dispatches per shape from the

@@ -10,10 +10,10 @@ This subpackage provides interchangeable implementations, verified
 against each other in the test suite:
 
 * :mod:`repro.primitives.conv3d` — the production plain-layout path.
-  It decomposes the convolution over kernel offsets so every step is
-  one BLAS SGEMM (``numpy.tensordot``) on a strided view, which is the
-  same "convolution as matrix multiply" engine MKL-DNN ultimately
-  drives, with NumPy's BLAS standing in for the AVX512 JIT kernels.
+  Each pass is one BLAS GEMM over an operand that unrolls the kernel's
+  ``(kd, kh)`` axes and keeps whole W-rows, the same "convolution as
+  matrix multiply" engine MKL-DNN ultimately drives, with NumPy's BLAS
+  standing in for the AVX512 JIT kernels.
 * :mod:`repro.primitives.direct` — a structurally faithful port of the
   paper's Algorithm 1: channel-blocked layouts (``nCdhw16c``), explicit
   loops over output/input channel blocks and kernel offsets, and a
@@ -39,7 +39,6 @@ variant.
 
 from repro.primitives.conv3d import (
     conv3d_forward,
-    conv3d_forward_im2col,
     conv3d_backward_data,
     conv3d_backward_weights,
     conv3d_output_shape,
@@ -121,7 +120,6 @@ from repro.primitives.autotune import (
 
 __all__ = [
     "conv3d_forward",
-    "conv3d_forward_im2col",
     "conv3d_backward_data",
     "conv3d_backward_weights",
     "conv3d_output_shape",

@@ -1,12 +1,10 @@
 """Shape-keyed kernel autotuner with a persisted tuning cache.
 
 The paper gets its single-node speed from hand-picked MKL-DNN kernels;
-which formulation wins (im2col-GEMM, offset-loop GEMM, Algorithm-1
-direct, blocked-native) depends on the layer shape — conv1's 4 input
-channels want im2col, the deep 256-channel layers want the blocked
-loop.  Rather than hard-coding that table, the ``"auto"`` registry
-policy races the candidates **once per shape key** and replays the
-winner forever after:
+which formulation wins (one-GEMM-per-pass, Algorithm-1 direct,
+blocked-native) depends on the layer shape.  Rather than hard-coding
+that table, the ``"auto"`` registry policy races the candidates **once
+per shape key** and replays the winner forever after:
 
 * Key: ``(op, input shape, weight shape, stride, padding, layout)``
   canonicalized to a string (see :func:`conv_shape_key`).
@@ -49,9 +47,10 @@ __all__ = [
     "warm_conv_shapes",
 ]
 
-#: Bump when the key format or record schema changes; mismatched caches
-#: are discarded wholesale (re-tuning is cheap, wrong replay is not).
-CACHE_VERSION = 1
+#: Bump when the key format or record schema changes, or a kernel rewrite
+#: makes persisted timings stale (2: one-GEMM-per-pass ``gemm``); mismatched
+#: caches are discarded wholesale (re-tuning is cheap, wrong replay is not).
+CACHE_VERSION = 2
 
 _ENV_VAR = "REPRO_AUTOTUNE_CACHE"
 

@@ -7,36 +7,39 @@ framework.
 
 Implementation strategy
 -----------------------
-A direct convolution is a sum over kernel offsets of strided
-element-wise products.  We exploit that algebraically: for each of the
-``KD*KH*KW`` kernel offsets the contribution to the whole output tensor
-is a single matrix multiply between a ``(OC, IC)`` weight slice and an
-``(IC, N*OD*OH*OW)`` strided view of the input.  This turns the whole
-convolution into at most ``K^3`` BLAS SGEMM calls with no im2col buffer
-blow-up — the CosmoFlow kernels are at most 4x4x4, so 64 GEMMs.  NumPy's
-BLAS plays the role of the paper's JIT-generated AVX512 microkernels.
+Each pass is **one GEMM**, which is how the paper keeps its microkernel
+fed (Section IV).  Only the ``(kd, kh)`` kernel axes are unrolled into
+the reduction dimension; along W the input keeps whole contiguous rows:
 
-The same decomposition runs backward-data (scatter-add into strided
-views of the input gradient) and backward-weights (contract input
-windows against the output gradient), which is exactly the duality the
-paper uses: "the backward weights operator is equivalent to a forward
-convolution with large inputs and kernels".
+* *pack*: ``rows[(ic, zd, zh), (n, od, oh, :)] = x[n, ic, zd + sd*od,
+  zh + sh*oh, :]`` — ``kd*kh`` slab copies, not ``kd*kh*kw`` windows.
+* *forward*: ``(kw*OC) x (IC*kd*kh) @ rows`` holds every W-tap's
+  contribution at every row position; the output is the sum of the
+  ``kw`` results read at offset ``zw`` (bias folded into the first).
+* *backward-data*: the transposed weight matrix times ``kw`` W-shifted,
+  zero-margined copies of the gradient is the gradient of ``rows``,
+  which ``kd*kh`` row-slab adds scatter into the input gradient.
+* *backward-weights*: the same shifted gradient times ``rows^T``, on
+  the forward's own ``rows`` when handed back (:func:`conv3d_pack`).
 
-All kernels accept ``stride`` and symmetric zero ``padding``; CosmoFlow
-uses stride 1 and valid (0) padding for convolutions, and the pooling
-module reuses these entry points with stride 2.
+Where ``IC * K^3`` is small (CosmoFlow's one-channel conv1) the W axis
+is unrolled into the reduction too — im2col: the shifts happen while
+packing, none after the GEMM.  :class:`_Plan` says on which side of the
+GEMM the W-taps go; everything else is one code path, stride and
+padding included (strided slabs and taps; pad once, crop once).
+Results differ from a direct convolution only by fp32 summation order.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 __all__ = [
     "conv3d_output_shape",
+    "conv3d_pack",
     "conv3d_forward",
-    "conv3d_forward_im2col",
     "conv3d_backward_data",
     "conv3d_backward_weights",
 ]
@@ -83,76 +86,122 @@ def _pad_input(x: np.ndarray, padding: Shape3) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (pd, pd), (ph, ph), (pw, pw)))
 
 
-#: Use the im2col path when the reduction dimension (IC * K^3) is at
-#: most this: small-channel layers (CosmoFlow's conv1) are memory-bound
-#: in the offset-loop formulation (K^3 full passes over the output),
-#: whereas one GEMM over an im2col buffer touches memory O(1) times.
+#: Unroll the kernel's W axis into the GEMM reduction too when the full
+#: reduction ``IC * K^3`` is at most this: with few input channels
+#: (CosmoFlow's conv1) ``IC * K^2`` alone is too short to feed a GEMM.
 _IM2COL_MAX_REDUCTION = 128
 
-
-def _forward_im2col(
-    x: np.ndarray, w: np.ndarray, stride: Shape3, out_shape: Shape3
-) -> np.ndarray:
-    """Forward conv as a single GEMM per depth-slab over im2col columns."""
-    n, ic = x.shape[:2]
-    oc = w.shape[0]
-    kd, kh, kw = w.shape[2:]
-    od, oh, ow = out_shape
-    sd, sh, sw = stride
-    w2 = w.reshape(oc, ic * kd * kh * kw)
-    out = np.empty((n, oc, od, oh, ow), dtype=np.result_type(x.dtype, w.dtype))
-    # Slab over output depth to bound the column buffer to ~tens of MB.
-    target_elems = 16_000_000
-    slab = max(1, min(od, target_elems // max(1, ic * kd * kh * kw * oh * ow)))
-    cols = np.empty((ic, kd, kh, kw, slab, oh, ow), dtype=x.dtype)
-    for b in range(n):
-        for d0 in range(0, od, slab):
-            d1 = min(d0 + slab, od)
-            cur = cols[:, :, :, :, : d1 - d0]
-            for zd in range(kd):
-                for zh in range(kh):
-                    for zw in range(kw):
-                        cur[:, zd, zh, zw] = x[
-                            b,
-                            :,
-                            sd * d0 + zd : sd * d1 + zd : sd,
-                            zh : zh + sh * oh : sh,
-                            zw : zw + sw * ow : sw,
-                        ]
-            out[b, :, d0:d1] = (
-                w2 @ cur.reshape(ic * kd * kh * kw, (d1 - d0) * oh * ow)
-            ).reshape(oc, d1 - d0, oh, ow)
-    return out
+#: Most elements packed at a time by a forward that keeps nothing (one
+#: sample, a slab of output depth) or handed out by :func:`conv3d_pack`.
+_PACK_MAX_ELEMS = 16_000_000
 
 
-def conv3d_forward_im2col(
-    x: np.ndarray,
-    w: np.ndarray,
-    bias: np.ndarray | None = None,
-    stride=1,
-    padding=0,
-) -> np.ndarray:
-    """Forward convolution that always takes the im2col-GEMM path.
+class _Plan(NamedTuple):
+    """How one convolution shape maps onto the GEMM.
 
-    :func:`conv3d_forward` picks im2col automatically for small
-    reduction dimensions; this entry point forces it regardless of
-    shape, so the autotuner can time im2col against the offset-loop and
-    blocked formulations on every layer.  Identical signature and
-    semantics to :func:`conv3d_forward`.
+    The kernel's ``kw`` W-taps are applied either while packing
+    (``pack_taps`` holds the ``kw`` strided windows and a GEMM row is an
+    output row) or after the GEMM (``gemm_taps`` holds them and a GEMM
+    row is the used part of an input row); the other tuple is one
+    whole-row slice.
     """
-    if x.ndim != 5:
-        raise ValueError(f"expected NCDHW input, got shape {x.shape}")
-    if w.ndim != 5:
-        raise ValueError(f"expected (OC, IC, KD, KH, KW) weights, got shape {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ValueError(f"input channels {x.shape[1]} != weight channels {w.shape[1]}")
-    stride = _triple(stride)
-    padding = _triple(padding)
-    od, oh, ow = conv3d_output_shape(x.shape[2:], w.shape[2:], stride, padding)
-    out = _forward_im2col(_pad_input(x, padding), w, stride, (od, oh, ow))
-    if bias is not None:
-        out += bias.reshape(1, -1, 1, 1, 1)
-    return np.ascontiguousarray(out.astype(x.dtype, copy=False))
+
+    kernel: Shape3
+    stride: Shape3
+    out_shape: Shape3
+    pack_taps: Tuple[slice, ...]
+    gemm_taps: Tuple[slice, ...]
+    row: int
+
+    def packed_shape(self, n: int, ic: int) -> Tuple[int, ...]:
+        kd, kh, _ = self.kernel
+        od, oh, _ = self.out_shape
+        return (ic, kd, kh, len(self.pack_taps), n, od, oh, self.row)
+
+
+def _plan(ic: int, kernel: Shape3, stride: Shape3, out_shape: Shape3) -> _Plan:
+    kd, kh, kw = kernel
+    sw, ow = stride[2], out_shape[2]
+    shifts = tuple(slice(zw, zw + sw * (ow - 1) + 1, sw) for zw in range(kw))
+    if ic * kd * kh * kw <= _IM2COL_MAX_REDUCTION:
+        return _Plan(kernel, stride, out_shape, shifts, (slice(None),), ow)
+    row = sw * (ow - 1) + kw
+    return _Plan(kernel, stride, out_shape, (slice(0, row),), shifts, row)
+
+
+def _pack(xp: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Pack an already padded input into the GEMM operand
+    ``(IC, kd, kh, taps, N, OD, OH, row)``: one slab copy per ``(zd, zh)``
+    and pack-tap."""
+    kd, kh, _ = plan.kernel
+    sd, sh, _ = plan.stride
+    od, oh, _ = plan.out_shape
+    packed = np.empty(plan.packed_shape(xp.shape[0], xp.shape[1]), dtype=xp.dtype)
+    for zd in range(kd):
+        for zh in range(kh):
+            rows = xp[:, :, zd : zd + sd * od : sd, zh : zh + sh * oh : sh]
+            for u, tap in enumerate(plan.pack_taps):
+                packed[:, zd, zh, u] = rows[..., tap].transpose(1, 0, 2, 3, 4)
+    return packed
+
+
+def conv3d_pack(x: np.ndarray, kernel, stride=1, padding=0) -> np.ndarray | None:
+    """Pack ``x`` into the operand the forward and backward-weights GEMMs
+    share: pass it to both as ``packed=`` and a training step packs once
+    (either packs for itself without it).  ``None`` when the operand is too
+    large to hold from forward to backward: paper-scale layers pack to
+    hundreds of MB per sample.
+    """
+    kernel, stride, padding = _triple(kernel), _triple(stride), _triple(padding)
+    out_shape = conv3d_output_shape(x.shape[2:], kernel, stride, padding)
+    plan = _plan(x.shape[1], kernel, stride, out_shape)
+    if np.prod(plan.packed_shape(x.shape[0], x.shape[1])) > _PACK_MAX_ELEMS:
+        return None
+    return _pack(_pad_input(x, padding), plan)
+
+
+def _check_packed(packed: np.ndarray, plan: _Plan, n: int, ic: int) -> None:
+    want = plan.packed_shape(n, ic)
+    if packed.shape != want:
+        raise ValueError(f"packed operand {packed.shape} is not this convolution's (want {want})")
+
+
+def _weight_matrix(w: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Weights as the ``(gemm_taps*OC, IC*kd*kh*pack_taps)`` GEMM operand."""
+    oc, ic, kd, kh, _ = w.shape
+    kt, ku = len(plan.gemm_taps), len(plan.pack_taps)
+    w6 = w.reshape(oc, ic, kd, kh, kt, ku).transpose(4, 0, 1, 2, 3, 5)
+    return w6.reshape(kt * oc, ic * kd * kh * ku)
+
+
+def _shifted_grad(grad_out: np.ndarray, plan: _Plan) -> np.ndarray:
+    """``(gemm_taps*OC, N*OD*OH*row)``: per gemm-tap, the gradient placed
+    in rows of the packed width at that tap's positions, zero elsewhere."""
+    n, oc, od, oh, ow = grad_out.shape
+    g = grad_out.transpose(1, 0, 2, 3, 4)
+    kt = len(plan.gemm_taps)
+    if (kt, plan.row) == (1, ow):  # rows have no margins: the gradient itself
+        return np.ascontiguousarray(g).reshape(oc, -1)
+    shifted = np.zeros((kt, oc, n, od, oh, plan.row), dtype=grad_out.dtype)
+    for zw, tap in enumerate(plan.gemm_taps):
+        shifted[zw][..., tap] = g
+    return shifted.reshape(kt * oc, -1)
+
+
+def _gemm_sum_taps(a, packed, bias, out, plan: _Plan) -> None:
+    """``out (N, OC, OD, OH, OW) = bias + sum over gemm-taps`` of the one
+    GEMM ``a @ packed`` read at each tap's positions."""
+    t = (a @ packed.reshape(a.shape[1], -1)).reshape(
+        (len(plan.gemm_taps), out.shape[1]) + packed.shape[4:]
+    )
+    dst = out.transpose(1, 0, 2, 3, 4)
+    first, *rest = plan.gemm_taps
+    if bias is None:
+        dst[...] = t[0][..., first]
+    else:
+        np.add(t[0][..., first], bias.reshape(-1, 1, 1, 1, 1), out=dst)
+    for zw, tap in enumerate(rest, 1):
+        dst += t[zw][..., tap]
 
 
 def conv3d_forward(
@@ -161,6 +210,8 @@ def conv3d_forward(
     bias: np.ndarray | None = None,
     stride=1,
     padding=0,
+    *,
+    packed: np.ndarray | None = None,
 ) -> np.ndarray:
     """Forward 3D convolution.
 
@@ -174,6 +225,11 @@ def conv3d_forward(
         Optional per-output-channel bias ``(OC,)``.
     stride, padding
         Int or 3-tuple, per spatial axis.
+    packed
+        ``conv3d_pack(x, kernel, stride, padding)`` when the caller keeps
+        it for :func:`conv3d_backward_weights`.  Without it the input is
+        packed here one sample (and bounded depth slab) at a time, so a
+        batched inference call never holds batch-sized buffers.
 
     Returns
     -------
@@ -187,37 +243,28 @@ def conv3d_forward(
         raise ValueError(f"input channels {x.shape[1]} != weight channels {w.shape[1]}")
     stride = _triple(stride)
     padding = _triple(padding)
-    kd, kh, kw = w.shape[2:]
-    od, oh, ow = conv3d_output_shape(x.shape[2:], w.shape[2:], stride, padding)
-    n, _, oc = x.shape[0], x.shape[1], w.shape[0]
+    kernel = w.shape[2:]
+    out_shape = conv3d_output_shape(x.shape[2:], kernel, stride, padding)
+    n, ic = x.shape[:2]
+    plan = _plan(ic, kernel, stride, out_shape)
+    a = _weight_matrix(w, plan)
+    out = np.empty((n, w.shape[0]) + out_shape, dtype=np.result_type(x.dtype, w.dtype))
+    if packed is not None:
+        _check_packed(packed, plan, n, ic)
+        _gemm_sum_taps(a, packed, bias, out, plan)
+        return out.astype(x.dtype, copy=False)
+
     xp = _pad_input(x, padding)
-    sd, sh, sw = stride
-
-    if x.shape[1] * kd * kh * kw <= _IM2COL_MAX_REDUCTION:
-        out_i = _forward_im2col(xp, w, stride, (od, oh, ow))
-        if bias is not None:
-            out_i += bias.reshape(1, -1, 1, 1, 1)
-        return np.ascontiguousarray(out_i.astype(x.dtype, copy=False))
-
-    out = np.zeros((oc, n, od, oh, ow), dtype=np.result_type(x.dtype, w.dtype))
-    for zd in range(kd):
-        for zh in range(kh):
-            for zw in range(kw):
-                # Strided view selecting the input element each output
-                # voxel multiplies against this kernel offset.
-                window = xp[
-                    :,
-                    :,
-                    zd : zd + sd * od : sd,
-                    zh : zh + sh * oh : sh,
-                    zw : zw + sw * ow : sw,
-                ]
-                # (OC, IC) x (N, IC, OD, OH, OW) -> (OC, N, OD, OH, OW)
-                out += np.tensordot(w[:, :, zd, zh, zw], window, axes=([1], [1]))
-    out = out.transpose(1, 0, 2, 3, 4)
-    if bias is not None:
-        out = out + bias.reshape(1, -1, 1, 1, 1)
-    return np.ascontiguousarray(out.astype(x.dtype, copy=False))
+    od, oh, _ = out_shape
+    sd, kd = stride[0], kernel[0]
+    slab = max(1, min(od, _PACK_MAX_ELEMS // (a.shape[1] * oh * plan.row)))
+    for b in range(n):
+        for d0 in range(0, od, slab):
+            d1 = min(d0 + slab, od)
+            part = plan._replace(out_shape=(d1 - d0,) + out_shape[1:])
+            rows = _pack(xp[b : b + 1, :, sd * d0 : sd * (d1 - 1) + kd], part)
+            _gemm_sum_taps(a, rows, bias, out[b : b + 1, :, d0:d1], part)
+    return out.astype(x.dtype, copy=False)
 
 
 def conv3d_backward_data(
@@ -248,42 +295,33 @@ def conv3d_backward_data(
     n, oc, od, oh, ow = grad_out.shape
     if oc != w.shape[0]:
         raise ValueError(f"grad channels {oc} != weight output channels {w.shape[0]}")
-    expected = conv3d_output_shape(input_shape, w.shape[2:], stride, padding)
+    kernel = w.shape[2:]
+    expected = conv3d_output_shape(input_shape, kernel, stride, padding)
     if expected != (od, oh, ow):
         raise ValueError(
             f"grad spatial shape {(od, oh, ow)} inconsistent with input {input_shape} "
             f"(expected {expected})"
         )
     ic = w.shape[1]
-    kd, kh, kw = w.shape[2:]
-    sd, sh, sw = stride
-    pd, ph, pw = padding
-    idp = input_shape[0] + 2 * pd
-    ihp = input_shape[1] + 2 * ph
-    iwp = input_shape[2] + 2 * pw
+    kd, kh, _ = kernel
+    sd, sh, _ = stride
+    plan = _plan(ic, kernel, stride, expected)
+    grad_rows = (_weight_matrix(w, plan).T @ _shifted_grad(grad_out, plan)).reshape(
+        plan.packed_shape(n, ic)
+    )
 
-    grad_in = np.zeros((n, ic, idp, ihp, iwp), dtype=grad_out.dtype)
+    padded_shape = tuple(s + 2 * p for s, p in zip(input_shape, padding))
+    grad_in = np.zeros((n, ic) + padded_shape, dtype=grad_out.dtype)
+    dst = grad_in.transpose(1, 0, 2, 3, 4)
     for zd in range(kd):
         for zh in range(kh):
-            for zw in range(kw):
-                # (IC, OC) x (N, OC, OD, OH, OW) -> (IC, N, OD, OH, OW)
-                contrib = np.tensordot(w[:, :, zd, zh, zw], grad_out, axes=([0], [1]))
-                grad_in[
-                    :,
-                    :,
-                    zd : zd + sd * od : sd,
-                    zh : zh + sh * oh : sh,
-                    zw : zw + sw * ow : sw,
-                ] += contrib.transpose(1, 0, 2, 3, 4)
-    if (pd, ph, pw) != (0, 0, 0):
-        grad_in = grad_in[
-            :,
-            :,
-            pd : idp - pd,
-            ph : ihp - ph,
-            pw : iwp - pw,
-        ]
-    return np.ascontiguousarray(grad_in)
+            rows = dst[:, :, zd : zd + sd * od : sd, zh : zh + sh * oh : sh]
+            for u, tap in enumerate(plan.pack_taps):
+                rows[..., tap] += grad_rows[:, zd, zh, u]
+    if padding != (0, 0, 0):
+        crop = tuple(slice(p, p + s) for s, p in zip(input_shape, padding))
+        grad_in = np.ascontiguousarray(grad_in[(slice(None), slice(None)) + crop])
+    return grad_in
 
 
 def conv3d_backward_weights(
@@ -293,6 +331,8 @@ def conv3d_backward_weights(
     stride=1,
     padding=0,
     with_bias: bool = False,
+    *,
+    packed: np.ndarray | None = None,
 ):
     """Gradient of the convolution w.r.t. weights (and optionally bias).
 
@@ -304,6 +344,9 @@ def conv3d_backward_weights(
         ``(N, OC, OD, OH, OW)`` output gradient.
     kernel
         Kernel spatial shape ``(KD, KH, KW)``.
+    packed
+        The forward's ``conv3d_pack(x, kernel, stride, padding)``, if the
+        caller kept it; ``x`` is repacked otherwise.
 
     Returns
     -------
@@ -324,26 +367,19 @@ def conv3d_backward_weights(
         )
     ic = x.shape[1]
     kd, kh, kw = kernel
-    sd, sh, sw = stride
-    xp = _pad_input(x, padding)
-
-    grad_w = np.empty((oc, ic, kd, kh, kw), dtype=grad_out.dtype)
-    for zd in range(kd):
-        for zh in range(kh):
-            for zw in range(kw):
-                window = xp[
-                    :,
-                    :,
-                    zd : zd + sd * od : sd,
-                    zh : zh + sh * oh : sh,
-                    zw : zw + sw * ow : sw,
-                ]
-                # Contract over batch and all output voxels:
-                # (N, OC, OD, OH, OW) x (N, IC, OD, OH, OW) -> (OC, IC)
-                grad_w[:, :, zd, zh, zw] = np.tensordot(
-                    grad_out, window, axes=([0, 2, 3, 4], [0, 2, 3, 4])
-                )
+    plan = _plan(ic, kernel, stride, expected)
+    if packed is None:
+        packed = _pack(_pad_input(x, padding), plan)
+    else:
+        _check_packed(packed, plan, n, ic)
+    kt, ku = len(plan.gemm_taps), len(plan.pack_taps)
+    grad_wm = _shifted_grad(grad_out, plan) @ packed.reshape(ic * kd * kh * ku, -1).T
+    # Undo _weight_matrix's arrangement, one gemm-tap at a time (a single
+    # transposing copy is ~5x slower in NumPy).
+    grad_w = np.empty((oc, ic, kd, kh, kw), dtype=grad_wm.dtype)
+    taps_last = grad_w.reshape(oc, ic, kd, kh, kt, ku)
+    for zw, per_tap in enumerate(grad_wm.reshape(kt, oc, ic, kd, kh, ku)):
+        taps_last[:, :, :, :, zw] = per_tap
     if with_bias:
-        grad_b = grad_out.sum(axis=(0, 2, 3, 4))
-        return grad_w, grad_b
+        return grad_w, grad_out.sum(axis=(0, 2, 3, 4))
     return grad_w

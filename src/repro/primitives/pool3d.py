@@ -81,14 +81,21 @@ def avg_pool3d_backward(
     sd, sh, sw = stride
     scaled = grad_out / np.array(kd * kh * kw, dtype=grad_out.dtype)
     grad_in = np.zeros((n, c) + tuple(input_shape), dtype=grad_out.dtype)
+    # Windows that do not overlap (CosmoFlow's kernel 2, stride 2) touch
+    # each voxel once: assign instead of read-add-write.
+    overlapping = sd < kd or sh < kh or sw < kw
     for zd in range(kd):
         for zh in range(kh):
             for zw in range(kw):
-                grad_in[
+                window = grad_in[
                     :,
                     :,
                     zd : zd + sd * od : sd,
                     zh : zh + sh * oh : sh,
                     zw : zw + sw * ow : sw,
-                ] += scaled
+                ]
+                if overlapping:
+                    window += scaled
+                else:
+                    window[...] = scaled
     return grad_in

@@ -43,6 +43,7 @@ from repro.primitives.conv3d import (
     conv3d_backward_weights,
     conv3d_output_shape,
 )
+from repro.primitives import registry as _registry
 from repro.primitives.layout import BLOCK, Layout, register_layout
 
 __all__ = [
@@ -445,21 +446,12 @@ def conv3d_forward_int4(x, w, bias=None, stride=1, padding=0):
     return _conv3d_forward_quantized(x, qw, bias, stride, padding)
 
 
-def _count_backward_fallback(impl_name: str, op: str) -> None:
-    from repro.primitives import registry
-
-    m = registry.get_metrics()
-    if m is not None:
-        m.counter("primitives.conv3d.fallbacks").add(1)
-        m.counter(f"primitives.conv3d.{impl_name}.{op}.fallbacks").add(1)
-
-
 def _make_backward_data(impl_name: str):
     def backward_data(grad_out, w, input_shape, stride=1, padding=0):
         # Quantized kernels are forward/inference formulations; training
         # backward passes delegate to the exact gemm kernels (counted,
         # like direct's padded fallback, so attribution stays honest).
-        _count_backward_fallback(impl_name, "backward_data")
+        _registry.count_fallback(impl_name, "backward_data")
         return conv3d_backward_data(grad_out, w, input_shape, stride, padding)
 
     return backward_data
@@ -467,7 +459,7 @@ def _make_backward_data(impl_name: str):
 
 def _make_backward_weights(impl_name: str):
     def backward_weights(x, grad_out, kernel, stride=1, padding=0, with_bias=False):
-        _count_backward_fallback(impl_name, "backward_weights")
+        _registry.count_fallback(impl_name, "backward_weights")
         return conv3d_backward_weights(x, grad_out, kernel, stride, padding, with_bias)
 
     return backward_weights
@@ -480,18 +472,16 @@ def register_quantized_impls() -> None:
     approximate kernels must never silently race the bitwise-exact ones;
     opt in via :func:`repro.primitives.registry.set_auto_quantized`.
     """
-    from repro.primitives.registry import ConvImpl, register_impl
-
-    register_impl(
-        ConvImpl(
+    _registry.register_impl(
+        _registry.ConvImpl(
             name="int8",
             forward=conv3d_forward_int8,
             backward_data=_make_backward_data("int8"),
             backward_weights=_make_backward_weights("int8"),
         )
     )
-    register_impl(
-        ConvImpl(
+    _registry.register_impl(
+        _registry.ConvImpl(
             name="int4",
             forward=conv3d_forward_int4,
             backward_data=_make_backward_data("int4"),

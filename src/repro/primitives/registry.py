@@ -8,8 +8,7 @@ dispatches to MKL-DNN when built with ``--config=mkl``.
 
 Registered implementations (see :func:`register_impl` for adding more):
 
-* ``"gemm"``    — production offset-loop/im2col hybrid (plain layout).
-* ``"im2col"``  — forced im2col-GEMM forward (backward delegates to gemm).
+* ``"gemm"``    — production one-GEMM-per-pass kernels (plain layout).
 * ``"direct"``  — Algorithm-1 faithful port, per-call repack into the
   blocked layout.  Padded backward passes fall back to gemm; the
   fallback is **counted** (``primitives.conv3d.<op>.fallbacks``) so A1
@@ -33,7 +32,7 @@ kernels, so the accounting costs nothing when off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.primitives import blocked as _blocked
 from repro.primitives import conv3d as _gemm
@@ -49,6 +48,7 @@ __all__ = [
     "set_metrics",
     "get_metrics",
     "record_conv_call",
+    "count_fallback",
     "set_auto_quantized",
     "auto_quantized_enabled",
     "AUTO_IMPL",
@@ -65,6 +65,11 @@ class ConvImpl:
     ``native_layout`` names the activation layout the kernels are most
     at home in (``"ncdhw"`` or ``"nCdhw16c"``); the tensor layer uses it
     to decide where the genuine layout boundaries are.
+
+    ``pack``, when set, is ``pack(x, kernel, stride, padding)`` returning
+    the operand ``forward`` and ``backward_weights`` would each build
+    from ``x`` (or ``None`` to have them build it); both then accept it
+    as the keyword ``packed=``, so the tensor layer packs once per step.
     """
 
     name: str
@@ -72,6 +77,7 @@ class ConvImpl:
     backward_data: Callable
     backward_weights: Callable
     native_layout: str = "ncdhw"
+    pack: Optional[Callable] = None
 
 
 _default = "gemm"
@@ -131,7 +137,7 @@ def record_conv_call(
     m.counter(f"primitives.conv3d.{op}.bytes").add(nbytes)
 
 
-def _count_fallback(impl_name: str, op: str) -> None:
+def count_fallback(impl_name: str, op: str) -> None:
     """Count a silent impl substitution (e.g. direct -> gemm on padding)."""
     m = _metrics
     if m is None:
@@ -145,7 +151,7 @@ def _direct_backward_data(grad_out, w, input_shape, stride=1, padding=0):
     (the faithful Algorithm-1 kernel is valid-convolution only)."""
     if padding in (0, (0, 0, 0)):
         return _direct.conv3d_backward_data_direct(grad_out, w, input_shape, stride)
-    _count_fallback("direct", "backward_data")
+    count_fallback("direct", "backward_data")
     return _gemm.conv3d_backward_data(grad_out, w, input_shape, stride, padding)
 
 
@@ -153,7 +159,7 @@ def _direct_backward_weights(x, grad_out, kernel, stride=1, padding=0, with_bias
     """Direct backward-weights; counted fallback to gemm for padded passes."""
     if padding in (0, (0, 0, 0)):
         return _direct.conv3d_backward_weights_direct(x, grad_out, kernel, stride, with_bias)
-    _count_fallback("direct", "backward_weights")
+    count_fallback("direct", "backward_weights")
     return _gemm.conv3d_backward_weights(x, grad_out, kernel, stride, padding, with_bias)
 
 
@@ -163,14 +169,7 @@ _IMPLS: Dict[str, ConvImpl] = {
         forward=_gemm.conv3d_forward,
         backward_data=_gemm.conv3d_backward_data,
         backward_weights=_gemm.conv3d_backward_weights,
-    ),
-    "im2col": ConvImpl(
-        name="im2col",
-        forward=_gemm.conv3d_forward_im2col,
-        # im2col is a forward formulation; backward passes share the
-        # gemm kernels by construction (not a fallback, not counted).
-        backward_data=_gemm.conv3d_backward_data,
-        backward_weights=_gemm.conv3d_backward_weights,
+        pack=_gemm.conv3d_pack,
     ),
     "direct": ConvImpl(
         name="direct",
@@ -208,8 +207,8 @@ def register_impl(impl: ConvImpl, default: bool = False) -> ConvImpl:
 def _instrument(impl: ConvImpl) -> ConvImpl:
     """Wrap an implementation's kernels with FLOP/byte accounting."""
 
-    def forward(x, w, bias=None, stride=1, padding=0):
-        out = impl.forward(x, w, bias, stride=stride, padding=padding)
+    def forward(x, w, bias=None, stride=1, padding=0, **shared):
+        out = impl.forward(x, w, bias, stride=stride, padding=padding, **shared)
         n, oc, ic = x.shape[0], w.shape[0], w.shape[1]
         record_conv_call("forward", n, oc, ic, out.shape[2:], w.shape[2:],
                          x.nbytes + w.nbytes + out.nbytes)
@@ -222,9 +221,9 @@ def _instrument(impl: ConvImpl) -> ConvImpl:
                          grad_out.nbytes + w.nbytes + gx.nbytes)
         return gx
 
-    def backward_weights(x, grad_out, kernel, stride=1, padding=0, with_bias=False):
+    def backward_weights(x, grad_out, kernel, stride=1, padding=0, with_bias=False, **shared):
         gw = impl.backward_weights(
-            x, grad_out, kernel, stride=stride, padding=padding, with_bias=with_bias
+            x, grad_out, kernel, stride=stride, padding=padding, with_bias=with_bias, **shared
         )
         gw_arr = gw[0] if isinstance(gw, tuple) else gw
         n, oc, ic = x.shape[0], grad_out.shape[1], x.shape[1]
@@ -238,6 +237,7 @@ def _instrument(impl: ConvImpl) -> ConvImpl:
         backward_data=backward_data,
         backward_weights=backward_weights,
         native_layout=impl.native_layout,
+        pack=impl.pack,
     )
 
 
@@ -271,84 +271,53 @@ def auto_quantized_enabled() -> bool:
 def auto_candidates(op: str) -> list[str]:
     """Implementation names the autotuner races for ``op``.
 
-    ``im2col`` only differs from ``gemm`` in the forward pass, so it is
-    excluded from backward tuning (racing two identical kernels would
-    just double the one-time tuning cost).  The approximate ``int8`` /
-    ``int4`` kernels join the forward race only after an explicit
-    :func:`set_auto_quantized` opt-in.
+    The approximate ``int8`` / ``int4`` kernels join the forward race
+    only after an explicit :func:`set_auto_quantized` opt-in.
     """
-    names = [n for n in ("gemm", "im2col", "direct", "blocked") if n in _IMPLS]
-    if op != "forward" and "im2col" in names:
-        names.remove("im2col")
+    names = [n for n in ("gemm", "direct", "blocked") if n in _IMPLS]
     if op == "forward" and _auto_quantized:
         names.extend(n for n in ("int8", "int4") if n in _IMPLS)
     return names
 
 
-def _count_auto_dispatch(op: str, choice: str) -> None:
-    m = _metrics
-    if m is None:
-        return
-    m.counter(f"primitives.conv3d.auto.{op}.{choice}").add(1)
+def _auto_dispatch(op: str, key_a, key_b, stride, padding, call):
+    """Run ``call(impl)`` on the tuned implementation for this shape key,
+    racing the candidates first when the key is new (or its persisted
+    winner is no longer registered)."""
+    from repro.primitives import autotune
+
+    tuner = autotune.get_tuner()
+    key = autotune.conv_shape_key(op, key_a, key_b, stride, padding)
+    choice = tuner.cached_choice(key)
+    if choice is None or choice not in _IMPLS:
+        choice, out = tuner.tune(key, auto_candidates(op), lambda name: call(get_impl(name)))
+    else:
+        out = call(get_impl(choice))
+    if _metrics is not None:
+        _metrics.counter(f"primitives.conv3d.auto.{op}.{choice}").add(1)
+    return out
 
 
 def _auto_forward(x, w, bias=None, stride=1, padding=0):
-    from repro.primitives import autotune
-
-    tuner = autotune.get_tuner()
-    key = autotune.conv_shape_key("forward", x.shape, w.shape, stride, padding)
-    choice = tuner.cached_choice(key)
-    if choice is None or choice not in _IMPLS:
-        choice, out = tuner.tune(
-            key,
-            auto_candidates("forward"),
-            lambda name: get_impl(name).forward(x, w, bias, stride=stride, padding=padding),
-        )
-        _count_auto_dispatch("forward", choice)
-        return out
-    _count_auto_dispatch("forward", choice)
-    return get_impl(choice).forward(x, w, bias, stride=stride, padding=padding)
+    return _auto_dispatch(
+        "forward", x.shape, w.shape, stride, padding,
+        lambda impl: impl.forward(x, w, bias, stride=stride, padding=padding),
+    )
 
 
 def _auto_backward_data(grad_out, w, input_shape, stride=1, padding=0):
-    from repro.primitives import autotune
-
-    tuner = autotune.get_tuner()
-    key = autotune.conv_shape_key("backward_data", grad_out.shape, w.shape, stride, padding)
-    choice = tuner.cached_choice(key)
-    if choice is None or choice not in _IMPLS:
-        choice, out = tuner.tune(
-            key,
-            auto_candidates("backward_data"),
-            lambda name: get_impl(name).backward_data(
-                grad_out, w, input_shape, stride=stride, padding=padding
-            ),
-        )
-        _count_auto_dispatch("backward_data", choice)
-        return out
-    _count_auto_dispatch("backward_data", choice)
-    return get_impl(choice).backward_data(grad_out, w, input_shape, stride=stride, padding=padding)
+    return _auto_dispatch(
+        "backward_data", grad_out.shape, w.shape, stride, padding,
+        lambda impl: impl.backward_data(grad_out, w, input_shape, stride=stride, padding=padding),
+    )
 
 
 def _auto_backward_weights(x, grad_out, kernel, stride=1, padding=0, with_bias=False):
-    from repro.primitives import autotune
-
-    tuner = autotune.get_tuner()
-    key = autotune.conv_shape_key("backward_weights", x.shape, grad_out.shape, stride, padding)
-    choice = tuner.cached_choice(key)
-    if choice is None or choice not in _IMPLS:
-        choice, out = tuner.tune(
-            key,
-            auto_candidates("backward_weights"),
-            lambda name: get_impl(name).backward_weights(
-                x, grad_out, kernel, stride=stride, padding=padding, with_bias=with_bias
-            ),
-        )
-        _count_auto_dispatch("backward_weights", choice)
-        return out
-    _count_auto_dispatch("backward_weights", choice)
-    return get_impl(choice).backward_weights(
-        x, grad_out, kernel, stride=stride, padding=padding, with_bias=with_bias
+    return _auto_dispatch(
+        "backward_weights", x.shape, grad_out.shape, stride, padding,
+        lambda impl: impl.backward_weights(
+            x, grad_out, kernel, stride=stride, padding=padding, with_bias=with_bias
+        ),
     )
 
 

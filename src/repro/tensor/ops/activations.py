@@ -2,9 +2,9 @@
 
 CosmoFlow uses leaky ReLU on every convolution and FC layer.  The
 paper implements its forward/backward "by calling two Relu and
-ReluGrad operations" in TensorFlow; here it is a single fused masked
-multiply, which is both simpler and what the authors' OpenMP threading
-of element-wise ops approximates.
+ReluGrad operations" in TensorFlow; here it is a single ``np.maximum(x, alpha*x)``
+(its backward one masked multiply), which is both simpler and what the
+authors' OpenMP threading of element-wise ops approximates.
 """
 
 from __future__ import annotations
@@ -27,12 +27,23 @@ def leaky_relu(a, alpha: float = DEFAULT_LEAKY_ALPHA) -> Tensor:
     input keeps its layout tag (and its zero padding lanes) bitwise.
     """
     a = a if isinstance(a, Tensor) else Tensor(a)
-    mask = a.data > 0
-    scale = np.where(mask, np.array(1.0, dtype=a.dtype), np.array(alpha, dtype=a.dtype))
-    out = a.data * scale
+    x = a.data
+    if 0.0 < alpha <= 1.0:
+        # Bitwise-equal to the masked multiply below (alpha*x is on the
+        # right side of x for either sign; +-0, inf and NaN included) at
+        # a fraction of np.where's cost.  alpha == 0 is excluded only
+        # because 0*inf is NaN where relu(inf) must stay inf.
+        out = np.asarray(x * alpha)  # asarray: a 0-d product is a scalar
+        np.maximum(x, out, out=out)
 
-    def backward(g):
-        return (g * scale,)
+        def backward(g):
+            return (g * np.maximum((x > 0).astype(x.dtype), alpha),)
+    else:
+        scale = np.where(x > 0, np.array(1.0, dtype=a.dtype), np.array(alpha, dtype=a.dtype))
+        out = x * scale
+
+        def backward(g):
+            return (g * scale,)
 
     result = Tensor._make(out, (a,), backward, "leaky_relu")
     result.layout = a.layout

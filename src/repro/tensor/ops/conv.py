@@ -42,7 +42,7 @@ from repro.primitives.layout import (
     reorder_cached,
 )
 from repro.primitives.registry import get_impl
-from repro.tensor.tensor import Tensor
+from repro.tensor.tensor import Tensor, _grad_enabled
 
 __all__ = ["conv3d"]
 
@@ -84,15 +84,32 @@ def conv3d(x, w, bias=None, stride=1, padding=0, impl: str | None = None) -> Ten
     if blocked_in or kernels.native_layout == BLOCKED_NCDHW16C.name:
         return _conv3d_blocked_native(x, w, b, stride, padding, blocked_in)
 
-    out = kernels.forward(x.data, w.data, None if b is None else b.data, stride, padding)
     input_shape = x.shape[2:]
     kernel = w.shape[2:]
+    # Kernels that pack their input for the forward GEMM reuse the same
+    # operand in backward-weights: pack once here and let the tape own
+    # it, so it lives exactly as long as this call's backward can run.
+    # Untaped calls leave the packing (sample by sample) to the kernel,
+    # as does a pack() that returns None: an operand too large to hold.
+    taped = _grad_enabled() and (w.requires_grad or (b is not None and b.requires_grad))
+    shared = (
+        {"packed": kernels.pack(x.data, kernel, stride, padding)}
+        if taped and kernels.pack is not None
+        else {}
+    )
+    out = kernels.forward(
+        x.data, w.data, None if b is None else b.data, stride, padding, **shared
+    )
 
     if b is None:
         def backward(g):
             g = np.ascontiguousarray(g)
             gx = kernels.backward_data(g, w.data, input_shape, stride, padding) if x.requires_grad else None
-            gw = kernels.backward_weights(x.data, g, kernel, stride, padding) if w.requires_grad else None
+            gw = (
+                kernels.backward_weights(x.data, g, kernel, stride, padding, **shared)
+                if w.requires_grad
+                else None
+            )
             return gx, gw
 
         return Tensor._make(out, (x, w), backward, "conv3d")
@@ -101,7 +118,9 @@ def conv3d(x, w, bias=None, stride=1, padding=0, impl: str | None = None) -> Ten
         g = np.ascontiguousarray(g)
         gx = kernels.backward_data(g, w.data, input_shape, stride, padding) if x.requires_grad else None
         if w.requires_grad or b.requires_grad:
-            gw, gb = kernels.backward_weights(x.data, g, kernel, stride, padding, with_bias=True)
+            gw, gb = kernels.backward_weights(
+                x.data, g, kernel, stride, padding, with_bias=True, **shared
+            )
         else:
             gw = gb = None
         return gx, gw, gb

@@ -43,7 +43,7 @@ class TestParser:
     def test_train_conv_impl_flag(self):
         parser = build_parser()
         assert parser.parse_args(["train", "--data", "x"]).conv_impl is None
-        for impl in ("gemm", "im2col", "direct", "blocked", "auto"):
+        for impl in ("gemm", "direct", "blocked", "auto"):
             parsed = parser.parse_args(["train", "--data", "x", "--conv-impl", impl])
             assert parsed.conv_impl == impl
         with pytest.raises(SystemExit):

@@ -102,19 +102,30 @@ class TestScienceLoop:
         """The headline science at miniature scale: after training with
         augmentation, predictions correlate positively with sigma_8 on
         held-out simulations.  Uses the paper-geometry default config
-        (8 particles/voxel — shot noise buries the signal below that)."""
+        (8 particles/voxel — shot noise buries the signal below that).
+
+        One run's correlation is a chaotic draw: perturbing the initial
+        weights by 1e-6, or any fp32 summation-order change in a kernel,
+        moves it anywhere in about [-0.05, 0.5] while the loss curve
+        moves by 1 %.  So the gate is the median over three model seeds."""
         sim = SimulationConfig()
         volumes, targets, theta = build_arrays(80, sim, seed=5)
         # split by simulation: first 66 sims train, last 14 test
         n_tr = 66 * 8
-        model = CosmoFlowModel(tiny_16(), seed=0)
-        trainer = Trainer(
-            model,
-            InMemoryData(volumes[:n_tr], targets[:n_tr], augment=True),
-            optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=6 * n_tr),
-            config=TrainerConfig(epochs=6, seed=1, validate=False),
+        corrs = []
+        for model_seed in (0, 1, 2):
+            model = CosmoFlowModel(tiny_16(), seed=model_seed)
+            trainer = Trainer(
+                model,
+                InMemoryData(volumes[:n_tr], targets[:n_tr], augment=True),
+                optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=6 * n_tr),
+                config=TrainerConfig(epochs=6, seed=1, validate=False),
+            )
+            trainer.run()
+            pred = model.predict_normalized(volumes[n_tr:])
+            corrs.append(np.corrcoef(pred[:, 1], targets[n_tr:, 1])[0, 1])
+        print("sigma_8 correlations per model seed:", [round(float(c), 3) for c in corrs])
+        assert np.median(corrs) > 0.15, (
+            f"median sigma_8 correlation over 3 seeds {np.median(corrs):.3f} "
+            f"(runs: {corrs}) shows no learning"
         )
-        trainer.run()
-        pred = model.predict_normalized(volumes[n_tr:])
-        corr = np.corrcoef(pred[:, 1], targets[n_tr:, 1])[0, 1]
-        assert corr > 0.15, f"sigma_8 correlation {corr:.3f} shows no learning"

@@ -61,6 +61,20 @@ class TestTuningCache:
         }))
         assert TuningCache(path).get("k") is None
 
+    def test_previous_version_file_discarded(self, tmp_path):
+        """Winners timed against the pre-rewrite ``gemm`` (version 1 files)
+        must not be replayed: the version bump discards them, counted."""
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "version": 1,
+            "entries": {"k": {"impl": "blocked", "times_ms": {"gemm": 24.4, "blocked": 13.2}}},
+        }))
+        metrics = MetricsRegistry()
+        registry.set_metrics(metrics)
+        cache = TuningCache(path)
+        assert cache.get("k") is None and len(cache) == 0
+        assert metrics.snapshot()["primitives.autotune.invalidated"] == 1
+
     def test_corrupt_file_ignored(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("not json{")
@@ -175,11 +189,6 @@ class TestAutoDispatch:
         registry.get_impl(registry.AUTO_IMPL).forward(x, w)
         assert tuner.misses == 1  # stale entry was re-raced
         assert cache.get(key)["impl"] in registry.available_impls()
-
-    def test_auto_candidates_drop_im2col_backward(self):
-        assert "im2col" in registry.auto_candidates("forward")
-        assert "im2col" not in registry.auto_candidates("backward_data")
-        assert "im2col" not in registry.auto_candidates("backward_weights")
 
 
 class TestWarmConvShapes:

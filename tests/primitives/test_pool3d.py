@@ -123,6 +123,17 @@ class TestBackward:
         with pytest.raises(ValueError):
             avg_pool3d_backward(np.zeros((1, 1, 3, 3, 3)), (4, 4, 4), 2)
 
+    # Non-overlapping windows are written by assignment, overlapping ones
+    # accumulated; stride > kernel leaves gaps that must stay zero.
+    @pytest.mark.parametrize("kernel,stride", [(2, 2), (3, 2), (2, 3), ((2, 3, 2), (2, 2, 3))])
+    def test_is_adjoint_of_forward(self, kernel, stride):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((2, 3, 7, 8, 9))
+        out = avg_pool3d_forward(x, kernel, stride)
+        g = rng.standard_normal(out.shape)
+        gi = avg_pool3d_backward(g, x.shape[2:], kernel, stride)
+        assert np.sum(out * g) == pytest.approx(np.sum(x * gi), rel=1e-10)
+
     @given(
         size=st.integers(min_value=2, max_value=9),
         k=st.integers(min_value=1, max_value=3),

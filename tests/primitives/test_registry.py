@@ -26,7 +26,7 @@ def restore_default():
 class TestRegistry:
     def test_all_registered(self):
         assert available_impls() == [
-            "auto", "blocked", "direct", "gemm", "im2col", "int4", "int8",
+            "auto", "blocked", "direct", "gemm", "int4", "int8",
         ]
 
     def test_default_is_gemm(self):
@@ -65,6 +65,27 @@ class TestRegistry:
             rtol=2e-4,
             atol=2e-4,
         )
+
+    def test_pack_survives_instrumentation(self):
+        """Only ``gemm`` offers ``pack``; the counting wrappers must hand
+        the packed operand through and count the calls as before."""
+        assert get_impl("direct").pack is None and get_impl("auto").pack is None
+        metrics = MetricsRegistry()
+        set_metrics(metrics)
+        k = get_impl("gemm")
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((1, 16, 5, 5, 5)).astype(np.float32)
+        w = rng.standard_normal((4, 16, 3, 3, 3)).astype(np.float32)
+        g = rng.standard_normal((1, 4, 3, 3, 3)).astype(np.float32)
+        packed = k.pack(x, (3, 3, 3), 1, 0)
+        np.testing.assert_array_equal(k.forward(x, w, None, 1, 0, packed=packed), k.forward(x, w))
+        np.testing.assert_array_equal(
+            k.backward_weights(x, g, (3, 3, 3), 1, 0, packed=packed),
+            k.backward_weights(x, g, (3, 3, 3)),
+        )
+        snap = metrics.snapshot()
+        assert snap["primitives.conv3d.forward.calls"] == 2
+        assert snap["primitives.conv3d.backward_weights.calls"] == 2
 
     def test_direct_padding_fallback(self):
         """The direct wrappers fall back to GEMM kernels when padding != 0."""

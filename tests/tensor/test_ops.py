@@ -160,6 +160,36 @@ class TestActivations:
         x[np.abs(x) < 0.1] = 0.5
         check_grads(lambda t: (ops.leaky_relu(t["x"]) ** 2).sum(), {"x": x})
 
+    # alpha 0.2 and 1 take the np.maximum path; 0, -0.5 and 1.5 the masked
+    # multiply it must equal (0 because 0*inf is NaN, the others because
+    # alpha*x is then on the wrong side of x).
+    @pytest.mark.parametrize("alpha", [0.0, 0.2, 1.0, -0.5, 1.5])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_leaky_relu_bitwise_equals_masked_multiply(self, alpha, dtype):
+        rng = np.random.default_rng(12)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-7, -1e-7, 65504.0, -65504.0]
+        data = np.concatenate([special, rng.standard_normal(119) * 3]).astype(dtype)
+        g = rng.standard_normal(data.shape).astype(dtype)
+        g[:4] = [0.0, -0.0, np.nan, np.inf]
+        with np.errstate(invalid="ignore", over="ignore"):
+            scale = np.where(data > 0, np.array(1.0, dtype=dtype), np.array(alpha, dtype=dtype))
+            want_out, want_grad = data * scale, g * scale
+            x = Tensor(data, requires_grad=True)
+            y = ops.leaky_relu(x, alpha=alpha)
+            y.backward(g)
+        assert y.data.dtype == dtype and x.grad.dtype == dtype
+        assert y.data.tobytes() == want_out.tobytes()
+        assert x.grad.tobytes() == want_grad.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    def test_leaky_relu_accepts_0d(self, alpha):
+        x = Tensor(np.array(-2.0, dtype=np.float32), requires_grad=True)
+        y = ops.leaky_relu(x, alpha=alpha)
+        y.backward(np.array(1.0, dtype=np.float32))
+        assert y.shape == () and y.dtype == np.float32
+        assert float(y.data) == np.float32(-2.0) * np.float32(alpha)
+        assert float(x.grad) == np.float32(alpha)
+
 
 class TestDense:
     def test_matmul_grad(self):
