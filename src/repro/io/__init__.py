@@ -21,10 +21,11 @@ communication, limits scaling beyond ~512 nodes on Lustre.
   contention, per-target variability) used by the scaling experiments
   and by Equation 1's bandwidth analysis.
 * :mod:`repro.io.staging` — :class:`StagingManager`, the resilient
-  burst-buffer staging tier (DataWarp → Lustre hierarchy): CRC-verified
-  stage-in with jittered retries, hedged reads, per-target circuit
-  breakers, quarantine + re-stage of corrupt copies, and degraded-mode
-  fallback to direct backing-store reads.
+  burst-buffer staging tier (DataWarp → Lustre hierarchy): stage-in
+  verified byte for byte and renamed into place, with jittered retries,
+  hedged reads, per-target circuit breakers, quarantine + re-stage of
+  corrupt copies, and degraded-mode fallback to direct backing-store
+  reads.
 """
 
 from repro.io.records import (

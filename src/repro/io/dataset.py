@@ -155,9 +155,12 @@ class RecordDataset:
 
     def _read_records(self, physical: Path):
         reader = RecordReader(physical, strict=self.strict)
-        return list(reader.samples()), reader
+        return list(reader.views()), reader
 
     def _load_file(self, path: Path) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """One file's samples as read-only views of its mapping: the
+        caller copies each volume once, into the array it hands out."""
+
         def attempt_read(attempt: int) -> List[Tuple[np.ndarray, np.ndarray]]:
             physical, tier = path, "direct"
             if self.staging is not None:
@@ -218,8 +221,8 @@ class RecordDataset:
         file_order = np.arange(len(self.paths))
         if shuffle:
             rng.shuffle(file_order)
-        pending_x: List[np.ndarray] = []
-        pending_y: List[np.ndarray] = []
+        bx = by = None
+        filled = 0
         for fi in file_order:
             samples = self._load_file(self.paths[fi])
             order = np.arange(len(samples))
@@ -229,13 +232,23 @@ class RecordDataset:
                 v, t = samples[si]
                 if v.ndim == 3:
                     v = v[None]
-                pending_x.append(v)
-                pending_y.append(t)
-                if len(pending_x) == batch_size:
-                    yield np.stack(pending_x), np.stack(pending_y)
-                    pending_x, pending_y = [], []
-        if pending_x:
-            yield np.stack(pending_x), np.stack(pending_y)
+                if bx is None:
+                    bx = np.empty((batch_size, *v.shape), dtype=v.dtype)
+                    by = np.empty((batch_size, *t.shape), dtype=t.dtype)
+                elif v.shape != bx.shape[1:] or t.shape != by.shape[1:]:
+                    raise ValueError(
+                        f"sample of shape {v.shape}/{t.shape} in a batch of "
+                        f"{bx.shape[1:]}/{by.shape[1:]}"
+                    )
+                bx[filled] = v
+                by[filled] = t
+                filled += 1
+                if filled == batch_size:
+                    yield bx, by
+                    bx = by = None
+                    filled = 0
+        if filled:
+            yield bx[:filled], by[:filled]
 
     def shard(self, rank: int, n_ranks: int) -> "RecordDataset":
         """Round-robin *file* shard for data-parallel rank ``rank``.

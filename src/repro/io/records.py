@@ -19,7 +19,8 @@ sample: the 3D volume (float32) plus the target parameter vector.
 
 from __future__ import annotations
 
-import io
+import math
+import mmap
 import struct
 import zlib
 from pathlib import Path
@@ -33,6 +34,7 @@ __all__ = [
     "masked_crc32",
     "encode_sample",
     "decode_sample",
+    "sample_views",
     "RecordWriter",
     "RecordReader",
     "write_record_file",
@@ -41,6 +43,8 @@ __all__ = [
 
 _LENGTH = struct.Struct("<Q")
 _CRC = struct.Struct("<I")
+#: A record's framing header: payload length, then its masked CRC.
+_FRAME = struct.Struct("<QI")
 #: Payload header: volume ndim + target length, then the shapes.
 _MAGIC = b"CFR1"
 
@@ -71,31 +75,41 @@ class RecordCorruptError(RecordCorruptionError):
         super().__init__(f"{where}: {reason}")
 
 
-def masked_crc32(data: bytes) -> int:
-    """TFRecord's masked CRC: rotate and add the mask constant."""
-    crc = zlib.crc32(data) & 0xFFFFFFFF
+def _mask(crc: int) -> int:
     return ((crc >> 15) | (crc << 17) & 0xFFFFFFFF) + 0xA282EAD8 & 0xFFFFFFFF
 
 
-def encode_sample(volume: np.ndarray, target: np.ndarray) -> bytes:
-    """Serialize one (volume, target) pair to a record payload."""
+def masked_crc32(data) -> int:
+    """TFRecord's masked CRC: rotate and add the mask constant."""
+    return _mask(zlib.crc32(data))
+
+
+def _sample_parts(volume: np.ndarray, target: np.ndarray):
+    """The buffers whose concatenation is one sample's record payload."""
     volume = np.ascontiguousarray(volume, dtype=np.float32)
     target = np.ascontiguousarray(target, dtype=np.float32)
     if volume.ndim not in (3, 4):
         raise ValueError(f"volume must be 3D or (C, D, H, W), got shape {volume.shape}")
     if target.ndim != 1:
         raise ValueError(f"target must be 1D, got shape {target.shape}")
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<BB", volume.ndim, target.shape[0]))
-    buf.write(struct.pack(f"<{volume.ndim}I", *volume.shape))
-    buf.write(volume.tobytes())
-    buf.write(target.tobytes())
-    return buf.getvalue()
+    header = _MAGIC + struct.pack(
+        f"<BB{volume.ndim}I", volume.ndim, target.shape[0], *volume.shape
+    )
+    return header, volume, target
 
 
-def decode_sample(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`encode_sample`."""
+def encode_sample(volume: np.ndarray, target: np.ndarray) -> bytes:
+    """Serialize one (volume, target) pair to a record payload."""
+    return b"".join(_sample_parts(volume, target))
+
+
+def sample_views(payload) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode a payload without copying it.
+
+    The arrays are read-only views of ``payload`` and keep it (and, for
+    a payload from :class:`RecordReader`, the file mapping under it)
+    alive; :func:`decode_sample` is the owning form.
+    """
     if len(payload) < 6 or payload[:4] != _MAGIC:
         raise RecordCorruptionError("bad sample magic")
     ndim, tlen = struct.unpack_from("<BB", payload, 4)
@@ -104,7 +118,7 @@ def decode_sample(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
     offset = 6
     shape = struct.unpack_from(f"<{ndim}I", payload, offset)
     offset += 4 * ndim
-    vol_bytes = 4 * int(np.prod(shape))
+    vol_bytes = 4 * math.prod(shape)
     expected = offset + vol_bytes + 4 * tlen
     if len(payload) != expected:
         raise RecordCorruptionError(
@@ -112,7 +126,13 @@ def decode_sample(payload: bytes) -> Tuple[np.ndarray, np.ndarray]:
         )
     volume = np.frombuffer(payload, dtype=np.float32, count=vol_bytes // 4, offset=offset)
     target = np.frombuffer(payload, dtype=np.float32, count=tlen, offset=offset + vol_bytes)
-    return volume.reshape(shape).copy(), target.copy()
+    return volume.reshape(shape), target
+
+
+def decode_sample(payload) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`encode_sample`; the arrays own their memory."""
+    volume, target = sample_views(payload)
+    return volume.copy(), target.copy()
 
 
 class RecordWriter:
@@ -124,15 +144,26 @@ class RecordWriter:
         self.records_written = 0
 
     def write(self, payload: bytes) -> None:
-        length = _LENGTH.pack(len(payload))
-        self._fh.write(length)
-        self._fh.write(_CRC.pack(masked_crc32(length)))
-        self._fh.write(payload)
-        self._fh.write(_CRC.pack(masked_crc32(payload)))
-        self.records_written += 1
+        self._write_parts((payload,))
 
     def write_sample(self, volume: np.ndarray, target: np.ndarray) -> None:
-        self.write(encode_sample(volume, target))
+        self._write_parts(_sample_parts(volume, target))
+
+    def _write_parts(self, parts) -> None:
+        """Frame one record whose payload is ``parts`` end to end: each
+        goes from its own buffer to the file, with the payload CRC
+        carried across them, so nothing is joined first."""
+        nbytes = crc = 0
+        for part in parts:
+            nbytes += memoryview(part).nbytes
+            crc = zlib.crc32(part, crc)
+        length = _LENGTH.pack(nbytes)
+        self._fh.write(length)
+        self._fh.write(_CRC.pack(masked_crc32(length)))
+        for part in parts:
+            self._fh.write(part)
+        self._fh.write(_CRC.pack(_mask(crc)))
+        self.records_written += 1
 
     def close(self) -> None:
         if not self._fh.closed:
@@ -167,51 +198,67 @@ class RecordReader:
     def _corrupt(self, reason: str, offset: int, index: int) -> RecordCorruptError:
         return RecordCorruptError(reason, path=self.path, offset=offset, record_index=index)
 
-    def __iter__(self) -> Iterator[bytes]:
+    def __iter__(self) -> Iterator[memoryview]:
+        """Payloads as read-only slices of one mapping of the file.
+
+        Nothing is copied: framing is parsed and payloads checksummed in
+        place.  A slice keeps the mapping alive, so it stays readable
+        after the reader is gone and after the file is unlinked or
+        renamed over — but not if the file is rewritten in place.
+        """
         with open(self.path, "rb") as fh:
-            index = 0
-            while True:
-                offset = fh.tell()
-                header = fh.read(_LENGTH.size)
-                if not header:
-                    return
-                err = None
-                payload = None
-                if len(header) != _LENGTH.size:
-                    err = self._corrupt("truncated length header", offset, index)
+            try:
+                data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except ValueError:  # an empty file cannot be mapped
+                data = fh.read()
+        view = memoryview(data)
+        size = len(view)
+        offset = index = 0
+        while offset < size:
+            body = offset + _FRAME.size
+            reason = payload = None
+            if size - offset < _LENGTH.size:
+                reason = "truncated length header"
+            elif size < body:
+                reason = "truncated record"
+            else:
+                length, length_crc = _FRAME.unpack_from(view, offset)
+                end = body + length
+                if self.verify and length_crc != masked_crc32(view[offset : offset + _LENGTH.size]):
+                    reason = "length CRC mismatch"
+                elif size < end + _CRC.size:
+                    reason = "truncated record"
                 else:
-                    (length,) = _LENGTH.unpack(header)
-                    len_crc_bytes = fh.read(_CRC.size)
-                    if len(len_crc_bytes) != _CRC.size:
-                        err = self._corrupt("truncated record", offset, index)
-                    elif self.verify and _CRC.unpack(len_crc_bytes)[0] != masked_crc32(header):
-                        err = self._corrupt("length CRC mismatch", offset, index)
-                    else:
-                        payload = fh.read(length)
-                        crc_bytes = fh.read(_CRC.size)
-                        if len(payload) != length or len(crc_bytes) != _CRC.size:
-                            err = self._corrupt("truncated record", offset, index)
-                        elif self.verify and _CRC.unpack(crc_bytes)[0] != masked_crc32(payload):
-                            err = self._corrupt("payload CRC mismatch", offset, index)
-                if err is not None:
-                    if self.strict:
-                        raise err
-                    self.records_skipped += 1
-                    # A bad payload CRC leaves the framing intact — skip
-                    # just this record; anything else poisons the frame
-                    # boundaries, so stop at the last good record.
-                    if "payload CRC" in err.reason:
-                        index += 1
-                        continue
+                    payload = view[body:end]
+                    if self.verify and _CRC.unpack_from(view, end)[0] != masked_crc32(payload):
+                        reason = "payload CRC mismatch"
+            if reason is not None:
+                if self.strict:
+                    raise self._corrupt(reason, offset, index)
+                self.records_skipped += 1
+                # A bad payload CRC leaves the framing intact — skip
+                # just this record; anything else poisons the frame
+                # boundaries, so stop at the last good record.
+                if reason != "payload CRC mismatch":
                     return
+            else:
                 yield payload
-                index += 1
+            index += 1
+            offset = end + _CRC.size
 
     def samples(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Decoded samples that own their memory."""
+        for volume, target in self.views():
+            yield volume.copy(), target.copy()
+
+    def views(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """Decoded samples as read-only views of the mapped file (see
+        :meth:`__iter__` for how long they last): for a caller that
+        copies each one where it is going, once."""
         index = 0
         for payload in self:
             try:
-                yield decode_sample(payload)
+                yield sample_views(payload)
             except RecordCorruptionError as exc:
                 if self.strict:
                     raise self._corrupt(str(exc), -1, index) from exc

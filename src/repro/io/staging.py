@@ -9,9 +9,12 @@ server nodes go slow, whole allocations get evicted by the scheduler.
 This module models that hierarchy as real code paths with the failure
 handling a production staging tier needs:
 
-* **CRC-verified stage-in** — every shard copied from the backing
-  store (Lustre-modeled) into the bounded burst-buffer directory is
-  checksummed end to end; a mismatched copy is a failed stage-in.
+* **Byte-verified, atomic stage-in** — every shard copied from the
+  backing store (Lustre-modeled) into the bounded burst-buffer
+  directory is written under a temporary name, read back and compared
+  byte for byte with what was read from the source, then renamed into
+  place; a copy that differs is a failed stage-in, and a reader never
+  sees (or keeps a mapping of) a half-written or rewritten file.
 * **Retry with exponential backoff + jitter** — failed stage-ins are
   retried on a :class:`~repro.utils.retry.RetryPolicy` schedule with
   seeded jitter, so storms of synchronized retries (and flaky
@@ -47,6 +50,7 @@ simulation instant without changing a single decision.
 from __future__ import annotations
 
 import enum
+import os
 import shutil
 import threading
 import time as _time
@@ -157,7 +161,6 @@ class StagingConfig:
     n_targets: int = 4
     breaker_threshold: int = 3
     breaker_reset_s: float = 30.0
-    verify_stage_crc: bool = True
     stage_on_miss: bool = True
 
     def __post_init__(self):
@@ -218,12 +221,11 @@ class StagedRead(NamedTuple):
 
 
 class _StagedFile:
-    __slots__ = ("path", "nbytes", "crc", "last_used")
+    __slots__ = ("path", "nbytes", "last_used")
 
-    def __init__(self, path: Path, nbytes: int, crc: int, last_used: float):
+    def __init__(self, path: Path, nbytes: int, last_used: float):
         self.path = path
         self.nbytes = nbytes
-        self.crc = crc
         self.last_used = last_used
 
 
@@ -350,15 +352,28 @@ class StagingManager:
 
     def _visit_rng(self, path: Path, purpose: str):
         """Seeded generator keyed by (file, visit ordinal, purpose) —
-        latency draws don't depend on cross-file interleaving."""
+        latency draws don't depend on cross-file interleaving.
+
+        Returned as a callable that builds the generator on first use:
+        every visit takes its ordinal, but only one that draws (a
+        latency model, retry jitter) pays for a generator.
+        """
         visit = self._visits.get(path, 0)
         self._visits[path] = visit + 1
-        return new_rng(derive_seed(self.seed, purpose, path.name, visit))
+        rng = None
+
+        def draw():
+            nonlocal rng
+            if rng is None:
+                rng = new_rng(derive_seed(self.seed, purpose, path.name, visit))
+            return rng
+
+        return draw
 
     def _tier_latency(self, spec, nbytes: int, rng) -> float:
         if spec is None:
             return 0.0
-        return spec.read_time_s(nbytes, self.n_nodes, rng=rng)
+        return spec.read_time_s(nbytes, self.n_nodes, rng=rng())
 
     # -- breaker bookkeeping -------------------------------------------------
 
@@ -410,9 +425,10 @@ class StagingManager:
                         _log.warning("stage-in of %s failed terminally: %s", source, exc)
                         return False
                     self.stats.stage_retries += 1
+                    jitter = self.config.retry_jitter
                     self._advance(
                         jittered_delay(
-                            policy, attempt, jitter=self.config.retry_jitter, rng=rng
+                            policy, attempt, jitter=jitter, rng=rng() if jitter else None
                         )
                     )
                 else:
@@ -427,14 +443,22 @@ class StagingManager:
         data = source.read_bytes()
         self._advance(self._tier_latency(self.backing_spec, len(data), rng))
         dest = self.bb_dir / source.name
-        dest.write_bytes(data)
-        crc = zlib.crc32(data) & 0xFFFFFFFF
-        if self.config.verify_stage_crc:
-            staged_crc = zlib.crc32(dest.read_bytes()) & 0xFFFFFFFF
-            if staged_crc != crc:
-                dest.unlink(missing_ok=True)
-                raise StageError(f"stage-in CRC mismatch for {source.name}")
-        self._staged[source] = _StagedFile(dest, len(data), crc, self.clock_s)
+        # Never written in place: a reader may hold a mapping of a file
+        # already under this name (another rank's copy on the shared
+        # allocation, or one an earlier run left behind).
+        landing = dest.with_name(f"{dest.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+        try:
+            landing.write_bytes(data)
+            if landing.read_bytes() != data:
+                raise StageError(
+                    f"stage-in of {source.name}: the bytes read back from the "
+                    f"burst buffer differ from the {len(data)} read from the source"
+                )
+            os.replace(landing, dest)
+        except BaseException:
+            landing.unlink(missing_ok=True)
+            raise
+        self._staged[source] = _StagedFile(dest, len(data), self.clock_s)
         self.stats.stage_ins += 1
         self.stats.bytes_staged += len(data)
         self._enforce_capacity(keep=source)

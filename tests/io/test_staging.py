@@ -1,9 +1,18 @@
 """Tests for the resilient burst-buffer staging tier."""
 
+import mmap
+import os
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.io.staging as staging_module
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
+from repro.io.filesystem import cori_datawarp, cori_lustre
 from repro.io.dataset import RecordDataset, write_dataset
 from repro.io.pipeline import PrefetchPipeline
 from repro.io.staging import (
@@ -12,6 +21,7 @@ from repro.io.staging import (
     StagingConfig,
     StagingManager,
 )
+from repro.utils.rng import derive_seed, new_rng
 
 
 @pytest.fixture()
@@ -116,6 +126,171 @@ class TestStageIn:
         assert mgr.staged_bytes <= 2 * nbytes + 1
         assert not mgr.is_staged(record_files[0])  # oldest evicted
         assert mgr.stats.capacity_evictions == 1
+
+
+class TestLandingVerification:
+    """A copy that lands in the burst buffer differing from the bytes
+    read from the source — by a single byte, anywhere — never gets the
+    final name."""
+
+    @pytest.fixture(scope="class")
+    def source(self, tmp_path_factory):
+        rng = np.random.default_rng(1)
+        vols = rng.standard_normal((4, 1, 4, 4, 4)).astype(np.float32)
+        tgts = rng.random((4, 3)).astype(np.float32)
+        (path,) = write_dataset(tmp_path_factory.mktemp("landing-src"), vols, tgts, samples_per_file=4)
+        return path
+
+    @staticmethod
+    def damaged_landings(mp, bb_dir, offset, times):
+        """The next ``times`` files written into ``bb_dir`` land with the
+        byte at ``offset`` flipped; returns what the directory held at
+        each of those writes."""
+        real_write = Path.write_bytes
+        listings = []
+
+        def write_bytes(self, data):
+            if self.parent == bb_dir and len(listings) < times:
+                listings.append(sorted(os.listdir(bb_dir)))
+                data = bytearray(data)
+                data[offset % len(data)] ^= 0x01
+            return real_write(self, data)
+
+        mp.setattr(Path, "write_bytes", write_bytes)
+        return listings
+
+    @given(offset=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_one_differing_byte_is_retried(self, tmp_path_factory, source, offset):
+        mgr = make_manager(tmp_path_factory.mktemp("landing"))
+        with pytest.MonkeyPatch.context() as mp:
+            listings = self.damaged_landings(mp, mgr.bb_dir, offset, times=2)
+            assert mgr.stage(source)
+        # Each failed attempt removed its file before the next began.
+        assert listings == [[], []]
+        assert mgr.stats.stage_retries == 2
+        assert mgr.stats.stage_failures == 0
+        assert mgr.stats.stage_ins == 1
+        assert os.listdir(mgr.bb_dir) == [source.name]
+        assert (mgr.bb_dir / source.name).read_bytes() == source.read_bytes()
+
+    @given(offset=st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=10, deadline=None)
+    def test_persistent_difference_degrades_to_backing(self, tmp_path_factory, source, offset):
+        mgr = make_manager(tmp_path_factory.mktemp("landing"), stage_on_miss=False)
+        attempts = mgr.config.retry.max_attempts
+        with pytest.MonkeyPatch.context() as mp:
+            self.damaged_landings(mp, mgr.bb_dir, offset, times=attempts)
+            assert not mgr.stage(source)
+        assert mgr.stats.stage_retries == attempts - 1
+        assert mgr.stats.stage_failures == 1
+        assert mgr.events == [f"stage-fail:{source.name}"]
+        assert mgr.breaker(mgr.target_of(source)).consecutive_failures == 1
+        assert os.listdir(mgr.bb_dir) == []
+        res = mgr.read(source)
+        assert res.tier == "backing" and res.path == source
+        assert mgr.stats.fallback_reads == 1
+
+    def test_stage_error_says_what_was_compared(self, tmp_path, source):
+        mgr = make_manager(tmp_path)
+        with pytest.MonkeyPatch.context() as mp:
+            self.damaged_landings(mp, mgr.bb_dir, 0, times=1)
+            with pytest.raises(staging_module.StageError, match="read back.*differ"):
+                mgr._stage_once(source, 0, lambda: None)
+
+    def test_crash_between_write_and_rename_leaves_no_final_name(self, tmp_path, source):
+        class Crash(BaseException):
+            pass
+
+        def crash(src, dst):
+            assert Path(src).read_bytes() == source.read_bytes()  # written, verified
+            raise Crash
+
+        mgr = make_manager(tmp_path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(staging_module.os, "replace", crash)
+            with pytest.raises(Crash):
+                mgr.stage(source)
+        assert os.listdir(mgr.bb_dir) == []
+        assert not mgr.is_staged(source)
+        assert mgr.stage(source)
+
+    def test_restaging_never_rewrites_a_file_in_place(self, tmp_path, record_files):
+        """A second writer of the same name (another rank's manager on
+        the shared allocation) replaces the file; a reader still holding
+        the first copy's mapping keeps reading the first copy."""
+        first = make_manager(tmp_path)
+        ds = RecordDataset(record_files, staging=first)
+        direct = RecordDataset(record_files).to_arrays()
+        epoch = ds.batches(1, shuffle=False)
+        head = next(epoch)  # the generator now holds file 0's mapped samples
+        dest = first.bb_dir / record_files[0].name
+        inode = dest.stat().st_ino
+        second = make_manager(tmp_path)
+        assert second.stage(record_files[0])
+        assert dest.stat().st_ino != inode
+        batches = [head, *epoch]
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in batches]), direct[0])
+
+
+class TestLazyVisitRng:
+    """The per-visit generator is built only when something draws from
+    it, and building it late changes no draw."""
+
+    def run(self, tmp_path, record_files, tag, specs, faults, eager):
+        plan = FaultPlan.sample(
+            5, 1, 0,
+            stage_fail_rate=0.3, n_stage_ops=30,
+            target_slow_rate=0.3, target_slow_s=0.2,
+            bb_evict_rate=0.1, n_staged_reads=30,
+        )
+        mgr = StagingManager(
+            tmp_path / f"bb-{tag}",
+            config=StagingConfig(
+                hedge_budget_s=0.05, breaker_threshold=2, breaker_reset_s=0.5
+            ),
+            backing_spec=cori_lustre() if specs else None,
+            bb_spec=cori_datawarp() if specs else None,
+            n_nodes=512,
+            seed=9,
+            injector=FaultInjector(plan) if faults else None,
+        )
+        if eager:
+            # The previous _visit_rng: a generator for every visit.
+            def visit_rng(path, purpose):
+                visit = mgr._visits.get(path, 0)
+                mgr._visits[path] = visit + 1
+                rng = new_rng(derive_seed(mgr.seed, purpose, path.name, visit))
+                return lambda: rng
+
+            mgr._visit_rng = visit_rng
+        mgr.stage_all(record_files)
+        ds = RecordDataset(record_files, strict=False, staging=mgr)
+        for epoch in range(3):
+            for _ in ds.batches(2, rng=np.random.default_rng(epoch)):
+                pass
+        return mgr
+
+    @pytest.mark.parametrize("specs", [False, True])
+    @pytest.mark.parametrize("faults", [False, True])
+    def test_same_decisions_as_a_generator_per_visit(self, tmp_path, record_files, specs, faults):
+        lazy = self.run(tmp_path, record_files, "lazy", specs, faults, eager=False)
+        eager = self.run(tmp_path, record_files, "eager", specs, faults, eager=True)
+        assert lazy.events == eager.events
+        assert lazy.clock_s == eager.clock_s
+        assert lazy.stats.as_dict() == eager.stats.as_dict()
+        assert lazy._visits == eager._visits
+        if specs:
+            assert lazy.clock_s > 0
+
+    def test_no_generator_without_a_draw(self, tmp_path, record_files, monkeypatch):
+        built = []
+        real = staging_module.new_rng
+        monkeypatch.setattr(staging_module, "new_rng", lambda seed: built.append(seed) or real(seed))
+        self.run(tmp_path, record_files, "plain", specs=False, faults=False, eager=False)
+        assert built == []
+        self.run(tmp_path, record_files, "specs", specs=True, faults=False, eager=False)
+        assert built
 
 
 class TestReadLadder:
@@ -336,3 +511,99 @@ class TestFaultPlanSampling:
         # It stays pending for a later read on target 2.
         delay, _ = inj.on_staged_read("x", target=2)
         assert delay == 0.0  # step moved past 0 — event keyed to read 0
+
+
+class TestEveryByteOnce:
+    """One bench-shaped epoch — a fresh tier at half the dataset's size,
+    the dataset's index pass, a shuffled batch-4 read — checksums the
+    dataset twice (source at index, staged copy at read) and copies each
+    volume once, from the staged file's mapping into its batch."""
+
+    @pytest.fixture()
+    def shards(self, tmp_path):
+        rng = np.random.default_rng(2)
+        vols = rng.standard_normal((128, 1, 16, 16, 16)).astype(np.float32)
+        tgts = rng.random((128, 3)).astype(np.float32)
+        return write_dataset(tmp_path / "src", vols, tgts, samples_per_file=8), vols
+
+    def test_epoch_checksums_the_dataset_twice(self, tmp_path, shards, monkeypatch):
+        paths, vols = shards
+        dataset_bytes = sum(p.stat().st_size for p in paths)
+        checksummed = []
+        real_crc32 = zlib.crc32
+
+        def crc32(data, *start):
+            checksummed.append(memoryview(data).nbytes)
+            return real_crc32(data, *start)
+
+        monkeypatch.setattr(zlib, "crc32", crc32)
+        mgr = make_manager(tmp_path, capacity_bytes=dataset_bytes // 2)
+        ds = RecordDataset(paths, staging=mgr)
+        n = sum(len(x) for x, _ in ds.batches(4, rng=np.random.default_rng(0)))
+        assert n == len(vols)
+        assert mgr.stats.stage_ins == len(paths)
+        assert mgr.stats.capacity_evictions == len(paths) // 2
+        assert mgr.stats.fallback_reads == 0
+        # (the CRC fields themselves are not checksummed, hence just under 2)
+        assert 1.95 <= sum(checksummed) / dataset_bytes <= 2.05
+
+    def test_volume_goes_from_mapping_to_batch_in_one_copy(self, tmp_path, shards):
+        paths, vols = shards
+        mgr = make_manager(tmp_path)
+        ds = RecordDataset(paths, staging=mgr)
+        # File to decoded sample: no copy, the arrays are the mapping.
+        for v, t in ds._load_file(paths[0]):
+            root = v
+            while isinstance(root, np.ndarray):
+                assert not root.flags.owndata and not root.flags.writeable
+                root = root.base
+            assert isinstance(root.obj, mmap.mmap)
+        # Sample to batch: the one copy, into memory the batch owns.
+        (bx, by), *_ = ds.batches(4, shuffle=False)
+        assert bx.flags.owndata and bx.flags.writeable and bx.shape == (4, 1, 16, 16, 16)
+        np.testing.assert_array_equal(bx, vols[:4])
+
+
+class TestBatchOwnership:
+    """Batches belong to the consumer whatever happens to the files."""
+
+    def test_batches_are_writable_and_disjoint(self, tmp_path, record_files):
+        direct = RecordDataset(record_files).to_arrays()
+        ds = RecordDataset(record_files, staging=make_manager(tmp_path))
+        batches = list(ds.batches(5, shuffle=False))  # 12 samples: 5 + 5 + 2
+        arrays = [a for b in batches for a in b]
+        for i, a in enumerate(arrays):
+            assert a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+            a[...] = -7.0
+        again = list(ds.batches(5, shuffle=False))
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in again]), direct[0])
+        np.testing.assert_array_equal(np.concatenate([y for _, y in again]), direct[1])
+
+    def test_batches_outlive_eviction_and_unlink(self, tmp_path, record_files):
+        direct = RecordDataset(record_files).to_arrays()
+        nbytes = record_files[0].stat().st_size
+        mgr = make_manager(tmp_path, capacity_bytes=nbytes)  # room for one file
+        ds = RecordDataset(record_files, staging=mgr)
+        # batch 3 over files of 4: batches straddle an LRU eviction
+        batches = list(ds.batches(3, shuffle=False))
+        assert mgr.stats.capacity_evictions == len(record_files) - 1
+        mgr.evict_all()
+        del ds
+        assert [p.name for p in mgr.bb_dir.iterdir()] == []
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in batches]), direct[0])
+        np.testing.assert_array_equal(np.concatenate([y for _, y in batches]), direct[1])
+
+    def test_samples_in_hand_survive_quarantine_and_restage(self, tmp_path, record_files):
+        direct = RecordDataset(record_files).to_arrays()
+        mgr = make_manager(tmp_path)
+        ds = RecordDataset(record_files, staging=mgr)
+        epoch = ds.batches(1, shuffle=False)
+        head = next(epoch)  # the rest of file 0 is held as mapped views
+        resolved = mgr.handle_corrupt(record_files[0])
+        assert resolved.tier == "bb" and mgr.stats.quarantined == mgr.stats.restages == 1
+        (quarantined,) = mgr.quarantine_dir.iterdir()
+        quarantined.unlink()
+        batches = [head, *epoch]
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in batches]), direct[0])
+        np.testing.assert_array_equal(np.concatenate([y for _, y in batches]), direct[1])
