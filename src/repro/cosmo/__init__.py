@@ -15,7 +15,8 @@ This subpackage implements that entire pipeline at laptop scale:
 * :mod:`repro.cosmo.initial_conditions` — Gaussian random-field
   realizations of δ(x) with a prescribed P(k) (MUSIC's job).
 * :mod:`repro.cosmo.lpt` — Zel'dovich and 2LPT displacement fields
-  (COLA's large-scale backbone).
+  (COLA's large-scale backbone), solved with real-to-complex FFTs on
+  the half spectrum.
 * :mod:`repro.cosmo.nbody` — a particle-mesh force solver with COLA
   time stepping (pycola's job), optional since 2LPT alone already
   produces parameter-dependent structure.
@@ -30,10 +31,15 @@ This subpackage implements that entire pipeline at laptop scale:
 """
 
 from repro.cosmo.power_spectrum import PowerSpectrum, growth_factor
-from repro.cosmo.initial_conditions import gaussian_random_field, fourier_grid
+from repro.cosmo.initial_conditions import (
+    gaussian_random_field,
+    gaussian_random_modes,
+    fourier_grid,
+)
 from repro.cosmo.lpt import (
     zeldovich_displacement,
     lpt2_displacement,
+    lpt_displacement,
     displace_particles,
 )
 from repro.cosmo.nbody import ColaStepper, ParticleMesh
@@ -60,9 +66,11 @@ __all__ = [
     "PowerSpectrum",
     "growth_factor",
     "gaussian_random_field",
+    "gaussian_random_modes",
     "fourier_grid",
     "zeldovich_displacement",
     "lpt2_displacement",
+    "lpt_displacement",
     "displace_particles",
     "ColaStepper",
     "ParticleMesh",

@@ -26,10 +26,10 @@ import numpy as np
 
 from repro.core.parameters import ParameterSpace
 from repro.cosmo.histogram import particle_histogram, split_subvolumes
-from repro.cosmo.initial_conditions import gaussian_random_field
+from repro.cosmo.initial_conditions import gaussian_random_modes
 from repro.cosmo.lpt import (
     displace_particles,
-    lpt2_displacement,
+    lpt_displacement,
     second_order_growth,
     zeldovich_displacement,
 )
@@ -111,22 +111,21 @@ def run_simulation(theta, config: SimulationConfig, seed: int = 0) -> np.ndarray
     if config.redshift > 0:
         spectrum = spectrum.at_redshift(config.redshift)
     rng = new_rng(seed)
-    _, delta_k = gaussian_random_field(
-        config.particle_grid, config.box_size, spectrum, rng=rng, return_fourier=True
+    delta_k = gaussian_random_modes(
+        config.particle_grid, config.box_size, spectrum, rng=rng
     )
-    psi1 = zeldovich_displacement(delta_k, config.box_size)
-
     if config.cola_steps > 0:
-        stepper = ColaStepper(psi1, config.box_size, n_steps=config.cola_steps)
-        return stepper.run()
+        psi1 = zeldovich_displacement(delta_k, config.box_size)
+        return ColaStepper(psi1, config.box_size, n_steps=config.cola_steps).run()
 
     d1 = 1.0  # the realized spectrum is already the z=0 (or target-z) one
-    psi2 = None
-    d2 = None
-    if config.use_2lpt:
-        psi2 = lpt2_displacement(delta_k, config.box_size)
-        d2 = second_order_growth(d1, float(omega_m))
-    return displace_particles(psi1, config.box_size, d1, psi2, d2)
+    if not config.use_2lpt:
+        psi1 = zeldovich_displacement(delta_k, config.box_size)
+        return displace_particles(psi1, config.box_size, d1)
+    # Both orders in one solve: the growth factors go in before the transform.
+    d2 = second_order_growth(d1, float(omega_m))
+    psi = lpt_displacement(delta_k, config.box_size, d1, d2)
+    return displace_particles(psi, config.box_size, 1.0)
 
 
 def simulate_density(theta, config: SimulationConfig, seed: int = 0) -> np.ndarray:

@@ -21,14 +21,26 @@ import numpy as np
 from repro.cosmo.power_spectrum import PowerSpectrum
 from repro.utils.rng import new_rng
 
-__all__ = ["fourier_grid", "gaussian_random_field", "zero_nyquist", "field_rms"]
+__all__ = [
+    "fourier_grid",
+    "real_field",
+    "gaussian_random_modes",
+    "gaussian_random_field",
+    "zero_nyquist",
+    "field_rms",
+]
 
 
 def fourier_grid(n: int, box_size: float):
-    """Wavenumber grids for an ``n³`` box of side ``box_size`` (Mpc/h).
+    """Wavenumber grids for the half spectrum of a real ``n³`` field in a
+    box of side ``box_size`` (Mpc/h).
 
-    Returns ``(kx, ky, kz, k_mag)`` broadcastable to ``(n, n, n)``, in
-    h/Mpc, matching ``numpy.fft.fftfreq`` ordering.
+    Returns ``(kx, ky, kz, k_mag)`` broadcastable to ``(n, n, n//2 + 1)``
+    — the layout of ``numpy.fft.rfftn`` — in h/Mpc.  All three axes
+    follow ``numpy.fft.fftfreq``'s sign convention, so on an even grid
+    the Nyquist entry is ``−k_N`` on the truncated last axis too
+    (``rfftfreq`` would give ``+k_N``, and a plain ``k_a k_z`` product
+    the wrong sign on the line where both indices are Nyquist).
     """
     if n < 2:
         raise ValueError(f"grid must be at least 2, got {n}")
@@ -37,19 +49,23 @@ def fourier_grid(n: int, box_size: float):
     k1d = 2.0 * np.pi * np.fft.fftfreq(n, d=box_size / n)
     kx = k1d[:, None, None]
     ky = k1d[None, :, None]
-    kz = k1d[None, None, :]
+    kz = k1d[None, None, : n // 2 + 1]
     k_mag = np.sqrt(kx**2 + ky**2 + kz**2)
     return kx, ky, kz, k_mag
 
 
-def gaussian_random_field(
-    n: int,
-    box_size: float,
-    spectrum: PowerSpectrum,
-    rng=None,
-    return_fourier: bool = False,
-):
-    """Realize δ(x) on an ``n³`` grid with ensemble spectrum ``spectrum``.
+def real_field(field_k: np.ndarray) -> np.ndarray:
+    """The real ``n³`` field whose half spectrum ``(n, n, n//2 + 1)`` is
+    ``field_k`` (the inverse of ``numpy.fft.rfftn``; ``n`` is needed
+    because the half spectrum alone does not say whether it is even)."""
+    n = field_k.shape[0]
+    return np.fft.irfftn(field_k, s=(n, n, n), axes=(0, 1, 2))
+
+
+def gaussian_random_modes(n: int, box_size: float, spectrum: PowerSpectrum, rng=None):
+    """Realize ``δ_k`` — the half spectrum ``rfftn(δ)``, shape
+    ``(n, n, n//2 + 1)`` — of a Gaussian field with ensemble spectrum
+    ``spectrum``; what the LPT displacement solvers consume.
 
     Parameters
     ----------
@@ -59,30 +75,28 @@ def gaussian_random_field(
         Target power spectrum (callable k -> P(k)).
     rng
         Seed or generator.
-    return_fourier
-        Also return ``δ_k`` (needed by the LPT displacement solver,
-        saving a forward FFT).
-
-    Returns
-    -------
-    ``delta`` (and optionally ``delta_k``), both ``float64``/``complex128``
-    with ``delta.mean()`` exactly zero by construction (δ_k[0] = 0).
     """
     rng = new_rng(rng)
     _, _, _, k_mag = fourier_grid(n, box_size)
-    white = rng.standard_normal((n, n, n))
-    wk = np.fft.fftn(white)
-    amplitude = np.sqrt(spectrum(k_mag) * n**3 / box_size**3)
-    delta_k = wk * amplitude
+    delta_k = np.fft.rfftn(rng.standard_normal((n, n, n)))
+    delta_k *= np.sqrt(spectrum(k_mag) * n**3 / box_size**3)
     delta_k[0, 0, 0] = 0.0  # zero mean: delta is a contrast field
-    delta = np.fft.ifftn(delta_k).real
-    if return_fourier:
-        return delta, delta_k
-    return delta
+    return delta_k
+
+
+def gaussian_random_field(n: int, box_size: float, spectrum: PowerSpectrum, rng=None):
+    """Realize δ(x) on an ``n³`` grid: the inverse transform of
+    :func:`gaussian_random_modes` (same arguments, same draw).
+
+    ``float64``, with ``delta.mean()`` exactly zero by construction
+    (δ_k[0] = 0).
+    """
+    return real_field(gaussian_random_modes(n, box_size, spectrum, rng))
 
 
 def zero_nyquist(delta_k: np.ndarray) -> np.ndarray:
-    """Zero the Nyquist planes of a Fourier field (even grids only).
+    """Zero the Nyquist planes of a Fourier field (even grids only);
+    works on the half spectrum and on a full ``n³`` one.
 
     Spectral derivative operators (``i k``) are ill-defined at the
     Nyquist frequency of an even grid: the mode's imaginary part cannot

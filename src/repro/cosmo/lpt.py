@@ -10,6 +10,11 @@ residual integrated numerically.  This module provides the LPT part:
   with the standard growth prefactor ``D₂ ≈ −(3/7) D₁² Ω_m^{−1/143}``
   applied at displacement time.
 
+Every field here is real, so spectra are half spectra — the
+``(n, n, n//2 + 1)`` layout of ``numpy.fft.rfftn`` — and
+:class:`SpectralGrid` holds the rule that keeps derivative multipliers
+Hermitian on them.
+
 Particles start on a uniform lattice (one per cell) and are displaced
 with periodic wrapping — exactly pycola's setup.
 """
@@ -18,23 +23,90 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cosmo.initial_conditions import fourier_grid
+from repro.cosmo.initial_conditions import fourier_grid, real_field
 
 __all__ = [
+    "SpectralGrid",
     "zeldovich_displacement",
     "lpt2_displacement",
+    "lpt_displacement",
     "lattice_positions",
     "displace_particles",
     "second_order_growth",
 ]
 
 
-def _inverse_k2(k_mag: np.ndarray) -> np.ndarray:
-    """1/k² with the k=0 mode zeroed (mean mode carries no force)."""
-    k2 = k_mag**2
-    with np.errstate(divide="ignore"):
-        inv = np.where(k2 > 0.0, 1.0 / np.maximum(k2, 1e-30), 0.0)
-    return inv
+class SpectralGrid:
+    """Derivative and inverse-Laplacian multipliers of one periodic
+    ``n³`` box on the half spectrum ``(n, n, n//2 + 1)``, built once per
+    solve.
+
+    An inverse real transform reads its input as Hermitian, so each
+    multiplier ``M(k)`` must itself satisfy ``M(−k) = M(k)*``.  On an
+    even grid the Nyquist index is its own mirror (``k_a(−k) = k_a(k) =
+    −k_N``), which makes the multipliers differ by derivative order:
+
+    * ``∂_a`` — ``i k_a`` is anti-Hermitian there, so ``k_a`` is zeroed
+      at the Nyquist index (:attr:`k_odd`);
+    * ``∂_a∂_a`` — ``k_a²`` is symmetric everywhere: unzeroed :attr:`k`;
+    * ``∂_a∂_b``, a ≠ b — ``k_a k_b`` flips sign under ``k → −k`` where
+      exactly one index is Nyquist (zeroed) and keeps it where both are:
+      the zeroed product plus ``k_N²`` on that line.
+    """
+
+    def __init__(self, n: int, box_size: float):
+        *self.k, k_mag = fourier_grid(n, box_size)
+        self.n = n
+        k2 = k_mag**2
+        # 1/k² with the k=0 mode zeroed (the mean mode carries no force)
+        self.inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
+        self.k_odd = [k.copy() for k in self.k]
+        if n % 2 == 0:
+            for axis, k in enumerate(self.k_odd):
+                k[(0,) * axis + (n // 2,)] = 0.0
+        self._k_nyquist2 = (np.pi * n / box_size) ** 2
+
+    @classmethod
+    def for_spectrum(cls, field_k: np.ndarray, box_size: float) -> "SpectralGrid":
+        """The grid of the box whose half spectrum ``field_k`` is."""
+        n = field_k.shape[0]
+        if field_k.shape != (n, n, n // 2 + 1):
+            raise ValueError(
+                f"expected a half spectrum (n, n, n//2 + 1), got {field_k.shape}"
+            )
+        return cls(n, box_size)
+
+    def inverse_gradient(self, field_k: np.ndarray) -> np.ndarray:
+        """``∇∇⁻² f`` as ``(3, n, n, n)``: the inverse transforms of
+        ``i k_a f_k / k²`` — the displacement solving ``∇·Ψ = −f``."""
+        base = self.inv_k2 * field_k
+        psi = np.empty((3,) + (self.n,) * 3, dtype=np.float64)
+        for axis, k_axis in enumerate(self.k_odd):
+            psi[axis] = real_field(1j * k_axis * base)
+        return psi
+
+    def lpt2_source(self, delta_k: np.ndarray) -> np.ndarray:
+        """``S(x) = Σ_{a<b} (φ_aa φ_bb − φ_ab²)`` from the six distinct
+        second derivatives of the displacement potential
+        (``φ_k = −δ_k/k²``, so ``(∂_a∂_b φ)_k = k_a k_b δ_k/k²``)."""
+        n = self.n
+        base = self.inv_k2 * delta_k
+        d00, d11, d22 = (real_field(k**2 * base) for k in self.k)
+        source = d00 * d11
+        d00 += d11
+        d00 *= d22
+        source += d00
+        del d00, d11, d22
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            mixed = self.k_odd[a] * self.k_odd[b]
+            if n % 2 == 0:
+                line = [0, 0, 0]
+                line[a] = line[b] = n // 2
+                mixed[tuple(line)] = self._k_nyquist2
+            off = real_field(mixed * base)
+            off *= off
+            source -= off
+        return source
 
 
 def zeldovich_displacement(delta_k: np.ndarray, box_size: float) -> np.ndarray:
@@ -43,7 +115,8 @@ def zeldovich_displacement(delta_k: np.ndarray, box_size: float) -> np.ndarray:
     Parameters
     ----------
     delta_k
-        ``FFT(δ)`` on an ``n³`` grid.
+        ``rfftn(δ)`` of an ``n³`` grid: the half spectrum
+        ``(n, n, n//2 + 1)``.
     box_size
         Box side (Mpc/h).
 
@@ -52,60 +125,31 @@ def zeldovich_displacement(delta_k: np.ndarray, box_size: float) -> np.ndarray:
     ``(3, n, n, n)`` real displacement components in Mpc/h (per unit
     growth factor — multiply by D₁ for a given epoch).
     """
-    n = delta_k.shape[0]
-    if delta_k.shape != (n, n, n):
-        raise ValueError(f"delta_k must be cubic, got {delta_k.shape}")
-    kx, ky, kz, k_mag = fourier_grid(n, box_size)
-    inv_k2 = _inverse_k2(k_mag)
-    psi = np.empty((3,) + delta_k.shape, dtype=np.float64)
-    for axis, k_axis in enumerate((kx, ky, kz)):
-        psi_k = 1j * k_axis * inv_k2 * delta_k
-        psi[axis] = np.fft.ifftn(psi_k).real
-    return psi
-
-
-def _potential_hessian(delta_k: np.ndarray, box_size: float) -> np.ndarray:
-    """All six independent second derivatives φ_ij of the displacement
-    potential (φ_k = −δ_k/k², Ψ = −∇φ), shape ``(3, 3, n, n, n)``."""
-    n = delta_k.shape[0]
-    kx, ky, kz, k_mag = fourier_grid(n, box_size)
-    inv_k2 = _inverse_k2(k_mag)
-    ks = (kx, ky, kz)
-    phi_k = -delta_k * inv_k2
-    hess = np.empty((3, 3, n, n, n), dtype=np.float64)
-    for i in range(3):
-        for j in range(i, 3):
-            d2 = np.fft.ifftn(-ks[i] * ks[j] * phi_k).real
-            hess[i, j] = d2
-            hess[j, i] = d2
-    return hess
+    grid = SpectralGrid.for_spectrum(delta_k, box_size)
+    return grid.inverse_gradient(delta_k)
 
 
 def lpt2_displacement(delta_k: np.ndarray, box_size: float) -> np.ndarray:
-    """Second-order LPT displacement (per unit D₂).
+    """Second-order LPT displacement (per unit D₂), from the half
+    spectrum ``delta_k``.
 
     Source: ``S(x) = Σ_{i<j} (φ_ii φ_jj − φ_ij²)``; then the
     displacement solves ``∇·Ψ⁽²⁾ = S`` in Fourier space.
     """
-    n = delta_k.shape[0]
-    if delta_k.shape != (n, n, n):
-        raise ValueError(f"delta_k must be cubic, got {delta_k.shape}")
-    hess = _potential_hessian(delta_k, box_size)
-    source = (
-        hess[0, 0] * hess[1, 1]
-        - hess[0, 1] ** 2
-        + hess[0, 0] * hess[2, 2]
-        - hess[0, 2] ** 2
-        + hess[1, 1] * hess[2, 2]
-        - hess[1, 2] ** 2
-    )
-    source_k = np.fft.fftn(source)
-    kx, ky, kz, k_mag = fourier_grid(n, box_size)
-    inv_k2 = _inverse_k2(k_mag)
-    psi = np.empty((3, n, n, n), dtype=np.float64)
-    for axis, k_axis in enumerate((kx, ky, kz)):
-        psi[axis] = np.fft.ifftn(1j * k_axis * inv_k2 * source_k).real
-    return psi
+    return lpt_displacement(delta_k, box_size, d1=0.0, d2=1.0)
+
+
+def lpt_displacement(
+    delta_k: np.ndarray, box_size: float, d1: float, d2: float
+) -> np.ndarray:
+    """``D₁ Ψ⁽¹⁾ + D₂ Ψ⁽²⁾`` in one inverse transform per axis: both
+    orders apply the same linear operator, so it is applied once to
+    ``D₁ δ_k + D₂ S_k``."""
+    grid = SpectralGrid.for_spectrum(delta_k, box_size)
+    total_k = np.fft.rfftn(grid.lpt2_source(delta_k))
+    total_k *= d2
+    total_k += d1 * delta_k
+    return grid.inverse_gradient(total_k)
 
 
 def second_order_growth(d1: float, omega_m: float) -> float:
@@ -128,8 +172,11 @@ def lattice_positions(n: int, box_size: float) -> np.ndarray:
     statistically irrelevant; the COLA stepper interpolates fields to
     particle positions, avoiding even that.
     """
-    edges = (np.arange(n) + 0.5) * (box_size / n)
-    grid = np.stack(np.meshgrid(edges, edges, edges, indexing="ij"), axis=-1)
+    centers = (np.arange(n) + 0.5) * (box_size / n)
+    grid = np.empty((n, n, n, 3), dtype=np.float64)
+    grid[..., 0] = centers[:, None, None]
+    grid[..., 1] = centers[None, :, None]
+    grid[..., 2] = centers
     return grid.reshape(-1, 3)
 
 
@@ -148,10 +195,24 @@ def displace_particles(
     n = psi1.shape[1]
     if psi1.shape != (3, n, n, n):
         raise ValueError(f"psi1 must be (3, n, n, n), got {psi1.shape}")
-    q = lattice_positions(n, box_size)
-    disp = d1 * psi1.reshape(3, -1).T
-    if psi2 is not None:
-        if d2 is None:
-            raise ValueError("psi2 given without its growth factor d2")
-        disp = disp + d2 * psi2.reshape(3, -1).T
-    return np.mod(q + disp, box_size)
+    if psi2 is not None and d2 is None:
+        raise ValueError("psi2 given without its growth factor d2")
+    x = lattice_positions(n, box_size)
+    for axis in range(3):  # one n³ temporary at a time, not three (n³, 3) ones
+        disp = d1 * psi1[axis].ravel()
+        if psi2 is not None:
+            disp += d2 * psi2[axis].ravel()
+        x[:, axis] += disp
+    return wrap_periodic(x, box_size)
+
+
+def wrap_periodic(positions: np.ndarray, box_size: float) -> np.ndarray:
+    """Wrap coordinates into ``[0, box_size)``, in place.
+
+    ``np.mod`` alone returns ``box_size`` itself for a coordinate a hair
+    below zero (``np.mod(-1e-17, 128.0) == 128.0``); that image is folded
+    to ``0.0``.
+    """
+    np.mod(positions, box_size, out=positions)
+    positions[positions == box_size] = 0.0
+    return positions

@@ -27,10 +27,11 @@ property the tests pin down.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from repro.cosmo.initial_conditions import fourier_grid
-from repro.cosmo.lpt import lattice_positions, zeldovich_displacement
+from repro.cosmo.lpt import SpectralGrid, lattice_positions, wrap_periodic
 
 __all__ = ["ParticleMesh", "ColaStepper"]
 
@@ -59,7 +60,7 @@ class ParticleMesh:
         if positions.ndim != 2 or positions.shape[1] != 3:
             raise ValueError(f"positions must be (N, 3), got {positions.shape}")
         # Grid-point convention: cell i holds the field value at x = i Δ,
-        # matching how ifftn samples the spectral fields.
+        # matching how the inverse FFT samples the spectral fields.
         u = positions / self.cell
         i0 = np.floor(u).astype(np.int64)
         frac = u - i0
@@ -88,10 +89,14 @@ class ParticleMesh:
         mean = positions.shape[0] / n**3
         return rho / mean - 1.0
 
+    @cached_property
+    def _spectral(self) -> SpectralGrid:
+        return SpectralGrid(self.n_grid, self.box_size)
+
     def _cic_window(self) -> np.ndarray:
-        """Fourier transform of the CIC assignment window,
-        ``W(k) = Π_i sinc²(k_i Δ/2)`` with Δ the cell size."""
-        kx, ky, kz, _ = fourier_grid(self.n_grid, self.box_size)
+        """Fourier transform of the CIC assignment window on the half
+        spectrum, ``W(k) = Π_i sinc²(k_i Δ/2)`` with Δ the cell size."""
+        kx, ky, kz = self._spectral.k
         half = self.cell / 2.0
 
         def sinc2(k):
@@ -114,11 +119,10 @@ class ParticleMesh:
         """
         if delta.shape != (self.n_grid,) * 3:
             raise ValueError(f"delta must be {(self.n_grid,) * 3}, got {delta.shape}")
-        delta_k = np.fft.fftn(delta)
+        delta_k = np.fft.rfftn(delta)
         if deconvolve:
-            w = np.maximum(self._cic_window(), 0.15) ** deconvolve
-            delta_k = delta_k / w
-        return zeldovich_displacement(delta_k, self.box_size)
+            delta_k /= np.maximum(self._cic_window(), 0.15) ** deconvolve
+        return self._spectral.inverse_gradient(delta_k)
 
     def interpolate(self, field: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """CIC gather of a ``(3, n, n, n)`` field at particle positions.
@@ -177,7 +181,7 @@ class ColaStepper:
         self.psi1_flat = gather_pm.interpolate(psi1, self.q)
 
     def _positions(self, tau: float, y: np.ndarray) -> np.ndarray:
-        return np.mod(self.q + tau * self.psi1_flat + y, self.box_size)
+        return wrap_periodic(self.q + tau * self.psi1_flat + y, self.box_size)
 
     def _residual_accel(self, tau: float, y: np.ndarray) -> np.ndarray:
         """(3/2τ²) (g_pm(x) − τ Ψ¹(q)) — zero for an exactly linear field."""

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 __all__ = ["PowerSpectrum", "growth_factor", "tophat_window", "bbks_transfer"]
 
@@ -65,6 +64,10 @@ def growth_factor(a: float, omega_m: float) -> float:
         raise ValueError(f"scale factor must be in (0, 1], got {a}")
     if not 0.0 < omega_m <= 1.0:
         raise ValueError(f"omega_m must be in (0, 1], got {omega_m}")
+    # Imported here, not at module top: only spectra at z > 0 need it, and
+    # it costs ~0.5 s and ~44 MB in every process that imports repro.cosmo.
+    from scipy import integrate
+
     omega_l = 1.0 - omega_m
 
     def hubble(a_):

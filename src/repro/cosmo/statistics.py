@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.cosmo.initial_conditions import fourier_grid
+from repro.cosmo.initial_conditions import fourier_grid, real_field
 
 __all__ = [
     "measure_power_spectrum",
@@ -24,6 +24,19 @@ __all__ = [
     "density_moments",
     "summary_features",
 ]
+
+
+def _mode_weights(n: int) -> np.ndarray:
+    """How many modes of the full ``n³`` spectrum each half-spectrum
+    entry stands for, shape ``(1, 1, n//2 + 1)``: 1 on the self-conjugate
+    planes (``k_z = 0`` and, for even ``n``, ``k_z = n/2``), 2 elsewhere —
+    so shell averages over the half spectrum equal those over the full
+    one."""
+    weights = np.full((1, 1, n // 2 + 1), 2.0)
+    weights[..., 0] = 1.0
+    if n % 2 == 0:
+        weights[..., -1] = 1.0
+    return weights
 
 
 def measure_power_spectrum(
@@ -38,7 +51,9 @@ def measure_power_spectrum(
 
         P̂(k) = |FFT(δ)|² · V / N⁶
 
-    binned logarithmically in |k| between the fundamental mode and the
+    evaluated on the half spectrum of the real field (each entry weighted
+    by the number of full-spectrum modes it stands for) and binned
+    logarithmically in |k| between the fundamental mode and the
     Nyquist frequency.  Returns ``(k_centers, P̂)``; empty bins get NaN.
     """
     delta = np.asarray(delta, dtype=np.float64)
@@ -48,7 +63,8 @@ def measure_power_spectrum(
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     _, _, _, k_mag = fourier_grid(n, box_size)
-    power = np.abs(np.fft.fftn(delta)) ** 2 * box_size**3 / float(n) ** 6
+    power = np.abs(np.fft.rfftn(delta)) ** 2 * box_size**3 / float(n) ** 6
+    weights = np.broadcast_to(_mode_weights(n), power.shape).ravel()
 
     k_fund = 2.0 * np.pi / box_size
     k_nyq = np.pi * n / box_size
@@ -58,8 +74,8 @@ def measure_power_spectrum(
     idx = np.digitize(k_flat, edges) - 1
     valid = (idx >= 0) & (idx < n_bins)
 
-    sums = np.bincount(idx[valid], weights=p_flat[valid], minlength=n_bins)
-    counts = np.bincount(idx[valid], minlength=n_bins)
+    sums = np.bincount(idx[valid], weights=(weights * p_flat)[valid], minlength=n_bins)
+    counts = np.bincount(idx[valid], weights=weights[valid], minlength=n_bins)
     with np.errstate(invalid="ignore"):
         p_binned = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     k_centers = np.sqrt(edges[:-1] * edges[1:])
@@ -90,9 +106,9 @@ def two_point_correlation(
         raise ValueError(f"delta must be cubic, got {delta.shape}")
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    delta_k = np.fft.fftn(delta)
+    delta_k = np.fft.rfftn(delta)
     # correlation = IFFT of the power: <δ(x)δ(x+r)> over the periodic box
-    corr = np.fft.ifftn(np.abs(delta_k) ** 2).real / n**3
+    corr = real_field(np.abs(delta_k) ** 2) / n**3
 
     cell = box_size / n
     axis = np.minimum(np.arange(n), n - np.arange(n)) * cell  # periodic distance
@@ -143,7 +159,7 @@ def equilateral_bispectrum(
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     _, _, _, k_mag = fourier_grid(n, box_size)
-    delta_k = np.fft.fftn(delta)
+    delta_k = np.fft.rfftn(delta)
 
     k_fund = 2.0 * np.pi / box_size
     k_nyq = np.pi * n / box_size
@@ -156,8 +172,8 @@ def equilateral_bispectrum(
         mask = (k_mag >= edges[b]) & (k_mag < edges[b + 1])
         if not np.any(mask):
             continue
-        d_shell = np.fft.ifftn(delta_k * mask).real
-        i_shell = np.fft.ifftn(mask.astype(np.float64)).real
+        d_shell = real_field(delta_k * mask)
+        i_shell = real_field(mask.astype(np.float64))
         den = np.sum(i_shell**3)
         if abs(den) < 1e-12:
             continue

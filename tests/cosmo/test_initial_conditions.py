@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.cosmo.initial_conditions import fourier_grid, gaussian_random_field
+from repro.cosmo.initial_conditions import (
+    fourier_grid,
+    gaussian_random_field,
+    gaussian_random_modes,
+    real_field,
+)
 from repro.cosmo.power_spectrum import PowerSpectrum
 from repro.cosmo.statistics import measure_power_spectrum
 
@@ -11,16 +16,22 @@ from repro.cosmo.statistics import measure_power_spectrum
 class TestFourierGrid:
     def test_shapes_broadcast(self):
         kx, ky, kz, k = fourier_grid(8, 100.0)
-        assert kx.shape == (8, 1, 1) and ky.shape == (1, 8, 1) and kz.shape == (1, 1, 8)
-        assert k.shape == (8, 8, 8)
+        assert kx.shape == (8, 1, 1) and ky.shape == (1, 8, 1) and kz.shape == (1, 1, 5)
+        assert k.shape == (8, 8, 5) == np.fft.rfftn(np.zeros((8, 8, 8))).shape
+        assert fourier_grid(9, 100.0)[3].shape == (9, 9, 5)
 
     def test_fundamental_mode(self):
         kx, _, _, _ = fourier_grid(8, 100.0)
         assert kx[1, 0, 0] == pytest.approx(2 * np.pi / 100.0)
 
     def test_nyquist(self):
-        kx, _, _, _ = fourier_grid(8, 100.0)
-        assert np.abs(kx).max() == pytest.approx(np.pi * 8 / 100.0)
+        """−k_N on every axis, the truncated one included (fftfreq's sign,
+        not rfftfreq's: mixed second derivatives depend on it)."""
+        kx, ky, kz, _ = fourier_grid(8, 100.0)
+        k_nyquist = np.pi * 8 / 100.0
+        assert np.abs(kx).max() == pytest.approx(k_nyquist)
+        assert kx[4, 0, 0] == ky[0, 4, 0] == kz[0, 0, 4] == pytest.approx(-k_nyquist)
+        assert fourier_grid(9, 100.0)[2].min() == 0.0
 
     def test_zero_mode_at_origin(self):
         _, _, _, k = fourier_grid(8, 100.0)
@@ -54,10 +65,12 @@ class TestGaussianRandomField:
         assert not np.array_equal(a, b)
 
     def test_return_fourier_consistent(self):
-        delta, delta_k = gaussian_random_field(
-            8, 64.0, PowerSpectrum(), rng=3, return_fourier=True
-        )
-        np.testing.assert_allclose(np.fft.ifftn(delta_k).real, delta, atol=1e-12)
+        for n in (8, 9):
+            delta = gaussian_random_field(n, 64.0, PowerSpectrum(), rng=3)
+            delta_k = gaussian_random_modes(n, 64.0, PowerSpectrum(), rng=3)
+            assert delta_k.shape == (n, n, n // 2 + 1)
+            np.testing.assert_array_equal(real_field(delta_k), delta)
+            np.testing.assert_allclose(np.fft.rfftn(delta), delta_k, atol=1e-10)
 
     def test_power_spectrum_round_trip(self):
         """The generated field's measured P(k) matches the input P(k)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.cosmo.initial_conditions import gaussian_random_field
+from repro.cosmo.initial_conditions import (
+    fourier_grid,
+    gaussian_random_field,
+    gaussian_random_modes,
+    real_field,
+    zero_nyquist,
+)
 from repro.cosmo.lpt import (
     displace_particles,
     lattice_positions,
@@ -15,19 +21,19 @@ from repro.cosmo.power_spectrum import PowerSpectrum
 
 
 def plane_wave_delta_k(n, box, amplitude=0.01):
-    """δ(x) = A cos(k1 x) along axis 0, in Fourier space."""
+    """δ(x) = A cos(k1 x) along axis 0, as its half spectrum."""
     x = (np.arange(n) + 0.0) * (box / n)
     delta = amplitude * np.cos(2 * np.pi * x / box)[:, None, None] * np.ones((1, n, n))
-    return np.fft.fftn(delta), delta
+    return np.fft.rfftn(delta), delta
 
 
 class TestZeldovich:
     def test_shape(self):
-        dk = np.zeros((8, 8, 8), dtype=complex)
+        dk = np.zeros((8, 8, 5), dtype=complex)
         assert zeldovich_displacement(dk, 64.0).shape == (3, 8, 8, 8)
 
     def test_zero_field_zero_displacement(self):
-        dk = np.zeros((8, 8, 8), dtype=complex)
+        dk = np.zeros((8, 8, 5), dtype=complex)
         np.testing.assert_allclose(zeldovich_displacement(dk, 64.0), 0.0)
 
     def test_plane_wave_analytic(self):
@@ -49,23 +55,18 @@ class TestZeldovich:
         Exact only on Nyquist-filtered fields — spectral i·k derivatives
         are ill-defined at the Nyquist plane of an even grid.
         """
-        from repro.cosmo.initial_conditions import zero_nyquist
-
         n, box = 16, 64.0
-        delta_raw = gaussian_random_field(n, box, PowerSpectrum(), rng=0)
-        delta_k = zero_nyquist(np.fft.fftn(delta_raw))
-        delta = np.fft.ifftn(delta_k).real
+        delta_k = zero_nyquist(gaussian_random_modes(n, box, PowerSpectrum(), rng=0))
+        delta = real_field(delta_k)
         psi = zeldovich_displacement(delta_k, box)
         # spectral divergence
-        from repro.cosmo.initial_conditions import fourier_grid
-
         kx, ky, kz, _ = fourier_grid(n, box)
         div_k = (
-            1j * kx * np.fft.fftn(psi[0])
-            + 1j * ky * np.fft.fftn(psi[1])
-            + 1j * kz * np.fft.fftn(psi[2])
+            1j * kx * np.fft.rfftn(psi[0])
+            + 1j * ky * np.fft.rfftn(psi[1])
+            + 1j * kz * np.fft.rfftn(psi[2])
         )
-        div = np.fft.ifftn(div_k).real
+        div = real_field(div_k)
         np.testing.assert_allclose(div, -delta, atol=1e-8)
 
     def test_non_cubic_raises(self):
@@ -75,7 +76,7 @@ class TestZeldovich:
 
 class TestLPT2:
     def test_shape(self):
-        dk = np.zeros((8, 8, 8), dtype=complex)
+        dk = np.zeros((8, 8, 5), dtype=complex)
         assert lpt2_displacement(dk, 64.0).shape == (3, 8, 8, 8)
 
     def test_plane_wave_has_no_second_order(self):
@@ -88,12 +89,12 @@ class TestLPT2:
 
     def test_generic_field_nonzero(self):
         delta = gaussian_random_field(16, 64.0, PowerSpectrum(), rng=1)
-        psi2 = lpt2_displacement(np.fft.fftn(delta), 64.0)
+        psi2 = lpt2_displacement(np.fft.rfftn(delta), 64.0)
         assert np.abs(psi2).max() > 0
 
     def test_second_order_smaller_than_first_for_linear_field(self):
         ps = PowerSpectrum(sigma_8=0.2)  # weakly non-linear
-        delta, dk = gaussian_random_field(16, 256.0, ps, rng=2, return_fourier=True)
+        dk = gaussian_random_modes(16, 256.0, ps, rng=2)
         psi1 = zeldovich_displacement(dk, 256.0)
         psi2 = lpt2_displacement(dk, 256.0)
         assert np.abs(psi2).std() < np.abs(psi1).std()
@@ -101,8 +102,8 @@ class TestLPT2:
     def test_quadratic_scaling(self):
         """Ψ² is quadratic in δ: doubling δ quadruples Ψ²."""
         delta = gaussian_random_field(8, 64.0, PowerSpectrum(), rng=3)
-        p1 = lpt2_displacement(np.fft.fftn(delta), 64.0)
-        p2 = lpt2_displacement(np.fft.fftn(2 * delta), 64.0)
+        p1 = lpt2_displacement(np.fft.rfftn(delta), 64.0)
+        p2 = lpt2_displacement(np.fft.rfftn(2 * delta), 64.0)
         np.testing.assert_allclose(p2, 4 * p1, rtol=1e-8, atol=1e-12)
 
 
@@ -140,6 +141,20 @@ class TestDisplaceParticles:
         psi = np.full((3, 4, 4, 4), 10.0)  # push everything past the edge
         x = displace_particles(psi, 8.0, d1=1.0)
         assert np.all(x >= 0) and np.all(x < 8.0)
+
+    def test_hair_below_zero_wraps_to_zero_not_box_size(self):
+        """``np.mod(-tiny, box) == box``: the wrap must not hand the
+        histogram a coordinate on the excluded upper edge."""
+        from repro.cosmo.histogram import particle_histogram
+
+        box = 128.0
+        psi = np.zeros((3, 4, 4, 4))
+        psi[0, 0, 0, 0] = np.nextafter(-16.0, -np.inf)  # the lattice point is at 16
+        assert np.mod(16.0 + psi[0, 0, 0, 0], box) == box
+        x = displace_particles(psi, box, d1=1.0)
+        assert x[0, 0] == 0.0
+        assert np.all(x >= 0) and np.all(x < box)
+        assert particle_histogram(x, 4, box).sum() == 64
 
     def test_growth_factor_scales(self):
         psi = np.zeros((3, 4, 4, 4))

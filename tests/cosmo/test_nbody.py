@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cosmo.initial_conditions import gaussian_random_field
+from repro.cosmo.initial_conditions import gaussian_random_field, gaussian_random_modes
 from repro.cosmo.lpt import displace_particles, lattice_positions, zeldovich_displacement
 from repro.cosmo.nbody import ColaStepper, ParticleMesh
 from repro.cosmo.power_spectrum import PowerSpectrum
@@ -92,7 +92,7 @@ class TestColaStepper:
         and the COLA residual stays tiny relative to the ZA displacement."""
         n, box = 16, 256.0
         ps = PowerSpectrum(sigma_8=0.1)
-        _, dk = gaussian_random_field(n, box, ps, rng=3, return_fourier=True)
+        dk = gaussian_random_modes(n, box, ps, rng=3)
         psi1 = zeldovich_displacement(dk, box)
         stepper = ColaStepper(psi1, box, n_steps=5)
         x, residual = stepper.run(return_residual=True)
@@ -106,14 +106,14 @@ class TestColaStepper:
     def test_nonlinear_field_moves_off_za(self):
         n, box = 16, 32.0
         ps = PowerSpectrum(sigma_8=0.9)
-        _, dk = gaussian_random_field(n, box, ps, rng=4, return_fourier=True)
+        dk = gaussian_random_modes(n, box, ps, rng=4)
         psi1 = zeldovich_displacement(dk, box)
         x, residual = ColaStepper(psi1, box, n_steps=5).run(return_residual=True)
         assert np.abs(residual).max() > 0
 
     def test_positions_in_box(self):
         n, box = 8, 32.0
-        _, dk = gaussian_random_field(n, box, PowerSpectrum(), rng=5, return_fourier=True)
+        dk = gaussian_random_modes(n, box, PowerSpectrum(), rng=5)
         psi1 = zeldovich_displacement(dk, box)
         x = ColaStepper(psi1, box, n_steps=3).run()
         assert np.all(x >= 0) and np.all(x < box)

@@ -133,3 +133,29 @@ class TestPowerSpectrum:
     def test_property_normalization_over_paper_ranges(self, omega_m, sigma_8, n_s):
         ps = PowerSpectrum(omega_m=omega_m, sigma_8=sigma_8, n_s=n_s)
         assert ps.sigma_r(8.0) == pytest.approx(sigma_8, rel=1e-5)
+
+
+class TestImportCost:
+    def test_cosmo_and_engine_import_without_scipy(self):
+        """scipy (0.5 s, ~44 MB) is needed by ``growth_factor`` alone and
+        loaded there; z > 0 channels still work in the same process."""
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro.cosmo, repro.core.engine\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported at module top'\n"
+            "from repro.cosmo import SimulationConfig, simulate_multichannel\n"
+            "sim = SimulationConfig(particle_grid=8, histogram_grid=8)\n"
+            "theta = (0.31, 0.82, 0.96)\n"
+            "assert simulate_multichannel(theta, sim, (0.0,)).sum() == 8**3\n"
+            "assert 'scipy' not in sys.modules, 'z = 0 needs no growth factor'\n"
+            "both = simulate_multichannel(theta, sim, (0.0, 1.0))\n"
+            "assert both[0].sum() == both[1].sum() == 8**3\n"
+            "assert both[1].var() < both[0].var()\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
