@@ -35,7 +35,10 @@ def reduce_arrays(arrays: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM) -> 
     """Reduce per-rank arrays in rank order (deterministic association).
 
     This single helper is shared by every backend and by the schedule
-    simulations, so all code paths produce identical numerics.
+    simulations, so all code paths produce identical numerics.  A rank's
+    ``inf`` / ``nan`` is data here, not an error: it must survive the
+    reduction so every rank reaches the same overflow verdict (fp16 loss
+    scaling, the numerical-health watchdog), hence the ``errstate``.
     """
     if not arrays:
         raise ValueError("reduce_arrays needs at least one array")
@@ -44,8 +47,9 @@ def reduce_arrays(arrays: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM) -> 
         raise ValueError(f"mismatched shapes in reduction: {sorted(shapes)}")
     acc = np.array(arrays[0], copy=True)
     if op in (ReduceOp.SUM, ReduceOp.MEAN):
-        for a in arrays[1:]:
-            acc += a
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in arrays[1:]:
+                acc += a
         if op is ReduceOp.MEAN:
             acc /= len(arrays)
     elif op is ReduceOp.MAX:

@@ -72,6 +72,13 @@ class PolynomialDecay:
         return (self.eta0 - self.eta_min) * (1.0 - frac) ** self.power + self.eta_min
 
 
+def _l2_norm(a: np.ndarray) -> float:
+    """``float(np.linalg.norm(a))`` for a real floating array, to the bit:
+    the ``sqrt(dot(v, v))`` it takes, minus its argument handling."""
+    v = np.asarray(a).ravel(order="K")
+    return float(np.sqrt(v.dot(v)))
+
+
 def larc_scale(
     param: np.ndarray,
     grad: np.ndarray,
@@ -79,8 +86,7 @@ def larc_scale(
     fallback: float = LARC_FALLBACK,
 ) -> float:
     """The clipped LARC local rate ``eta+ = min(eta*, 1)`` for one layer."""
-    v_norm = float(np.linalg.norm(param))
-    g_norm = float(np.linalg.norm(grad))
+    v_norm, g_norm = _l2_norm(param), _l2_norm(grad)
     if v_norm != 0.0 and g_norm != 0.0:
         eta_star = trust * v_norm / g_norm
     else:

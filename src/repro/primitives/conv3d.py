@@ -1,4 +1,4 @@
-"""Production 3D convolution kernels (forward / backward-data / backward-weights).
+"""Production 3D convolution kernels (forward / backward).
 
 Layout is ``NCDHW`` for activations and ``(OC, IC, KD, KH, KW)`` for
 weights, matching the framework layer above.  Convolution here is
@@ -16,11 +16,15 @@ the reduction dimension; along W the input keeps whole contiguous rows:
 * *forward*: ``(kw*OC) x (IC*kd*kh) @ rows`` holds every W-tap's
   contribution at every row position; the output is the sum of the
   ``kw`` results read at offset ``zw`` (bias folded into the first).
-* *backward-data*: the transposed weight matrix times ``kw`` W-shifted,
-  zero-margined copies of the gradient is the gradient of ``rows``,
-  which ``kd*kh`` row-slab adds scatter into the input gradient.
-* *backward-weights*: the same shifted gradient times ``rows^T``, on
-  the forward's own ``rows`` when handed back (:func:`conv3d_pack`).
+* *backward*: **one call per convolution** (:func:`conv3d_backward`).
+  The ``kw`` W-shifted, zero-margined copies of the gradient are built
+  once and feed both GEMMs: the transposed weight matrix times them is
+  the gradient of ``rows``, which ``kd*kh`` row-slab adds scatter into
+  the input gradient; they times ``rows^T`` — the forward's own
+  ``rows`` when handed back (:func:`conv3d_pack`) — is the weight
+  gradient.  :func:`conv3d_backward_data` and
+  :func:`conv3d_backward_weights` are that same code asked for one
+  result; there is no second backward.
 
 Where ``IC * K^3`` is small (CosmoFlow's one-channel conv1) the W axis
 is unrolled into the reduction too — im2col: the shifts happen while
@@ -28,11 +32,25 @@ packing, none after the GEMM.  :class:`_Plan` says on which side of the
 GEMM the W-taps go; everything else is one code path, stride and
 padding included (strided slabs and taps; pad once, crop once).
 Results differ from a direct convolution only by fp32 summation order.
+
+Derived once
+------------
+The network is a static graph: everything a call derives from shapes
+and layer constants alone — normalised kernel / stride / padding, the
+output shape, the :class:`_Plan`, packed and padded shapes, crop slices
+— is one immutable :class:`_Geometry` record, built once per distinct
+``(n, ic, spatial, kernel, stride, padding)`` and looked up afterwards,
+the way MKL-DNN creates a layer's primitive once and then only executes
+it.  The cache holds tuples and slices, never an array (outputs and
+packed operands escape to the caller's tape, so each call allocates its
+own), which keeps it thread-safe and costs no memory worth counting.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+import functools
+import math
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +58,7 @@ __all__ = [
     "conv3d_output_shape",
     "conv3d_pack",
     "conv3d_forward",
+    "conv3d_backward",
     "conv3d_backward_data",
     "conv3d_backward_weights",
 ]
@@ -55,6 +74,32 @@ def _triple(v) -> Shape3:
     if len(t) != 3:
         raise ValueError(f"expected scalar or length-3 value, got {v!r}")
     return t
+
+
+#: Distinct shape keys kept per cached builder (a network has a handful).
+_SHAPE_CACHE_SIZE = 1024
+
+
+def _shape_cached(build):
+    """Memoise ``build``, a function of shapes and layer constants only.
+
+    Hashable arguments are looked up as given; a list or array is made a
+    tuple first, then looked up.  ``functools.lru_cache`` underneath:
+    thread-safe, and an exception is never cached, so an invalid shape
+    raises the same error on every call.
+    """
+    cached = functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)(build)
+
+    @functools.wraps(build)
+    def lookup(*args):
+        try:
+            return cached(*args)
+        except TypeError:  # an unhashable spelling of a shape
+            return cached(*(tuple(a) if isinstance(a, (list, np.ndarray)) else a for a in args))
+
+    lookup.cache_info = cached.cache_info
+    lookup.cache_clear = cached.cache_clear
+    return lookup
 
 
 def conv3d_output_shape(
@@ -129,6 +174,46 @@ def _plan(ic: int, kernel: Shape3, stride: Shape3, out_shape: Shape3) -> _Plan:
     return _Plan(kernel, stride, out_shape, (slice(0, row),), shifts, row)
 
 
+class _Geometry(NamedTuple):
+    """What one convolution call derives from shapes and layer constants
+    alone (see *Derived once* in the module docstring)."""
+
+    plan: _Plan
+    padding: Shape3
+    input_shape: Shape3
+    #: Shape of the packed operand of the whole ``(n, ic)`` input.
+    packed_shape: Tuple[int, ...]
+    #: The GEMMs' reduction length ``IC * kd * kh * pack_taps``.
+    reduction: int
+    #: ``(n, ic)`` + the zero-padded spatial shape, and the index that
+    #: crops it back (``None`` without padding).
+    padded_shape: Tuple[int, ...]
+    crop: Optional[Tuple[slice, ...]]
+    #: Packed elements per sample and plane of output depth: what the
+    #: untaped forward divides ``_PACK_MAX_ELEMS`` by to bound its slabs.
+    plane_elems: int
+
+
+@_shape_cached
+def _geometry(n: int, ic: int, input_shape, kernel, stride, padding) -> _Geometry:
+    kernel, stride, padding = _triple(kernel), _triple(stride), _triple(padding)
+    input_shape = tuple(int(s) for s in input_shape)
+    out_shape = conv3d_output_shape(input_shape, kernel, stride, padding)
+    plan = _plan(ic, kernel, stride, out_shape)
+    reduction = ic * kernel[0] * kernel[1] * len(plan.pack_taps)
+    crop = None
+    if padding != (0, 0, 0):
+        crop = (slice(None),) * 2 + tuple(slice(p, p + s) for s, p in zip(input_shape, padding))
+    return _Geometry(
+        plan, padding, input_shape,
+        packed_shape=plan.packed_shape(n, ic),
+        reduction=reduction,
+        padded_shape=(n, ic) + tuple(s + 2 * p for s, p in zip(input_shape, padding)),
+        crop=crop,
+        plane_elems=reduction * out_shape[1] * plan.row,
+    )
+
+
 def _pack(xp: np.ndarray, plan: _Plan) -> np.ndarray:
     """Pack an already padded input into the GEMM operand
     ``(IC, kd, kh, taps, N, OD, OH, row)``: one slab copy per ``(zd, zh)``
@@ -152,18 +237,17 @@ def conv3d_pack(x: np.ndarray, kernel, stride=1, padding=0) -> np.ndarray | None
     large to hold from forward to backward: paper-scale layers pack to
     hundreds of MB per sample.
     """
-    kernel, stride, padding = _triple(kernel), _triple(stride), _triple(padding)
-    out_shape = conv3d_output_shape(x.shape[2:], kernel, stride, padding)
-    plan = _plan(x.shape[1], kernel, stride, out_shape)
-    if np.prod(plan.packed_shape(x.shape[0], x.shape[1])) > _PACK_MAX_ELEMS:
+    geo = _geometry(x.shape[0], x.shape[1], x.shape[2:], kernel, stride, padding)
+    if math.prod(geo.packed_shape) > _PACK_MAX_ELEMS:
         return None
-    return _pack(_pad_input(x, padding), plan)
+    return _pack(_pad_input(x, geo.padding), geo.plan)
 
 
-def _check_packed(packed: np.ndarray, plan: _Plan, n: int, ic: int) -> None:
-    want = plan.packed_shape(n, ic)
-    if packed.shape != want:
-        raise ValueError(f"packed operand {packed.shape} is not this convolution's (want {want})")
+def _check_packed(packed: np.ndarray, geo: _Geometry) -> None:
+    if packed.shape != geo.packed_shape:
+        raise ValueError(
+            f"packed operand {packed.shape} is not this convolution's (want {geo.packed_shape})"
+        )
 
 
 def _weight_matrix(w: np.ndarray, plan: _Plan) -> np.ndarray:
@@ -227,7 +311,7 @@ def conv3d_forward(
         Int or 3-tuple, per spatial axis.
     packed
         ``conv3d_pack(x, kernel, stride, padding)`` when the caller keeps
-        it for :func:`conv3d_backward_weights`.  Without it the input is
+        it for :func:`conv3d_backward`.  Without it the input is
         packed here one sample (and bounded depth slab) at a time, so a
         batched inference call never holds batch-sized buffers.
 
@@ -241,87 +325,140 @@ def conv3d_forward(
         raise ValueError(f"expected (OC, IC, KD, KH, KW) weights, got shape {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise ValueError(f"input channels {x.shape[1]} != weight channels {w.shape[1]}")
-    stride = _triple(stride)
-    padding = _triple(padding)
-    kernel = w.shape[2:]
-    out_shape = conv3d_output_shape(x.shape[2:], kernel, stride, padding)
     n, ic = x.shape[:2]
-    plan = _plan(ic, kernel, stride, out_shape)
+    geo = _geometry(n, ic, x.shape[2:], w.shape[2:], stride, padding)
+    plan = geo.plan
     a = _weight_matrix(w, plan)
-    out = np.empty((n, w.shape[0]) + out_shape, dtype=np.result_type(x.dtype, w.dtype))
+    out = np.empty((n, w.shape[0]) + plan.out_shape, dtype=np.result_type(x.dtype, w.dtype))
     if packed is not None:
-        _check_packed(packed, plan, n, ic)
+        _check_packed(packed, geo)
         _gemm_sum_taps(a, packed, bias, out, plan)
         return out.astype(x.dtype, copy=False)
 
-    xp = _pad_input(x, padding)
-    od, oh, _ = out_shape
-    sd, kd = stride[0], kernel[0]
-    slab = max(1, min(od, _PACK_MAX_ELEMS // (a.shape[1] * oh * plan.row)))
+    xp = _pad_input(x, geo.padding)
+    od = plan.out_shape[0]
+    sd, kd = plan.stride[0], plan.kernel[0]
+    slab = max(1, min(od, _PACK_MAX_ELEMS // geo.plane_elems))
     for b in range(n):
         for d0 in range(0, od, slab):
             d1 = min(d0 + slab, od)
-            part = plan._replace(out_shape=(d1 - d0,) + out_shape[1:])
+            part = plan._replace(out_shape=(d1 - d0,) + plan.out_shape[1:])
             rows = _pack(xp[b : b + 1, :, sd * d0 : sd * (d1 - 1) + kd], part)
             _gemm_sum_taps(a, rows, bias, out[b : b + 1, :, d0:d1], part)
     return out.astype(x.dtype, copy=False)
 
 
-def conv3d_backward_data(
+def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bias=False):
+    """The one gemm backward: ``(grad_x, grad_w, grad_b)`` of the
+    convolution ``geo`` describes — the input gradient when ``w`` is
+    given, the weight gradient when ``x`` is (on ``packed`` if that is
+    too), the bias gradient ``with_bias`` — from one shifted gradient."""
+    plan = geo.plan
+    if grad_out.shape[2:] != plan.out_shape:
+        raise ValueError(
+            f"grad spatial shape {grad_out.shape[2:]} inconsistent with input "
+            f"{geo.input_shape} (expected {plan.out_shape})"
+        )
+    if packed is not None:
+        _check_packed(packed, geo)
+    shifted = _shifted_grad(grad_out, plan)
+    grad_x = grad_w = None
+    (kd, kh, kw), (sd, sh, _), (od, oh, _) = plan.kernel, plan.stride, plan.out_shape
+
+    if w is not None:
+        grad_rows = (_weight_matrix(w, plan).T @ shifted).reshape(geo.packed_shape)
+        grad_x = np.zeros(geo.padded_shape, dtype=grad_out.dtype)
+        dst = grad_x.transpose(1, 0, 2, 3, 4)
+        for zd in range(kd):
+            for zh in range(kh):
+                rows = dst[:, :, zd : zd + sd * od : sd, zh : zh + sh * oh : sh]
+                for u, tap in enumerate(plan.pack_taps):
+                    rows[..., tap] += grad_rows[:, zd, zh, u]
+        if geo.crop is not None:
+            grad_x = np.ascontiguousarray(grad_x[geo.crop])
+
+    if x is not None:
+        if packed is None:
+            packed = _pack(_pad_input(x, geo.padding), plan)
+        grad_wm = shifted @ packed.reshape(geo.reduction, -1).T
+        # Undo _weight_matrix's arrangement, one gemm-tap at a time (a single
+        # transposing copy is ~5x slower in NumPy).
+        oc, ic = grad_out.shape[1], geo.packed_shape[0]
+        kt, ku = len(plan.gemm_taps), len(plan.pack_taps)
+        grad_w = np.empty((oc, ic, kd, kh, kw), dtype=grad_wm.dtype)
+        taps_last = grad_w.reshape(oc, ic, kd, kh, kt, ku)
+        for zw, per_tap in enumerate(grad_wm.reshape(kt, oc, ic, kd, kh, ku)):
+            taps_last[:, :, :, :, zw] = per_tap
+
+    grad_b = grad_out.sum(axis=(0, 2, 3, 4)) if with_bias else None
+    return grad_x, grad_w, grad_b
+
+
+def conv3d_backward(
+    x: np.ndarray,
     grad_out: np.ndarray,
     w: np.ndarray,
-    input_shape: Shape3,
     stride=1,
     padding=0,
-) -> np.ndarray:
-    """Gradient of the convolution w.r.t. its input.
+    *,
+    with_bias: bool = False,
+    need_input_grad: bool = True,
+    need_weight_grad: bool = True,
+    packed: np.ndarray | None = None,
+):
+    """Every gradient of one convolution, from one shifted gradient.
 
     Parameters
     ----------
+    x
+        Forward input ``(N, IC, ID, IH, IW)``.
     grad_out
         ``(N, OC, OD, OH, OW)`` gradient flowing back into the layer.
     w
         The layer's weights ``(OC, IC, KD, KH, KW)``.
-    input_shape
-        Spatial shape ``(ID, IH, IW)`` of the forward input (needed
-        because stride can make it ambiguous).
+    with_bias
+        Also return the bias gradient (with the weight gradient).
+    need_input_grad, need_weight_grad
+        Which GEMMs to run; a gradient not asked for is ``None``.
+    packed
+        The forward's ``conv3d_pack(x, kernel, stride, padding)``, if the
+        caller kept it; ``x`` is repacked otherwise.
 
     Returns
     -------
-    ``(N, IC, ID, IH, IW)`` input gradient.
+    ``(grad_x, grad_w, grad_b)`` shaped like ``x``, ``w`` and ``(OC,)``.
     """
-    stride = _triple(stride)
-    padding = _triple(padding)
-    n, oc, od, oh, ow = grad_out.shape
-    if oc != w.shape[0]:
-        raise ValueError(f"grad channels {oc} != weight output channels {w.shape[0]}")
-    kernel = w.shape[2:]
-    expected = conv3d_output_shape(input_shape, kernel, stride, padding)
-    if expected != (od, oh, ow):
+    n, ic = x.shape[:2]
+    if ic != w.shape[1]:
+        raise ValueError(f"input channels {ic} != weight channels {w.shape[1]}")
+    if grad_out.shape[1] != w.shape[0]:
         raise ValueError(
-            f"grad spatial shape {(od, oh, ow)} inconsistent with input {input_shape} "
-            f"(expected {expected})"
+            f"grad channels {grad_out.shape[1]} != weight output channels {w.shape[0]}"
         )
-    ic = w.shape[1]
-    kd, kh, _ = kernel
-    sd, sh, _ = stride
-    plan = _plan(ic, kernel, stride, expected)
-    grad_rows = (_weight_matrix(w, plan).T @ _shifted_grad(grad_out, plan)).reshape(
-        plan.packed_shape(n, ic)
+    if grad_out.shape[0] != n:
+        raise ValueError(f"batch mismatch: input {n} vs grad {grad_out.shape[0]}")
+    geo = _geometry(n, ic, x.shape[2:], w.shape[2:], stride, padding)
+    return _backward(
+        geo,
+        grad_out,
+        w=w if need_input_grad else None,
+        x=x if need_weight_grad else None,
+        packed=packed,
+        with_bias=with_bias and need_weight_grad,
     )
 
-    padded_shape = tuple(s + 2 * p for s, p in zip(input_shape, padding))
-    grad_in = np.zeros((n, ic) + padded_shape, dtype=grad_out.dtype)
-    dst = grad_in.transpose(1, 0, 2, 3, 4)
-    for zd in range(kd):
-        for zh in range(kh):
-            rows = dst[:, :, zd : zd + sd * od : sd, zh : zh + sh * oh : sh]
-            for u, tap in enumerate(plan.pack_taps):
-                rows[..., tap] += grad_rows[:, zd, zh, u]
-    if padding != (0, 0, 0):
-        crop = tuple(slice(p, p + s) for s, p in zip(input_shape, padding))
-        grad_in = np.ascontiguousarray(grad_in[(slice(None), slice(None)) + crop])
-    return grad_in
+
+def conv3d_backward_data(
+    grad_out: np.ndarray, w: np.ndarray, input_shape: Shape3, stride=1, padding=0
+) -> np.ndarray:
+    """The ``(N, IC, ID, IH, IW)`` input gradient alone, from ``grad_out``
+    ``(N, OC, OD, OH, OW)``, the weights and the forward input's spatial
+    shape (needed because stride can make it ambiguous)."""
+    n, oc = grad_out.shape[:2]
+    if oc != w.shape[0]:
+        raise ValueError(f"grad channels {oc} != weight output channels {w.shape[0]}")
+    geo = _geometry(n, w.shape[1], input_shape, w.shape[2:], stride, padding)
+    return _backward(geo, grad_out, w=w)[0]
 
 
 def conv3d_backward_weights(
@@ -334,52 +471,12 @@ def conv3d_backward_weights(
     *,
     packed: np.ndarray | None = None,
 ):
-    """Gradient of the convolution w.r.t. weights (and optionally bias).
-
-    Parameters
-    ----------
-    x
-        Forward input ``(N, IC, ID, IH, IW)``.
-    grad_out
-        ``(N, OC, OD, OH, OW)`` output gradient.
-    kernel
-        Kernel spatial shape ``(KD, KH, KW)``.
-    packed
-        The forward's ``conv3d_pack(x, kernel, stride, padding)``, if the
-        caller kept it; ``x`` is repacked otherwise.
-
-    Returns
-    -------
-    ``grad_w`` of shape ``(OC, IC, KD, KH, KW)``; if ``with_bias``, a
-    ``(grad_w, grad_b)`` tuple with ``grad_b`` of shape ``(OC,)``.
-    """
-    kernel = _triple(kernel)
-    stride = _triple(stride)
-    padding = _triple(padding)
-    n, oc, od, oh, ow = grad_out.shape
-    if x.shape[0] != n:
-        raise ValueError(f"batch mismatch: input {x.shape[0]} vs grad {n}")
-    expected = conv3d_output_shape(x.shape[2:], kernel, stride, padding)
-    if expected != (od, oh, ow):
-        raise ValueError(
-            f"grad spatial shape {(od, oh, ow)} inconsistent with input {x.shape[2:]} "
-            f"(expected {expected})"
-        )
-    ic = x.shape[1]
-    kd, kh, kw = kernel
-    plan = _plan(ic, kernel, stride, expected)
-    if packed is None:
-        packed = _pack(_pad_input(x, padding), plan)
-    else:
-        _check_packed(packed, plan, n, ic)
-    kt, ku = len(plan.gemm_taps), len(plan.pack_taps)
-    grad_wm = _shifted_grad(grad_out, plan) @ packed.reshape(ic * kd * kh * ku, -1).T
-    # Undo _weight_matrix's arrangement, one gemm-tap at a time (a single
-    # transposing copy is ~5x slower in NumPy).
-    grad_w = np.empty((oc, ic, kd, kh, kw), dtype=grad_wm.dtype)
-    taps_last = grad_w.reshape(oc, ic, kd, kh, kt, ku)
-    for zw, per_tap in enumerate(grad_wm.reshape(kt, oc, ic, kd, kh, ku)):
-        taps_last[:, :, :, :, zw] = per_tap
-    if with_bias:
-        return grad_w, grad_out.sum(axis=(0, 2, 3, 4))
-    return grad_w
+    """The ``(OC, IC, KD, KH, KW)`` weight gradient alone — ``(grad_w,
+    grad_b)`` if ``with_bias`` — from the forward input, ``grad_out`` and
+    the kernel's spatial shape; ``packed`` as in :func:`conv3d_backward`."""
+    n, ic = x.shape[:2]
+    if n != grad_out.shape[0]:
+        raise ValueError(f"batch mismatch: input {n} vs grad {grad_out.shape[0]}")
+    geo = _geometry(n, ic, x.shape[2:], kernel, stride, padding)
+    _, grad_w, grad_b = _backward(geo, grad_out, x=x, packed=packed, with_bias=with_bias)
+    return (grad_w, grad_b) if with_bias else grad_w

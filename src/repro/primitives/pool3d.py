@@ -16,18 +16,25 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.primitives.conv3d import _triple, conv3d_output_shape
+from repro.primitives.conv3d import _shape_cached, _triple, conv3d_output_shape
 
 __all__ = ["pool3d_output_shape", "avg_pool3d_forward", "avg_pool3d_backward"]
 
 Shape3 = Tuple[int, int, int]
 
 
-def pool3d_output_shape(input_shape: Shape3, kernel, stride=None) -> Shape3:
-    """Output spatial shape; stride defaults to the kernel (as in CosmoFlow)."""
+@_shape_cached
+def _geometry(input_shape, kernel, stride) -> Tuple[Shape3, Shape3, Shape3]:
+    """Normalised ``(kernel, stride, output shape)`` of one pooling shape,
+    derived once (see :mod:`repro.primitives.conv3d`, *Derived once*)."""
     kernel = _triple(kernel)
     stride = kernel if stride is None else _triple(stride)
-    return conv3d_output_shape(input_shape, kernel, stride, padding=0)
+    return kernel, stride, conv3d_output_shape(input_shape, kernel, stride, padding=0)
+
+
+def pool3d_output_shape(input_shape: Shape3, kernel, stride=None) -> Shape3:
+    """Output spatial shape; stride defaults to the kernel (as in CosmoFlow)."""
+    return _geometry(input_shape, kernel, stride)[2]
 
 
 def avg_pool3d_forward(x: np.ndarray, kernel, stride=None) -> np.ndarray:
@@ -40,11 +47,7 @@ def avg_pool3d_forward(x: np.ndarray, kernel, stride=None) -> np.ndarray:
     """
     if x.ndim != 5:
         raise ValueError(f"expected NCDHW input, got shape {x.shape}")
-    kernel = _triple(kernel)
-    stride = kernel if stride is None else _triple(stride)
-    od, oh, ow = pool3d_output_shape(x.shape[2:], kernel, stride)
-    kd, kh, kw = kernel
-    sd, sh, sw = stride
+    (kd, kh, kw), (sd, sh, sw), (od, oh, ow) = _geometry(x.shape[2:], kernel, stride)
     acc = np.zeros((x.shape[0], x.shape[1], od, oh, ow), dtype=np.float64)
     for zd in range(kd):
         for zh in range(kh):
@@ -68,17 +71,13 @@ def avg_pool3d_backward(
     Each input voxel inside a window receives ``grad / K^3``; voxels
     dropped by floor semantics (odd extents) receive zero.
     """
-    kernel = _triple(kernel)
-    stride = kernel if stride is None else _triple(stride)
+    (kd, kh, kw), (sd, sh, sw), expected = _geometry(input_shape, kernel, stride)
     n, c, od, oh, ow = grad_out.shape
-    expected = pool3d_output_shape(input_shape, kernel, stride)
     if expected != (od, oh, ow):
         raise ValueError(
             f"grad spatial shape {(od, oh, ow)} inconsistent with input {input_shape} "
             f"(expected {expected})"
         )
-    kd, kh, kw = kernel
-    sd, sh, sw = stride
     scaled = grad_out / np.array(kd * kh * kw, dtype=grad_out.dtype)
     grad_in = np.zeros((n, c) + tuple(input_shape), dtype=grad_out.dtype)
     # Windows that do not overlap (CosmoFlow's kernel 2, stride 2) touch

@@ -58,9 +58,31 @@ __all__ = [
 AUTO_IMPL = "auto"
 
 
+def _compose_backward(backward_data: Callable, backward_weights: Callable) -> Callable:
+    """The combined ``ConvImpl.backward`` of a family that only has the
+    two per-pass kernels: one call of each, as the tape used to make."""
+
+    def backward(
+        x, grad_out, w, stride=1, padding=0, *,
+        with_bias=False, need_input_grad=True, need_weight_grad=True, **shared,
+    ):
+        gx = gw = gb = None
+        if need_input_grad:
+            gx = backward_data(grad_out, w, x.shape[2:], stride, padding)
+        if need_weight_grad:
+            gw = backward_weights(
+                x, grad_out, w.shape[2:], stride, padding, with_bias=with_bias, **shared
+            )
+            if with_bias:
+                gw, gb = gw
+        return gx, gw, gb
+
+    return backward
+
+
 @dataclass(frozen=True)
 class ConvImpl:
-    """A triple of convolution kernels sharing one calling convention.
+    """A family of convolution kernels sharing one calling convention.
 
     ``native_layout`` names the activation layout the kernels are most
     at home in (``"ncdhw"`` or ``"nCdhw16c"``); the tensor layer uses it
@@ -70,6 +92,12 @@ class ConvImpl:
     the operand ``forward`` and ``backward_weights`` would each build
     from ``x`` (or ``None`` to have them build it); both then accept it
     as the keyword ``packed=``, so the tensor layer packs once per step.
+
+    ``backward`` is what the tape calls, once per convolution:
+    ``backward(x, grad_out, w, stride, padding, *, with_bias,
+    need_input_grad, need_weight_grad[, packed])`` returning ``(grad_x,
+    grad_w, grad_b)`` with ``None`` for what was not asked.  A family
+    that leaves it out gets the two per-pass kernels composed.
     """
 
     name: str
@@ -78,6 +106,13 @@ class ConvImpl:
     backward_weights: Callable
     native_layout: str = "ncdhw"
     pack: Optional[Callable] = None
+    backward: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.backward is None:
+            object.__setattr__(
+                self, "backward", _compose_backward(self.backward_data, self.backward_weights)
+            )
 
 
 _default = "gemm"
@@ -170,6 +205,7 @@ _IMPLS: Dict[str, ConvImpl] = {
         backward_data=_gemm.conv3d_backward_data,
         backward_weights=_gemm.conv3d_backward_weights,
         pack=_gemm.conv3d_pack,
+        backward=_gemm.conv3d_backward,
     ),
     "direct": ConvImpl(
         name="direct",
@@ -231,6 +267,18 @@ def _instrument(impl: ConvImpl) -> ConvImpl:
                          x.nbytes + grad_out.nbytes + gw_arr.nbytes)
         return gw
 
+    def backward(x, grad_out, w, stride=1, padding=0, **kwargs):
+        # One kernel call, counted as the passes it ran.
+        gx, gw, gb = impl.backward(x, grad_out, w, stride, padding, **kwargs)
+        n, oc, ic = x.shape[0], w.shape[0], w.shape[1]
+        if gx is not None:
+            record_conv_call("backward_data", n, oc, ic, grad_out.shape[2:], w.shape[2:],
+                             grad_out.nbytes + w.nbytes + gx.nbytes)
+        if gw is not None:
+            record_conv_call("backward_weights", n, oc, ic, grad_out.shape[2:], w.shape[2:],
+                             x.nbytes + grad_out.nbytes + gw.nbytes)
+        return gx, gw, gb
+
     return ConvImpl(
         name=impl.name,
         forward=forward,
@@ -238,6 +286,7 @@ def _instrument(impl: ConvImpl) -> ConvImpl:
         backward_weights=backward_weights,
         native_layout=impl.native_layout,
         pack=impl.pack,
+        backward=backward,
     )
 
 

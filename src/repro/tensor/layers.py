@@ -281,6 +281,9 @@ class Sequential(Layer):
         self.layers: List[Layer] = list(layers)
         if not self.layers:
             raise ValueError("Sequential requires at least one layer")
+        # The chain is fixed at construction, so its parameter list is too:
+        # gathered once, not by walking every layer's attributes per call.
+        self._parameters = tuple(p for layer in self.layers for p in layer.parameters())
 
     def __iter__(self) -> Iterator[Layer]:
         return iter(self.layers)
@@ -294,10 +297,7 @@ class Sequential(Layer):
         return x
 
     def parameters(self) -> List[Parameter]:
-        out: List[Parameter] = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
+        return list(self._parameters)
 
     def set_training(self, training: bool) -> None:
         for layer in self.layers:

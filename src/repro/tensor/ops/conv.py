@@ -5,7 +5,11 @@ TensorFlow's Conv3D op calling into MKL-DNN's forward, backward-data
 and backward-weights kernels.  The kernel implementation is selected
 through :mod:`repro.primitives.registry` ("gemm" by default, "direct"
 for the Algorithm-1 blocked kernels, "blocked" for the blocked-native
-end-to-end path, "auto" for autotuned dispatch).
+end-to-end path, "auto" for autotuned dispatch).  The tape holds one
+backward closure per convolution and it makes one kernel call,
+``ConvImpl.backward``, which returns every gradient asked for — for
+"gemm" from one shifted gradient, for the other families the two
+per-pass kernels composed by the registry.
 
 Layout propagation (the oneDNN execution model):
 
@@ -84,48 +88,33 @@ def conv3d(x, w, bias=None, stride=1, padding=0, impl: str | None = None) -> Ten
     if blocked_in or kernels.native_layout == BLOCKED_NCDHW16C.name:
         return _conv3d_blocked_native(x, w, b, stride, padding, blocked_in)
 
-    input_shape = x.shape[2:]
-    kernel = w.shape[2:]
     # Kernels that pack their input for the forward GEMM reuse the same
     # operand in backward-weights: pack once here and let the tape own
     # it, so it lives exactly as long as this call's backward can run.
     # Untaped calls leave the packing (sample by sample) to the kernel,
     # as does a pack() that returns None: an operand too large to hold.
-    taped = _grad_enabled() and (w.requires_grad or (b is not None and b.requires_grad))
+    has_bias = b is not None
+    taped = _grad_enabled() and (w.requires_grad or (has_bias and b.requires_grad))
     shared = (
-        {"packed": kernels.pack(x.data, kernel, stride, padding)}
+        {"packed": kernels.pack(x.data, w.shape[2:], stride, padding)}
         if taped and kernels.pack is not None
         else {}
     )
     out = kernels.forward(
-        x.data, w.data, None if b is None else b.data, stride, padding, **shared
+        x.data, w.data, b.data if has_bias else None, stride, padding, **shared
     )
 
-    if b is None:
-        def backward(g):
-            g = np.ascontiguousarray(g)
-            gx = kernels.backward_data(g, w.data, input_shape, stride, padding) if x.requires_grad else None
-            gw = (
-                kernels.backward_weights(x.data, g, kernel, stride, padding, **shared)
-                if w.requires_grad
-                else None
-            )
-            return gx, gw
+    def backward(g):
+        grads = kernels.backward(
+            x.data, np.ascontiguousarray(g), w.data, stride, padding,
+            with_bias=has_bias,
+            need_input_grad=x.requires_grad,
+            need_weight_grad=w.requires_grad or (has_bias and b.requires_grad),
+            **shared,
+        )
+        return grads if has_bias else grads[:2]
 
-        return Tensor._make(out, (x, w), backward, "conv3d")
-
-    def backward_b(g):
-        g = np.ascontiguousarray(g)
-        gx = kernels.backward_data(g, w.data, input_shape, stride, padding) if x.requires_grad else None
-        if w.requires_grad or b.requires_grad:
-            gw, gb = kernels.backward_weights(
-                x.data, g, kernel, stride, padding, with_bias=True, **shared
-            )
-        else:
-            gw = gb = None
-        return gx, gw, gb
-
-    return Tensor._make(out, (x, w, b), backward_b, "conv3d")
+    return Tensor._make(out, (x, w, b) if has_bias else (x, w), backward, "conv3d")
 
 
 def _conv3d_blocked_native(x, w, b, stride, padding, input_was_blocked: bool) -> Tensor:

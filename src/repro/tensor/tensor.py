@@ -100,7 +100,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype.kind != "f":
             arr = arr.astype(DEFAULT_DTYPE)
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)

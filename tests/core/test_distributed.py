@@ -159,7 +159,6 @@ class TestThreadedMode:
 
 
 class TestBatchSizeEffect:
-    @pytest.mark.slow
     def test_larger_global_batch_converges_slower_per_epoch(self):
         """The Figure 5 phenomenon: more ranks (larger global batch)
         means fewer, larger steps per epoch and slower per-epoch

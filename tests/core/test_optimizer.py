@@ -69,6 +69,19 @@ class TestLarcScale:
         p, g = np.ones(4), np.ones(4)
         assert larc_scale(p, g, trust=0.01) == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3,), (7, 5), (4, 3, 2, 2, 5), (0,)])
+    def test_norms_are_numpy_linalg_norm_to_the_bit(self, dtype, shape):
+        """The rate is built from ``sqrt(v . v)``, exactly what
+        ``np.linalg.norm`` computes after its argument handling."""
+        rng = np.random.default_rng(4)
+        p = (rng.standard_normal(shape) * 3).astype(dtype)
+        g = (rng.standard_normal(shape) * 1e-2).astype(dtype)
+        for a, b in [(p, g), (p.T, g.T), (p.tolist(), g.tolist())]:
+            v_norm, g_norm = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+            want = 0.002 * v_norm / g_norm if v_norm != 0.0 and g_norm != 0.0 else 6.25e-5
+            assert larc_scale(a, b) == min(want, 1.0)
+
     @given(
         scale_p=st.floats(min_value=1e-3, max_value=1e3),
         scale_g=st.floats(min_value=1e-3, max_value=1e3),

@@ -106,6 +106,12 @@ class TestRollback:
         assert math.isfinite(hist.train_loss[-1])
         assert np.all(np.isfinite(model.get_flat_parameters()))
 
+    # Driven to inf/nan on purpose: the kernels' overflow warnings are the
+    # point of the test, not a leak (tier-1 turns RuntimeWarning into errors).
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered:RuntimeWarning",
+        "ignore:invalid value encountered:RuntimeWarning",
+    )
     def test_retry_budget_exhaustion_aborts_with_typed_error(self, tmp_path):
         """Real divergence: an absurd LR blows the loss up every epoch;
         after max_rollbacks the watchdog aborts cleanly."""

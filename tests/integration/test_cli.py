@@ -79,7 +79,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "256" in out and "efficiency" in out
 
-    @pytest.mark.slow
     def test_full_workflow(self, tmp_path, capsys):
         """simulate -> train -> predict through the CLI."""
         ds = tmp_path / "ds"
@@ -297,7 +296,6 @@ class TestTuneCommand:
 
 
 class TestCommandsSlow:
-    @pytest.mark.slow
     def test_train_preset_mismatch(self, tmp_path):
         ds = tmp_path / "small"
         main(
@@ -310,7 +308,6 @@ class TestCommandsSlow:
         with pytest.raises(SystemExit, match="expects"):
             main(["train", "--data", str(ds), "--preset", "tiny_16", "--epochs", "1"])
 
-    @pytest.mark.slow
     def test_train_conv_impl_blocked_with_trace(self, tmp_path, capsys):
         """--conv-impl blocked + --trace surfaces the reorder counters."""
         ds = tmp_path / "ds"
@@ -346,7 +343,6 @@ class TestCommandsSlow:
         assert registry.get_default_impl() == "gemm"
         assert registry.get_metrics() is None
 
-    @pytest.mark.slow
     def test_train_distributed_modes(self, tmp_path, capsys):
         """The train command drives every engine backend via --mode."""
         ds = tmp_path / "ds"

@@ -17,6 +17,17 @@ class TestTensorBasics:
         t = Tensor(np.zeros(3, dtype=np.float64))
         assert t.dtype == np.float64
 
+    @pytest.mark.parametrize(
+        "dtype", [np.float16, np.float32, np.float64, np.int8, np.uint16, np.int64, np.bool_]
+    )
+    def test_only_floating_dtypes_are_kept(self, dtype):
+        data = np.ones(3, dtype=dtype)
+        t = Tensor(data)
+        if np.issubdtype(dtype, np.floating):
+            assert t.data is data
+        else:
+            assert t.dtype == np.float32
+
     def test_tensor_of_tensor_shares_data(self):
         a = Tensor([1.0, 2.0])
         b = Tensor(a)

@@ -143,6 +143,17 @@ class TestSequential:
         # conv w+b, dense w+b
         assert len(net.parameters()) == 4
 
+    def test_parameter_list_is_gathered_once_and_handed_out_fresh(self):
+        net = self.build()
+        first, again = net.parameters(), net.parameters()
+        conv, dense = net.layers[0], net.layers[-1]
+        assert [id(p) for p in first] == [
+            id(p) for p in (conv.weight, conv.bias, dense.weight, dense.bias)
+        ]
+        assert first == again and first is not again
+        first.clear()  # a caller's list is its own
+        assert len(net.parameters()) == 4
+
     def test_summary_mentions_layers(self):
         net = self.build()
         s = net.summary((1, 8, 8, 8))
