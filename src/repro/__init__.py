@@ -5,7 +5,7 @@ to Learn the Universe at Scale* (Mathuriya et al., SC18): the 3D
 convolutional network that regresses cosmological parameters
 (ΩM, σ8, ns) from dark-matter density volumes, together with every
 substrate the paper's system depends on — a deep-learning framework
-with autograd (:mod:`repro.tensor`), MKL-DNN-style blocked 3D
+with autograd (:mod:`repro.tensor`), one-GEMM-per-pass 3D
 convolution primitives (:mod:`repro.primitives`), a CPE-ML-Plugin-style
 synchronous gradient-aggregation layer (:mod:`repro.comm`), a TFRecord
 I/O pipeline and Lustre/DataWarp filesystem models (:mod:`repro.io`),

@@ -109,14 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record a Chrome trace (open in chrome://tracing "
                         "or Perfetto) and print the metrics registry")
     p.add_argument(
-        "--conv-impl",
-        choices=("gemm", "direct", "blocked", "auto"),
-        default=None,
-        help="conv kernel implementation: 'blocked' runs the conv stack "
-             "in the 16-channel-blocked layout end to end; 'auto' picks "
-             "per shape from the persisted tuning cache (see `repro tune`)",
-    )
-    p.add_argument(
         "--precision",
         choices=("fp32", "fp16"),
         default="fp32",
@@ -301,29 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("trace_file", help="Chrome trace JSON from `train --trace`")
     ps.add_argument("--no-per-rank", action="store_true",
                     help="omit the per-rank-track breakdown")
-
-    p = sub.add_parser("tune", help="warm/inspect/clear the conv-kernel tuning cache")
-    tune_sub = p.add_subparsers(dest="tune_command", required=True)
-    pw = tune_sub.add_parser(
-        "warm",
-        help="autotune every conv shape of a preset into the cache "
-             "(the only timed phase; later runs replay deterministically)",
-    )
-    pw.add_argument("--preset", default="tiny_16", help="topology preset name")
-    pw.add_argument("--batch", type=int, default=1, help="tuning batch size")
-    pw.add_argument("--max-size", type=int, default=None,
-                    help="cap input volumes at this extent (cheap smoke "
-                         "warms; capped keys only match capped runs)")
-    pw.add_argument("--seed", type=int, default=0)
-    pw.add_argument("--repeats", type=int, default=2,
-                    help="timed runs per candidate (best-of)")
-    pw.add_argument("--cache", default=None, metavar="PATH",
-                    help="tuning-cache file (default: $REPRO_AUTOTUNE_CACHE "
-                         "or ~/.cache/repro/autotune.json)")
-    ps2 = tune_sub.add_parser("show", help="print the persisted tuning decisions")
-    ps2.add_argument("--cache", default=None, metavar="PATH")
-    pc = tune_sub.add_parser("clear", help="delete the tuning cache")
-    pc.add_argument("--cache", default=None, metavar="PATH")
     return parser
 
 
@@ -382,12 +351,9 @@ def cmd_train(args) -> int:
 
     from repro.primitives import registry as conv_registry
 
-    prev_impl = conv_registry.get_default_impl()
-    if args.conv_impl:
-        conv_registry.set_default_impl(args.conv_impl)
     if metrics is not None:
-        # Conv kernels count calls/flops/reorders into the same registry
-        # the tracer prints, so `train --trace` surfaces layout traffic.
+        # Conv kernels count calls/flops/bytes into the same registry
+        # the tracer prints.
         conv_registry.set_metrics(metrics)
 
     try:
@@ -530,7 +496,6 @@ def cmd_train(args) -> int:
             print(metrics.report())
         return 0
     finally:
-        conv_registry.set_default_impl(prev_impl)
         if metrics is not None:
             conv_registry.set_metrics(None)
 
@@ -549,70 +514,6 @@ def cmd_trace(args) -> int:
         import sys
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 0
-
-
-def _preset_conv_shapes(config, max_size=None):
-    """``(ic, oc, size, kernel, stride, padding)`` per conv layer of a preset.
-
-    Follows the preset's own spatial recurrence (valid conv, optional
-    pool).  ``max_size`` caps the input extent so smoke runs stay cheap;
-    capped keys only match equally capped shapes at dispatch time.
-    """
-    shapes = []
-    size = config.input_size
-    ic = config.input_channels
-    for spec in config.conv_layers:
-        extent = size if max_size is None else min(size, max_size)
-        extent = max(extent, spec.kernel)  # keep the conv output non-empty
-        shapes.append((ic, spec.out_channels, extent, spec.kernel, 1, 0))
-        size = size - spec.kernel + 1
-        if spec.pool:
-            size //= config.pool_kernel
-        ic = spec.out_channels
-    return shapes
-
-
-def cmd_tune(args) -> int:
-    from repro.primitives import autotune
-
-    cache = autotune.TuningCache(getattr(args, "cache", None))
-    if args.tune_command == "show":
-        entries = cache.entries()
-        if not entries:
-            print(f"tuning cache {cache.path}: empty")
-            return 0
-        print(f"tuning cache {cache.path}: {len(entries)} entries")
-        for key in sorted(entries):
-            rec = entries[key]
-            times = "  ".join(
-                f"{name}={ms:.3f}ms" for name, ms in sorted(rec["times_ms"].items())
-            )
-            print(f"  {rec['impl']:<8} {key}")
-            print(f"           {times}")
-        return 0
-    if args.tune_command == "clear":
-        n = len(cache)
-        cache.clear(delete_file=True)
-        print(f"cleared tuning cache {cache.path} ({n} entries)")
-        return 0
-
-    # warm: time candidates for every conv shape of the preset and
-    # persist the winners.  This is the only phase that measures wall
-    # time; training with --conv-impl auto replays the cached decisions
-    # deterministically.
-    preset = _preset(args.preset)
-    shapes = _preset_conv_shapes(preset, args.max_size)
-    tuner = autotune.Autotuner(cache, repeats=args.repeats)
-    decisions = autotune.warm_conv_shapes(
-        shapes, batch=args.batch, seed=args.seed, tuner=tuner
-    )
-    fresh = tuner.misses
-    print(f"warmed {len(decisions)} shape keys "
-          f"({fresh} timed, {len(decisions) - fresh} already cached) "
-          f"-> {cache.path}")
-    for key, impl in decisions:
-        print(f"  {impl:<8} {key}")
     return 0
 
 
@@ -966,7 +867,6 @@ def main(argv=None) -> int:
         "stage": cmd_stage,
         "serve": cmd_serve,
         "trace": cmd_trace,
-        "tune": cmd_tune,
     }[args.command](args)
 
 

@@ -30,7 +30,6 @@ from typing import Dict, List
 
 from repro.core.topology import CosmoFlowConfig
 from repro.primitives.conv3d import conv3d_output_shape
-from repro.primitives.layout import blocked_channels
 from repro.primitives.pool3d import pool3d_output_shape
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "total_flops",
     "parameter_count",
     "parameter_bytes",
-    "reorder_traffic",
     "table1_rows",
     "PAPER_TOTAL_FLOPS",
     "PAPER_PARAM_BYTES",
@@ -207,74 +205,6 @@ def total_flops(config: CosmoFlowConfig) -> Dict[str, float]:
     }
 
 
-def reorder_traffic(
-    config: CosmoFlowConfig, batch: int = 1, mode: str = "per_call", itemsize: int = 4
-) -> Dict[str, float]:
-    """Estimated layout reorders per *training step* of the conv stack.
-
-    The paper's Section IV observation — "data reordering between the
-    blocked and non-blocked layout occur[s] at various stages of the
-    graph execution" — made analytical: how many plain<->blocked
-    conversions one optimizer step costs under each dispatch strategy.
-
-    * ``mode="per_call"``: every conv call repacks its own operands
-      (the instrumented ``direct`` impl).  Activation repacks are
-      per-sample, so traffic scales with ``batch``: the first conv
-      pays ``4B + 2`` reorders (no backward-data — the input needs no
-      gradient), each later conv ``6B + 3``.
-    * ``mode="blocked_e2e"``: the stack runs natively blocked.  One
-      batch entry reorder, two at the flatten exit (forward unblock +
-      gradient re-block), and per conv layer only the parameter traffic
-      — weight and bias packs (content-addressed cache: one miss per
-      distinct value, so once per step while training) plus the grad_w /
-      grad_b unblocks.  Independent of ``batch``.
-
-    Returns ``{"reorders": count, "bytes": moved}`` where bytes count
-    blocked (channel-padded) array sizes.  An estimate for sizing and
-    the A1 ablation's sanity ratio, not a bitwise contract.
-    """
-    if mode not in ("per_call", "blocked_e2e"):
-        raise ValueError(f"unknown mode {mode!r}")
-    reorders = 0
-    moved = 0.0
-    size = config.input_size
-    ic = config.input_channels
-    in_bytes = float(batch * blocked_channels(ic) * size**3 * itemsize)
-    for i, spec in enumerate(config.conv_layers, start=1):
-        (out_size, _, _) = conv3d_output_shape((size,) * 3, spec.kernel)
-        oc = spec.out_channels
-        out_bytes = float(batch * blocked_channels(oc) * out_size**3 * itemsize)
-        w_bytes = float(blocked_channels(oc) * blocked_channels(ic) * spec.kernel**3 * itemsize)
-        b_bytes = float(blocked_channels(oc) * itemsize)
-        if mode == "per_call":
-            # forward: B input packs + weight pack + B output unpacks
-            reorders += 2 * batch + 1
-            moved += 2 * in_bytes + w_bytes  # in_bytes covers B samples
-            if i > 1:  # backward_data skipped for the first layer
-                reorders += 2 * batch + 1
-                moved += 2 * in_bytes + w_bytes
-            # backward_weights: B input + B grad packs + grad_w unpack
-            reorders += 2 * batch + 1
-            moved += in_bytes + out_bytes + w_bytes
-        else:
-            # weight + bias packs (one cache miss per step), grad_w +
-            # grad_b unblocks.
-            reorders += 4
-            moved += 2 * w_bytes + 2 * b_bytes
-        size = out_size
-        if spec.pool:
-            (size, _, _) = pool3d_output_shape((out_size,) * 3, config.pool_kernel)
-        ic = oc
-        in_bytes = float(batch * blocked_channels(ic) * size**3 * itemsize)
-    if mode == "blocked_e2e":
-        # One entry reorder; flatten-exit unblock plus its gradient.
-        entry = float(batch * blocked_channels(config.input_channels)
-                      * config.input_size**3 * itemsize)
-        reorders += 3
-        moved += entry + 2 * in_bytes
-    return {"reorders": float(reorders), "bytes": moved}
-
-
 def table1_rows(config: CosmoFlowConfig) -> List[Dict[str, float]]:
     """Table-I-shaped rows: per conv layer, the fwd/bww/bwd flops.
 
@@ -319,13 +249,6 @@ def report(config: CosmoFlowConfig) -> str:
     lines.append(
         f"total per sample: {totals['total'] / 1e9:.2f} Gflop "
         f"(fwd {totals['fwd'] / 1e9:.2f}, bwd {(totals['bwd_data'] + totals['bwd_weights']) / 1e9:.2f})"
-    )
-    per_call = reorder_traffic(config, mode="per_call")
-    blocked = reorder_traffic(config, mode="blocked_e2e")
-    lines.append(
-        f"layout reorders per step (batch 1): per-call {per_call['reorders']:.0f} "
-        f"({per_call['bytes'] / 1e6:.2f} MB) vs blocked-e2e {blocked['reorders']:.0f} "
-        f"({blocked['bytes'] / 1e6:.2f} MB)"
     )
     if config.name == "paper_128":
         lines.append(

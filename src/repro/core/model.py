@@ -36,14 +36,6 @@ class CosmoFlowModel:
     space
         Cosmological parameter space for target normalization; derived
         from the config's output count when omitted.
-    impl
-        Convolution kernel implementation override (``"gemm"``,
-        ``"direct"``, ``"blocked"``, or ``"auto"``).
-        ``"blocked"`` keeps activations in the 16-channel-blocked layout
-        across the whole conv stack (one entry reorder at conv1, one
-        exit at flatten); ``"auto"`` dispatches per shape from the
-        persisted tuning cache (``repro tune``).  Both are bitwise-equal
-        to ``"direct"``.
     """
 
     def __init__(
@@ -51,11 +43,9 @@ class CosmoFlowModel:
         config: CosmoFlowConfig,
         seed: Optional[int] = None,
         space: Optional[ParameterSpace] = None,
-        impl: Optional[str] = None,
     ):
         self.config = config
-        self.impl = impl
-        self.network = build_network(config, seed=seed, impl=impl)
+        self.network = build_network(config, seed=seed)
         self.space = space if space is not None else default_parameter_space(config)
         if self.space.n_params != config.n_outputs:
             raise ValueError(
@@ -182,5 +172,4 @@ class CosmoFlowModel:
             self.config.describe()
             + f"\nparameters: {self.num_parameters:,} ({self.parameter_nbytes / 1e6:.2f} MB)"
             + f"\nflops/sample (fwd+bwd): {per_sample / 1e9:.2f} Gflop"
-            + f"\nconv impl: {self.impl or 'registry default'}"
         )

@@ -235,7 +235,7 @@ PRESETS = {
 }
 
 
-def build_network(config: CosmoFlowConfig, seed=None, impl: str | None = None) -> Sequential:
+def build_network(config: CosmoFlowConfig, seed=None) -> Sequential:
     """Assemble the :class:`~repro.tensor.layers.Sequential` network.
 
     Parameters
@@ -244,16 +244,13 @@ def build_network(config: CosmoFlowConfig, seed=None, impl: str | None = None) -
         Architecture description.
     seed
         Seed or generator for weight initialization.
-    impl
-        Convolution kernel implementation override (see
-        :mod:`repro.primitives.registry`).
     """
     rng = new_rng(seed)
     layers: List = []
     channels = config.input_channels
     for i, spec in enumerate(config.conv_layers, start=1):
         layers.append(
-            Conv3D(channels, spec.out_channels, spec.kernel, rng=rng, name=f"conv{i}", impl=impl)
+            Conv3D(channels, spec.out_channels, spec.kernel, rng=rng, name=f"conv{i}")
         )
         layers.append(LeakyReLU(config.leaky_alpha, name=f"lrelu_conv{i}"))
         if spec.pool:

@@ -7,23 +7,20 @@ weights are quantized symmetrically to int8 or int4 with one fp32 scale
 per *group* of reduction-axis elements, following the packed sub-byte
 ``int4mm`` kernel pattern (two int4 values per byte, per-group scales).
 
-Grouping rides the 16-lane block structure of the existing
-``OIdhw16i16o`` layout: the default group size (32 = 2 SIMD blocks)
-is a multiple of :data:`~repro.primitives.layout.BLOCK`, so one scale
-covers whole vector registers.  Ragged tails — reduction lengths not a
-multiple of the group size, channel counts not a multiple of 16 — are
-zero-padded exactly like :mod:`repro.primitives.layout` pads ragged
-channels: zeros never change a group's max-abs scale and contribute
-nothing to the dot product.
+Grouping rides the 16-lane channel blocks of the paper's blocked
+weight format: the default group size (32) is two 16-lane blocks, so
+one scale covers whole vector registers.  Ragged tails — reduction
+lengths not a multiple of the group size, channel counts not a multiple
+of 16 — are zero-padded: zeros never change a group's max-abs scale and
+contribute nothing to the dot product.
 
 The compute kernels are *genuinely* low-precision: activations are
 dynamically quantized per output row, the inner dot products run in
 int32, and fp32 only reappears in the per-group scale recombination.
-Registered as ConvImpls (``"int8"``, ``"int4"``) they slot into the
-same registry the autotuner races — but they are **approximate**
-kernels, so they never join the default ``auto`` candidate set (the
-tuner assumes candidates are interchangeable); racing them is an
-explicit opt-in via :func:`repro.primitives.registry.set_auto_quantized`.
+Registered as ConvImpls (``"int8"``, ``"int4"``) they sit in the same
+registry as the exact kernels — but they are **approximate**, so
+nothing selects them implicitly: name them (``ops.conv3d(impl="int8")``
+or :func:`repro.primitives.registry.set_default_impl`).
 """
 
 from __future__ import annotations
@@ -44,12 +41,9 @@ from repro.primitives.conv3d import (
     conv3d_output_shape,
 )
 from repro.primitives import registry as _registry
-from repro.primitives.layout import BLOCK, Layout, register_layout
 
 __all__ = [
     "DEFAULT_GROUP_SIZE",
-    "QUANT_OIDHW16I16O_INT8",
-    "QUANT_OIDHW16I16O_INT4",
     "QuantizedWeights",
     "quantize_groupwise",
     "dequantize_groupwise",
@@ -67,11 +61,6 @@ __all__ = [
 #: Default scale-group length along the reduction axis: two 16-lane
 #: SIMD blocks, the ``int4mm`` kernel's default granularity.
 DEFAULT_GROUP_SIZE = 32
-
-#: Quantized variants of the blocked weight format, registered so the
-#: layout registry can name what a packed weight buffer holds.
-QUANT_OIDHW16I16O_INT8 = register_layout(Layout("OIdhw16i16o_q8", "weight", BLOCK))
-QUANT_OIDHW16I16O_INT4 = register_layout(Layout("OIdhw16i16o_q4", "weight", BLOCK))
 
 _QMAX = {8: 127, 4: 7}
 
@@ -202,7 +191,6 @@ class QuantizedWeights:
     bits: int
     group_size: int
     padded_cols: int
-    layout: Layout
 
     @classmethod
     def from_dense(
@@ -217,20 +205,13 @@ class QuantizedWeights:
         mat = w.reshape(w.shape[0], -1)
         q, scales = quantize_groupwise(mat, bits=bits, group_size=group_size)
         padded_cols = q.shape[1]
-        if bits == 4:
-            data = pack_int4(q)
-            layout = QUANT_OIDHW16I16O_INT4
-        else:
-            data = q
-            layout = QUANT_OIDHW16I16O_INT8
         return cls(
-            data=data,
+            data=pack_int4(q) if bits == 4 else q,
             scales=scales,
             shape=tuple(w.shape),
             bits=bits,
             group_size=group_size,
             padded_cols=padded_cols,
-            layout=layout,
         )
 
     @property
@@ -365,11 +346,11 @@ def _digest(arr: np.ndarray) -> str:
 class QuantCache:
     """Content-addressed cache of :class:`QuantizedWeights`.
 
-    Same idiom as :class:`repro.primitives.layout.ReorderCache`: the key
-    digests the dense weight bytes, so a weight is re-quantized only
-    when the optimizer actually changes it — inference reuses one packed
-    buffer across every step.  Hits/misses are counted on the metrics
-    registry attached via :func:`repro.primitives.registry.set_metrics`.
+    The key digests the dense weight bytes, so a weight is re-quantized
+    only when the optimizer actually changes it — inference reuses one
+    packed buffer across every step.  Hits/misses are counted on the
+    metrics registry attached via
+    :func:`repro.primitives.registry.set_metrics`.
     """
 
     def __init__(self, capacity: int = 64):
@@ -450,7 +431,7 @@ def _make_backward_data(impl_name: str):
     def backward_data(grad_out, w, input_shape, stride=1, padding=0):
         # Quantized kernels are forward/inference formulations; training
         # backward passes delegate to the exact gemm kernels (counted,
-        # like direct's padded fallback, so attribution stays honest).
+        # so attribution stays honest).
         _registry.count_fallback(impl_name, "backward_data")
         return conv3d_backward_data(grad_out, w, input_shape, stride, padding)
 
@@ -466,12 +447,7 @@ def _make_backward_weights(impl_name: str):
 
 
 def register_quantized_impls() -> None:
-    """Register the ``"int8"`` / ``"int4"`` ConvImpls (idempotent).
-
-    They are *not* added to the default autotuner candidate set —
-    approximate kernels must never silently race the bitwise-exact ones;
-    opt in via :func:`repro.primitives.registry.set_auto_quantized`.
-    """
+    """Register the ``"int8"`` / ``"int4"`` ConvImpls (idempotent)."""
     _registry.register_impl(
         _registry.ConvImpl(
             name="int8",

@@ -1,32 +1,22 @@
 """Implementation registry for the convolution primitives.
 
 The framework layer (:mod:`repro.tensor.ops.conv`) calls through this
-registry so the kernel implementation can be switched globally — used
-by the A1 ablation benchmark to compare the GEMM path against the
-Algorithm-1 direct and blocked-native paths, mirroring how TensorFlow
-dispatches to MKL-DNN when built with ``--config=mkl``.
+registry, mirroring how TensorFlow dispatches to MKL-DNN when built
+with ``--config=mkl``.  It is a name -> :class:`ConvImpl` table:
 
-Registered implementations (see :func:`register_impl` for adding more):
+* ``"gemm"`` — the one exact kernel family
+  (:mod:`repro.primitives.conv3d`), and the default.
+* ``"int8"`` / ``"int4"`` — approximate quantized forwards, registered
+  by :mod:`repro.primitives.quantized`; reachable only by name.
 
-* ``"gemm"``    — production one-GEMM-per-pass kernels (plain layout).
-* ``"direct"``  — Algorithm-1 faithful port, per-call repack into the
-  blocked layout.  Padded backward passes fall back to gemm; the
-  fallback is **counted** (``primitives.conv3d.<op>.fallbacks``) so A1
-  attribution stays honest.
-* ``"blocked"`` — blocked-native kernels behind plain-array wrappers
-  with content-cached weight reorders.
-* ``"auto"``    — shape-keyed autotuned dispatch
-  (:mod:`repro.primitives.autotune`): first encounter of a
-  ``(op, shape, stride, padding, layout)`` key times the candidates and
-  persists the winner; warm-cache calls dispatch deterministically.
+:func:`register_impl` adds more (tests and benchmarks register doubles).
 
 Optional accounting: :func:`set_metrics` attaches a
 :class:`~repro.obs.metrics.MetricsRegistry`, after which every kernel
 call increments ``primitives.conv3d.<op>.{calls,flops,bytes}``
-counters (the Section-III "portion of the computational cost" numbers),
-and the layout module's reorder/cache counters come alive too.  With no
-registry attached — the default — :func:`get_impl` hands back the raw
-kernels, so the accounting costs nothing when off.
+counters (the Section-III "portion of the computational cost" numbers).
+With no registry attached — the default — :func:`get_impl` hands back
+the raw kernels, so the accounting costs nothing when off.
 """
 
 from __future__ import annotations
@@ -34,9 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
-from repro.primitives import blocked as _blocked
 from repro.primitives import conv3d as _gemm
-from repro.primitives import direct as _direct
 
 __all__ = [
     "ConvImpl",
@@ -47,15 +35,8 @@ __all__ = [
     "available_impls",
     "set_metrics",
     "get_metrics",
-    "record_conv_call",
     "count_fallback",
-    "set_auto_quantized",
-    "auto_quantized_enabled",
-    "AUTO_IMPL",
 ]
-
-#: Name of the autotuned dispatch policy (not a kernel implementation).
-AUTO_IMPL = "auto"
 
 
 def _compose_backward(backward_data: Callable, backward_weights: Callable) -> Callable:
@@ -84,10 +65,6 @@ def _compose_backward(backward_data: Callable, backward_weights: Callable) -> Ca
 class ConvImpl:
     """A family of convolution kernels sharing one calling convention.
 
-    ``native_layout`` names the activation layout the kernels are most
-    at home in (``"ncdhw"`` or ``"nCdhw16c"``); the tensor layer uses it
-    to decide where the genuine layout boundaries are.
-
     ``pack``, when set, is ``pack(x, kernel, stride, padding)`` returning
     the operand ``forward`` and ``backward_weights`` would each build
     from ``x`` (or ``None`` to have them build it); both then accept it
@@ -104,7 +81,6 @@ class ConvImpl:
     forward: Callable
     backward_data: Callable
     backward_weights: Callable
-    native_layout: str = "ncdhw"
     pack: Optional[Callable] = None
     backward: Optional[Callable] = None
 
@@ -158,12 +134,8 @@ def _conv_flops(n: int, oc: int, ic: int, out_spatial, kernel) -> int:
 def record_conv_call(
     op: str, n: int, oc: int, ic: int, out_spatial, kernel, nbytes: int
 ) -> None:
-    """Count one conv kernel call on the attached metrics registry.
-
-    Public so the tensor layer's blocked-native path (which bypasses the
-    plain-convention wrappers) reports the same accounting as the
-    instrumented registry kernels.  No-op with metrics detached.
-    """
+    """Count one conv kernel call on the attached metrics registry
+    (no-op with metrics detached)."""
     m = _metrics
     if m is None:
         return
@@ -173,29 +145,12 @@ def record_conv_call(
 
 
 def count_fallback(impl_name: str, op: str) -> None:
-    """Count a silent impl substitution (e.g. direct -> gemm on padding)."""
+    """Count a silent impl substitution (e.g. int8 backward -> gemm)."""
     m = _metrics
     if m is None:
         return
     m.counter("primitives.conv3d.fallbacks").add(1)
     m.counter(f"primitives.conv3d.{impl_name}.{op}.fallbacks").add(1)
-
-
-def _direct_backward_data(grad_out, w, input_shape, stride=1, padding=0):
-    """Direct backward-data; counted fallback to gemm for padded passes
-    (the faithful Algorithm-1 kernel is valid-convolution only)."""
-    if padding in (0, (0, 0, 0)):
-        return _direct.conv3d_backward_data_direct(grad_out, w, input_shape, stride)
-    count_fallback("direct", "backward_data")
-    return _gemm.conv3d_backward_data(grad_out, w, input_shape, stride, padding)
-
-
-def _direct_backward_weights(x, grad_out, kernel, stride=1, padding=0, with_bias=False):
-    """Direct backward-weights; counted fallback to gemm for padded passes."""
-    if padding in (0, (0, 0, 0)):
-        return _direct.conv3d_backward_weights_direct(x, grad_out, kernel, stride, with_bias)
-    count_fallback("direct", "backward_weights")
-    return _gemm.conv3d_backward_weights(x, grad_out, kernel, stride, padding, with_bias)
 
 
 _IMPLS: Dict[str, ConvImpl] = {
@@ -206,19 +161,6 @@ _IMPLS: Dict[str, ConvImpl] = {
         backward_weights=_gemm.conv3d_backward_weights,
         pack=_gemm.conv3d_pack,
         backward=_gemm.conv3d_backward,
-    ),
-    "direct": ConvImpl(
-        name="direct",
-        forward=_direct.conv3d_forward_direct,
-        backward_data=_direct_backward_data,
-        backward_weights=_direct_backward_weights,
-    ),
-    "blocked": ConvImpl(
-        name="blocked",
-        forward=_blocked.conv3d_forward_via_blocked,
-        backward_data=_blocked.conv3d_backward_data_via_blocked,
-        backward_weights=_blocked.conv3d_backward_weights_via_blocked,
-        native_layout="nCdhw16c",
     ),
 }
 
@@ -231,8 +173,6 @@ def register_impl(impl: ConvImpl, default: bool = False) -> ConvImpl:
     """
     if not isinstance(impl, ConvImpl):
         raise TypeError(f"expected ConvImpl, got {type(impl).__name__}")
-    if impl.name == AUTO_IMPL:
-        raise ValueError(f"{AUTO_IMPL!r} is the autotuned dispatch policy, not a registrable impl")
     _IMPLS[impl.name] = impl
     _instrumented.clear()
     if default:
@@ -284,102 +224,9 @@ def _instrument(impl: ConvImpl) -> ConvImpl:
         forward=forward,
         backward_data=backward_data,
         backward_weights=backward_weights,
-        native_layout=impl.native_layout,
         pack=impl.pack,
         backward=backward,
     )
-
-
-# ---------------------------------------------------------------------------
-# The "auto" dispatch policy
-# ---------------------------------------------------------------------------
-
-
-#: Whether the ``auto`` policy may race the approximate quantized
-#: kernels.  Off by default: the tuner assumes its candidates are
-#: interchangeable (bitwise-equal), which int8/int4 are not.
-_auto_quantized = False
-
-
-def set_auto_quantized(enabled: bool) -> None:
-    """Opt the quantized forward kernels in/out of ``auto`` racing.
-
-    With this on, ``auto`` forward tuning may pick ``int8``/``int4`` on
-    shapes where they win — trading exactness for speed explicitly.
-    Backward passes always race exact kernels only (the quantized
-    backwards are gemm fallbacks anyway).
-    """
-    global _auto_quantized
-    _auto_quantized = bool(enabled)
-
-
-def auto_quantized_enabled() -> bool:
-    return _auto_quantized
-
-
-def auto_candidates(op: str) -> list[str]:
-    """Implementation names the autotuner races for ``op``.
-
-    The approximate ``int8`` / ``int4`` kernels join the forward race
-    only after an explicit :func:`set_auto_quantized` opt-in.
-    """
-    names = [n for n in ("gemm", "direct", "blocked") if n in _IMPLS]
-    if op == "forward" and _auto_quantized:
-        names.extend(n for n in ("int8", "int4") if n in _IMPLS)
-    return names
-
-
-def _auto_dispatch(op: str, key_a, key_b, stride, padding, call):
-    """Run ``call(impl)`` on the tuned implementation for this shape key,
-    racing the candidates first when the key is new (or its persisted
-    winner is no longer registered)."""
-    from repro.primitives import autotune
-
-    tuner = autotune.get_tuner()
-    key = autotune.conv_shape_key(op, key_a, key_b, stride, padding)
-    choice = tuner.cached_choice(key)
-    if choice is None or choice not in _IMPLS:
-        choice, out = tuner.tune(key, auto_candidates(op), lambda name: call(get_impl(name)))
-    else:
-        out = call(get_impl(choice))
-    if _metrics is not None:
-        _metrics.counter(f"primitives.conv3d.auto.{op}.{choice}").add(1)
-    return out
-
-
-def _auto_forward(x, w, bias=None, stride=1, padding=0):
-    return _auto_dispatch(
-        "forward", x.shape, w.shape, stride, padding,
-        lambda impl: impl.forward(x, w, bias, stride=stride, padding=padding),
-    )
-
-
-def _auto_backward_data(grad_out, w, input_shape, stride=1, padding=0):
-    return _auto_dispatch(
-        "backward_data", grad_out.shape, w.shape, stride, padding,
-        lambda impl: impl.backward_data(grad_out, w, input_shape, stride=stride, padding=padding),
-    )
-
-
-def _auto_backward_weights(x, grad_out, kernel, stride=1, padding=0, with_bias=False):
-    return _auto_dispatch(
-        "backward_weights", x.shape, grad_out.shape, stride, padding,
-        lambda impl: impl.backward_weights(
-            x, grad_out, kernel, stride=stride, padding=padding, with_bias=with_bias
-        ),
-    )
-
-
-#: The autotuned policy.  Its kernels call :func:`get_impl` internally,
-#: so accounting happens on the *chosen* impl — :func:`get_impl` must
-#: never wrap "auto" itself or every call would be counted twice.
-_AUTO = ConvImpl(
-    name=AUTO_IMPL,
-    forward=_auto_forward,
-    backward_data=_auto_backward_data,
-    backward_weights=_auto_backward_weights,
-)
-_IMPLS[AUTO_IMPL] = _AUTO
 
 
 def available_impls() -> list[str]:
@@ -400,7 +247,7 @@ def get_impl(name: str | None = None) -> ConvImpl:
         raise KeyError(
             f"unknown conv3d implementation {key!r}; available: {available_impls()}"
         ) from None
-    if _metrics is None or key == AUTO_IMPL:
+    if _metrics is None:
         return impl
     wrapped = _instrumented.get(key)
     if wrapped is None:

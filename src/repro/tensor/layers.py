@@ -25,7 +25,6 @@ __all__ = [
     "Flatten",
     "LeakyReLU",
     "BatchNorm",
-    "ToLayout",
     "Sequential",
 ]
 
@@ -78,7 +77,6 @@ class Conv3D(Layer):
         bias: bool = True,
         rng=None,
         name: str = "",
-        impl: str | None = None,
     ):
         super().__init__(name)
         if in_channels <= 0 or out_channels <= 0:
@@ -89,7 +87,6 @@ class Conv3D(Layer):
         self.kernel = k
         self.stride = stride
         self.padding = padding
-        self.impl = impl
         rng = new_rng(rng)
         self.weight = Parameter(
             initializers.he_normal(
@@ -104,7 +101,7 @@ class Conv3D(Layer):
         )
 
     def forward(self, x: Tensor) -> Tensor:
-        return ops.conv3d(x, self.weight, self.bias, self.stride, self.padding, impl=self.impl)
+        return ops.conv3d(x, self.weight, self.bias, self.stride, self.padding)
 
     def output_shape(self, input_shape):
         from repro.primitives.conv3d import conv3d_output_shape
@@ -249,27 +246,6 @@ class BatchNorm(Layer):
             raise ValueError(
                 f"{self.name}: expected {self.channels} channels, got {input_shape[0]}"
             )
-        return tuple(input_shape)
-
-
-class ToLayout(Layer):
-    """Explicit activation-layout conversion (``ops.to_layout``).
-
-    Insert at the top of a conv stack (``ToLayout("nCdhw16c")``) to pay
-    the entry reorder once and run the following Conv3D/pool/LeakyReLU
-    chain blocked end to end; ``Flatten`` reorders back automatically at
-    the exit.  Bitwise-neutral: the layout changes, the numbers do not.
-    """
-
-    def __init__(self, layout: str = "nCdhw16c", name: str = ""):
-        super().__init__(name)
-        self.layout = layout
-
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.to_layout(x, self.layout)
-
-    def output_shape(self, input_shape):
-        # Logical per-sample shape is layout-independent.
         return tuple(input_shape)
 
 

@@ -13,7 +13,6 @@ from repro.tensor.ops.activations import leaky_relu, relu, sigmoid, tanh
 from repro.tensor.ops.dense import matmul, linear
 from repro.tensor.ops.conv import conv3d
 from repro.tensor.ops.pool import avg_pool3d
-from repro.tensor.ops.layoutops import to_layout
 from repro.tensor.ops.losses import mse_loss, mae_loss
 from repro.tensor.ops.batchnorm import batch_norm
 
@@ -41,7 +40,6 @@ __all__ = [
     "linear",
     "conv3d",
     "avg_pool3d",
-    "to_layout",
     "mse_loss",
     "mae_loss",
     "batch_norm",

@@ -21,11 +21,7 @@ DEFAULT_LEAKY_ALPHA = 0.2
 
 
 def leaky_relu(a, alpha: float = DEFAULT_LEAKY_ALPHA) -> Tensor:
-    """``x if x > 0 else alpha * x`` elementwise.
-
-    Layout-transparent: elementwise with ``f(0) == 0``, so a blocked
-    input keeps its layout tag (and its zero padding lanes) bitwise.
-    """
+    """``x if x > 0 else alpha * x`` elementwise."""
     a = a if isinstance(a, Tensor) else Tensor(a)
     x = a.data
     if 0.0 < alpha <= 1.0:
@@ -45,10 +41,7 @@ def leaky_relu(a, alpha: float = DEFAULT_LEAKY_ALPHA) -> Tensor:
         def backward(g):
             return (g * scale,)
 
-    result = Tensor._make(out, (a,), backward, "leaky_relu")
-    result.layout = a.layout
-    result.channels = a.channels
-    return result
+    return Tensor._make(out, (a,), backward, "leaky_relu")
 
 
 def relu(a) -> Tensor:
@@ -57,12 +50,6 @@ def relu(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
-    if a.layout is not None and a.layout.is_blocked:
-        # sigmoid(0) = 0.5 would break the zero-padding-lane invariant
-        # blocked arrays rely on; convert explicitly first.
-        raise ValueError(
-            "sigmoid on a blocked-layout tensor; insert ops.to_layout(a, 'ncdhw') first"
-        )
     out = 1.0 / (1.0 + np.exp(-a.data))
 
     def backward(g):
@@ -78,8 +65,4 @@ def tanh(a) -> Tensor:
     def backward(g):
         return (g * (1.0 - out * out),)
 
-    result = Tensor._make(out, (a,), backward, "tanh")
-    # tanh(0) == 0: zero lanes survive, the layout tag can propagate.
-    result.layout = a.layout
-    result.channels = a.channels
-    return result
+    return Tensor._make(out, (a,), backward, "tanh")

@@ -1,16 +1,7 @@
-"""Differentiable 3D average pooling.
-
-Layout-transparent: a blocked input pools through the blocked-native
-kernel (bitwise-equal arithmetic, zero reorders) and the output keeps
-the blocked tag; gradients stay blocked end to end.
-"""
+"""Differentiable 3D average pooling."""
 
 from __future__ import annotations
 
-from repro.primitives.blocked import (
-    avg_pool3d_backward_blocked,
-    avg_pool3d_forward_blocked,
-)
 from repro.primitives.pool3d import avg_pool3d_backward, avg_pool3d_forward
 from repro.tensor.tensor import Tensor
 
@@ -24,18 +15,6 @@ def avg_pool3d(x, kernel=2, stride=None) -> Tensor:
     stride (2,2,2).
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
-
-    if x.layout is not None and x.layout.is_blocked:
-        out_b = avg_pool3d_forward_blocked(x.data, kernel, stride)
-        input_spatial = x.data.shape[2:5]
-
-        def backward_blocked(g):
-            return (avg_pool3d_backward_blocked(g, input_spatial, kernel, stride),)
-
-        out = Tensor._make(out_b, (x,), backward_blocked, "avg_pool3d")
-        out.layout = x.layout
-        out.channels = x.channels
-        return out
 
     out = avg_pool3d_forward(x.data, kernel, stride)
     input_shape = x.shape[2:]

@@ -1,14 +1,4 @@
-"""Shape-manipulation ops.
-
-The paper notes that "data reordering between the blocked and
-non-blocked layout occur[s] at various stages of the graph execution".
-``flatten`` is that stage here: it is the conv-stack -> dense boundary,
-so a blocked tensor is reordered back to plain exactly once before
-flattening (taped — the gradient crosses the same boundary once on the
-way back).  Plain ``reshape``/``transpose`` refuse blocked inputs
-because reinterpreting blocked memory as a plain shape would silently
-scramble channels; convert with ``ops.to_layout`` first.
-"""
+"""Shape-manipulation ops."""
 
 from __future__ import annotations
 
@@ -19,17 +9,8 @@ from repro.tensor.tensor import Tensor
 __all__ = ["reshape", "flatten", "transpose"]
 
 
-def _reject_blocked(a: Tensor, op: str) -> None:
-    if a.layout is not None and a.layout.is_blocked:
-        raise ValueError(
-            f"{op} on a blocked-layout tensor would scramble channels; "
-            "insert ops.to_layout(a, 'ncdhw') first"
-        )
-
-
 def reshape(a, shape) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
-    _reject_blocked(a, "reshape")
     shape = tuple(int(s) for s in shape)
     out = a.data.reshape(shape)
 
@@ -40,23 +21,14 @@ def reshape(a, shape) -> Tensor:
 
 
 def flatten(a, start_axis: int = 1) -> Tensor:
-    """Flatten all axes from ``start_axis`` on (default keeps batch).
-
-    The genuine layout exit boundary: a blocked tensor is reordered to
-    plain here (once, taped) before flattening.
-    """
+    """Flatten all axes from ``start_axis`` on (default keeps batch)."""
     a = a if isinstance(a, Tensor) else Tensor(a)
-    if a.layout is not None and a.layout.is_blocked:
-        from repro.tensor.ops.layoutops import to_layout
-
-        a = to_layout(a, "ncdhw")
     lead = a.shape[:start_axis]
     return reshape(a, lead + (-(-a.size // max(1, int(np.prod(lead)))),))
 
 
 def transpose(a, axes=None) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
-    _reject_blocked(a, "transpose")
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(int(x) for x in axes)

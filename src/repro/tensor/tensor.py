@@ -92,8 +92,6 @@ class Tensor:
         "_parents",
         "_backward",
         "op_name",
-        "layout",
-        "channels",
     )
 
     def __init__(self, data, requires_grad: bool = False):
@@ -108,15 +106,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
         self.op_name: str = "leaf"
-        #: Memory-format tag (:class:`repro.primitives.layout.Layout`).
-        #: ``None`` means the canonical plain layout; a blocked layout
-        #: means ``data`` is ``(N, CB, D, H, W, block)`` and ``channels``
-        #: records the logical channel count the blocks zero-pad.
-        #: Ops that understand layouts propagate the tag explicitly;
-        #: everything else treats the tensor as a plain array, which is
-        #: why blocked tensors guard the shape-changing ops.
-        self.layout = None
-        self.channels: int | None = None
 
     # -- construction of taped results -------------------------------------
 
@@ -164,19 +153,12 @@ class Tensor:
         return float(self.data.item())
 
     def detach(self) -> "Tensor":
-        """A new leaf sharing this tensor's data, cut from the tape.
-
-        Layout tags survive detachment — the data is still in that
-        memory format."""
-        out = Tensor(self.data)
-        out.layout = self.layout
-        out.channels = self.channels
-        return out
+        """A new leaf sharing this tensor's data, cut from the tape."""
+        return Tensor(self.data)
 
     def __repr__(self) -> str:
         grad = ", requires_grad=True" if self.requires_grad else ""
-        fmt = f", layout={self.layout.name}" if self.layout is not None else ""
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}, op={self.op_name}{grad}{fmt})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype}, op={self.op_name}{grad})"
 
     # -- autograd -----------------------------------------------------------
 

@@ -14,7 +14,7 @@ class TestParser:
     def test_all_commands_registered(self):
         parser = build_parser()
         for cmd in ("simulate", "train", "predict", "topology", "scaling",
-                    "faultsim", "stage", "serve", "tune"):
+                    "faultsim", "stage", "serve"):
             args = {
                 "simulate": ["simulate", "--out", "x"],
                 "train": ["train", "--data", "x"],
@@ -24,7 +24,6 @@ class TestParser:
                 "faultsim": ["faultsim"],
                 "stage": ["stage", "--data", "x", "--bb-dir", "y"],
                 "serve": ["serve"],
-                "tune": ["tune", "warm"],
             }[cmd]
             parsed = parser.parse_args(args)
             assert parsed.command == cmd
@@ -40,24 +39,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["train", "--data", "x", "--mode", "horse"])
 
-    def test_train_conv_impl_flag(self):
-        parser = build_parser()
-        assert parser.parse_args(["train", "--data", "x"]).conv_impl is None
-        for impl in ("gemm", "direct", "blocked", "auto"):
-            parsed = parser.parse_args(["train", "--data", "x", "--conv-impl", impl])
-            assert parsed.conv_impl == impl
-        with pytest.raises(SystemExit):
-            parser.parse_args(["train", "--data", "x", "--conv-impl", "cudnn"])
-
-    def test_tune_subcommands(self):
-        parser = build_parser()
-        parsed = parser.parse_args(["tune", "warm", "--preset", "tiny_16",
-                                    "--max-size", "8", "--cache", "c.json"])
-        assert parsed.tune_command == "warm" and parsed.max_size == 8
-        assert parser.parse_args(["tune", "show"]).tune_command == "show"
-        assert parser.parse_args(["tune", "clear"]).tune_command == "clear"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["tune"])  # subcommand required
+    @pytest.mark.parametrize(
+        "argv", [["train", "--data", "x", "--conv-impl", "gemm"], ["tune", "show"]]
+    )
+    def test_kernel_selection_surface_is_gone(self, argv):
+        """One kernel family: no flag to pick another, no tuner to warm."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
 
 
 class TestCommands:
@@ -270,31 +259,6 @@ class TestServeCommand:
         assert "admit" in out
 
 
-class TestTuneCommand:
-    def test_warm_show_clear_cycle(self, tmp_path, capsys):
-        cache = str(tmp_path / "autotune.json")
-        assert main(["tune", "warm", "--preset", "tiny_16", "--max-size", "6",
-                     "--cache", cache]) == 0
-        out = capsys.readouterr().out
-        assert "warmed" in out and "forward|" in out
-        assert main(["tune", "show", "--cache", cache]) == 0
-        out = capsys.readouterr().out
-        assert "entries" in out and "ms" in out
-        # Second warm replays from the persisted file: nothing re-timed.
-        assert main(["tune", "warm", "--preset", "tiny_16", "--max-size", "6",
-                     "--cache", cache]) == 0
-        assert "(0 timed" in capsys.readouterr().out
-        assert main(["tune", "clear", "--cache", cache]) == 0
-        assert "cleared" in capsys.readouterr().out
-        assert main(["tune", "show", "--cache", cache]) == 0
-        assert "empty" in capsys.readouterr().out
-
-    def test_warm_unknown_preset_exits(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["tune", "warm", "--preset", "resnet50",
-                  "--cache", str(tmp_path / "c.json")])
-
-
 class TestCommandsSlow:
     def test_train_preset_mismatch(self, tmp_path):
         ds = tmp_path / "small"
@@ -308,8 +272,8 @@ class TestCommandsSlow:
         with pytest.raises(SystemExit, match="expects"):
             main(["train", "--data", str(ds), "--preset", "tiny_16", "--epochs", "1"])
 
-    def test_train_conv_impl_blocked_with_trace(self, tmp_path, capsys):
-        """--conv-impl blocked + --trace surfaces the reorder counters."""
+    def test_train_trace_prints_conv_counters(self, tmp_path, capsys):
+        """--trace attaches the conv kernels' call counters for the run."""
         ds = tmp_path / "ds"
         assert (
             main(
@@ -327,20 +291,16 @@ class TestCommandsSlow:
             main(
                 [
                     "train", "--data", str(ds), "--preset", "tiny_16",
-                    "--epochs", "1", "--conv-impl", "blocked",
-                    "--trace", str(trace),
+                    "--epochs", "1", "--trace", str(trace),
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
-        assert "primitives.reorder.calls" in out
-        assert "primitives.reorder.cache.hits" in out
         assert "primitives.conv3d.forward.calls" in out
         # Global registry state restored after the run.
         from repro.primitives import registry
 
-        assert registry.get_default_impl() == "gemm"
         assert registry.get_metrics() is None
 
     def test_train_distributed_modes(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy.signal import correlate
 
+from repro.core.topology import scaled_32, tiny_16
 from repro.primitives.conv3d import (
     conv3d_backward_data,
     conv3d_backward_weights,
@@ -17,6 +18,7 @@ from repro.primitives.conv3d import (
     conv3d_output_shape,
     conv3d_pack,
 )
+from tests.primitives.algorithm1_reference import algorithm1_forward
 
 
 def reference_conv3d(x, w, bias=None, stride=1, padding=0):
@@ -220,9 +222,10 @@ class TestBackward:
 # The one-GEMM-per-pass formulation
 # ---------------------------------------------------------------------------
 
-#: The one fp32 tolerance of ``gemm`` against a float64 reference or
-#: ``direct`` (relative to the largest reference magnitude): the kernels
-#: differ from a direct convolution only by fp32 summation order.
+#: The one fp32 tolerance of ``gemm`` against a float64 reference or the
+#: Algorithm 1 specification (relative to the largest reference
+#: magnitude): the kernels differ from a direct convolution only by fp32
+#: summation order.
 FP32_RTOL = 2e-4
 FP64_RTOL = 1e-10
 
@@ -307,29 +310,36 @@ class TestOneGemmPerPass:
         assert_close(gw, want_gw, dtype)
         assert_close(gb, g.astype(np.float64).sum(axis=(0, 2, 3, 4)), dtype)
 
-    @pytest.mark.parametrize("ic", [1, 16])
-    def test_matches_direct_at_the_fp32_tolerance(self, ic):
-        from repro.primitives.direct import (
-            conv3d_backward_data_direct,
-            conv3d_backward_weights_direct,
-            conv3d_forward_direct,
-        )
-
+    # Against Algorithm 1 itself (the paper's blocked loop nest, forward):
+    # IC 1 is conv1's ragged input block, OW 32 spans two 28-voxel width
+    # blocks, 24 -> 20 channels end in a ragged block on both sides.
+    @pytest.mark.parametrize(
+        "n,ic,oc,spatial",
+        [
+            pytest.param(2, 1, 16, (6, 7, 8), id="ic1"),
+            pytest.param(2, 16, 16, (6, 7, 8), id="ic16"),
+            pytest.param(1, 1, 16, (5, 5, 34), id="two_width_blocks"),
+            pytest.param(1, 24, 20, (5, 6, 7), id="ragged_channels"),
+        ],
+    )
+    def test_matches_algorithm1_forward(self, n, ic, oc, spatial):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((2, ic, 6, 7, 8)).astype(np.float32)
-        w = rng.standard_normal((16, ic, 3, 3, 3)).astype(np.float32)
-        g = rng.standard_normal((2, 16, 4, 5, 6)).astype(np.float32)
-        assert_close(conv3d_forward(x, w), conv3d_forward_direct(x, w), np.float32)
-        assert_close(
-            conv3d_backward_data(g, w, x.shape[2:]),
-            conv3d_backward_data_direct(g, w, x.shape[2:]),
-            np.float32,
-        )
-        assert_close(
-            conv3d_backward_weights(x, g, (3, 3, 3)),
-            conv3d_backward_weights_direct(x, g, (3, 3, 3)),
-            np.float32,
-        )
+        x = rng.standard_normal((n, ic) + spatial).astype(np.float32)
+        w = rng.standard_normal((oc, ic, 3, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(oc).astype(np.float32)
+        assert_close(conv3d_forward(x, w, b), algorithm1_forward(x, w, b), np.float32)
+
+    @pytest.mark.parametrize("preset", [tiny_16, scaled_32])
+    def test_algorithm1_on_preset_layers(self, preset):
+        config = preset()
+        rng = np.random.default_rng(14)
+        sizes = [config.input_size] + config.spatial_sizes()
+        ic = config.input_channels
+        for size, spec in zip(sizes, config.conv_layers):
+            x = rng.standard_normal((1, ic, size, size, size)).astype(np.float32)
+            w = rng.standard_normal((spec.out_channels, ic) + (spec.kernel,) * 3).astype(np.float32)
+            assert_close(conv3d_forward(x, w), algorithm1_forward(x, w), np.float32)
+            ic = spec.out_channels
 
     def test_anisotropic_kernel_stride_and_padding(self):
         rng = np.random.default_rng(13)
@@ -500,7 +510,7 @@ class TestOneGemmPerPass:
 
     def test_forward_accumulates_in_the_wider_dtype(self):
         """fp16 activations with fp32 weights: the W-tap sums are taken in
-        fp32 and rounded to the input dtype once, as ``direct`` does."""
+        fp32 and rounded to the input dtype once."""
         rng = np.random.default_rng(21)
         x, w, b, _ = self._case(rng, 16, 1, 0)
         x16 = x.astype(np.float16)

@@ -273,7 +273,7 @@ class TestGeometryRecord:
 
 
 class TestComposedBackward:
-    """A family registered with only the per-pass kernels (the ``direct``
+    """A family registered with only the per-pass kernels (the ``int8``
     shape) gets ``backward`` composed from them."""
 
     def setup_method(self):
@@ -301,7 +301,7 @@ class TestComposedBackward:
             backward_data=backward_data,
             backward_weights=backward_weights,
         ))
-        assert impl.backward is not None and impl.pack is None
+        assert impl.backward.__qualname__.startswith("_compose_backward") and impl.pack is None
         metrics = MetricsRegistry()
         registry.set_metrics(metrics)
 
@@ -331,7 +331,7 @@ class TestComposedBackward:
         assert metrics.counter("primitives.conv3d.backward_data.flops").value == flops
         assert metrics.counter("primitives.conv3d.backward_weights.flops").value == 2 * flops
 
-    @pytest.mark.parametrize("name", ["direct", "blocked", "int8", "int4", "auto"])
+    @pytest.mark.parametrize("name", ["int8", "int4"])
     def test_every_other_family_is_composed(self, name):
         impl = registry._IMPLS[name]
         assert impl.backward.__qualname__.startswith("_compose_backward")

@@ -9,7 +9,7 @@ random shapes, strides, and padding.
 import numpy as np
 import pytest
 
-from repro.primitives import registry
+from repro.primitives.conv3d import conv3d_output_shape
 from repro.primitives.quantized import (
     DEFAULT_GROUP_SIZE,
     QuantCache,
@@ -21,9 +21,10 @@ from repro.primitives.quantized import (
     quantized_matmul,
     unpack_int4,
 )
-from repro.primitives.registry import auto_candidates, get_impl
+from repro.primitives.registry import get_impl
 from repro.tensor import ops
 from repro.tensor.tensor import Tensor
+from tests.primitives.test_conv3d import naive_conv3d_passes
 
 
 def _rng(seed):
@@ -124,13 +125,6 @@ class TestQuantizedWeights:
         assert q4.data.nbytes * 2 == q8.data.nbytes
         assert q8.nbytes < w.nbytes  # packed + scales beat dense fp32
 
-    def test_layout_descriptors_registered(self):
-        from repro.primitives.layout import available_layouts
-
-        names = available_layouts()
-        assert "OIdhw16i16o_q8" in names
-        assert "OIdhw16i16o_q4" in names
-
 
 class TestQuantizedMatmul:
     @pytest.mark.parametrize("bits", [8, 4])
@@ -170,27 +164,17 @@ class TestQuantizedConvParity:
         (1, 17, 6, 9, 3, 1, 0),  # ragged channels > one block
     ]
 
-    @staticmethod
-    def _reference(x, w, b, stride, padding):
-        # The fp32 direct kernel is the faithful Algorithm-1 reference;
-        # it is valid-convolution only, so padded cases pre-pad (the
-        # direct kernel's own documented convention).
-        from repro.primitives.conv3d import _pad_input, _triple
-
-        pad = _triple(padding)
-        if any(p != 0 for p in pad):
-            x = _pad_input(x, pad)
-        return get_impl("direct").forward(x, w, b, stride=stride, padding=0)
-
     @pytest.mark.parametrize("bits,impl", [(8, "int8"), (4, "int4")])
     @pytest.mark.parametrize("case", CASES)
-    def test_error_bound_vs_direct(self, bits, impl, case):
+    def test_error_bound_vs_float64(self, bits, impl, case):
         n, c, size, oc, kk, stride, padding = case
         rng = _rng([bits, *case])
         x = rng.standard_normal((n, c, size, size, size)).astype(np.float32)
         w = (rng.standard_normal((oc, c, kk, kk, kk)) * 0.2).astype(np.float32)
         b = rng.standard_normal(oc).astype(np.float32)
-        ref = self._reference(x, w, b, stride, padding)
+        out_shape = (n, oc) + conv3d_output_shape((size,) * 3, (kk,) * 3, stride, padding)
+        ref, _, _ = naive_conv3d_passes(x, w, np.zeros(out_shape), stride, padding)
+        ref += b.reshape(1, -1, 1, 1, 1)
         out = get_impl(impl).forward(x, w, b, stride=stride, padding=padding)
         assert out.shape == ref.shape
         qw = QuantizedWeights.from_dense(w, bits=bits)
@@ -240,21 +224,6 @@ class TestRegistryIntegration:
 
         names = available_impls()
         assert "int8" in names and "int4" in names
-
-    def test_quantized_not_in_default_auto_race(self):
-        assert "int8" not in auto_candidates("forward")
-        assert "int4" not in auto_candidates("forward")
-
-    def test_auto_race_opt_in_forward_only(self):
-        registry.set_auto_quantized(True)
-        try:
-            fwd = auto_candidates("forward")
-            assert "int8" in fwd and "int4" in fwd
-            assert "int8" not in auto_candidates("backward_data")
-            assert "int8" not in auto_candidates("backward_weights")
-        finally:
-            registry.set_auto_quantized(False)
-        assert "int8" not in auto_candidates("forward")
 
 
 class TestQuantCache:

@@ -1,8 +1,11 @@
 """Tests for the conv implementation registry."""
 
+import re
+
 import numpy as np
 import pytest
 
+from repro import primitives
 from repro.obs import MetricsRegistry
 from repro.primitives import registry as registry_mod
 from repro.primitives.registry import (
@@ -14,6 +17,7 @@ from repro.primitives.registry import (
     set_default_impl,
     set_metrics,
 )
+from repro.tensor.tensor import Tensor
 
 
 @pytest.fixture(autouse=True)
@@ -25,20 +29,18 @@ def restore_default():
 
 class TestRegistry:
     def test_all_registered(self):
-        assert available_impls() == [
-            "auto", "blocked", "direct", "gemm", "int4", "int8",
-        ]
+        assert available_impls() == ["gemm", "int4", "int8"]
 
     def test_default_is_gemm(self):
         assert get_impl().name == "gemm"
         assert get_default_impl() == "gemm"
 
     def test_lookup_by_name(self):
-        assert get_impl("direct").name == "direct"
+        assert get_impl("int8").name == "int8"
 
     def test_set_default(self):
-        set_default_impl("direct")
-        assert get_impl().name == "direct"
+        set_default_impl("int8")
+        assert get_impl().name == "int8"
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
@@ -46,30 +48,10 @@ class TestRegistry:
         with pytest.raises(KeyError):
             set_default_impl("cudnn")
 
-    def test_impls_agree_end_to_end(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((1, 16, 6, 6, 6)).astype(np.float32)
-        w = rng.standard_normal((16, 16, 3, 3, 3)).astype(np.float32)
-        g = rng.standard_normal((1, 16, 4, 4, 4)).astype(np.float32)
-        a, b = get_impl("gemm"), get_impl("direct")
-        np.testing.assert_allclose(a.forward(x, w), b.forward(x, w), rtol=2e-4, atol=2e-4)
-        np.testing.assert_allclose(
-            a.backward_data(g, w, (6, 6, 6)),
-            b.backward_data(g, w, (6, 6, 6)),
-            rtol=2e-4,
-            atol=2e-4,
-        )
-        np.testing.assert_allclose(
-            a.backward_weights(x, g, (3, 3, 3)),
-            b.backward_weights(x, g, (3, 3, 3)),
-            rtol=2e-4,
-            atol=2e-4,
-        )
-
     def test_pack_survives_instrumentation(self):
         """Only ``gemm`` offers ``pack``; the counting wrappers must hand
         the packed operand through and count the calls as before."""
-        assert get_impl("direct").pack is None and get_impl("auto").pack is None
+        assert get_impl("int8").pack is None
         metrics = MetricsRegistry()
         set_metrics(metrics)
         k = get_impl("gemm")
@@ -87,47 +69,41 @@ class TestRegistry:
         assert snap["primitives.conv3d.forward.calls"] == 2
         assert snap["primitives.conv3d.backward_weights.calls"] == 2
 
-    def test_direct_padding_fallback(self):
-        """The direct wrappers fall back to GEMM kernels when padding != 0."""
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((1, 4, 5, 5, 5)).astype(np.float32)
-        w = rng.standard_normal((4, 4, 3, 3, 3)).astype(np.float32)
-        g = rng.standard_normal((1, 4, 5, 5, 5)).astype(np.float32)
-        d, r = get_impl("direct"), get_impl("gemm")
-        np.testing.assert_allclose(
-            d.backward_data(g, w, (5, 5, 5), 1, 1),
-            r.backward_data(g, w, (5, 5, 5), 1, 1),
-            rtol=2e-4,
-            atol=2e-4,
-        )
-        np.testing.assert_allclose(
-            d.backward_weights(x, g, (3, 3, 3), 1, 1),
-            r.backward_weights(x, g, (3, 3, 3), 1, 1),
-            rtol=2e-4,
-            atol=2e-4,
-        )
-
-    def test_padding_fallbacks_are_counted(self):
-        """Satellite a: direct->gemm substitutions land on the metrics."""
+    def test_fallbacks_are_counted(self):
+        """int8's backward passes are gemm's: each substitution lands on
+        the metrics, forwards do not."""
         rng = np.random.default_rng(2)
         x = rng.standard_normal((1, 4, 5, 5, 5)).astype(np.float32)
         w = rng.standard_normal((4, 4, 3, 3, 3)).astype(np.float32)
-        g = rng.standard_normal((1, 4, 5, 5, 5)).astype(np.float32)
+        g = rng.standard_normal((1, 4, 3, 3, 3)).astype(np.float32)
         metrics = MetricsRegistry()
         set_metrics(metrics)
-        d = get_impl("direct")
-        d.backward_data(g, w, (5, 5, 5), 1, 1)
-        d.backward_weights(x, g, (3, 3, 3), 1, 1)
-        g0 = rng.standard_normal((1, 4, 3, 3, 3)).astype(np.float32)
-        d.backward_data(g0, w, (5, 5, 5), 1, 0)  # unpadded: no fallback
+        q = get_impl("int8")
+        q.forward(x, w)
+        q.backward_data(g, w, (5, 5, 5))
+        q.backward_weights(x, g, (3, 3, 3))
         snap = metrics.snapshot()
         assert snap["primitives.conv3d.fallbacks"] == 2
-        assert snap["primitives.conv3d.direct.backward_data.fallbacks"] == 1
-        assert snap["primitives.conv3d.direct.backward_weights.fallbacks"] == 1
+        assert snap["primitives.conv3d.int8.backward_data.fallbacks"] == 1
+        assert snap["primitives.conv3d.int8.backward_weights.fallbacks"] == 1
 
-    def test_blocked_native_layout(self):
-        assert get_impl("blocked").native_layout == "nCdhw16c"
-        assert get_impl("gemm").native_layout == "ncdhw"
+
+class TestOneFamily:
+    """``direct``, ``blocked``, the layout tag and the autotuner lost every
+    cell of the race (docs/architecture.md, "One kernel family") and left
+    ``src/`` in PR 18; these fail if the fork comes back."""
+
+    @pytest.mark.parametrize("name", ["direct", "blocked", "auto"])
+    def test_removed_families_are_unknown(self, name):
+        with pytest.raises(KeyError, match=r"available: \['gemm', 'int4', 'int8'\]"):
+            get_impl(name)
+
+    def test_tensor_carries_no_layout_tag(self):
+        assert {"layout", "channels"}.isdisjoint(Tensor.__slots__)
+
+    def test_package_exports_no_layout_or_tuner_names(self):
+        pattern = re.compile("blocked|direct|layout|reorder|tun", re.IGNORECASE)
+        assert [n for n in primitives.__all__ if pattern.search(n)] == []
 
 
 class TestRegisterImpl:
@@ -205,18 +181,3 @@ class TestRegisterImpl:
     def test_rejects_non_convimpl(self):
         with pytest.raises(TypeError):
             register_impl("gemm")
-
-    def test_rejects_auto_name(self):
-        with pytest.raises(ValueError):
-            register_impl(ConvImpl(
-                name="auto",
-                forward=lambda *a, **k: None,
-                backward_data=lambda *a, **k: None,
-                backward_weights=lambda *a, **k: None,
-            ))
-
-    def test_auto_is_never_instrumented(self):
-        """get_impl("auto") must hand back the raw policy: accounting
-        happens on the *chosen* impl, wrapping auto would double-count."""
-        set_metrics(MetricsRegistry())
-        assert get_impl("auto") is registry_mod._AUTO
