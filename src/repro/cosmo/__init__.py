@@ -3,9 +3,9 @@
 The paper's training data comes from 12,632 dark-matter N-body
 simulations: MUSIC generates Gaussian random-field initial conditions
 from a ΛCDM power spectrum, pycola evolves 512³ particles to redshift
-zero with the COLA method, and ``numpy.histogramdd`` grids the
-particles into 256³ voxel counts that are split into eight 128³
-sub-volumes.
+zero with the COLA method, and the particles are gridded into 256³
+voxel counts (the paper calls ``numpy.histogramdd``; here its counts are
+computed arithmetically) that are split into eight 128³ sub-volumes.
 
 This subpackage implements that entire pipeline at laptop scale:
 

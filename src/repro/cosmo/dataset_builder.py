@@ -5,7 +5,7 @@ Mirrors the paper's pipeline at configurable scale:
 1. sample (ΩM, σ8, ns) uniformly from the Planck-motivated ranges;
 2. for each parameter vector, realize Gaussian initial conditions and
    evolve particles to z = 0 (2LPT by default; COLA PM steps optional);
-3. grid particles into a count histogram (``numpy.histogramdd``);
+3. grid particles into a count histogram (``numpy.histogramdd``'s counts);
 4. split each box into 2×2×2 sub-volumes — eight training samples per
    simulation, exactly the paper's 8 × 128³ per 512 Mpc/h box;
 5. normalize (``log1p`` of counts, standardized) and pair with

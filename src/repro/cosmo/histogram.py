@@ -3,7 +3,10 @@
 Paper, Section IV-C: "This volume is histogrammed into a 2563-voxel 3D
 histogram of particle counts using the python function
 numpy.histogramdd, and then split into 8 sub-volumes" of 128³ voxels
-each.  We use the same function and the same 2x2x2 split.
+each.  We return that function's counts — the edges are uniform, so a
+particle's cell is computed, not searched for; the call itself is the
+specification in ``tests/cosmo/histogramdd_reference.py`` — and make the
+same 2x2x2 split.
 """
 
 from __future__ import annotations
@@ -12,24 +15,49 @@ import numpy as np
 
 __all__ = ["particle_histogram", "split_subvolumes"]
 
+#: Particles binned per pass: one block's index temporaries stay in cache
+#: instead of whole-catalogue arrays streaming through memory.
+_BLOCK = 16384
+
 
 def particle_histogram(positions: np.ndarray, n_bins: int, box_size: float) -> np.ndarray:
     """Histogram particle positions into an ``n_bins³`` count cube.
 
-    Uses ``numpy.histogramdd`` — the exact call the paper's pipeline
-    makes.  Counts sum to the particle count (all particles must lie in
-    ``[0, box_size)``; use periodic wrapping upstream).
+    Returns what ``numpy.histogramdd`` returns over the edges
+    ``np.linspace(0, box_size, n_bins + 1)``, count for count.  Counts
+    sum to the particle count: every coordinate must be finite and lie
+    in ``[0, box_size)`` (use periodic wrapping upstream).
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError(f"positions must be (N, 3), got {positions.shape}")
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    if np.any(positions < 0.0) or np.any(positions >= box_size):
+    # ``initial``: no particles is a valid histogram; a NaN fails both tests
+    lo, hi = positions.min(initial=0.0), positions.max(initial=0.0)
+    if not (lo >= 0.0 and hi < box_size):
+        n_bad = positions.size - np.count_nonzero(np.isfinite(positions))
+        if n_bad:
+            raise ValueError(f"{n_bad} of {positions.size} coordinates are not finite")
         raise ValueError("positions must lie in [0, box_size); wrap them first")
     edges = np.linspace(0.0, box_size, n_bins + 1)
-    hist, _ = np.histogramdd(positions, bins=(edges, edges, edges))
-    return hist
+    scale = n_bins / box_size
+    cells = np.empty(len(positions), dtype=np.intp)
+    for start in range(0, len(positions), _BLOCK):
+        block = positions[start : start + _BLOCK]
+        cell = 0
+        for axis in range(3):
+            x = block[:, axis]
+            idx = (x * scale).astype(np.intp)
+            np.minimum(idx, n_bins - 1, out=idx)
+            # Rounding leaves the candidate at most one bin off: one step each
+            # way against the edges gives edges[idx] <= x < edges[idx + 1].
+            idx -= x < edges.take(idx)
+            idx += x >= edges.take(idx + 1)
+            cell = cell * n_bins + idx
+        cells[start : start + _BLOCK] = cell
+    counts = np.bincount(cells, minlength=n_bins**3)
+    return counts.reshape(n_bins, n_bins, n_bins).astype(np.float64)
 
 
 def split_subvolumes(volume: np.ndarray, splits: int = 2) -> np.ndarray:

@@ -207,12 +207,24 @@ def displace_particles(
 
 
 def wrap_periodic(positions: np.ndarray, box_size: float) -> np.ndarray:
-    """Wrap coordinates into ``[0, box_size)``, in place.
+    """Wrap coordinates into ``[0, box_size)``, in place: the bits of
+    ``np.mod`` with its image ``box_size`` folded to ``0.0``
+    (``np.mod(-1e-17, 128.0) == 128.0``).
 
-    ``np.mod`` alone returns ``box_size`` itself for a coordinate a hair
-    below zero (``np.mod(-1e-17, 128.0) == 128.0``); that image is folded
-    to ``0.0``.
+    Within one box of the interval ``np.mod`` is one operation: below zero
+    ``fmod(x, L)`` is ``x`` and the result ``x + L`` rounded once; in
+    ``[L, 2L)`` it is ``x - L``, exact.  LPT displacements stay in that
+    range, so no libm ``fmod`` runs; anything farther out, NaN and ±inf
+    (they fail the range test) go through ``np.mod`` itself.
     """
-    np.mod(positions, box_size, out=positions)
-    positions[positions == box_size] = 0.0
+    # ``initial``: an empty array has no extremes, and 0.0 is in every box
+    lo, hi = positions.min(initial=0.0), positions.max(initial=0.0)
+    if -box_size <= lo and hi < 2.0 * box_size:
+        # signbit, not ``< 0``: -0.0 goes to L and, like a sum that rounds
+        # up to L, is folded to +0.0 by the subtraction — as np.mod has it.
+        np.add(positions, box_size, out=positions, where=np.signbit(positions))
+        np.subtract(positions, box_size, out=positions, where=positions >= box_size)
+    else:
+        np.mod(positions, box_size, out=positions)
+        positions[positions == box_size] = 0.0
     return positions

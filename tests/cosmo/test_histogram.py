@@ -35,6 +35,26 @@ class TestParticleHistogram:
         hist = particle_histogram(np.array([[7.999, 0.0, 0.0]]), 8, 8.0)
         assert hist[7, 0, 0] == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises(self, bad):
+        # both range comparisons are False for NaN: it used to be dropped
+        # silently and the counts summed to 999
+        pos = np.random.default_rng(0).uniform(0, 64.0, size=(1000, 3))
+        pos[17, 1] = bad
+        with pytest.raises(ValueError, match="1 of 3000 coordinates are not finite"):
+            particle_histogram(pos, 16, 64.0)
+
+    def test_non_finite_count_names_every_coordinate(self):
+        pos = np.full((4, 3), 1.0)
+        pos[0] = [np.nan, np.inf, 1.0]
+        pos[3, 2] = -np.inf
+        with pytest.raises(ValueError, match="3 of 12 coordinates are not finite"):
+            particle_histogram(pos, 4, 8.0)
+
+    def test_no_particles_is_an_empty_histogram(self):
+        hist = particle_histogram(np.empty((0, 3)), 4, 8.0)
+        assert hist.shape == (4, 4, 4) and hist.dtype == np.float64 and not hist.any()
+
     def test_bad_shapes(self):
         with pytest.raises(ValueError):
             particle_histogram(np.zeros((3,)), 8, 8.0)
