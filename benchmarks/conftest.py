@@ -19,10 +19,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import CosmoFlowModel, InMemoryData, Trainer, TrainerConfig
+from repro import (
+    CosmoFlowModel,
+    CosmoFlowOptimizer,
+    EngineConfig,
+    InMemoryData,
+    LocalBackend,
+    TrainingEngine,
+)
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.cosmo import SimulationConfig, build_arrays, train_val_test_split
+from repro.utils.rng import new_rng
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -55,14 +63,19 @@ def trained_model(cosmo_dataset):
     xtr, ytr, _ = cosmo_dataset["train"]
     xv, yv, _ = cosmo_dataset["val"]
     model = CosmoFlowModel(tiny_16(), seed=0)
-    trainer = Trainer(
+    optimizer = CosmoFlowOptimizer(
+        model.parameter_arrays(),
+        OptimizerConfig(eta0=2e-3, eta_min=1e-4, decay_steps=8 * len(xtr)),
+    )
+    backend = LocalBackend(
         model,
+        optimizer,
         # isotropy augmentation (48 cube symmetries): the regularizer
         # that lets a small training set constrain the 3D CNN
         InMemoryData(xtr, ytr, augment=True),
         val_data=InMemoryData(xv, yv),
-        optimizer_config=OptimizerConfig(eta0=2e-3, eta_min=1e-4, decay_steps=8 * len(xtr)),
-        config=TrainerConfig(epochs=8, seed=1),
+        rng=new_rng(1),
     )
-    history = trainer.run()
-    return {"model": model, "history": history, "trainer": trainer}
+    engine = TrainingEngine(backend, EngineConfig(epochs=8))
+    history = engine.run()
+    return {"model": model, "history": history, "engine": engine}

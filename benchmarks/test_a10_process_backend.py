@@ -23,8 +23,9 @@ import time
 import numpy as np
 
 from benchmarks.conftest import save_report
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
+from repro.core.process_backend import ProcessBackend
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
 from repro.obs import MetricsRegistry, Tracer
@@ -43,24 +44,21 @@ def make_data(n=N_SAMPLES, seed=0):
     return InMemoryData(x, y)
 
 
-def run(mode):
+def run(backend_cls):
     tracer = Tracer()
     metrics = MetricsRegistry()
-    trainer = DistributedTrainer(
-        tiny_16(), make_data(),
-        config=DistributedConfig(
-            n_ranks=N_RANKS, epochs=EPOCHS, mode=mode, validate=False
-        ),
-        optimizer_config=OPT,
+    engine = TrainingEngine(
+        backend_cls(tiny_16(), make_data(), optimizer_config=OPT, n_ranks=N_RANKS),
+        EngineConfig(epochs=EPOCHS, validate=False),
         tracer=tracer, metrics=metrics,
     )
     t0 = time.perf_counter()
-    history = trainer.run()
+    history = engine.run()
     wall_s = time.perf_counter() - t0
     return {
         "history": history,
-        "params": trainer.final_model.get_flat_parameters(),
-        "stats": trainer.group_stats,
+        "params": engine.final_model.get_flat_parameters(),
+        "stats": engine.group_stats,
         "tracer": tracer,
         "metrics": metrics,
         "wall_s": wall_s,
@@ -69,8 +67,8 @@ def run(mode):
 
 def test_a10_process_backend_speedup(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
-    threaded = run("threaded")
-    process = run("process")
+    threaded = run(ThreadedBackend)
+    process = run(ProcessBackend)
 
     # Bitwise parity is a precondition for the speedup being meaningful:
     # a faster backend computing different numbers is just a bug.

@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_report
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.comm.plugin import PluginConfig
+from repro.core.engine import EngineConfig, SteppedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -45,26 +46,21 @@ def run_variant(train, train_eval, val, *, precision="fp32", compression="none",
     opt = dict(eta0=2e-3, eta_min=1e-4, decay_steps=steps, precision=precision)
     if loss_scale_init is not None:
         opt["loss_scale_init"] = loss_scale_init
-    trainer = DistributedTrainer(
+    backend = SteppedBackend(
         tiny_16(),
         train,
         val_data=val,
-        config=DistributedConfig(
-            n_ranks=RANKS,
-            epochs=EPOCHS,
-            mode="stepped",
-            seed=0,
-            compression=compression,
-            topk_fraction=topk_fraction,
-        ),
         optimizer_config=OptimizerConfig(**opt),
+        n_ranks=RANKS,
+        plugin_config=PluginConfig(compression=compression, topk_fraction=topk_fraction),
     )
-    trainer.run()
+    engine = TrainingEngine(backend, EngineConfig(epochs=EPOCHS))
+    engine.run()
     return {
-        "trainer": trainer,
-        "final": final_train_loss(trainer.final_model, train_eval),
-        "val": trainer.history.val_loss[-1],
-        "stats": dict(trainer.group_stats),
+        "engine": engine,
+        "final": final_train_loss(engine.final_model, train_eval),
+        "val": engine.history.val_loss[-1],
+        "stats": dict(engine.group_stats),
     }
 
 
@@ -99,7 +95,7 @@ def runs(cosmo_dataset):
                        topk_fraction=0.1)
 
     quant = {
-        impl: quantized_eval(fp32["trainer"].final_model, train_eval, impl)
+        impl: quantized_eval(fp32["engine"].final_model, train_eval, impl)
         for impl in ("int8", "int4")
     }
     return {"train": train, "fp32": fp32, "fp16": fp16,
@@ -162,6 +158,6 @@ def test_fp16_replay_is_deterministic(runs):
         a["stats"]["loss_scale_skipped_steps"] == b["stats"]["loss_scale_skipped_steps"]
     )
     np.testing.assert_array_equal(
-        a["trainer"].final_model.get_flat_parameters(),
-        b["trainer"].final_model.get_flat_parameters(),
+        a["engine"].final_model.get_flat_parameters(),
+        b["engine"].final_model.get_flat_parameters(),
     )

@@ -25,7 +25,8 @@ import pytest
 
 from benchmarks.conftest import save_report
 from repro.comm.stale import StalenessConfig
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.core.engine import EngineConfig, TrainingEngine
+from repro.core.stale_backend import StaleBackend
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -55,18 +56,18 @@ def straggler_injector():
 
 
 def run(staleness):
-    trainer = DistributedTrainer(
+    backend = StaleBackend(
         tiny_16(),
         make_data(),
-        config=DistributedConfig(
-            n_ranks=N_RANKS, epochs=EPOCHS, mode="ssgd", validate=False,
-            staleness=staleness,
-        ),
         optimizer_config=OPT,
+        n_ranks=N_RANKS,
+        staleness=staleness,
+        stale_mode="ssgd",
         injector=straggler_injector(),
     )
-    hist = trainer.run()
-    return trainer, hist
+    engine = TrainingEngine(backend, EngineConfig(epochs=EPOCHS, validate=False))
+    hist = engine.run()
+    return engine, hist
 
 
 def test_staleness_acceptance(benchmark):

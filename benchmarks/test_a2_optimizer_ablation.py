@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_report
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.core.engine import EngineConfig, SteppedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -26,15 +26,10 @@ EPOCHS = 4
 
 
 def run_variant(train, val, opt_cfg):
-    trainer = DistributedTrainer(
-        tiny_16(),
-        train,
-        val_data=val,
-        config=DistributedConfig(n_ranks=RANKS, epochs=EPOCHS, mode="stepped", seed=0),
-        optimizer_config=opt_cfg,
+    backend = SteppedBackend(
+        tiny_16(), train, val_data=val, optimizer_config=opt_cfg, n_ranks=RANKS
     )
-    trainer.run()
-    return trainer.history
+    return TrainingEngine(backend, EngineConfig(epochs=EPOCHS)).run()
 
 
 @pytest.fixture(scope="module")

@@ -18,8 +18,8 @@ import pytest
 
 from benchmarks.conftest import save_report
 from repro.comm.errors import QuorumLostError
-from repro.core.distributed import DistributedConfig
-from repro.core.elastic import ElasticConfig, ElasticTrainer
+from repro.core.elastic import ElasticConfig
+from repro.core.engine import ElasticBackend, EngineConfig, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -46,6 +46,23 @@ def eval_loss(model, n=12, seed=1):
     )
 
 
+def elastic_engine(plan, ckpt_dir, spares=0):
+    backend = ElasticBackend(
+        tiny_16(),
+        make_data(),
+        optimizer_config=OPT,
+        n_ranks=N_RANKS,
+        elastic=ElasticConfig(
+            timeout_s=10.0,
+            quorum_fraction=0.5,
+            checkpoint_dir=str(ckpt_dir),
+            spares=spares,
+        ),
+        injector=FaultInjector(plan),
+    )
+    return TrainingEngine(backend, EngineConfig(epochs=EPOCHS, validate=False))
+
+
 def run_at_rate(crash_rate, hang_rate, corrupt_rate, seed, tmp_path):
     plan = FaultPlan.sample(
         seed,
@@ -57,25 +74,12 @@ def run_at_rate(crash_rate, hang_rate, corrupt_rate, seed, tmp_path):
         corrupt_rate=corrupt_rate,
     )
     ckpt_dir = tmp_path / f"ckpt-{seed}-{crash_rate}-{hang_rate}-{corrupt_rate}"
-    trainer = ElasticTrainer(
-        tiny_16(),
-        make_data(),
-        config=DistributedConfig(
-            n_ranks=N_RANKS, epochs=EPOCHS, mode="elastic", validate=False
-        ),
-        optimizer_config=OPT,
-        elastic=ElasticConfig(
-            timeout_s=10.0,
-            quorum_fraction=0.5,
-            checkpoint_dir=str(ckpt_dir),
-        ),
-        injector=FaultInjector(plan),
-    )
+    engine = elastic_engine(plan, ckpt_dir)
     try:
-        trainer.run()
+        engine.run()
     except QuorumLostError:
         return {"plan": plan, "completed": False}
-    stats = trainer.group_stats
+    stats = engine.group_stats
     return {
         "plan": plan,
         "completed": True,
@@ -84,7 +88,7 @@ def run_at_rate(crash_rate, hang_rate, corrupt_rate, seed, tmp_path):
         "evicted": len(stats["evicted_ranks"]),
         "restarts": stats["restarts"],
         "retransmits": stats["retransmits"],
-        "loss": eval_loss(trainer.final_model),
+        "loss": eval_loss(engine.final_model),
     }
 
 
@@ -145,23 +149,9 @@ def test_fault_rate_sweep(benchmark, tmp_path):
 
 
 def run_growback(plan, spares, tmp_path, tag):
-    trainer = ElasticTrainer(
-        tiny_16(),
-        make_data(),
-        config=DistributedConfig(
-            n_ranks=N_RANKS, epochs=EPOCHS, mode="elastic", validate=False
-        ),
-        optimizer_config=OPT,
-        elastic=ElasticConfig(
-            timeout_s=10.0,
-            quorum_fraction=0.5,
-            checkpoint_dir=str(tmp_path / f"ckpt-growback-{tag}"),
-            spares=spares,
-        ),
-        injector=FaultInjector(plan),
-    )
-    hist = trainer.run()
-    stats = trainer.group_stats
+    engine = elastic_engine(plan, tmp_path / f"ckpt-growback-{tag}", spares=spares)
+    hist = engine.run()
+    stats = engine.group_stats
     eb = hist.effective_batch
     return {
         "survivors": len(stats["survivors"]),
@@ -169,7 +159,7 @@ def run_growback(plan, spares, tmp_path, tag):
         "spares_used": stats["spares_used"],
         "final_eb": eb[-1],
         "mean_eb": float(np.mean(eb)),
-        "loss": eval_loss(trainer.final_model),
+        "loss": eval_loss(engine.final_model),
     }
 
 

@@ -24,14 +24,15 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_report
+from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.core.topology import tiny_16
-from repro.core.trainer import Trainer, TrainerConfig
 from repro.faults import FaultInjector, FaultPlan
 from repro.io.dataset import RecordDataset, write_dataset
 from repro.io.pipeline import PrefetchPipeline
 from repro.io.staging import StagingConfig, StagingManager
+from repro.utils.rng import new_rng
 
 N_SAMPLES = 24
 SAMPLES_PER_FILE = 4
@@ -55,14 +56,12 @@ def train_through(dataset, seed=0):
     fully deterministic)."""
     pipe = PrefetchPipeline(dataset, n_io_threads=1, buffer_size=4)
     model = CosmoFlowModel(tiny_16(), seed=seed)
-    trainer = Trainer(
-        model,
-        pipe,
-        optimizer_config=OPT,
-        config=TrainerConfig(epochs=EPOCHS, seed=seed + 1, validate=False),
+    backend = LocalBackend(
+        model, CosmoFlowOptimizer(model.parameter_arrays(), OPT), pipe, rng=new_rng(seed + 1)
     )
+    engine = TrainingEngine(backend, EngineConfig(epochs=EPOCHS, validate=False))
     t0 = time.perf_counter()
-    hist = trainer.run()
+    hist = engine.run()
     return hist, time.perf_counter() - t0, pipe.stats
 
 

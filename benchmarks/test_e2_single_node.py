@@ -16,10 +16,11 @@ import pytest
 from benchmarks.conftest import save_report
 from repro.comm.plugin import MLPlugin
 from repro.comm.serial import SerialCommunicator
+from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer import CosmoFlowOptimizer
 from repro.core.topology import scaled_32, tiny_16
-from repro.core.trainer import InMemoryData, Trainer, TrainerConfig
+from repro.core.trainer import InMemoryData
 
 
 def throughput_for(config, n_samples=8):
@@ -28,15 +29,16 @@ def throughput_for(config, n_samples=8):
     x = rng.standard_normal((n_samples, 1, s, s, s)).astype(np.float32)
     y = rng.uniform(0.2, 0.8, size=(n_samples, config.n_outputs)).astype(np.float32)
     model = CosmoFlowModel(config, seed=0)
-    trainer = Trainer(
+    backend = LocalBackend(
         model,
+        CosmoFlowOptimizer(model.parameter_arrays()),
         InMemoryData(x, y),
-        optimizer_config=OptimizerConfig(),
-        config=TrainerConfig(epochs=1, validate=False),
-        plugin=MLPlugin(SerialCommunicator()),  # include plugin overhead, as the paper does
+        # include plugin overhead, as the paper does
+        aggregator=MLPlugin(SerialCommunicator()).init(),
     )
-    trainer.run()
-    return model, trainer.throughput()
+    engine = TrainingEngine(backend, EngineConfig(epochs=1, validate=False))
+    engine.run()
+    return model, engine.throughput()
 
 
 def test_single_node_throughput(benchmark):

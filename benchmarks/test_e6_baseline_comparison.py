@@ -20,22 +20,25 @@ import pytest
 
 from benchmarks.conftest import save_report
 from repro.core.metrics import relative_errors
+from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.core.parameters import ParameterSpace
 from repro.core.topology import tiny_16
-from repro.core.trainer import InMemoryData, Trainer, TrainerConfig
+from repro.core.trainer import InMemoryData
 from repro.cosmo.baseline import StatisticalBaseline
+from repro.utils.rng import new_rng
 
 
 def train_cnn(xtr, ytr, epochs=8, seed=0):
     model = CosmoFlowModel(tiny_16(), seed=seed)
-    Trainer(
-        model,
-        InMemoryData(xtr, ytr, augment=True),
-        optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=epochs * len(xtr)),
-        config=TrainerConfig(epochs=epochs, seed=1, validate=False),
-    ).run()
+    optimizer = CosmoFlowOptimizer(
+        model.parameter_arrays(), OptimizerConfig(eta0=2e-3, decay_steps=epochs * len(xtr))
+    )
+    backend = LocalBackend(
+        model, optimizer, InMemoryData(xtr, ytr, augment=True), rng=new_rng(1)
+    )
+    TrainingEngine(backend, EngineConfig(epochs=epochs, validate=False)).run()
     return model
 
 

@@ -18,10 +18,11 @@ import pytest
 from benchmarks.conftest import save_report
 from repro.comm.plugin import MLPlugin
 from repro.comm.serial import SerialCommunicator
+from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer import CosmoFlowOptimizer
 from repro.core.topology import scaled_32
-from repro.core.trainer import InMemoryData, Trainer, TrainerConfig
+from repro.core.trainer import InMemoryData
 from repro.primitives import registry
 from repro.primitives.registry import ConvImpl
 from repro.utils.timer import StageTimer
@@ -58,17 +59,19 @@ def test_single_node_profile(timed_registry, benchmark):
     x = rng.standard_normal((12, 1, 32, 32, 32)).astype(np.float32)
     y = rng.uniform(0.2, 0.8, size=(12, 3)).astype(np.float32)
     model = CosmoFlowModel(scaled_32(), seed=0)
-    trainer = Trainer(
+    timer = StageTimer()
+    backend = LocalBackend(
         model,
+        CosmoFlowOptimizer(model.parameter_arrays()),
         InMemoryData(x, y),
-        optimizer_config=OptimizerConfig(),
-        config=TrainerConfig(epochs=1, validate=False),
-        plugin=MLPlugin(SerialCommunicator()),  # paper: plugin on even at 1 node
+        aggregator=MLPlugin(SerialCommunicator()).init(),  # paper: plugin on even at 1 node
+        timer=timer,
     )
-    benchmark.pedantic(trainer.run, args=(1,), rounds=1, iterations=1)
+    engine = TrainingEngine(backend, EngineConfig(epochs=1, validate=False))
+    benchmark.pedantic(engine.run, args=(1,), rounds=1, iterations=1)
 
     conv_time = timed_registry.stages["conv3d"].total
-    stages = trainer.timer.stages
+    stages = timer.stages
     compute = stages["compute"].total
     non_conv = max(0.0, compute - conv_time)
     rows = {

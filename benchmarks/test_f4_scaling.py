@@ -87,7 +87,7 @@ def test_figure4_scaling(machines, benchmark):
 
 def test_real_thread_scaling(benchmark):
     """Measured SSGD over real rank threads (not the model)."""
-    from repro.core.distributed import DistributedConfig, DistributedTrainer
+    from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
     from repro.core.optimizer import OptimizerConfig
     from repro.core.topology import tiny_16
     from repro.core.trainer import InMemoryData
@@ -99,17 +99,13 @@ def test_real_thread_scaling(benchmark):
     data = InMemoryData(x, y)
 
     def run(ranks):
-        trainer = DistributedTrainer(
-            tiny_16(),
-            data,
-            config=DistributedConfig(
-                n_ranks=ranks, epochs=1, mode="threaded", validate=False, seed=0
-            ),
-            optimizer_config=OptimizerConfig(),
+        backend = ThreadedBackend(
+            tiny_16(), data, optimizer_config=OptimizerConfig(), n_ranks=ranks
         )
+        engine = TrainingEngine(backend, EngineConfig(epochs=1, validate=False))
         t0 = time.perf_counter()
-        trainer.run()
-        return trainer.steps_per_epoch * ranks / (time.perf_counter() - t0)
+        engine.run()
+        return backend.steps_per_epoch * ranks / (time.perf_counter() - t0)
 
     throughput = {r: run(r) for r in (1, 2, 4)}
     benchmark.pedantic(run, args=(2,), rounds=1, iterations=1)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_report
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.core.engine import EngineConfig, SteppedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -35,24 +35,23 @@ def loss_curves(cosmo_dataset):
     val = InMemoryData(xv, yv)
 
     def run(ranks):
-        trainer = DistributedTrainer(
+        backend = SteppedBackend(
             tiny_16(),
             train,
             val_data=val,
-            config=DistributedConfig(
-                n_ranks=ranks, epochs=EPOCHS, mode="stepped", seed=0
-            ),
             optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=10_000),
+            n_ranks=ranks,
         )
-        trainer.run()
+        engine = TrainingEngine(backend, EngineConfig(epochs=EPOCHS))
+        engine.run()
         # Figure 5's y-axis is the loss of the *current* model; measure
         # the final model on the full training set for a noise-free
         # end-of-run comparison too.
-        model = trainer.final_model
+        model = engine.final_model
         final = float(
             np.mean([model.validation_loss(x, y) for x, y in train.batches(8, shuffle=False)])
         )
-        return trainer.history, final
+        return engine.history, final
 
     return {SMALL_RANKS: run(SMALL_RANKS), LARGE_RANKS: run(LARGE_RANKS)}
 
@@ -60,11 +59,14 @@ def loss_curves(cosmo_dataset):
 def test_figure5_convergence(loss_curves, benchmark, cosmo_dataset):
     xtr, ytr, _ = cosmo_dataset["train"]
     benchmark.pedantic(
-        lambda: DistributedTrainer(
-            tiny_16(),
-            InMemoryData(xtr[:64], ytr[:64]),
-            config=DistributedConfig(n_ranks=16, epochs=1, mode="stepped", validate=False),
-            optimizer_config=OptimizerConfig(),
+        lambda: TrainingEngine(
+            SteppedBackend(
+                tiny_16(),
+                InMemoryData(xtr[:64], ytr[:64]),
+                optimizer_config=OptimizerConfig(),
+                n_ranks=16,
+            ),
+            EngineConfig(epochs=1, validate=False),
         ).run(),
         rounds=1,
         iterations=1,

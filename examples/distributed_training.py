@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Fully synchronous data-parallel training (the paper's Algorithm 2).
 
-Runs the same problem three ways and shows they agree:
+Runs the same problem on two execution backends of the one training
+engine and shows they agree:
 
-* 1 rank (plain SGD) — the baseline;
-* 4 simulated ranks, ``stepped`` mode — sequential execution of the
+* 4 simulated ranks, ``SteppedBackend`` — sequential execution of the
   exact SSGD algebra (how the convergence experiments emulate
   thousands of ranks);
-* 4 real threads, ``threaded`` mode — one OS thread per rank with the
+* 4 real threads, ``ThreadedBackend`` — one OS thread per rank with the
   CPE-ML-Plugin-style gradient aggregation, rank-0 broadcast, and the
   synchronous-replica-divergence check.
 
@@ -20,7 +20,7 @@ Runtime: ~1 minute.
 
 import numpy as np
 
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.core.engine import EngineConfig, SteppedBackend, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -34,12 +34,12 @@ def main() -> None:
     print(f"dataset: {len(data)} sub-volumes")
     opt = OptimizerConfig(eta0=2e-3, decay_steps=400)
 
+    def engine(backend_cls, n_ranks, epochs, opt):
+        backend = backend_cls(tiny_16(), data, optimizer_config=opt, n_ranks=n_ranks)
+        return TrainingEngine(backend, EngineConfig(epochs=epochs, validate=False))
+
     print("\n--- stepped mode, 4 simulated ranks (global batch 4) ---")
-    stepped = DistributedTrainer(
-        tiny_16(), data,
-        config=DistributedConfig(n_ranks=4, epochs=4, mode="stepped", validate=False, seed=0),
-        optimizer_config=opt,
-    )
+    stepped = engine(SteppedBackend, 4, 4, opt)
     stepped.run()
     for e, loss in enumerate(stepped.history.train_loss, 1):
         print(f"epoch {e}: train loss {loss:.4f}")
@@ -47,11 +47,7 @@ def main() -> None:
           f"{stepped.group_stats['bytes_reduced'] / 1e6:.1f} MB moved")
 
     print("\n--- threaded mode, 4 real rank threads ---")
-    threaded = DistributedTrainer(
-        tiny_16(), data,
-        config=DistributedConfig(n_ranks=4, epochs=4, mode="threaded", validate=False, seed=0),
-        optimizer_config=opt,
-    )
+    threaded = engine(ThreadedBackend, 4, 4, opt)
     threaded.run()
     for e, loss in enumerate(threaded.history.train_loss, 1):
         print(f"epoch {e}: train loss {loss:.4f}")
@@ -65,12 +61,7 @@ def main() -> None:
 
     print("\n--- the Figure 5 effect: global batch size vs convergence ---")
     for ranks in (2, 64):
-        t = DistributedTrainer(
-            tiny_16(), data,
-            config=DistributedConfig(n_ranks=ranks, epochs=3, mode="stepped",
-                                     validate=False, seed=0),
-            optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=10000),
-        )
+        t = engine(SteppedBackend, ranks, 3, OptimizerConfig(eta0=2e-3, decay_steps=10000))
         t.run()
         model = t.final_model
         final = float(np.mean(

@@ -24,8 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import CosmoFlowModel, InMemoryData, Trainer, TrainerConfig
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro import (
+    CosmoFlowModel,
+    CosmoFlowOptimizer,
+    EngineConfig,
+    InMemoryData,
+    LocalBackend,
+    SteppedBackend,
+    TrainingEngine,
+)
 from repro.core.flops import parameter_bytes, parameter_count, total_flops
 from repro.core.metrics import relative_errors
 from repro.core.optimizer import OptimizerConfig
@@ -34,6 +41,7 @@ from repro.cosmo import SimulationConfig, StatisticalBaseline
 from repro.io import PrefetchPipeline
 from repro.io.manifest import load_simulation_dataset, write_simulation_dataset
 from repro.perfmodel import FullScaleRun, cori_datawarp_machine, cori_lustre_machine
+from repro.utils.rng import new_rng
 
 SCALES = {
     "smoke": dict(sims=40, epochs=3),
@@ -85,25 +93,29 @@ def main() -> None:
           f"(consumer waited {pipe.stats.consumer_wait_s * 1e3:.0f} ms)")
 
     model = CosmoFlowModel(tiny_16(), seed=0)
-    trainer = Trainer(
-        model, train, val_data=InMemoryData(xv, yv),
-        optimizer_config=OptimizerConfig(
-            eta0=2e-3, decay_steps=scale["epochs"] * len(train)
-        ),
-        config=TrainerConfig(epochs=scale["epochs"], seed=1),
+    optimizer = CosmoFlowOptimizer(
+        model.parameter_arrays(),
+        OptimizerConfig(eta0=2e-3, decay_steps=scale["epochs"] * len(train)),
     )
-    hist = trainer.run()
+    backend = LocalBackend(
+        model, optimizer, train, val_data=InMemoryData(xv, yv), rng=new_rng(1)
+    )
+    engine = TrainingEngine(backend, EngineConfig(epochs=scale["epochs"]))
+    hist = engine.run()
     print(f"val loss: {hist.val_loss[0]:.4f} -> {hist.val_loss[-1]:.4f} "
           f"over {scale['epochs']} epochs; "
-          f"{trainer.throughput()['samples_per_sec']:.0f} samples/s")
+          f"{engine.throughput()['samples_per_sec']:.0f} samples/s")
 
     # -- 4. data-parallel training -------------------------------------------------
     banner("4. synchronous data-parallel training (Algorithm 2, 16 ranks)")
-    dist = DistributedTrainer(
-        tiny_16(), train, config=DistributedConfig(
-            n_ranks=16, epochs=1, mode="stepped", validate=False, seed=0
+    dist = TrainingEngine(
+        SteppedBackend(
+            tiny_16(),
+            train,
+            optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=10_000),
+            n_ranks=16,
         ),
-        optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=10_000),
+        EngineConfig(epochs=1, validate=False),
     )
     dist.run()
     print(f"1 epoch at global batch 16: mean step loss "

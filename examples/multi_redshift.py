@@ -18,11 +18,19 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro import CosmoFlowModel, InMemoryData, Trainer, TrainerConfig
+from repro import (
+    CosmoFlowModel,
+    CosmoFlowOptimizer,
+    EngineConfig,
+    InMemoryData,
+    LocalBackend,
+    TrainingEngine,
+)
 from repro.core.metrics import relative_errors
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.cosmo import SimulationConfig, build_arrays, train_val_test_split
+from repro.utils.rng import new_rng
 
 
 def train_and_score(volumes, targets, theta, per_sim, channels, label):
@@ -31,14 +39,17 @@ def train_and_score(volumes, targets, theta, per_sim, channels, label):
     )
     cfg = replace(tiny_16(), input_channels=channels, name=f"tiny16_{channels}ch")
     model = CosmoFlowModel(cfg, seed=0)
-    trainer = Trainer(
+    optimizer = CosmoFlowOptimizer(
+        model.parameter_arrays(), OptimizerConfig(eta0=2e-3, decay_steps=8 * len(xtr))
+    )
+    backend = LocalBackend(
         model,
+        optimizer,
         InMemoryData(xtr, ytr, augment=True),
         val_data=InMemoryData(xv, yv),
-        optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=8 * len(xtr)),
-        config=TrainerConfig(epochs=8, seed=1),
+        rng=new_rng(1),
     )
-    hist = trainer.run()
+    hist = TrainingEngine(backend, EngineConfig(epochs=8)).run()
     summary = relative_errors(model.predict(xte), tte, names=model.space.names)
     pred = model.predict_normalized(xte)
     corr = {

@@ -15,11 +15,19 @@ Runtime: ~2 minutes.
 
 import numpy as np
 
-from repro import CosmoFlowModel, InMemoryData, Trainer, TrainerConfig
+from repro import (
+    CosmoFlowModel,
+    CosmoFlowOptimizer,
+    EngineConfig,
+    InMemoryData,
+    LocalBackend,
+    TrainingEngine,
+)
 from repro.core.metrics import relative_errors
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.cosmo import SimulationConfig, StatisticalBaseline, build_arrays, train_val_test_split
+from repro.utils.rng import new_rng
 
 
 def main() -> None:
@@ -43,14 +51,17 @@ def main() -> None:
 
     print("\n--- CosmoFlow CNN ---")
     model = CosmoFlowModel(tiny_16(), seed=0)
-    trainer = Trainer(
+    optimizer = CosmoFlowOptimizer(
+        model.parameter_arrays(), OptimizerConfig(eta0=2e-3, decay_steps=8 * len(xtr))
+    )
+    backend = LocalBackend(
         model,
+        optimizer,
         InMemoryData(xtr, ytr, augment=True),  # 48 cube symmetries
         val_data=InMemoryData(xv, yv),
-        optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=8 * len(xtr)),
-        config=TrainerConfig(epochs=8, seed=1),
+        rng=new_rng(1),
     )
-    history = trainer.run()
+    history = TrainingEngine(backend, EngineConfig(epochs=8)).run()
     print(f"train loss {history.train_loss[0]:.4f} -> {history.train_loss[-1]:.4f}, "
           f"val loss {history.val_loss[-1]:.4f}")
     cnn_pred = model.predict(xte)

@@ -17,11 +17,19 @@ Runtime: ~1 minute.
 
 import numpy as np
 
-from repro import CosmoFlowModel, InMemoryData, Trainer, TrainerConfig
+from repro import (
+    CosmoFlowModel,
+    CosmoFlowOptimizer,
+    EngineConfig,
+    InMemoryData,
+    LocalBackend,
+    TrainingEngine,
+)
 from repro.core.metrics import relative_errors
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.cosmo import SimulationConfig, build_arrays, train_val_test_split
+from repro.utils.rng import new_rng
 
 
 def main() -> None:
@@ -40,16 +48,21 @@ def main() -> None:
     # 3. Train.
     model = CosmoFlowModel(tiny_16(), seed=0)
     print(model.summary())
-    trainer = Trainer(
+    optimizer = CosmoFlowOptimizer(
+        model.parameter_arrays(),
+        OptimizerConfig(eta0=2e-3, eta_min=1e-4, decay_steps=8 * len(xtr)),
+    )
+    backend = LocalBackend(
         model,
+        optimizer,
         # augment: random cube symmetries (isotropy) — the regularizer
         # that lets a small dataset constrain a 3D CNN
         InMemoryData(xtr, ytr, augment=True),
         val_data=InMemoryData(xv, yv),
-        optimizer_config=OptimizerConfig(eta0=2e-3, eta_min=1e-4, decay_steps=8 * len(xtr)),
-        config=TrainerConfig(epochs=8, seed=1),
+        rng=new_rng(1),  # the shuffle/augmentation stream
     )
-    history = trainer.run()
+    engine = TrainingEngine(backend, EngineConfig(epochs=8))
+    history = engine.run()
     for e, (tl, vl) in enumerate(zip(history.train_loss, history.val_loss), 1):
         print(f"epoch {e}: train loss {tl:.4f}  val loss {vl:.4f}")
 
@@ -57,8 +70,9 @@ def main() -> None:
     pred = model.predict(xte)
     summary = relative_errors(pred, tte, names=model.space.names)
     print(summary)
-    print(f"throughput: {trainer.throughput()['samples_per_sec']:.1f} samples/s, "
-          f"{trainer.throughput()['flops_per_sec'] / 1e9:.2f} Gflop/s achieved")
+    throughput = engine.throughput()
+    print(f"throughput: {throughput['samples_per_sec']:.1f} samples/s, "
+          f"{throughput['flops_per_sec'] / 1e9:.2f} Gflop/s achieved")
     print("paper (2048-node run): omega_m=0.0022, sigma_8=0.0094, n_s=0.0096 "
           "(with 99k samples of 128^3 — this quickstart uses 0.2% of that)")
 

@@ -58,7 +58,7 @@ def full_scale() -> None:
 
 def real_thread_scaling() -> None:
     """Measured (not modeled) SSGD throughput across real rank threads."""
-    from repro.core.distributed import DistributedConfig, DistributedTrainer
+    from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
     from repro.core.optimizer import OptimizerConfig
     from repro.core.trainer import InMemoryData
     from repro.core.topology import tiny_16
@@ -70,16 +70,14 @@ def real_thread_scaling() -> None:
     print("\n--- real threaded-rank scaling (this machine) ---")
     base = None
     for ranks in (1, 2, 4):
-        trainer = DistributedTrainer(
-            tiny_16(), data,
-            config=DistributedConfig(n_ranks=ranks, epochs=1, mode="threaded",
-                                     validate=False, seed=0),
-            optimizer_config=OptimizerConfig(),
+        backend = ThreadedBackend(
+            tiny_16(), data, optimizer_config=OptimizerConfig(), n_ranks=ranks
         )
+        engine = TrainingEngine(backend, EngineConfig(epochs=1, validate=False))
         t0 = time.perf_counter()
-        trainer.run()
+        engine.run()
         elapsed = time.perf_counter() - t0
-        processed = trainer.steps_per_epoch * ranks
+        processed = backend.steps_per_epoch * ranks
         throughput = processed / elapsed
         if base is None:
             base = throughput

@@ -15,11 +15,15 @@ the scaling studies (:mod:`repro.perfmodel`).
 
 Quickstart::
 
-    from repro import CosmoFlowModel, scaled_32
+    from repro import (CosmoFlowModel, CosmoFlowOptimizer, EngineConfig,
+                       LocalBackend, TrainingEngine, scaled_32)
     from repro.cosmo import build_arrays
 
     data = build_arrays(n_sims=40, grid=32, seed=7)
     model = CosmoFlowModel(scaled_32(), seed=0)
+    optimizer = CosmoFlowOptimizer(model.parameter_arrays())
+    backend = LocalBackend(model, optimizer, train)  # or SteppedBackend(...)
+    history = TrainingEngine(backend, EngineConfig(epochs=8)).run()
     # ... see examples/quickstart.py
 """
 
@@ -27,13 +31,14 @@ from repro.core import (
     CosmoFlowConfig,
     CosmoFlowModel,
     CosmoFlowOptimizer,
-    DistributedConfig,
-    DistributedTrainer,
+    EngineConfig,
     InMemoryData,
+    LocalBackend,
     OptimizerConfig,
     ParameterSpace,
-    Trainer,
-    TrainerConfig,
+    SteppedBackend,
+    ThreadedBackend,
+    TrainingEngine,
     build_network,
     paper_128,
     ravanbakhsh_64,
@@ -48,13 +53,14 @@ __all__ = [
     "CosmoFlowConfig",
     "CosmoFlowModel",
     "CosmoFlowOptimizer",
-    "DistributedConfig",
-    "DistributedTrainer",
+    "EngineConfig",
     "InMemoryData",
+    "LocalBackend",
     "OptimizerConfig",
     "ParameterSpace",
-    "Trainer",
-    "TrainerConfig",
+    "SteppedBackend",
+    "ThreadedBackend",
+    "TrainingEngine",
     "build_network",
     "paper_128",
     "ravanbakhsh_64",

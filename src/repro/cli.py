@@ -71,6 +71,31 @@ def interruptible():
             signal.signal(sig, handler)
 
 
+#: ``train --mode`` → (module, execution-backend class).  The one place a
+#: mode is a string: below this table a run is ``TrainingEngine(backend)``.
+_BACKENDS = {
+    "local": ("repro.core.engine", "LocalBackend"),
+    "stepped": ("repro.core.engine", "SteppedBackend"),
+    "threaded": ("repro.core.engine", "ThreadedBackend"),
+    "process": ("repro.core.process_backend", "ProcessBackend"),
+    "elastic": ("repro.core.engine", "ElasticBackend"),
+    "ssgd": ("repro.core.stale_backend", "StaleBackend"),
+    "sagn": ("repro.core.stale_backend", "StaleBackend"),
+}
+#: ``faultsim --backend`` → the ``--mode`` whose backend runs the elastic
+#: protocol over that failure domain (threads, or real OS processes).
+_FAULTSIM_MODES = {"threaded": "elastic", "process": "process"}
+
+
+def _backend_class(mode: str):
+    # Imported on demand: the process backend pulls in multiprocessing
+    # machinery most runs never need.
+    import importlib
+
+    module, name = _BACKENDS[mode]
+    return getattr(importlib.import_module(module), name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -97,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None, help="write model checkpoint here")
     p.add_argument(
         "--mode",
-        choices=("local", "stepped", "threaded", "process", "elastic", "ssgd", "sagn"),
+        choices=tuple(_BACKENDS),
         default="local",
         help="training-engine execution backend (`process` runs each "
         "rank as a real OS process under supervision; `ssgd`/`sagn` "
@@ -201,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spares", type=int, default=0,
                    help="warm-spare pool size: evicted ranks are auto-"
                    "replaced at the next step boundary while spares last")
-    p.add_argument("--backend", choices=("threaded", "process"),
+    p.add_argument("--backend", choices=tuple(_FAULTSIM_MODES),
                    default="threaded",
                    help="run ranks as threads (simulated faults) or real "
                    "supervised OS processes (real SIGKILLs)")
@@ -321,9 +346,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     from repro.core.checkpoint import save_checkpoint
+    from repro.core.engine import EngineConfig, TrainingEngine
     from repro.core.model import CosmoFlowModel
     from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
-    from repro.core.trainer import InMemoryData, Trainer, TrainerConfig
+    from repro.core.trainer import InMemoryData
     from repro.io.manifest import load_simulation_dataset
 
     manifest, datasets = load_simulation_dataset(args.data)
@@ -357,31 +383,31 @@ def cmd_train(args) -> int:
         conv_registry.set_metrics(metrics)
 
     try:
-        if args.mode == "local":
-            model = CosmoFlowModel(preset, seed=args.seed)
-            optimizer = CosmoFlowOptimizer(
-                model.parameter_arrays(),
-                OptimizerConfig(
-                    eta0=args.eta0,
-                    decay_steps=max(1, args.epochs * len(train)),
-                    precision=args.precision,
-                ),
+        local = args.mode == "local"
+        if not local and len(train) < args.ranks:
+            raise SystemExit(
+                f"dataset of {len(train)} samples cannot feed {args.ranks} ranks"
             )
-            trainer = Trainer(
-                model, train, val_data=val, optimizer=optimizer,
-                config=TrainerConfig(epochs=args.epochs, seed=args.seed + 1),
-                tracer=tracer, metrics=metrics,
+        steps = len(train) // (1 if local else args.ranks)
+        opt_config = OptimizerConfig(
+            eta0=args.eta0, decay_steps=max(1, args.epochs * steps),
+            precision=args.precision,
+        )
+        backend_cls = _backend_class(args.mode)
+        optimizer = None
+        if local:
+            from repro.utils.rng import new_rng
+
+            model = CosmoFlowModel(preset, seed=args.seed)
+            optimizer = CosmoFlowOptimizer(model.parameter_arrays(), opt_config)
+            backend = backend_cls(
+                model, optimizer, train, val_data=val, rng=new_rng(args.seed + 1)
             )
         else:
-            from repro.core.distributed import DistributedConfig, DistributedTrainer
-            from repro.core.elastic import ElasticTrainer
+            from repro.comm.plugin import PluginConfig
 
-            if len(train) < args.ranks:
-                raise SystemExit(
-                    f"dataset of {len(train)} samples cannot feed {args.ranks} ranks"
-                )
-            steps = len(train) // args.ranks
-            injector = None
+            # What only some group backends take.
+            extra = {}
             if args.slow_rank:
                 if args.mode not in ("ssgd", "sagn", "elastic"):
                     raise SystemExit(
@@ -409,38 +435,35 @@ def cmd_train(args) -> int:
                     for problem in problems:
                         print(f"infeasible straggler plan: {problem}", file=sys.stderr)
                     return 2
-                injector = FaultInjector(plan)
-            staleness = None
+                extra["injector"] = FaultInjector(plan)
             if args.mode in ("ssgd", "sagn"):
                 from repro.comm.stale import StalenessConfig
 
-                staleness = StalenessConfig(
+                extra["stale_mode"] = args.mode
+                extra["staleness"] = StalenessConfig(
                     staleness_bound=args.staleness_bound,
                     quorum_fraction=args.quorum_fraction,
                     window=args.window,
                 )
-            cls = ElasticTrainer if args.mode == "elastic" else DistributedTrainer
-            trainer = cls(
+            backend = backend_cls(
                 preset,
                 train,
                 val_data=val,
-                config=DistributedConfig(
-                    n_ranks=args.ranks, epochs=args.epochs, mode=args.mode,
-                    seed=args.seed + 1,
-                    compression=args.compress,
-                    topk_fraction=args.topk_fraction,
-                    staleness=staleness,
+                optimizer_config=opt_config,
+                n_ranks=args.ranks,
+                plugin_config=PluginConfig(
+                    compression=args.compress, topk_fraction=args.topk_fraction
                 ),
-                optimizer_config=OptimizerConfig(
-                    eta0=args.eta0, decay_steps=max(1, args.epochs * steps),
-                    precision=args.precision,
-                ),
-                tracer=tracer, metrics=metrics,
-                injector=injector,
+                **extra,
             )
+        engine = TrainingEngine(
+            backend,
+            EngineConfig(epochs=args.epochs, seed=args.seed + 1),
+            tracer=tracer, metrics=metrics,
+        )
         try:
             with interruptible():
-                history = trainer.run()
+                history = engine.run()
         except CliInterrupted as exc:
             # A killed training run should still leave its observability
             # artifacts behind: whatever the tracer and registry saw up to
@@ -453,24 +476,22 @@ def cmd_train(args) -> int:
             return exc.exit_code
         for e, (tl, vl) in enumerate(zip(history.train_loss, history.val_loss), 1):
             print(f"epoch {e}: train {tl:.4f}  val {vl:.4f}")
-        if args.mode == "local":
-            tp = trainer.throughput()
+        if local:
+            tp = engine.throughput()
             print(f"throughput: {tp['samples_per_sec']:.1f} samples/s "
                   f"({tp['flops_per_sec'] / 1e9:.2f} Gflop/s)")
-            model, optimizer = trainer.model, trainer.optimizer
         else:
+            gs = engine.group_stats
             print(f"mode: {args.mode}  ranks: {args.ranks}  "
-                  f"reductions: {trainer.group_stats.get('reductions', 0)}")
-            if "loss_scale" in trainer.group_stats:
-                print(f"loss scale: {trainer.group_stats['loss_scale']:.0f}  "
-                      f"skipped steps: {trainer.group_stats['loss_scale_skipped_steps']}")
-            if "compression" in trainer.group_stats:
-                gs = trainer.group_stats
+                  f"reductions: {gs.get('reductions', 0)}")
+            if "loss_scale" in gs:
+                print(f"loss scale: {gs['loss_scale']:.0f}  "
+                      f"skipped steps: {gs['loss_scale_skipped_steps']}")
+            if "compression" in gs:
                 print(f"compression: {gs['compression']}  wire bytes: "
                       f"{gs['compression_bytes_wire']:,} of {gs['compression_bytes_in']:,} "
                       f"({gs['compression_ratio']:.2f}x dense)")
             if args.mode in ("ssgd", "sagn"):
-                gs = trainer.group_stats
                 bound = gs["staleness_bound"]
                 print(f"staleness: max {gs['max_staleness']} (bound {bound})  "
                       f"late folds: {gs['late_folds']}  dropped: {gs['dropped_stale']}  "
@@ -485,9 +506,8 @@ def cmd_train(args) -> int:
                     # reported numbers end to end for CI's benefit.
                     print("FAILED: observed staleness exceeded the bound")
                     return 1
-            model, optimizer = trainer.final_model, None
         if args.checkpoint:
-            path = save_checkpoint(args.checkpoint, model, optimizer)
+            path = save_checkpoint(args.checkpoint, engine.final_model, optimizer)
             print(f"checkpoint: {path}")
         if tracer is not None:
             out = tracer.export(args.trace)
@@ -566,8 +586,8 @@ def cmd_scaling(args) -> int:
 
 def cmd_faultsim(args) -> int:
     from repro.comm.errors import QuorumLostError
-    from repro.core.distributed import DistributedConfig
-    from repro.core.elastic import ElasticConfig, ElasticTrainer
+    from repro.core.elastic import ElasticConfig
+    from repro.core.engine import EngineConfig, TrainingEngine
     from repro.core.optimizer import OptimizerConfig
     from repro.core.topology import tiny_16
     from repro.core.trainer import InMemoryData
@@ -617,24 +637,25 @@ def cmd_faultsim(args) -> int:
             print(f"infeasible fault plan: {problem}", file=sys.stderr)
         return 2
     print(plan.describe())
-    trainer = ElasticTrainer(
+    # The process backend ships the plan to its workers, each of which
+    # builds its own injector; rank threads share one.
+    faults = {"plan": plan} if args.backend == "process" else {"injector": FaultInjector(plan)}
+    backend = _backend_class(_FAULTSIM_MODES[args.backend])(
         tiny_16(),
         InMemoryData(x, y),
-        config=DistributedConfig(
-            n_ranks=args.ranks, epochs=args.epochs, mode="elastic", validate=False
-        ),
         optimizer_config=OptimizerConfig(eta0=5e-3, decay_steps=max(1, steps)),
+        n_ranks=args.ranks,
         elastic=ElasticConfig(
             timeout_s=args.timeout,
             quorum_fraction=args.quorum_fraction,
             checkpoint_dir=args.checkpoint_dir,
             spares=args.spares,
         ),
-        injector=FaultInjector(plan),
-        backend=args.backend,
+        **faults,
     )
+    engine = TrainingEngine(backend, EngineConfig(epochs=args.epochs, validate=False))
     try:
-        hist = trainer.run()
+        hist = engine.run()
     except QuorumLostError as exc:
         # Unrecovered quorum loss is the one outcome CI must be able to
         # assert on: always a nonzero exit, never a traceback.
@@ -646,7 +667,7 @@ def cmd_faultsim(args) -> int:
         print(f"FAILED: unrecovered quorum loss with survivors "
               f"{list(exc.survivors)} ({hint})")
         return 1
-    stats = trainer.group_stats
+    stats = engine.group_stats
     for e, tl in enumerate(hist.train_loss, 1):
         print(f"epoch {e}: train {tl:.4f}")
     print(f"survivors: {stats['survivors']}  failed: {stats['failed_ranks']}  "

@@ -47,7 +47,7 @@ __all__ = [
     "compression_ratio",
 ]
 
-#: Selectable compression modes (``DistributedConfig.compression``).
+#: Selectable compression modes (``PluginConfig.compression``).
 COMPRESSION_MODES = ("none", "fp16", "topk")
 
 

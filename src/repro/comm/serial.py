@@ -55,7 +55,7 @@ class SerialCommunicator(Communicator):
 class SteppedGroup:
     """A group of ``size`` simulated ranks executed sequentially.
 
-    The driver (e.g. the distributed trainer in ``stepped`` mode) loops
+    The driver (e.g. the engine's ``SteppedBackend``) loops
     over ranks itself and calls these group-level collectives with one
     array per rank.  Statistics (`bytes_reduced`, `reductions`) track
     communication volume for reporting.

@@ -12,14 +12,17 @@
   network with gradient plumbing for data-parallel training.
 * :mod:`repro.core.optimizer` — Adam + LARC + polynomial learning-rate
   decay exactly as specified in Section III-B.
-* :mod:`repro.core.engine` — the canonical training loop
-  (:class:`TrainingEngine`) with pluggable execution backends and
-  callback hooks; Figure-3-style stage timing.
-* :mod:`repro.core.trainer` — the single-process trainer (compatibility
-  shim over the engine's :class:`LocalBackend`).
-* :mod:`repro.core.distributed` — fully synchronous data-parallel
-  training (Algorithm 2) over :mod:`repro.comm`, via the engine's
-  stepped/threaded/elastic backends.
+* :mod:`repro.core.engine` — the one training program
+  (:class:`TrainingEngine`) over a pluggable execution backend:
+  single-process, or fully synchronous data-parallel training
+  (Algorithm 2) over :mod:`repro.comm` on stepped, threaded or elastic
+  ranks; callback hooks and Figure-3-style stage timing.
+  ``TrainingEngine(backend, config).run()`` is the only way to start a
+  run.
+* :mod:`repro.core.elastic` — :class:`ElasticConfig`, the
+  fault-tolerance policy of the elastic backends.
+* :mod:`repro.core.trainer` — :class:`InMemoryData`, the dataset
+  protocol the backends consume, with cube-symmetry augmentation.
 * :mod:`repro.core.metrics` — the paper's relative-error metric and
   result summaries.
 """
@@ -68,9 +71,8 @@ from repro.core.engine import (
     ThreadedBackend,
     TrainingEngine,
 )
-from repro.core.trainer import Trainer, TrainerConfig, InMemoryData
-from repro.core.distributed import DistributedTrainer, DistributedConfig
-from repro.core.elastic import ElasticConfig, ElasticTrainer, run_elastic
+from repro.core.trainer import InMemoryData
+from repro.core.elastic import ElasticConfig
 from repro.core.metrics import relative_errors, RelativeErrorSummary
 from repro.core.checkpoint import (
     save_checkpoint,
@@ -119,14 +121,8 @@ __all__ = [
     "GroupStatsCollector",
     "RankContext",
     "History",
-    "Trainer",
-    "TrainerConfig",
     "InMemoryData",
-    "DistributedTrainer",
-    "DistributedConfig",
     "ElasticConfig",
-    "ElasticTrainer",
-    "run_elastic",
     "relative_errors",
     "RelativeErrorSummary",
     "save_checkpoint",

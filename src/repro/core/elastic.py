@@ -1,10 +1,12 @@
-"""Elastic fault-tolerant SSGD (Algorithm 2 under failure).
+"""The fault-tolerance policy for elastic SSGD (Algorithm 2 under failure).
 
 The paper's fully synchronous design has a brittle failure mode: one
-dead node out of 8192 stalls every allreduce.  This driver runs the
-same SSGD loop as ``DistributedTrainer``'s threaded mode over an
-:class:`~repro.comm.elastic.ElasticThreadedGroup`, adding three layers
-of degradation instead of a hang:
+dead node out of 8192 stalls every allreduce.
+:class:`~repro.core.engine.ElasticBackend` (rank threads over an
+:class:`~repro.comm.elastic.ElasticThreadedGroup`) and
+:class:`~repro.core.process_backend.ProcessBackend` (supervised OS
+processes) run the same SSGD loop with three layers of degradation
+instead of a hang, all governed by one :class:`ElasticConfig`:
 
 1. **Shrink and continue.**  A crashed or hung rank is evicted from the
    group (arriving at a collective is the heartbeat); the gradient
@@ -13,23 +15,19 @@ of degradation instead of a hang:
    batch — the elastic analogue of the paper's batch-size study.
 2. **Checkpoint and restart.**  When survivors fall below the quorum,
    the group raises :class:`~repro.comm.errors.QuorumLostError`; the
-   driver reloads the last crash-safe checkpoint and relaunches with
-   the full rank count (replacement-node semantics).
+   backend reloads the last crash-safe checkpoint and relaunches with
+   the full rank count (replacement-node semantics), observable via the
+   ``on_restart`` hook.
 3. **Determinism.**  With no faults injected, every step is bitwise
-   identical to the pre-existing threaded trainer: same per-rank RNG
-   streams, same rank-order reduction, same collective sequence.  On
-   restart, completed epochs' batch orders are replayed ("burned in")
-   so the resumed RNG stream matches an uninterrupted run.
+   identical to the threaded backend: same per-rank RNG streams, same
+   rank-order reduction, same collective sequence.  On restart,
+   completed epochs' batch orders are replayed ("burned in") so the
+   resumed RNG stream matches an uninterrupted run.
 
 Fault injection is cooperative: ranks call
 :meth:`FaultInjector.maybe_crash` / :meth:`~FaultInjector.hang_delay`
 at the top of each step, which is where a real failure detector would
 observe missed heartbeats.
-
-The loop itself lives in :class:`repro.core.engine.TrainingEngine` over
-an :class:`~repro.core.engine.ElasticBackend`; checkpointing rides in a
-:class:`~repro.core.engine.CheckpointCallback` and restart is the
-backend's relaunch loop (observable via the ``on_restart`` hook).
 """
 
 from __future__ import annotations
@@ -38,13 +36,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.core.distributed import DistributedConfig, DistributedTrainer
-from repro.core.engine import ElasticBackend, TrainingEngine
-from repro.core.trainer import History
-from repro.faults import FaultInjector
 from repro.utils.retry import RetryPolicy
 
-__all__ = ["ElasticConfig", "ElasticTrainer", "run_elastic"]
+__all__ = ["ElasticConfig"]
 
 
 @dataclass(frozen=True)
@@ -111,98 +105,3 @@ class ElasticConfig:
             n_ranks * self.quorum_fraction
         )
         return max(1, min(n_ranks, q))
-
-
-def run_elastic(
-    trainer: DistributedTrainer,
-    elastic: Optional[ElasticConfig] = None,
-    injector: Optional[FaultInjector] = None,
-    backend: str = "threaded",
-) -> History:
-    """Run ``trainer``'s SSGD loop elastically; see the module docstring.
-
-    Populates ``trainer.history``, ``trainer.group_stats`` and
-    ``trainer._final_model`` exactly like the built-in modes.
-
-    ``backend`` picks the failure domain: ``"threaded"`` (default)
-    injects cooperative faults into rank threads; ``"process"`` runs
-    each rank as a real supervised OS process where ``proc_kill``
-    events are genuine SIGKILLs (see
-    :mod:`repro.core.process_backend`).  Both replay the same seeded
-    plan with bitwise-identical surviving numerics.
-    """
-    elastic = elastic or ElasticConfig()
-    injector = injector or FaultInjector()
-    if backend == "process":
-        from repro.core.process_backend import ProcessBackend
-
-        exec_backend = ProcessBackend(
-            trainer.model_config,
-            trainer.train_data,
-            val_data=trainer.val_data,
-            optimizer_config=trainer.optimizer_config,
-            n_ranks=trainer.config.n_ranks,
-            plugin_config=trainer.config.plugin,
-            elastic=elastic,
-            plan=injector.plan,
-        )
-    elif backend == "threaded":
-        exec_backend = ElasticBackend(
-            trainer.model_config,
-            trainer.train_data,
-            val_data=trainer.val_data,
-            optimizer_config=trainer.optimizer_config,
-            n_ranks=trainer.config.n_ranks,
-            plugin_config=trainer.config.plugin,
-            elastic=elastic,
-            injector=injector,
-        )
-    else:
-        raise ValueError(f"unknown elastic backend {backend!r}")
-    engine = TrainingEngine(
-        exec_backend,
-        config=trainer.engine_config(),
-        tracer=getattr(trainer, "tracer", None),
-        metrics=getattr(trainer, "metrics", None),
-    )
-    engine.run()
-    return trainer._finish(engine)
-
-
-class ElasticTrainer(DistributedTrainer):
-    """:class:`DistributedTrainer` that always runs the elastic driver.
-
-    ``DistributedConfig(mode="elastic")`` on a plain
-    ``DistributedTrainer`` gives the same loop with default policy; this
-    subclass is the way to attach a custom :class:`ElasticConfig` and a
-    :class:`~repro.faults.FaultInjector`.
-    """
-
-    def __init__(
-        self,
-        model_config,
-        train_data,
-        val_data=None,
-        config: Optional[DistributedConfig] = None,
-        optimizer_config=None,
-        elastic: Optional[ElasticConfig] = None,
-        injector: Optional[FaultInjector] = None,
-        tracer=None,
-        metrics=None,
-        backend: str = "threaded",
-    ):
-        super().__init__(
-            model_config,
-            train_data,
-            val_data=val_data,
-            config=config or DistributedConfig(n_ranks=2, mode="elastic"),
-            optimizer_config=optimizer_config,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        self.elastic = elastic or ElasticConfig()
-        self.injector = injector or FaultInjector()
-        self.backend = backend
-
-    def run(self) -> History:
-        return run_elastic(self, self.elastic, self.injector, backend=self.backend)

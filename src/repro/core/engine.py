@@ -3,11 +3,8 @@
 The paper's per-rank workflow (Section V-A) — "gradient calculation,
 gradient averaging via MPI communication, and model update from the
 globally averaged gradients", plus a validation loop of "loss
-calculation and global averaging" — used to be re-implemented four
-times across the single-process trainer, the stepped and threaded
-data-parallel modes, and the elastic fault-tolerant driver, with
-divergent timing and bookkeeping.  This module collapses them into a
-single :class:`TrainingEngine`:
+calculation and global averaging" — is one program here, and
+``TrainingEngine(backend, config).run()`` is the only way to start it:
 
 * the engine owns the canonical epoch/step loop — batch fetch (``io``),
   loss+gradients (``compute``), gradient aggregation (``comm``),
@@ -26,10 +23,9 @@ single :class:`TrainingEngine`:
 Every backend reduces through
 :func:`repro.comm.communicator.reduce_arrays` in rank order, so runs
 with the same seed are bitwise identical across backends — the property
-the pre-engine trainers guaranteed and the golden equivalence tests
-pin.  New aggregation strategies (e.g. the Horovod-style fused reducer
-in :mod:`repro.comm.horovod`) drop in via ``aggregator_factory`` without
-touching the loop.
+the golden equivalence tests pin.  New aggregation strategies (e.g. the
+Horovod-style fused reducer in :mod:`repro.comm.horovod`) drop in via
+``aggregator_factory`` without touching the loop.
 """
 
 from __future__ import annotations
@@ -48,13 +44,17 @@ from repro.comm.errors import QuorumLostError
 from repro.comm.plugin import MLPlugin, PluginConfig
 from repro.comm.serial import SteppedGroup
 from repro.comm.threaded import ThreadedGroup
+from repro.core.elastic import ElasticConfig
 from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
+from repro.faults.injector import FaultInjector
 from repro.obs.callback import TraceCallback
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.utils.logging import get_logger
 from repro.utils.packing import flatten_arrays, unflatten_like
+from repro.utils.retry import jittered_delay
+from repro.utils.rng import derive_seed, new_rng
 from repro.utils.timer import StageTimer
 
 __all__ = [
@@ -218,7 +218,7 @@ class CallbackList(Callback):
 
 class LRRecorder(Callback):
     """Appends the scheduled learning rate to ``history.lr`` each epoch
-    (installed by default — every pre-engine loop recorded it)."""
+    (installed by default)."""
 
     def on_epoch_start(self, rc):
         rc.history.lr.append(rc.optimizer.current_lr())
@@ -496,8 +496,9 @@ class _SteppedContext(RankContext):
 
     Synchronous SGD keeps every replica bitwise identical between
     steps, so one model instance can compute all k per-rank gradients
-    and apply the averaged update once — exact, not approximate (see
-    ``DistributedTrainer.stepped_equals_batch_sgd_note``).
+    sequentially and apply the update averaged in rank order once —
+    exact, not approximate: k ranks at mini-batch 1 are single-process
+    SGD at batch k.
     """
 
     def __init__(self, engine, *, group: SteppedGroup, shards, rngs, compressors=None, **kwargs):
@@ -550,8 +551,7 @@ class _SteppedContext(RankContext):
 
 class _ElasticContext(RankContext):
     """Rank context over an elastic group with cooperative fault hooks,
-    a recycling batch stream, and grow-back admission servicing (see
-    :mod:`repro.core.elastic`)."""
+    a recycling batch stream, and grow-back admission servicing."""
 
     def __init__(self, engine, *, injector, **kwargs):
         super().__init__(engine, **kwargs)
@@ -733,7 +733,7 @@ class LocalBackend(ExecutionBackend):
 
     The context is created once and reused across ``execute`` calls, so
     history, stage timers, and the shuffle RNG stream accumulate over
-    repeated runs exactly like the original ``Trainer``.
+    repeated runs.
     """
 
     def __init__(
@@ -809,6 +809,12 @@ class _GroupBackend(ExecutionBackend):
     ):
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
+        if len(train_data) < n_ranks:
+            raise ValueError(
+                f"dataset of {len(train_data)} samples cannot feed "
+                f"{n_ranks} ranks (the paper: 'the dataset must have "
+                "substantially more samples than the target concurrency')"
+            )
         self.model_config = model_config
         self.train_data = train_data
         self.val_data = val_data
@@ -816,7 +822,12 @@ class _GroupBackend(ExecutionBackend):
         self.n_ranks = n_ranks
         self.plugin_config = plugin_config or PluginConfig()
         self.aggregator_factory = aggregator_factory
-        self.steps_per_epoch = len(train_data) // n_ranks
+        self.steps_per_epoch = len(train_data) // n_ranks  # paper: N_iters = N_samples / n_ranks
+
+    def _replica(self, engine: "TrainingEngine"):
+        """A freshly seeded model and its optimizer."""
+        model = CosmoFlowModel(self.model_config, seed=engine.config.seed)
+        return model, CosmoFlowOptimizer(model.parameter_arrays(), self._opt_config(engine))
 
     def _opt_config(self, engine: "TrainingEngine") -> OptimizerConfig:
         if self.optimizer_config is not None:
@@ -842,17 +853,20 @@ class SteppedBackend(_GroupBackend):
     exact SSGD emulation that scales to thousands of virtual ranks
     (the Figure 5 convergence study's vehicle)."""
 
-    def execute(self, engine, callbacks, epochs=None):
+    #: The stale backend substitutes its context over a ``StaleGroup``.
+    context_cls = _SteppedContext
+
+    def _make_context(self, engine, group, callbacks) -> _SteppedContext:
+        """All simulated ranks on one replica: per-rank shards, RNG
+        streams and compressors, shared model and optimizer."""
         cfg = engine.config
         k = self.n_ranks
-        model = CosmoFlowModel(self.model_config, seed=cfg.seed)
-        optimizer = CosmoFlowOptimizer(model.parameter_arrays(), self._opt_config(engine))
-        group = SteppedGroup(k)
+        model, optimizer = self._replica(engine)
         if self.plugin_config.compression != "none":
             compressors = [self.plugin_config.build_compressor() for _ in range(k)]
         else:
             compressors = None
-        rc = _SteppedContext(
+        return self.context_cls(
             engine,
             group=group,
             shards=[self.train_data.shard(r, k) for r in range(k)],
@@ -869,19 +883,27 @@ class SteppedBackend(_GroupBackend):
             shuffle=cfg.shuffle,
             callbacks=callbacks,
         )
-        hist = engine.rank_loop(rc, epochs=epochs)
-        stats = {
-            "reductions": group.reductions,
-            "bytes_reduced": group.bytes_reduced,
-        }
-        stats.update(_precision_stats(optimizer))
+
+    def _result(self, rc, hist: History, stats: Dict[str, Any]) -> EngineResult:
+        stats.update(_precision_stats(rc.optimizer))
         stats.update(_compression_stats(rc.compressors))
-        return EngineResult(history=hist, model=model, stats=stats)
+        return EngineResult(history=hist, model=rc.model, stats=stats)
+
+    def execute(self, engine, callbacks, epochs=None):
+        group = SteppedGroup(self.n_ranks)
+        rc = self._make_context(engine, group, callbacks)
+        hist = engine.rank_loop(rc, epochs=epochs)
+        stats = {"reductions": group.reductions, "bytes_reduced": group.bytes_reduced}
+        return self._result(rc, hist, stats)
 
 
 class ThreadedBackend(_GroupBackend):
     """One OS thread per rank with independent model replicas — the
     paper's actual execution structure at small scale."""
+
+    #: Context class of every real rank; the elastic backend substitutes
+    #: its fault-hook context, the real-process backend a subclass of that.
+    context_cls = RankContext
 
     def __init__(self, *args, timeout_s: Optional[float] = 60.0, **kwargs):
         super().__init__(*args, **kwargs)
@@ -890,14 +912,11 @@ class ThreadedBackend(_GroupBackend):
     def callbacks(self):
         return [DivergenceCheck()]
 
-    def _make_context(self, engine, comm, callbacks) -> RankContext:
+    def _rank_context(self, engine, comm, callbacks, model, optimizer, **extra):
+        """One real rank over ``comm``: its shard, its ``[seed, rank]``
+        shuffle stream, its own replica and aggregator."""
         cfg = engine.config
-        model = CosmoFlowModel(self.model_config, seed=cfg.seed)
-        optimizer = CosmoFlowOptimizer(model.parameter_arrays(), self._opt_config(engine))
-        aggregator = self._aggregator(comm)
-        # Algorithm 2 preamble: rank 0's parameters to all ranks.
-        aggregator.broadcast_parameters(model.parameter_arrays())
-        return RankContext(
+        return self.context_cls(
             engine,
             model=model,
             optimizer=optimizer,
@@ -910,10 +929,18 @@ class ThreadedBackend(_GroupBackend):
             steps_per_epoch=self.steps_per_epoch,
             rng=np.random.default_rng([cfg.seed, comm.rank]),
             shuffle=cfg.shuffle,
-            aggregator=aggregator,
+            aggregator=self._aggregator(comm),
             comm=comm,
             callbacks=callbacks,
+            **extra,
         )
+
+    def _make_context(self, engine, comm, callbacks) -> RankContext:
+        model, optimizer = self._replica(engine)
+        rc = self._rank_context(engine, comm, callbacks, model, optimizer)
+        # Algorithm 2 preamble: rank 0's parameters to all ranks.
+        rc.aggregator.broadcast_parameters(model.parameter_arrays())
+        return rc
 
     def execute(self, engine, callbacks, epochs=None):
         group = ThreadedGroup(
@@ -939,6 +966,37 @@ class ThreadedBackend(_GroupBackend):
         )
 
 
+def _restart_or_raise(backend, engine, callbacks, exc: QuorumLostError) -> None:
+    """The elastic drivers' one answer to a lost quorum: count the
+    restart, re-raise ``exc`` when the policy has no checkpoint
+    directory or no restart budget left, otherwise fire ``on_restart``
+    and pace the relaunch."""
+    el = backend.elastic
+    backend.restarts += 1
+    can_restart = el.checkpoint_dir is not None and backend.restarts <= el.max_restarts
+    _log.warning(
+        "quorum lost (%d survivors); %s",
+        len(exc.survivors),
+        f"restart {backend.restarts}/{el.max_restarts} from checkpoint"
+        if can_restart
+        else "giving up",
+    )
+    if not can_restart:
+        raise exc
+    callbacks.on_restart(engine, backend.restarts, exc)
+    if el.restart_backoff is not None:
+        # Jittered pacing, seeded from the run seed: replacement-node
+        # bring-up does not stampede the checkpoint filesystem.
+        delay = jittered_delay(
+            el.restart_backoff,
+            backend.restarts - 1,
+            jitter=el.restart_jitter,
+            rng=new_rng(derive_seed(engine.config.seed, "elastic-restart", backend.restarts)),
+        )
+        if delay > 0:
+            time.sleep(delay)
+
+
 class ElasticBackend(ThreadedBackend):
     """Threaded ranks over an :class:`ElasticThreadedGroup`: crashed or
     hung ranks are evicted and the gradient average renormalizes over
@@ -946,23 +1004,22 @@ class ElasticBackend(ThreadedBackend):
     checkpoint with the full rank count (replacement-node semantics).
     Fault-free runs are bitwise identical to :class:`ThreadedBackend`.
 
-    ``elastic`` is the fault-tolerance policy
-    (:class:`repro.core.elastic.ElasticConfig` or any object with the
-    same fields); ``injector`` a :class:`repro.faults.FaultInjector`.
+    ``elastic`` is the fault-tolerance policy and ``injector`` the
+    seeded fault source; both default to the fault-free ones.
     """
 
-    #: Context class used for both fresh and rejoin contexts.  The
-    #: real-process backend substitutes a subclass that adds real
-    #: SIGKILL injection and shared-memory step bookkeeping while
-    #: reusing this backend's construction and resync logic verbatim.
     context_cls = _ElasticContext
 
-    def __init__(self, *args, elastic=None, injector=None, **kwargs):
+    def __init__(
+        self,
+        *args,
+        elastic: Optional[ElasticConfig] = None,
+        injector: Optional[FaultInjector] = None,
+        **kwargs,
+    ):
         super().__init__(*args, **kwargs)
-        if elastic is None or injector is None:
-            raise ValueError("ElasticBackend needs an elastic policy and an injector")
-        self.elastic = elastic
-        self.injector = injector
+        self.elastic = elastic or ElasticConfig()
+        self.injector = injector or FaultInjector()
         self.restarts = 0
 
     def callbacks(self):
@@ -972,15 +1029,16 @@ class ElasticBackend(ThreadedBackend):
                 CheckpointCallback(
                     self.elastic.checkpoint_dir,
                     every_epochs=self.elastic.checkpoint_every_epochs,
-                    keep_last=getattr(self.elastic, "keep_last", None),
+                    keep_last=self.elastic.keep_last,
                 )
             )
         return cbs
 
+    def _rank_context(self, *args, **extra):
+        return super()._rank_context(*args, injector=self.injector, **extra)
+
     def _make_context(self, engine, comm, callbacks) -> RankContext:
-        cfg = engine.config
-        model = CosmoFlowModel(self.model_config, seed=cfg.seed)
-        optimizer = CosmoFlowOptimizer(model.parameter_arrays(), self._opt_config(engine))
+        model, optimizer = self._replica(engine)
         history = History()
         start_epoch = 0
         if self.elastic.checkpoint_dir is not None:
@@ -999,29 +1057,11 @@ class ElasticBackend(ThreadedBackend):
         # Pre-training phase: step-keyed faults must not fire on the
         # initial parameter broadcast.
         self.injector.begin_step(comm.rank, -1)
-        aggregator = self._aggregator(comm)
-        # After a restart the broadcast re-synchronizes any replica drift.
-        aggregator.broadcast_parameters(model.parameter_arrays())
-        rc = self.context_cls(
-            engine,
-            injector=self.injector,
-            model=model,
-            optimizer=optimizer,
-            train_view=self.train_data.shard(comm.rank, self.n_ranks),
-            val_view=self._val_view(comm.rank),
-            rank=comm.rank,
-            n_ranks=self.n_ranks,
-            batch_size=cfg.batch_size,
-            val_batch_size=1,
-            steps_per_epoch=self.steps_per_epoch,
-            rng=np.random.default_rng([cfg.seed, comm.rank]),
-            shuffle=cfg.shuffle,
-            aggregator=aggregator,
-            comm=comm,
-            callbacks=callbacks,
-            history=history,
-            start_epoch=start_epoch,
+        rc = self._rank_context(
+            engine, comm, callbacks, model, optimizer, history=history, start_epoch=start_epoch
         )
+        # After a restart the broadcast re-synchronizes any replica drift.
+        rc.aggregator.broadcast_parameters(model.parameter_arrays())
         rc.burn_in()
         return rc
 
@@ -1036,9 +1076,7 @@ class ElasticBackend(ThreadedBackend):
         from its first step the rank is bitwise indistinguishable from
         one that never left.
         """
-        cfg = engine.config
-        model = CosmoFlowModel(self.model_config, seed=cfg.seed)
-        optimizer = CosmoFlowOptimizer(model.parameter_arrays(), self._opt_config(engine))
+        model, optimizer = self._replica(engine)
         model.set_flat_parameters(np.asarray(payload["flat_parameters"]))
         optimizer.adam.t = int(payload["adam_t"])
         optimizer.step_count = int(payload["step_count"])
@@ -1067,26 +1105,8 @@ class ElasticBackend(ThreadedBackend):
         # Pre-loop phase for this rank: step-keyed faults key on the
         # steps it actually runs.
         self.injector.begin_step(comm.rank, -1)
-        aggregator = self._aggregator(comm)
-        rc = self.context_cls(
-            engine,
-            injector=self.injector,
-            model=model,
-            optimizer=optimizer,
-            train_view=self.train_data.shard(comm.rank, self.n_ranks),
-            val_view=self._val_view(comm.rank),
-            rank=comm.rank,
-            n_ranks=self.n_ranks,
-            batch_size=cfg.batch_size,
-            val_batch_size=1,
-            steps_per_epoch=self.steps_per_epoch,
-            rng=np.random.default_rng([cfg.seed, comm.rank]),
-            shuffle=cfg.shuffle,
-            aggregator=aggregator,
-            comm=comm,
-            callbacks=callbacks,
-            history=history,
-            start_epoch=epoch,
+        rc = self._rank_context(
+            engine, comm, callbacks, model, optimizer, history=history, start_epoch=epoch
         )
         rc.rejoined = True
         rc.resume_step = resume_step
@@ -1096,13 +1116,9 @@ class ElasticBackend(ThreadedBackend):
 
     def execute(self, engine, callbacks, epochs=None):
         el = self.elastic
-        quorum = el.resolve_quorum(self.n_ranks)
-        ckpt_dir = Path(el.checkpoint_dir) if el.checkpoint_dir is not None else None
-        if ckpt_dir is not None:
-            ckpt_dir.mkdir(parents=True, exist_ok=True)
+        if el.checkpoint_dir is not None:
+            Path(el.checkpoint_dir).mkdir(parents=True, exist_ok=True)
         self.restarts = 0
-        spares = getattr(el, "spares", 0)
-        auto_respawn = getattr(el, "auto_respawn", True)
 
         def rank_body(comm):
             rc = self._make_context(engine, comm, callbacks)
@@ -1120,51 +1136,20 @@ class ElasticBackend(ThreadedBackend):
             group = ElasticThreadedGroup(
                 self.n_ranks,
                 timeout_s=el.timeout_s,
-                quorum=quorum,
+                quorum=el.resolve_quorum(self.n_ranks),
                 injector=self.injector,
                 join_timeout_s=el.join_timeout_s,
                 tracer=engine.tracer,
-                spares=spares,
-                auto_respawn=auto_respawn,
+                spares=el.spares,
+                auto_respawn=el.auto_respawn,
             )
             try:
                 results = group.run(rank_body, joiner_fn=joiner_body)
                 break
             except QuorumLostError as exc:
-                self.restarts += 1
-                can_restart = ckpt_dir is not None and self.restarts <= el.max_restarts
-                _log.warning(
-                    "quorum lost (%d survivors); %s",
-                    len(exc.survivors),
-                    f"restart {self.restarts}/{el.max_restarts} from checkpoint"
-                    if can_restart
-                    else "giving up",
-                )
-                if not can_restart:
-                    raise
-                callbacks.on_restart(engine, self.restarts, exc)
-                backoff = getattr(el, "restart_backoff", None)
-                if backoff is not None:
-                    # Jittered restart pacing (shared helper, seeded from
-                    # the run seed) — replacement-node bring-up does not
-                    # stampede the checkpoint filesystem.
-                    from repro.utils.retry import jittered_delay
-                    from repro.utils.rng import derive_seed, new_rng
-
-                    delay = jittered_delay(
-                        backoff,
-                        self.restarts - 1,
-                        jitter=getattr(el, "restart_jitter", 0.0),
-                        rng=new_rng(
-                            derive_seed(
-                                engine.config.seed, "elastic-restart", self.restarts
-                            )
-                        ),
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
                 # Relaunch with the full rank count (replacement nodes).
                 # Already-consumed fault events do not re-fire.
+                _restart_or_raise(self, engine, callbacks, exc)
 
         alive = [rc for rc in results if rc is not None]
         # Prefer a continuously-active context for the reported curves:
@@ -1266,6 +1251,21 @@ class TrainingEngine:
         if self._final_model is None:
             raise RuntimeError("run() has not completed")
         return self._final_model
+
+    def throughput(self) -> Dict[str, float]:
+        """Samples/sec and achieved flop/s (the paper's 535 Gflop/s
+        single-node metric, E2): records counted by the metrics registry
+        over the summed epoch times of ``history``; zero before a run."""
+        total_time = sum(self.history.epoch_time)
+        records = self.metrics.value("engine.records", 0)
+        if total_time <= 0.0 or not records:
+            return {"samples_per_sec": 0.0, "flops_per_sec": 0.0, "step_time": 0.0}
+        sps = records / total_time
+        return {
+            "samples_per_sec": sps,
+            "flops_per_sec": sps * self.final_model.flops_per_sample(),
+            "step_time": 1.0 / sps,
+        }
 
     def _check_divergence(self, divergence: Optional[float]) -> None:
         if divergence is None:

@@ -22,10 +22,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.core.topology import CosmoFlowConfig
-from repro.core.trainer import InMemoryData, Trainer, TrainerConfig
+from repro.core.trainer import InMemoryData
 from repro.utils.rng import new_rng
 
 __all__ = ["TrialResult", "HyperparameterSearch"]
@@ -104,14 +105,13 @@ class HyperparameterSearch:
         steps = self.epochs * max(1, len(train))
         opt_cfg = replace(OptimizerConfig(decay_steps=steps), **params)
         model = CosmoFlowModel(self.model_config, seed=self.seed)
-        trainer = Trainer(
-            model,
-            train,
-            val_data=val,
-            optimizer_config=opt_cfg,
-            config=TrainerConfig(epochs=self.epochs, seed=self.seed + 1),
+        optimizer = CosmoFlowOptimizer(model.parameter_arrays(), opt_cfg)
+        backend = LocalBackend(
+            model, optimizer, train, val_data=val, rng=new_rng(self.seed + 1)
         )
-        hist = trainer.run()
+        hist = TrainingEngine(
+            backend, EngineConfig(epochs=self.epochs, seed=self.seed + 1)
+        ).run()
         return TrialResult(
             params=dict(params),
             final_train_loss=hist.train_loss[-1],

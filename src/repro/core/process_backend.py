@@ -69,6 +69,7 @@ from repro.comm.process import (
     destroy_segment,
     sweep_stale_segments,
 )
+from repro.core.elastic import ElasticConfig
 from repro.core.engine import (
     CallbackList,
     ElasticBackend,
@@ -78,6 +79,7 @@ from repro.core.engine import (
     TrainingEngine,
     _ElasticContext,
     _GroupBackend,
+    _restart_or_raise,
 )
 from repro.core.model import CosmoFlowModel
 from repro.faults.injector import FaultInjector
@@ -85,11 +87,8 @@ from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.callback import TraceCallback
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.utils.logging import get_logger
 
 __all__ = ["ProcessBackend"]
-
-_log = get_logger("core.process_backend")
 
 #: Fault kinds consumed by the rank that begins the event's step.
 _RANK_KEYED = (
@@ -99,6 +98,10 @@ _RANK_KEYED = (
     FaultKind.MESSAGE_CORRUPT,
 )
 _JOIN_KINDS = (FaultKind.RANK_RECOVER, FaultKind.SPARE_JOIN)
+
+#: The policy of a run given none: every rank is needed and nothing
+#: grows back, so any death fails the run, like an MPI job.
+_MPI_LIKE = ElasticConfig(quorum_fraction=1.0, auto_respawn=False, max_restarts=0)
 
 
 class _ProcessContext(_ElasticContext):
@@ -133,15 +136,6 @@ class _WorkerBackend(ElasticBackend):
     context_cls = _ProcessContext
 
 
-class _CheckpointPolicy:
-    """The slice of the elastic policy a worker's backend reads."""
-
-    def __init__(self, checkpoint_dir, checkpoint_every_epochs, keep_last):
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every_epochs = checkpoint_every_epochs
-        self.keep_last = keep_last
-
-
 def _sigterm_to_exit(signum, frame):  # pragma: no cover - signal path
     raise SystemExit(EXIT_INTERRUPTED)
 
@@ -170,9 +164,6 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
         incarnation=incarnation,
     )
     injector = FaultInjector(FaultPlan.from_json(spec["plan_json"]))
-    policy = _CheckpointPolicy(
-        spec["ckpt_dir"], spec["ckpt_every"], spec["keep_last"]
-    )
     backend = _WorkerBackend(
         spec["model_config"],
         spec["train_data"],
@@ -180,7 +171,7 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
         optimizer_config=spec["optimizer_config"],
         n_ranks=spec["world"],
         plugin_config=spec["plugin_config"],
-        elastic=policy,
+        elastic=spec["elastic"],
         injector=injector,
     )
     engine = TrainingEngine(
@@ -266,14 +257,14 @@ class ProcessBackend(_GroupBackend):
     def __init__(
         self,
         *args,
-        elastic=None,
+        elastic: Optional[ElasticConfig] = None,
         plan: Optional[FaultPlan] = None,
         run_dir=None,
         timeout_s: Optional[float] = None,
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        self.elastic = elastic
+        self.elastic = elastic or _MPI_LIKE
         self.plan = plan or FaultPlan()
         self.run_dir = run_dir
         self.timeout_s = timeout_s
@@ -316,20 +307,10 @@ class ProcessBackend(_GroupBackend):
         epochs = cfg.epochs if epochs is None else epochs
         el = self.elastic
         world = self.n_ranks
-        quorum = el.resolve_quorum(world) if el is not None else world
-        spares = getattr(el, "spares", 0) if el is not None else 0
-        auto_respawn = bool(getattr(el, "auto_respawn", True)) if el is not None else False
-        timeout_s = self.timeout_s
-        if timeout_s is None:
-            timeout_s = el.timeout_s if el is not None else 30.0
-        max_restarts = el.max_restarts if el is not None else 0
-        ckpt_dir = (
-            Path(el.checkpoint_dir)
-            if el is not None and el.checkpoint_dir is not None
-            else None
-        )
-        if ckpt_dir is not None:
-            ckpt_dir.mkdir(parents=True, exist_ok=True)
+        quorum = el.resolve_quorum(world)
+        timeout_s = self.timeout_s if self.timeout_s is not None else el.timeout_s
+        if el.checkpoint_dir is not None:
+            Path(el.checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
         # Slot capacity: the largest payload any collective moves is the
         # full float64 flat parameter vector (the divergence check's
@@ -363,9 +344,7 @@ class ProcessBackend(_GroupBackend):
             "val_data": self.val_data,
             "optimizer_config": opt_config,
             "plugin_config": self.plugin_config,
-            "ckpt_dir": str(ckpt_dir) if ckpt_dir is not None else None,
-            "ckpt_every": el.checkpoint_every_epochs if el is not None else 1,
-            "keep_last": getattr(el, "keep_last", None) if el is not None else None,
+            "elastic": el,
             "trace": engine.tracer.enabled,
         }
 
@@ -378,7 +357,7 @@ class ProcessBackend(_GroupBackend):
                 ctrl_seg = create_segment(layout.ctrl_bytes)
                 data_seg = create_segment(layout.data_bytes)
                 ctrl = layout.ctrl_view(ctrl_seg.buf)
-                layout.init_ctrl(ctrl, quorum, spares)
+                layout.init_ctrl(ctrl, quorum, el.spares)
                 attempt_dir = run_root / f"attempt-{self.restarts}"
                 attempt_dir.mkdir(parents=True, exist_ok=True)
                 spec = dict(
@@ -401,7 +380,7 @@ class ProcessBackend(_GroupBackend):
                     ctrl,
                     spawn,
                     timeout_s=timeout_s,
-                    auto_respawn=auto_respawn,
+                    auto_respawn=el.auto_respawn,
                 )
                 try:
                     supervisor.launch(range(world))
@@ -429,43 +408,17 @@ class ProcessBackend(_GroupBackend):
 
                 if not quorum_lost:
                     break
-                self.restarts += 1
-                can_restart = ckpt_dir is not None and self.restarts <= max_restarts
-                _log.warning(
-                    "quorum lost (%d survivors); %s",
-                    len(shm_stats["survivors"]),
-                    f"restart {self.restarts}/{max_restarts} from checkpoint"
-                    if can_restart
-                    else "giving up",
-                )
                 exc = QuorumLostError(
                     f"group below quorum {quorum}",
                     survivors=shm_stats["survivors"],
                 )
                 if failures:
                     exc.__cause__ = failures[min(failures)]
-                if not can_restart:
-                    raise exc
-                callbacks.on_restart(engine, self.restarts, exc)
-                backoff = getattr(el, "restart_backoff", None)
-                if backoff is not None:
-                    from repro.utils.retry import jittered_delay
-                    from repro.utils.rng import derive_seed, new_rng
-
-                    delay = jittered_delay(
-                        backoff,
-                        self.restarts - 1,
-                        jitter=getattr(el, "restart_jitter", 0.0),
-                        rng=new_rng(
-                            derive_seed(cfg.seed, "elastic-restart", self.restarts)
-                        ),
-                    )
-                    if delay > 0:
-                        time.sleep(delay)
+                _restart_or_raise(self, engine, callbacks, exc)
 
             result = self._collect(
                 engine, attempt_dir, final_inc, shm_stats, signal_kills,
-                all_exit_codes, spares,
+                all_exit_codes, el.spares,
             )
         finally:
             if own_run_dir:

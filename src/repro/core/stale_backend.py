@@ -27,22 +27,14 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.comm.stale import StaleGroup, StalenessConfig, StragglerMonitor
-from repro.core.engine import (
-    EngineResult,
-    RankContext,
-    _compression_stats,
-    _GroupBackend,
-    _precision_stats,
-)
-from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import CosmoFlowOptimizer
+from repro.core.engine import SteppedBackend, _SteppedContext
 from repro.faults.injector import FaultInjector
 from repro.utils.packing import flatten_arrays, unflatten_like
 
 __all__ = ["StaleBackend"]
 
 
-class _StaleContext(RankContext):
+class _StaleContext(_SteppedContext):
     """Sequentially simulated ranks over a :class:`StaleGroup`.
 
     Each engine step, only the ranks the group says are *free* compute
@@ -51,33 +43,11 @@ class _StaleContext(RankContext):
     into this step's average.
     """
 
-    def __init__(self, engine, *, group: StaleGroup, shards, rngs, compressors=None, **kwargs):
-        super().__init__(engine, **kwargs)
-        self.group = group
-        self.shards = shards
-        self.rngs = rngs
-        #: One compressor per virtual rank (error-feedback residuals
-        #: are per-rank state), mirroring ``_SteppedContext``.
-        self.compressors = compressors
-        self._iters = None
-        self._starters: List[int] = []
-        self._global_step = 0
-
-    @property
-    def aggregates(self) -> bool:
-        return True
-
     def effective_batch(self) -> int:
         # Eviction shrinks the contributing set (the elastic analogue);
         # fault-free runs report batch_size * n_ranks like the
         # synchronous backends.
         return self.batch_size * self.group.active_count
-
-    def start_stream(self):
-        self._iters = [
-            shard.batches(self.batch_size, rng=rng, shuffle=self.shuffle)
-            for shard, rng in zip(self.shards, self.rngs)
-        ]
 
     def fetch(self, step):
         self._global_step = self.epoch * self.steps_per_epoch + step
@@ -105,14 +75,12 @@ class _StaleContext(RankContext):
         loss, avg_flat = self.group.complete_step(self._global_step, contribs)
         return loss, unflatten_like(avg_flat, self.model.parameter_arrays())
 
-    def aggregate_scalar(self, value):
-        # Validation runs once on the shared replica — nothing to average.
-        return value
 
-
-class StaleBackend(_GroupBackend):
+class StaleBackend(SteppedBackend):
     """Bounded-staleness SSGD/SAGN over simulated ranks on virtual time
     (Section II-C's straggler mitigation, measured end to end)."""
+
+    context_cls = _StaleContext
 
     def __init__(
         self,
@@ -128,10 +96,7 @@ class StaleBackend(_GroupBackend):
         self.injector = injector or FaultInjector()
 
     def execute(self, engine, callbacks, epochs=None):
-        cfg = engine.config
         k = self.n_ranks
-        model = CosmoFlowModel(self.model_config, seed=cfg.seed)
-        optimizer = CosmoFlowOptimizer(model.parameter_arrays(), self._opt_config(engine))
         monitor = (
             StragglerMonitor(k, self.staleness, metrics=engine.metrics, tracer=engine.tracer)
             if self.staleness.monitor_enabled
@@ -146,30 +111,8 @@ class StaleBackend(_GroupBackend):
             metrics=engine.metrics,
             tracer=engine.tracer,
         )
-        if self.plugin_config.compression != "none":
-            compressors = [self.plugin_config.build_compressor() for _ in range(k)]
-        else:
-            compressors = None
-        rc = _StaleContext(
-            engine,
-            group=group,
-            shards=[self.train_data.shard(r, k) for r in range(k)],
-            rngs=[np.random.default_rng([cfg.seed, r]) for r in range(k)],
-            compressors=compressors,
-            model=model,
-            optimizer=optimizer,
-            train_view=self.train_data,
-            val_view=self.val_data,
-            n_ranks=k,
-            batch_size=cfg.batch_size,
-            val_batch_size=1,
-            steps_per_epoch=self.steps_per_epoch,
-            shuffle=cfg.shuffle,
-            callbacks=callbacks,
-        )
+        rc = self._make_context(engine, group, callbacks)
         hist = engine.rank_loop(rc, epochs=epochs)
         stats = group.stats()
         stats["hangs_injected"] = self.injector.fired_total()
-        stats.update(_precision_stats(optimizer))
-        stats.update(_compression_stats(rc.compressors))
-        return EngineResult(history=hist, model=model, stats=stats)
+        return self._result(rc, hist, stats)

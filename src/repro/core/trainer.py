@@ -1,41 +1,19 @@
-"""Single-process training loop (compatibility shim over the engine).
+"""In-memory training data: the minimal dataset protocol every
+execution backend consumes, and the cube-symmetry augmentation.
 
-Reproduces the paper's per-rank workflow (Section V-A): "Each rank then
-enters a loop over epochs, where an epoch consists of training and
-validation loops. ... The training loop consists of gradient
-calculation, gradient averaging via MPI communication, and model update
-from the globally averaged gradients.  The validation loop consists of
-loss calculation and global averaging."
-
-The loop itself now lives in :class:`repro.core.engine.TrainingEngine`
-over a :class:`~repro.core.engine.LocalBackend`; :class:`Trainer` keeps
-the original public API (``train_epoch`` / ``validate`` / ``run`` /
-``throughput``) and numerics.  Wall time is attributed to stages
-(io / compute / comm / optimizer / other) with a
-:class:`~repro.utils.timer.StageTimer` — the data behind the Figure 3
-profile — and throughput is reported in samples/sec and achieved
-flop/s (the paper's 535 Gflop/s single-node metric, E2).
+The training loop itself is :class:`repro.core.engine.TrainingEngine`;
+this module only holds what feeds it when the samples fit in memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from repro.comm.plugin import MLPlugin
-from repro.core.engine import (
-    EngineConfig,
-    History,
-    LocalBackend,
-    TrainingEngine,
-)
-from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.utils.rng import new_rng
 
-__all__ = ["InMemoryData", "TrainerConfig", "History", "Trainer"]
+__all__ = ["InMemoryData", "random_cube_symmetry"]
 
 
 def random_cube_symmetry(volume: np.ndarray, rng) -> np.ndarray:
@@ -107,125 +85,3 @@ class InMemoryData:
         if not 0 <= rank < n_ranks:
             raise ValueError(f"rank {rank} out of range for {n_ranks}")
         return InMemoryData(self.x[rank::n_ranks], self.y[rank::n_ranks], augment=self.augment)
-
-
-@dataclass(frozen=True)
-class TrainerConfig:
-    """Training-loop configuration (paper defaults: mini-batch 1)."""
-
-    epochs: int = 10
-    batch_size: int = 1
-    seed: Optional[int] = 0
-    shuffle: bool = True
-    validate: bool = True
-
-
-class Trainer:
-    """Single-process trainer (optionally with a single-rank plugin,
-    matching the paper's single-node runs which "enable the CPE ML
-    plugin even at the single node").
-
-    A thin shim: constructs a :class:`~repro.core.engine.LocalBackend`
-    + :class:`~repro.core.engine.TrainingEngine` and exposes the
-    historical API over them.  The shuffle RNG is the legacy
-    ``new_rng(seed)`` stream, so fixed-seed runs reproduce pre-engine
-    results bit for bit.
-    """
-
-    def __init__(
-        self,
-        model: CosmoFlowModel,
-        train_data,
-        val_data=None,
-        optimizer: Optional[CosmoFlowOptimizer] = None,
-        optimizer_config: Optional[OptimizerConfig] = None,
-        config: Optional[TrainerConfig] = None,
-        plugin: Optional[MLPlugin] = None,
-        tracer=None,
-        metrics=None,
-    ):
-        self.model = model
-        self.train_data = train_data
-        self.val_data = val_data
-        self.config = config or TrainerConfig()
-        if optimizer is not None and optimizer_config is not None:
-            raise ValueError("pass either optimizer or optimizer_config, not both")
-        if optimizer is None:
-            opt_cfg = optimizer_config or OptimizerConfig(
-                decay_steps=max(
-                    1,
-                    self.config.epochs
-                    * (len(train_data) // self.config.batch_size or 1),
-                )
-            )
-            optimizer = CosmoFlowOptimizer(model.parameter_arrays(), opt_cfg)
-        self.optimizer = optimizer
-        self.plugin = plugin
-        if self.plugin is not None:
-            self.plugin.init()
-        self._rng = new_rng(self.config.seed)
-        self._backend = LocalBackend(
-            model,
-            optimizer,
-            train_data,
-            val_data=val_data,
-            aggregator=self.plugin,
-            rng=self._rng,
-        )
-        self._engine = TrainingEngine(
-            self._backend,
-            config=EngineConfig(
-                epochs=self.config.epochs,
-                batch_size=self.config.batch_size,
-                seed=self.config.seed,
-                shuffle=self.config.shuffle,
-                validate=self.config.validate,
-            ),
-            tracer=tracer,
-            metrics=metrics,
-        )
-        # Created eagerly so history/timer/samples_seen are live from
-        # construction and shared with every engine call.
-        self._rc = self._backend.context(self._engine, self._engine.build_callbacks())
-
-    # -- state shared with the engine --------------------------------------------
-
-    @property
-    def history(self) -> History:
-        return self._rc.history
-
-    @property
-    def timer(self):
-        return self._rc.timer
-
-    @property
-    def samples_seen(self) -> int:
-        return self._rc.samples_seen
-
-    # -- loops -----------------------------------------------------------------
-
-    def train_epoch(self) -> float:
-        """One pass over the training data; returns the mean step loss."""
-        return self._engine.train_epoch(self._rc)
-
-    def validate(self) -> float:
-        """Mean validation loss (globally averaged when a plugin is set)."""
-        return self._engine.validate(self._rc)
-
-    def run(self, epochs: Optional[int] = None) -> History:
-        """Train for ``epochs`` (default from config); returns history."""
-        return self._engine.run(epochs=epochs)
-
-    # -- throughput reporting ----------------------------------------------------
-
-    def throughput(self) -> Dict[str, float]:
-        """Samples/sec and achieved flop/s over all epochs so far."""
-        total_time = sum(self.history.epoch_time)
-        if total_time <= 0.0 or self.samples_seen == 0:
-            return {"samples_per_sec": 0.0, "flops_per_sec": 0.0, "step_time": 0.0}
-        sps = self.samples_seen / total_time
-        return {
-            "samples_per_sec": sps,
-            "flops_per_sec": sps * self.model.flops_per_sample(),
-            "step_time": 1.0 / sps,
-        }

@@ -12,8 +12,15 @@ from repro.comm.compression import (
     make_compressor,
 )
 from repro.comm.plugin import PluginConfig
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.core.engine import (
+    ElasticBackend,
+    EngineConfig,
+    SteppedBackend,
+    ThreadedBackend,
+    TrainingEngine,
+)
 from repro.core.optimizer import OptimizerConfig
+from repro.core.process_backend import ProcessBackend
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
 
@@ -152,24 +159,18 @@ class TestFactoryAndRatio:
         assert PluginConfig().build_compressor() is None
         assert PluginConfig(compression="fp16").build_compressor() is not None
 
-    def test_distributed_config_folds_compression_into_plugin(self):
-        cfg = DistributedConfig(n_ranks=2, compression="topk", topk_fraction=0.05)
-        assert cfg.plugin.compression == "topk"
-        assert cfg.plugin.topk_fraction == 0.05
-        with pytest.raises(ValueError):
-            DistributedConfig(n_ranks=2, compression="zstd")
 
-
-def _run(mode, compression, precision="fp32", n=2, epochs=2, seed=0):
-    cfg = DistributedConfig(
-        n_ranks=n, epochs=epochs, mode=mode, seed=seed, compression=compression
+def _run(backend_cls, compression, precision="fp32", n=2, epochs=2, seed=0):
+    backend = backend_cls(
+        tiny_16(),
+        make_dataset(),
+        optimizer_config=OptimizerConfig(decay_steps=100, precision=precision),
+        n_ranks=n,
+        plugin_config=PluginConfig(compression=compression),
     )
-    oc = OptimizerConfig(decay_steps=100, precision=precision)
-    tr = DistributedTrainer(
-        tiny_16(), make_dataset(), config=cfg, optimizer_config=oc
-    )
-    tr.run()
-    return tr.final_model.get_flat_parameters(), tr.group_stats, tr.history
+    engine = TrainingEngine(backend, EngineConfig(epochs=epochs, seed=seed))
+    engine.run()
+    return engine.final_model.get_flat_parameters(), engine.group_stats, engine.history
 
 
 class TestGoldenCrossBackend:
@@ -179,14 +180,14 @@ class TestGoldenCrossBackend:
 
     @pytest.mark.parametrize("compression", ["fp16", "topk"])
     def test_stepped_equals_threaded(self, compression):
-        p_stepped, _, _ = _run("stepped", compression)
-        p_threaded, _, _ = _run("threaded", compression)
+        p_stepped, _, _ = _run(SteppedBackend, compression)
+        p_threaded, _, _ = _run(ThreadedBackend, compression)
         assert np.array_equal(p_stepped, p_threaded)
 
     @pytest.mark.parametrize("compression", ["fp16", "topk"])
     def test_replay_is_deterministic(self, compression):
-        p1, s1, h1 = _run("stepped", compression)
-        p2, s2, h2 = _run("stepped", compression)
+        p1, s1, h1 = _run(SteppedBackend, compression)
+        p2, s2, h2 = _run(SteppedBackend, compression)
         assert np.array_equal(p1, p2)
         assert h1.train_loss == h2.train_loss
         assert s1["compression_bytes_wire"] == s2["compression_bytes_wire"]
@@ -195,27 +196,27 @@ class TestGoldenCrossBackend:
         # compression="none" must not merely approximate the original
         # fp32 path — it must not touch it.  Run through a config with
         # the field defaulted vs explicitly "none".
-        p_default, s_default, _ = _run("stepped", "none")
-        cfg = DistributedConfig(n_ranks=2, epochs=2, mode="stepped", seed=0)
-        tr = DistributedTrainer(
+        p_default, s_default, _ = _run(SteppedBackend, "none")
+        backend = SteppedBackend(
             tiny_16(),
             make_dataset(),
-            config=cfg,
             optimizer_config=OptimizerConfig(decay_steps=100),
+            n_ranks=2,
         )
-        tr.run()
+        engine = TrainingEngine(backend, EngineConfig(epochs=2, seed=0))
+        engine.run()
         assert np.array_equal(
-            p_default, tr.final_model.get_flat_parameters()
+            p_default, engine.final_model.get_flat_parameters()
         )
         assert "compression" not in s_default  # no counters for "none"
 
     def test_compressed_under_fp16_precision_cross_backend(self):
-        p1, _, _ = _run("stepped", "topk", precision="fp16")
-        p2, _, _ = _run("threaded", "topk", precision="fp16")
+        p1, _, _ = _run(SteppedBackend, "topk", precision="fp16")
+        p2, _, _ = _run(ThreadedBackend, "topk", precision="fp16")
         assert np.array_equal(p1, p2)
 
     def test_stats_surface_byte_savings(self):
-        _, stats, _ = _run("stepped", "topk")
+        _, stats, _ = _run(SteppedBackend, "topk")
         assert stats["compression"] == "topk"
         assert stats["compression_bytes_in"] > stats["compression_bytes_wire"]
         assert (
@@ -227,35 +228,19 @@ class TestGoldenCrossBackend:
     def test_compression_changes_trajectory(self):
         # Sanity that the compressors are actually in the loop: a lossy
         # mode must not be bitwise identical to the exact path.
-        p_none, _, _ = _run("stepped", "none")
-        p_topk, _, _ = _run("stepped", "topk")
+        p_none, _, _ = _run(SteppedBackend, "none")
+        p_topk, _, _ = _run(SteppedBackend, "topk")
         assert not np.array_equal(p_none, p_topk)
 
 
 class TestElasticAndProcessBackends:
     @pytest.mark.parametrize("compression", ["fp16", "topk"])
     def test_elastic_faultfree_matches_threaded(self, compression):
-        cfg = DistributedConfig(
-            n_ranks=2, epochs=2, mode="elastic", seed=0, compression=compression
-        )
-        oc = OptimizerConfig(decay_steps=100)
-        tr = DistributedTrainer(
-            tiny_16(), make_dataset(), config=cfg, optimizer_config=oc
-        )
-        tr.run()
-        p_threaded, _, _ = _run("threaded", compression)
-        assert np.array_equal(
-            tr.final_model.get_flat_parameters(), p_threaded
-        )
+        p_elastic, _, _ = _run(ElasticBackend, compression)
+        p_threaded, _, _ = _run(ThreadedBackend, compression)
+        assert np.array_equal(p_elastic, p_threaded)
 
     def test_process_backend_matches_stepped_topk(self):
-        cfg = DistributedConfig(
-            n_ranks=2, epochs=1, mode="process", seed=0, compression="topk"
-        )
-        oc = OptimizerConfig(decay_steps=100)
-        tr = DistributedTrainer(
-            tiny_16(), make_dataset(), config=cfg, optimizer_config=oc
-        )
-        tr.run()
-        p_stepped, _, _ = _run("stepped", "topk", epochs=1)
-        assert np.array_equal(tr.final_model.get_flat_parameters(), p_stepped)
+        p_process, _, _ = _run(ProcessBackend, "topk", epochs=1)
+        p_stepped, _, _ = _run(SteppedBackend, "topk", epochs=1)
+        assert np.array_equal(p_process, p_stepped)

@@ -75,10 +75,12 @@ class TestHorovodLike:
         assert outs == [0.5, 0.5]
 
     def test_trainer_accepts_horovod_backend(self):
-        """The Trainer's plugin slot is backend-agnostic."""
+        """The local backend's aggregator slot is backend-agnostic."""
+        from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
         from repro.core.model import CosmoFlowModel
+        from repro.core.optimizer import CosmoFlowOptimizer
         from repro.core.topology import ConvSpec, CosmoFlowConfig
-        from repro.core.trainer import InMemoryData, Trainer, TrainerConfig
+        from repro.core.trainer import InMemoryData
 
         cfg = CosmoFlowConfig(
             name="micro4h", input_size=4, conv_layers=(ConvSpec(16, 2),),
@@ -90,10 +92,9 @@ class TestHorovodLike:
             rng.uniform(0.2, 0.8, (4, 3)).astype(np.float32),
         )
         model = CosmoFlowModel(cfg, seed=0)
-        trainer = Trainer(
-            model, data,
-            config=TrainerConfig(epochs=1, validate=False),
-            plugin=HorovodLike(SerialCommunicator()),
+        backend = LocalBackend(
+            model, CosmoFlowOptimizer(model.parameter_arrays()), data,
+            aggregator=HorovodLike(SerialCommunicator()).init(),
         )
-        hist = trainer.run()
+        hist = TrainingEngine(backend, EngineConfig(epochs=1, validate=False)).run()
         assert np.isfinite(hist.train_loss[0])

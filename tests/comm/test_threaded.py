@@ -1,5 +1,6 @@
 """Tests for the threaded SPMD backend."""
 
+import threading
 import time
 
 import numpy as np
@@ -9,6 +10,7 @@ from repro.comm.communicator import ReduceOp, reduce_arrays
 from repro.comm.errors import CommTimeoutError
 from repro.comm.serial import SteppedGroup
 from repro.comm.threaded import ThreadedGroup
+from tests.conftest import join_rank_threads
 
 
 class TestThreadedGroup:
@@ -160,17 +162,22 @@ class TestThreadedGroup:
         """A rank stalled where no barrier can see it must not hang the
         caller: once its peers finish, it gets timeout_s to unwind."""
         g = ThreadedGroup(2, timeout_s=0.3)
+        release = threading.Event()
 
         def body(comm):
             comm.barrier()
             if comm.rank == 1:
-                time.sleep(5.0)  # far past any timeout, no collective in sight
+                release.wait(5.0)  # far past any timeout, no collective in sight
             return comm.rank
 
         t0 = time.monotonic()
-        with pytest.raises(CommTimeoutError, match=r"rank\(s\) \[1\]"):
-            g.run(body)
-        assert time.monotonic() - t0 < 3.0  # did not wait out the sleep
+        try:
+            with pytest.raises(CommTimeoutError, match=r"rank\(s\) \[1\]"):
+                g.run(body)
+            assert time.monotonic() - t0 < 3.0  # did not wait out the stall
+        finally:
+            release.set()
+            assert join_rank_threads() == []
 
     def test_join_timeout_validation(self):
         with pytest.raises(ValueError):

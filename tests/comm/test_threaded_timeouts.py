@@ -6,6 +6,7 @@ contract: bounded waits, typed errors, and the peer's original
 exception re-raised on the survivors.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 
 from repro.comm.errors import CommTimeoutError, RankFailedError
 from repro.comm.threaded import ThreadedGroup
+from tests.conftest import join_rank_threads
 
 
 class TestThreadedTimeouts:
@@ -40,19 +42,24 @@ class TestThreadedTimeouts:
 
     def test_hung_peer_times_out_instead_of_blocking_forever(self):
         g = ThreadedGroup(2, timeout_s=0.2)
+        release = threading.Event()
 
         def body(comm):
             if comm.rank == 1:
-                time.sleep(60.0)  # never reaches the collective
+                release.wait(60.0)  # never reaches the collective
                 return None
             comm.allreduce(np.ones(2))
             return comm.rank
 
         t0 = time.monotonic()
-        with pytest.raises(CommTimeoutError) as ei:
-            g.run(body)
-        assert time.monotonic() - t0 < 10.0
-        assert ei.value.timeout_s == pytest.approx(0.2)
+        try:
+            with pytest.raises(CommTimeoutError) as ei:
+                g.run(body)
+            assert time.monotonic() - t0 < 10.0
+            assert ei.value.timeout_s == pytest.approx(0.2)
+        finally:
+            release.set()
+            assert join_rank_threads() == []
 
     def test_timeout_none_disables_bound(self):
         g = ThreadedGroup(2, timeout_s=None)

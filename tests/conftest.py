@@ -1,0 +1,43 @@
+"""Suite-wide set-up: one BLAS thread, and no rank thread outlives the
+test that started it."""
+
+import os
+
+# Before NumPy is imported: with two BLAS threads a small VM stalls any
+# threaded GEMM by 8-24 ms at random, and tests that time things flake.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import threading  # noqa: E402
+import time  # noqa: E402
+
+import pytest  # noqa: E402
+
+#: Thread names of ``ThreadedGroup`` and ``ElasticThreadedGroup`` ranks.
+RANK_THREAD_PREFIXES = ("rank-", "elastic-rank-")
+#: Longer than any stall a test injects into a rank it then abandons
+#: (an evicted straggler sleeps out its 2 s hang before it unwinds).
+JOIN_TIMEOUT_S = 5.0
+
+
+def join_rank_threads(timeout_s: float = JOIN_TIMEOUT_S):
+    """Join every live rank thread, ``timeout_s`` in total; returns the
+    names of those still alive afterwards."""
+    deadline = time.monotonic() + timeout_s
+    alive = []
+    for t in threading.enumerate():
+        if t.name.startswith(RANK_THREAD_PREFIXES):
+            t.join(max(0.0, deadline - time.monotonic()))
+            if t.is_alive():
+                alive.append(t.name)
+    return alive
+
+
+@pytest.fixture(autouse=True)
+def no_rank_thread_outlives_its_test():
+    """A rank thread left running bleeds into whatever runs next (the
+    benchmark's calibration tick refuses to start beside one), so the
+    test that left it is the one that fails."""
+    yield
+    alive = join_rank_threads()
+    if alive:
+        pytest.fail(f"rank thread(s) {alive} still alive {JOIN_TIMEOUT_S}s after the test")

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.core.engine import (
+    ElasticBackend,
+    EngineConfig,
+    SteppedBackend,
+    ThreadedBackend,
+    TrainingEngine,
+)
 from repro.core.optimizer import OptimizerConfig
+from repro.core.process_backend import ProcessBackend
+from repro.core.stale_backend import StaleBackend
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
 
@@ -19,134 +27,79 @@ def make_dataset(n=8, seed=0, size=16):
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
 
-class TestConfig:
-    def test_global_batch_equals_ranks(self):
-        assert DistributedConfig(n_ranks=7).global_batch_size == 7
+def group_engine(backend_cls, data, n_ranks, epochs, seed=0, validate=False, **kwargs):
+    backend = backend_cls(tiny_16(), data, optimizer_config=OPT, n_ranks=n_ranks, **kwargs)
+    return TrainingEngine(backend, EngineConfig(epochs=epochs, seed=seed, validate=validate))
 
+
+class TestConfig:
     def test_bad_ranks(self):
         with pytest.raises(ValueError):
-            DistributedConfig(n_ranks=0)
+            SteppedBackend(tiny_16(), make_dataset(4), n_ranks=0)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            DistributedConfig(n_ranks=2, mode="async")
-
-    def test_dataset_smaller_than_ranks_raises(self):
-        with pytest.raises(ValueError, match="cannot feed"):
-            DistributedTrainer(
-                tiny_16(), make_dataset(2), config=DistributedConfig(n_ranks=4)
-            )
+    @pytest.mark.parametrize(
+        "backend_cls",
+        [SteppedBackend, ThreadedBackend, ElasticBackend, ProcessBackend, StaleBackend],
+    )
+    def test_dataset_smaller_than_ranks_raises(self, backend_cls):
+        """At construction, for every group backend — not as "dataset
+        is empty" from a shard once the ranks are running."""
+        with pytest.raises(ValueError, match="cannot feed 4 ranks .*target concurrency"):
+            backend_cls(tiny_16(), make_dataset(2), n_ranks=4)
 
     def test_steps_per_epoch(self):
-        t = DistributedTrainer(
-            tiny_16(), make_dataset(10), config=DistributedConfig(n_ranks=3)
-        )
-        assert t.steps_per_epoch == 3  # floor(10 / 3), paper's N/k
+        backend = SteppedBackend(tiny_16(), make_dataset(10), n_ranks=3)
+        assert backend.steps_per_epoch == 3  # floor(10 / 3), paper's N/k
 
 
 class TestSteppedMode:
     def test_trains_and_converges(self):
-        trainer = DistributedTrainer(
-            tiny_16(),
-            make_dataset(8),
-            config=DistributedConfig(n_ranks=4, epochs=6, mode="stepped", validate=False),
-            optimizer_config=OPT,
-        )
-        hist = trainer.run()
+        hist = group_engine(SteppedBackend, make_dataset(8), 4, 6).run()
         assert len(hist.train_loss) == 6
         assert hist.train_loss[-1] < hist.train_loss[0]
 
     def test_validation(self):
-        trainer = DistributedTrainer(
-            tiny_16(),
-            make_dataset(4),
-            val_data=make_dataset(2, seed=7),
-            config=DistributedConfig(n_ranks=2, epochs=2, mode="stepped"),
-            optimizer_config=OPT,
+        engine = group_engine(
+            SteppedBackend, make_dataset(4), 2, 2, validate=True, val_data=make_dataset(2, seed=7)
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert all(np.isfinite(v) for v in hist.val_loss)
 
     def test_group_stats_recorded(self):
-        trainer = DistributedTrainer(
-            tiny_16(),
-            make_dataset(4),
-            config=DistributedConfig(n_ranks=2, epochs=1, mode="stepped", validate=False),
-            optimizer_config=OPT,
-        )
-        trainer.run()
-        assert trainer.group_stats["reductions"] == trainer.steps_per_epoch
-        assert trainer.group_stats["bytes_reduced"] > 0
+        engine = group_engine(SteppedBackend, make_dataset(4), 2, 1)
+        engine.run()
+        assert engine.group_stats["reductions"] == engine.backend.steps_per_epoch
+        assert engine.group_stats["bytes_reduced"] > 0
 
     def test_final_model_available(self):
-        trainer = DistributedTrainer(
-            tiny_16(),
-            make_dataset(4),
-            config=DistributedConfig(n_ranks=2, epochs=1, mode="stepped", validate=False),
-            optimizer_config=OPT,
-        )
+        engine = group_engine(SteppedBackend, make_dataset(4), 2, 1)
         with pytest.raises(RuntimeError):
-            _ = trainer.final_model
-        trainer.run()
-        assert trainer.final_model.num_parameters > 0
+            _ = engine.final_model
+        engine.run()
+        assert engine.final_model.num_parameters > 0
 
     def test_one_rank_reduces_to_serial_sgd(self):
-        """k=1 distributed == plain single-process training."""
-        from repro.core.model import CosmoFlowModel
-        from repro.core.trainer import Trainer, TrainerConfig
-
-        data = make_dataset(4)
-        dist = DistributedTrainer(
-            tiny_16(),
-            data,
-            config=DistributedConfig(n_ranks=1, epochs=2, mode="stepped", validate=False, seed=0),
-            optimizer_config=OPT,
-        )
-        dist.run()
-
-        model = CosmoFlowModel(tiny_16(), seed=0)
-        # match the stepped trainer's per-rank shuffle stream
-        Trainer(
-            model,
-            data,
-            optimizer_config=OPT,
-            config=TrainerConfig(epochs=2, validate=False, seed=None),
-        )
-        # parameter-level equivalence needs the same sample order; just
-        # check both trained to finite, improving losses instead
-        assert dist.history.train_loss[-1] < dist.history.train_loss[0]
+        """k=1 distributed trains like plain single-process SGD (the
+        bitwise statement is ``TestCrossModeBitwise``)."""
+        hist = group_engine(SteppedBackend, make_dataset(4), 1, 2).run()
+        assert hist.train_loss[-1] < hist.train_loss[0]
 
 
 class TestThreadedMode:
     def test_trains_and_checks_divergence(self):
-        trainer = DistributedTrainer(
-            tiny_16(),
-            make_dataset(6),
-            val_data=make_dataset(2, seed=5),
-            config=DistributedConfig(n_ranks=3, epochs=2, mode="threaded"),
-            optimizer_config=OPT,
+        engine = group_engine(
+            ThreadedBackend, make_dataset(6), 3, 2, validate=True, val_data=make_dataset(2, seed=5)
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert len(hist.train_loss) == 2
-        assert trainer.group_stats["max_param_divergence"] <= 1e-5
-        assert trainer.final_model is not None
+        assert engine.group_stats["max_param_divergence"] <= 1e-5
+        assert engine.final_model is not None
 
     def test_threaded_matches_stepped(self):
         """The two execution modes are numerically equivalent."""
         data = make_dataset(6, seed=3)
-        kwargs = dict(optimizer_config=OPT)
-        stepped = DistributedTrainer(
-            tiny_16(),
-            data,
-            config=DistributedConfig(n_ranks=3, epochs=2, mode="stepped", validate=False, seed=1),
-            **kwargs,
-        )
-        threaded = DistributedTrainer(
-            tiny_16(),
-            data,
-            config=DistributedConfig(n_ranks=3, epochs=2, mode="threaded", validate=False, seed=1),
-            **kwargs,
-        )
+        stepped = group_engine(SteppedBackend, data, 3, 2, seed=1)
+        threaded = group_engine(ThreadedBackend, data, 3, 2, seed=1)
         h1 = stepped.run()
         h2 = threaded.run()
         np.testing.assert_allclose(h1.train_loss, h2.train_loss, rtol=1e-5, atol=1e-6)
@@ -166,14 +119,13 @@ class TestBatchSizeEffect:
         data = make_dataset(32, seed=2)
 
         def loss_after(n_ranks):
-            trainer = DistributedTrainer(
+            backend = SteppedBackend(
                 tiny_16(),
                 data,
-                config=DistributedConfig(
-                    n_ranks=n_ranks, epochs=4, mode="stepped", validate=False, seed=0
-                ),
                 optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=1000),
+                n_ranks=n_ranks,
             )
-            return trainer.run().train_loss[-1]
+            engine = TrainingEngine(backend, EngineConfig(epochs=4, validate=False))
+            return engine.run().train_loss[-1]
 
         assert loss_after(2) < loss_after(16)

@@ -2,22 +2,22 @@
 
 The contract under test:
 
-* faults disabled → bitwise identical to the pre-existing threaded
-  trainer (same history, same final parameters);
+* faults disabled → bitwise identical to the threaded backend (same
+  history, same final parameters);
 * a rank crash at a fixed step → training completes over the survivors
   with the gradient average renormalized, final loss close to the
   fault-free run;
 * quorum loss → restart from the last crash-safe checkpoint with the
   full rank count, consumed fault events not re-firing;
-* injected I/O and comm faults never crash the trainer.
+* injected I/O and comm faults never crash the run.
 """
 
 import numpy as np
 import pytest
 
 from repro.comm.errors import QuorumLostError
-from repro.core.distributed import DistributedConfig, DistributedTrainer
-from repro.core.elastic import ElasticConfig, ElasticTrainer
+from repro.core.elastic import ElasticConfig
+from repro.core.engine import ElasticBackend, EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -35,17 +35,15 @@ OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 FAST = ElasticConfig(timeout_s=10.0)
 
 
+def group_engine(backend_cls, data, n_ranks, epochs, **kwargs):
+    backend = backend_cls(tiny_16(), data, optimizer_config=OPT, n_ranks=n_ranks, **kwargs)
+    return TrainingEngine(backend, EngineConfig(epochs=epochs, validate=False))
+
+
 def run_threaded_reference(n_ranks=3, epochs=3, n=9):
-    trainer = DistributedTrainer(
-        tiny_16(),
-        make_dataset(n),
-        config=DistributedConfig(
-            n_ranks=n_ranks, epochs=epochs, mode="threaded", validate=False
-        ),
-        optimizer_config=OPT,
-    )
-    hist = trainer.run()
-    return hist, trainer.final_model.get_flat_parameters()
+    engine = group_engine(ThreadedBackend, make_dataset(n), n_ranks, epochs)
+    hist = engine.run()
+    return hist, engine.final_model.get_flat_parameters()
 
 
 def eval_loss(model, n=12, seed=1):
@@ -82,115 +80,103 @@ class TestConfig:
 class TestBitwiseIdentity:
     def test_fault_free_matches_threaded_exactly(self):
         ref_hist, ref_params = run_threaded_reference()
-        trainer = ElasticTrainer(
-            tiny_16(),
+        engine = group_engine(
+            ElasticBackend,
             make_dataset(9),
-            config=DistributedConfig(
-                n_ranks=3, epochs=3, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
+            3,
+            3,
             elastic=FAST,
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert hist.train_loss == ref_hist.train_loss  # bitwise, not approx
         assert hist.lr == ref_hist.lr
         np.testing.assert_array_equal(
-            trainer.final_model.get_flat_parameters(), ref_params
+            engine.final_model.get_flat_parameters(), ref_params
         )
-        assert trainer.group_stats["restarts"] == 0
-        assert trainer.group_stats["failed_ranks"] == []
+        assert engine.group_stats["restarts"] == 0
+        assert engine.group_stats["failed_ranks"] == []
 
     def test_mode_elastic_on_plain_trainer(self):
-        """DistributedConfig(mode="elastic") works without the subclass."""
+        """No policy, no injector: both default to the fault-free ones."""
         ref_hist, ref_params = run_threaded_reference()
-        trainer = DistributedTrainer(
-            tiny_16(),
+        engine = group_engine(
+            ElasticBackend,
             make_dataset(9),
-            config=DistributedConfig(
-                n_ranks=3, epochs=3, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
+            3,
+            3,
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert hist.train_loss == ref_hist.train_loss
         np.testing.assert_array_equal(
-            trainer.final_model.get_flat_parameters(), ref_params
+            engine.final_model.get_flat_parameters(), ref_params
         )
 
 
 class TestCrashSurvival:
     def test_rank_crash_completes_over_survivors(self):
         epochs, n_ranks, n = 6, 4, 16
-        ref_trainer = DistributedTrainer(
-            tiny_16(),
+        ref_engine = group_engine(
+            ThreadedBackend,
             make_dataset(n),
-            config=DistributedConfig(
-                n_ranks=n_ranks, epochs=epochs, mode="threaded", validate=False
-            ),
-            optimizer_config=OPT,
+            n_ranks,
+            epochs,
         )
-        ref_trainer.run()
-        ref_loss = eval_loss(ref_trainer.final_model)
+        ref_engine.run()
+        ref_loss = eval_loss(ref_engine.final_model)
         # Crash rank 3 at a fixed late step (epoch 4 of 6): survivors
         # finish the remaining ~5 epochs-worth of steps without it.
         plan = FaultPlan(
             seed=42,
             events=[FaultEvent(FaultKind.RANK_CRASH, rank=3, step=19)],
         )
-        trainer = ElasticTrainer(
-            tiny_16(),
+        engine = group_engine(
+            ElasticBackend,
             make_dataset(n),
-            config=DistributedConfig(
-                n_ranks=n_ranks, epochs=epochs, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
+            n_ranks,
+            epochs,
             elastic=FAST,
             injector=FaultInjector(plan),
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert len(hist.train_loss) == epochs  # all epochs completed
-        stats = trainer.group_stats
+        stats = engine.group_stats
         assert stats["failed_ranks"] == [3]
         assert stats["survivors"] == [0, 1, 2]
         assert stats["faults_injected"] == {"rank_crash": 1}
         # Acceptance criterion: held-out loss within 10% of fault-free.
-        assert eval_loss(trainer.final_model) == pytest.approx(ref_loss, rel=0.10)
+        assert eval_loss(engine.final_model) == pytest.approx(ref_loss, rel=0.10)
 
     def test_rank0_crash_still_returns_model(self):
         plan = FaultPlan(events=[FaultEvent(FaultKind.RANK_CRASH, rank=0, step=2)])
-        trainer = ElasticTrainer(
-            tiny_16(),
+        engine = group_engine(
+            ElasticBackend,
             make_dataset(9),
-            config=DistributedConfig(
-                n_ranks=3, epochs=2, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
+            3,
+            2,
             elastic=FAST,
             injector=FaultInjector(plan),
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert len(hist.train_loss) == 2
-        assert trainer.final_model is not None
-        assert trainer.group_stats["survivors"] == [1, 2]
+        assert engine.final_model is not None
+        assert engine.group_stats["survivors"] == [1, 2]
 
     def test_straggler_rank_is_evicted(self):
         plan = FaultPlan(
             events=[FaultEvent(FaultKind.RANK_HANG, rank=1, step=3, delay_s=2.0)]
         )
-        trainer = ElasticTrainer(
-            tiny_16(),
+        engine = group_engine(
+            ElasticBackend,
             make_dataset(9),
-            config=DistributedConfig(
-                n_ranks=3, epochs=2, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
+            3,
+            2,
             elastic=ElasticConfig(timeout_s=0.3),
             injector=FaultInjector(plan),
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert len(hist.train_loss) == 2
-        assert trainer.group_stats["evicted_ranks"] == [1]
-        assert trainer.group_stats["survivors"] == [0, 2]
+        assert engine.group_stats["evicted_ranks"] == [1]
+        assert engine.group_stats["survivors"] == [0, 2]
 
     def test_message_corruption_recovered_bitwise(self):
         ref_hist, ref_params = run_threaded_reference()
@@ -199,23 +185,21 @@ class TestCrashSurvival:
         plan = FaultPlan(
             events=[FaultEvent(FaultKind.MESSAGE_CORRUPT, rank=1, step=5)]
         )
-        trainer = ElasticTrainer(
-            tiny_16(),
+        engine = group_engine(
+            ElasticBackend,
             make_dataset(9),
-            config=DistributedConfig(
-                n_ranks=3, epochs=3, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
+            3,
+            3,
             elastic=FAST,
             injector=FaultInjector(plan),
         )
-        hist = trainer.run()
+        hist = engine.run()
         # Retransmission makes corruption invisible to the numerics.
         assert hist.train_loss == ref_hist.train_loss
         np.testing.assert_array_equal(
-            trainer.final_model.get_flat_parameters(), ref_params
+            engine.final_model.get_flat_parameters(), ref_params
         )
-        assert trainer.group_stats["retransmits"] == 1
+        assert engine.group_stats["retransmits"] == 1
 
 
 class TestQuorumRestart:
@@ -224,13 +208,11 @@ class TestQuorumRestart:
         plan = FaultPlan(
             events=[FaultEvent(FaultKind.RANK_CRASH, rank=1, step=4)]
         )
-        trainer = ElasticTrainer(
-            tiny_16(),
+        engine = group_engine(
+            ElasticBackend,
             make_dataset(9),
-            config=DistributedConfig(
-                n_ranks=3, epochs=3, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
+            3,
+            3,
             elastic=ElasticConfig(
                 timeout_s=10.0,
                 quorum=3,
@@ -240,8 +222,8 @@ class TestQuorumRestart:
             ),
             injector=FaultInjector(plan),
         )
-        hist = trainer.run()
-        stats = trainer.group_stats
+        hist = engine.run()
+        stats = engine.group_stats
         assert stats["restarts"] == 1
         # The crash fired in epoch 1 (step 4 of 3-step epochs); the
         # restart resumed from the epoch-1 checkpoint and re-ran the
@@ -256,18 +238,16 @@ class TestQuorumRestart:
         plan = FaultPlan(
             events=[FaultEvent(FaultKind.RANK_CRASH, rank=0, step=1)]
         )
-        trainer = ElasticTrainer(
-            tiny_16(),
+        engine = group_engine(
+            ElasticBackend,
             make_dataset(9),
-            config=DistributedConfig(
-                n_ranks=3, epochs=2, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
+            3,
+            2,
             elastic=ElasticConfig(timeout_s=10.0, quorum=3),  # no checkpoint_dir
             injector=FaultInjector(plan),
         )
         with pytest.raises(QuorumLostError):
-            trainer.run()
+            engine.run()
 
     def test_restart_resume_matches_uninterrupted_determinism(self, tmp_path):
         """Burned-in RNG streams: a resumed run and a straight run end
@@ -279,22 +259,20 @@ class TestQuorumRestart:
         plan = FaultPlan(
             events=[FaultEvent(FaultKind.RANK_CRASH, rank=1, step=9)]
         )
-        trainer = ElasticTrainer(
-            tiny_16(),
+        engine = group_engine(
+            ElasticBackend,
             make_dataset(8),
-            config=DistributedConfig(
-                n_ranks=2, epochs=4, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
+            2,
+            4,
             elastic=ElasticConfig(
                 timeout_s=10.0, quorum=2, checkpoint_dir=str(tmp_path)
             ),
             injector=FaultInjector(plan),
         )
-        hist = trainer.run()
-        assert trainer.group_stats["restarts"] == 1
+        hist = engine.run()
+        assert engine.group_stats["restarts"] == 1
         np.testing.assert_array_equal(
-            trainer.final_model.get_flat_parameters(), ref_params
+            engine.final_model.get_flat_parameters(), ref_params
         )
         # Full-span history: the checkpointed pre-crash epochs plus the
         # resumed epochs reproduce the uninterrupted reference bitwise.
@@ -321,16 +299,14 @@ class TestShortEpochStream:
         """A shard shortened by skip-and-count must not kill the rank
         with StopIteration — the epoch stream is recycled instead."""
         epochs, n_ranks = 2, 2
-        trainer = ElasticTrainer(
-            tiny_16(),
+        engine = group_engine(
+            ElasticBackend,
             ShortEpochData(make_dataset(8).x, make_dataset(8).y),
-            config=DistributedConfig(
-                n_ranks=n_ranks, epochs=epochs, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
+            n_ranks,
+            epochs,
             elastic=FAST,
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert len(hist.train_loss) == epochs
-        assert trainer.group_stats["failed_ranks"] == []
-        assert trainer.group_stats["survivors"] == list(range(n_ranks))
+        assert engine.group_stats["failed_ranks"] == []
+        assert engine.group_stats["survivors"] == list(range(n_ranks))

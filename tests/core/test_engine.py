@@ -202,18 +202,6 @@ class TestDivergenceThreshold:
         hist = self._run(magnitude=1e-2, threshold=1.0)
         assert len(hist.train_loss) == 1
 
-    def test_threshold_reaches_engine_from_distributed_config(self):
-        from repro.core.distributed import DistributedConfig, DistributedTrainer
-
-        trainer = DistributedTrainer(
-            tiny_16(),
-            make_dataset(6),
-            config=DistributedConfig(n_ranks=2, divergence_threshold=0.25),
-        )
-        assert trainer.engine_config().divergence_threshold == 0.25
-        with pytest.raises(ValueError):
-            DistributedConfig(n_ranks=2, divergence_threshold=-1.0)
-
 
 class TestEngineMechanics:
     def test_step_loop_has_no_mode_branches(self):
@@ -273,3 +261,44 @@ class TestEngineMechanics:
         train_io_calls = 3 + 1  # 3 batches + exhausted-stream probe
         val_io_calls = 3 + 1
         assert rc.timer.stages["io"].count == train_io_calls + val_io_calls
+
+
+class TestFrontDoor:
+    """``TrainingEngine`` over a backend is the only way to start a run."""
+
+    REMOVED = (
+        "Trainer",
+        "TrainerConfig",
+        "DistributedTrainer",
+        "DistributedConfig",
+        "ElasticTrainer",
+        "run_elastic",
+    )
+
+    def test_distributed_module_is_gone(self):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.distributed")
+
+    def test_removed_names_are_not_exported(self):
+        import repro
+        import repro.core
+
+        for package in (repro, repro.core):
+            assert not set(self.REMOVED) & set(package.__all__)
+            for name in self.REMOVED:
+                assert not hasattr(package, name)
+
+    def test_throughput_counts_every_simulated_rank(self):
+        backend = SteppedBackend(tiny_16(), make_dataset(6), optimizer_config=OPT, n_ranks=3)
+        eng = TrainingEngine(backend, config=EngineConfig(epochs=2, validate=False))
+        assert eng.throughput() == {
+            "samples_per_sec": 0.0, "flops_per_sec": 0.0, "step_time": 0.0
+        }
+        hist = eng.run()
+        tp = eng.throughput()
+        assert tp["samples_per_sec"] == pytest.approx(6 * 2 / sum(hist.epoch_time))
+        assert tp["flops_per_sec"] == pytest.approx(
+            tp["samples_per_sec"] * eng.final_model.flops_per_sample()
+        )

@@ -1,20 +1,21 @@
-"""Cross-mode and before/after-refactor bitwise equivalence.
+"""The determinism contract, stated once, and the golden fixtures.
 
 Two guarantees, both *bitwise* (``np.array_equal`` / ``==`` on float
 lists, never ``approx``):
 
-1. **Cross-mode** — through the new engine, local (k=1), stepped,
-   threaded, and fault-free elastic execution produce identical final
-   parameters and train-loss curves at a fixed seed.  Every backend
-   draws per-rank batches from ``default_rng([seed, rank])`` and
-   reduces in rank order, so the execution mechanism must not leak into
-   the numerics.
+1. **Cross-mode** — local (k=1), stepped, threaded, fault-free
+   elastic, real-process, and ``ssgd`` / ``sagn`` at
+   ``staleness_bound=0`` produce identical final parameters, train and
+   validation curves at a fixed seed.  Every backend draws per-rank
+   batches from ``default_rng([seed, rank])`` and reduces in rank
+   order, so the execution mechanism must not leak into the numerics.
+   This matrix is the one place the equality is asserted; other files
+   test what is particular to their backend.
 
-2. **Before/after** — ``tests/golden/engine_golden.npz`` holds final
-   parameters and loss curves captured from the PRE-refactor trainers
-   (commit 20df40d, generated by
-   ``tests/golden/generate_engine_golden.py``).  The compatibility
-   shims must still reproduce those bits exactly.
+2. **Golden** — ``tests/golden/engine_golden.npz`` holds final
+   parameters and loss curves captured from the pre-engine trainers
+   (commit 20df40d; see ``tests/golden/generate_engine_golden.py``).
+   The engine must still reproduce those bits exactly.
 
 The golden fixtures are host-generated: a different BLAS/NumPy build
 may legitimately produce different bits, so the golden test skips (with
@@ -27,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.comm.stale import StalenessConfig
 from repro.core.elastic import ElasticConfig
 from repro.core.engine import (
     ElasticBackend,
@@ -38,14 +40,18 @@ from repro.core.engine import (
 )
 from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
+from repro.core.process_backend import ProcessBackend
+from repro.core.stale_backend import StaleBackend
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
-from repro.faults import FaultInjector
+from repro.utils.rng import new_rng
 
 GOLDEN = Path(__file__).parent.parent / "golden" / "engine_golden.npz"
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 EPOCHS = 3
 SEED = 0
+#: Fully synchronous staleness: wait for every rank, fold in rank order.
+SYNC = StalenessConfig(staleness_bound=0, quarantine_factor=None)
 
 
 def make_dataset(n, seed=0, size=16):
@@ -55,39 +61,29 @@ def make_dataset(n, seed=0, size=16):
     return InMemoryData(x, y)
 
 
-def make_backend(mode, n_ranks, n_samples=9, seed=SEED):
-    train = make_dataset(n_samples)
-    val = make_dataset(6, seed=7)
+def make_backend(mode, n_ranks, train=None, val=None, seed=SEED, rng=None):
+    train = train if train is not None else make_dataset(9)
+    val = val if val is not None else make_dataset(6, seed=7)
     if mode == "local":
         assert n_ranks == 1
         model = CosmoFlowModel(tiny_16(), seed=seed)
         optimizer = CosmoFlowOptimizer(model.parameter_arrays(), OPT)
-        backend = LocalBackend(model, optimizer, train, val_data=val)
-    elif mode == "stepped":
-        backend = SteppedBackend(
-            tiny_16(), train, val_data=val, optimizer_config=OPT, n_ranks=n_ranks
-        )
-    elif mode == "threaded":
-        backend = ThreadedBackend(
-            tiny_16(), train, val_data=val, optimizer_config=OPT, n_ranks=n_ranks
-        )
-    else:
-        backend = ElasticBackend(
-            tiny_16(),
-            train,
-            val_data=val,
-            optimizer_config=OPT,
-            n_ranks=n_ranks,
-            elastic=ElasticConfig(timeout_s=10.0),
-            injector=FaultInjector(),
-        )
-    return backend
+        return LocalBackend(model, optimizer, train, val_data=val, rng=rng)
+    cls, extra = {
+        "stepped": (SteppedBackend, {}),
+        "threaded": (ThreadedBackend, {}),
+        "elastic": (ElasticBackend, {"elastic": ElasticConfig(timeout_s=10.0)}),
+        "process": (ProcessBackend, {}),
+        "ssgd": (StaleBackend, {"stale_mode": "ssgd", "staleness": SYNC}),
+        "sagn": (StaleBackend, {"stale_mode": "sagn", "staleness": SYNC}),
+    }[mode]
+    return cls(tiny_16(), train, val_data=val, optimizer_config=OPT, n_ranks=n_ranks, **extra)
 
 
-def run_engine(mode, n_ranks, n_samples=9, epochs=EPOCHS, seed=SEED, metrics=None):
+def run_engine(mode, n_ranks, epochs=EPOCHS, seed=SEED, metrics=None, **backend_kwargs):
     """Train through the engine with the given backend; return
     (flat_params, train_loss, val_loss)."""
-    backend = make_backend(mode, n_ranks, n_samples=n_samples, seed=seed)
+    backend = make_backend(mode, n_ranks, seed=seed, **backend_kwargs)
     engine = TrainingEngine(
         backend, config=EngineConfig(epochs=epochs, seed=seed), metrics=metrics
     )
@@ -100,13 +96,14 @@ def run_engine(mode, n_ranks, n_samples=9, epochs=EPOCHS, seed=SEED, metrics=Non
 
 
 class TestCrossModeBitwise:
-    """Satellite: local(k=1) == stepped == threaded == elastic, bitwise."""
+    """local(k=1) == stepped == threaded == elastic == process ==
+    ssgd == sagn (bound 0), bitwise, at k = 1 and k = 3."""
 
     @pytest.fixture(scope="class")
     def reference_k1(self):
         return run_engine("local", 1)
 
-    @pytest.mark.parametrize("mode", ["stepped", "threaded", "elastic"])
+    @pytest.mark.parametrize("mode", ["stepped", "threaded", "elastic", "ssgd", "sagn"])
     def test_k1_matches_local(self, mode, reference_k1):
         ref_params, ref_train, ref_val = reference_k1
         params, train, val = run_engine(mode, 1)
@@ -118,8 +115,9 @@ class TestCrossModeBitwise:
     def reference_k3(self):
         return run_engine("stepped", 3)
 
-    @pytest.mark.parametrize("mode", ["threaded", "elastic"])
-    def test_k3_matches_stepped(self, mode, reference_k3):
+    @pytest.mark.parametrize("mode", ["threaded", "elastic", "process", "ssgd", "sagn"])
+    def test_k3_matches_stepped(self, mode, reference_k3, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
         ref_params, ref_train, ref_val = reference_k3
         params, train, val = run_engine(mode, 3)
         np.testing.assert_array_equal(params, ref_params)
@@ -186,8 +184,8 @@ class TestMetricsConsistency:
 
 
 class TestGoldenPreRefactor:
-    """Acceptance criterion: the refactor changed no numerics — the
-    shims reproduce fixtures captured from the pre-engine trainers."""
+    """The engine reproduces fixtures captured from the pre-engine
+    trainers: no refactor since has changed a bit."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -211,42 +209,22 @@ class TestGoldenPreRefactor:
 
     def test_local_trainer_matches_pre_refactor(self, golden):
         self._check_host(golden)
-        from repro.core.trainer import Trainer, TrainerConfig
-
-        model = CosmoFlowModel(tiny_16(), seed=0)
-        trainer = Trainer(
-            model,
-            make_dataset(8),
-            val_data=make_dataset(4, seed=7),
-            optimizer_config=OPT,
-            config=TrainerConfig(epochs=EPOCHS, seed=9),
+        # The pre-engine trainer shuffled from new_rng(seed), seed 9.
+        params, train_loss, val_loss = run_engine(
+            "local",
+            1,
+            train=make_dataset(8),
+            val=make_dataset(4, seed=7),
+            rng=new_rng(9),
         )
-        hist = trainer.run()
-        np.testing.assert_array_equal(
-            model.get_flat_parameters(), golden["local_params"]
-        )
-        np.testing.assert_array_equal(hist.train_loss, golden["local_train_loss"])
-        np.testing.assert_array_equal(hist.val_loss, golden["local_val_loss"])
+        np.testing.assert_array_equal(params, golden["local_params"])
+        np.testing.assert_array_equal(train_loss, golden["local_train_loss"])
+        np.testing.assert_array_equal(val_loss, golden["local_val_loss"])
 
     @pytest.mark.parametrize("mode", ["stepped", "threaded", "elastic"])
     def test_distributed_matches_pre_refactor(self, golden, mode):
         self._check_host(golden)
-        from repro.core.distributed import DistributedConfig, DistributedTrainer
-        from repro.core.elastic import ElasticTrainer
-
-        cls = ElasticTrainer if mode == "elastic" else DistributedTrainer
-        kwargs = {"elastic": ElasticConfig(timeout_s=10.0)} if mode == "elastic" else {}
-        trainer = cls(
-            tiny_16(),
-            make_dataset(9),
-            val_data=make_dataset(6, seed=7),
-            config=DistributedConfig(n_ranks=3, epochs=EPOCHS, mode=mode, seed=0),
-            optimizer_config=OPT,
-            **kwargs,
-        )
-        hist = trainer.run()
-        np.testing.assert_array_equal(
-            trainer.final_model.get_flat_parameters(), golden[f"{mode}_params"]
-        )
-        np.testing.assert_array_equal(hist.train_loss, golden[f"{mode}_train_loss"])
-        np.testing.assert_array_equal(hist.val_loss, golden[f"{mode}_val_loss"])
+        params, train_loss, val_loss = run_engine(mode, 3)
+        np.testing.assert_array_equal(params, golden[f"{mode}_params"])
+        np.testing.assert_array_equal(train_loss, golden[f"{mode}_train_loss"])
+        np.testing.assert_array_equal(val_loss, golden[f"{mode}_val_loss"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.core.engine import EngineConfig, SteppedBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.core.precision import (
@@ -258,11 +258,15 @@ class TestFp16LossAndGradients:
         assert any_nonfinite(grads)
 
 
+def stepped2(data, optimizer_config, epochs):
+    backend = SteppedBackend(tiny_16(), data, optimizer_config=optimizer_config, n_ranks=2)
+    return TrainingEngine(backend, EngineConfig(epochs=epochs))
+
+
 class TestTrainingSmoke:
     def test_fp16_training_runs_and_converges(self):
-        cfg = DistributedConfig(n_ranks=2, epochs=2, mode="stepped", seed=0)
         oc = OptimizerConfig(decay_steps=100, precision="fp16", loss_scale_init=256.0)
-        tr = DistributedTrainer(tiny_16(), make_dataset(12, seed=3), config=cfg, optimizer_config=oc)
+        tr = stepped2(make_dataset(12, seed=3), oc, epochs=2)
         hist = tr.run()
         assert all(np.isfinite(hist.train_loss))
         assert hist.train_loss[-1] < hist.train_loss[0]
@@ -271,11 +275,10 @@ class TestTrainingSmoke:
     def test_injected_overflow_skipped_and_recovered(self):
         # An absurd initial scale guarantees overflow on the first
         # step(s); dynamic backoff halves until training proceeds.
-        cfg = DistributedConfig(n_ranks=2, epochs=2, mode="stepped", seed=0)
         oc = OptimizerConfig(
             decay_steps=100, precision="fp16", loss_scale_init=float(2**24)
         )
-        tr = DistributedTrainer(tiny_16(), make_dataset(12, seed=3), config=cfg, optimizer_config=oc)
+        tr = stepped2(make_dataset(12, seed=3), oc, epochs=2)
         hist = tr.run()
         assert tr.group_stats["loss_scale_skipped_steps"] >= 1
         assert tr.group_stats["loss_scale"] < 2**24  # backed off
@@ -285,13 +288,7 @@ class TestTrainingSmoke:
         # Two identical fp32 runs through the new code paths.
         results = []
         for _ in range(2):
-            cfg = DistributedConfig(n_ranks=2, epochs=1, mode="stepped", seed=0)
-            tr = DistributedTrainer(
-                tiny_16(),
-                make_dataset(8, seed=1),
-                config=cfg,
-                optimizer_config=OptimizerConfig(decay_steps=50),
-            )
+            tr = stepped2(make_dataset(8, seed=1), OptimizerConfig(decay_steps=50), epochs=1)
             tr.run()
             results.append(tr.final_model.get_flat_parameters())
         assert np.array_equal(results[0], results[1])

@@ -15,9 +15,16 @@ import multiprocessing
 
 import numpy as np
 
-from repro.core.distributed import DistributedConfig, DistributedTrainer
-from repro.core.elastic import ElasticConfig, ElasticTrainer
+from repro.core.elastic import ElasticConfig
+from repro.core.engine import (
+    ElasticBackend,
+    EngineConfig,
+    SteppedBackend,
+    ThreadedBackend,
+    TrainingEngine,
+)
 from repro.core.optimizer import OptimizerConfig
+from repro.core.process_backend import ProcessBackend
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
 from repro.faults import FaultInjector
@@ -41,31 +48,24 @@ def assert_bitwise_equal(h1, h2, p1, p2):
     assert np.array_equal(p1, p2)
 
 
-def run_distributed(mode, n_ranks=2, epochs=2):
-    trainer = DistributedTrainer(
-        tiny_16(), make_dataset(8),
-        config=DistributedConfig(
-            n_ranks=n_ranks, epochs=epochs, mode=mode, validate=True
-        ),
-        optimizer_config=OPT,
+def run(backend_cls, n_ranks, epochs, validate, **kwargs):
+    backend = backend_cls(
+        tiny_16(), make_dataset(8), optimizer_config=OPT, n_ranks=n_ranks, **kwargs
     )
-    history = trainer.run()
-    return history, trainer.final_model.get_flat_parameters(), trainer.group_stats
+    engine = TrainingEngine(backend, EngineConfig(epochs=epochs, validate=validate))
+    history = engine.run()
+    return history, engine.final_model.get_flat_parameters(), engine.group_stats
 
 
-def run_elastic(backend, plan, elastic, epochs=3, n_ranks=4):
-    trainer = ElasticTrainer(
-        tiny_16(), make_dataset(8),
-        config=DistributedConfig(
-            n_ranks=n_ranks, epochs=epochs, mode="elastic", validate=False
-        ),
-        optimizer_config=OPT,
-        elastic=elastic,
-        injector=FaultInjector(plan),
-        backend=backend,
-    )
-    history = trainer.run()
-    return history, trainer.final_model.get_flat_parameters(), trainer.group_stats
+def run_distributed(backend_cls, n_ranks=2, epochs=2):
+    return run(backend_cls, n_ranks, epochs, validate=True)
+
+
+def run_elastic(backend_cls, plan, elastic, epochs=3, n_ranks=4):
+    # Rank threads share one injector; worker processes each build
+    # their own from the shipped plan.
+    faults = {"plan": plan} if backend_cls is ProcessBackend else {"injector": FaultInjector(plan)}
+    return run(backend_cls, n_ranks, epochs, validate=False, elastic=elastic, **faults)
 
 
 class TestDeterminismGate:
@@ -73,9 +73,9 @@ class TestDeterminismGate:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
-        h_thr, p_thr, _ = run_distributed("threaded")
-        h_step, p_step, _ = run_distributed("stepped")
-        h_proc, p_proc, stats = run_distributed("process")
+        h_thr, p_thr, _ = run_distributed(ThreadedBackend)
+        h_step, p_step, _ = run_distributed(SteppedBackend)
+        h_proc, p_proc, stats = run_distributed(ProcessBackend)
         assert_bitwise_equal(h_thr, h_proc, p_thr, p_proc)
         assert_bitwise_equal(h_step, h_proc, p_step, p_proc)
         assert stats["backend"] == "process"
@@ -95,8 +95,8 @@ class TestDeterminismGate:
             FaultEvent(kind=FaultKind.RANK_RECOVER, rank=1, step=4),
         ))
         elastic = ElasticConfig(timeout_s=15.0, quorum=2, auto_respawn=False)
-        h_thr, p_thr, s_thr = run_elastic("threaded", plan, elastic)
-        h_proc, p_proc, s_proc = run_elastic("process", plan, elastic)
+        h_thr, p_thr, s_thr = run_elastic(ElasticBackend, plan, elastic)
+        h_proc, p_proc, s_proc = run_elastic(ProcessBackend, plan, elastic)
         assert_bitwise_equal(h_thr, h_proc, p_thr, p_proc)
         # The shrink is visible in the curve, identically on both sides.
         assert h_proc.effective_batch == [4.0, 3.0, 4.0]
@@ -125,10 +125,10 @@ class TestDeterminismGate:
             )
 
         h_thr, p_thr, s_thr = run_elastic(
-            "threaded", plan, elastic(tmp_path / "ckpt-thr")
+            ElasticBackend, plan, elastic(tmp_path / "ckpt-thr")
         )
         h_proc, p_proc, s_proc = run_elastic(
-            "process", plan, elastic(tmp_path / "ckpt-proc")
+            ProcessBackend, plan, elastic(tmp_path / "ckpt-proc")
         )
         assert s_thr["restarts"] == 1
         assert s_proc["restarts"] == 1
@@ -155,7 +155,7 @@ class TestNoLeaks:
         ]
         for plan in plans:
             run_elastic(
-                "process", plan,
+                ProcessBackend, plan,
                 ElasticConfig(timeout_s=15.0, quorum=2, auto_respawn=False),
                 epochs=2,
             )

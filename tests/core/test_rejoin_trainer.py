@@ -10,13 +10,13 @@ The contract:
 * the whole fault + recovery schedule is seeded: replaying it gives a
   bitwise-identical run;
 * a rejoin-enabled run with no faults is bitwise identical to the
-  plain threaded trainer (zero-cost when unused).
+  plain threaded backend (zero-cost when unused).
 """
 
 import numpy as np
 
-from repro.core.distributed import DistributedConfig, DistributedTrainer
-from repro.core.elastic import ElasticConfig, ElasticTrainer
+from repro.core.elastic import ElasticConfig
+from repro.core.engine import ElasticBackend, EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -34,20 +34,20 @@ def make_dataset(n=16, seed=0, size=16):
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
 
-def run_elastic(plan=None, spares=0, n_ranks=4, epochs=4, n=16, metrics=None):
-    trainer = ElasticTrainer(
+def run_growback(plan=None, spares=0, n_ranks=4, epochs=4, n=16, metrics=None, timeout_s=10.0):
+    backend = ElasticBackend(
         tiny_16(),
         make_dataset(n),
-        config=DistributedConfig(
-            n_ranks=n_ranks, epochs=epochs, mode="elastic", validate=False
-        ),
         optimizer_config=OPT,
-        elastic=ElasticConfig(timeout_s=10.0, spares=spares),
+        n_ranks=n_ranks,
+        elastic=ElasticConfig(timeout_s=timeout_s, spares=spares),
         injector=FaultInjector(plan or FaultPlan()),
-        metrics=metrics,
     )
-    hist = trainer.run()
-    return trainer, hist
+    engine = TrainingEngine(
+        backend, EngineConfig(epochs=epochs, validate=False), metrics=metrics
+    )
+    hist = engine.run()
+    return engine, hist
 
 
 class TestGrowBack:
@@ -57,8 +57,8 @@ class TestGrowBack:
             events=[FaultEvent(FaultKind.RANK_CRASH, rank=1, step=5)]
         ).with_recovery(4)
         metrics = MetricsRegistry()
-        trainer, hist = run_elastic(plan, metrics=metrics)
-        stats = trainer.group_stats
+        engine, hist = run_growback(plan, metrics=metrics)
+        stats = engine.group_stats
         assert stats["failed_ranks"] == [1]
         assert stats["rejoins"] == [1]
         assert stats["survivors"] == [0, 1, 2, 3]
@@ -74,8 +74,8 @@ class TestGrowBack:
 
     def test_warm_spare_auto_replaces_crashed_rank(self):
         plan = FaultPlan(events=[FaultEvent(FaultKind.RANK_CRASH, rank=2, step=5)])
-        trainer, hist = run_elastic(plan, spares=1)
-        stats = trainer.group_stats
+        engine, hist = run_growback(plan, spares=1)
+        stats = engine.group_stats
         assert stats["rejoins"] == [2]
         assert stats["spares_used"] == 1
         assert stats["survivors"] == [0, 1, 2, 3]
@@ -91,8 +91,8 @@ class TestGrowBack:
                 FaultEvent(FaultKind.SPARE_JOIN, rank=None, step=6),
             ]
         )
-        trainer, hist = run_elastic(plan, spares=1, epochs=3)
-        stats = trainer.group_stats
+        engine, hist = run_growback(plan, spares=1, epochs=3)
+        stats = engine.group_stats
         # auto_respawn reserved the one spare for rank 3 (first death);
         # the SPARE_JOIN event then found the pool empty, so exactly one
         # rank grew back.
@@ -105,18 +105,8 @@ class TestGrowBack:
         plan = FaultPlan(
             events=[FaultEvent(FaultKind.RANK_HANG, rank=1, step=3, delay_s=2.0)]
         )
-        trainer = ElasticTrainer(
-            tiny_16(),
-            make_dataset(),
-            config=DistributedConfig(
-                n_ranks=4, epochs=3, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
-            elastic=ElasticConfig(timeout_s=0.3, spares=1),
-            injector=FaultInjector(plan),
-        )
-        hist = trainer.run()
-        stats = trainer.group_stats
+        engine, hist = run_growback(plan, spares=1, epochs=3, timeout_s=0.3)
+        stats = engine.group_stats
         assert stats["evicted_ranks"] == [1]
         assert stats["rejoins"] == [1]
         assert stats["survivors"] == [0, 1, 2, 3]
@@ -131,8 +121,8 @@ class TestRejoinDeterminism:
                 FaultEvent(FaultKind.RANK_CRASH, rank=3, step=6),
             ]
         ).with_recovery(3)
-        t1, h1 = run_elastic(plan)
-        t2, h2 = run_elastic(plan)
+        t1, h1 = run_growback(plan)
+        t2, h2 = run_growback(plan)
         assert h1.train_loss == h2.train_loss  # bitwise, not approx
         assert h1.effective_batch == h2.effective_batch
         np.testing.assert_array_equal(
@@ -143,22 +133,18 @@ class TestRejoinDeterminism:
 
     def test_no_fault_run_with_growback_enabled_is_bitwise_baseline(self):
         """Spares configured but never used: the run must be bitwise
-        identical to the plain threaded trainer."""
-        ref = DistributedTrainer(
-            tiny_16(),
-            make_dataset(),
-            config=DistributedConfig(
-                n_ranks=4, epochs=3, mode="threaded", validate=False
-            ),
-            optimizer_config=OPT,
+        identical to the plain threaded backend."""
+        ref = TrainingEngine(
+            ThreadedBackend(tiny_16(), make_dataset(), optimizer_config=OPT, n_ranks=4),
+            EngineConfig(epochs=3, validate=False),
         )
         ref_hist = ref.run()
-        trainer, hist = run_elastic(plan=None, spares=2, epochs=3)
+        engine, hist = run_growback(plan=None, spares=2, epochs=3)
         assert hist.train_loss == ref_hist.train_loss
         assert hist.lr == ref_hist.lr
         np.testing.assert_array_equal(
-            trainer.final_model.get_flat_parameters(),
+            engine.final_model.get_flat_parameters(),
             ref.final_model.get_flat_parameters(),
         )
-        assert trainer.group_stats["rejoins"] == []
-        assert trainer.group_stats["spares_used"] == 0
+        assert engine.group_stats["rejoins"] == []
+        assert engine.group_stats["spares_used"] == 0

@@ -5,9 +5,11 @@ composition with gradient compression."""
 
 import numpy as np
 
+from repro.comm.plugin import PluginConfig
 from repro.comm.stale import StalenessConfig
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.core.engine import EngineConfig, SteppedBackend, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
+from repro.core.stale_backend import StaleBackend
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
 from repro.faults.injector import FaultInjector
@@ -24,21 +26,20 @@ def make_dataset(n=16, seed=0, size=16):
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
 
-def run_trainer(mode, *, staleness=None, injector=None, epochs=2, n=16,
-                ranks=4, compression="none", validate=False):
-    trainer = DistributedTrainer(
+def run_engine(backend_cls, *, epochs=2, n=16, ranks=4, compression="none",
+               validate=False, **backend_kwargs):
+    backend = backend_cls(
         tiny_16(),
         make_dataset(n),
         val_data=make_dataset(4, seed=9) if validate else None,
-        config=DistributedConfig(
-            n_ranks=ranks, epochs=epochs, mode=mode, validate=validate,
-            staleness=staleness, compression=compression,
-        ),
         optimizer_config=OPT,
-        injector=injector,
+        n_ranks=ranks,
+        plugin_config=PluginConfig(compression=compression),
+        **backend_kwargs,
     )
-    hist = trainer.run()
-    return trainer, hist
+    engine = TrainingEngine(backend, EngineConfig(epochs=epochs, validate=validate))
+    hist = engine.run()
+    return engine, hist
 
 
 SYNC_STALENESS = StalenessConfig(staleness_bound=0, quarantine_factor=None)
@@ -49,9 +50,11 @@ class TestSyncEquivalence:
     bitwise."""
 
     def test_bitwise_equal_to_stepped_and_threaded(self):
-        t_ssgd, h_ssgd = run_trainer("ssgd", staleness=SYNC_STALENESS, validate=True)
-        t_step, h_step = run_trainer("stepped", validate=True)
-        t_thr, h_thr = run_trainer("threaded", validate=True)
+        t_ssgd, h_ssgd = run_engine(
+            StaleBackend, stale_mode="ssgd", staleness=SYNC_STALENESS, validate=True
+        )
+        t_step, h_step = run_engine(SteppedBackend, validate=True)
+        t_thr, h_thr = run_engine(ThreadedBackend, validate=True)
         assert h_ssgd.train_loss == h_step.train_loss == h_thr.train_loss
         assert h_ssgd.val_loss == h_step.val_loss == h_thr.val_loss
         p_ssgd = t_ssgd.final_model.parameter_arrays()
@@ -61,8 +64,8 @@ class TestSyncEquivalence:
 
     def test_sagn_window_one_also_bitwise(self):
         cfg = StalenessConfig(staleness_bound=0, window=1, quarantine_factor=None)
-        t_sagn, h_sagn = run_trainer("sagn", staleness=cfg)
-        t_step, h_step = run_trainer("stepped")
+        t_sagn, h_sagn = run_engine(StaleBackend, stale_mode="sagn", staleness=cfg)
+        t_step, h_step = run_engine(SteppedBackend)
         assert h_sagn.train_loss == h_step.train_loss
         for a, b in zip(
             t_sagn.final_model.parameter_arrays(),
@@ -71,12 +74,11 @@ class TestSyncEquivalence:
             assert np.array_equal(a, b)
 
     def test_default_staleness_config_attached(self):
-        cfg = DistributedConfig(n_ranks=2, mode="ssgd")
-        assert isinstance(cfg.staleness, StalenessConfig)
-        assert DistributedConfig(n_ranks=2, mode="stepped").staleness is None
+        backend = StaleBackend(tiny_16(), make_dataset(4))
+        assert isinstance(backend.staleness, StalenessConfig)
 
     def test_group_stats_published(self):
-        t, _ = run_trainer("ssgd", staleness=SYNC_STALENESS)
+        t, _ = run_engine(StaleBackend, stale_mode="ssgd", staleness=SYNC_STALENESS)
         gs = t.group_stats
         assert gs["mode"] == "ssgd"
         assert gs["max_staleness"] == 0
@@ -93,8 +95,10 @@ class TestStragglerRuns:
     def test_bound_respected_and_late_folds_recorded(self):
         cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5,
                               quarantine_factor=None)
-        t, hist = run_trainer("ssgd", staleness=cfg, epochs=3,
-                              injector=self.straggler_injector())
+        t, hist = run_engine(
+            StaleBackend, stale_mode="ssgd", staleness=cfg, epochs=3,
+            injector=self.straggler_injector(),
+        )
         gs = t.group_stats
         assert 0 < gs["max_staleness"] <= 4
         assert gs["late_folds"] > 0
@@ -105,8 +109,10 @@ class TestStragglerRuns:
     def test_seeded_stale_run_replays_bitwise(self):
         def once():
             cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5)
-            t, hist = run_trainer("ssgd", staleness=cfg, epochs=2,
-                                  injector=self.straggler_injector())
+            t, hist = run_engine(
+                StaleBackend, stale_mode="ssgd", staleness=cfg, epochs=2,
+                injector=self.straggler_injector(),
+            )
             return hist, t.final_model.parameter_arrays(), t.group_stats
 
         h1, p1, s1 = once()
@@ -120,8 +126,10 @@ class TestStragglerRuns:
         # Rank 1 is ~10x slow for the first 10 global steps, then
         # recovers: the monitor must quarantine it and readmit it.
         cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5)
-        t, _ = run_trainer("ssgd", staleness=cfg, epochs=10,
-                           injector=self.straggler_injector(steps=10))
+        t, _ = run_engine(
+            StaleBackend, stale_mode="ssgd", staleness=cfg, epochs=10,
+            injector=self.straggler_injector(steps=10),
+        )
         gs = t.group_stats
         assert gs["quarantined_ranks"] == [1]
         assert gs["rehabilitated_ranks"] == [1]
@@ -133,8 +141,10 @@ class TestStragglerRuns:
         cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5,
                               evict_after=4)
         # Slow for the whole run: quarantine escalates to eviction.
-        t, hist = run_trainer("ssgd", staleness=cfg, epochs=10,
-                              injector=self.straggler_injector(steps=100))
+        t, hist = run_engine(
+            StaleBackend, stale_mode="ssgd", staleness=cfg, epochs=10,
+            injector=self.straggler_injector(steps=100),
+        )
         gs = t.group_stats
         assert gs["evicted_ranks"] == [1]
         assert gs["evictions"] == 1
@@ -143,8 +153,10 @@ class TestStragglerRuns:
     def test_sagn_straggler_run(self):
         cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5,
                               window=2, quarantine_factor=None)
-        t, hist = run_trainer("sagn", staleness=cfg, epochs=3,
-                              injector=self.straggler_injector())
+        t, hist = run_engine(
+            StaleBackend, stale_mode="sagn", staleness=cfg, epochs=3,
+            injector=self.straggler_injector(),
+        )
         gs = t.group_stats
         assert gs["mode"] == "sagn"
         assert gs["max_staleness"] <= 4
@@ -153,9 +165,11 @@ class TestStragglerRuns:
 
 class TestCompression:
     def test_topk_ssgd_bound0_matches_stepped_topk(self):
-        t_ssgd, h_ssgd = run_trainer("ssgd", staleness=SYNC_STALENESS,
-                                     compression="topk")
-        t_step, h_step = run_trainer("stepped", compression="topk")
+        t_ssgd, h_ssgd = run_engine(
+            StaleBackend, stale_mode="ssgd", staleness=SYNC_STALENESS,
+            compression="topk",
+        )
+        t_step, h_step = run_engine(SteppedBackend, compression="topk")
         assert h_ssgd.train_loss == h_step.train_loss
         for a, b in zip(
             t_ssgd.final_model.parameter_arrays(),
@@ -164,5 +178,7 @@ class TestCompression:
             assert np.array_equal(a, b)
 
     def test_compression_stats_reported(self):
-        t, _ = run_trainer("ssgd", staleness=SYNC_STALENESS, compression="fp16")
+        t, _ = run_engine(
+            StaleBackend, stale_mode="ssgd", staleness=SYNC_STALENESS, compression="fp16"
+        )
         assert t.group_stats.get("compression") == "fp16"

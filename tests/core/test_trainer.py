@@ -1,14 +1,18 @@
-"""Tests for the single-process trainer."""
+"""Tests for in-memory data, augmentation, and single-process training
+through ``TrainingEngine(LocalBackend)``."""
 
 import numpy as np
 import pytest
 
 from repro.comm.plugin import MLPlugin
 from repro.comm.serial import SerialCommunicator
+from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.core.topology import tiny_16
-from repro.core.trainer import InMemoryData, Trainer, TrainerConfig, random_cube_symmetry
+from repro.core.trainer import InMemoryData, random_cube_symmetry
+from repro.utils.rng import new_rng
+from repro.utils.timer import StageTimer
 
 
 def make_dataset(n=8, seed=0, size=16):
@@ -16,6 +20,16 @@ def make_dataset(n=8, seed=0, size=16):
     x = rng.standard_normal((n, 1, size, size, size)).astype(np.float32)
     y = rng.uniform(0.2, 0.8, size=(n, 3)).astype(np.float32)
     return InMemoryData(x, y)
+
+
+def local_engine(model, data, config, opt=None, **backend_kwargs):
+    """Single-process engine; ``opt=None`` decays over the whole run."""
+    opt = opt or OptimizerConfig(decay_steps=max(1, config.epochs * len(data)))
+    optimizer = CosmoFlowOptimizer(model.parameter_arrays(), opt)
+    backend = LocalBackend(
+        model, optimizer, data, rng=new_rng(config.seed), **backend_kwargs
+    )
+    return TrainingEngine(backend, config)
 
 
 class TestInMemoryData:
@@ -128,54 +142,58 @@ class TestAugmentation:
 class TestTrainer:
     def test_loss_decreases(self):
         model = CosmoFlowModel(tiny_16(), seed=0)
-        trainer = Trainer(
+        engine = local_engine(
             model,
             make_dataset(8),
-            optimizer_config=OptimizerConfig(eta0=5e-3, decay_steps=100),
-            config=TrainerConfig(epochs=6, validate=False),
+            EngineConfig(epochs=6, validate=False),
+            opt=OptimizerConfig(eta0=5e-3, decay_steps=100),
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert len(hist.train_loss) == 6
         assert hist.train_loss[-1] < hist.train_loss[0]
 
     def test_validation_tracked(self):
         model = CosmoFlowModel(tiny_16(), seed=0)
-        trainer = Trainer(
+        engine = local_engine(
             model,
             make_dataset(6),
+            EngineConfig(epochs=2),
             val_data=make_dataset(4, seed=9),
-            config=TrainerConfig(epochs=2),
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert len(hist.val_loss) == 2
         assert all(np.isfinite(v) for v in hist.val_loss)
 
     def test_no_val_data_gives_nan(self):
         model = CosmoFlowModel(tiny_16(), seed=0)
-        trainer = Trainer(model, make_dataset(4), config=TrainerConfig(epochs=1))
-        hist = trainer.run()
+        engine = local_engine(model, make_dataset(4), EngineConfig(epochs=1))
+        hist = engine.run()
         assert np.isnan(hist.val_loss[0])
 
     def test_validate_without_data_raises(self):
         model = CosmoFlowModel(tiny_16(), seed=0)
-        trainer = Trainer(model, make_dataset(4), config=TrainerConfig(epochs=1))
+        engine = local_engine(model, make_dataset(4), EngineConfig(epochs=1))
+        rc = engine.backend.context(engine, engine.build_callbacks())
         with pytest.raises(RuntimeError):
-            trainer.validate()
+            engine.validate(rc)
 
     def test_stage_timer_populated(self):
         model = CosmoFlowModel(tiny_16(), seed=0)
-        trainer = Trainer(model, make_dataset(4), config=TrainerConfig(epochs=1, validate=False))
-        trainer.run()
-        assert "compute" in trainer.timer.stages
-        assert "optimizer" in trainer.timer.stages
-        assert trainer.timer.stages["compute"].total > 0
+        timer = StageTimer()
+        engine = local_engine(
+            model, make_dataset(4), EngineConfig(epochs=1, validate=False), timer=timer
+        )
+        engine.run()
+        assert "compute" in timer.stages
+        assert "optimizer" in timer.stages
+        assert timer.stages["compute"].total > 0
 
     def test_throughput(self):
         model = CosmoFlowModel(tiny_16(), seed=0)
-        trainer = Trainer(model, make_dataset(4), config=TrainerConfig(epochs=1, validate=False))
-        assert trainer.throughput()["samples_per_sec"] == 0.0
-        trainer.run()
-        tp = trainer.throughput()
+        engine = local_engine(model, make_dataset(4), EngineConfig(epochs=1, validate=False))
+        assert engine.throughput()["samples_per_sec"] == 0.0
+        engine.run()
+        tp = engine.throughput()
         assert tp["samples_per_sec"] > 0
         assert tp["flops_per_sec"] == pytest.approx(
             tp["samples_per_sec"] * model.flops_per_sample()
@@ -184,17 +202,19 @@ class TestTrainer:
     def test_with_single_rank_plugin(self):
         """Paper-style: plugin enabled even on a single node."""
         model = CosmoFlowModel(tiny_16(), seed=0)
-        plugin = MLPlugin(SerialCommunicator())
-        trainer = Trainer(
+        plugin = MLPlugin(SerialCommunicator()).init()
+        timer = StageTimer()
+        engine = local_engine(
             model,
             make_dataset(4),
+            EngineConfig(epochs=2),
             val_data=make_dataset(2, seed=5),
-            config=TrainerConfig(epochs=2),
-            plugin=plugin,
+            aggregator=plugin,
+            timer=timer,
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert plugin.stats.calls == 8  # 4 samples x 2 epochs, batch 1
-        assert "comm" in trainer.timer.stages
+        assert "comm" in timer.stages
         assert len(hist.train_loss) == 2
 
     def test_plugin_does_not_change_numerics(self):
@@ -202,41 +222,33 @@ class TestTrainer:
         a = CosmoFlowModel(tiny_16(), seed=0)
         b = CosmoFlowModel(tiny_16(), seed=0)
         data = make_dataset(4)
-        cfg = TrainerConfig(epochs=2, validate=False, seed=11)
-        Trainer(a, data, config=cfg, optimizer_config=OptimizerConfig()).run()
-        Trainer(
+        cfg = EngineConfig(epochs=2, validate=False, seed=11)
+        local_engine(a, data, cfg, opt=OptimizerConfig()).run()
+        local_engine(
             b,
             data,
-            config=cfg,
-            optimizer_config=OptimizerConfig(),
-            plugin=MLPlugin(SerialCommunicator()),
+            cfg,
+            opt=OptimizerConfig(),
+            aggregator=MLPlugin(SerialCommunicator()).init(),
         ).run()
         np.testing.assert_allclose(
             a.get_flat_parameters(), b.get_flat_parameters(), rtol=1e-6, atol=1e-7
         )
 
-    def test_optimizer_and_config_conflict(self):
-        model = CosmoFlowModel(tiny_16(), seed=0)
-        from repro.core.optimizer import CosmoFlowOptimizer
-
-        opt = CosmoFlowOptimizer(model.parameter_arrays())
-        with pytest.raises(ValueError):
-            Trainer(model, make_dataset(4), optimizer=opt, optimizer_config=OptimizerConfig())
-
     def test_history_lr_recorded(self):
         model = CosmoFlowModel(tiny_16(), seed=0)
-        trainer = Trainer(
+        engine = local_engine(
             model,
             make_dataset(4),
-            optimizer_config=OptimizerConfig(decay_steps=8),
-            config=TrainerConfig(epochs=2, validate=False),
+            EngineConfig(epochs=2, validate=False),
+            opt=OptimizerConfig(decay_steps=8),
         )
-        hist = trainer.run()
+        hist = engine.run()
         assert hist.lr[0] == pytest.approx(2e-3)
         assert hist.lr[1] < hist.lr[0]
 
     def test_history_as_dict(self):
         model = CosmoFlowModel(tiny_16(), seed=0)
-        trainer = Trainer(model, make_dataset(4), config=TrainerConfig(epochs=1, validate=False))
-        d = trainer.run().as_dict()
+        engine = local_engine(model, make_dataset(4), EngineConfig(epochs=1, validate=False))
+        d = engine.run().as_dict()
         assert set(d) == {"train_loss", "val_loss", "epoch_time", "lr", "effective_batch"}

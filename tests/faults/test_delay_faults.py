@@ -3,16 +3,20 @@
 ``RANK_HANG`` behavior across the threaded-elastic and process
 backends."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.core.distributed import DistributedConfig
-from repro.core.elastic import ElasticConfig, ElasticTrainer
+from repro.core.elastic import ElasticConfig
+from repro.core.engine import ElasticBackend, EngineConfig, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
+from repro.core.process_backend import ProcessBackend
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from tests.conftest import join_rank_threads
 
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
@@ -22,6 +26,20 @@ def make_dataset(n=8, seed=0, size=16):
     x = rng.standard_normal((n, 1, size, size, size)).astype(np.float32)
     y = rng.uniform(0.2, 0.8, size=(n, 3)).astype(np.float32)
     return InMemoryData(x, y)
+
+
+def run_two_ranks(backend_cls=ElasticBackend, elastic=None, **faults):
+    backend = backend_cls(
+        tiny_16(),
+        make_dataset(8),
+        optimizer_config=OPT,
+        n_ranks=2,
+        elastic=elastic or ElasticConfig(timeout_s=10.0),
+        **faults,
+    )
+    engine = TrainingEngine(backend, EngineConfig(epochs=2, validate=False))
+    hist = engine.run()
+    return engine, hist
 
 
 class TestWithSlowRank:
@@ -107,25 +125,11 @@ class TestThreadedElasticDelays:
     the rank sleeps, nothing else changes — numerics stay bitwise
     identical to the fault-free run."""
 
-    def run(self, injector=None, elastic=None):
-        trainer = ElasticTrainer(
-            tiny_16(),
-            make_dataset(8),
-            config=DistributedConfig(
-                n_ranks=2, epochs=2, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
-            elastic=elastic or ElasticConfig(timeout_s=10.0),
-            injector=injector,
-        )
-        hist = trainer.run()
-        return trainer, hist
-
     def test_small_delay_is_numerically_invisible(self):
-        t_ref, h_ref = self.run()
+        t_ref, h_ref = run_two_ranks()
         plan = FaultPlan(seed=1).with_slow_rank(1, 0.02, n_steps=3)
         inj = FaultInjector(plan)
-        t_slow, h_slow = self.run(injector=inj)
+        t_slow, h_slow = run_two_ranks(injector=inj)
         assert inj.fired[FaultKind.RANK_HANG] == 3
         assert h_slow.train_loss == h_ref.train_loss
         assert np.array_equal(
@@ -136,10 +140,26 @@ class TestThreadedElasticDelays:
 
     def test_persistent_slow_rank_evicted_on_timeout(self):
         plan = FaultPlan(seed=1).with_slow_rank(1, 2.0, n_steps=1, start_step=2)
-        t, hist = self.run(
-            injector=FaultInjector(plan),
-            elastic=ElasticConfig(timeout_s=0.3),
-        )
+        release = threading.Event()
+
+        class ReleasableHang(FaultInjector):
+            """Stalls on an event instead of the engine's sleep, so the
+            evicted rank can be let go instead of outliving the test."""
+
+            def hang_delay(self, rank, step):
+                stall = super().hang_delay(rank, step)
+                if stall > 0:
+                    release.wait(stall)
+                return 0.0
+
+        try:
+            t, hist = run_two_ranks(
+                injector=ReleasableHang(plan),
+                elastic=ElasticConfig(timeout_s=0.3),
+            )
+        finally:
+            release.set()
+            assert join_rank_threads() == []
         assert t.group_stats["evicted_ranks"] == [1]
         assert t.group_stats["survivors"] == [0]
         assert len(hist.train_loss) == 2
@@ -149,19 +169,10 @@ class TestProcessDelays:
     def test_hang_fires_in_real_process(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
         plan = FaultPlan(seed=1).with_slow_rank(1, 0.02, n_steps=2)
-        trainer = ElasticTrainer(
-            tiny_16(),
-            make_dataset(8),
-            config=DistributedConfig(
-                n_ranks=2, epochs=2, mode="elastic", validate=False
-            ),
-            optimizer_config=OPT,
-            elastic=ElasticConfig(timeout_s=15.0),
-            injector=FaultInjector(plan),
-            backend="process",
+        engine, hist = run_two_ranks(
+            ProcessBackend, elastic=ElasticConfig(timeout_s=15.0), plan=plan
         )
-        hist = trainer.run()
-        stats = trainer.group_stats
+        stats = engine.group_stats
         assert stats["backend"] == "process"
         assert stats["faults_injected"].get("rank_hang", 0) == 2
         assert stats["evicted_ranks"] == []

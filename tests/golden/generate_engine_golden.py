@@ -1,18 +1,18 @@
-"""Generate the golden fixtures for the TrainingEngine refactor.
+"""The golden fixtures of the one training program.
 
-Run once against the PRE-refactor trainers (commit 20df40d) to freeze
-the exact numerics of every pre-existing execution mode::
+``engine_golden.npz`` was captured from the PRE-engine trainers (commit
+20df40d) to freeze the exact numerics of every execution mode that
+existed then; ``tests/core/test_engine_equivalence.py`` asserts that
+the engine still reproduces those parameters and loss curves *bitwise*
+— the proof that collapsing the training loops into one engine, and
+later removing the trainer shims in front of it, changed no numerics.
+
+The fixtures are host-generated: a machine with a different BLAS/NumPy
+build may produce different (equally valid) bits.  On such a host the
+test skips; this script re-captures the same four runs there, through
+the engine::
 
     PYTHONPATH=src python tests/golden/generate_engine_golden.py
-
-``tests/core/test_engine_equivalence.py`` then asserts that the
-post-refactor shims reproduce these parameters and loss curves
-*bitwise* — the proof that collapsing the four training loops into one
-engine changed no numerics.
-
-The fixtures are host-generated: regenerating on a machine with a
-different BLAS/NumPy build may produce different (equally valid) bits.
-Regenerate and re-verify on one machine.
 """
 
 from __future__ import annotations
@@ -21,12 +21,20 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.distributed import DistributedConfig, DistributedTrainer
-from repro.core.elastic import ElasticConfig, ElasticTrainer
+from repro.core.elastic import ElasticConfig
+from repro.core.engine import (
+    ElasticBackend,
+    EngineConfig,
+    LocalBackend,
+    SteppedBackend,
+    ThreadedBackend,
+    TrainingEngine,
+)
 from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.core.topology import tiny_16
-from repro.core.trainer import InMemoryData, Trainer, TrainerConfig
+from repro.core.trainer import InMemoryData
+from repro.utils.rng import new_rng
 
 OUT = Path(__file__).parent / "engine_golden.npz"
 
@@ -44,32 +52,31 @@ def make_dataset(n, seed=0, size=16):
 
 def run_local():
     model = CosmoFlowModel(tiny_16(), seed=0)
-    trainer = Trainer(
+    backend = LocalBackend(
         model,
+        CosmoFlowOptimizer(model.parameter_arrays(), OPT),
         make_dataset(8),
         val_data=make_dataset(4, seed=7),
-        optimizer_config=OPT,
-        config=TrainerConfig(epochs=EPOCHS, seed=9),
+        rng=new_rng(9),  # the pre-engine trainer's shuffle stream, seed 9
     )
-    hist = trainer.run()
+    hist = TrainingEngine(backend, EngineConfig(epochs=EPOCHS, seed=9)).run()
     return model.get_flat_parameters(), hist
 
 
 def run_distributed(mode):
-    cls = ElasticTrainer if mode == "elastic" else DistributedTrainer
+    cls = {"stepped": SteppedBackend, "threaded": ThreadedBackend, "elastic": ElasticBackend}[mode]
     kwargs = {"elastic": ElasticConfig(timeout_s=10.0)} if mode == "elastic" else {}
-    trainer = cls(
+    backend = cls(
         tiny_16(),
         make_dataset(9),
         val_data=make_dataset(6, seed=7),
-        config=DistributedConfig(
-            n_ranks=N_RANKS, epochs=EPOCHS, mode=mode, seed=0
-        ),
         optimizer_config=OPT,
+        n_ranks=N_RANKS,
         **kwargs,
     )
-    hist = trainer.run()
-    return trainer.final_model.get_flat_parameters(), hist
+    engine = TrainingEngine(backend, EngineConfig(epochs=EPOCHS, seed=0))
+    hist = engine.run()
+    return engine.final_model.get_flat_parameters(), hist
 
 
 def host_fingerprint():

@@ -39,6 +39,33 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["train", "--data", "x", "--mode", "horse"])
 
+    def test_mode_table_names_every_backend(self):
+        """The one place a mode is a string: seven ``train --mode``
+        values, and ``faultsim --backend`` read through the same table."""
+        from repro import cli
+        from repro.core import engine, process_backend, stale_backend
+
+        assert {mode: cli._backend_class(mode) for mode in cli._BACKENDS} == {
+            "local": engine.LocalBackend,
+            "stepped": engine.SteppedBackend,
+            "threaded": engine.ThreadedBackend,
+            "process": process_backend.ProcessBackend,
+            "elastic": engine.ElasticBackend,
+            "ssgd": stale_backend.StaleBackend,
+            "sagn": stale_backend.StaleBackend,
+        }
+        assert {
+            name: cli._backend_class(mode) for name, mode in cli._FAULTSIM_MODES.items()
+        } == {
+            "threaded": engine.ElasticBackend,
+            "process": process_backend.ProcessBackend,
+        }
+        parser = build_parser()
+        for mode in cli._BACKENDS:
+            assert parser.parse_args(["train", "--data", "x", "--mode", mode]).mode == mode
+        for name in cli._FAULTSIM_MODES:
+            assert parser.parse_args(["faultsim", "--backend", name]).backend == name
+
     @pytest.mark.parametrize(
         "argv", [["train", "--data", "x", "--conv-impl", "gemm"], ["tune", "show"]]
     )
@@ -334,6 +361,6 @@ class TestCommandsSlow:
             main(
                 [
                     "train", "--data", str(ds), "--preset", "tiny_16",
-                    "--epochs", "1", "--mode", "threaded", "--ranks", "500",
+                    "--epochs", "1", "--mode", "stepped", "--ranks", "64",
                 ]
             )

@@ -3,14 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.core.engine import (
+    EngineConfig,
+    LocalBackend,
+    SteppedBackend,
+    ThreadedBackend,
+    TrainingEngine,
+)
 from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.core.topology import ConvSpec, CosmoFlowConfig, tiny_16
-from repro.core.trainer import InMemoryData, Trainer, TrainerConfig
+from repro.core.trainer import InMemoryData
 from repro.cosmo import SimulationConfig, build_arrays
 from repro.io.dataset import RecordDataset, write_dataset
 from repro.io.pipeline import PrefetchPipeline
+from repro.utils.rng import new_rng
 
 TINY_SIM = SimulationConfig(particle_grid=16, histogram_grid=8, box_size=32.0)
 
@@ -21,6 +28,15 @@ MICRO_NET = CosmoFlowConfig(
     fc_sizes=(16,),
     n_outputs=3,
 )
+
+
+def train_local(model, data, opt_config, **config):
+    """Single-process run; shuffles from ``new_rng(seed)``, the stream
+    the thresholds below were set on."""
+    config = EngineConfig(validate=False, **config)
+    optimizer = CosmoFlowOptimizer(model.parameter_arrays(), opt_config)
+    backend = LocalBackend(model, optimizer, data, rng=new_rng(config.seed))
+    return TrainingEngine(backend, config).run()
 
 
 class TestSimulateToTraining:
@@ -35,13 +51,9 @@ class TestSimulateToTraining:
         pipe = PrefetchPipeline(dataset, n_io_threads=2, buffer_size=4)
 
         model = CosmoFlowModel(MICRO_NET, seed=0)
-        trainer = Trainer(
-            model,
-            pipe,
-            optimizer_config=OptimizerConfig(eta0=5e-3, decay_steps=200),
-            config=TrainerConfig(epochs=4, batch_size=4, validate=False),
+        hist = train_local(
+            model, pipe, OptimizerConfig(eta0=5e-3, decay_steps=200), epochs=4, batch_size=4
         )
-        hist = trainer.run()
         assert hist.train_loss[-1] < hist.train_loss[0]
 
         pred = model.predict(volumes[:4])
@@ -51,26 +63,22 @@ class TestSimulateToTraining:
     def test_distributed_training_on_simulated_data(self):
         """Algorithm 2 over threaded ranks, on real simulation output."""
         volumes, targets, _ = build_arrays(4, TINY_SIM, seed=1)
-        trainer = DistributedTrainer(
+        backend = ThreadedBackend(
             MICRO_NET,
             InMemoryData(volumes, targets),
-            config=DistributedConfig(n_ranks=4, epochs=3, mode="threaded", validate=False),
             optimizer_config=OptimizerConfig(eta0=5e-3, decay_steps=100),
+            n_ranks=4,
         )
-        hist = trainer.run()
+        engine = TrainingEngine(backend, EngineConfig(epochs=3, validate=False))
+        hist = engine.run()
         assert hist.train_loss[-1] < hist.train_loss[0]
-        assert trainer.group_stats["max_param_divergence"] <= 1e-5
+        assert engine.group_stats["max_param_divergence"] <= 1e-5
 
     def test_checkpoint_round_trip_preserves_predictions(self):
         """Flat-parameter save/restore reproduces the model exactly."""
         volumes, targets, _ = build_arrays(2, TINY_SIM, seed=2)
         model = CosmoFlowModel(MICRO_NET, seed=3)
-        Trainer(
-            model,
-            InMemoryData(volumes, targets),
-            optimizer_config=OptimizerConfig(),
-            config=TrainerConfig(epochs=1, validate=False),
-        ).run()
+        train_local(model, InMemoryData(volumes, targets), OptimizerConfig(), epochs=1)
         checkpoint = model.get_flat_parameters().copy()
         before = model.predict(volumes[:3])
 
@@ -83,14 +91,14 @@ class TestSimulateToTraining:
         """Emulating many more ranks than samples per rank stays exact:
         48 samples over 24 ranks -> 2 steps/epoch, global batch 24."""
         volumes, targets, _ = build_arrays(6, TINY_SIM, seed=4)
-        trainer = DistributedTrainer(
+        backend = SteppedBackend(
             MICRO_NET,
             InMemoryData(volumes, targets),
-            config=DistributedConfig(n_ranks=24, epochs=2, mode="stepped", validate=False),
             optimizer_config=OptimizerConfig(),
+            n_ranks=24,
         )
-        assert trainer.steps_per_epoch == 2
-        hist = trainer.run()
+        assert backend.steps_per_epoch == 2
+        hist = TrainingEngine(backend, EngineConfig(epochs=2, validate=False)).run()
         assert len(hist.train_loss) == 2
         assert all(np.isfinite(v) for v in hist.train_loss)
 
@@ -107,12 +115,13 @@ class TestScienceLoopProxy:
         science number is the slow gate's."""
         volumes, targets, _ = build_arrays(10, SimulationConfig(), seed=5)
         model = CosmoFlowModel(tiny_16(), seed=0)
-        Trainer(
+        train_local(
             model,
             InMemoryData(volumes, targets),
-            optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=8 * len(volumes)),
-            config=TrainerConfig(epochs=8, seed=1, validate=False),
-        ).run()
+            OptimizerConfig(eta0=2e-3, decay_steps=8 * len(volumes)),
+            epochs=8,
+            seed=1,
+        )
         pred = model.predict_normalized(volumes)
         corr = np.corrcoef(pred[:, 1], targets[:, 1])[0, 1]
         assert corr > 0.5, f"sigma_8 correlation on the training volumes {corr:.3f}: no fit"
@@ -137,13 +146,13 @@ class TestScienceLoop:
         corrs = []
         for model_seed in (0, 1, 2):
             model = CosmoFlowModel(tiny_16(), seed=model_seed)
-            trainer = Trainer(
+            train_local(
                 model,
                 InMemoryData(volumes[:n_tr], targets[:n_tr], augment=True),
-                optimizer_config=OptimizerConfig(eta0=2e-3, decay_steps=6 * n_tr),
-                config=TrainerConfig(epochs=6, seed=1, validate=False),
+                OptimizerConfig(eta0=2e-3, decay_steps=6 * n_tr),
+                epochs=6,
+                seed=1,
             )
-            trainer.run()
             pred = model.predict_normalized(volumes[n_tr:])
             corrs.append(np.corrcoef(pred[:, 1], targets[n_tr:, 1])[0, 1])
         print("sigma_8 correlations per model seed:", [round(float(c), 3) for c in corrs])

@@ -1,19 +1,26 @@
 """End-to-end reproducibility guarantees.
 
 Determinism is load-bearing for this library: the stepped/threaded
-trainer equivalence, checkpoint resumption, and the scientific results
+backend equivalence, checkpoint resumption, and the scientific results
 all assume that a seed pins the entire pipeline.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.distributed import DistributedConfig, DistributedTrainer
+from repro.core.engine import (
+    EngineConfig,
+    LocalBackend,
+    SteppedBackend,
+    ThreadedBackend,
+    TrainingEngine,
+)
 from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import OptimizerConfig
+from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.core.topology import ConvSpec, CosmoFlowConfig
-from repro.core.trainer import InMemoryData, Trainer, TrainerConfig
+from repro.core.trainer import InMemoryData
 from repro.cosmo import SimulationConfig, build_arrays
+from repro.utils.rng import new_rng
 
 MICRO = CosmoFlowConfig(
     name="micro4r",
@@ -30,6 +37,12 @@ def build_data(seed=0):
     return x, y
 
 
+def train_local(model, data, epochs, seed):
+    optimizer = CosmoFlowOptimizer(model.parameter_arrays(), OptimizerConfig(decay_steps=64))
+    backend = LocalBackend(model, optimizer, data, rng=new_rng(seed))
+    TrainingEngine(backend, EngineConfig(epochs=epochs, seed=seed, validate=False)).run()
+
+
 class TestPipelineDeterminism:
     def test_simulation_bitwise_reproducible(self):
         a, ya = build_data(seed=3)
@@ -42,29 +55,19 @@ class TestPipelineDeterminism:
 
         def train_once():
             model = CosmoFlowModel(MICRO, seed=5)
-            Trainer(
-                model,
-                InMemoryData(x, y, augment=True),
-                optimizer_config=OptimizerConfig(decay_steps=64),
-                config=TrainerConfig(epochs=2, seed=9, validate=False),
-            ).run()
+            train_local(model, InMemoryData(x, y, augment=True), epochs=2, seed=9)
             return model.get_flat_parameters()
 
         np.testing.assert_array_equal(train_once(), train_once())
 
     def test_augmentation_seed_controls_stream(self):
-        """Different trainer seeds -> different augmented streams ->
+        """Different run seeds -> different augmented streams ->
         different final weights (the seed really threads through)."""
         x, y = build_data()
 
         def train_with(seed):
             model = CosmoFlowModel(MICRO, seed=5)
-            Trainer(
-                model,
-                InMemoryData(x, y, augment=True),
-                optimizer_config=OptimizerConfig(decay_steps=64),
-                config=TrainerConfig(epochs=1, seed=seed, validate=False),
-            ).run()
+            train_local(model, InMemoryData(x, y, augment=True), epochs=1, seed=seed)
             return model.get_flat_parameters()
 
         assert not np.array_equal(train_with(1), train_with(2))
@@ -73,21 +76,17 @@ class TestPipelineDeterminism:
         x, y = build_data(seed=1)
         data = InMemoryData(x, y)
 
-        def run(mode):
-            trainer = DistributedTrainer(
-                MICRO,
-                data,
-                config=DistributedConfig(
-                    n_ranks=4, epochs=2, mode=mode, validate=False, seed=2
-                ),
-                optimizer_config=OptimizerConfig(decay_steps=64),
+        def run(backend_cls):
+            backend = backend_cls(
+                MICRO, data, optimizer_config=OptimizerConfig(decay_steps=64), n_ranks=4
             )
-            trainer.run()
-            return trainer.final_model.get_flat_parameters()
+            engine = TrainingEngine(backend, EngineConfig(epochs=2, seed=2, validate=False))
+            engine.run()
+            return engine.final_model.get_flat_parameters()
 
-        stepped1 = run("stepped")
-        stepped2 = run("stepped")
-        threaded = run("threaded")
+        stepped1 = run(SteppedBackend)
+        stepped2 = run(SteppedBackend)
+        threaded = run(ThreadedBackend)
         np.testing.assert_array_equal(stepped1, stepped2)
         np.testing.assert_allclose(stepped1, threaded, rtol=1e-5, atol=1e-6)
 
@@ -101,12 +100,7 @@ class TestPipelineDeterminism:
 
         def train_on(xa, ya):
             model = CosmoFlowModel(MICRO, seed=0)
-            Trainer(
-                model,
-                InMemoryData(xa, ya),
-                optimizer_config=OptimizerConfig(decay_steps=64),
-                config=TrainerConfig(epochs=1, seed=3, validate=False),
-            ).run()
+            train_local(model, InMemoryData(xa, ya), epochs=1, seed=3)
             return model.get_flat_parameters()
 
         np.testing.assert_array_equal(train_on(x, y), train_on(x2, y2))

@@ -158,10 +158,11 @@ class TestPrefetchPipeline:
         assert fast < slow
 
     def test_trainer_integration(self, dataset_dir):
-        """The pipeline satisfies the trainer's dataset protocol."""
+        """The pipeline satisfies the engine's dataset protocol."""
+        from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
         from repro.core.model import CosmoFlowModel
+        from repro.core.optimizer import CosmoFlowOptimizer
         from repro.core.topology import CosmoFlowConfig, ConvSpec
-        from repro.core.trainer import Trainer, TrainerConfig
 
         _, paths, _, _ = dataset_dir
         cfg = CosmoFlowConfig(
@@ -173,8 +174,8 @@ class TestPrefetchPipeline:
         )
         model = CosmoFlowModel(cfg, seed=0)
         pipe = PrefetchPipeline(RecordDataset(paths), n_io_threads=2)
-        trainer = Trainer(model, pipe, config=TrainerConfig(epochs=2, validate=False))
-        hist = trainer.run()
+        backend = LocalBackend(model, CosmoFlowOptimizer(model.parameter_arrays()), pipe)
+        hist = TrainingEngine(backend, EngineConfig(epochs=2, validate=False)).run()
         assert len(hist.train_loss) == 2
         assert all(np.isfinite(l) for l in hist.train_loss)
 

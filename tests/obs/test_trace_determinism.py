@@ -15,8 +15,8 @@ timeouts and are legitimately timing-sensitive.
 
 import numpy as np
 
-from repro.core.distributed import DistributedConfig
-from repro.core.elastic import ElasticConfig, ElasticTrainer
+from repro.core.elastic import ElasticConfig
+from repro.core.engine import ElasticBackend, EngineConfig, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -41,11 +41,11 @@ def traced_elastic_run(ckpt_dir):
     quorum, forcing a checkpoint restart.  Returns the trace sequence."""
     plan = FaultPlan(events=[FaultEvent(FaultKind.RANK_CRASH, rank=1, step=4)])
     tracer = Tracer()
-    trainer = ElasticTrainer(
+    backend = ElasticBackend(
         tiny_16(),
         make_dataset(9),
-        config=DistributedConfig(n_ranks=3, epochs=3, mode="elastic", validate=False),
         optimizer_config=OPT,
+        n_ranks=3,
         elastic=ElasticConfig(
             timeout_s=10.0,
             quorum=3,
@@ -54,10 +54,10 @@ def traced_elastic_run(ckpt_dir):
             max_restarts=2,
         ),
         injector=FaultInjector(plan),
-        tracer=tracer,
     )
-    trainer.run()
-    assert trainer.group_stats["restarts"] == 1
+    engine = TrainingEngine(backend, EngineConfig(epochs=3, validate=False), tracer=tracer)
+    engine.run()
+    assert engine.group_stats["restarts"] == 1
     return tracer.sequence()
 
 

@@ -80,11 +80,3 @@ class TestCallSitesAgree:
         for a, b, original in zip(plugin_out, hvd_out, grads):
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, original)  # 1-rank mean = identity
-
-    def test_distributed_unflatten_alias(self):
-        from repro.core.distributed import DistributedTrainer
-
-        arrays = _tensors()
-        out = DistributedTrainer._unflatten(flatten_arrays(arrays), arrays)
-        for got, want in zip(out, arrays):
-            np.testing.assert_array_equal(got, want)
