@@ -12,7 +12,10 @@ fed (Section IV).  Only the ``(kd, kh)`` kernel axes are unrolled into
 the reduction dimension; along W the input keeps whole contiguous rows:
 
 * *pack*: ``rows[(ic, zd, zh), (n, od, oh, :)] = x[n, ic, zd + sd*od,
-  zh + sh*oh, :]`` — ``kd*kh`` slab copies, not ``kd*kh*kw`` windows.
+  zh + sh*oh, :]`` — one gather: the right-hand side is a strided
+  window view of the padded input (:func:`_windows`, overlapping, never
+  materialised) and the operand is a single copy of it, whole W-rows
+  innermost.
 * *forward*: ``(kw*OC) x (IC*kd*kh) @ rows`` holds every W-tap's
   contribution at every row position; the output is the sum of the
   ``kw`` results read at offset ``zw`` (bias folded into the first).
@@ -30,8 +33,20 @@ Where ``IC * K^3`` is small (CosmoFlow's one-channel conv1) the W axis
 is unrolled into the reduction too — im2col: the shifts happen while
 packing, none after the GEMM.  :class:`_Plan` says on which side of the
 GEMM the W-taps go; everything else is one code path, stride and
-padding included (strided slabs and taps; pad once, crop once).
+padding included (strided windows and taps; pad once, crop once).
 Results differ from a direct convolution only by fp32 summation order.
+
+Loops that remain
+-----------------
+Packing moves data and does no arithmetic, so it has no order to keep
+and is one copy.  The Python loops left in this module each *add*, and
+the order of their adds is the bits of the result: the forward's
+``kw`` tap sums (:func:`_gemm_sum_taps`) and the backward's ``kd*kh``
+row-slab scatter-adds into the input gradient (overlapping windows
+accumulate).  Two ``kw``-long copy loops stay as well: the zero-margined
+placements of :func:`_shifted_grad` (each tap writes a different slice
+of a different plane) and the per-tap un-arranging of the weight
+gradient (as one transposing copy it measured ~5x slower).
 
 Derived once
 ------------
@@ -53,6 +68,7 @@ import math
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "conv3d_output_shape",
@@ -164,11 +180,15 @@ class _Plan(NamedTuple):
         return (ic, kd, kh, len(self.pack_taps), n, od, oh, self.row)
 
 
-def _plan(ic: int, kernel: Shape3, stride: Shape3, out_shape: Shape3) -> _Plan:
+def _plan(ic: int, kernel: Shape3, stride: Shape3, out_shape: Shape3, im2col=None) -> _Plan:
+    """The plan of one shape; ``im2col`` puts the W-taps on the packing
+    side whatever the reduction length (the quantized kernels' rows)."""
     kd, kh, kw = kernel
     sw, ow = stride[2], out_shape[2]
     shifts = tuple(slice(zw, zw + sw * (ow - 1) + 1, sw) for zw in range(kw))
-    if ic * kd * kh * kw <= _IM2COL_MAX_REDUCTION:
+    if im2col is None:
+        im2col = ic * kd * kh * kw <= _IM2COL_MAX_REDUCTION
+    if im2col:
         return _Plan(kernel, stride, out_shape, shifts, (slice(None),), ow)
     row = sw * (ow - 1) + kw
     return _Plan(kernel, stride, out_shape, (slice(0, row),), shifts, row)
@@ -194,13 +214,31 @@ class _Geometry(NamedTuple):
     plane_elems: int
 
 
+def _window_steps(plan: _Plan) -> Shape3:
+    """Element steps of :func:`_windows`' view between output planes,
+    output rows and the positions of one packed row."""
+    return plan.stride[0], plan.stride[1], plan.pack_taps[0].step or 1
+
+
 @_shape_cached
-def _geometry(n: int, ic: int, input_shape, kernel, stride, padding) -> _Geometry:
+def _geometry(n: int, ic: int, input_shape, kernel, stride, padding, im2col=None) -> _Geometry:
     kernel, stride, padding = _triple(kernel), _triple(stride), _triple(padding)
     input_shape = tuple(int(s) for s in input_shape)
     out_shape = conv3d_output_shape(input_shape, kernel, stride, padding)
-    plan = _plan(ic, kernel, stride, out_shape)
+    plan = _plan(ic, kernel, stride, out_shape, im2col)
     reduction = ic * kernel[0] * kernel[1] * len(plan.pack_taps)
+    padded = tuple(s + 2 * p for s, p in zip(input_shape, padding))
+    # _windows addresses the padded input through raw strides: the furthest
+    # element it can reach on each axis must lie inside the array.
+    taps = (kernel[0], kernel[1], len(plan.pack_taps))
+    extent = out_shape[:2] + (plan.row,)
+    reach = tuple(
+        (k - 1) + step * (size - 1) for k, step, size in zip(taps, _window_steps(plan), extent)
+    )
+    if any(r >= size for r, size in zip(reach, padded)):
+        raise ValueError(
+            f"packing windows reach index {reach} of a padded input of shape {padded}"
+        )
     crop = None
     if padding != (0, 0, 0):
         crop = (slice(None),) * 2 + tuple(slice(p, p + s) for s, p in zip(input_shape, padding))
@@ -208,26 +246,33 @@ def _geometry(n: int, ic: int, input_shape, kernel, stride, padding) -> _Geometr
         plan, padding, input_shape,
         packed_shape=plan.packed_shape(n, ic),
         reduction=reduction,
-        padded_shape=(n, ic) + tuple(s + 2 * p for s, p in zip(input_shape, padding)),
+        padded_shape=(n, ic) + padded,
         crop=crop,
         plane_elems=reduction * out_shape[1] * plan.row,
     )
 
 
+def _windows(xp: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Read-only view ``(IC, kd, kh, taps, N, OD, OH, row)`` of an already
+    padded input: element ``[ic, zd, zh, u, n, od, oh, j]`` is ``xp[n, ic,
+    zd + sd*od, zh + sh*oh, u + step*j]``.  Strides are ``xp``'s own, so a
+    slice of a larger array works; :func:`_geometry` has checked that the
+    view stays inside the array."""
+    bn, bc, bd, bh, bw = xp.strides
+    sd, sh, step = _window_steps(plan)
+    return as_strided(
+        xp,
+        plan.packed_shape(xp.shape[0], xp.shape[1]),
+        (bc, bd, bh, bw, bn, bd * sd, bh * sh, bw * step),
+        writeable=False,
+    )
+
+
 def _pack(xp: np.ndarray, plan: _Plan) -> np.ndarray:
     """Pack an already padded input into the GEMM operand
-    ``(IC, kd, kh, taps, N, OD, OH, row)``: one slab copy per ``(zd, zh)``
-    and pack-tap."""
-    kd, kh, _ = plan.kernel
-    sd, sh, _ = plan.stride
-    od, oh, _ = plan.out_shape
-    packed = np.empty(plan.packed_shape(xp.shape[0], xp.shape[1]), dtype=xp.dtype)
-    for zd in range(kd):
-        for zh in range(kh):
-            rows = xp[:, :, zd : zd + sd * od : sd, zh : zh + sh * oh : sh]
-            for u, tap in enumerate(plan.pack_taps):
-                packed[:, zd, zh, u] = rows[..., tap].transpose(1, 0, 2, 3, 4)
-    return packed
+    ``(IC, kd, kh, taps, N, OD, OH, row)``: one gather through
+    :func:`_windows` (no arithmetic, so no order to keep)."""
+    return _windows(xp, plan).copy()
 
 
 def conv3d_pack(x: np.ndarray, kernel, stride=1, padding=0) -> np.ndarray | None:
@@ -279,6 +324,7 @@ def _gemm_sum_taps(a, packed, bias, out, plan: _Plan) -> None:
         (len(plan.gemm_taps), out.shape[1]) + packed.shape[4:]
     )
     dst = out.transpose(1, 0, 2, 3, 4)
+    # A sum, so a loop: the order of these adds is the output's bits.
     first, *rest = plan.gemm_taps
     if bias is None:
         dst[...] = t[0][..., first]
@@ -369,6 +415,9 @@ def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bia
         grad_rows = (_weight_matrix(w, plan).T @ shifted).reshape(geo.packed_shape)
         grad_x = np.zeros(geo.padded_shape, dtype=grad_out.dtype)
         dst = grad_x.transpose(1, 0, 2, 3, 4)
+        # Windows overlap, so this scatter accumulates — unlike _pack's
+        # gather it cannot be one copy, and the order of its adds is the
+        # gradient's bits.
         for zd in range(kd):
             for zh in range(kh):
                 rows = dst[:, :, zd : zd + sd * od : sd, zh : zh + sh * oh : sh]

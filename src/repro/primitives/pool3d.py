@@ -49,6 +49,7 @@ def avg_pool3d_forward(x: np.ndarray, kernel, stride=None) -> np.ndarray:
         raise ValueError(f"expected NCDHW input, got shape {x.shape}")
     (kd, kh, kw), (sd, sh, sw), (od, oh, ow) = _geometry(x.shape[2:], kernel, stride)
     acc = np.zeros((x.shape[0], x.shape[1], od, oh, ow), dtype=np.float64)
+    # A float64 sum in offset order: that order is the output's bits.
     for zd in range(kd):
         for zh in range(kh):
             for zw in range(kw):
@@ -79,9 +80,21 @@ def avg_pool3d_backward(
             f"(expected {expected})"
         )
     scaled = grad_out / np.array(kd * kh * kw, dtype=grad_out.dtype)
-    grad_in = np.zeros((n, c) + tuple(input_shape), dtype=grad_out.dtype)
-    # Windows that do not overlap (CosmoFlow's kernel 2, stride 2) touch
-    # each voxel once: assign instead of read-add-write.
+    shape = (n, c) + tuple(input_shape)
+    if (sd, sh, sw) == (kd, kh, kw):
+        # Windows tile the input (CosmoFlow's only case): each voxel lies in
+        # at most one, so its gradient is a copy — repeat along W, H, D —
+        # and only an odd extent leaves a tail outside every window.
+        tiled = scaled.repeat(kw, axis=4).repeat(kh, axis=3).repeat(kd, axis=2)
+        if tiled.shape == shape:
+            return tiled
+        grad_in = np.zeros(shape, dtype=grad_out.dtype)
+        grad_in[:, :, : kd * od, : kh * oh, : kw * ow] = tiled
+        return grad_in
+    # Overlapping windows accumulate into a voxel (the order of the adds is
+    # its bits); where none can overlap an offset's pass assigns, and gaps
+    # stay zero.  One strided pass per offset either way.
+    grad_in = np.zeros(shape, dtype=grad_out.dtype)
     overlapping = sd < kd or sh < kh or sw < kw
     for zd in range(kd):
         for zh in range(kh):

@@ -34,11 +34,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.primitives.conv3d import (
+    _geometry,
     _pad_input,
-    _triple,
+    _windows,
     conv3d_backward_data,
     conv3d_backward_weights,
-    conv3d_output_shape,
 )
 from repro.primitives import registry as _registry
 
@@ -289,24 +289,13 @@ def quantized_matmul(x: np.ndarray, qw: QuantizedWeights) -> np.ndarray:
 
 
 def _im2col_rows(x: np.ndarray, kernel, stride, padding):
-    """Flattened im2col columns ``(N*OD*OH*OW, C*KD*KH*KW)``."""
-    n, c = x.shape[0], x.shape[1]
-    kd, kh, kw = kernel
-    sd, sh, sw = stride
-    od, oh, ow = conv3d_output_shape(x.shape[2:], kernel, stride, padding)
-    xp = _pad_input(x, padding)
-    cols = np.empty((n, c, kd, kh, kw, od, oh, ow), dtype=np.float32)
-    for dz in range(kd):
-        for dy in range(kh):
-            for dx in range(kw):
-                cols[:, :, dz, dy, dx] = xp[
-                    :,
-                    :,
-                    dz : dz + od * sd : sd,
-                    dy : dy + oh * sh : sh,
-                    dx : dx + ow * sw : sw,
-                ]
-    rows = cols.transpose(0, 5, 6, 7, 1, 2, 3, 4).reshape(n * od * oh * ow, -1)
+    """Flattened im2col columns ``(N*OD*OH*OW, C*KD*KH*KW)``: one gather
+    through the gemm kernels' window view, every W-tap on the packing side."""
+    # True: im2col whatever C*K^3 (a positional flag: the lookup is cached on *args).
+    geo = _geometry(x.shape[0], x.shape[1], x.shape[2:], kernel, stride, padding, True)
+    windows = _windows(_pad_input(x, geo.padding), geo.plan)  # (C, K^3, N, OD, OH, OW)
+    n, od, oh, ow = windows.shape[4:]
+    rows = windows.transpose(4, 5, 6, 7, 0, 1, 2, 3).reshape(n * od * oh * ow, -1)
     return rows, (n, od, oh, ow)
 
 
@@ -319,8 +308,6 @@ def _conv3d_forward_quantized(
 ) -> np.ndarray:
     if len(qw.shape) != 5:
         raise ValueError(f"expected 5D conv weights, got shape {qw.shape}")
-    stride = _triple(stride)
-    padding = _triple(padding)
     x = np.asarray(x, dtype=np.float32)
     rows, (n, od, oh, ow) = _im2col_rows(x, qw.shape[2:], stride, padding)
     flat = quantized_matmul(rows, qw)  # (N*OD*OH*OW, OC)

@@ -14,8 +14,8 @@ from enum import Enum
 from typing import Optional
 
 from repro.core import flops as flops_mod
-from repro.io.staging import CircuitBreaker
 from repro.perfmodel.node import NodeSpec
+from repro.utils.breaker import CircuitBreaker
 
 __all__ = ["ReplicaState", "Replica"]
 

@@ -43,6 +43,7 @@ from repro.serve.pool import ReplicaPool
 from repro.serve.replica import Replica, ReplicaState
 from repro.serve.request import InferenceRequest, Outcome
 from repro.serve.workload import payload_volume
+from repro.utils.breaker import CircuitBreaker
 from repro.utils.rng import derive_seed, new_rng
 
 __all__ = ["ServeConfig", "ServeReport", "InferenceServer"]
@@ -288,8 +289,6 @@ class InferenceServer:
         return replica_model
 
     def _new_replica(self, rid: int) -> Replica:
-        from repro.io.staging import CircuitBreaker
-
         return Replica(
             rid,
             self._replica_model(),

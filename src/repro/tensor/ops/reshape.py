@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.tensor.tensor import Tensor
@@ -24,7 +26,7 @@ def flatten(a, start_axis: int = 1) -> Tensor:
     """Flatten all axes from ``start_axis`` on (default keeps batch)."""
     a = a if isinstance(a, Tensor) else Tensor(a)
     lead = a.shape[:start_axis]
-    return reshape(a, lead + (-(-a.size // max(1, int(np.prod(lead)))),))
+    return reshape(a, lead + (-(-a.size // max(1, math.prod(lead))),))
 
 
 def transpose(a, axes=None) -> Tensor:

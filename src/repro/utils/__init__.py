@@ -1,4 +1,5 @@
-"""Shared utilities: seeded RNG helpers, stage timers, logging.
+"""Shared utilities: seeded RNG helpers, stage timers, logging,
+retry schedules, the circuit breaker.
 
 These helpers are deliberately tiny and dependency-free; every other
 subpackage may import them, and they import nothing from the rest of
@@ -9,6 +10,7 @@ from repro.utils.rng import new_rng, spawn_rngs, derive_seed
 from repro.utils.timer import StageTimer, Timer, format_duration
 from repro.utils.logging import get_logger
 from repro.utils.retry import RetryPolicy, call_with_retry
+from repro.utils.breaker import BreakerState, CircuitBreaker
 
 __all__ = [
     "new_rng",
@@ -20,4 +22,6 @@ __all__ = [
     "get_logger",
     "RetryPolicy",
     "call_with_retry",
+    "BreakerState",
+    "CircuitBreaker",
 ]

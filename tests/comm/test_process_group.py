@@ -10,6 +10,7 @@ surfacing as a determinism-gate mismatch two layers up.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -203,9 +204,11 @@ def _crash_worker(rank, world, ctrl_name, data_name, run_dir):
         )
         if rank == 1:
             os.kill(os.getpid(), signal.SIGKILL)
-        # Survivor: wait for the supervisor to notice the corpse.
-        deadline = time.monotonic() + 30
-        while 1 in comm.active_ranks and time.monotonic() < deadline:
+        # Survivor: wait for the supervisor to notice the corpse, however
+        # long rank 1 takes to start on a loaded host (no clock of its own;
+        # an orphan stops waiting).
+        parent = os.getppid()
+        while 1 in comm.active_ranks and os.getppid() == parent:
             time.sleep(0.01)
         comm.mark_done()
         sys.exit(0 if 1 not in comm.active_ranks else 9)
@@ -256,7 +259,15 @@ class TestRankSupervisor:
             p.start()
             return p
 
-        sup = RankSupervisor(layout, ctrl, spawn, timeout_s=5.0, auto_respawn=False)
+        # Exit classification is under test, not hang detection.  The
+        # supervisor times a heartbeat stall (default 4 * timeout_s = 20 s)
+        # from its own first poll, not from the worker's first beat, and the
+        # survivor never beats while it waits: on a loaded host rank 1's
+        # spawn can outlast that, rank 0 is evicted as hung, rank 1 then dies
+        # and "quorum lost: 0 survivors < quorum 1".  No stall timer here.
+        sup = RankSupervisor(
+            layout, ctrl, spawn, timeout_s=5.0, heartbeat_timeout_s=math.inf, auto_respawn=False
+        )
         try:
             sup.launch(range(world))
             deadline = time.monotonic() + 120

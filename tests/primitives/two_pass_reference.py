@@ -6,6 +6,12 @@ A self-contained copy of the parent commit's ``conv3d_backward_data`` and
 re-derives its geometry, builds its own shifted gradient and runs its own
 GEMM.  ``tests/primitives/test_conv3d_backward.py`` holds the one backward
 to these bit for bit, and to the same exception types and messages.
+
+It also keeps the data-movement loops the kernels no longer run: the
+slab-loop :func:`_pack` (``kd*kh`` copies per pack-tap) and the
+offset-loop :func:`avg_pool3d_backward` (``K^3`` strided assignments),
+which ``tests/primitives/test_single_copy.py`` holds the one-gather pack
+and the tiling pool gradient to, byte for byte.
 Nothing here is imported by ``src/``.
 """
 
@@ -255,3 +261,32 @@ def conv3d_backward_weights(
     if with_bias:
         return grad_w, grad_out.sum(axis=(0, 2, 3, 4))
     return grad_w
+
+
+def avg_pool3d_backward(
+    grad_out: np.ndarray, input_shape: Shape3, kernel, stride=None
+) -> np.ndarray:
+    """Gradient of average pooling w.r.t. its input, one strided pass per
+    kernel offset whatever the stride (assigning where windows cannot
+    overlap, accumulating where they can)."""
+    kd, kh, kw = _triple(kernel)
+    sd, sh, sw = (kd, kh, kw) if stride is None else _triple(stride)
+    n, c, od, oh, ow = grad_out.shape
+    scaled = grad_out / np.array(kd * kh * kw, dtype=grad_out.dtype)
+    grad_in = np.zeros((n, c) + tuple(input_shape), dtype=grad_out.dtype)
+    overlapping = sd < kd or sh < kh or sw < kw
+    for zd in range(kd):
+        for zh in range(kh):
+            for zw in range(kw):
+                window = grad_in[
+                    :,
+                    :,
+                    zd : zd + sd * od : sd,
+                    zh : zh + sh * oh : sh,
+                    zw : zw + sw * ow : sw,
+                ]
+                if overlapping:
+                    window += scaled
+                else:
+                    window[...] = scaled
+    return grad_in

@@ -1,0 +1,62 @@
+"""Names that left the tree stay out of it.
+
+Each row is a deletion a PR made on purpose and the directories it must
+not creep back into; a match fails here (tier-1 and CI) before it
+reaches review.  These were three ``! grep`` steps in three CI jobs.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+REMOVED = {
+    # PR 20, one front door: TrainingEngine over a backend is the only way
+    # to start a run (docs/architecture.md).
+    "trainer shims": (
+        r"DistributedTrainer|ElasticTrainer|TrainerConfig|DistributedConfig|run_elastic"
+        r"|\bTrainer\(",
+        ("src", "examples", "benchmarks"),
+    ),
+    # PR 19: the paper's histogramdd call is the specification under
+    # tests/cosmo; what runs computes each particle's cell (docs/physics.md).
+    "histogramdd call": (r"histogramdd\(", ("src",)),
+    # PR 18, one convolution family: the blocked kernels, layout tags and
+    # autotuner (docs/architecture.md).
+    "second kernel family, layout system, autotuner": (
+        r"autotune|to_layout|native_layout|ReorderCache|REPRO_AUTOTUNE|nCdhw16c",
+        ("src",),
+    ),
+}
+
+
+def source_lines(directory):
+    for path in sorted((ROOT / directory).rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            text = path.read_text(encoding="utf-8", errors="ignore")
+            for number, line in enumerate(text.splitlines(), 1):
+                yield f"{path.relative_to(ROOT)}:{number}", line
+
+
+@pytest.mark.parametrize("what", REMOVED)
+def test_removed_names_stay_removed(what):
+    pattern, directories = REMOVED[what]
+    assert all((ROOT / d).is_dir() for d in directories)
+    found = [
+        f"{where}: {line.strip()}"
+        for d in directories
+        for where, line in source_lines(d)
+        if re.search(pattern, line)
+    ]
+    assert not found, f"{what} is back:\n" + "\n".join(found)
+
+
+def test_the_scan_sees_what_grep_saw(tmp_path, monkeypatch):
+    """The scan bites: a reintroduced name in a scanned directory is found."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "shim.py").write_text("x = 1\ntrainer = Trainer(config)\n")
+    monkeypatch.setattr("tests.test_removed_names_stay_removed.ROOT", tmp_path)
+    hits = [where for where, line in source_lines("src") if re.search(r"\bTrainer\(", line)]
+    assert hits == ["src/shim.py:2"]
