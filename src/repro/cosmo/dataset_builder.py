@@ -26,12 +26,12 @@ import numpy as np
 
 from repro.core.parameters import ParameterSpace
 from repro.cosmo.histogram import particle_histogram, split_subvolumes
-from repro.cosmo.initial_conditions import gaussian_random_modes
+from repro.cosmo.initial_conditions import _random_modes
 from repro.cosmo.lpt import (
+    SpectralGrid,
+    _lpt_spectrum,
     displace_particles,
-    lpt_displacement,
     second_order_growth,
-    zeldovich_displacement,
 )
 from repro.cosmo.nbody import ColaStepper
 from repro.cosmo.power_spectrum import PowerSpectrum
@@ -110,22 +110,19 @@ def run_simulation(theta, config: SimulationConfig, seed: int = 0) -> np.ndarray
     )
     if config.redshift > 0:
         spectrum = spectrum.at_redshift(config.redshift)
-    rng = new_rng(seed)
-    delta_k = gaussian_random_modes(
-        config.particle_grid, config.box_size, spectrum, rng=rng
-    )
+    grid = SpectralGrid(config.particle_grid, config.box_size)
+    field_k = _random_modes(grid.k_mag, config.box_size, spectrum, new_rng(seed))
     if config.cola_steps > 0:
-        psi1 = zeldovich_displacement(delta_k, config.box_size)
+        psi1 = grid._gradient(field_k)
         return ColaStepper(psi1, config.box_size, n_steps=config.cola_steps).run()
 
-    d1 = 1.0  # the realized spectrum is already the z=0 (or target-z) one
-    if not config.use_2lpt:
-        psi1 = zeldovich_displacement(delta_k, config.box_size)
-        return displace_particles(psi1, config.box_size, d1)
-    # Both orders in one solve: the growth factors go in before the transform.
-    d2 = second_order_growth(d1, float(omega_m))
-    psi = lpt_displacement(delta_k, config.box_size, d1, d2)
-    return displace_particles(psi, config.box_size, 1.0)
+    # The realized spectrum is already the z=0 (or target-z) one, so D₁ = 1.
+    # 2LPT puts both orders through one solve: the growth factors go in
+    # before the transform, and δ_k is dropped once their sum exists.
+    if config.use_2lpt:
+        d2 = second_order_growth(1.0, float(omega_m))
+        field_k = _lpt_spectrum(grid, field_k, 1.0, d2)
+    return displace_particles(grid._stream_gradient(field_k), config.box_size, 1.0)
 
 
 def simulate_density(theta, config: SimulationConfig, seed: int = 0) -> np.ndarray:

@@ -23,6 +23,7 @@ from repro.utils.rng import new_rng
 
 __all__ = [
     "fourier_grid",
+    "half_spectrum",
     "real_field",
     "gaussian_random_modes",
     "gaussian_random_field",
@@ -50,20 +51,54 @@ def fourier_grid(n: int, box_size: float):
     kx = k1d[:, None, None]
     ky = k1d[None, :, None]
     kz = k1d[None, None, : n // 2 + 1]
-    k_mag = np.sqrt(kx**2 + ky**2 + kz**2)
+    k_mag = kx**2 + ky**2 + kz**2
+    np.sqrt(k_mag, out=k_mag)
     return kx, ky, kz, k_mag
+
+
+def half_spectrum(field: np.ndarray) -> np.ndarray:
+    """The half spectrum ``(n, n, n//2 + 1)`` of a real ``n³`` field.
+
+    The 1-D passes of ``numpy.fft.rfftn`` in its order — real transform
+    along the last axis, then complex ones along axes 1 and 0 — so the
+    bits are ``rfftn``'s; the complex passes overwrite their own array
+    instead of allocating one each.
+    """
+    field_k = np.fft.rfft(field, axis=2)
+    np.fft.fft(field_k, axis=1, out=field_k)
+    np.fft.fft(field_k, axis=0, out=field_k)
+    return field_k
+
+
+def _real_field_into(work_k: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`half_spectrum` into the real ``n³`` buffer ``out``.
+    Consumes ``work_k``: the complex passes of ``numpy.fft.irfftn`` (axis
+    0, then 1) run in place on it before the real one fills ``out``."""
+    np.fft.ifft(work_k, axis=0, out=work_k)
+    np.fft.ifft(work_k, axis=1, out=work_k)
+    return np.fft.irfft(work_k, n=out.shape[2], axis=2, out=out)
 
 
 def real_field(field_k: np.ndarray) -> np.ndarray:
     """The real ``n³`` field whose half spectrum ``(n, n, n//2 + 1)`` is
-    ``field_k`` (the inverse of ``numpy.fft.rfftn``; ``n`` is needed
+    ``field_k`` (the inverse of :func:`half_spectrum`; ``n`` is needed
     because the half spectrum alone does not say whether it is even)."""
     n = field_k.shape[0]
-    return np.fft.irfftn(field_k, s=(n, n, n), axes=(0, 1, 2))
+    return _real_field_into(field_k.astype(np.complex128), np.empty((n, n, n)))
+
+
+def _random_modes(k_mag: np.ndarray, box_size: float, spectrum: PowerSpectrum, rng):
+    """:func:`gaussian_random_modes` on the ``|k|`` grid of a box the
+    caller has already laid out."""
+    n = k_mag.shape[0]
+    delta_k = half_spectrum(new_rng(rng).standard_normal((n, n, n)))
+    delta_k *= np.sqrt(spectrum(k_mag) * n**3 / box_size**3)
+    delta_k[0, 0, 0] = 0.0  # zero mean: delta is a contrast field
+    return delta_k
 
 
 def gaussian_random_modes(n: int, box_size: float, spectrum: PowerSpectrum, rng=None):
-    """Realize ``δ_k`` — the half spectrum ``rfftn(δ)``, shape
+    """Realize ``δ_k`` — the half spectrum of δ, shape
     ``(n, n, n//2 + 1)`` — of a Gaussian field with ensemble spectrum
     ``spectrum``; what the LPT displacement solvers consume.
 
@@ -76,12 +111,7 @@ def gaussian_random_modes(n: int, box_size: float, spectrum: PowerSpectrum, rng=
     rng
         Seed or generator.
     """
-    rng = new_rng(rng)
-    _, _, _, k_mag = fourier_grid(n, box_size)
-    delta_k = np.fft.rfftn(rng.standard_normal((n, n, n)))
-    delta_k *= np.sqrt(spectrum(k_mag) * n**3 / box_size**3)
-    delta_k[0, 0, 0] = 0.0  # zero mean: delta is a contrast field
-    return delta_k
+    return _random_modes(fourier_grid(n, box_size)[3], box_size, spectrum, rng)
 
 
 def gaussian_random_field(n: int, box_size: float, spectrum: PowerSpectrum, rng=None):

@@ -21,9 +21,11 @@ with periodic wrapping — exactly pycola's setup.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
-from repro.cosmo.initial_conditions import fourier_grid, real_field
+from repro.cosmo.initial_conditions import _real_field_into, fourier_grid, half_spectrum
 
 __all__ = [
     "SpectralGrid",
@@ -55,11 +57,12 @@ class SpectralGrid:
     """
 
     def __init__(self, n: int, box_size: float):
-        *self.k, k_mag = fourier_grid(n, box_size)
+        *self.k, self.k_mag = fourier_grid(n, box_size)
         self.n = n
-        k2 = k_mag**2
-        # 1/k² with the k=0 mode zeroed (the mean mode carries no force)
-        self.inv_k2 = np.divide(1.0, k2, out=np.zeros_like(k2), where=k2 > 0.0)
+        # 1/k² with the k=0 mode zeroed (the mean mode carries no force):
+        # where k² is 0 the division is skipped and that 0 stays
+        k2 = self.k_mag**2
+        self.inv_k2 = np.divide(1.0, k2, out=k2, where=k2 > 0.0)
         self.k_odd = [k.copy() for k in self.k]
         if n % 2 == 0:
             for axis, k in enumerate(self.k_odd):
@@ -79,11 +82,29 @@ class SpectralGrid:
     def inverse_gradient(self, field_k: np.ndarray) -> np.ndarray:
         """``∇∇⁻² f`` as ``(3, n, n, n)``: the inverse transforms of
         ``i k_a f_k / k²`` — the displacement solving ``∇·Ψ = −f``."""
-        base = self.inv_k2 * field_k
-        psi = np.empty((3,) + (self.n,) * 3, dtype=np.float64)
-        for axis, k_axis in enumerate(self.k_odd):
-            psi[axis] = real_field(1j * k_axis * base)
+        return self._gradient(field_k.astype(np.complex128))
+
+    def _gradient(self, field_k: np.ndarray) -> np.ndarray:
+        """:meth:`inverse_gradient` of a spectrum the caller gives up."""
+        psi = np.empty((3,) + (self.n,) * 3)
+        for _ in self._stream_gradient(field_k, psi):
+            pass
         return psi
+
+    def _stream_gradient(self, field_k: np.ndarray, out: np.ndarray | None = None):
+        """The three components of :meth:`inverse_gradient`, one at a time.
+
+        Consumes ``field_k`` (scaled by ``1/k²`` in place).  Each
+        component lands in its row of ``out``; without ``out`` all three
+        share one ``n³`` buffer, so a component must be used up before
+        the next is asked for.
+        """
+        buffers = out if out is not None else [np.empty((self.n,) * 3)] * 3
+        base = np.multiply(self.inv_k2, field_k, out=field_k)
+        work = np.empty_like(base)
+        for k_axis, component in zip(self.k_odd, buffers):
+            np.multiply(1j * k_axis, base, out=work)
+            yield _real_field_into(work, component)
 
     def lpt2_source(self, delta_k: np.ndarray) -> np.ndarray:
         """``S(x) = Σ_{a<b} (φ_aa φ_bb − φ_ab²)`` from the six distinct
@@ -91,19 +112,28 @@ class SpectralGrid:
         (``φ_k = −δ_k/k²``, so ``(∂_a∂_b φ)_k = k_a k_b δ_k/k²``)."""
         n = self.n
         base = self.inv_k2 * delta_k
-        d00, d11, d22 = (real_field(k**2 * base) for k in self.k)
-        source = d00 * d11
+        work = np.empty_like(base)
+
+        def second_derivative(multiplier, out):
+            np.multiply(multiplier, base, out=work)
+            return _real_field_into(work, out)
+
+        # Three real buffers for six derivatives: ``d00 d11 + (d00 + d11) d22``
+        # is done with d11 before d22 is needed, and with d00 after it.
+        source, d00, d11 = (np.empty((n, n, n)) for _ in range(3))
+        second_derivative(self.k[0] ** 2, d00)
+        second_derivative(self.k[1] ** 2, d11)
+        np.multiply(d00, d11, out=source)
         d00 += d11
-        d00 *= d22
+        d00 *= second_derivative(self.k[2] ** 2, d11)  # d22, in d11's storage
         source += d00
-        del d00, d11, d22
         for a, b in ((0, 1), (0, 2), (1, 2)):
             mixed = self.k_odd[a] * self.k_odd[b]
             if n % 2 == 0:
                 line = [0, 0, 0]
                 line[a] = line[b] = n // 2
                 mixed[tuple(line)] = self._k_nyquist2
-            off = real_field(mixed * base)
+            off = second_derivative(mixed, d00)
             off *= off
             source -= off
         return source
@@ -115,8 +145,7 @@ def zeldovich_displacement(delta_k: np.ndarray, box_size: float) -> np.ndarray:
     Parameters
     ----------
     delta_k
-        ``rfftn(δ)`` of an ``n³`` grid: the half spectrum
-        ``(n, n, n//2 + 1)``.
+        The half spectrum ``(n, n, n//2 + 1)`` of δ on an ``n³`` grid.
     box_size
         Box side (Mpc/h).
 
@@ -139,17 +168,22 @@ def lpt2_displacement(delta_k: np.ndarray, box_size: float) -> np.ndarray:
     return lpt_displacement(delta_k, box_size, d1=0.0, d2=1.0)
 
 
+def _lpt_spectrum(grid: SpectralGrid, delta_k: np.ndarray, d1: float, d2: float):
+    """``D₁ δ_k + D₂ S_k``, a spectrum the caller owns: both LPT orders
+    apply the same linear operator, so it is applied once to this sum."""
+    total_k = half_spectrum(grid.lpt2_source(delta_k))
+    total_k *= d2
+    total_k += d1 * delta_k
+    return total_k
+
+
 def lpt_displacement(
     delta_k: np.ndarray, box_size: float, d1: float, d2: float
 ) -> np.ndarray:
-    """``D₁ Ψ⁽¹⁾ + D₂ Ψ⁽²⁾`` in one inverse transform per axis: both
-    orders apply the same linear operator, so it is applied once to
-    ``D₁ δ_k + D₂ S_k``."""
+    """``D₁ Ψ⁽¹⁾ + D₂ Ψ⁽²⁾`` as ``(3, n, n, n)``, in one inverse
+    transform per axis (see :func:`_lpt_spectrum`)."""
     grid = SpectralGrid.for_spectrum(delta_k, box_size)
-    total_k = np.fft.rfftn(grid.lpt2_source(delta_k))
-    total_k *= d2
-    total_k += d1 * delta_k
-    return grid.inverse_gradient(total_k)
+    return grid._gradient(_lpt_spectrum(grid, delta_k, d1, d2))
 
 
 def second_order_growth(d1: float, omega_m: float) -> float:
@@ -181,28 +215,40 @@ def lattice_positions(n: int, box_size: float) -> np.ndarray:
 
 
 def displace_particles(
-    psi1: np.ndarray,
+    psi1,
     box_size: float,
     d1: float,
-    psi2: np.ndarray | None = None,
+    psi2=None,
     d2: float | None = None,
 ) -> np.ndarray:
     """Apply LPT displacements to the lattice, with periodic wrapping.
 
-    ``x = q + D₁ Ψ⁽¹⁾(q) [+ D₂ Ψ⁽²⁾(q)]``.  Returns ``(n³, 3)``
+    ``x = q + D₁ Ψ⁽¹⁾(q) [+ D₂ Ψ⁽²⁾(q)]``.  ``psi1`` (and ``psi2``) is
+    any iterable of the three ``n³`` components — a ``(3, n, n, n)``
+    array, or a generator whose components reuse one buffer: each is
+    read once, before the next is asked for.  Returns ``(n³, 3)``
     positions in ``[0, box_size)``.
     """
-    n = psi1.shape[1]
-    if psi1.shape != (3, n, n, n):
-        raise ValueError(f"psi1 must be (3, n, n, n), got {psi1.shape}")
     if psi2 is not None and d2 is None:
         raise ValueError("psi2 given without its growth factor d2")
-    x = lattice_positions(n, box_size)
-    for axis in range(3):  # one n³ temporary at a time, not three (n³, 3) ones
-        disp = d1 * psi1[axis].ravel()
-        if psi2 is not None:
-            disp += d2 * psi2[axis].ravel()
-        x[:, axis] += disp
+    wrong = "displacements must be three (n, n, n) components"
+    n, done = None, 0
+    seconds = psi2 if psi2 is not None else repeat(None)
+    for first, second in zip(psi1, seconds):
+        shape = np.shape(first)
+        if n is None and len(shape) == 3:
+            n = shape[0]
+            x = lattice_positions(n, box_size)
+            disp = np.empty(n**3)  # one n³ temporary for all three axes
+        if done == 3 or shape != (n, n, n):
+            raise ValueError(wrong)
+        np.multiply(d1, np.ravel(first), out=disp)
+        if second is not None:
+            disp += d2 * np.ravel(second)
+        x[:, done] += disp
+        done += 1
+    if done != 3:
+        raise ValueError(wrong)
     return wrap_periodic(x, box_size)
 
 

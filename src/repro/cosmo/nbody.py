@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.cosmo.initial_conditions import half_spectrum
 from repro.cosmo.lpt import SpectralGrid, lattice_positions, wrap_periodic
 
 __all__ = ["ParticleMesh", "ColaStepper"]
@@ -119,7 +120,7 @@ class ParticleMesh:
         """
         if delta.shape != (self.n_grid,) * 3:
             raise ValueError(f"delta must be {(self.n_grid,) * 3}, got {delta.shape}")
-        delta_k = np.fft.rfftn(delta)
+        delta_k = half_spectrum(delta)
         if deconvolve:
             delta_k /= np.maximum(self._cic_window(), 0.15) ** deconvolve
         return self._spectral.inverse_gradient(delta_k)

@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.cosmo.initial_conditions import fourier_grid, real_field
+from repro.cosmo.initial_conditions import fourier_grid, half_spectrum, real_field
 
 __all__ = [
     "measure_power_spectrum",
@@ -63,7 +63,7 @@ def measure_power_spectrum(
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     _, _, _, k_mag = fourier_grid(n, box_size)
-    power = np.abs(np.fft.rfftn(delta)) ** 2 * box_size**3 / float(n) ** 6
+    power = np.abs(half_spectrum(delta)) ** 2 * box_size**3 / float(n) ** 6
     weights = np.broadcast_to(_mode_weights(n), power.shape).ravel()
 
     k_fund = 2.0 * np.pi / box_size
@@ -106,7 +106,7 @@ def two_point_correlation(
         raise ValueError(f"delta must be cubic, got {delta.shape}")
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    delta_k = np.fft.rfftn(delta)
+    delta_k = half_spectrum(delta)
     # correlation = IFFT of the power: <δ(x)δ(x+r)> over the periodic box
     corr = real_field(np.abs(delta_k) ** 2) / n**3
 
@@ -159,7 +159,7 @@ def equilateral_bispectrum(
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
     _, _, _, k_mag = fourier_grid(n, box_size)
-    delta_k = np.fft.rfftn(delta)
+    delta_k = half_spectrum(delta)
 
     k_fund = 2.0 * np.pi / box_size
     k_nyq = np.pi * n / box_size

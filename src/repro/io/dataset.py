@@ -82,6 +82,8 @@ class RecordDataset:
         retry: Optional[RetryPolicy] = None,
         strict: bool = True,
         staging=None,
+        *,
+        _counts: Optional[Sequence[int]] = None,
     ):
         self.paths = [Path(p) for p in paths]
         if not self.paths:
@@ -109,9 +111,13 @@ class RecordDataset:
         #: that decodes corrupt is quarantined and re-staged before the
         #: source itself is blamed.
         self.staging = staging
-        self._counts = [
-            sum(1 for _ in RecordReader(p, strict=strict)) for p in self.paths
-        ]
+        # ``_counts``: a shard is handed its parent's index instead of
+        # reading and checksumming every record a second time.
+        self._counts = (
+            [sum(1 for _ in RecordReader(p, strict=strict)) for p in self.paths]
+            if _counts is None
+            else list(_counts)
+        )
         self._lock = threading.Lock()
         self.bytes_read = 0
         #: Fault counters, reported through the pipeline's stats.
@@ -269,6 +275,7 @@ class RecordDataset:
             retry=self.retry,
             strict=self.strict,
             staging=self.staging,
+            _counts=self._counts[rank::n_ranks],
         )
 
     def to_arrays(self) -> Tuple[np.ndarray, np.ndarray]:

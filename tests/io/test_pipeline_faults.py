@@ -157,6 +157,37 @@ class TestDatasetRetry:
         assert shard.retry == ds.retry
         assert shard.strict is False
 
+    def test_shard_reuses_the_parents_index(self, tmp_path, checksummed):
+        """Sharding checksums nothing: the parent counted every record a
+        moment ago.  Lengths, skipping and strictness are what a shard
+        indexed from scratch has."""
+        paths = make_files(tmp_path)
+        FaultInjector(
+            FaultPlan(events=[FaultEvent(FaultKind.RECORD_CORRUPT, step=1)])
+        ).corrupt_record_file(paths[1])
+        ds = RecordDataset(paths, strict=False)
+        fresh = [len(RecordDataset(paths[r::2], strict=False)) for r in range(2)]
+        assert fresh == [12, 11]
+        checksummed.clear()  # the index passes above
+        shards = [ds.shard(r, 2) for r in range(2)]
+        assert checksummed == []
+        assert [len(s) for s in shards] == fresh
+        for shard, n in zip(shards, fresh):
+            assert sum(len(x) for x, _ in shard.batches(4, rng=0, shuffle=False)) == n
+        assert checksummed  # the counter counts: reading does checksum
+        assert [s.records_skipped for s in shards] == [0, 1]
+        assert ds.records_skipped == 0
+
+    def test_strict_shard_raises_at_the_read(self, tmp_path):
+        paths = make_files(tmp_path)
+        shard = RecordDataset(paths).shard(1, 2)
+        FaultInjector(
+            FaultPlan(events=[FaultEvent(FaultKind.RECORD_CORRUPT, step=0)])
+        ).corrupt_record_file(paths[1])
+        with pytest.raises(RecordCorruptError) as ei:
+            list(shard.batches(4, rng=0, shuffle=False))
+        assert ei.value.path == paths[1]
+
 
 class TestPipelineFaultPropagation:
     def test_error_surfaces_within_one_next(self, tmp_path):

@@ -2,7 +2,6 @@
 
 import mmap
 import os
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -526,17 +525,9 @@ class TestEveryByteOnce:
         tgts = rng.random((128, 3)).astype(np.float32)
         return write_dataset(tmp_path / "src", vols, tgts, samples_per_file=8), vols
 
-    def test_epoch_checksums_the_dataset_twice(self, tmp_path, shards, monkeypatch):
+    def test_epoch_checksums_the_dataset_twice(self, tmp_path, shards, checksummed):
         paths, vols = shards
         dataset_bytes = sum(p.stat().st_size for p in paths)
-        checksummed = []
-        real_crc32 = zlib.crc32
-
-        def crc32(data, *start):
-            checksummed.append(memoryview(data).nbytes)
-            return real_crc32(data, *start)
-
-        monkeypatch.setattr(zlib, "crc32", crc32)
         mgr = make_manager(tmp_path, capacity_bytes=dataset_bytes // 2)
         ds = RecordDataset(paths, staging=mgr)
         n = sum(len(x) for x, _ in ds.batches(4, rng=np.random.default_rng(0)))
