@@ -19,7 +19,7 @@ import pytest
 from benchmarks.conftest import save_report
 from repro.comm.errors import QuorumLostError
 from repro.core.elastic import ElasticConfig
-from repro.core.engine import ElasticBackend, EngineConfig, TrainingEngine
+from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -47,7 +47,7 @@ def eval_loss(model, n=12, seed=1):
 
 
 def elastic_engine(plan, ckpt_dir, spares=0):
-    backend = ElasticBackend(
+    backend = ThreadedBackend(
         tiny_16(),
         make_data(),
         optimizer_config=OPT,

@@ -16,7 +16,7 @@ import pytest
 
 from benchmarks.conftest import save_report
 from repro.comm.plugin import MLPlugin, PluginConfig
-from repro.comm.threaded import ThreadedGroup
+from repro.comm.elastic import ThreadedGroup
 from repro.perfmodel.interconnect import PAPER_COMM, aries_plugin
 
 

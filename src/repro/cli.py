@@ -78,7 +78,7 @@ _BACKENDS = {
     "stepped": ("repro.core.engine", "SteppedBackend"),
     "threaded": ("repro.core.engine", "ThreadedBackend"),
     "process": ("repro.core.process_backend", "ProcessBackend"),
-    "elastic": ("repro.core.engine", "ElasticBackend"),
+    "elastic": ("repro.core.engine", "ThreadedBackend"),
     "ssgd": ("repro.core.stale_backend", "StaleBackend"),
     "sagn": ("repro.core.stale_backend", "StaleBackend"),
 }
@@ -436,6 +436,12 @@ def cmd_train(args) -> int:
                         print(f"infeasible straggler plan: {problem}", file=sys.stderr)
                     return 2
                 extra["injector"] = FaultInjector(plan)
+            if args.mode == "elastic":
+                from repro.core.elastic import ElasticConfig
+
+                # `threaded` is the same backend under its default
+                # policy, where every rank is needed.
+                extra["elastic"] = ElasticConfig()
             if args.mode in ("ssgd", "sagn"):
                 from repro.comm.stale import StalenessConfig
 

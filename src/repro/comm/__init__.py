@@ -14,9 +14,11 @@ This subpackage reproduces that stack in-process:
   ``SteppedGroup`` of sequential rank communicators for deterministic
   simulated multi-rank execution (ranks run one after another; the
   collectives are numerically identical to a parallel run).
-* :mod:`repro.comm.threaded` — real OS threads, one per rank, with
-  barrier-synchronized collectives; NumPy releases the GIL inside BLAS
-  so compute genuinely overlaps.
+* :mod:`repro.comm.elastic` — :class:`ThreadedGroup`, real OS threads,
+  one per rank (NumPy releases the GIL inside BLAS so compute genuinely
+  overlaps), under a quorum: at ``quorum == size`` any lost rank fails
+  the run like an MPI job, below it the collectives shrink and continue
+  over the surviving ranks and grow back.
 * :mod:`repro.comm.algorithms` — allreduce algorithms on explicit
   message schedules: ring, recursive halving-doubling, and the
   centralized reduce-broadcast that gRPC's master-slave aggregation
@@ -27,26 +29,24 @@ This subpackage reproduces that stack in-process:
 * :mod:`repro.comm.grpc_baseline` — the parameter-server-style
   centralized aggregator the paper contrasts against.
 * :mod:`repro.comm.errors` — the typed :class:`CommError` hierarchy
-  (timeouts, rank failure/eviction, message corruption, quorum loss).
+  (rank failure/eviction, message corruption, quorum loss).
 * :mod:`repro.comm.stale` — :class:`StaleGroup`, the bounded-staleness
   partial collective (SSGD/SAGN): each step folds the fastest quorum's
   gradients, stragglers fold in late within a hard staleness bound,
   and a :class:`StragglerMonitor` quarantines/rehabilitates/evicts
   persistent slow ranks — all on deterministic virtual time.
-* :mod:`repro.comm.elastic` — :class:`ElasticThreadedGroup`, the
-  fault-tolerant threaded backend whose collectives shrink and continue
-  over surviving ranks.
 * :mod:`repro.comm.process` — :class:`ProcessComm` +
-  :class:`RankSupervisor`, the real-process backend: ranks as spawned
-  OS processes over crash-safe shared-memory collectives, with
+  :class:`RankSupervisor`, the same protocol for ranks as spawned OS
+  processes over crash-safe shared-memory collectives, with
   parent-side crash detection, heartbeat eviction, and guaranteed
   segment cleanup.
+* :mod:`repro.comm.admission` — the grow-back decisions both rank
+  groups share.
 """
 
 from repro.comm.communicator import Communicator, ReduceOp
 from repro.comm.errors import (
     CommError,
-    CommTimeoutError,
     MessageCorruptError,
     ProcessCrashError,
     QuorumLostError,
@@ -54,8 +54,7 @@ from repro.comm.errors import (
     RankFailedError,
 )
 from repro.comm.serial import SerialCommunicator, SteppedGroup
-from repro.comm.threaded import ThreadedGroup
-from repro.comm.elastic import ElasticComm, ElasticThreadedGroup
+from repro.comm.elastic import ElasticComm, ThreadedGroup
 from repro.comm.process import ProcessComm, RankSupervisor, sweep_stale_segments
 from repro.comm.algorithms import (
     ring_allreduce_schedule,
@@ -85,12 +84,10 @@ __all__ = [
     "SteppedGroup",
     "ThreadedGroup",
     "ElasticComm",
-    "ElasticThreadedGroup",
     "ProcessComm",
     "RankSupervisor",
     "sweep_stale_segments",
     "CommError",
-    "CommTimeoutError",
     "RankFailedError",
     "ProcessCrashError",
     "RankEvictedError",

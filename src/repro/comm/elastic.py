@@ -1,33 +1,44 @@
-"""Elastic threaded backend: collectives that survive rank loss.
+"""The thread rank group: one OS thread per rank, collectives that
+survive rank loss.
+
+``ThreadedGroup(size).run(fn)`` launches ``size`` threads, each
+executing ``fn(comm)`` with a rank-local :class:`ElasticComm`.  NumPy
+releases the GIL inside BLAS kernels, so gradient computation on
+different ranks genuinely overlaps — the in-process analogue of the
+paper's one-MPI-rank-per-node layout.
 
 The paper's training mode is *fully synchronous* (Algorithm 2): every
 rank contributes to every allreduce, so one dead or hung rank stalls
-all 8192.  :class:`ElasticThreadedGroup` is the resilient counterpart
-of :class:`~repro.comm.threaded.ThreadedGroup`:
+all 8192.  That mode is this group at ``quorum == size`` (the default):
+any rank lost fails the run, like an MPI job.  A lower quorum makes the
+same group elastic:
 
 * membership is dynamic — a rank that crashes (raises out of its rank
   body) is removed from the group, and in-flight collectives complete
   over the survivors ("shrink and continue");
-* every collective wait is bounded — a rank that fails to arrive
+* every wait is bounded — a rank that fails to arrive at a collective
   within ``timeout_s`` is **evicted** by the peers that did arrive (the
   timeout is the heartbeat: arriving at a collective is proof of life),
   and the straggler itself gets a :class:`RankEvictedError` when it
-  finally shows up;
+  finally shows up; a rank still running ``timeout_s`` after the first
+  rank returned is evicted by the launching thread, so ``run()`` never
+  waits out a stall no collective can see;
 * reductions stay deterministic — contributions are reduced in
   original-rank order through the shared
-  :func:`~repro.comm.communicator.reduce_arrays`, so a fault-free
-  elastic run is bitwise identical to the fixed-membership backends,
-  and a post-crash run is exactly the fixed-membership result over the
-  surviving rank set (``MEAN`` renormalizes by survivor count);
+  :func:`~repro.comm.communicator.reduce_arrays`, so a fault-free run
+  is bitwise identical to the sequential
+  :class:`~repro.comm.serial.SteppedGroup`, and a post-crash run is
+  exactly the fixed-membership result over the surviving rank set
+  (``MEAN`` renormalizes by survivor count);
 * contributions can be checksummed — when a
   :class:`~repro.faults.FaultInjector` with message-corruption events
   is attached, each contribution carries a CRC32; a corrupted "wire
   copy" is detected at reduce time and recovered by retransmitting the
   sender's pristine source buffer (counted in ``retransmits``);
-* a configurable **quorum** bounds degradation — when survivors fall
-  below ``quorum``, every live rank raises
-  :class:`QuorumLostError` and the elastic trainer restarts from the
-  last checkpoint instead of limping on;
+* the **quorum** bounds degradation — when survivors fall below it,
+  every live rank raises :class:`QuorumLostError` and ``run()`` raises
+  it with the first failure as ``__cause__``; the backend restarts from
+  the last checkpoint or gives up, as its policy says;
 * membership grows back — a recovered rank (or a warm spare assuming a
   dead rank's identity) is **admitted** at a generation boundary by a
   surviving rank, which donates a CRC-verified state resync payload
@@ -50,6 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.comm.admission import plan_admissions, resync_crc
 from repro.comm.communicator import Communicator, ReduceOp, reduce_arrays
 from repro.comm.errors import (
     MessageCorruptError,
@@ -57,11 +69,10 @@ from repro.comm.errors import (
     RankEvictedError,
     RankFailedError,
 )
-from repro.faults.plan import FaultKind
 from repro.obs.tracer import NULL_TRACER
 from repro.utils.logging import get_logger
 
-__all__ = ["ElasticThreadedGroup", "ElasticComm"]
+__all__ = ["ThreadedGroup", "ElasticComm"]
 
 _log = get_logger("comm.elastic")
 
@@ -75,15 +86,6 @@ class _Contribution:
         self.wire = wire
         self.crc = crc
         self.source = source
-
-
-def _resync_crc(payload: Dict[str, np.ndarray]) -> int:
-    """CRC32 over a resync payload's tensor content (keys sorted)."""
-    crc = 0
-    for key in sorted(payload):
-        arr = np.ascontiguousarray(np.asarray(payload[key]))
-        crc = zlib.crc32(arr.tobytes(), crc)
-    return crc
 
 
 class _JoinTicket:
@@ -149,8 +151,16 @@ class _ElasticState:
         #: installed by the group before run(); called with ``cond``
         #: held, must only spawn the joiner thread (never block).
         self.spawn_joiner: Optional[Callable[[int, int], None]] = None
+        #: when the first rank returned from its body; the rest then get
+        #: ``timeout_s`` to follow (see ``ThreadedGroup._join``).
+        self.returned_at: Optional[float] = None
 
     # All methods below require ``self.cond`` to be held by the caller.
+
+    def is_member_locked(self, rank: int, incarnation: int) -> bool:
+        """Whether ``rank`` is active *at this incarnation* — false for
+        a stale thread of a rank that was readmitted since."""
+        return rank in self.active and self.incarnation.get(rank, 0) == incarnation
 
     def _check_quorum_locked(self) -> None:
         if not self.quorum_lost and len(self.active) < self.quorum:
@@ -325,7 +335,7 @@ class _ElasticState:
         ):
             return False
         payload = {k: np.array(v, copy=True) for k, v in payload.items()}
-        crc = _resync_crc(payload)
+        crc = resync_crc(payload)
         nbytes = sum(int(np.asarray(v).nbytes) for v in payload.values())
         incarnation = self.incarnation.get(rank, 0) + 1
         self.incarnation[rank] = incarnation
@@ -356,7 +366,7 @@ class _ElasticState:
 
 
 class ElasticComm(Communicator):
-    """Per-rank handle to an elastic group.
+    """Per-rank handle to a :class:`ThreadedGroup`.
 
     ``rank`` and ``size`` keep their *original* values for the life of
     the group (shards and RNG streams stay stable across shrinks);
@@ -368,7 +378,7 @@ class ElasticComm(Communicator):
         self._st = state
         self._incarnation = incarnation
         # Membership of the last collective this rank completed.  Unlike
-        # a live read of ``n_active``, this is fixed at collective
+        # a live read of ``active_ranks``, this is fixed at collective
         # completion, so every participant observes the same value for
         # the same step — a concurrent admission or failure between two
         # collectives cannot leak into per-epoch accounting.
@@ -391,11 +401,6 @@ class ElasticComm(Communicator):
         with self._st.cond:
             return sorted(self._st.active)
 
-    @property
-    def n_active(self) -> int:
-        with self._st.cond:
-            return len(self._st.active)
-
     # -- grow-back protocol -------------------------------------------------
 
     @property
@@ -415,56 +420,20 @@ class ElasticComm(Communicator):
         ``events`` are the ``RANK_RECOVER``/``SPARE_JOIN`` fault events
         the caller consumed from the injector for this step; queued
         auto-respawns (spares reserved at eviction time) are drained
-        too.  ``SPARE_JOIN`` draws from the spare pool; ``RANK_RECOVER``
-        does not (the original node came back) and cancels any respawn
-        already queued for the same rank, returning its spare.
+        too (:func:`~repro.comm.admission.plan_admissions` decides).
         """
         st = self._st
         if not events and not st.respawn_queue:
             return []
-        out: List[Tuple[int, bool]] = []
         with st.cond:
             if st.quorum_lost:
                 return []
-            taken: set = set()
-
-            def usable(r: Optional[int]) -> bool:
-                return (
-                    r is not None
-                    and 0 <= r < st.size
-                    and r not in st.active
-                    and r not in st.joining
-                    and r not in taken
-                )
-
-            for ev in events:
-                if ev.kind is FaultKind.RANK_RECOVER:
-                    r = ev.rank
-                    if usable(r):
-                        out.append((r, False))
-                        taken.add(r)
-                        if r in st.respawn_queue:
-                            st.respawn_queue.remove(r)
-                            st.spares_left += 1
-                elif ev.kind is FaultKind.SPARE_JOIN:
-                    if st.spares_left <= 0:
-                        continue
-                    r = ev.rank
-                    if r is None:
-                        dead = sorted(x for x in range(st.size) if usable(x))
-                        r = dead[0] if dead else None
-                    if usable(r):
-                        st.spares_left -= 1
-                        out.append((r, True))
-                        taken.add(r)
-            while st.respawn_queue:
-                r = st.respawn_queue.pop(0)
-                if usable(r):
-                    out.append((r, True))
-                    taken.add(r)
-                else:
-                    st.spares_left += 1
-        return out
+            dead = set(range(st.size)) - st.active - set(st.joining)
+            due, st.spares_left = plan_admissions(
+                events, dead, st.spares_left, st.respawn_queue
+            )
+            st.respawn_queue.clear()
+        return due
 
     def admit(self, rank: int, payload: Dict[str, np.ndarray], spare: bool = False) -> bool:
         """Admit ``rank`` with a full state resync (see module docstring)."""
@@ -493,7 +462,7 @@ class ElasticComm(Communicator):
                 del st.joining[self._rank]
         if ticket is None or ticket.incarnation != self._incarnation:
             raise RankEvictedError(self._rank)
-        if _resync_crc(ticket.payload) != ticket.crc:
+        if resync_crc(ticket.payload) != ticket.crc:
             raise MessageCorruptError(
                 f"resync payload for rank {self._rank} failed CRC verification"
             )
@@ -516,11 +485,9 @@ class ElasticComm(Communicator):
                 raise QuorumLostError(
                     f"group below quorum {st.quorum}", survivors=sorted(st.active)
                 )
-            if st.incarnation.get(self._rank, 0) != self._incarnation:
-                # A stale thread of a readmitted rank: fence it out
-                # before it can contribute to its successor's slot.
-                raise RankEvictedError(self._rank)
-            if self._rank not in st.active:
+            if not st.is_member_locked(self._rank, self._incarnation):
+                # Evicted — or a stale thread of a readmitted rank, fenced
+                # out before it can contribute to its successor's slot.
                 raise RankEvictedError(self._rank)
             if st.pending_op is None:
                 st.pending_op = op
@@ -605,21 +572,23 @@ class ElasticComm(Communicator):
         return [payload[r] for r in sorted(payload)]
 
 
-class ElasticThreadedGroup:
-    """Run an SPMD function across ``size`` rank threads, elastically.
+class ThreadedGroup:
+    """Run an SPMD function across ``size`` rank threads.
 
-    Unlike :class:`~repro.comm.threaded.ThreadedGroup`, a rank-body
-    exception does not abort the group: the rank is marked failed, the
-    collectives shrink to the survivors, and ``run()`` returns the
-    survivors' results alongside a failure report.  Only quorum loss
-    (or every rank failing) raises.
+    ``quorum`` is how many ranks the run needs; the default is all of
+    them, so any rank that raises or stops arriving fails the run with
+    :class:`QuorumLostError` (the rank's own exception as
+    ``__cause__``).  Below that, a rank-body exception does not abort
+    the group: the rank is marked failed, the collectives shrink to the
+    survivors, and ``run()`` returns the survivors' results alongside a
+    failure report.  A group is one launch.
     """
 
     def __init__(
         self,
         size: int,
         timeout_s: float = 30.0,
-        quorum: int = 1,
+        quorum: Optional[int] = None,
         injector=None,
         join_timeout_s: Optional[float] = None,
         tracer=None,
@@ -630,6 +599,8 @@ class ElasticThreadedGroup:
             raise ValueError(f"group size must be >= 1, got {size}")
         if timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
+        if quorum is None:
+            quorum = size
         if not 1 <= quorum <= size:
             raise ValueError(f"quorum must be in [1, {size}], got {quorum}")
         if join_timeout_s is not None and join_timeout_s <= 0:
@@ -640,7 +611,6 @@ class ElasticThreadedGroup:
         self.timeout_s = timeout_s
         self.quorum = quorum
         self.join_timeout_s = join_timeout_s
-        self.spares = spares
         self._st = _ElasticState(
             size,
             timeout_s,
@@ -681,24 +651,6 @@ class ElasticThreadedGroup:
     def retransmits(self) -> int:
         return self._st.retransmits
 
-    @property
-    def rejoins(self) -> List[Tuple[int, int]]:
-        with self._st.cond:
-            return list(self._st.rejoins)
-
-    @property
-    def resyncs(self) -> int:
-        return self._st.resyncs
-
-    @property
-    def resync_bytes(self) -> int:
-        return self._st.resync_bytes
-
-    @property
-    def spares_used(self) -> int:
-        with self._st.cond:
-            return self._st.spares_total - self._st.spares_left
-
     def stats(self) -> Dict[str, Any]:
         with self._st.cond:
             return {
@@ -725,9 +677,9 @@ class ElasticThreadedGroup:
         """Execute ``fn(comm, *args)`` per rank; return per-rank results.
 
         Failed/evicted ranks yield ``None`` entries (their exceptions
-        are in :attr:`failures`).  Raises :class:`QuorumLostError` when
-        survivors fall below the quorum, or the first failure when *no*
-        rank survives.
+        are in :attr:`failures`).  Raises :class:`QuorumLostError`,
+        with the first failure as ``__cause__``, when survivors fall
+        below the quorum.
 
         ``joiner_fn(comm)`` is the body run by readmitted ranks (its
         first act should be ``comm.await_admission()`` to claim the
@@ -746,7 +698,7 @@ class ElasticThreadedGroup:
         def worker(rank: int, incarnation: int, body: Callable[[ElasticComm], Any]) -> None:
             comm = ElasticComm(rank, st, incarnation=incarnation)
             try:
-                results[rank] = body(comm)
+                out = body(comm)
             except RankEvictedError:
                 # The group already moved on without this rank; its
                 # eviction is recorded in ``evictions``.
@@ -755,38 +707,31 @@ class ElasticThreadedGroup:
                 quorum_errors.append(exc)
             except BaseException as exc:  # noqa: BLE001 - handled elastically
                 st.mark_failed(rank, exc, incarnation=incarnation)
+            else:
+                with st.cond:
+                    # A rank evicted while it was stalled outside any
+                    # collective returns to a group that reported it gone.
+                    if st.is_member_locked(rank, incarnation):
+                        results[rank] = out
+                        if st.returned_at is None:
+                            st.returned_at = time.monotonic()
 
-        def spawn_joiner(rank: int, incarnation: int) -> None:
-            # Called by admit_locked with ``st.cond`` held; appending
-            # under the lock keeps ``_join``'s snapshots consistent.
+        def spawn(rank: int, incarnation: int, body: Callable[[ElasticComm], Any]) -> None:
+            # Joiners are spawned by admit_locked with ``st.cond`` held, so
+            # ``_join``'s snapshots (taken under it) never miss one.
+            name = f"rank-{rank}.{incarnation}" if incarnation else f"rank-{rank}"
             t = threading.Thread(
-                target=worker,
-                args=(rank, incarnation, joiner_fn),
-                name=f"elastic-rank-{rank}.{incarnation}",
-                daemon=True,
+                target=worker, args=(rank, incarnation, body), name=name, daemon=True
             )
             self._live.append((rank, incarnation, t))
             t.start()
 
-        st.spawn_joiner = spawn_joiner if joiner_fn is not None else None
+        if joiner_fn is not None:
+            st.spawn_joiner = lambda rank, incarnation: spawn(rank, incarnation, joiner_fn)
         self._live = []
         for r in range(self.size):
             args = args_per_rank[r] if args_per_rank is not None else ()
-
-            def body(comm, _fn=fn, _args=args):
-                return _fn(comm, *_args)
-
-            self._live.append(
-                (
-                    r,
-                    0,
-                    threading.Thread(
-                        target=worker, args=(r, 0, body), name=f"elastic-rank-{r}", daemon=True
-                    ),
-                )
-            )
-        for _, _, t in list(self._live):
-            t.start()
+            spawn(r, 0, lambda comm, _args=args: fn(comm, *_args))
         try:
             self._join()
         finally:
@@ -796,32 +741,32 @@ class ElasticThreadedGroup:
                 st.spawn_joiner = None
         with st.cond:
             survivors = sorted(st.active)
-            failures = dict(st.failures)
+            first = next(iter(st.failures.values()), None)
             quorum_lost = st.quorum_lost
         if quorum_lost or quorum_errors:
-            first = next(iter(failures.values()), None)
             raise QuorumLostError(
                 f"training group below quorum {self.quorum} "
                 f"({len(survivors)} survivors)",
                 survivors=survivors,
             ) from first
-        if not survivors:
-            raise next(iter(failures.values()))
         return results
 
     def _join(self) -> None:
         """Join rank threads without capping healthy training time.
 
-        A thread whose rank is still *active* (at the thread's own
-        incarnation) is joined indefinitely — arriving at a collective
-        is the heartbeat, so a live rank either makes progress or is
-        evicted by its peers within ``timeout_s``.  A thread whose rank
-        has left the group (failed, evicted, or superseded by a newer
-        incarnation) or whose group lost quorum gets ``timeout_s`` to
-        unwind; after that it is abandoned as a daemon thread — its
-        rank is already out of the membership, so no result depends on
-        it.  ``join_timeout_s``, when set, caps the whole join and
-        raises :class:`RankFailedError` on expiry.
+        While every rank is a member and none has returned, the join
+        waits indefinitely — arriving at a collective is the heartbeat,
+        so a live rank either makes progress or is evicted by its peers
+        within ``timeout_s``.  A thread gets ``timeout_s`` to unwind
+        once its rank has left the group (failed, evicted, or
+        superseded by a newer incarnation), the group lost quorum, or
+        the first rank returned: an SPMD body's ranks finish together,
+        and a rank stalled where no collective can see it has no peer
+        left to evict it.  After that the thread is abandoned as a
+        daemon thread and, if its rank is still a member, the rank is
+        evicted — no result depends on it.  ``join_timeout_s``, when
+        set, caps the whole join and raises :class:`RankFailedError` on
+        expiry.
 
         The thread list is re-snapshotted every iteration: joiner
         threads spawned by admissions appear dynamically.  A joiner is
@@ -845,25 +790,30 @@ class ElasticThreadedGroup:
             if not pending:
                 break
             rank, inc, t = pending[0]
-            if hard is not None and time.monotonic() >= hard:
+            now = time.monotonic()
+            if hard is not None and now >= hard:
                 alive = sorted({r for r, _, th in pending if th.is_alive()})
                 raise RankFailedError(
                     f"rank(s) {alive} still running after "
                     f"{self.join_timeout_s}s join timeout",
                     failed_ranks=alive,
                 )
-            with st.cond:
-                inactive = (
-                    rank not in st.active
-                    or st.quorum_lost
-                    or st.incarnation.get(rank, 0) != inc
-                )
             key = (rank, inc)
-            if inactive and key not in grace:
-                grace[key] = time.monotonic() + self.timeout_s
-            if key in grace and time.monotonic() >= grace[key]:
+            if key not in grace:
+                with st.cond:
+                    if not st.is_member_locked(rank, inc) or st.quorum_lost:
+                        grace[key] = now + self.timeout_s
+                    elif st.returned_at is not None:
+                        grace[key] = st.returned_at + self.timeout_s
+            if key in grace and now >= grace[key]:
                 if t.is_alive():
                     abandoned.append(key)
+                    with st.cond:
+                        if st.is_member_locked(rank, inc):
+                            st.evict_locked(rank, self.timeout_s)
+                            if not st.quorum_lost:
+                                st.maybe_finish_locked()
+                            st.cond.notify_all()
                 done.add(key)
                 continue
             t.join(poll_s)
@@ -871,6 +821,6 @@ class ElasticThreadedGroup:
                 done.add(key)
         if abandoned:
             _log.warning(
-                "abandoned still-running thread(s) of non-member "
-                "(rank, incarnation) %s after %.1fs grace", abandoned, self.timeout_s,
+                "abandoned still-running thread(s) of (rank, incarnation) %s "
+                "after %.1fs grace", abandoned, self.timeout_s,
             )

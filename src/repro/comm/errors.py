@@ -5,8 +5,6 @@ exactly what the paper's fully synchronous design inherits and what the
 resilience layer must improve on.  These exception types let the stack
 distinguish the failure modes that need different recovery:
 
-* :class:`CommTimeoutError` — a collective did not complete in time
-  (hung peer, network partition): the detector behind eviction;
 * :class:`RankFailedError` — a peer died mid-collective (carries which
   ranks and, when known, the peer's original exception as
   ``__cause__``);
@@ -25,7 +23,6 @@ from typing import Optional, Sequence, Tuple
 
 __all__ = [
     "CommError",
-    "CommTimeoutError",
     "RankFailedError",
     "ProcessCrashError",
     "RankEvictedError",
@@ -36,14 +33,6 @@ __all__ = [
 
 class CommError(RuntimeError):
     """Base class for communicator failures."""
-
-
-class CommTimeoutError(CommError):
-    """A collective wait exceeded its timeout."""
-
-    def __init__(self, message: str, timeout_s: Optional[float] = None):
-        super().__init__(message)
-        self.timeout_s = timeout_s
 
 
 class RankFailedError(CommError):

@@ -1,6 +1,6 @@
 """Real-process rank group over crash-safe shared memory.
 
-The threaded backends prove the *semantics* of elastic synchronous
+The thread group proves the *semantics* of elastic synchronous
 SGD; this module proves them against the failure modes the paper's
 8192-node runs actually face: a rank is an **OS process** that can be
 SIGKILLed mid-step, leak its buffers, or orphan its children.  The
@@ -52,14 +52,15 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.comm.admission import plan_admissions, resync_crc
 from repro.comm.communicator import Communicator, ReduceOp, reduce_arrays
 from repro.comm.errors import (
+    MessageCorruptError,
     ProcessCrashError,
     QuorumLostError,
     RankEvictedError,
     RankFailedError,
 )
-from repro.faults.plan import FaultKind
 from repro.utils.logging import get_logger
 from repro.utils.procs import pid_alive
 
@@ -536,7 +537,7 @@ class ProcessComm(Communicator):
         Waits for every participant's ``ARRIVE`` to reach ``gen``;
         after ``timeout_s`` the missing ranks are presumed dead and
         evicted (arriving at a collective is the heartbeat, exactly as
-        in the threaded elastic group).  Returns True once the result
+        in the thread group).  Returns True once the result
         is published.
         """
         missing = [r for r in participants if self._arrive[r] != gen]
@@ -557,7 +558,7 @@ class ProcessComm(Communicator):
                     )
             return False
         # Completion below quorum is forbidden, exactly as in the
-        # threaded elastic group: without this check, a survivor could
+        # thread group: without this check, a survivor could
         # complete a collective solo in the window between the
         # supervisor marking the last corpse dead and the quorum flag
         # landing — and then train (and checkpoint!) alone past the
@@ -667,47 +668,19 @@ class ProcessComm(Communicator):
             return []
         if self.ctrl[_G_QUORUM_LOST]:
             return []
-        out: List[Tuple[int, bool]] = []
-        taken: set = set()
-
-        def usable(r: Optional[int]) -> bool:
-            return (
-                r is not None
-                and 0 <= r < self.size
-                and self._status[r] == _DEAD
-                and self._join_req[r] == 0
-                and r not in taken
-            )
-
-        for ev in events:
-            if ev.kind is FaultKind.RANK_RECOVER:
-                r = ev.rank
-                if usable(r):
-                    out.append((r, False))
-                    taken.add(r)
-                    if self._respawn[r] == 1:
-                        self._respawn[r] = 0
-                        self.ctrl[_G_SPARES_LEFT] += 1
-            elif ev.kind is FaultKind.SPARE_JOIN:
-                if self.ctrl[_G_SPARES_LEFT] <= 0:
-                    continue
-                r = ev.rank
-                if r is None:
-                    dead = sorted(x for x in range(self.size) if usable(x))
-                    r = dead[0] if dead else None
-                if usable(r):
-                    self.ctrl[_G_SPARES_LEFT] -= 1
-                    out.append((r, True))
-                    taken.add(r)
-        for r in range(self.size):
-            if self._respawn[r] == 1:
-                self._respawn[r] = 0
-                if usable(r):
-                    out.append((r, True))
-                    taken.add(r)
-                else:
-                    self.ctrl[_G_SPARES_LEFT] += 1
-        return out
+        queued = [r for r in range(self.size) if self._respawn[r] == 1]
+        for r in queued:
+            self._respawn[r] = 0
+        dead = {
+            r
+            for r in range(self.size)
+            if self._status[r] == _DEAD and self._join_req[r] == 0
+        }
+        spares = int(self.ctrl[_G_SPARES_LEFT])
+        due, spares_left = plan_admissions(events, dead, spares, queued)
+        # A delta, not a store: the supervisor reserves spares concurrently.
+        self.ctrl[_G_SPARES_LEFT] += spares_left - spares
+        return due
 
     def admit(self, rank: int, payload: Dict[str, np.ndarray], spare: bool = False) -> bool:
         """Admit a dead rank: write its CRC-stamped resync, request a
@@ -719,8 +692,6 @@ class ProcessComm(Communicator):
         killed anywhere in between leaves a dead rank dead, never a
         live rank with half a resync.
         """
-        from repro.comm.elastic import _resync_crc
-
         if (
             self.ctrl[_G_QUORUM_LOST]
             or not 0 <= rank < self.size
@@ -733,7 +704,7 @@ class ProcessComm(Communicator):
         arrays = {k: np.asarray(v) for k, v in payload.items()}
         np.savez(path, **arrays)
         nbytes = sum(int(a.nbytes) for a in arrays.values())
-        self._resync_crc[rank] = _resync_crc(arrays)
+        self._resync_crc[rank] = resync_crc(arrays)
         self._admit_gen[rank] = self._gen
         self._inc[rank] = incarnation
         self._evicted[rank] = 0
@@ -752,9 +723,6 @@ class ProcessComm(Communicator):
 
     def await_admission(self) -> Dict[str, np.ndarray]:
         """Claim this joiner's CRC-verified resync payload (joiner only)."""
-        from repro.comm.elastic import _resync_crc
-        from repro.comm.errors import MessageCorruptError
-
         if self.ctrl[_G_QUORUM_LOST]:
             raise QuorumLostError(
                 f"group below quorum {int(self.ctrl[_G_QUORUM])}",
@@ -765,7 +733,7 @@ class ProcessComm(Communicator):
         path = self.resync_path(self._rank, self._incarnation)
         with np.load(path) as data:
             payload = {k: np.array(data[k]) for k in data.files}
-        if _resync_crc(payload) != int(self._resync_crc[self._rank]):
+        if resync_crc(payload) != int(self._resync_crc[self._rank]):
             raise MessageCorruptError(
                 f"resync payload for rank {self._rank} failed CRC verification"
             )
@@ -778,7 +746,9 @@ class ProcessComm(Communicator):
 
 
 class _WorkerRecord:
-    __slots__ = ("proc", "incarnation", "last_beat", "beat_seen_at", "term_at")
+    __slots__ = (
+        "proc", "incarnation", "last_beat", "beat_seen_at", "term_at", "out_since", "reaped",
+    )
 
     def __init__(self, proc, incarnation: int):
         self.proc = proc
@@ -786,6 +756,10 @@ class _WorkerRecord:
         self.last_beat = -1
         self.beat_seen_at = time.monotonic()
         self.term_at: Optional[float] = None
+        #: when this worker was first seen running on after its peers
+        #: evicted its rank; it has ``timeout_s`` to notice and exit.
+        self.out_since: Optional[float] = None
+        self.reaped = False
 
 
 class RankSupervisor:
@@ -860,7 +834,10 @@ class RankSupervisor:
             if code is not None:
                 if (rank, w.incarnation) not in self.exit_codes:
                     self.exit_codes[(rank, w.incarnation)] = code
-                    self._classify_exit(rank, w, code)
+                    # A worker this supervisor terminated is on record
+                    # for why, not for the signal it died of.
+                    if not w.reaped:
+                        self._classify_exit(rank, w, code)
                 continue
             beat = int(self._beat[rank])
             if beat != w.last_beat:
@@ -872,6 +849,21 @@ class RankSupervisor:
                 and now - w.beat_seen_at > self.heartbeat_timeout_s
             ):
                 self._evict_hung(rank, w, now)
+            if w.term_at is None and (
+                self._status[rank] == _DEAD or self._inc[rank] != w.incarnation
+            ):
+                # Evicted by its peers and still running: a stall no
+                # heartbeat check above looks at any more.
+                if w.out_since is None:
+                    w.out_since = now
+                elif now - w.out_since > self.timeout_s:
+                    _log.warning(
+                        "rank %d still running %.1fs after its eviction; SIGTERM",
+                        rank, now - w.out_since,
+                    )
+                    w.proc.terminate()
+                    w.term_at = now
+                    w.reaped = True
             if w.term_at is not None and now - w.term_at > self.term_grace_s:
                 _log.warning("rank %d ignored SIGTERM; escalating to SIGKILL", rank)
                 w.proc.kill()
@@ -913,6 +905,7 @@ class RankSupervisor:
         self.failures[rank] = ProcessCrashError(rank, None, signal_name="heartbeat-stall")
         w.proc.terminate()
         w.term_at = now
+        w.reaped = True
         self._check_quorum()
         self._reserve_spare(rank)
 
@@ -947,7 +940,9 @@ class RankSupervisor:
             self.workers[r] = _WorkerRecord(self.spawn(r, req), req)
 
     def _active_count(self) -> int:
-        return int(np.sum(self._status[: self.layout.world] == _ACTIVE))
+        # A rank that finished is a survivor, as in ``stats()``: a death
+        # after its peers are done must not read as a lost quorum.
+        return int(np.sum(self._status[: self.layout.world] != _DEAD))
 
     def _check_quorum(self) -> None:
         if not self.ctrl[_G_QUORUM_LOST] and self._active_count() < self.ctrl[_G_QUORUM]:

@@ -15,12 +15,11 @@
 * :mod:`repro.core.engine` — the one training program
   (:class:`TrainingEngine`) over a pluggable execution backend:
   single-process, or fully synchronous data-parallel training
-  (Algorithm 2) over :mod:`repro.comm` on stepped, threaded or elastic
-  ranks; callback hooks and Figure-3-style stage timing.
+  (Algorithm 2) over :mod:`repro.comm` on stepped or threaded ranks; callback hooks and Figure-3-style stage timing.
   ``TrainingEngine(backend, config).run()`` is the only way to start a
   run.
 * :mod:`repro.core.elastic` — :class:`ElasticConfig`, the
-  fault-tolerance policy of the elastic backends.
+  fault-tolerance policy of the thread and process backends.
 * :mod:`repro.core.trainer` — :class:`InMemoryData`, the dataset
   protocol the backends consume, with cube-symmetry augmentation.
 * :mod:`repro.core.metrics` — the paper's relative-error metric and
@@ -58,7 +57,6 @@ from repro.core.engine import (
     Callback,
     CheckpointCallback,
     DivergenceCheck,
-    ElasticBackend,
     EngineConfig,
     EngineResult,
     ExecutionBackend,
@@ -113,7 +111,6 @@ __all__ = [
     "LocalBackend",
     "SteppedBackend",
     "ThreadedBackend",
-    "ElasticBackend",
     "Callback",
     "LRRecorder",
     "DivergenceCheck",

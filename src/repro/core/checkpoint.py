@@ -26,7 +26,7 @@ import re
 import threading
 import zlib
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -40,6 +40,8 @@ __all__ = [
     "CheckpointError",
     "CheckpointCorruptError",
     "checkpoint_path",
+    "pack_training_state",
+    "restore_training_state",
     "save_checkpoint",
     "load_checkpoint",
     "latest_checkpoint",
@@ -91,6 +93,71 @@ def _payload_crc(payload: dict) -> int:
     return crc
 
 
+def pack_training_state(
+    model: CosmoFlowModel,
+    optimizer: Optional[CosmoFlowOptimizer] = None,
+    history: Optional[History] = None,
+) -> Dict[str, np.ndarray]:
+    """Training state as named arrays — what a checkpoint stores, a
+    joiner is resynced from, and a worker process hands its parent.
+
+    Parameters always; with ``optimizer`` the Adam slots and step
+    counters, plus in mixed precision the fp32 masters
+    (``flat_parameters`` holds only their fp16 rounding) and the
+    loss-scaler counters, so a restored run's next overflow decision is
+    the original's; with ``history`` the per-epoch curves.
+    """
+    state: Dict[str, np.ndarray] = {"flat_parameters": model.get_flat_parameters()}
+    if optimizer is not None:
+        if len(optimizer.params) != len(model.parameters()):
+            raise ValueError("optimizer does not belong to this model")
+        state["adam_t"] = np.int64(optimizer.adam.t)
+        state["step_count"] = np.int64(optimizer.step_count)
+        state["adam_m"] = np.concatenate([m.ravel() for m in optimizer.adam.m])
+        state["adam_v"] = np.concatenate([v.ravel() for v in optimizer.adam.v])
+        if optimizer.scaler is not None:
+            state["master_parameters"] = optimizer.master_flat()
+            state["scaler_state"] = optimizer.scaler.state_array()
+    if history is not None:
+        for key, values in history.as_dict().items():
+            state[f"hist_{key}"] = np.asarray(values, dtype=np.float64)
+    return state
+
+
+def restore_training_state(
+    state: Mapping[str, np.ndarray],
+    model: CosmoFlowModel,
+    optimizer: Optional[CosmoFlowOptimizer] = None,
+    history: Optional[History] = None,
+) -> None:
+    """Inverse of :func:`pack_training_state`, in place.
+
+    Mixed-precision and curve entries are restored where present: fp32
+    state carries no master/scaler keys (an fp32 optimizer given fp16
+    state keeps the rounded parameters), and state written before a
+    curve existed leaves that curve untouched.
+    """
+    model.set_flat_parameters(np.asarray(state["flat_parameters"]))
+    if optimizer is not None:
+        optimizer.adam.t = int(state["adam_t"])
+        optimizer.step_count = int(state["step_count"])
+        adam_m, adam_v = np.asarray(state["adam_m"]), np.asarray(state["adam_v"])
+        offset = 0
+        for m, v in zip(optimizer.adam.m, optimizer.adam.v):
+            m[...] = adam_m[offset : offset + m.size].reshape(m.shape)
+            v[...] = adam_v[offset : offset + v.size].reshape(v.shape)
+            offset += m.size
+        if optimizer.scaler is not None:
+            if "master_parameters" in state:
+                optimizer.set_master_flat(np.asarray(state["master_parameters"]))
+            if "scaler_state" in state:
+                optimizer.scaler.load_state_array(np.asarray(state["scaler_state"]))
+    if history is not None:
+        for key, values in history.as_dict().items():
+            if f"hist_{key}" in state:
+                values[:] = [float(v) for v in state[f"hist_{key}"]]
+
+
 def save_checkpoint(
     path,
     model: CosmoFlowModel,
@@ -111,26 +178,8 @@ def save_checkpoint(
         "format_version": np.int64(_FORMAT_VERSION),
         "config_name": np.str_(model.config.name),
         "n_parameters": np.int64(model.num_parameters),
-        "flat_parameters": model.get_flat_parameters(),
+        **pack_training_state(model, optimizer, history),
     }
-    if optimizer is not None:
-        if len(optimizer.params) != len(model.parameters()):
-            raise ValueError("optimizer does not belong to this model")
-        payload["adam_t"] = np.int64(optimizer.adam.t)
-        payload["step_count"] = np.int64(optimizer.step_count)
-        payload["adam_m"] = np.concatenate([m.ravel() for m in optimizer.adam.m])
-        payload["adam_v"] = np.concatenate([v.ravel() for v in optimizer.adam.v])
-        if getattr(optimizer, "scaler", None) is not None:
-            # Mixed-precision state: ``flat_parameters`` above holds the
-            # fp16-rounded values the model computes with; the fp32
-            # masters and loss-scaler counters ride alongside so a
-            # restarted fp16 run replays bitwise (same Adam inputs, same
-            # next overflow decision).  fp32 checkpoints are unchanged.
-            payload["master_parameters"] = optimizer.master_flat()
-            payload["scaler_state"] = optimizer.scaler.state_array()
-    if history is not None:
-        for key, values in history.as_dict().items():
-            payload[f"hist_{key}"] = np.asarray(values, dtype=np.float64)
     payload["payload_crc32"] = np.int64(_payload_crc(payload))
     # Write-to-temp + fsync + rename: a crash mid-save never clobbers
     # the previous checkpoint under the final name.  The temp name is
@@ -201,33 +250,9 @@ def load_checkpoint(
                 raise CheckpointError(
                     f"checkpoint has {n} parameters, model has {model.num_parameters}"
                 )
-            model.set_flat_parameters(data["flat_parameters"])
-            if optimizer is not None:
-                if "adam_m" not in data.files:
-                    raise CheckpointError("checkpoint carries no optimizer state")
-                optimizer.adam.t = int(data["adam_t"])
-                optimizer.step_count = int(data["step_count"])
-                offset = 0
-                for m, v in zip(optimizer.adam.m, optimizer.adam.v):
-                    m[...] = data["adam_m"][offset : offset + m.size].reshape(m.shape)
-                    v[...] = data["adam_v"][offset : offset + v.size].reshape(v.shape)
-                    offset += m.size
-                # Presence-guarded mixed-precision restore: fp32
-                # checkpoints carry neither key, and an fp32 optimizer
-                # loading an fp16 checkpoint simply keeps the (rounded)
-                # flat parameters restored above.
-                if getattr(optimizer, "scaler", None) is not None:
-                    if "master_parameters" in data.files:
-                        optimizer.set_master_flat(data["master_parameters"])
-                    if "scaler_state" in data.files:
-                        optimizer.scaler.load_state_array(data["scaler_state"])
-            if history is not None:
-                # Per-key presence guard: a checkpoint written before a
-                # curve existed (e.g. ``effective_batch``) restores the
-                # curves it has and leaves the rest untouched.
-                for key, values in history.as_dict().items():
-                    if f"hist_{key}" in data.files:
-                        values[:] = [float(v) for v in data[f"hist_{key}"]]
+            if optimizer is not None and "adam_m" not in data.files:
+                raise CheckpointError("checkpoint carries no optimizer state")
+            restore_training_state(data, model, optimizer, history)
         except (CheckpointError, FileNotFoundError):
             raise
         except Exception as exc:

@@ -1,12 +1,14 @@
-"""The fault-tolerance policy for elastic SSGD (Algorithm 2 under failure).
+"""The fault-tolerance policy for SSGD (Algorithm 2 under failure).
 
 The paper's fully synchronous design has a brittle failure mode: one
 dead node out of 8192 stalls every allreduce.
-:class:`~repro.core.engine.ElasticBackend` (rank threads over an
-:class:`~repro.comm.elastic.ElasticThreadedGroup`) and
+:class:`~repro.core.engine.ThreadedBackend` (rank threads over a
+:class:`~repro.comm.elastic.ThreadedGroup`) and
 :class:`~repro.core.process_backend.ProcessBackend` (supervised OS
-processes) run the same SSGD loop with three layers of degradation
-instead of a hang, all governed by one :class:`ElasticConfig`:
+processes) run the same SSGD loop under one :class:`ElasticConfig`.
+Given none, both run under :data:`MPI_LIKE` — the paper's mode: every
+rank is needed, any death fails the run.  A policy with a lower quorum
+degrades in three layers instead:
 
 1. **Shrink and continue.**  A crashed or hung rank is evicted from the
    group (arriving at a collective is the heartbeat); the gradient
@@ -19,10 +21,11 @@ instead of a hang, all governed by one :class:`ElasticConfig`:
    the full rank count (replacement-node semantics), observable via the
    ``on_restart`` hook.
 3. **Determinism.**  With no faults injected, every step is bitwise
-   identical to the threaded backend: same per-rank RNG streams, same
-   rank-order reduction, same collective sequence.  On restart,
-   completed epochs' batch orders are replayed ("burned in") so the
-   resumed RNG stream matches an uninterrupted run.
+   identical under every policy and to the stepped backend: same
+   per-rank RNG streams, same rank-order reduction, same collective
+   sequence.  On restart, completed epochs' batch orders are replayed
+   ("burned in") so the resumed RNG stream matches an uninterrupted
+   run.
 
 Fault injection is cooperative: ranks call
 :meth:`FaultInjector.maybe_crash` / :meth:`~FaultInjector.hang_delay`
@@ -38,7 +41,7 @@ from typing import Optional
 
 from repro.utils.retry import RetryPolicy
 
-__all__ = ["ElasticConfig"]
+__all__ = ["ElasticConfig", "MPI_LIKE"]
 
 
 @dataclass(frozen=True)
@@ -105,3 +108,8 @@ class ElasticConfig:
             n_ranks * self.quorum_fraction
         )
         return max(1, min(n_ranks, q))
+
+
+#: The policy of a run given none: every rank is needed and nothing
+#: grows back, so any death fails the run, like an MPI job.
+MPI_LIKE = ElasticConfig(quorum_fraction=1.0, auto_respawn=False, max_restarts=0)

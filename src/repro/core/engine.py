@@ -13,9 +13,11 @@ calculation and global averaging" — is one program here, and
   behind the Figure 3 stage profile;
 * an :class:`ExecutionBackend` decides only *how ranks execute and
   aggregate*: in-process (:class:`LocalBackend`), sequentially
-  simulated (:class:`SteppedBackend`), one OS thread per rank
-  (:class:`ThreadedBackend`), or fault-tolerant with checkpoint/restart
-  (:class:`ElasticBackend`);
+  simulated (:class:`SteppedBackend`), or one OS thread per rank
+  (:class:`ThreadedBackend`) under an
+  :class:`~repro.core.elastic.ElasticConfig` — fully synchronous by
+  default, fault-tolerant with checkpoint/restart when the policy
+  lowers the quorum;
 * mode-specific bookkeeping — learning-rate recording, divergence
   checking, checkpointing, group-stats collection — lives in
   :class:`Callback` hooks, so the loop body contains no mode branches.
@@ -39,12 +41,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.comm.communicator import Communicator, ReduceOp
-from repro.comm.elastic import ElasticThreadedGroup
+from repro.comm.elastic import ThreadedGroup
 from repro.comm.errors import QuorumLostError
 from repro.comm.plugin import MLPlugin, PluginConfig
 from repro.comm.serial import SteppedGroup
-from repro.comm.threaded import ThreadedGroup
-from repro.core.elastic import ElasticConfig
+from repro.core.elastic import MPI_LIKE, ElasticConfig
 from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.faults.injector import FaultInjector
@@ -72,7 +73,6 @@ __all__ = [
     "LocalBackend",
     "SteppedBackend",
     "ThreadedBackend",
-    "ElasticBackend",
     "TrainingEngine",
 ]
 
@@ -385,20 +385,16 @@ class RankContext:
 
     def effective_batch(self) -> int:
         """The current *global* effective batch size: per-rank batch
-        size times the number of participating ranks (live membership
-        for elastic groups, the static count otherwise).
+        size times the number of participating ranks (membership for
+        rank groups, the static count otherwise).
 
-        For elastic groups this reads the membership latched by the
+        For rank groups this reads the membership latched by the
         last *completed* collective rather than the live active set:
         between two steps another rank may already have admitted a
         joiner for the next boundary, and a live read would leak that
         future membership into this epoch's accounting."""
         members = getattr(self.comm, "last_members", None)
-        if members is not None:
-            return self.batch_size * len(members)
-        n = getattr(self.comm, "n_active", None)
-        if n is None:
-            n = self.n_ranks
+        n = len(members) if members is not None else self.n_ranks
         return self.batch_size * n
 
     # -- the four verbs ---------------------------------------------------
@@ -550,8 +546,10 @@ class _SteppedContext(RankContext):
 
 
 class _ElasticContext(RankContext):
-    """Rank context over an elastic group with cooperative fault hooks,
-    a recycling batch stream, and grow-back admission servicing."""
+    """One rank of a thread (or process) group: cooperative fault hooks,
+    a recycling batch stream, and grow-back admission servicing.  With
+    an empty fault plan and no spares every hook is a fast path, which
+    keeps fault-free runs bitwise identical to the stepped backend."""
 
     def __init__(self, engine, *, injector, **kwargs):
         super().__init__(engine, **kwargs)
@@ -602,13 +600,9 @@ class _ElasticContext(RankContext):
         Whichever surviving rank gets here first consumes the events
         (the injector hands them out at most once) and becomes the
         resync donor — valid regardless of which rank wins, because
-        synchronous SGD keeps every replica bitwise identical.  The
-        empty-plan/no-spare fast path keeps fault-free runs bitwise
-        identical to the non-elastic backends.
+        synchronous SGD keeps every replica bitwise identical.
         """
         comm = self.comm
-        if comm is None or not hasattr(comm, "admit"):
-            return
         events = (
             self.injector.recoveries_due(global_step)
             if self.injector.has_recoveries
@@ -632,27 +626,14 @@ class _ElasticContext(RankContext):
         curve is trimmed to the completed epochs: the joiner's own
         ``LRRecorder`` re-records the rejoin epoch's rate.
         """
-        opt = self.optimizer
+        from repro.core.checkpoint import pack_training_state
+
         n_done = len(self.history.train_loss)
-        payload: Dict[str, np.ndarray] = {
-            "flat_parameters": self.model.get_flat_parameters(),
-            "adam_m": np.concatenate([m.ravel() for m in opt.adam.m]),
-            "adam_v": np.concatenate([v.ravel() for v in opt.adam.v]),
-            "adam_t": np.int64(opt.adam.t),
-            "step_count": np.int64(opt.step_count),
-            "epoch": np.int64(self.epoch),
-            "resume_step": np.int64(global_step % self.steps_per_epoch),
-            "lr_scale": np.float64(getattr(opt, "lr_scale", 1.0)),
-        }
-        if opt.scaler is not None:
-            # Mixed-precision state rides the same payload: the fp32
-            # masters (the model arrays only hold their fp16 rounding)
-            # and the loss-scaler counters, so a rejoined rank's next
-            # overflow decision matches the survivors' bitwise.
-            payload["master_parameters"] = opt.master_flat()
-            payload["scaler_state"] = opt.scaler.state_array()
-        for key, values in self.history.as_dict().items():
-            payload[f"hist_{key}"] = np.asarray(values[:n_done], dtype=np.float64)
+        completed = History(**{k: v[:n_done] for k, v in self.history.as_dict().items()})
+        payload = pack_training_state(self.model, self.optimizer, completed)
+        payload["epoch"] = np.int64(self.epoch)
+        payload["resume_step"] = np.int64(global_step % self.steps_per_epoch)
+        payload["lr_scale"] = np.float64(self.optimizer.lr_scale)
         return payload
 
     def burn_in(self) -> None:
@@ -897,75 +878,6 @@ class SteppedBackend(_GroupBackend):
         return self._result(rc, hist, stats)
 
 
-class ThreadedBackend(_GroupBackend):
-    """One OS thread per rank with independent model replicas — the
-    paper's actual execution structure at small scale."""
-
-    #: Context class of every real rank; the elastic backend substitutes
-    #: its fault-hook context, the real-process backend a subclass of that.
-    context_cls = RankContext
-
-    def __init__(self, *args, timeout_s: Optional[float] = 60.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.timeout_s = timeout_s
-
-    def callbacks(self):
-        return [DivergenceCheck()]
-
-    def _rank_context(self, engine, comm, callbacks, model, optimizer, **extra):
-        """One real rank over ``comm``: its shard, its ``[seed, rank]``
-        shuffle stream, its own replica and aggregator."""
-        cfg = engine.config
-        return self.context_cls(
-            engine,
-            model=model,
-            optimizer=optimizer,
-            train_view=self.train_data.shard(comm.rank, self.n_ranks),
-            val_view=self._val_view(comm.rank),
-            rank=comm.rank,
-            n_ranks=self.n_ranks,
-            batch_size=cfg.batch_size,
-            val_batch_size=1,
-            steps_per_epoch=self.steps_per_epoch,
-            rng=np.random.default_rng([cfg.seed, comm.rank]),
-            shuffle=cfg.shuffle,
-            aggregator=self._aggregator(comm),
-            comm=comm,
-            callbacks=callbacks,
-            **extra,
-        )
-
-    def _make_context(self, engine, comm, callbacks) -> RankContext:
-        model, optimizer = self._replica(engine)
-        rc = self._rank_context(engine, comm, callbacks, model, optimizer)
-        # Algorithm 2 preamble: rank 0's parameters to all ranks.
-        rc.aggregator.broadcast_parameters(model.parameter_arrays())
-        return rc
-
-    def execute(self, engine, callbacks, epochs=None):
-        group = ThreadedGroup(
-            self.n_ranks, timeout_s=self.timeout_s, tracer=engine.tracer
-        )
-
-        def rank_body(comm):
-            rc = self._make_context(engine, comm, callbacks)
-            engine.rank_loop(rc, epochs=epochs)
-            return rc
-
-        results = group.run(rank_body)
-        rc0 = results[0]
-        stats = {
-            "reductions": group.reductions,
-            "bytes_reduced": group.bytes_reduced,
-            "max_param_divergence": rc0.divergence,
-        }
-        stats.update(_precision_stats(rc0.optimizer))
-        stats.update(_compression_stats([getattr(rc0.aggregator, "compressor", None)]))
-        return EngineResult(
-            history=rc0.history, model=rc0.model, stats=stats, divergence=rc0.divergence
-        )
-
-
 def _restart_or_raise(backend, engine, callbacks, exc: QuorumLostError) -> None:
     """The elastic drivers' one answer to a lost quorum: count the
     restart, re-raise ``exc`` when the policy has no checkpoint
@@ -997,17 +909,24 @@ def _restart_or_raise(backend, engine, callbacks, exc: QuorumLostError) -> None:
             time.sleep(delay)
 
 
-class ElasticBackend(ThreadedBackend):
-    """Threaded ranks over an :class:`ElasticThreadedGroup`: crashed or
-    hung ranks are evicted and the gradient average renormalizes over
-    the survivors; quorum loss restarts from the last crash-safe
-    checkpoint with the full rank count (replacement-node semantics).
-    Fault-free runs are bitwise identical to :class:`ThreadedBackend`.
+class ThreadedBackend(_GroupBackend):
+    """One OS thread per rank with independent model replicas — the
+    paper's actual execution structure at small scale — over a
+    :class:`~repro.comm.elastic.ThreadedGroup`.
 
-    ``elastic`` is the fault-tolerance policy and ``injector`` the
-    seeded fault source; both default to the fault-free ones.
+    ``elastic`` is the fault-tolerance policy.  The default is
+    :data:`~repro.core.elastic.MPI_LIKE`, the paper's fully synchronous
+    mode: every rank is needed, so any death fails the run.  A policy
+    with a lower quorum evicts crashed or hung ranks and renormalizes
+    the gradient average over the survivors; quorum loss restarts from
+    the last crash-safe checkpoint with the full rank count
+    (replacement-node semantics).  Fault-free runs are bitwise
+    identical under every policy.  ``injector`` is the seeded fault
+    source (default: none).
     """
 
+    #: Context class of every rank; the real-process backend's workers
+    #: substitute a subclass.
     context_cls = _ElasticContext
 
     def __init__(
@@ -1018,7 +937,7 @@ class ElasticBackend(ThreadedBackend):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        self.elastic = elastic or ElasticConfig()
+        self.elastic = elastic or MPI_LIKE
         self.injector = injector or FaultInjector()
         self.restarts = 0
 
@@ -1034,8 +953,29 @@ class ElasticBackend(ThreadedBackend):
             )
         return cbs
 
-    def _rank_context(self, *args, **extra):
-        return super()._rank_context(*args, injector=self.injector, **extra)
+    def _rank_context(self, engine, comm, callbacks, model, optimizer, **extra):
+        """One real rank over ``comm``: its shard, its ``[seed, rank]``
+        shuffle stream, its own replica and aggregator."""
+        cfg = engine.config
+        return self.context_cls(
+            engine,
+            injector=self.injector,
+            model=model,
+            optimizer=optimizer,
+            train_view=self.train_data.shard(comm.rank, self.n_ranks),
+            val_view=self._val_view(comm.rank),
+            rank=comm.rank,
+            n_ranks=self.n_ranks,
+            batch_size=cfg.batch_size,
+            val_batch_size=1,
+            steps_per_epoch=self.steps_per_epoch,
+            rng=np.random.default_rng([cfg.seed, comm.rank]),
+            shuffle=cfg.shuffle,
+            aggregator=self._aggregator(comm),
+            comm=comm,
+            callbacks=callbacks,
+            **extra,
+        )
 
     def _make_context(self, engine, comm, callbacks) -> RankContext:
         model, optimizer = self._replica(engine)
@@ -1060,7 +1000,8 @@ class ElasticBackend(ThreadedBackend):
         rc = self._rank_context(
             engine, comm, callbacks, model, optimizer, history=history, start_epoch=start_epoch
         )
-        # After a restart the broadcast re-synchronizes any replica drift.
+        # Algorithm 2 preamble: rank 0's parameters to all ranks (after a
+        # restart this also re-synchronizes any replica drift).
         rc.aggregator.broadcast_parameters(model.parameter_arrays())
         rc.burn_in()
         return rc
@@ -1076,30 +1017,12 @@ class ElasticBackend(ThreadedBackend):
         from its first step the rank is bitwise indistinguishable from
         one that never left.
         """
+        from repro.core.checkpoint import restore_training_state
+
         model, optimizer = self._replica(engine)
-        model.set_flat_parameters(np.asarray(payload["flat_parameters"]))
-        optimizer.adam.t = int(payload["adam_t"])
-        optimizer.step_count = int(payload["step_count"])
-        optimizer.lr_scale = float(payload.get("lr_scale", 1.0))
-        offset = 0
-        for m, v in zip(optimizer.adam.m, optimizer.adam.v):
-            m[...] = payload["adam_m"][offset : offset + m.size].reshape(m.shape)
-            v[...] = payload["adam_v"][offset : offset + v.size].reshape(v.shape)
-            offset += m.size
-        # Presence-guarded mixed-precision restore: fp32 runs (and
-        # payloads from them) carry no scaler/master keys.
-        if optimizer.scaler is not None:
-            master = payload.get("master_parameters")
-            if master is not None:
-                optimizer.set_master_flat(np.asarray(master))
-            scaler_state = payload.get("scaler_state")
-            if scaler_state is not None:
-                optimizer.scaler.load_state_array(np.asarray(scaler_state))
         history = History()
-        for key, values in history.as_dict().items():
-            stored = payload.get(f"hist_{key}")
-            if stored is not None:
-                values[:] = [float(x) for x in stored]
+        restore_training_state(payload, model, optimizer, history)
+        optimizer.lr_scale = float(payload.get("lr_scale", 1.0))
         epoch = int(payload["epoch"])
         resume_step = int(payload["resume_step"])
         # Pre-loop phase for this rank: step-keyed faults key on the
@@ -1133,7 +1056,7 @@ class ElasticBackend(ThreadedBackend):
             return rc
 
         while True:
-            group = ElasticThreadedGroup(
+            group = ThreadedGroup(
                 self.n_ranks,
                 timeout_s=el.timeout_s,
                 quorum=el.resolve_quorum(self.n_ranks),
@@ -1157,18 +1080,9 @@ class ElasticBackend(ThreadedBackend):
         # rejoin-epoch lr entry reflects the mid-epoch admission point.
         rc0 = next((rc for rc in alive if not rc.rejoined), alive[0])
         stats = {
-            "reductions": group.reductions,
-            "bytes_reduced": group.bytes_reduced,
+            **group.stats(),
             "max_param_divergence": rc0.divergence,
-            "survivors": group.active_ranks,
-            "failed_ranks": sorted(group.failures),
-            "evicted_ranks": sorted(r for _, r in group.evictions),
-            "retransmits": group.retransmits,
             "restarts": self.restarts,
-            "rejoins": sorted(r for _, r in group.rejoins),
-            "resyncs": group.resyncs,
-            "resync_bytes": group.resync_bytes,
-            "spares_used": group.spares_used,
             "faults_injected": self.injector.summary(),
         }
         stats.update(_precision_stats(rc0.optimizer))

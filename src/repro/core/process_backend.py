@@ -4,7 +4,7 @@
 worker processes** that exchange gradients through the shared-memory
 collective arena of :mod:`repro.comm.process`, supervised by a
 parent-side :class:`~repro.comm.process.RankSupervisor`.  Everything
-the threaded elastic backend proves in-process — shrink-and-continue,
+the thread backend proves in-process — shrink-and-continue,
 timeout eviction, quorum-loss checkpoint restart, step-boundary
 grow-back with CRC-verified resync — holds here against *real* process
 deaths: a ``proc_kill`` fault event is an actual ``SIGKILL``, detected
@@ -25,12 +25,12 @@ report file on exit, and the parent merges them into the engine's
 sinks — N processes produce the same metrics a single shared registry
 would have seen.
 
-Caveats versus the threaded backends (documented, by design):
+Caveats versus the thread backend (documented, by design):
 
 * datasets and configs cross the ``spawn`` boundary by pickling, so
   they must be picklable (the in-memory and record-backed datasets
   are);
-* ``message_corrupt`` fault events need the elastic group's checksummed
+* ``message_corrupt`` fault events need the thread group's checksummed
   retransmission path, which the shared-memory protocol does not
   implement — they never fire under this backend;
 * per-rank metrics/traces of workers that die (or lose quorum) are
@@ -69,13 +69,14 @@ from repro.comm.process import (
     destroy_segment,
     sweep_stale_segments,
 )
-from repro.core.elastic import ElasticConfig
+from repro.core.checkpoint import pack_training_state, restore_training_state
+from repro.core.elastic import MPI_LIKE, ElasticConfig
 from repro.core.engine import (
     CallbackList,
-    ElasticBackend,
     EngineResult,
     History,
     LRRecorder,
+    ThreadedBackend,
     TrainingEngine,
     _ElasticContext,
     _GroupBackend,
@@ -99,15 +100,10 @@ _RANK_KEYED = (
 )
 _JOIN_KINDS = (FaultKind.RANK_RECOVER, FaultKind.SPARE_JOIN)
 
-#: The policy of a run given none: every rank is needed and nothing
-#: grows back, so any death fails the run, like an MPI job.
-_MPI_LIKE = ElasticConfig(quorum_fraction=1.0, auto_respawn=False, max_restarts=0)
-
-
 class _ProcessContext(_ElasticContext):
     """Elastic rank context with real-process injection points.
 
-    Identical to the threaded elastic context except at the top of each
+    Identical to the thread ranks' context except at the top of each
     step, where it (1) records the step watermark the restart replay
     filter reads, and (2) gives ``proc_kill`` events their honest
     realization — ``os.kill(getpid(), SIGKILL)`` — before the
@@ -129,8 +125,8 @@ class _ProcessContext(_ElasticContext):
         return self._next_batch()
 
 
-class _WorkerBackend(ElasticBackend):
-    """In-worker :class:`ElasticBackend` reusing its context/resync
+class _WorkerBackend(ThreadedBackend):
+    """In-worker :class:`ThreadedBackend` reusing its context/resync
     construction verbatim, with the process-aware context class."""
 
     context_cls = _ProcessContext
@@ -218,12 +214,10 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
     # unambiguous to the supervisor's classifier, then persist this
     # rank's results and observability artifacts for the parent.
     comm.mark_done()
-    result_arrays: Dict[str, np.ndarray] = {
-        "flat_parameters": rc.model.get_flat_parameters(),
-    }
-    for key, values in rc.history.as_dict().items():
-        result_arrays[f"hist_{key}"] = np.asarray(values, dtype=np.float64)
-    np.savez(run_dir / f"result-r{rank}-i{incarnation}.npz", **result_arrays)
+    np.savez(
+        run_dir / f"result-r{rank}-i{incarnation}.npz",
+        **pack_training_state(rc.model, history=rc.history),
+    )
     report = {
         "rank": rank,
         "incarnation": incarnation,
@@ -264,7 +258,7 @@ class ProcessBackend(_GroupBackend):
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
-        self.elastic = elastic or _MPI_LIKE
+        self.elastic = elastic or MPI_LIKE
         self.plan = plan or FaultPlan()
         self.run_dir = run_dir
         self.timeout_s = timeout_s
@@ -280,7 +274,7 @@ class ProcessBackend(_GroupBackend):
     def _surviving_events(self, consumed: Dict[int, int]) -> FaultPlan:
         """Drop plan events already consumed by a previous attempt.
 
-        The threaded elastic backend keeps one injector across restarts,
+        The thread backend keeps one injector across restarts,
         so fired events never re-fire; worker processes get a *fresh*
         injector each attempt, so the parent filters instead, using the
         per-rank top-of-step watermarks from the control segment: a
@@ -447,21 +441,17 @@ class ProcessBackend(_GroupBackend):
                 "no worker produced a result (all ranks failed without "
                 "tripping quorum detection)"
             )
-        # Mirror the threaded elastic keeper rule: prefer a
+        # Mirror the thread backend's keeper rule: prefer a
         # continuously-active rank's curves over a resync-reconstructed
         # History.
         keeper = min(
             (r for r, rep in reports.items() if not rep["rejoined"]),
             default=min(reports),
         )
-        with np.load(attempt_dir / f"result-r{keeper}-i{final_inc[keeper]}.npz") as data:
-            flat = np.array(data["flat_parameters"])
-            history = History()
-            for key, values in history.as_dict().items():
-                if f"hist_{key}" in data.files:
-                    values[:] = [float(v) for v in data[f"hist_{key}"]]
         model = CosmoFlowModel(self.model_config, seed=engine.config.seed)
-        model.set_flat_parameters(flat)
+        history = History()
+        with np.load(attempt_dir / f"result-r{keeper}-i{final_inc[keeper]}.npz") as data:
+            restore_training_state(data, model, history=history)
         divergence = reports[keeper]["divergence"]
 
         # Fold every completing worker's observability into the parent's

@@ -39,7 +39,7 @@ class FaultKind(enum.Enum):
     """The failure modes the injection framework can produce."""
 
     #: A rank dies at the top of a training step (process crash).  In
-    #: the threaded backends this raises
+    #: the thread backend this raises
     #: :class:`~repro.faults.injector.InjectedCrash` inside the rank; in
     #: the real-process backend the worker process exits with a
     #: traceback — a genuine process death either way.

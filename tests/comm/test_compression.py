@@ -12,8 +12,8 @@ from repro.comm.compression import (
     make_compressor,
 )
 from repro.comm.plugin import PluginConfig
+from repro.core.elastic import ElasticConfig
 from repro.core.engine import (
-    ElasticBackend,
     EngineConfig,
     SteppedBackend,
     ThreadedBackend,
@@ -160,13 +160,14 @@ class TestFactoryAndRatio:
         assert PluginConfig(compression="fp16").build_compressor() is not None
 
 
-def _run(backend_cls, compression, precision="fp32", n=2, epochs=2, seed=0):
+def _run(backend_cls, compression, precision="fp32", n=2, epochs=2, seed=0, **policy):
     backend = backend_cls(
         tiny_16(),
         make_dataset(),
         optimizer_config=OptimizerConfig(decay_steps=100, precision=precision),
         n_ranks=n,
         plugin_config=PluginConfig(compression=compression),
+        **policy,
     )
     engine = TrainingEngine(backend, EngineConfig(epochs=epochs, seed=seed))
     engine.run()
@@ -236,7 +237,7 @@ class TestGoldenCrossBackend:
 class TestElasticAndProcessBackends:
     @pytest.mark.parametrize("compression", ["fp16", "topk"])
     def test_elastic_faultfree_matches_threaded(self, compression):
-        p_elastic, _, _ = _run(ElasticBackend, compression)
+        p_elastic, _, _ = _run(ThreadedBackend, compression, elastic=ElasticConfig())
         p_threaded, _, _ = _run(ThreadedBackend, compression)
         assert np.array_equal(p_elastic, p_threaded)
 

@@ -1,4 +1,9 @@
-"""Tests for the elastic (shrink-and-continue) threaded backend."""
+"""The thread group below full quorum: shrink and continue.
+
+``test_threaded.py`` holds the same group at its default, ``quorum ==
+size``; the fault-free checks here repeat at ``quorum=1`` what it pins
+there, because a fault-free run must not depend on the policy.
+"""
 
 import time
 
@@ -6,19 +11,20 @@ import numpy as np
 import pytest
 
 from repro.comm.communicator import ReduceOp, reduce_arrays
-from repro.comm.elastic import ElasticThreadedGroup
+from repro.comm.elastic import ThreadedGroup
 from repro.comm.errors import QuorumLostError, RankFailedError
 from repro.comm.serial import SteppedGroup
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
+from tests.comm.test_threaded import run_with_rank_1_hung_outside_collectives
 
 
 class TestFaultFree:
-    """With no faults the elastic group is just another backend."""
+    """With no faults the quorum is never consulted."""
 
     def test_allreduce_matches_stepped_bitwise(self):
         rng = np.random.default_rng(7)
         arrays = [rng.standard_normal(33).astype(np.float32) for _ in range(5)]
-        elastic = ElasticThreadedGroup(5).run(
+        elastic = ThreadedGroup(5, quorum=1).run(
             lambda comm: comm.allreduce(arrays[comm.rank], ReduceOp.MEAN)
         )
         stepped = SteppedGroup(5).allreduce(arrays, ReduceOp.MEAN)
@@ -26,7 +32,7 @@ class TestFaultFree:
             np.testing.assert_array_equal(a, b)
 
     def test_full_collective_suite(self):
-        g = ElasticThreadedGroup(3)
+        g = ThreadedGroup(3, quorum=1)
 
         def body(comm):
             s = comm.allreduce(np.array([float(comm.rank)]), ReduceOp.SUM)
@@ -47,7 +53,7 @@ class TestFaultFree:
                 assert gathered is None
 
     def test_many_sequential_collectives(self):
-        g = ElasticThreadedGroup(4)
+        g = ThreadedGroup(4, quorum=1)
 
         def body(comm):
             total = 0.0
@@ -63,24 +69,24 @@ class TestFaultFree:
         assert g.failures == {}
 
     def test_size_one(self):
-        g = ElasticThreadedGroup(1)
+        g = ThreadedGroup(1)
         out = g.run(lambda comm: comm.allreduce(np.array([3.0]), ReduceOp.MEAN))
         np.testing.assert_allclose(out[0], [3.0])
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ElasticThreadedGroup(0)
+            ThreadedGroup(0)
         with pytest.raises(ValueError):
-            ElasticThreadedGroup(2, timeout_s=0.0)
+            ThreadedGroup(2, timeout_s=0.0)
         with pytest.raises(ValueError):
-            ElasticThreadedGroup(2, quorum=3)
+            ThreadedGroup(2, quorum=3)
         with pytest.raises(ValueError):
-            ElasticThreadedGroup(2, join_timeout_s=0.0)
+            ThreadedGroup(2, join_timeout_s=0.0)
 
     def test_healthy_run_longer_than_timeout_succeeds(self):
         """No join bound by default: timeout_s is the per-collective
         heartbeat, and a healthy run may take arbitrarily long."""
-        g = ElasticThreadedGroup(2, timeout_s=0.2)
+        g = ThreadedGroup(2, timeout_s=0.2, quorum=1)
         assert g.join_timeout_s is None
 
         def body(comm):
@@ -96,7 +102,7 @@ class TestFaultFree:
 
 class TestShrinkAndContinue:
     def test_crash_mid_collective_shrinks_group(self):
-        g = ElasticThreadedGroup(3, timeout_s=5.0)
+        g = ThreadedGroup(3, timeout_s=5.0, quorum=1)
         values = [1.0, 2.0, 3.0]
 
         def body(comm):
@@ -124,7 +130,7 @@ class TestShrinkAndContinue:
         """After a shrink the reduction is bitwise the survivors' reduction."""
         rng = np.random.default_rng(3)
         arrays = [rng.standard_normal(17).astype(np.float32) for _ in range(4)]
-        g = ElasticThreadedGroup(4, timeout_s=5.0)
+        g = ThreadedGroup(4, timeout_s=5.0, quorum=1)
 
         def body(comm):
             if comm.rank == 1:
@@ -137,7 +143,7 @@ class TestShrinkAndContinue:
             np.testing.assert_array_equal(results[r], want)
 
     def test_straggler_is_evicted_on_timeout(self):
-        g = ElasticThreadedGroup(3, timeout_s=0.2)
+        g = ThreadedGroup(3, timeout_s=0.2, quorum=1)
 
         def body(comm):
             out = []
@@ -159,8 +165,16 @@ class TestShrinkAndContinue:
         # Survivors waited ~timeout_s, not the straggler's full sleep.
         assert elapsed < 5.0
 
+    def test_rank_hung_outside_collectives_is_evicted(self):
+        """The stall no collective can see, with a rank to spare: the
+        run comes back without the stalled rank instead of waiting."""
+        g = ThreadedGroup(2, timeout_s=0.3, quorum=1)
+        assert run_with_rank_1_hung_outside_collectives(g) == [0, None]
+        assert g.active_ranks == [0]
+        assert [r for _, r in g.evictions] == [1]
+
     def test_bcast_root_death_raises_typed_error_on_survivors(self):
-        g = ElasticThreadedGroup(3, timeout_s=5.0)
+        g = ThreadedGroup(3, timeout_s=5.0, quorum=1)
 
         def body(comm):
             if comm.rank == 0:
@@ -176,7 +190,7 @@ class TestShrinkAndContinue:
         assert results[2] == ("bcast-failed", (0,))
 
     def test_stats_report(self):
-        g = ElasticThreadedGroup(2, timeout_s=5.0)
+        g = ThreadedGroup(2, timeout_s=5.0, quorum=1)
 
         def body(comm):
             if comm.rank == 1:
@@ -199,7 +213,7 @@ class TestCorruptionRecovery:
         )
         rng = np.random.default_rng(5)
         arrays = [rng.standard_normal(64).astype(np.float32) for _ in range(3)]
-        g = ElasticThreadedGroup(3, injector=inj)
+        g = ThreadedGroup(3, injector=inj)
         results = g.run(
             lambda comm: comm.allreduce(arrays[comm.rank], ReduceOp.MEAN)
         )
@@ -211,14 +225,14 @@ class TestCorruptionRecovery:
 
     def test_no_checksums_without_corruption_events(self):
         inj = FaultInjector(FaultPlan())
-        g = ElasticThreadedGroup(2, injector=inj)
+        g = ThreadedGroup(2, injector=inj)
         g.run(lambda comm: comm.allreduce(np.ones(4)))
         assert g.retransmits == 0
 
 
 class TestQuorum:
     def test_quorum_loss_raises(self):
-        g = ElasticThreadedGroup(4, timeout_s=5.0, quorum=3)
+        g = ThreadedGroup(4, timeout_s=5.0, quorum=3)
 
         def body(comm):
             for step in range(4):
@@ -232,7 +246,7 @@ class TestQuorum:
         assert ei.value.survivors == (0, 1)
 
     def test_all_ranks_failing_raises_with_cause(self):
-        g = ElasticThreadedGroup(2, timeout_s=5.0)
+        g = ThreadedGroup(2, timeout_s=5.0, quorum=1)
 
         def body(comm):
             raise ValueError(f"rank {comm.rank} bad")

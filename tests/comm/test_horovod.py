@@ -6,7 +6,7 @@ import pytest
 from repro.comm.horovod import HorovodLike
 from repro.comm.plugin import MLPlugin
 from repro.comm.serial import SerialCommunicator
-from repro.comm.threaded import ThreadedGroup
+from repro.comm.elastic import ThreadedGroup
 
 
 class TestHorovodLike:

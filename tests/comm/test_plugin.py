@@ -6,7 +6,7 @@ import pytest
 from repro.comm.grpc_baseline import ParameterServer
 from repro.comm.plugin import MLPlugin, PluginConfig
 from repro.comm.serial import SerialCommunicator
-from repro.comm.threaded import ThreadedGroup
+from repro.comm.elastic import ThreadedGroup
 
 
 class TestPluginConfig:

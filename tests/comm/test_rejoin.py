@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.comm.communicator import ReduceOp
-from repro.comm.elastic import ElasticComm, ElasticThreadedGroup, _ElasticState
+from repro.comm.elastic import ElasticComm, ThreadedGroup, _ElasticState
 from repro.comm.errors import (
     MessageCorruptError,
     QuorumLostError,
@@ -39,7 +39,7 @@ class TestAdmissionProtocol:
     def test_recovered_rank_rejoins_and_participates(self):
         """End-to-end: a crashed rank is readmitted by a survivor and
         contributes from the very step it was admitted at."""
-        g = ElasticThreadedGroup(3, timeout_s=5.0)
+        g = ThreadedGroup(3, timeout_s=5.0, quorum=1)
 
         def body(comm):
             out = []
@@ -71,7 +71,7 @@ class TestAdmissionProtocol:
     def test_spare_joins_while_peers_wait_in_pending_collective(self):
         """Admission lands inside an already-pending collective: the
         group must wait for the joiner's first contribution."""
-        g = ElasticThreadedGroup(3, timeout_s=5.0, spares=1, auto_respawn=False)
+        g = ThreadedGroup(3, timeout_s=5.0, quorum=1, spares=1, auto_respawn=False)
         admitted = threading.Event()
 
         def body(comm):
@@ -181,7 +181,7 @@ class TestRejoinRaces:
     def test_stale_thread_of_readmitted_rank_is_fenced(self):
         """A hung thread that out-sleeps its own eviction AND its rank's
         readmission must not contribute to (or fail) the successor."""
-        g = ElasticThreadedGroup(3, timeout_s=0.15)
+        g = ThreadedGroup(3, timeout_s=0.15, quorum=1)
 
         def body(comm):
             out = []
@@ -269,7 +269,7 @@ class TestSparePolicy:
         assert not comm.has_pending_respawns
 
     def test_warm_spares_auto_replace_evicted_ranks_end_to_end(self):
-        g = ElasticThreadedGroup(4, timeout_s=5.0, spares=1)
+        g = ThreadedGroup(4, timeout_s=5.0, quorum=1, spares=1)
 
         def body(comm):
             out = []

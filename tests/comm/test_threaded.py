@@ -1,4 +1,8 @@
-"""Tests for the threaded SPMD backend."""
+"""The thread group at its default, ``quorum == size``: the paper's
+fully synchronous mode, where any rank lost fails the run.
+
+``test_elastic.py`` holds the same group below full quorum.
+"""
 
 import threading
 import time
@@ -7,10 +11,32 @@ import numpy as np
 import pytest
 
 from repro.comm.communicator import ReduceOp, reduce_arrays
-from repro.comm.errors import CommTimeoutError
+from repro.comm.errors import QuorumLostError
 from repro.comm.serial import SteppedGroup
-from repro.comm.threaded import ThreadedGroup
+from repro.comm.elastic import ThreadedGroup
 from tests.conftest import join_rank_threads
+
+
+def run_with_rank_1_hung_outside_collectives(group):
+    """``group.run`` with rank 1 stalled for 5 s after the last
+    collective; asserts the call came back well before the stall ended
+    and that the stalled thread unwinds once released."""
+    release = threading.Event()
+
+    def body(comm):
+        comm.barrier()
+        if comm.rank == 1:
+            release.wait(5.0)  # far past any timeout, no collective in sight
+        return comm.rank
+
+    t0 = time.monotonic()
+    try:
+        return group.run(body)
+    finally:
+        elapsed = time.monotonic() - t0
+        release.set()
+        assert join_rank_threads() == []
+        assert elapsed < 3.0  # did not wait out the stall
 
 
 class TestThreadedGroup:
@@ -115,19 +141,10 @@ class TestThreadedGroup:
             comm.allreduce(np.ones(2))  # would deadlock without abort
             return comm.rank
 
-        with pytest.raises(RuntimeError, match="rank 1 exploded"):
+        with pytest.raises(QuorumLostError) as ei:
             g.run(body)
-
-    def test_reusable_after_error(self):
-        g = ThreadedGroup(2)
-
-        def bad(comm):
-            raise ValueError("nope")
-
-        with pytest.raises(ValueError):
-            g.run(bad)
-        results = g.run(lambda comm: comm.allreduce(np.array([1.0]))[0])
-        assert results == [2.0, 2.0]
+        assert isinstance(ei.value.__cause__, RuntimeError)
+        assert "rank 1 exploded" in str(ei.value.__cause__)
 
     def test_stats(self):
         g = ThreadedGroup(2)
@@ -159,25 +176,14 @@ class TestThreadedGroup:
         assert g.run(body) == [16.0, 16.0]
 
     def test_rank_hung_outside_collectives_detected(self):
-        """A rank stalled where no barrier can see it must not hang the
-        caller: once its peers finish, it gets timeout_s to unwind."""
+        """A rank stalled where no collective can see it must not hang
+        the caller: once its peer returns, it gets timeout_s to unwind,
+        is evicted, and with every rank needed the run is lost."""
         g = ThreadedGroup(2, timeout_s=0.3)
-        release = threading.Event()
-
-        def body(comm):
-            comm.barrier()
-            if comm.rank == 1:
-                release.wait(5.0)  # far past any timeout, no collective in sight
-            return comm.rank
-
-        t0 = time.monotonic()
-        try:
-            with pytest.raises(CommTimeoutError, match=r"rank\(s\) \[1\]"):
-                g.run(body)
-            assert time.monotonic() - t0 < 3.0  # did not wait out the stall
-        finally:
-            release.set()
-            assert join_rank_threads() == []
+        with pytest.raises(QuorumLostError) as ei:
+            run_with_rank_1_hung_outside_collectives(g)
+        assert ei.value.survivors == (0,)
+        assert [r for _, r in g.evictions] == [1]
 
     def test_join_timeout_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,8 @@
-"""Timeout and peer-failure behaviour of the fixed-membership backend.
+"""Timeout and peer-failure behaviour at ``quorum == size``.
 
-Before the resilience work, a rank dying outside a collective while its
-peers waited inside one hung the barrier forever.  These tests pin the
-contract: bounded waits, typed errors, and the peer's original
-exception re-raised on the survivors.
+A rank dying outside a collective while its peers wait inside one must
+not hang them.  These tests pin the contract: bounded waits, one typed
+error, and the dead rank's own exception as its cause.
 """
 
 import threading
@@ -12,8 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.comm.errors import CommTimeoutError, RankFailedError
-from repro.comm.threaded import ThreadedGroup
+from repro.comm.errors import QuorumLostError
+from repro.comm.elastic import ThreadedGroup
 from tests.conftest import join_rank_threads
 
 
@@ -27,18 +26,20 @@ class TestThreadedTimeouts:
                 raise RuntimeError("rank 1 heap corruption")
             try:
                 comm.allreduce(np.ones(2))
-            except RankFailedError as exc:
+            except QuorumLostError as exc:
                 seen[comm.rank] = exc
                 raise
             return comm.rank
 
-        with pytest.raises(RuntimeError, match="heap corruption"):
+        with pytest.raises(QuorumLostError) as ei:
             g.run(body)
-        # Survivors saw a typed error naming the dead rank, with the
-        # peer's original exception chained as the cause.
+        # The caller gets the dead rank's exception as the cause; the
+        # survivors were released with a typed error naming who is left.
+        assert isinstance(ei.value.__cause__, RuntimeError)
+        assert "heap corruption" in str(ei.value.__cause__)
+        assert list(g.failures) == [1]
         for rank in (0, 2):
-            assert seen[rank].failed_ranks == (1,)
-            assert isinstance(seen[rank].__cause__, RuntimeError)
+            assert seen[rank].survivors == (0, 2)
 
     def test_hung_peer_times_out_instead_of_blocking_forever(self):
         g = ThreadedGroup(2, timeout_s=0.2)
@@ -53,34 +54,15 @@ class TestThreadedTimeouts:
 
         t0 = time.monotonic()
         try:
-            with pytest.raises(CommTimeoutError) as ei:
+            with pytest.raises(QuorumLostError) as ei:
                 g.run(body)
             assert time.monotonic() - t0 < 10.0
-            assert ei.value.timeout_s == pytest.approx(0.2)
+            assert ei.value.survivors == (0,)
+            assert [r for _, r in g.evictions] == [1]
         finally:
             release.set()
             assert join_rank_threads() == []
 
-    def test_timeout_none_disables_bound(self):
-        g = ThreadedGroup(2, timeout_s=None)
-        out = g.run(lambda comm: comm.allreduce(np.array([1.0]))[0])
-        assert out == [2.0, 2.0]
-
     def test_timeout_validation(self):
         with pytest.raises(ValueError):
             ThreadedGroup(2, timeout_s=-1.0)
-
-    def test_group_reusable_after_timeout(self):
-        g = ThreadedGroup(2, timeout_s=0.2)
-
-        def hang_one(comm):
-            if comm.rank == 0:
-                comm.allreduce(np.ones(1))
-            else:
-                time.sleep(1.0)
-
-        with pytest.raises(CommTimeoutError):
-            g.run(hang_one)
-        time.sleep(1.0)  # let the straggler thread drain
-        out = g.run(lambda comm: comm.allreduce(np.array([2.0]))[0])
-        assert out == [4.0, 4.0]

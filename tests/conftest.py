@@ -12,8 +12,8 @@ import time  # noqa: E402
 
 import pytest  # noqa: E402
 
-#: Thread names of ``ThreadedGroup`` and ``ElasticThreadedGroup`` ranks.
-RANK_THREAD_PREFIXES = ("rank-", "elastic-rank-")
+#: Thread names of ``ThreadedGroup`` ranks (``rank-2``, ``rank-2.1`` once readmitted).
+RANK_THREAD_PREFIX = "rank-"
 #: Longer than any stall a test injects into a rank it then abandons
 #: (an evicted straggler sleeps out its 2 s hang before it unwinds).
 JOIN_TIMEOUT_S = 5.0
@@ -25,7 +25,7 @@ def join_rank_threads(timeout_s: float = JOIN_TIMEOUT_S):
     deadline = time.monotonic() + timeout_s
     alive = []
     for t in threading.enumerate():
-        if t.name.startswith(RANK_THREAD_PREFIXES):
+        if t.name.startswith(RANK_THREAD_PREFIX):
             t.join(max(0.0, deadline - time.monotonic()))
             if t.is_alive():
                 alive.append(t.name)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.engine import (
-    ElasticBackend,
     EngineConfig,
     SteppedBackend,
     ThreadedBackend,
@@ -39,7 +38,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "backend_cls",
-        [SteppedBackend, ThreadedBackend, ElasticBackend, ProcessBackend, StaleBackend],
+        [SteppedBackend, ThreadedBackend, ProcessBackend, StaleBackend],
     )
     def test_dataset_smaller_than_ranks_raises(self, backend_cls):
         """At construction, for every group backend — not as "dataset

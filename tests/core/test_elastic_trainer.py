@@ -17,7 +17,7 @@ import pytest
 
 from repro.comm.errors import QuorumLostError
 from repro.core.elastic import ElasticConfig
-from repro.core.engine import ElasticBackend, EngineConfig, ThreadedBackend, TrainingEngine
+from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -81,7 +81,7 @@ class TestBitwiseIdentity:
     def test_fault_free_matches_threaded_exactly(self):
         ref_hist, ref_params = run_threaded_reference()
         engine = group_engine(
-            ElasticBackend,
+            ThreadedBackend,
             make_dataset(9),
             3,
             3,
@@ -97,13 +97,15 @@ class TestBitwiseIdentity:
         assert engine.group_stats["failed_ranks"] == []
 
     def test_mode_elastic_on_plain_trainer(self):
-        """No policy, no injector: both default to the fault-free ones."""
+        """The default-constructed policy and no injector: the same
+        numbers as under no policy at all."""
         ref_hist, ref_params = run_threaded_reference()
         engine = group_engine(
-            ElasticBackend,
+            ThreadedBackend,
             make_dataset(9),
             3,
             3,
+            elastic=ElasticConfig(),
         )
         hist = engine.run()
         assert hist.train_loss == ref_hist.train_loss
@@ -130,7 +132,7 @@ class TestCrashSurvival:
             events=[FaultEvent(FaultKind.RANK_CRASH, rank=3, step=19)],
         )
         engine = group_engine(
-            ElasticBackend,
+            ThreadedBackend,
             make_dataset(n),
             n_ranks,
             epochs,
@@ -149,7 +151,7 @@ class TestCrashSurvival:
     def test_rank0_crash_still_returns_model(self):
         plan = FaultPlan(events=[FaultEvent(FaultKind.RANK_CRASH, rank=0, step=2)])
         engine = group_engine(
-            ElasticBackend,
+            ThreadedBackend,
             make_dataset(9),
             3,
             2,
@@ -166,7 +168,7 @@ class TestCrashSurvival:
             events=[FaultEvent(FaultKind.RANK_HANG, rank=1, step=3, delay_s=2.0)]
         )
         engine = group_engine(
-            ElasticBackend,
+            ThreadedBackend,
             make_dataset(9),
             3,
             2,
@@ -186,7 +188,7 @@ class TestCrashSurvival:
             events=[FaultEvent(FaultKind.MESSAGE_CORRUPT, rank=1, step=5)]
         )
         engine = group_engine(
-            ElasticBackend,
+            ThreadedBackend,
             make_dataset(9),
             3,
             3,
@@ -209,7 +211,7 @@ class TestQuorumRestart:
             events=[FaultEvent(FaultKind.RANK_CRASH, rank=1, step=4)]
         )
         engine = group_engine(
-            ElasticBackend,
+            ThreadedBackend,
             make_dataset(9),
             3,
             3,
@@ -239,7 +241,7 @@ class TestQuorumRestart:
             events=[FaultEvent(FaultKind.RANK_CRASH, rank=0, step=1)]
         )
         engine = group_engine(
-            ElasticBackend,
+            ThreadedBackend,
             make_dataset(9),
             3,
             2,
@@ -260,7 +262,7 @@ class TestQuorumRestart:
             events=[FaultEvent(FaultKind.RANK_CRASH, rank=1, step=9)]
         )
         engine = group_engine(
-            ElasticBackend,
+            ThreadedBackend,
             make_dataset(8),
             2,
             4,
@@ -300,7 +302,7 @@ class TestShortEpochStream:
         with StopIteration — the epoch stream is recycled instead."""
         epochs, n_ranks = 2, 2
         engine = group_engine(
-            ElasticBackend,
+            ThreadedBackend,
             ShortEpochData(make_dataset(8).x, make_dataset(8).y),
             n_ranks,
             epochs,

@@ -121,13 +121,11 @@ class TestCallbackHooks:
         assert [name for name, _ in rec.events].count("run_end") == 1
 
     def test_on_restart_fires_on_quorum_loss(self, tmp_path):
-        from repro.core.engine import ElasticBackend
-
         rec = Recorder()
         plan = FaultPlan(
             seed=1, events=[FaultEvent(FaultKind.RANK_CRASH, rank=1, step=4)]
         )
-        backend = ElasticBackend(
+        backend = ThreadedBackend(
             tiny_16(),
             make_dataset(6),
             optimizer_config=OPT,

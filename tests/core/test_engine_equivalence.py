@@ -31,7 +31,6 @@ import pytest
 from repro.comm.stale import StalenessConfig
 from repro.core.elastic import ElasticConfig
 from repro.core.engine import (
-    ElasticBackend,
     EngineConfig,
     LocalBackend,
     SteppedBackend,
@@ -72,7 +71,7 @@ def make_backend(mode, n_ranks, train=None, val=None, seed=SEED, rng=None):
     cls, extra = {
         "stepped": (SteppedBackend, {}),
         "threaded": (ThreadedBackend, {}),
-        "elastic": (ElasticBackend, {"elastic": ElasticConfig(timeout_s=10.0)}),
+        "elastic": (ThreadedBackend, {"elastic": ElasticConfig(timeout_s=10.0)}),
         "process": (ProcessBackend, {}),
         "ssgd": (StaleBackend, {"stale_mode": "ssgd", "staleness": SYNC}),
         "sagn": (StaleBackend, {"stale_mode": "sagn", "staleness": SYNC}),

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.core.elastic import ElasticConfig
 from repro.core.engine import (
-    ElasticBackend,
     EngineConfig,
     SteppedBackend,
     ThreadedBackend,
@@ -95,7 +94,7 @@ class TestDeterminismGate:
             FaultEvent(kind=FaultKind.RANK_RECOVER, rank=1, step=4),
         ))
         elastic = ElasticConfig(timeout_s=15.0, quorum=2, auto_respawn=False)
-        h_thr, p_thr, s_thr = run_elastic(ElasticBackend, plan, elastic)
+        h_thr, p_thr, s_thr = run_elastic(ThreadedBackend, plan, elastic)
         h_proc, p_proc, s_proc = run_elastic(ProcessBackend, plan, elastic)
         assert_bitwise_equal(h_thr, h_proc, p_thr, p_proc)
         # The shrink is visible in the curve, identically on both sides.
@@ -125,7 +124,7 @@ class TestDeterminismGate:
             )
 
         h_thr, p_thr, s_thr = run_elastic(
-            ElasticBackend, plan, elastic(tmp_path / "ckpt-thr")
+            ThreadedBackend, plan, elastic(tmp_path / "ckpt-thr")
         )
         h_proc, p_proc, s_proc = run_elastic(
             ProcessBackend, plan, elastic(tmp_path / "ckpt-proc")

@@ -16,7 +16,7 @@ The contract:
 import numpy as np
 
 from repro.core.elastic import ElasticConfig
-from repro.core.engine import ElasticBackend, EngineConfig, ThreadedBackend, TrainingEngine
+from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -35,7 +35,7 @@ OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
 
 def run_growback(plan=None, spares=0, n_ranks=4, epochs=4, n=16, metrics=None, timeout_s=10.0):
-    backend = ElasticBackend(
+    backend = ThreadedBackend(
         tiny_16(),
         make_dataset(n),
         optimizer_config=OPT,

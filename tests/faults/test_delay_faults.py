@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.elastic import ElasticConfig
-from repro.core.engine import ElasticBackend, EngineConfig, TrainingEngine
+from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.process_backend import ProcessBackend
 from repro.core.topology import tiny_16
@@ -28,7 +28,22 @@ def make_dataset(n=8, seed=0, size=16):
     return InMemoryData(x, y)
 
 
-def run_two_ranks(backend_cls=ElasticBackend, elastic=None, **faults):
+class ReleasableHang(FaultInjector):
+    """Stalls on an event instead of the engine's sleep, so a hung rank
+    thread can be let go instead of outliving its test."""
+
+    def __init__(self, plan, release: threading.Event):
+        super().__init__(plan)
+        self.release = release
+
+    def hang_delay(self, rank, step):
+        stall = super().hang_delay(rank, step)
+        if stall > 0:
+            self.release.wait(stall)
+        return 0.0
+
+
+def run_two_ranks(backend_cls=ThreadedBackend, elastic=None, **faults):
     backend = backend_cls(
         tiny_16(),
         make_dataset(8),
@@ -141,20 +156,9 @@ class TestThreadedElasticDelays:
     def test_persistent_slow_rank_evicted_on_timeout(self):
         plan = FaultPlan(seed=1).with_slow_rank(1, 2.0, n_steps=1, start_step=2)
         release = threading.Event()
-
-        class ReleasableHang(FaultInjector):
-            """Stalls on an event instead of the engine's sleep, so the
-            evicted rank can be let go instead of outliving the test."""
-
-            def hang_delay(self, rank, step):
-                stall = super().hang_delay(rank, step)
-                if stall > 0:
-                    release.wait(stall)
-                return 0.0
-
         try:
             t, hist = run_two_ranks(
-                injector=ReleasableHang(plan),
+                injector=ReleasableHang(plan, release),
                 elastic=ElasticConfig(timeout_s=0.3),
             )
         finally:

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.elastic import ElasticConfig
 from repro.core.engine import (
-    ElasticBackend,
     EngineConfig,
     LocalBackend,
     SteppedBackend,
@@ -64,7 +63,7 @@ def run_local():
 
 
 def run_distributed(mode):
-    cls = {"stepped": SteppedBackend, "threaded": ThreadedBackend, "elastic": ElasticBackend}[mode]
+    cls = SteppedBackend if mode == "stepped" else ThreadedBackend
     kwargs = {"elastic": ElasticConfig(timeout_s=10.0)} if mode == "elastic" else {}
     backend = cls(
         tiny_16(),

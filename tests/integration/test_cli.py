@@ -50,14 +50,14 @@ class TestParser:
             "stepped": engine.SteppedBackend,
             "threaded": engine.ThreadedBackend,
             "process": process_backend.ProcessBackend,
-            "elastic": engine.ElasticBackend,
+            "elastic": engine.ThreadedBackend,
             "ssgd": stale_backend.StaleBackend,
             "sagn": stale_backend.StaleBackend,
         }
         assert {
             name: cli._backend_class(mode) for name, mode in cli._FAULTSIM_MODES.items()
         } == {
-            "threaded": engine.ElasticBackend,
+            "threaded": engine.ThreadedBackend,
             "process": process_backend.ProcessBackend,
         }
         parser = build_parser()

@@ -16,7 +16,7 @@ timeouts and are legitimately timing-sensitive.
 import numpy as np
 
 from repro.core.elastic import ElasticConfig
-from repro.core.engine import ElasticBackend, EngineConfig, TrainingEngine
+from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -41,7 +41,7 @@ def traced_elastic_run(ckpt_dir):
     quorum, forcing a checkpoint restart.  Returns the trace sequence."""
     plan = FaultPlan(events=[FaultEvent(FaultKind.RANK_CRASH, rank=1, step=4)])
     tracer = Tracer()
-    backend = ElasticBackend(
+    backend = ThreadedBackend(
         tiny_16(),
         make_dataset(9),
         optimizer_config=OPT,

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.elastic import ElasticConfig
-from repro.core.engine import ElasticBackend, EngineConfig, TrainingEngine
+from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -43,7 +43,7 @@ def make_dataset(n, seed=0):
 
 
 def run_elastic(tracer=None, metrics=None, epochs=2, seed=0):
-    backend = ElasticBackend(
+    backend = ThreadedBackend(
         tiny_16(),
         make_dataset(9),
         val_data=make_dataset(6, seed=7),

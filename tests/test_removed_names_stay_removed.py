@@ -13,6 +13,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 REMOVED = {
+    # PR 23, one thread group: `--mode threaded` is the elastic group at
+    # quorum == size (docs/resilience.md); the barrier group, its backend's
+    # sibling and the group's second name.
+    "barrier thread group, second thread backend": (
+        r"ElasticBackend|ElasticThreadedGroup|_ThreadRankComm|_SharedState|comm\.threaded"
+        r"|threading\.Barrier",
+        ("src", "examples", "benchmarks"),
+    ),
     # PR 20, one front door: TrainingEngine over a backend is the only way
     # to start a run (docs/architecture.md).
     "trainer shims": (
