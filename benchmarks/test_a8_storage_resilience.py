@@ -52,8 +52,7 @@ def record_files(tmp_path_factory):
 
 def train_through(dataset, seed=0):
     """Train tiny_16 for EPOCHS over ``dataset`` via the prefetch
-    pipeline (1 I/O thread: decision order, and therefore the run, is
-    fully deterministic)."""
+    pipeline."""
     pipe = PrefetchPipeline(dataset, n_io_threads=1, buffer_size=4)
     model = CosmoFlowModel(tiny_16(), seed=seed)
     backend = LocalBackend(

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_report
+from repro.io.dataset import RecordDataset, write_dataset
 from repro.io.filesystem import (
     cori_datawarp,
     cori_lustre,
@@ -58,46 +59,33 @@ def test_equation1_analysis(benchmark):
     assert lustre.per_node_bandwidth_MBps(128) * 128 / 64 == pytest.approx(90, rel=0.03)
 
 
-class _SlowSource:
-    """A dataset whose reads take a prescribed time per sample."""
-
-    def __init__(self, n, read_time_s):
-        self.n = n
-        self.read_time_s = read_time_s
-
-    def __len__(self):
-        return self.n
-
-    def batches(self, batch_size=1, rng=None, shuffle=True):
-        import time
-
-        x = np.zeros((batch_size, 1, 4, 4, 4), dtype=np.float32)
-        y = np.zeros((batch_size, 3), dtype=np.float32)
-        for _ in range(self.n // batch_size):
-            time.sleep(self.read_time_s * batch_size)
-            yield x, y
-
-
-def test_pipeline_stall_mechanism(benchmark):
+def test_pipeline_stall_mechanism(benchmark, tmp_path):
     """The QueueRunner mechanism: I/O is hidden while storage outpaces
     compute, and stalls the step by the shortfall otherwise."""
     import time
 
     compute_s = 0.004
     n = 40
+    # One sample per file, so a file read is a step's worth of data.
+    paths = write_dataset(
+        tmp_path,
+        np.zeros((n, 1, 4, 4, 4), dtype=np.float32),
+        np.zeros((n, 3), dtype=np.float32),
+        samples_per_file=1,
+    )
 
     def run_epoch(read_time_s, threads):
-        pipe = PrefetchPipeline(
-            _SlowSource(n, read_time_s), n_io_threads=threads, buffer_size=8
-        )
+        store = RecordDataset(paths, read_hook=lambda path, nbytes: time.sleep(read_time_s))
+        pipe = PrefetchPipeline(store, n_io_threads=threads, buffer_size=8)
         t0 = time.perf_counter()
         for _ in pipe.batches(1):
             time.sleep(compute_s)  # gradient computation stand-in
         return time.perf_counter() - t0, pipe.stats
 
-    fast_total, fast_stats = run_epoch(0.001, threads=4)  # storage 4x faster than needed
+    # A read as long as a step, four in flight: storage 4x faster than needed.
+    fast_total, fast_stats = run_epoch(0.004, threads=4)
     slow_total, slow_stats = run_epoch(0.012, threads=1)  # storage 3x slower
-    benchmark.pedantic(run_epoch, args=(0.001, 4), rounds=1, iterations=1)
+    benchmark.pedantic(run_epoch, args=(0.004, 4), rounds=1, iterations=1)
 
     lines = [
         "E3b: prefetch-pipeline stall mechanism (measured)",

@@ -12,10 +12,12 @@ communication, limits scaling beyond ~512 nodes on Lustre.
   encoding for (volume, target) pairs.
 * :mod:`repro.io.dataset` — :class:`RecordDataset`, the file-backed
   dataset implementing the trainer's ``len()/batches()`` protocol with
-  shuffling and rank sharding.
-* :mod:`repro.io.pipeline` — :class:`PrefetchPipeline`, background I/O
-  threads filling a bounded buffer ahead of the training loop (the
-  QueueRunner substitute), with optional injected storage latency.
+  shuffling and rank sharding; its ``stream`` is the one epoch stream
+  (plan the file order, load each file once, assemble batches).
+* :mod:`repro.io.pipeline` — :class:`PrefetchPipeline`, that stream with
+  its file loads read ahead on background I/O threads, a bounded number
+  of files ahead of the training loop (the QueueRunner substitute): the
+  direct read's batches, batch for batch, at every thread count.
 * :mod:`repro.io.filesystem` — parameterized models of Cori Lustre,
   Cori DataWarp and Piz Daint Lustre (OST counts, striping, bandwidth,
   contention, per-target variability) used by the scaling experiments

@@ -6,6 +6,12 @@ size."  :func:`write_dataset` shards arrays into fixed-size record
 files the same way; :class:`RecordDataset` reads them back, implements
 the trainer's ``len()/batches()`` protocol, and supports the per-rank
 sharding data-parallel training needs.
+
+There is one epoch stream, :meth:`RecordDataset.stream` (plan the file
+order, load each file once, assemble batches in plan order):
+:meth:`RecordDataset.batches` is that stream loading each file as it is
+needed, :class:`~repro.io.pipeline.PrefetchPipeline` the same stream
+with the loads made ahead of time.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import inspect
 import threading
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -131,28 +137,6 @@ class RecordDataset:
     def n_files(self) -> int:
         return len(self.paths)
 
-    # Staging-tier counters, exposed where PipelineStats snapshots them.
-    # Shards share one StagingManager, so these aggregate across shards.
-
-    def _staging_stat(self, name: str) -> int:
-        return getattr(self.staging.stats, name) if self.staging is not None else 0
-
-    @property
-    def hedged_reads(self) -> int:
-        return self._staging_stat("hedged_reads")
-
-    @property
-    def hedge_wins(self) -> int:
-        return self._staging_stat("hedge_wins")
-
-    @property
-    def fallback_reads(self) -> int:
-        return self._staging_stat("fallback_reads")
-
-    @property
-    def stage_retries(self) -> int:
-        return self._staging_stat("stage_retries")
-
     def _call_hook(self, path: Path, nbytes: int, attempt: int) -> None:
         if self._hook_takes_attempt:
             self.read_hook(path, nbytes, attempt=attempt)
@@ -163,32 +147,47 @@ class RecordDataset:
         reader = RecordReader(physical, strict=self.strict)
         return list(reader.views()), reader
 
-    def _load_file(self, path: Path) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """One file's samples as read-only views of its mapping: the
-        caller copies each volume once, into the array it hands out."""
+    def _resolve(self, path: Path) -> Tuple[Path, str]:
+        """Where one read of ``path`` goes, and its tier.  Through a
+        staging tier this is a decision (a miss stages, a full buffer
+        evicts): a reader-ahead makes these calls in stream order."""
+        if self.staging is None:
+            return path, "direct"
+        resolved = self.staging.read(path)
+        return resolved.path, resolved.tier
 
-        def attempt_read(attempt: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-            physical, tier = path, "direct"
-            if self.staging is not None:
-                resolved = self.staging.read(path)
-                physical, tier = resolved.path, resolved.tier
-            nbytes = physical.stat().st_size
-            if self.read_hook is not None:
-                self._call_hook(path, nbytes, attempt)
+    def _load_file(
+        self, path: Path, resolved: Optional[Tuple[Path, str]] = None
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """One file's samples as read-only views of its mapping: the
+        caller copies each volume once, into the array it hands out.
+        ``resolved`` is the :meth:`_resolve` the caller has already made
+        for this read; a retry resolves again."""
+
+        def read_from(physical: Path, tier: str, attempt: int):
             try:
+                nbytes = physical.stat().st_size
+                if self.read_hook is not None:
+                    self._call_hook(path, nbytes, attempt)
                 samples, reader = self._read_records(physical)
+                corrupt = reader.records_skipped > 0
+            except FileNotFoundError:
+                if tier != "bb":
+                    raise
+                # Another reader's stage-in evicted this copy after it
+                # was resolved and before it was opened: a burst-buffer
+                # eviction, so a degraded read of the source, counted.
+                return read_from(self.staging.handle_evicted(path).path, "backing", attempt)
             except RecordCorruptionError:
                 if tier != "bb":
                     raise
+                corrupt = True
+            if corrupt and tier == "bb":
                 # Corruption in the *staged copy* is the staging tier's
                 # to fix: quarantine it, re-stage, re-read once.  If the
                 # source is corrupt too, the re-read raises for real.
-                resolved = self.staging.handle_corrupt(path)
-                samples, reader = self._read_records(resolved.path)
-            else:
-                if reader.records_skipped and tier == "bb":
-                    resolved = self.staging.handle_corrupt(path)
-                    samples, reader = self._read_records(resolved.path)
+                restaged = self.staging.handle_corrupt(path)
+                samples, reader = self._read_records(restaged.path)
             with self._lock:
                 self.bytes_read += nbytes
                 self.records_skipped += reader.records_skipped
@@ -197,6 +196,10 @@ class RecordDataset:
                     "skipped %d corrupt record(s) in %s", reader.records_skipped, path
                 )
             return samples
+
+        def attempt_read(attempt: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+            first = resolved is not None and attempt == 0
+            return read_from(*(resolved if first else self._resolve(path)), attempt)
 
         if self.retry is None:
             return attempt_read(0)
@@ -221,6 +224,19 @@ class RecordDataset:
         self, batch_size: int = 1, rng=None, shuffle: bool = True
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """Yield ``(x, y)`` batches with ``x`` shaped ``(B, C, D, H, W)``."""
+        return self.stream(batch_size, rng, shuffle, lambda paths: map(self._load_file, paths))
+
+    def stream(
+        self, batch_size: int, rng, shuffle: bool, loads: Callable[[List[Path]], Iterable]
+    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """The epoch: plan, load, assemble.
+
+        The file order is drawn from ``rng`` up front; ``loads`` is
+        handed the files in that order and yields each one's samples in
+        that order (:meth:`batches` loads them as it goes, a
+        :class:`~repro.io.pipeline.PrefetchPipeline` ahead of time);
+        each file's sample order is drawn as the file arrives.
+        """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         rng = new_rng(rng)
@@ -229,8 +245,7 @@ class RecordDataset:
             rng.shuffle(file_order)
         bx = by = None
         filled = 0
-        for fi in file_order:
-            samples = self._load_file(self.paths[fi])
+        for samples in loads([self.paths[fi] for fi in file_order]):
             order = np.arange(len(samples))
             if shuffle:
                 rng.shuffle(order)

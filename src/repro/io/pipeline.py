@@ -1,52 +1,47 @@
-"""Background prefetch pipeline (TensorFlow QueueRunner substitute).
+"""Ordered read-ahead of record files (TensorFlow QueueRunner substitute).
 
 "The CosmoFlow code uses the QueueRunner and coordinator features of
 TensorFlow to read and buffer training samples in a pipeline behind
 gradient computation.  Ideally this should hide the cost of I/O as long
 as there is sufficient read bandwidth" (Section VI-A).
 
-:class:`PrefetchPipeline` reproduces that design: N I/O threads pull
-record files, decode samples, and push them into a bounded queue; the
-training loop pops batches.  When the queue is non-empty the consumer
-never waits — I/O is hidden.  When storage is slower than compute
-(injectable via the dataset's ``read_hook`` or a per-sample delay), the
+:class:`PrefetchPipeline` is :meth:`RecordDataset.stream
+<repro.io.dataset.RecordDataset.stream>` — the one piece of code that
+draws an epoch and assembles its batches — with the files loaded ahead
+of time: N I/O threads each take the next file of the epoch's plan,
+read, checksum and decode it once, and the consumer is handed the loads
+in plan order.  So ``PrefetchPipeline(ds, n).batches(b, rng, shuffle)``
+equals ``ds.batches(b, rng, shuffle)`` batch for batch, for every
+``n``; what ``n`` changes is how many reads overlap.  When the loads
+keep ahead, the consumer never waits — I/O is hidden.  When storage is
+slower than compute (the dataset's ``read_hook`` models that), the
 consumer blocks and the stall time is recorded — exactly the mechanism
 behind the paper's Lustre scaling cliff.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.io.dataset import RecordDataset
 from repro.utils.logging import get_logger
-from repro.utils.rng import new_rng
 
 __all__ = ["PipelineStats", "PrefetchPipeline", "RESILIENCE_COUNTERS"]
-
-_SENTINEL = object()
 
 _log = get_logger("io.pipeline")
 
 
-class _ProducerError:
-    """Queue marker that wakes the consumer when an I/O thread dies."""
-
-    __slots__ = ("exc",)
-
-    def __init__(self, exc: BaseException):
-        self.exc = exc
-
-
-#: Dataset counters PipelineStats mirrors per epoch (snapshot deltas):
-#: anything degraded — a skipped record, a retried read, a hedged or
-#: fallback read through the staging tier — surfaces as a number here
-#: instead of vanishing into a log line.
+#: Dataset and staging-tier counters PipelineStats mirrors per epoch
+#: (snapshot deltas): anything degraded — a skipped record, a retried
+#: read, a hedged or fallback read through the staging tier — surfaces
+#: as a number here instead of vanishing into a log line.
 RESILIENCE_COUNTERS = (
     "read_retries",
     "records_skipped",
@@ -63,8 +58,9 @@ class PipelineStats:
 
     samples_delivered: int = 0
     consumer_wait_s: float = 0.0
-    producer_time_s: float = 0.0
+    #: Most files found loaded ahead of the consumer when it came for one.
     max_queue_depth: int = 0
+    #: Seconds the consumer was blocked on a load, per batch delivered.
     waits: List[float] = field(default_factory=list)
     #: Resilience counters (deltas observed through the source dataset).
     read_retries: int = 0
@@ -75,10 +71,6 @@ class PipelineStats:
     hedge_wins: int = 0
     fallback_reads: int = 0
     stage_retries: int = 0
-
-    @property
-    def mean_wait_s(self) -> float:
-        return self.consumer_wait_s / max(1, self.samples_delivered)
 
     def degraded_total(self) -> int:
         """Total degraded events this epoch — the single number a CI
@@ -93,40 +85,28 @@ class PipelineStats:
 
 
 class PrefetchPipeline:
-    """Threaded prefetching over any ``len()/batches()`` dataset.
+    """A :class:`RecordDataset` whose epoch is read ahead on threads.
 
     Parameters
     ----------
     dataset
-        Source implementing ``batches(batch_size, rng, shuffle)``.
+        The :class:`RecordDataset` to read.
     n_io_threads
         Paper: 6 I/O threads per rank (Figure 3's configuration); the
         default matches.
     buffer_size
-        Bounded queue capacity, in batches.
-    sample_delay_s
-        Optional artificial per-batch read time — the hook the I/O
-        experiments use to emulate a given storage bandwidth without
-        real slow disks.
+        Look-ahead bound, in files: how many may be loaded or loading
+        and not yet handed to the consumer.
     """
 
-    def __init__(
-        self,
-        dataset,
-        n_io_threads: int = 6,
-        buffer_size: int = 16,
-        sample_delay_s: float = 0.0,
-    ):
+    def __init__(self, dataset: RecordDataset, n_io_threads: int = 6, buffer_size: int = 16):
         if n_io_threads < 1:
             raise ValueError("n_io_threads must be >= 1")
         if buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
-        if sample_delay_s < 0:
-            raise ValueError("sample_delay_s must be >= 0")
         self.dataset = dataset
         self.n_io_threads = n_io_threads
         self.buffer_size = buffer_size
-        self.sample_delay_s = sample_delay_s
         self.stats = PipelineStats()
 
     def __len__(self) -> int:
@@ -135,109 +115,96 @@ class PrefetchPipeline:
     def batches(
         self, batch_size: int = 1, rng=None, shuffle: bool = True
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield batches produced by background I/O threads.
+        """``dataset.batches(batch_size, rng, shuffle)``, read ahead."""
+        stats = self.stats
+        # Snapshot the resilience counters so the epoch's retries/skips/
+        # hedges can be attributed to this pipeline's stats.
+        counters0 = self._counters()
+        waited = stats.consumer_wait_s
+        try:
+            for batch in self.dataset.stream(batch_size, rng, shuffle, self._read_ahead):
+                stats.waits.append(stats.consumer_wait_s - waited)
+                waited = stats.consumer_wait_s
+                stats.samples_delivered += len(batch[0])
+                yield batch
+        finally:
+            for name, now in self._counters().items():
+                setattr(stats, name, getattr(stats, name) + now - counters0[name])
+            if stats.degraded_total():
+                _log.info(
+                    "pipeline epoch, degraded reads so far: %s",
+                    ", ".join(f"{name}={getattr(stats, name)}" for name in RESILIENCE_COUNTERS),
+                )
 
-        The source dataset is partitioned across threads by striding its
-        batch stream; all threads replay the same seeded shuffle so the
-        strides form an exact partition of the epoch.
-        """
-        q: "queue.Queue" = queue.Queue(maxsize=self.buffer_size)
-        # Every thread replays the SAME shuffled stream (same seed) and
-        # keeps only its stride of batches — the streams must agree for
-        # the strides to partition the epoch without duplicates.
-        epoch_seed = int(new_rng(rng).integers(0, 2**31))
-        errors: List[BaseException] = []
-        # Set when the consumer abandons the epoch early (break/close):
-        # producers must not block forever on a full queue (the paper's
-        # "coordinator" role — TF's Coordinator exists for exactly this).
-        stop = threading.Event()
-        # Snapshot the dataset's resilience counters so the epoch's
-        # retries/skips/hedges can be attributed to this pipeline's stats.
-        counters0 = {
-            name: getattr(self.dataset, name, 0) for name in RESILIENCE_COUNTERS
+    def _counters(self) -> Dict[str, int]:
+        """The resilience counters now: the dataset's own where it has
+        one, else its staging tier's (shared by every shard over that
+        tier; zero without one)."""
+        dataset = self.dataset
+        tier = dataset.staging.stats if dataset.staging is not None else None
+        return {
+            name: getattr(dataset if hasattr(dataset, name) else tier, name, 0)
+            for name in RESILIENCE_COUNTERS
         }
 
-        def put(item) -> bool:
-            """Bounded put that gives up once the consumer is gone."""
-            while not stop.is_set():
-                try:
-                    q.put(item, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
+    def _read_ahead(self, paths: List[Path]) -> Iterator[list]:
+        """Each file's samples, in ``paths`` order, loaded on the I/O
+        threads up to ``buffer_size`` files ahead of the consumer.
 
-        def producer(tid: int, trng) -> None:
-            t0 = time.perf_counter()
-            try:
-                for i, batch in enumerate(
-                    self.dataset.batches(batch_size, rng=trng, shuffle=shuffle)
-                ):
-                    if stop.is_set():
-                        return
-                    if i % self.n_io_threads != tid:
-                        continue
-                    if self.sample_delay_s:
-                        time.sleep(self.sample_delay_s * len(batch[0]))
-                    if not put(batch):
-                        return
-            except BaseException as exc:  # noqa: BLE001 - surfaced to consumer
-                # Record first (the consumer's pre-get check sees it on
-                # its very next call), then wake a blocked consumer.
-                errors.append(exc)
-                self.stats.producer_errors += 1
-                put(_ProducerError(exc))
-            finally:
-                self.stats.producer_time_s += time.perf_counter() - t0
-                put(_SENTINEL)
+        A thread takes the next file *and resolves it* in one step under
+        ``turn``, so staging decisions are made in stream order — the
+        direct read's decisions — while the reads themselves overlap.
+        A load that raises is re-raised here when the consumer reaches
+        its place in the stream; once one has failed no load is started.
+        """
+        dataset, stats = self.dataset, self.stats
+        loads = [Future() for _ in paths]
+        todo = iter(range(len(paths)))
+        turn = threading.Lock()
+        # Permits to start a load; the consumer returns one per file it
+        # takes, and enough to wake every thread when it is done.
+        window = threading.Semaphore(self.buffer_size)
+        # Set when the epoch ends early (the consumer broke out, or a
+        # load failed): the paper's "coordinator" role.
+        stop = threading.Event()
+
+        def io_thread() -> None:
+            while True:
+                window.acquire()
+                try:
+                    with turn:
+                        k = next(todo, None)
+                        if k is None or stop.is_set():
+                            return
+                        resolved = dataset._resolve(paths[k])
+                    loads[k].set_result(dataset._load_file(paths[k], resolved))
+                except BaseException as exc:  # noqa: BLE001 - re-raised by the consumer
+                    with turn:
+                        stats.producer_errors += 1
+                    stop.set()
+                    loads[k].set_exception(exc)
 
         threads = [
-            threading.Thread(
-                target=producer, args=(t, np.random.default_rng(epoch_seed)), daemon=True
-            )
+            threading.Thread(target=io_thread, name=f"io-{t}", daemon=True)
             for t in range(self.n_io_threads)
         ]
         for t in threads:
             t.start()
-
-        finished = 0
         try:
-            while finished < self.n_io_threads:
-                # A dead producer must surface in the consuming thread
-                # within one next() call — check before blocking, and
-                # the _ProducerError marker wakes a blocked get().
-                if errors:
-                    raise errors[0]
+            for k in range(len(paths)):
+                ahead = sum(load.done() for load in loads[k : k + self.buffer_size])
+                stats.max_queue_depth = max(stats.max_queue_depth, ahead)
                 t0 = time.perf_counter()
-                item = q.get()
-                wait = time.perf_counter() - t0
-                if isinstance(item, _ProducerError):
-                    raise item.exc
-                if item is _SENTINEL:
-                    finished += 1
-                    continue
-                self.stats.consumer_wait_s += wait
-                self.stats.waits.append(wait)
-                self.stats.samples_delivered += len(item[0])
-                self.stats.max_queue_depth = max(self.stats.max_queue_depth, q.qsize())
-                yield item
+                samples = loads[k].result()
+                stats.consumer_wait_s += time.perf_counter() - t0
+                # A file stays mapped as long as its samples are in use,
+                # not as long as the epoch.
+                loads[k] = None
+                window.release()
+                yield samples
         finally:
             stop.set()
+            for _ in threads:
+                window.release()
             for t in threads:
                 t.join(timeout=5.0)
-            for name, before in counters0.items():
-                delta = getattr(self.dataset, name, 0) - before
-                setattr(self.stats, name, getattr(self.stats, name) + delta)
-            if self.stats.degraded_total():
-                _log.info(
-                    "pipeline epoch: %d read retries, %d corrupt records skipped, "
-                    "%d hedged reads (%d won), %d fallback reads, %d stage retries",
-                    self.stats.read_retries,
-                    self.stats.records_skipped,
-                    self.stats.hedged_reads,
-                    self.stats.hedge_wins,
-                    self.stats.fallback_reads,
-                    self.stats.stage_retries,
-                )
-        if errors:
-            raise errors[0]

@@ -34,9 +34,10 @@ handling a production staging tier needs:
   backing store; corruption that survives a re-stage is the source's
   problem and is handed back to the reader's strict/non-strict policy.
 * **Degraded-mode fallback** — an evicted burst buffer (``BB_EVICT``),
-  an open breaker, or an exhausted stage-in retry budget all degrade
-  to direct backing-store reads instead of raising; every fallback is
-  counted in :class:`StagingStats`.
+  an open breaker, an exhausted stage-in retry budget, or a copy that a
+  concurrent reader's stage-in evicted between this reader resolving it
+  and opening it all degrade to direct backing-store reads instead of
+  raising; every fallback is counted in :class:`StagingStats`.
 
 Determinism: all decisions (hedge-or-not, breaker trips, half-open
 transitions, retry jitter) are made on a **virtual clock** advanced by
@@ -441,6 +442,17 @@ class StagingManager:
                 self._event("bb-evict", n)
                 _log.warning("burst-buffer allocation evicted (%d staged files lost)", n)
             return n
+
+    def handle_evicted(self, source) -> StagedRead:
+        """The copy :meth:`read` resolved was gone when the reader came
+        to open it — a later read's stage-in evicted it in between.
+        The eviction is already counted; the read degrades to the
+        backing store like any other read of an evicted file."""
+        source = Path(source)
+        with self._lock:
+            self.stats.fallback_reads += 1
+            self._event("fallback", source.name)
+        return StagedRead(source, "backing", 0.0)
 
     def handle_corrupt(self, source) -> StagedRead:
         """A staged copy yielded corrupt records: quarantine it, re-stage

@@ -1,10 +1,17 @@
 """Tests for RecordDataset and the prefetch pipeline."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.io.dataset import RecordDataset, write_dataset
 from repro.io.pipeline import PrefetchPipeline
+
+
+def slow_store(seconds_per_file):
+    """A ``read_hook`` that makes every file read take that long."""
+    return lambda path, nbytes: time.sleep(seconds_per_file)
 
 
 @pytest.fixture
@@ -130,18 +137,15 @@ class TestPrefetchPipeline:
 
     def test_slow_storage_shows_waits(self, dataset_dir):
         _, paths, _, _ = dataset_dir
-        pipe = PrefetchPipeline(
-            RecordDataset(paths), n_io_threads=1, buffer_size=1, sample_delay_s=0.002
-        )
+        slow = RecordDataset(paths, read_hook=slow_store(0.01))
+        pipe = PrefetchPipeline(slow, n_io_threads=1, buffer_size=1)
         for _ in pipe.batches(1, rng=np.random.default_rng(0)):
-            pass  # consume instantly; producer is the bottleneck
+            pass  # consume instantly; the store is the bottleneck
         assert pipe.stats.consumer_wait_s > 0.01
 
     def test_fast_storage_hides_io(self, dataset_dir):
         """With no injected delay and slow consumption, waits are tiny
         compared to a slow-producer scenario — I/O is hidden."""
-        import time
-
         _, paths, _, _ = dataset_dir
 
         def consume(pipe):
@@ -152,7 +156,7 @@ class TestPrefetchPipeline:
         fast = consume(PrefetchPipeline(RecordDataset(paths), n_io_threads=2, buffer_size=8))
         slow = consume(
             PrefetchPipeline(
-                RecordDataset(paths), n_io_threads=1, buffer_size=1, sample_delay_s=0.005
+                RecordDataset(paths, read_hook=slow_store(0.03)), n_io_threads=1, buffer_size=1
             )
         )
         assert fast < slow
@@ -186,14 +190,12 @@ class TestPrefetchPipeline:
             PrefetchPipeline(ds, n_io_threads=0)
         with pytest.raises(ValueError):
             PrefetchPipeline(ds, buffer_size=0)
-        with pytest.raises(ValueError):
-            PrefetchPipeline(ds, sample_delay_s=-1.0)
 
     def test_early_abandon_does_not_leak_threads(self, dataset_dir):
-        """Breaking out of the epoch must release the producer threads
-        even when the queue is full (the TF Coordinator's job)."""
+        """Breaking out of the epoch must release the I/O threads even
+        when they are parked at the look-ahead bound (the TF
+        Coordinator's job)."""
         import threading
-        import time
 
         _, paths, _, _ = dataset_dir
         before = threading.active_count()
@@ -218,14 +220,9 @@ class TestPrefetchPipeline:
     def test_producer_error_propagates(self, dataset_dir):
         _, paths, _, _ = dataset_dir
 
-        class Boom:
-            def __len__(self):
-                return 1
+        def boom(path, nbytes):
+            raise RuntimeError("disk on fire")
 
-            def batches(self, *a, **k):
-                raise RuntimeError("disk on fire")
-                yield  # pragma: no cover
-
-        pipe = PrefetchPipeline(Boom(), n_io_threads=2)
+        pipe = PrefetchPipeline(RecordDataset(paths, read_hook=boom), n_io_threads=2)
         with pytest.raises(RuntimeError, match="disk on fire"):
             list(pipe.batches(1))

@@ -474,6 +474,63 @@ class TestPipelineIntegration:
         assert mgr.stats.bb_reads > 0
 
 
+class TestEvictedBetweenResolveAndOpen:
+    """A staged copy that is gone when the reader comes to open it was
+    evicted by someone else's stage-in: a degraded read, not an error."""
+
+    def test_the_read_falls_back_to_the_source(self, tmp_path, record_files):
+        mgr = make_manager(tmp_path)
+        mgr.stage_all(record_files)
+        # The hook runs after the read is resolved and before the file
+        # is opened — where another reader's eviction lands.
+        ds = RecordDataset(
+            record_files, staging=mgr, read_hook=lambda path, nbytes: mgr.evict_all()
+        )
+        direct_x, direct_y = RecordDataset(record_files).to_arrays()
+        x, y = ds.to_arrays()
+        np.testing.assert_array_equal(x, direct_x)
+        np.testing.assert_array_equal(y, direct_y)
+        assert mgr.stats.fallback_reads == len(record_files)
+        assert mgr.events.count("fallback:" + record_files[0].name) == 1
+
+    def test_a_missing_source_is_still_an_error(self, tmp_path, record_files):
+        ds = RecordDataset(record_files)
+        record_files[0].unlink()
+        with pytest.raises(FileNotFoundError):
+            ds.to_arrays()
+
+    def test_two_rank_threads_share_a_full_buffer(self, tmp_path, record_files):
+        """Each rank's stage-in evicts the other's copy (capacity: one
+        file), as under ``ThreadedBackend`` over a staged dataset."""
+        import sys
+        import threading
+
+        mgr = make_manager(tmp_path, capacity_bytes=record_files[0].stat().st_size)
+        ds = RecordDataset(record_files * 4, staging=mgr)
+        delivered, errors = [0, 0], []
+
+        def rank(r):
+            try:
+                for seed in range(10):
+                    delivered[r] += sum(len(x) for x, _ in ds.shard(r, 2).batches(4, rng=seed))
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=rank, args=(r,)) for r in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert delivered == [240, 240]
+
+
 class TestFaultPlanSampling:
     def test_sample_draws_storage_kinds(self):
         plan = FaultPlan.sample(

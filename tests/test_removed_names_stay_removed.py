@@ -13,6 +13,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 REMOVED = {
+    # PR 24, one epoch stream: PrefetchPipeline is RecordDataset.stream read
+    # ahead (docs/architecture.md); the per-thread replay's re-seeding, its
+    # queue protocol and the per-batch delay knob (a slow store is a read_hook).
+    "whole-epoch replay pipeline": (
+        r"sample_delay_s|_ProducerError|_SENTINEL|epoch_seed",
+        ("src", "examples", "benchmarks"),
+    ),
     # PR 23, one thread group: `--mode threaded` is the elastic group at
     # quorum == size (docs/resilience.md); the barrier group, its backend's
     # sibling and the group's second name.
