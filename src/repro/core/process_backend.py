@@ -88,6 +88,7 @@ from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.callback import TraceCallback
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
+from repro.primitives.conv3d import share_cores
 
 __all__ = ["ProcessBackend"]
 
@@ -145,6 +146,8 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
     classification protocol (see :mod:`repro.comm.process`).
     """
     signal.signal(signal.SIGTERM, _sigterm_to_exit)
+    # The other ranks convolve on the same cores at the same time.
+    share_cores(spec["world"])
     run_dir = Path(spec["run_dir"])
     ctrl_seg = attach_segment(spec["ctrl_name"])
     data_seg = attach_segment(spec["data_name"])

@@ -48,23 +48,45 @@ placements of :func:`_shifted_grad` (each tap writes a different slice
 of a different plane) and the per-tap un-arranging of the weight
 gradient (as one transposing copy it measured ~5x slower).
 
+Two cores per call
+------------------
+A call with enough GEMM work (``_HELPER_MIN_MACS``) runs part of it on a
+``conv-helper`` thread beside the caller (:func:`_beside_helper`): the
+backward asked for both gradients hands the helper the weight gradient
+(repack, GEMM, un-arrange) and keeps the input gradient and the bias;
+the untaped forward (``packed`` not given: inference, validation,
+serving) puts its (sample, depth-slab) units in one queue that both
+threads take from, each with half the pack budget, so a helper slowed by
+a busy second core does fewer of them.  Every GEMM is the same call on
+the same operands as on one thread and every output element has one
+writer, so the bits do not move.  The helper is joined before the call
+returns or raises, so no thread outlives a kernel call; it runs kernel
+code only, never the tape (grad mode is thread-local).  It only starts
+where it has a core of its own (:func:`_spare_core`): the BLAS runs one
+thread, and the CPUs number two for every thread — in every rank
+process — that may be busy on them.
+
 Derived once
 ------------
 The network is a static graph: everything a call derives from shapes
 and layer constants alone — normalised kernel / stride / padding, the
-output shape, the :class:`_Plan`, packed and padded shapes, crop slices
-— is one immutable :class:`_Geometry` record, built once per distinct
-``(n, ic, spatial, kernel, stride, padding)`` and looked up afterwards,
-the way MKL-DNN creates a layer's primitive once and then only executes
-it.  The cache holds tuples and slices, never an array (outputs and
-packed operands escape to the caller's tape, so each call allocates its
-own), which keeps it thread-safe and costs no memory worth counting.
+output shape, the :class:`_Plan`, packed and padded shapes, crop slices,
+its GEMMs' multiply-adds per output channel — is one immutable
+:class:`_Geometry` record, built once per distinct ``(n, ic, spatial,
+kernel, stride, padding)`` and looked up afterwards, the way MKL-DNN
+creates a layer's primitive once and then only executes it.  The cache
+holds tuples and slices, never an array (outputs and packed operands
+escape to the caller's tape, so each call allocates its own), which
+keeps it thread-safe and costs no memory worth counting.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import os
+import threading
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -153,8 +175,77 @@ def _pad_input(x: np.ndarray, padding: Shape3) -> np.ndarray:
 _IM2COL_MAX_REDUCTION = 128
 
 #: Most elements packed at a time by a forward that keeps nothing (one
-#: sample, a slab of output depth) or handed out by :func:`conv3d_pack`.
+#: sample, a slab of output depth; both threads' slabs together when it
+#: splits) or handed out by :func:`conv3d_pack`.
 _PACK_MAX_ELEMS = 16_000_000
+
+#: Fewest GEMM multiply-adds a helper thread must take over for the split
+#: to pay for its start + join and for the GIL hand-offs between the two
+#: threads.  On a 2-vCPU host it paid from ~20 M with the second vCPU idle
+#: and only from ~40 M with another process busy on it half the time.
+_HELPER_MIN_MACS = 32_000_000
+
+
+def _blas_name() -> str:
+    """The BLAS NumPy was built against, as NumPy reports it."""
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+def _blas_threads() -> Optional[int]:
+    """Threads the BLAS under NumPy runs a large GEMM on, where this module
+    knows how to tell: for OpenBLAS (what NumPy's wheels ship), read as it
+    reads it when it loads — the first of its thread-count variables set to
+    a positive integer, else one per CPU.  ``None`` for any other BLAS
+    (MKL, Accelerate, ...), whose threading is not modelled here."""
+    if "openblas" not in _blas_name().lower():
+        return None
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return os.cpu_count() or 1
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+#: Whether a GEMM runs on one thread.  With a threaded BLAS the GEMMs
+#: already fill the cores and a helper only oversubscribes them
+#: (``scaled_32`` conv2's backward measured 2.9 -> 3.4 ms with two BLAS
+#: threads), so nothing splits; nor where the BLAS is not known.
+_ONE_BLAS_THREAD = _blas_threads() == 1
+#: CPUs this process may run on.
+_CPUS = _usable_cpus()
+#: Processes running convolutions on those CPUs at once, this one included:
+#: the ranks of a process group, which each worker declares
+#: (:func:`share_cores`).
+_sharing_processes = 1
+
+
+def share_cores(processes: int) -> None:
+    """Count this process as one of ``processes`` that run convolutions on
+    the same CPUs at once (the ranks of a process group), so that a call
+    starts a helper thread only where each of them would have a core for
+    it."""
+    global _sharing_processes
+    _sharing_processes = max(1, int(processes))
+
+
+def _spare_core() -> bool:
+    """Whether a helper thread would find a core of its own now: the BLAS
+    runs one thread per GEMM and the CPUs number at least two for every
+    thread that may be busy on them — each live thread of this process (the
+    ranks of a threaded group, pipeline readers) in each process sharing
+    them.  Two ranks on two CPUs, as threads or as processes, ran slower
+    with a helper each, so they do not split."""
+    return _ONE_BLAS_THREAD and _CPUS >= 2 * threading.active_count() * _sharing_processes
+
+
+def _helper_pays(helper_macs: int) -> bool:
+    """Whether to hand ``helper_macs`` GEMM multiply-adds to a helper
+    thread: enough to pay for its start + join, and a core to run on."""
+    return helper_macs >= _HELPER_MIN_MACS and _spare_core()
 
 
 class _Plan(NamedTuple):
@@ -212,6 +303,10 @@ class _Geometry(NamedTuple):
     #: Packed elements per sample and plane of output depth: what the
     #: untaped forward divides ``_PACK_MAX_ELEMS`` by to bound its slabs.
     plane_elems: int
+    #: Multiply-adds per output channel of one of the call's GEMMs: what
+    #: decides whether it runs part of its work on a helper thread
+    #: (:func:`_helper_pays`).
+    gemm_macs_per_oc: int
 
 
 def _window_steps(plan: _Plan) -> Shape3:
@@ -242,13 +337,16 @@ def _geometry(n: int, ic: int, input_shape, kernel, stride, padding, im2col=None
     crop = None
     if padding != (0, 0, 0):
         crop = (slice(None),) * 2 + tuple(slice(p, p + s) for s, p in zip(input_shape, padding))
+    plane_elems = reduction * out_shape[1] * plan.row
     return _Geometry(
         plan, padding, input_shape,
         packed_shape=plan.packed_shape(n, ic),
         reduction=reduction,
         padded_shape=(n, ic) + padded,
         crop=crop,
-        plane_elems=reduction * out_shape[1] * plan.row,
+        plane_elems=plane_elems,
+        # (gemm_taps x reduction) @ (reduction x N*OD*OH*row), per channel.
+        gemm_macs_per_oc=len(plan.gemm_taps) * plane_elems * n * out_shape[0],
     )
 
 
@@ -334,6 +432,30 @@ def _gemm_sum_taps(a, packed, bias, out, plan: _Plan) -> None:
         dst += t[zw][..., tap]
 
 
+def _beside_helper(helper_work, own_work):
+    """``(own_work(), helper_work())``, the second run on a ``conv-helper``
+    thread while the caller runs the first.  The helper is joined before
+    anything is returned or raised, so no thread outlives the call; its
+    exception is re-raised here (the caller's own takes precedence)."""
+    done = {}
+
+    def run():
+        try:
+            done["result"] = helper_work()
+        except BaseException as exc:  # re-raised on the caller's thread
+            done["error"] = exc
+
+    helper = threading.Thread(target=run, name="conv-helper")
+    helper.start()
+    try:
+        own = own_work()
+    finally:
+        helper.join()
+    if "error" in done:
+        raise done["error"]
+    return own, done["result"]
+
+
 def conv3d_forward(
     x: np.ndarray,
     w: np.ndarray,
@@ -384,13 +506,29 @@ def conv3d_forward(
     xp = _pad_input(x, geo.padding)
     od = plan.out_shape[0]
     sd, kd = plan.stride[0], plan.kernel[0]
-    slab = max(1, min(od, _PACK_MAX_ELEMS // geo.plane_elems))
-    for b in range(n):
-        for d0 in range(0, od, slab):
-            d1 = min(d0 + slab, od)
+    split = _helper_pays(w.shape[0] * geo.gemm_macs_per_oc // 2)
+    budget = _PACK_MAX_ELEMS // 2 if split else _PACK_MAX_ELEMS
+    slab = max(1, min(od, budget // geo.plane_elems))
+    units = collections.deque(
+        (b, d0, min(d0 + slab, od)) for b in range(n) for d0 in range(0, od, slab)
+    )
+
+    def run():
+        # A deque's pops are thread-safe: each unit, and so each slice of
+        # ``out``, goes to exactly one thread.
+        while True:
+            try:
+                b, d0, d1 = units.popleft()
+            except IndexError:
+                return
             part = plan._replace(out_shape=(d1 - d0,) + plan.out_shape[1:])
             rows = _pack(xp[b : b + 1, :, sd * d0 : sd * (d1 - 1) + kd], part)
             _gemm_sum_taps(a, rows, bias, out[b : b + 1, :, d0:d1], part)
+
+    if split and len(units) > 1:
+        _beside_helper(run, run)
+    else:
+        run()
     return out.astype(x.dtype, copy=False)
 
 
@@ -408,10 +546,9 @@ def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bia
     if packed is not None:
         _check_packed(packed, geo)
     shifted = _shifted_grad(grad_out, plan)
-    grad_x = grad_w = None
     (kd, kh, kw), (sd, sh, _), (od, oh, _) = plan.kernel, plan.stride, plan.out_shape
 
-    if w is not None:
+    def input_grad():
         grad_rows = (_weight_matrix(w, plan).T @ shifted).reshape(geo.packed_shape)
         grad_x = np.zeros(geo.padded_shape, dtype=grad_out.dtype)
         dst = grad_x.transpose(1, 0, 2, 3, 4)
@@ -425,11 +562,11 @@ def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bia
                     rows[..., tap] += grad_rows[:, zd, zh, u]
         if geo.crop is not None:
             grad_x = np.ascontiguousarray(grad_x[geo.crop])
+        return grad_x
 
-    if x is not None:
-        if packed is None:
-            packed = _pack(_pad_input(x, geo.padding), plan)
-        grad_wm = shifted @ packed.reshape(geo.reduction, -1).T
+    def weight_grad():
+        rows = _pack(_pad_input(x, geo.padding), plan) if packed is None else packed
+        grad_wm = shifted @ rows.reshape(geo.reduction, -1).T
         # Undo _weight_matrix's arrangement, one gemm-tap at a time (a single
         # transposing copy is ~5x slower in NumPy).
         oc, ic = grad_out.shape[1], geo.packed_shape[0]
@@ -438,8 +575,17 @@ def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bia
         taps_last = grad_w.reshape(oc, ic, kd, kh, kt, ku)
         for zw, per_tap in enumerate(grad_wm.reshape(kt, oc, ic, kd, kh, ku)):
             taps_last[:, :, :, :, zw] = per_tap
+        return grad_w
 
-    grad_b = grad_out.sum(axis=(0, 2, 3, 4)) if with_bias else None
+    def bias_grad():
+        return grad_out.sum(axis=(0, 2, 3, 4)) if with_bias else None
+
+    if w is not None and x is not None and _helper_pays(grad_out.shape[1] * geo.gemm_macs_per_oc):
+        (grad_x, grad_b), grad_w = _beside_helper(weight_grad, lambda: (input_grad(), bias_grad()))
+    else:
+        grad_x = input_grad() if w is not None else None
+        grad_w = weight_grad() if x is not None else None
+        grad_b = bias_grad()
     return grad_x, grad_w, grad_b
 
 

@@ -1,5 +1,5 @@
-"""Suite-wide set-up: one BLAS thread, and no rank thread outlives the
-test that started it."""
+"""Suite-wide set-up: one BLAS thread, and no rank or conv-helper thread
+outlives the test that started it."""
 
 import os
 
@@ -12,8 +12,11 @@ import time  # noqa: E402
 
 import pytest  # noqa: E402
 
-#: Thread names of ``ThreadedGroup`` ranks (``rank-2``, ``rank-2.1`` once readmitted).
+#: Thread names of ``ThreadedGroup`` ranks (``rank-2``, ``rank-2.1`` once
+#: readmitted) and of the helper a large convolution call runs beside itself
+#: (``repro.primitives.conv3d._beside_helper``, joined before the call returns).
 RANK_THREAD_PREFIX = "rank-"
+CONV_HELPER_NAME = "conv-helper"
 #: Longer than any stall a test injects into a rank it then abandons
 #: (an evicted straggler sleeps out its 2 s hang before it unwinds).
 JOIN_TIMEOUT_S = 5.0
@@ -33,11 +36,18 @@ def join_rank_threads(timeout_s: float = JOIN_TIMEOUT_S):
 
 
 @pytest.fixture(autouse=True)
-def no_rank_thread_outlives_its_test():
-    """A rank thread left running bleeds into whatever runs next (the
-    benchmark's calibration tick refuses to start beside one), so the
-    test that left it is the one that fails."""
+def no_program_thread_outlives_its_test():
+    """A rank or conv-helper thread left running bleeds into whatever runs
+    next (the benchmark's calibration tick refuses to start beside one), so
+    the test that left it is the one that fails.  Rank threads may still be
+    unwinding and get ``JOIN_TIMEOUT_S``; a conv-helper is joined by the
+    call that started it, so one seen once the ranks are gone has leaked."""
     yield
     alive = join_rank_threads()
     if alive:
         pytest.fail(f"rank thread(s) {alive} still alive {JOIN_TIMEOUT_S}s after the test")
+    helpers = [t for t in threading.enumerate() if t.name == CONV_HELPER_NAME]
+    for t in helpers:
+        t.join(JOIN_TIMEOUT_S)
+    if helpers:
+        pytest.fail(f"{len(helpers)} {CONV_HELPER_NAME} thread(s) outlived the call that started them")
