@@ -9,6 +9,7 @@ parameter space.
 
 from __future__ import annotations
 
+import collections
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -17,7 +18,9 @@ from repro.core.parameters import ParameterSpace
 from repro.core.topology import CosmoFlowConfig, build_network, default_parameter_space
 from repro.core import flops as flops_mod
 from repro.tensor import ops
+from repro.tensor.layers import Dense
 from repro.tensor.tensor import Tensor, no_grad
+from repro.utils.cores import beside_helper, helper_pays
 
 __all__ = ["CosmoFlowModel"]
 
@@ -52,6 +55,16 @@ class CosmoFlowModel:
                 f"parameter space has {self.space.n_params} parameters but the "
                 f"network predicts {config.n_outputs}"
             )
+        # The untaped forward's two parts (see _untaped_forward), the width
+        # of what passes between them, and the prefix's convolution
+        # multiply-adds per sample.
+        layers = self.network.layers
+        head = next(i for i, layer in enumerate(layers) if isinstance(layer, Dense))
+        self._prefix, self._head = layers[:head], layers[head:]
+        self._features = config.flattened_size
+        self._prefix_macs = int(
+            sum(c.fwd_flops for c in flops_mod.network_costs(config) if c.kind == "conv") // 2
+        )
 
     # -- parameters -----------------------------------------------------------
 
@@ -110,10 +123,51 @@ class CosmoFlowModel:
         """Taped forward pass (normalized-output space)."""
         return self.network(Tensor(self._check_input(x)))
 
+    def _untaped_forward(self, x) -> np.ndarray:
+        """The network's output on ``x``, with no tape: what prediction and
+        validation run.
+
+        A batch of two or more whose helper's share of the prefix — every
+        layer before the first ``Dense``: convolutions, activations, pools,
+        flatten — pays for a helper thread (:func:`~repro.utils.cores
+        .helper_pays`) splits by sample: the caller and one helper take
+        samples from one queue and run the prefix on each alone, then the
+        head runs once on the joined batch.  Each prefix layer computes a
+        sample without looking at another (the untaped convolution packs
+        one sample at a time anyway), and the head's GEMMs get the very
+        operands of the unsplit forward, so the bits are the same.
+        """
+        x = self._check_input(x)
+        n = len(x)
+        with no_grad():
+            if n < 2 or not helper_pays(n // 2 * self._prefix_macs):
+                return self.network(Tensor(x)).data
+            samples = collections.deque(range(n))
+            features = np.empty((n, self._features), dtype=np.float32)
+
+            def lane():
+                with no_grad():  # grad mode is per thread: the helper's own
+                    while True:
+                        # A deque's pops are thread-safe: each sample, and so
+                        # each row of ``features``, goes to exactly one lane.
+                        try:
+                            i = samples.popleft()
+                        except IndexError:
+                            return
+                        t = Tensor(x[i : i + 1])
+                        for layer in self._prefix:
+                            t = layer(t)
+                        features[i] = t.data[0]
+
+            beside_helper(lane, lane)
+            t = Tensor(features)
+            for layer in self._head:
+                t = layer(t)
+            return t.data
+
     def predict_normalized(self, x) -> np.ndarray:
         """Inference in the [0,1] target space."""
-        with no_grad():
-            return self.forward(x).data
+        return self._untaped_forward(x)
 
     def predict(self, x) -> np.ndarray:
         """Inference in physical parameter units (ΩM, σ8, ns)."""
@@ -152,9 +206,7 @@ class CosmoFlowModel:
         y = np.asarray(y_normalized, dtype=np.float32)
         if y.ndim == 1:
             y = y[None, :]
-        with no_grad():
-            pred = self.forward(x)
-            return float(np.mean((pred.data - y) ** 2))
+        return float(np.mean((self._untaped_forward(x) - y) ** 2))
 
     # -- static accounting -----------------------------------------------------
 

@@ -88,7 +88,7 @@ from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.callback import TraceCallback
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.primitives.conv3d import share_cores
+from repro.utils.cores import share_cores
 
 __all__ = ["ProcessBackend"]
 

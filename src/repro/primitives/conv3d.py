@@ -50,21 +50,19 @@ gradient (as one transposing copy it measured ~5x slower).
 
 Two cores per call
 ------------------
-A call with enough GEMM work (``_HELPER_MIN_MACS``) runs part of it on a
-``conv-helper`` thread beside the caller (:func:`_beside_helper`): the
-backward asked for both gradients hands the helper the weight gradient
-(repack, GEMM, un-arrange) and keeps the input gradient and the bias;
-the untaped forward (``packed`` not given: inference, validation,
+A call with enough GEMM work runs part of it on the helper thread of
+:mod:`repro.utils.cores` beside the caller, where that module's rule
+(:func:`~repro.utils.cores.helper_pays`) finds it pays and a core is
+spare: the backward asked for both gradients hands the helper the weight
+gradient (repack, GEMM, un-arrange) and keeps the input gradient and the
+bias; the untaped forward (``packed`` not given: inference, validation,
 serving) puts its (sample, depth-slab) units in one queue that both
-threads take from, each with half the pack budget, so a helper slowed by
-a busy second core does fewer of them.  Every GEMM is the same call on
-the same operands as on one thread and every output element has one
-writer, so the bits do not move.  The helper is joined before the call
-returns or raises, so no thread outlives a kernel call; it runs kernel
-code only, never the tape (grad mode is thread-local).  It only starts
-where it has a core of its own (:func:`_spare_core`): the BLAS runs one
-thread, and the CPUs number two for every thread — in every rank
-process — that may be busy on them.
+threads take from, so a helper slowed by a busy second core does fewer
+of them.  The slabs are the ones one thread would pack, so every GEMM is
+the same call on the same operands as on one thread, and every output
+element has one writer: the bits do not move.  The helper is joined
+before the call returns or raises, so no thread outlives a kernel call;
+it runs kernel code only, never the tape (grad mode is thread-local).
 
 Derived once
 ------------
@@ -85,12 +83,12 @@ from __future__ import annotations
 import collections
 import functools
 import math
-import os
-import threading
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+from repro.utils.cores import beside_helper, helper_pays
 
 __all__ = [
     "conv3d_output_shape",
@@ -174,78 +172,10 @@ def _pad_input(x: np.ndarray, padding: Shape3) -> np.ndarray:
 #: (CosmoFlow's conv1) ``IC * K^2`` alone is too short to feed a GEMM.
 _IM2COL_MAX_REDUCTION = 128
 
-#: Most elements packed at a time by a forward that keeps nothing (one
-#: sample, a slab of output depth; both threads' slabs together when it
-#: splits) or handed out by :func:`conv3d_pack`.
+#: Most elements packed at a time by one thread of a forward that keeps
+#: nothing (one sample, a slab of output depth) or handed out by
+#: :func:`conv3d_pack`.
 _PACK_MAX_ELEMS = 16_000_000
-
-#: Fewest GEMM multiply-adds a helper thread must take over for the split
-#: to pay for its start + join and for the GIL hand-offs between the two
-#: threads.  On a 2-vCPU host it paid from ~20 M with the second vCPU idle
-#: and only from ~40 M with another process busy on it half the time.
-_HELPER_MIN_MACS = 32_000_000
-
-
-def _blas_name() -> str:
-    """The BLAS NumPy was built against, as NumPy reports it."""
-    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-
-
-def _blas_threads() -> Optional[int]:
-    """Threads the BLAS under NumPy runs a large GEMM on, where this module
-    knows how to tell: for OpenBLAS (what NumPy's wheels ship), read as it
-    reads it when it loads — the first of its thread-count variables set to
-    a positive integer, else one per CPU.  ``None`` for any other BLAS
-    (MKL, Accelerate, ...), whose threading is not modelled here."""
-    if "openblas" not in _blas_name().lower():
-        return None
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return os.cpu_count() or 1
-
-
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-#: Whether a GEMM runs on one thread.  With a threaded BLAS the GEMMs
-#: already fill the cores and a helper only oversubscribes them
-#: (``scaled_32`` conv2's backward measured 2.9 -> 3.4 ms with two BLAS
-#: threads), so nothing splits; nor where the BLAS is not known.
-_ONE_BLAS_THREAD = _blas_threads() == 1
-#: CPUs this process may run on.
-_CPUS = _usable_cpus()
-#: Processes running convolutions on those CPUs at once, this one included:
-#: the ranks of a process group, which each worker declares
-#: (:func:`share_cores`).
-_sharing_processes = 1
-
-
-def share_cores(processes: int) -> None:
-    """Count this process as one of ``processes`` that run convolutions on
-    the same CPUs at once (the ranks of a process group), so that a call
-    starts a helper thread only where each of them would have a core for
-    it."""
-    global _sharing_processes
-    _sharing_processes = max(1, int(processes))
-
-
-def _spare_core() -> bool:
-    """Whether a helper thread would find a core of its own now: the BLAS
-    runs one thread per GEMM and the CPUs number at least two for every
-    thread that may be busy on them — each live thread of this process (the
-    ranks of a threaded group, pipeline readers) in each process sharing
-    them.  Two ranks on two CPUs, as threads or as processes, ran slower
-    with a helper each, so they do not split."""
-    return _ONE_BLAS_THREAD and _CPUS >= 2 * threading.active_count() * _sharing_processes
-
-
-def _helper_pays(helper_macs: int) -> bool:
-    """Whether to hand ``helper_macs`` GEMM multiply-adds to a helper
-    thread: enough to pay for its start + join, and a core to run on."""
-    return helper_macs >= _HELPER_MIN_MACS and _spare_core()
 
 
 class _Plan(NamedTuple):
@@ -305,7 +235,7 @@ class _Geometry(NamedTuple):
     plane_elems: int
     #: Multiply-adds per output channel of one of the call's GEMMs: what
     #: decides whether it runs part of its work on a helper thread
-    #: (:func:`_helper_pays`).
+    #: (:func:`~repro.utils.cores.helper_pays`).
     gemm_macs_per_oc: int
 
 
@@ -432,30 +362,6 @@ def _gemm_sum_taps(a, packed, bias, out, plan: _Plan) -> None:
         dst += t[zw][..., tap]
 
 
-def _beside_helper(helper_work, own_work):
-    """``(own_work(), helper_work())``, the second run on a ``conv-helper``
-    thread while the caller runs the first.  The helper is joined before
-    anything is returned or raised, so no thread outlives the call; its
-    exception is re-raised here (the caller's own takes precedence)."""
-    done = {}
-
-    def run():
-        try:
-            done["result"] = helper_work()
-        except BaseException as exc:  # re-raised on the caller's thread
-            done["error"] = exc
-
-    helper = threading.Thread(target=run, name="conv-helper")
-    helper.start()
-    try:
-        own = own_work()
-    finally:
-        helper.join()
-    if "error" in done:
-        raise done["error"]
-    return own, done["result"]
-
-
 def conv3d_forward(
     x: np.ndarray,
     w: np.ndarray,
@@ -506,9 +412,7 @@ def conv3d_forward(
     xp = _pad_input(x, geo.padding)
     od = plan.out_shape[0]
     sd, kd = plan.stride[0], plan.kernel[0]
-    split = _helper_pays(w.shape[0] * geo.gemm_macs_per_oc // 2)
-    budget = _PACK_MAX_ELEMS // 2 if split else _PACK_MAX_ELEMS
-    slab = max(1, min(od, budget // geo.plane_elems))
+    slab = max(1, min(od, _PACK_MAX_ELEMS // geo.plane_elems))
     units = collections.deque(
         (b, d0, min(d0 + slab, od)) for b in range(n) for d0 in range(0, od, slab)
     )
@@ -525,8 +429,8 @@ def conv3d_forward(
             rows = _pack(xp[b : b + 1, :, sd * d0 : sd * (d1 - 1) + kd], part)
             _gemm_sum_taps(a, rows, bias, out[b : b + 1, :, d0:d1], part)
 
-    if split and len(units) > 1:
-        _beside_helper(run, run)
+    if len(units) > 1 and helper_pays(w.shape[0] * geo.gemm_macs_per_oc // 2):
+        beside_helper(run, run)
     else:
         run()
     return out.astype(x.dtype, copy=False)
@@ -580,8 +484,8 @@ def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bia
     def bias_grad():
         return grad_out.sum(axis=(0, 2, 3, 4)) if with_bias else None
 
-    if w is not None and x is not None and _helper_pays(grad_out.shape[1] * geo.gemm_macs_per_oc):
-        (grad_x, grad_b), grad_w = _beside_helper(weight_grad, lambda: (input_grad(), bias_grad()))
+    if w is not None and x is not None and helper_pays(grad_out.shape[1] * geo.gemm_macs_per_oc):
+        (grad_x, grad_b), grad_w = beside_helper(weight_grad, lambda: (input_grad(), bias_grad()))
     else:
         grad_x = input_grad() if w is not None else None
         grad_w = weight_grad() if x is not None else None

@@ -1,5 +1,6 @@
 """Shared utilities: seeded RNG helpers, stage timers, logging,
-retry schedules, the circuit breaker.
+retry schedules, the circuit breaker, and (``repro.utils.cores``) the
+one helper thread a large call runs beside itself.
 
 These helpers are deliberately tiny and dependency-free; every other
 subpackage may import them, and they import nothing from the rest of

@@ -1,4 +1,4 @@
-"""Suite-wide set-up: one BLAS thread, and no rank or conv-helper thread
+"""Suite-wide set-up: one BLAS thread, and no rank or helper thread
 outlives the test that started it."""
 
 import os
@@ -12,11 +12,14 @@ import time  # noqa: E402
 
 import pytest  # noqa: E402
 
+from repro.utils import cores  # noqa: E402
+
+
 #: Thread names of ``ThreadedGroup`` ranks (``rank-2``, ``rank-2.1`` once
-#: readmitted) and of the helper a large convolution call runs beside itself
-#: (``repro.primitives.conv3d._beside_helper``, joined before the call returns).
+#: readmitted); the helper a large convolution or a batched prediction runs
+#: beside itself (``repro.utils.cores.beside_helper``) is joined before the
+#: call returns.
 RANK_THREAD_PREFIX = "rank-"
-CONV_HELPER_NAME = "conv-helper"
 #: Longer than any stall a test injects into a rank it then abandons
 #: (an evicted straggler sleeps out its 2 s hang before it unwinds).
 JOIN_TIMEOUT_S = 5.0
@@ -37,17 +40,31 @@ def join_rank_threads(timeout_s: float = JOIN_TIMEOUT_S):
 
 @pytest.fixture(autouse=True)
 def no_program_thread_outlives_its_test():
-    """A rank or conv-helper thread left running bleeds into whatever runs
-    next (the benchmark's calibration tick refuses to start beside one), so
-    the test that left it is the one that fails.  Rank threads may still be
-    unwinding and get ``JOIN_TIMEOUT_S``; a conv-helper is joined by the
-    call that started it, so one seen once the ranks are gone has leaked."""
+    """A rank or helper thread left running bleeds into whatever runs next
+    (the benchmark's calibration tick refuses to start beside one), so the
+    test that left it is the one that fails.  Rank threads may still be
+    unwinding and get ``JOIN_TIMEOUT_S``; a helper is joined by the call
+    that started it, so one seen once the ranks are gone has leaked."""
     yield
     alive = join_rank_threads()
     if alive:
         pytest.fail(f"rank thread(s) {alive} still alive {JOIN_TIMEOUT_S}s after the test")
-    helpers = [t for t in threading.enumerate() if t.name == CONV_HELPER_NAME]
+    helpers = [t for t in threading.enumerate() if t.name == cores.HELPER_THREAD_NAME]
     for t in helpers:
         t.join(JOIN_TIMEOUT_S)
     if helpers:
-        pytest.fail(f"{len(helpers)} {CONV_HELPER_NAME} thread(s) outlived the call that started them")
+        pytest.fail(f"{len(helpers)} {cores.HELPER_THREAD_NAME} thread(s) outlived the call that started them")
+
+
+@pytest.fixture
+def split_at(monkeypatch):
+    """Set the fewest multiply-adds a helper thread must take over
+    (``repro.utils.cores._HELPER_MIN_MACS``), and whether it finds a core
+    of its own (which the BLAS, the CPUs and the live threads decide
+    otherwise)."""
+
+    def set_to(value, spare_core=True):
+        monkeypatch.setattr(cores, "_HELPER_MIN_MACS", value)
+        monkeypatch.setattr(cores, "spare_core", lambda: spare_core)
+
+    return set_to

@@ -1,18 +1,18 @@
 """The helper-thread split of ``repro.primitives.conv3d``, against the same
 call run on one thread, byte for byte.
 
-A call whose GEMM work reaches ``_HELPER_MIN_MACS`` runs part of it on a
-``conv-helper`` thread: the two-gradient backward hands over its weight
-gradient, the untaped forward shares one queue of (sample, depth-slab)
-units with it.  Every
-GEMM is the same call on the same operands either way and every output
-element is written by one thread, so the bytes cannot move; the tests below
-pin that with the constant at 0 (every call splits) against infinity (none
-does) — and, where halving the pack budget does change a GEMM's columns
-(``paper_128``), that the bytes still match — pin that an exception in
-either half surfaces only after the helper is joined, that no call leaves a
-thread behind, which layers of the presets split at the constant as
-shipped, and that a helper only starts where it has a core of its own.
+A call whose GEMM work reaches ``repro.utils.cores._HELPER_MIN_MACS`` runs
+part of it on the helper thread: the two-gradient backward hands over its
+weight gradient, the untaped forward shares one queue of (sample,
+depth-slab) units with it, slabs sized as on one thread.  Every GEMM is the
+same call on the same operands either way and every output element is
+written by one thread, so the bytes cannot move; the tests below pin that
+with the constant at 0 (every call splits) against infinity (none does) —
+and that a split forward packs the very slabs of the unsplit one, at
+``paper_128``'s shapes too — pin that an exception in either half surfaces
+only after the helper is joined, that no call leaves a thread behind,
+which layers of the presets split at the constant as shipped, and that a
+helper only starts where it has a core of its own.
 """
 
 import math
@@ -22,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import model as model_mod
 from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import OptimizerConfig
@@ -30,6 +31,7 @@ from repro.core.trainer import InMemoryData
 from repro.primitives import conv3d as kernels
 from repro.primitives.conv3d import conv3d_backward, conv3d_forward, conv3d_pack
 from repro.tensor.tensor import Tensor, no_grad
+from repro.utils import cores
 
 ALWAYS, NEVER = 0, math.inf
 #: (stride, padding) pairs: plain, strided + padded, anisotropic.
@@ -42,28 +44,16 @@ NEEDS = [(True, True), (True, False), (False, True)]
 
 
 @pytest.fixture
-def split_at(monkeypatch):
-    """Set ``_HELPER_MIN_MACS``, and whether a helper finds a core of its
-    own (which the BLAS, the CPUs and the live threads decide otherwise)."""
-
-    def set_to(value, spare_core=True):
-        monkeypatch.setattr(kernels, "_HELPER_MIN_MACS", value)
-        monkeypatch.setattr(kernels, "_spare_core", lambda: spare_core)
-
-    return set_to
-
-
-@pytest.fixture
 def splits(monkeypatch):
-    """Counts ``_beside_helper`` calls: how many kernel calls split."""
+    """Counts the kernels' ``beside_helper`` calls: how many kernel calls split."""
     seen = []
-    real = kernels._beside_helper
+    real = kernels.beside_helper
 
     def counting(helper_work, own_work):
         seen.append(1)
         return real(helper_work, own_work)
 
-    monkeypatch.setattr(kernels, "_beside_helper", counting)
+    monkeypatch.setattr(kernels, "beside_helper", counting)
     return seen
 
 
@@ -129,53 +119,52 @@ class TestSplitIsBitwise:
 
     @pytest.mark.parametrize("plan", PLANS)
     def test_batch1_depth_slabs_split_too(self, monkeypatch, split_at, splits, plan):
-        """One sample in several depth slabs is several units.  A splitting
-        forward sizes each side's slabs to half the pack budget; given the
-        budget that makes the slabs the same, the bytes are the same."""
+        """One sample in several depth slabs is several units, which the two
+        threads share without resizing them."""
         x, w, b, _ = make_case(1, PLANS[plan], 1, 0, spatial=(12, 7, 9))
         plane = kernels._geometry(1, PLANS[plan], (12, 7, 9), (3, 3, 3), 1, 0).plane_elems
         packs = []
         real_pack = kernels._pack
         monkeypatch.setattr(kernels, "_pack", lambda xp, p: packs.append(1) or real_pack(xp, p))
-
         monkeypatch.setattr(kernels, "_PACK_MAX_ELEMS", 3 * plane)
+
         split_at(NEVER)
         want = conv3d_forward(x, w, b)
-        monkeypatch.setattr(kernels, "_PACK_MAX_ELEMS", 6 * plane)
         split_at(ALWAYS)
         got = one_thread_after(lambda: conv3d_forward(x, w, b))
         assert same_bytes(got, want)
-        assert len(packs) == 2 * 4 and len(splits) == 1  # 10 planes: 4 slabs of <= 3, each side
+        assert len(packs) == 2 * 4 and len(splits) == 1  # 10 planes: 4 slabs of <= 3, each run
 
     @pytest.mark.parametrize(
         "ic, spatial, oc, k",
-        [(1, (39, 128, 128), 16, 3), (16, (19, 63, 63), 32, 4), (32, (30, 30, 30), 64, 4)],
+        [(1, (128, 128, 128), 16, 3), (16, (63, 63, 63), 32, 4), (32, (30, 30, 30), 64, 4)],
         ids=["conv1", "conv2", "conv3"],
     )
-    def test_paper128_halved_slabs(self, monkeypatch, split_at, splits, ic, spatial, oc, k):
-        """The one case where splitting changes a GEMM's operands: at
-        ``paper_128``'s batch-1 conv1-conv3 (also its training forwards,
-        which are too large to keep a packed operand) half the pack budget
-        is fewer output planes per slab.  The inputs here are cropped in
-        depth to one slab at the full budget, so the slab with the helper is
-        smaller; the bytes must still be those of the full slab."""
-        rng = np.random.default_rng(ic)
-        x = rng.standard_normal((1, ic) + spatial).astype(np.float32)
-        w = rng.standard_normal((oc, ic, k, k, k)).astype(np.float32)
-        b = rng.standard_normal(oc).astype(np.float32)
+    def test_paper128_split_keeps_slabs(self, monkeypatch, split_at, splits, ic, spatial, oc, k):
+        """At ``paper_128``'s batch-1 conv1-conv3 (also its training
+        forwards, whose operands are too large to keep) a sample is several
+        slabs of the pack budget.  A split forward packs exactly the slabs
+        of the unsplit one — same input window, same depth — so every GEMM
+        gets the same operand.  Slabs are recorded, not computed: the
+        input is never written and nothing is multiplied."""
+        x = np.zeros((1, ic) + spatial, np.float32)
+        w = np.zeros((oc, ic, k, k, k), np.float32)
+        base = x.__array_interface__["data"][0]
         packs = []
-        real_pack = kernels._pack
-        monkeypatch.setattr(kernels, "_pack", lambda xp, p: packs.append(p.out_shape[0]) or real_pack(xp, p))
+        monkeypatch.setattr(
+            kernels, "_pack",
+            lambda xp, p: packs.append((xp.__array_interface__["data"][0] - base, p.out_shape[0])),
+        )
+        monkeypatch.setattr(kernels, "_gemm_sum_taps", lambda *args: None)
 
         split_at(NEVER)
-        want = conv3d_forward(x, w, b)
-        od = spatial[0] - k + 1
-        assert packs == [od]  # one slab: the whole cropped depth at the full budget
+        conv3d_forward(x, w)
+        want = sorted(packs)
         del packs[:]
         split_at(ALWAYS)
-        got = one_thread_after(lambda: conv3d_forward(x, w, b))
-        assert len(splits) == 1 and len(packs) > 1 and max(packs) < od
-        assert same_bytes(got, want)
+        one_thread_after(lambda: conv3d_forward(x, w))
+        assert sorted(packs) == want
+        assert len(splits) == (len(want) > 1)  # conv3's one slab does not split
 
 
 class TestFailures:
@@ -190,7 +179,7 @@ class TestFailures:
         real = getattr(kernels, name)
 
         def wrapper(*args, **kwargs):
-            on_helper = threading.current_thread().name == "conv-helper"
+            on_helper = threading.current_thread().name == cores.HELPER_THREAD_NAME
             if on_helper == fail_on_helper:
                 raise RuntimeError(f"{name} failed on the {'helper' if on_helper else 'caller'}")
             time.sleep(0.05)
@@ -205,7 +194,7 @@ class TestFailures:
         with pytest.raises(RuntimeError, match=f"failed on the {side}"):
             call()
         assert threading.active_count() == before
-        assert not [t for t in threading.enumerate() if t.name == "conv-helper"]
+        assert not [t for t in threading.enumerate() if t.name == cores.HELPER_THREAD_NAME]
 
     @pytest.mark.parametrize("fail_on_helper", [True, False])
     def test_forward(self, monkeypatch, split_at, fail_on_helper):
@@ -217,7 +206,7 @@ class TestFailures:
         # The failing side stops at its first unit; the other side takes
         # the other three from the queue and finishes them before the
         # exception surfaces.
-        assert finished == ["MainThread" if fail_on_helper else "conv-helper"] * 3
+        assert finished == ["MainThread" if fail_on_helper else cores.HELPER_THREAD_NAME] * 3
 
     @pytest.mark.parametrize("fail_on_helper", [True, False])
     def test_backward(self, monkeypatch, split_at, fail_on_helper):
@@ -232,7 +221,7 @@ class TestFailures:
             lambda: conv3d_backward(x, g, w, with_bias=True),
             "helper" if fail_on_helper else "caller",
         )
-        assert finished == ["MainThread" if fail_on_helper else "conv-helper"]
+        assert finished == ["MainThread" if fail_on_helper else cores.HELPER_THREAD_NAME]
 
 
 def conv_inputs(model, x):
@@ -272,7 +261,7 @@ class TestPresetDecisions:
     core; a changed constant changes this table (``pytest -s`` prints it)."""
 
     def test_constant(self):
-        assert kernels._HELPER_MIN_MACS == 32_000_000
+        assert cores._HELPER_MIN_MACS == 32_000_000
 
     @pytest.mark.parametrize(
         "preset, n, forward, backward",
@@ -284,16 +273,24 @@ class TestPresetDecisions:
         ],
     )
     def test_layers_that_split(self, split_at, splits, preset, n, forward, backward):
-        split_at(kernels._HELPER_MIN_MACS)
+        split_at(cores._HELPER_MIN_MACS)
         decided = split_layers(preset, n, splits)
         print(f"\n{preset.__name__} batch {n}: untaped forward splits {decided[0]}, backward splits {decided[1]}")
         assert decided == (forward, backward)
 
-    def test_training_step_and_predict_end_to_end(self, split_at, splits):
-        """One ``scaled_32`` training step splits once (conv2's backward);
-        a batch-8 predict twice (conv1, conv2); ``tiny_16`` never."""
-        split_at(kernels._HELPER_MIN_MACS)
-        for preset, train, predict8 in ((scaled_32, 1, 2), (tiny_16, 0, 0)):
+    def test_training_step_and_predict_end_to_end(self, monkeypatch, splits):
+        """On two CPUs with one BLAS thread: one ``scaled_32`` training step
+        splits once (conv2's backward); a ``scaled_32`` predict of 2 or 8
+        splits once by sample (``CosmoFlowModel._untaped_forward``) and its
+        lanes' convolutions not at all, since the helper already holds the
+        second core; batch 1 and ``tiny_16`` never split."""
+        monkeypatch.setattr(cores, "_ONE_BLAS_THREAD", True)
+        monkeypatch.setattr(cores, "_sharing_processes", 1)
+        monkeypatch.setattr(cores, "_CPUS", 2 * threading.active_count())
+        by_sample = []
+        real = model_mod.beside_helper
+        monkeypatch.setattr(model_mod, "beside_helper", lambda *work: by_sample.append(1) or real(*work))
+        for preset, train, sample_split in ((scaled_32, 1, (0, 1, 1)), (tiny_16, 0, (0, 0, 0))):
             config = preset()
             model = CosmoFlowModel(config, seed=0)
             shape = (config.input_size,) * 3
@@ -301,11 +298,12 @@ class TestPresetDecisions:
             del splits[:]
             one_thread_after(lambda: model.loss_and_gradients(x[:1], np.zeros((1, 3), np.float32)))
             assert len(splits) == train
-            del splits[:]
-            one_thread_after(lambda: model.predict(x[:1]))
-            assert len(splits) == 0
-            one_thread_after(lambda: model.predict(x))
-            assert len(splits) == predict8
+            for n, want in zip((1, 2, 8), sample_split):
+                del splits[:], by_sample[:]
+                one_thread_after(lambda: model.predict(x[:n]))
+                print(f"\n{preset.__name__} predict batch {n}: sample split {bool(by_sample)}, "
+                      f"conv splits {len(splits)}")
+                assert (len(by_sample), len(splits)) == (want, 0)
 
 
 class TestSpareCore:
@@ -321,37 +319,37 @@ class TestSpareCore:
         assert not splits
 
     def test_two_cpus_per_busy_thread_in_every_sharing_process(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_ONE_BLAS_THREAD", True)
-        monkeypatch.setattr(kernels, "_sharing_processes", 1)
+        monkeypatch.setattr(cores, "_ONE_BLAS_THREAD", True)
+        monkeypatch.setattr(cores, "_sharing_processes", 1)
         alone = threading.active_count()
-        monkeypatch.setattr(kernels, "_CPUS", 2 * alone)
-        assert kernels._spare_core()
+        monkeypatch.setattr(cores, "_CPUS", 2 * alone)
+        assert cores.spare_core()
 
         release = threading.Event()
         rank = threading.Thread(target=release.wait, name="rank-1")
         rank.start()
         try:
-            assert not kernels._spare_core()  # a second thread may be busy
-            monkeypatch.setattr(kernels, "_CPUS", 2 * (alone + 1))
-            assert kernels._spare_core()
+            assert not cores.spare_core()  # a second thread may be busy
+            monkeypatch.setattr(cores, "_CPUS", 2 * (alone + 1))
+            assert cores.spare_core()
         finally:
             release.set()
             rank.join()
 
-        monkeypatch.setattr(kernels, "_CPUS", 2 * alone)
-        kernels.share_cores(2)  # one of two rank processes
-        assert not kernels._spare_core()
-        monkeypatch.setattr(kernels, "_CPUS", 4 * alone)
-        assert kernels._spare_core()
-        monkeypatch.setattr(kernels, "_ONE_BLAS_THREAD", False)
-        assert not kernels._spare_core()
+        monkeypatch.setattr(cores, "_CPUS", 2 * alone)
+        cores.share_cores(2)  # one of two rank processes
+        assert not cores.spare_core()
+        monkeypatch.setattr(cores, "_CPUS", 4 * alone)
+        assert cores.spare_core()
+        monkeypatch.setattr(cores, "_ONE_BLAS_THREAD", False)
+        assert not cores.spare_core()
 
     @pytest.mark.parametrize("cpus, splits_per_rank", [(2, 0), (64, 1)])
     def test_threaded_ranks(self, monkeypatch, splits, cpus, splits_per_rank):
         """Two ``scaled_32`` rank threads, one step each: on two CPUs no
         call splits; with CPUs to spare each rank's conv2 backward does."""
-        monkeypatch.setattr(kernels, "_ONE_BLAS_THREAD", True)
-        monkeypatch.setattr(kernels, "_CPUS", cpus)
+        monkeypatch.setattr(cores, "_ONE_BLAS_THREAD", True)
+        monkeypatch.setattr(cores, "_CPUS", cpus)
         rng = np.random.default_rng(0)
         data = InMemoryData(rng.random((2, 1, 32, 32, 32), dtype=np.float32), rng.random((2, 3), dtype=np.float32))
         backend = ThreadedBackend(scaled_32(), data, optimizer_config=OptimizerConfig(decay_steps=1), n_ranks=2)
@@ -373,6 +371,6 @@ class TestSpareCore:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        monkeypatch.setattr(kernels.os, "cpu_count", lambda: 7)
-        monkeypatch.setattr(kernels, "_blas_name", lambda: blas)
-        assert kernels._blas_threads() == threads
+        monkeypatch.setattr(cores.os, "cpu_count", lambda: 7)
+        monkeypatch.setattr(cores, "_blas_name", lambda: blas)
+        assert cores._blas_threads() == threads

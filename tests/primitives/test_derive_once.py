@@ -6,6 +6,9 @@ every conv / pool geometry is looked up (zero cache misses, no
 and the weight matrix is built once per conv per pass direction.
 """
 
+import math
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,14 +25,16 @@ COUNTED = ("_triple", "_shifted_grad", "_weight_matrix", "_pack")
 @pytest.fixture
 def counts(monkeypatch):
     """Call counts of the conv kernels' helpers (``_triple`` in the pool
-    module too, which imports it by name)."""
+    module too, which imports it by name), from any thread."""
     seen = dict.fromkeys(COUNTED, 0)
+    lock = threading.Lock()
 
     def counting(name):
         real = getattr(kernels, name)
 
         def wrapper(*args, **kwargs):
-            seen[name] += 1
+            with lock:
+                seen[name] += 1
             return real(*args, **kwargs)
 
         return wrapper
@@ -91,13 +96,19 @@ class TestPresets:
             "_pack": n_conv,  # the forward's rows, handed to the backward
         }
 
-    def test_inference_looks_geometry_up_too(self, counts):
+    def test_inference_looks_geometry_up_too(self, split_at, counts):
+        """Whole (one conv call per layer) or split by sample (one per layer
+        and sample, each looking up the batch-1 geometry).  Each step starts
+        with a batch-1 predict, which never splits, so the batch-1 shapes are
+        missed on one thread and never by both lanes at once."""
         model = CosmoFlowModel(scaled_32(), seed=0)
         x = np.random.default_rng(1).random((8, 1, 32, 32, 32), dtype=np.float32)
-        cold, per_step = warm_steps(lambda: model.predict(x), counts)
-        assert cold == (4, 2)
-        assert per_step["_triple"] == 0 and per_step["_shifted_grad"] == 0
-        assert per_step["_weight_matrix"] == 4
+        for min_macs, cold_convs, conv_calls in ((math.inf, 8, 4 + 4), (0, 4, 4 + 4 * 8)):
+            split_at(min_macs)
+            cold, per_step = warm_steps(lambda: (model.predict(x[:1]), model.predict(x)), counts)
+            assert cold == (cold_convs, 2)
+            assert per_step["_triple"] == 0 and per_step["_shifted_grad"] == 0
+            assert per_step["_weight_matrix"] == conv_calls
 
 
 class TestStridedPaddedAndListSpelled:
