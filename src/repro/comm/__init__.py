@@ -14,6 +14,9 @@ This subpackage reproduces that stack in-process:
   ``SteppedGroup`` of sequential rank communicators for deterministic
   simulated multi-rank execution (ranks run one after another; the
   collectives are numerically identical to a parallel run).
+* :mod:`repro.comm.membership` — the membership words of a rank group
+  and every decision on them (quorum, fencing, completion, spares,
+  admission), written once for both rank groups below.
 * :mod:`repro.comm.elastic` — :class:`ThreadedGroup`, real OS threads,
   one per rank (NumPy releases the GIL inside BLAS so compute genuinely
   overlaps), under a quorum: at ``quorum == size`` any lost rank fails
@@ -40,8 +43,6 @@ This subpackage reproduces that stack in-process:
   processes over crash-safe shared-memory collectives, with
   parent-side crash detection, heartbeat eviction, and guaranteed
   segment cleanup.
-* :mod:`repro.comm.admission` — the grow-back decisions both rank
-  groups share.
 """
 
 from repro.comm.communicator import Communicator, ReduceOp

@@ -9,47 +9,22 @@ paper's one-MPI-rank-per-node layout.
 
 The paper's training mode is *fully synchronous* (Algorithm 2): every
 rank contributes to every allreduce, so one dead or hung rank stalls
-all 8192.  That mode is this group at ``quorum == size`` (the default):
-any rank lost fails the run, like an MPI job.  A lower quorum makes the
-same group elastic:
+all 8192.  That mode is this group at ``quorum == size`` (the default);
+a lower quorum makes it elastic.  Who is a member, who may contribute,
+when a collective completes, and whom to readmit are the rules of
+:mod:`repro.comm.membership`, applied to a plain word array under one
+``threading.Condition``.  What is this transport's own:
 
-* membership is dynamic — a rank that crashes (raises out of its rank
-  body) is removed from the group, and in-flight collectives complete
-  over the survivors ("shrink and continue");
-* every wait is bounded — a rank that fails to arrive at a collective
-  within ``timeout_s`` is **evicted** by the peers that did arrive (the
-  timeout is the heartbeat: arriving at a collective is proof of life),
-  and the straggler itself gets a :class:`RankEvictedError` when it
-  finally shows up; a rank still running ``timeout_s`` after the first
-  rank returned is evicted by the launching thread, so ``run()`` never
-  waits out a stall no collective can see;
-* reductions stay deterministic — contributions are reduced in
-  original-rank order through the shared
-  :func:`~repro.comm.communicator.reduce_arrays`, so a fault-free run
-  is bitwise identical to the sequential
-  :class:`~repro.comm.serial.SteppedGroup`, and a post-crash run is
-  exactly the fixed-membership result over the surviving rank set
-  (``MEAN`` renormalizes by survivor count);
-* contributions can be checksummed — when a
-  :class:`~repro.faults.FaultInjector` with message-corruption events
-  is attached, each contribution carries a CRC32; a corrupted "wire
-  copy" is detected at reduce time and recovered by retransmitting the
-  sender's pristine source buffer (counted in ``retransmits``);
-* the **quorum** bounds degradation — when survivors fall below it,
-  every live rank raises :class:`QuorumLostError` and ``run()`` raises
-  it with the first failure as ``__cause__``; the backend restarts from
-  the last checkpoint or gives up, as its policy says;
-* membership grows back — a recovered rank (or a warm spare assuming a
-  dead rank's identity) is **admitted** at a generation boundary by a
-  surviving rank, which donates a CRC-verified state resync payload
-  (any survivor is a valid donor: synchronous SGD keeps every replica
-  bitwise identical).  Admission adds the joiner to ``active`` before
-  the admitting rank contributes to the current collective, so the
-  group waits for the joiner's first contribution — it participates in
-  the very step it was admitted at, restoring the effective global
-  batch.  Per-rank *incarnation numbers* fence the protocol: a stale
-  thread of an evicted rank can never contribute to (or fail) its
-  readmitted successor.
+* waiting — a rank blocks on the condition; one that does not arrive
+  within ``timeout_s`` is evicted by the ranks that did (arriving is the
+  heartbeat), and a rank still running ``timeout_s`` after the first
+  rank returned is evicted by the launching thread (:meth:`ThreadedGroup._join`);
+* the wire — contributions sit in a slot dict; with a
+  :class:`~repro.faults.FaultInjector` that corrupts messages each
+  carries a CRC32, and a corrupted copy is replaced by the sender's
+  source buffer (``retransmits``);
+* grow-back — an admitted rank's resync payload is a deep-copied ticket
+  its new joiner thread claims.
 """
 
 from __future__ import annotations
@@ -61,14 +36,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.admission import plan_admissions, resync_crc
-from repro.comm.communicator import Communicator, ReduceOp, reduce_arrays
 from repro.comm.errors import (
     MessageCorruptError,
     QuorumLostError,
     RankEvictedError,
     RankFailedError,
 )
+from repro.comm.membership import MemberComm, Membership, resync_crc
 from repro.obs.tracer import NULL_TRACER
 from repro.utils.logging import get_logger
 
@@ -88,20 +62,8 @@ class _Contribution:
         self.source = source
 
 
-class _JoinTicket:
-    """An admitted joiner's pending state resync."""
-
-    __slots__ = ("payload", "crc", "incarnation", "spare")
-
-    def __init__(self, payload: Dict[str, np.ndarray], crc: int, incarnation: int, spare: bool):
-        self.payload = payload
-        self.crc = crc
-        self.incarnation = incarnation
-        self.spare = spare
-
-
 class _ElasticState:
-    """Membership, pending collective, and result shared by all ranks."""
+    """Membership words, pending collective, and result shared by all ranks."""
 
     def __init__(
         self,
@@ -113,41 +75,24 @@ class _ElasticState:
         spares: int = 0,
         auto_respawn: bool = True,
     ):
-        self.size = size
         self.timeout_s = timeout_s
-        self.quorum = quorum
         self.injector = injector
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.checksums = injector is not None and injector.corrupts_messages
         self.cond = threading.Condition()
-        self.active: set = set(range(size))
+        self.m = Membership(size).reset(quorum, spares, auto_respawn)
         self.slots: Dict[int, _Contribution] = {}
         self.pending_op: Optional[Tuple] = None
         self.generation = 0
-        # (generation, payload, error, active-set) of the last finished
+        # (generation, payload, error, members) of the last finished
         # collective; every contributor reads it before its next
         # collective can overwrite it.
         self.result: Tuple = (-1, None, None, frozenset())
-        self.quorum_lost = False
         self.failures: Dict[int, BaseException] = {}
         self.evictions: List[Tuple[int, int]] = []  # (generation, rank)
-        self.reductions = 0
-        self.bytes_reduced = 0
         self.retransmits = 0
-        # -- grow-back state ------------------------------------------------
-        self.spares_total = spares
-        self.spares_left = spares
-        self.auto_respawn = auto_respawn
-        #: rank -> current incarnation; a communicator built for an
-        #: older incarnation is fenced out of every protocol step.
-        self.incarnation: Dict[int, int] = {r: 0 for r in range(size)}
-        self.joining: Dict[int, _JoinTicket] = {}
-        #: dead ranks with a spare reserved, awaiting admission at the
-        #: next step boundary.
-        self.respawn_queue: List[int] = []
-        self.rejoins: List[Tuple[int, int]] = []  # (generation, rank)
-        self.resyncs = 0
-        self.resync_bytes = 0
+        #: rank -> the admitted incarnation's resync payload, until claimed.
+        self.tickets: Dict[int, Dict[str, np.ndarray]] = {}
         #: installed by the group before run(); called with ``cond``
         #: held, must only spawn the joiner thread (never block).
         self.spawn_joiner: Optional[Callable[[int, int], None]] = None
@@ -157,30 +102,10 @@ class _ElasticState:
 
     # All methods below require ``self.cond`` to be held by the caller.
 
-    def is_member_locked(self, rank: int, incarnation: int) -> bool:
-        """Whether ``rank`` is active *at this incarnation* — false for
-        a stale thread of a rank that was readmitted since."""
-        return rank in self.active and self.incarnation.get(rank, 0) == incarnation
-
-    def _check_quorum_locked(self) -> None:
-        if not self.quorum_lost and len(self.active) < self.quorum:
-            self.quorum_lost = True
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "quorum-lost",
-                    cat="comm",
-                    track="driver",
-                    survivors=len(self.active),
-                    quorum=self.quorum,
-                )
-            _log.warning(
-                "quorum lost: %d survivors < quorum %d", len(self.active), self.quorum
-            )
-
-    def _payloads_locked(self) -> Dict[int, Optional[np.ndarray]]:
+    def _payloads_locked(self, ranks) -> Dict[int, Optional[np.ndarray]]:
         """Checksum-validated contributions, retransmitting corrupt ones."""
         out: Dict[int, Optional[np.ndarray]] = {}
-        for r in sorted(self.slots):
+        for r in ranks:
             c = self.slots[r]
             if c.crc is not None and c.wire is not None:
                 if zlib.crc32(np.ascontiguousarray(c.wire).tobytes()) != c.crc:
@@ -202,47 +127,48 @@ class _ElasticState:
             out[r] = c.wire
         return out
 
-    def finish_locked(self) -> None:
-        """Complete the pending collective over the active contributors."""
-        kind = self.pending_op[0]
-        error: Optional[BaseException] = None
+    def complete_if_ready_locked(self) -> None:
+        """Complete the pending collective once every participant arrived."""
+        parts = self.m.participants(self.generation)
+        if (
+            self.pending_op is None
+            or not parts
+            or not set(self.slots) >= set(parts)
+            or not self.m.check_quorum()
+        ):
+            return
+        kind, arg = self.pending_op
         payload: Any = None
         try:
-            contribs = self._payloads_locked()
-            ranks = sorted(r for r in contribs if r in self.active)
-            if kind == "allreduce":
-                op = self.pending_op[1]
-                arrays = [contribs[r] for r in ranks]
-                payload = reduce_arrays(arrays, op)
-                self.reductions += 1
-                self.bytes_reduced += payload.nbytes * len(arrays)
-            elif kind == "bcast":
-                root = self.pending_op[1]
-                if root not in self.active or contribs.get(root) is None:
-                    error = RankFailedError(
-                        f"bcast root {root} died before contributing",
-                        failed_ranks=[root],
-                    )
-                else:
-                    payload = np.asarray(contribs[root])
-            elif kind == "gather":
-                payload = {r: np.array(contribs[r], copy=True) for r in ranks}
-            elif kind == "barrier":
-                payload = None
-            else:  # pragma: no cover - closed set
-                error = RuntimeError(f"unknown collective {kind!r}")
+            payload, error = self.m.completed(kind, arg, self._payloads_locked(parts))
         except BaseException as exc:  # noqa: BLE001 - delivered to every rank
             error = exc
-        self.result = (self.generation, payload, error, frozenset(self.active))
+        self.result = (self.generation, payload, error, frozenset(parts))
         self.generation += 1
         self.slots.clear()
         self.pending_op = None
         self.cond.notify_all()
 
-    def maybe_finish_locked(self) -> None:
-        """Finish the pending collective if every active rank arrived."""
-        if self.pending_op is not None and self.active and set(self.slots) >= self.active:
-            self.finish_locked()
+    def _fail_locked(self, rank: int, incarnation: Optional[int], evicted: bool, **instant) -> bool:
+        """Membership's fail/evict, then this transport's cleanup and trace."""
+        lost = self.m.quorum_lost
+        if not self.m.fail(rank, incarnation, evicted=evicted):
+            return False
+        self.slots.pop(rank, None)
+        self.tickets.pop(rank, None)
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "eviction" if evicted else "rank-failed", cat="comm", track=rank, **instant
+            )
+            if self.m.quorum_lost and not lost:
+                self.tracer.instant(
+                    "quorum-lost",
+                    cat="comm",
+                    track="driver",
+                    survivors=len(self.m.survivors()),
+                    quorum=self.m.quorum,
+                )
+        return True
 
     def mark_failed(
         self, rank: int, exc: BaseException, incarnation: Optional[int] = None
@@ -254,238 +180,116 @@ class _ElasticState:
         readmitted must not take down its successor.
         """
         with self.cond:
-            if incarnation is not None and self.incarnation.get(rank, 0) != incarnation:
+            if not self._fail_locked(rank, incarnation, False, cause=type(exc).__name__):
                 _log.warning(
-                    "stale thread of rank %d (incarnation %d) died (%r); ignored",
+                    "rank %d (incarnation %s) died (%r) after leaving the group; ignored",
                     rank, incarnation, exc,
                 )
                 return
-            if rank not in self.active and rank in self.failures:
-                return
-            self.active.discard(rank)
-            self.slots.pop(rank, None)
-            self.joining.pop(rank, None)
             self.failures[rank] = exc
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "rank-failed", cat="comm", track=rank, cause=type(exc).__name__
-                )
-            _log.warning("rank %d failed (%r); %d survivors", rank, exc, len(self.active))
-            self._check_quorum_locked()
-            self._reserve_spare_locked(rank)
-            if not self.quorum_lost:
-                self.maybe_finish_locked()
+            _log.warning(
+                "rank %d failed (%r); %d survivors", rank, exc, len(self.m.survivors())
+            )
+            self.complete_if_ready_locked()
             self.cond.notify_all()
 
     def evict_locked(self, rank: int, waited_s: float) -> None:
-        self.active.discard(rank)
-        self.slots.pop(rank, None)
-        self.joining.pop(rank, None)
+        if not self._fail_locked(rank, None, True, collective=self.generation):
+            return
         self.evictions.append((self.generation, rank))
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "eviction", cat="comm", track=rank, collective=self.generation
-            )
         _log.warning(
             "rank %d evicted after %.2fs without a heartbeat (collective %d); "
-            "%d survivors", rank, waited_s, self.generation, len(self.active),
-        )
-        self._check_quorum_locked()
-        self._reserve_spare_locked(rank)
-
-    # -- grow-back (all require ``cond`` held unless noted) -----------------
-
-    def _reserve_spare_locked(self, rank: int) -> None:
-        """Reserve a warm spare to replace a dead rank, if policy allows.
-
-        Reservation happens at eviction/failure time (not admission
-        time) so the spare budget is spent in a deterministic order;
-        the actual join lands at the next step boundary when a survivor
-        services the respawn queue.
-        """
-        if (
-            not self.auto_respawn
-            or self.spares_left <= 0
-            or self.quorum_lost
-            or self.spawn_joiner is None
-            or rank in self.respawn_queue
-        ):
-            return
-        self.spares_left -= 1
-        self.respawn_queue.append(rank)
-        _log.info(
-            "spare reserved for dead rank %d (%d spare(s) left)",
-            rank, self.spares_left,
+            "%d survivors", rank, waited_s, self.generation, len(self.m.survivors()),
         )
 
-    def admit_locked(self, rank: int, payload: Dict[str, np.ndarray], spare: bool) -> bool:
-        """Admit ``rank`` with a state resync, spawning its thread.
 
-        Called by the admitting survivor *before* it contributes to the
-        current step's collective, so the pending (or next) collective
-        cannot finish without the joiner — its first contribution lands
-        in the very step it was admitted at.
-        """
-        if (
-            self.quorum_lost
-            or self.spawn_joiner is None
-            or rank in self.active
-            or rank in self.joining
-            or not 0 <= rank < self.size
-        ):
-            return False
-        payload = {k: np.array(v, copy=True) for k, v in payload.items()}
-        crc = resync_crc(payload)
-        nbytes = sum(int(np.asarray(v).nbytes) for v in payload.values())
-        incarnation = self.incarnation.get(rank, 0) + 1
-        self.incarnation[rank] = incarnation
-        self.joining[rank] = _JoinTicket(payload, crc, incarnation, spare)
-        self.active.add(rank)
-        self.rejoins.append((self.generation, rank))
-        self.resyncs += 1
-        self.resync_bytes += nbytes
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "rejoin-admitted",
-                cat="comm",
-                track=rank,
-                collective=self.generation,
-                spare=spare,
-                incarnation=incarnation,
-            )
-            self.tracer.instant("resync", cat="comm", track=rank, nbytes=nbytes)
-        _log.info(
-            "rank %d admitted (%s, incarnation %d) at collective %d; "
-            "resync %d bytes; %d active",
-            rank, "spare" if spare else "recovered", incarnation,
-            self.generation, nbytes, len(self.active),
-        )
-        self.spawn_joiner(rank, incarnation)
-        self.cond.notify_all()
-        return True
-
-
-class ElasticComm(Communicator):
-    """Per-rank handle to a :class:`ThreadedGroup`.
-
-    ``rank`` and ``size`` keep their *original* values for the life of
-    the group (shards and RNG streams stay stable across shrinks);
-    ``active_ranks`` reports current membership.
-    """
+class ElasticComm(MemberComm):
+    """Per-rank handle to a :class:`ThreadedGroup`."""
 
     def __init__(self, rank: int, state: _ElasticState, incarnation: int = 0):
-        self._rank = rank
+        super().__init__(rank, state.m, incarnation, guard=state.cond)
         self._st = state
-        self._incarnation = incarnation
-        # Membership of the last collective this rank completed.  Unlike
-        # a live read of ``active_ranks``, this is fixed at collective
-        # completion, so every participant observes the same value for
-        # the same step — a concurrent admission or failure between two
-        # collectives cannot leak into per-epoch accounting.
-        self.last_members: Optional[frozenset] = None
-
-    @property
-    def rank(self) -> int:
-        return self._rank
-
-    @property
-    def size(self) -> int:
-        return self._st.size
-
-    @property
-    def incarnation(self) -> int:
-        return self._incarnation
-
-    @property
-    def active_ranks(self) -> List[int]:
-        with self._st.cond:
-            return sorted(self._st.active)
-
-    # -- grow-back protocol -------------------------------------------------
-
-    @property
-    def has_pending_respawns(self) -> bool:
-        """Whether dead ranks with reserved spares await admission.
-
-        Read without the lock — a respawn queued during step ``s``'s
-        collective is visible to every rank by the top of step ``s+1``
-        (the queueing happens before the collective finishes), which is
-        when this is consulted.
-        """
-        return bool(self._st.respawn_queue)
-
-    def joins_due(self, events: Sequence = ()) -> List[Tuple[int, bool]]:
-        """Resolve which ranks to admit now; returns ``(rank, is_spare)``.
-
-        ``events`` are the ``RANK_RECOVER``/``SPARE_JOIN`` fault events
-        the caller consumed from the injector for this step; queued
-        auto-respawns (spares reserved at eviction time) are drained
-        too (:func:`~repro.comm.admission.plan_admissions` decides).
-        """
-        st = self._st
-        if not events and not st.respawn_queue:
-            return []
-        with st.cond:
-            if st.quorum_lost:
-                return []
-            dead = set(range(st.size)) - st.active - set(st.joining)
-            due, st.spares_left = plan_admissions(
-                events, dead, st.spares_left, st.respawn_queue
-            )
-            st.respawn_queue.clear()
-        return due
 
     def admit(self, rank: int, payload: Dict[str, np.ndarray], spare: bool = False) -> bool:
-        """Admit ``rank`` with a full state resync (see module docstring)."""
-        with self._st.cond:
-            return self._st.admit_locked(rank, payload, spare)
+        """Admit ``rank`` with a full state resync, spawning its thread.
+
+        Called by the donor *before* it contributes to the current
+        step's collective, so that collective cannot finish without the
+        joiner — its first contribution lands in the very step it was
+        admitted at.  Refused without a joiner body (see
+        :meth:`ThreadedGroup.run`).
+        """
+        st = self._st
+        with st.cond:
+            if st.spawn_joiner is None:
+                return False
+            nbytes = sum(int(np.asarray(v).nbytes) for v in payload.values())
+
+            def stage(incarnation: int) -> int:
+                ticket = st.tickets[rank] = {k: np.array(v, copy=True) for k, v in payload.items()}
+                return resync_crc(ticket)
+
+            incarnation = st.m.admit(rank, st.generation, spare, nbytes, stage)
+            if not incarnation:
+                return False
+            if st.tracer.enabled:
+                st.tracer.instant(
+                    "rejoin-admitted",
+                    cat="comm",
+                    track=rank,
+                    collective=st.generation,
+                    spare=spare,
+                    incarnation=incarnation,
+                )
+                st.tracer.instant("resync", cat="comm", track=rank, nbytes=nbytes)
+            _log.info(
+                "rank %d admitted (%s, incarnation %d) at collective %d; resync %d bytes",
+                rank, "spare" if spare else "recovered", incarnation, st.generation, nbytes,
+            )
+            st.spawn_joiner(rank, incarnation)
+            st.cond.notify_all()
+            return True
 
     def await_admission(self) -> Dict[str, np.ndarray]:
         """Claim this joiner's CRC-verified resync payload.
 
         Called once by the joiner thread before its first collective.
         Raises :class:`QuorumLostError` if the group collapsed while
-        the resync was in flight, and :class:`MessageCorruptError` if
-        the payload fails its CRC (the joiner then fails and the group
-        simply stays shrunk).
+        the resync was in flight, :class:`RankEvictedError` if this
+        incarnation's admission is no longer pending, and
+        :class:`MessageCorruptError` if the payload fails its CRC (the
+        joiner then fails and the group simply stays shrunk).
         """
         st = self._st
         with st.cond:
-            if st.quorum_lost:
-                raise QuorumLostError(
-                    f"group below quorum {st.quorum}", survivors=sorted(st.active)
-                )
-            ticket = st.joining.get(self._rank)
-            if ticket is not None and ticket.incarnation == self._incarnation:
-                # Claim only our own ticket: a stale claimant must not
-                # consume (and thereby lose) its successor's resync.
-                del st.joining[self._rank]
-        if ticket is None or ticket.incarnation != self._incarnation:
-            raise RankEvictedError(self._rank)
-        if resync_crc(ticket.payload) != ticket.crc:
+            crc = st.m.claim(self._rank, self._incarnation)
+            payload = st.tickets.pop(self._rank)
+        if resync_crc(payload) != crc:
             raise MessageCorruptError(
                 f"resync payload for rank {self._rank} failed CRC verification"
             )
-        return ticket.payload
+        return payload
 
     # -- the one collective engine ----------------------------------------
 
-    def _collective(self, op: Tuple, array: Optional[np.ndarray]):
+    def _collective(self, kind: str, arg, array: Optional[np.ndarray]):
         st = self._st
         if not st.tracer.enabled:
-            return self._collective_inner(op, array)
-        nbytes = 0 if array is None else int(np.asarray(array).nbytes)
-        with st.tracer.span(op[0], cat="comm", track=self._rank, nbytes=nbytes):
-            return self._collective_inner(op, array)
+            payload, members = self._collective_inner((kind, arg), array)
+        else:
+            nbytes = 0 if array is None else int(np.asarray(array).nbytes)
+            with st.tracer.span(kind, cat="comm", track=self._rank, nbytes=nbytes):
+                payload, members = self._collective_inner((kind, arg), array)
+        # Every rank reads the one result: each takes its own copy.
+        return (None if payload is None else np.array(payload, copy=True)), members
 
     def _collective_inner(self, op: Tuple, array: Optional[np.ndarray]):
         st = self._st
+        m = st.m
         with st.cond:
-            if st.quorum_lost:
-                raise QuorumLostError(
-                    f"group below quorum {st.quorum}", survivors=sorted(st.active)
-                )
-            if not st.is_member_locked(self._rank, self._incarnation):
+            if m.quorum_lost:
+                raise m.quorum_error()
+            if not m.is_current(self._rank, self._incarnation):
                 # Evicted — or a stale thread of a readmitted rank, fenced
                 # out before it can contribute to its successor's slot.
                 raise RankEvictedError(self._rank)
@@ -498,22 +302,21 @@ class ElasticComm(Communicator):
                 )
             st.slots[self._rank] = self._contribution(array)
             gen = st.generation
-            st.maybe_finish_locked()
+            st.complete_if_ready_locked()
             deadline = time.monotonic() + st.timeout_s
-            while st.generation == gen and not st.quorum_lost:
+            while st.generation == gen and not m.quorum_lost:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     # Heartbeat expired: the ranks that never arrived are
                     # presumed dead — evict them and continue without them.
-                    missing = sorted(st.active - set(st.slots))
-                    for r in missing:
-                        st.evict_locked(r, st.timeout_s)
-                    if not st.quorum_lost:
-                        st.maybe_finish_locked()
+                    for r in m.participants(gen):
+                        if r not in st.slots:
+                            st.evict_locked(r, st.timeout_s)
+                    st.complete_if_ready_locked()
                     st.cond.notify_all()
                     break
                 st.cond.wait(remaining)
-            if st.generation == gen and st.quorum_lost:
+            if st.generation == gen and m.quorum_lost:
                 # Nothing was published for our collective before quorum
                 # was lost.  (If the generation DID advance, publication
                 # happened strictly before the loss — once quorum_lost
@@ -521,9 +324,7 @@ class ElasticComm(Communicator):
                 # result and let the next collective raise: whether this
                 # thread woke before or after the flag was set must not
                 # change the outcome.)
-                raise QuorumLostError(
-                    f"group below quorum {st.quorum}", survivors=sorted(st.active)
-                )
+                raise m.quorum_error()
             rgen, payload, error, members = st.result
             if rgen != gen:  # pragma: no cover - protocol invariant
                 raise RuntimeError(
@@ -532,7 +333,6 @@ class ElasticComm(Communicator):
                 )
             if error is not None:
                 raise error
-            self.last_members = members
             return payload, members
 
     def _contribution(self, array: Optional[np.ndarray]) -> _Contribution:
@@ -545,31 +345,6 @@ class ElasticComm(Communicator):
         crc = zlib.crc32(np.ascontiguousarray(arr).tobytes())
         wire = st.injector.corrupt_message(self._rank, st.generation, arr)
         return _Contribution(wire, crc, arr)
-
-    # -- Communicator API ---------------------------------------------------
-
-    def allreduce(self, array: np.ndarray, op: ReduceOp = ReduceOp.SUM) -> np.ndarray:
-        payload, _ = self._collective(("allreduce", op), np.asarray(array))
-        return np.array(payload, copy=True)
-
-    def bcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
-        self._check_root(root)
-        if self._rank == root and array is None:
-            raise ValueError("root rank must supply an array to bcast")
-        payload, _ = self._collective(
-            ("bcast", root), np.asarray(array) if self._rank == root else None
-        )
-        return np.array(payload, copy=True)
-
-    def barrier(self) -> None:
-        self._collective(("barrier",), None)
-
-    def gather(self, array: np.ndarray, root: int = 0) -> Optional[List[np.ndarray]]:
-        self._check_root(root)
-        payload, members = self._collective(("gather", root), np.asarray(array))
-        if self._rank != root:
-            return None
-        return [payload[r] for r in sorted(payload)]
 
 
 class ThreadedGroup:
@@ -627,7 +402,7 @@ class ThreadedGroup:
     @property
     def active_ranks(self) -> List[int]:
         with self._st.cond:
-            return sorted(self._st.active)
+            return self._st.m.survivors()
 
     @property
     def failures(self) -> Dict[int, BaseException]:
@@ -641,11 +416,11 @@ class ThreadedGroup:
 
     @property
     def reductions(self) -> int:
-        return self._st.reductions
+        return self.stats()["reductions"]
 
     @property
     def bytes_reduced(self) -> int:
-        return self._st.bytes_reduced
+        return self.stats()["bytes_reduced"]
 
     @property
     def retransmits(self) -> int:
@@ -654,16 +429,9 @@ class ThreadedGroup:
     def stats(self) -> Dict[str, Any]:
         with self._st.cond:
             return {
-                "reductions": self._st.reductions,
-                "bytes_reduced": self._st.bytes_reduced,
+                **self._st.m.stats(),
                 "retransmits": self._st.retransmits,
                 "failed_ranks": sorted(self._st.failures),
-                "evicted_ranks": sorted(r for _, r in self._st.evictions),
-                "survivors": sorted(self._st.active),
-                "rejoins": sorted(r for _, r in self._st.rejoins),
-                "resyncs": self._st.resyncs,
-                "resync_bytes": self._st.resync_bytes,
-                "spares_used": self._st.spares_total - self._st.spares_left,
             }
 
     # -- execution -----------------------------------------------------------
@@ -693,7 +461,7 @@ class ThreadedGroup:
             )
         st = self._st
         results: List[Any] = [None] * self.size
-        quorum_errors: List[QuorumLostError] = []
+        quorum_errors: List[BaseException] = []
 
         def worker(rank: int, incarnation: int, body: Callable[[ElasticComm], Any]) -> None:
             comm = ElasticComm(rank, st, incarnation=incarnation)
@@ -711,13 +479,15 @@ class ThreadedGroup:
                 with st.cond:
                     # A rank evicted while it was stalled outside any
                     # collective returns to a group that reported it gone.
-                    if st.is_member_locked(rank, incarnation):
+                    if st.m.is_current(rank, incarnation):
                         results[rank] = out
+                        st.m.done(rank, incarnation)
                         if st.returned_at is None:
                             st.returned_at = time.monotonic()
+                        st.complete_if_ready_locked()
 
         def spawn(rank: int, incarnation: int, body: Callable[[ElasticComm], Any]) -> None:
-            # Joiners are spawned by admit_locked with ``st.cond`` held, so
+            # Joiners are spawned by ``admit`` with ``st.cond`` held, so
             # ``_join``'s snapshots (taken under it) never miss one.
             name = f"rank-{rank}.{incarnation}" if incarnation else f"rank-{rank}"
             t = threading.Thread(
@@ -740,9 +510,9 @@ class ThreadedGroup:
             with st.cond:
                 st.spawn_joiner = None
         with st.cond:
-            survivors = sorted(st.active)
+            survivors = st.m.survivors()
             first = next(iter(st.failures.values()), None)
-            quorum_lost = st.quorum_lost
+            quorum_lost = st.m.quorum_lost
         if quorum_lost or quorum_errors:
             raise QuorumLostError(
                 f"training group below quorum {self.quorum} "
@@ -758,7 +528,7 @@ class ThreadedGroup:
         waits indefinitely — arriving at a collective is the heartbeat,
         so a live rank either makes progress or is evicted by its peers
         within ``timeout_s``.  A thread gets ``timeout_s`` to unwind
-        once its rank has left the group (failed, evicted, or
+        once its rank has left the group (finished, failed, evicted, or
         superseded by a newer incarnation), the group lost quorum, or
         the first rank returned: an SPMD body's ranks finish together,
         and a rank stalled where no collective can see it has no peer
@@ -801,7 +571,7 @@ class ThreadedGroup:
             key = (rank, inc)
             if key not in grace:
                 with st.cond:
-                    if not st.is_member_locked(rank, inc) or st.quorum_lost:
+                    if not st.m.is_current(rank, inc) or st.m.quorum_lost:
                         grace[key] = now + self.timeout_s
                     elif st.returned_at is not None:
                         grace[key] = st.returned_at + self.timeout_s
@@ -809,10 +579,9 @@ class ThreadedGroup:
                 if t.is_alive():
                     abandoned.append(key)
                     with st.cond:
-                        if st.is_member_locked(rank, inc):
+                        if st.m.is_current(rank, inc):
                             st.evict_locked(rank, self.timeout_s)
-                            if not st.quorum_lost:
-                                st.maybe_finish_locked()
+                            st.complete_if_ready_locked()
                             st.cond.notify_all()
                 done.add(key)
                 continue

@@ -10,13 +10,12 @@ pieces:
   protocol words plus one data segment of per-rank payload slots —
   through which spawned rank processes run the same rank-ordered,
   bitwise-deterministic collectives as every other backend
-  (:func:`~repro.comm.communicator.reduce_arrays` does the arithmetic);
-* :class:`ProcessComm`, the per-worker :class:`Communicator`: elastic
-  semantics (shrink-and-continue, eviction by timeout, quorum,
-  generation-fenced admission) ported from
-  :class:`~repro.comm.elastic.ElasticComm` onto lock-free polling —
-  a SIGKILLed peer can never deadlock a survivor, because no rank ever
-  blocks on a lock a corpse might hold;
+  (:func:`~repro.comm.membership.complete` computes each result);
+* :class:`ProcessComm`, the per-worker :class:`Communicator`: the
+  membership rules of :mod:`repro.comm.membership` over the words in
+  the control segment, on lock-free polling — a SIGKILLed peer can
+  never deadlock a survivor, because no rank ever blocks on a lock a
+  corpse might hold;
 * :class:`RankSupervisor`, the parent-side monitor: exit-code/signal
   crash classification onto the typed :class:`CommError` hierarchy,
   heartbeat liveness with SIGTERM-then-SIGKILL escalation, joiner
@@ -52,15 +51,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.comm.admission import plan_admissions, resync_crc
-from repro.comm.communicator import Communicator, ReduceOp, reduce_arrays
 from repro.comm.errors import (
     MessageCorruptError,
     ProcessCrashError,
-    QuorumLostError,
     RankEvictedError,
     RankFailedError,
 )
+from repro.comm.membership import DEAD, DONE, MemberComm, Membership, resync_crc, root_died
 from repro.utils.logging import get_logger
 from repro.utils.procs import pid_alive
 
@@ -90,50 +87,26 @@ EXIT_QUORUM_LOST = 3
 EXIT_EVICTED = 4
 EXIT_INTERRUPTED = 5
 
-#: Membership is a bitmask in one int64 word.
+#: A collective's result membership is a bitmask in one int64 word.
 MAX_WORLD = 63
 
-# Rank status values.
-_ACTIVE = 0
-_DEAD = 1
-_DONE = 2
-
-# Global control words.
+# Global control words ahead of the membership words: the result of the
+# last collective.
 _G_MAGIC = 0
 _G_WORLD = 1
-_G_QUORUM = 2
-_G_QUORUM_LOST = 3
-_G_RESULT_GEN = 4
-_G_RESULT_MEMBERS = 5
-_G_ERROR_CODE = 6
-_G_ERROR_ARG = 7
-_G_REDUCTIONS = 8
-_G_BYTES_REDUCED = 9
-_G_SPARES_LEFT = 10
-_G_RESYNC_BYTES = 11
-_G_RESYNCS = 12
-_NG = 16  # padded
+_G_RESULT_GEN = 2
+_G_RESULT_MEMBERS = 3
+_G_ERROR_ROOT = 4  # the dead bcast root, -1 for none
+_NG = 8  # padded
 
-# Per-rank control arrays, in layout order.
+# Per-rank control arrays after the membership words, in layout order.
 _FIELDS = (
-    "status",       # _ACTIVE / _DEAD / _DONE
     "arrive",       # generation of the rank's latest contribution (-1 = none)
     "heartbeat",    # liveness counter, bumped in every poll iteration
-    "incarnation",  # admission fencing: bumped on every readmission
-    "admit_gen",    # first generation this incarnation participates in
-    "join_req",     # incarnation the supervisor should spawn (0 = none)
-    "join_spare",   # whether the pending join consumes a spare slot
-    "resync_crc",   # CRC32 of the joiner's resync payload file
-    "evicted",      # the rank was evicted by a peer or the supervisor
-    "respawn",      # a spare is reserved; donor admits at next boundary
     "begun",        # last global step whose top this rank reached (-1)
 )
 
 _MAGIC = 0x5245_5052  # "REPR"
-
-# Result error codes (per-collective, written by the reducer).
-_ERR_NONE = 0
-_ERR_BCAST_ROOT_DEAD = 1
 
 #: dtypes a payload may carry across the wire (closed, ordered table).
 _DTYPES = (
@@ -291,9 +264,11 @@ def destroy_segment(seg: shared_memory.SharedMemory) -> None:
 class ShmLayout:
     """Geometry of the two segments for a ``world``-rank group.
 
-    The data segment holds ``world + 1`` payload slots (one per rank
-    plus the result slot), each a small shape/dtype header followed by
-    ``payload_bytes`` of raw tensor bytes.
+    The control segment holds the result words, the group's
+    :class:`~repro.comm.membership.Membership` words, then this
+    transport's per-rank words.  The data segment holds ``world + 1``
+    payload slots (one per rank plus the result slot), each a small
+    shape/dtype header followed by ``payload_bytes`` of raw tensor bytes.
     """
 
     def __init__(self, world: int, payload_bytes: int):
@@ -302,25 +277,29 @@ class ShmLayout:
         self.world = world
         self.payload_bytes = int(payload_bytes)
         self.slot_bytes = _HDR_BYTES + self.payload_bytes
-        self.ctrl_words = _NG + len(_FIELDS) * world
+        self._fields_at = _NG + Membership.n_words(world)
+        self.ctrl_words = self._fields_at + len(_FIELDS) * world
         self.ctrl_bytes = self.ctrl_words * 8
         self.data_bytes = (world + 1) * self.slot_bytes
 
     def ctrl_view(self, buf) -> np.ndarray:
         return np.ndarray((self.ctrl_words,), dtype=np.int64, buffer=buf)
 
+    def membership(self, ctrl: np.ndarray) -> Membership:
+        return Membership(self.world, ctrl[_NG : self._fields_at])
+
     def field(self, ctrl: np.ndarray, name: str) -> np.ndarray:
-        i = _FIELDS.index(name)
-        lo = _NG + i * self.world
+        lo = self._fields_at + _FIELDS.index(name) * self.world
         return ctrl[lo : lo + self.world]
 
-    def init_ctrl(self, ctrl: np.ndarray, quorum: int, spares: int) -> None:
+    def init_ctrl(
+        self, ctrl: np.ndarray, quorum: int, spares: int = 0, auto_respawn: bool = True
+    ) -> None:
         ctrl[:] = 0
         ctrl[_G_MAGIC] = _MAGIC
         ctrl[_G_WORLD] = self.world
-        ctrl[_G_QUORUM] = quorum
         ctrl[_G_RESULT_GEN] = -1
-        ctrl[_G_SPARES_LEFT] = spares
+        self.membership(ctrl).reset(quorum, spares, auto_respawn)
         self.field(ctrl, "arrive")[:] = -1
         self.field(ctrl, "begun")[:] = -1
 
@@ -375,22 +354,16 @@ class ShmLayout:
 # ---------------------------------------------------------------------------
 
 
-class ProcessComm(Communicator):
+class ProcessComm(MemberComm):
     """One worker process's handle to the shared-memory group.
 
-    Mirrors :class:`~repro.comm.elastic.ElasticComm`'s API — including
-    the grow-back verbs the elastic rank context drives
-    (``joins_due`` / ``admit`` / ``await_admission`` /
-    ``has_pending_respawns``) — so the same training loop runs
-    unchanged on real processes.  Two deliberate differences:
-
-    * admissions are serviced only by the **lowest active rank** (the
-      deterministic donor): fault injectors are per-process replicas
-      here, so without that rule every rank would consume the same
-      recovery event and race to admit;
-    * resync payloads travel through CRC-stamped files under
-      ``run_dir`` rather than in-memory tickets (they exceed the
-      collective slot and must survive the donor).
+    The same rank API as :class:`~repro.comm.elastic.ElasticComm`, over
+    the membership words in the control segment, so the same training
+    loop runs unchanged on real processes.  What is this transport's own
+    is the polling, the ``arrive`` / ``heartbeat`` / ``begun`` words, the
+    payload slots and the resync files: CRC-stamped files under
+    ``run_dir`` rather than in-memory tickets (they exceed the collective
+    slot and must survive the donor).
     """
 
     def __init__(
@@ -404,51 +377,19 @@ class ProcessComm(Communicator):
         incarnation: int = 0,
         poll_s: float = 0.0005,
     ):
-        self._rank = rank
+        super().__init__(rank, layout.membership(ctrl), incarnation)
         self.layout = layout
         self.ctrl = ctrl
         self.data = data_buf
         self.timeout_s = timeout_s
         self.run_dir = Path(run_dir)
-        self._incarnation = incarnation
         self.poll_s = poll_s
-        self._status = layout.field(ctrl, "status")
         self._arrive = layout.field(ctrl, "arrive")
         self._beat = layout.field(ctrl, "heartbeat")
-        self._inc = layout.field(ctrl, "incarnation")
-        self._admit_gen = layout.field(ctrl, "admit_gen")
-        self._join_req = layout.field(ctrl, "join_req")
-        self._join_spare = layout.field(ctrl, "join_spare")
-        self._resync_crc = layout.field(ctrl, "resync_crc")
-        self._evicted = layout.field(ctrl, "evicted")
-        self._respawn = layout.field(ctrl, "respawn")
         self._begun = layout.field(ctrl, "begun")
-        self._gen = int(self._admit_gen[rank]) if incarnation > 0 else 0
+        self._gen = int(self._m.admit_gen[rank]) if incarnation > 0 else 0
         self._wait_start: Optional[float] = None
         self._parent = os.getppid()
-        self.last_members: Optional[frozenset] = None
-
-    # -- identity ----------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return self._rank
-
-    @property
-    def size(self) -> int:
-        return self.layout.world
-
-    @property
-    def incarnation(self) -> int:
-        return self._incarnation
-
-    @property
-    def active_ranks(self) -> List[int]:
-        return [r for r in range(self.size) if self._status[r] == _ACTIVE]
-
-    @property
-    def n_active(self) -> int:
-        return len(self.active_ranks)
 
     # -- liveness / bookkeeping -------------------------------------------
 
@@ -459,23 +400,16 @@ class ProcessComm(Communicator):
 
     def mark_done(self) -> None:
         """This rank finished its loop; collectives stop waiting for it."""
-        self._status[self._rank] = _DONE
+        self._m.done(self._rank, self._incarnation)
 
     def mark_dead(self) -> None:
         """Best-effort self-report on the way down (incarnation-fenced)."""
-        if self._inc[self._rank] == self._incarnation:
-            self._status[self._rank] = _DEAD
+        self._m.fail(self._rank, self._incarnation)
 
     def _check_alive(self) -> None:
-        if self.ctrl[_G_QUORUM_LOST]:
-            raise QuorumLostError(
-                f"group below quorum {int(self.ctrl[_G_QUORUM])}",
-                survivors=self.active_ranks,
-            )
-        if (
-            self._inc[self._rank] != self._incarnation
-            or self._status[self._rank] == _DEAD
-        ):
+        if self._m.quorum_lost:
+            raise self._m.quorum_error()
+        if not self._m.is_current(self._rank, self._incarnation):
             raise RankEvictedError(self._rank)
         if os.getppid() != self._parent:
             # The supervisor died; we are an orphan.  Exit rather than
@@ -484,29 +418,7 @@ class ProcessComm(Communicator):
                 f"rank {self._rank} orphaned: supervisor process is gone"
             )
 
-    def _mark_peer_dead(self, r: int, why: str) -> None:
-        self._status[r] = _DEAD
-        self._evicted[r] = 1
-        self._arrive[r] = -1
-        _log.warning("rank %d %s; %d survivors", r, why, self.n_active)
-        self._check_quorum()
-
-    def _check_quorum(self) -> None:
-        if not self.ctrl[_G_QUORUM_LOST] and self.n_active < self.ctrl[_G_QUORUM]:
-            self.ctrl[_G_QUORUM_LOST] = 1
-            _log.warning(
-                "quorum lost: %d survivors < quorum %d",
-                self.n_active, int(self.ctrl[_G_QUORUM]),
-            )
-
     # -- the collective engine --------------------------------------------
-
-    def _participants(self, gen: int) -> List[int]:
-        return [
-            r
-            for r in range(self.size)
-            if self._status[r] == _ACTIVE and self._admit_gen[r] <= gen
-        ]
 
     def _collective(self, kind: str, arg, array: Optional[np.ndarray]):
         me = self._rank
@@ -523,7 +435,7 @@ class ProcessComm(Communicator):
             if self.ctrl[_G_RESULT_GEN] >= gen:
                 return self._consume(gen)
             self._check_alive()
-            participants = self._participants(gen)
+            participants = self._m.participants(gen)
             if participants and me == participants[0]:
                 done = self._reduce_if_ready(kind, arg, gen, participants)
                 if done:
@@ -532,7 +444,7 @@ class ProcessComm(Communicator):
             time.sleep(self.poll_s)
 
     def _reduce_if_ready(self, kind: str, arg, gen: int, participants: List[int]) -> bool:
-        """Reducer duties for the lowest active rank (with takeover).
+        """Reducer duties for the lowest participant (with takeover).
 
         Waits for every participant's ``ARRIVE`` to reach ``gen``;
         after ``timeout_s`` the missing ranks are presumed dead and
@@ -547,58 +459,28 @@ class ProcessComm(Communicator):
                 self._wait_start = now
             if now - self._wait_start > self.timeout_s:
                 for r in missing:
-                    self._mark_peer_dead(
-                        r, f"evicted after {self.timeout_s:.1f}s without arriving"
-                    )
+                    if self._m.fail(r, evicted=True):
+                        self._arrive[r] = -1
+                        _log.warning(
+                            "rank %d evicted after %.1fs without arriving; %d survivors",
+                            r, self.timeout_s, len(self._m.survivors()),
+                        )
                 self._wait_start = None
-                if self.ctrl[_G_QUORUM_LOST]:
-                    raise QuorumLostError(
-                        f"group below quorum {int(self.ctrl[_G_QUORUM])}",
-                        survivors=self.active_ranks,
-                    )
+                if self._m.quorum_lost:
+                    raise self._m.quorum_error()
             return False
-        # Completion below quorum is forbidden, exactly as in the
-        # thread group: without this check, a survivor could
-        # complete a collective solo in the window between the
-        # supervisor marking the last corpse dead and the quorum flag
-        # landing — and then train (and checkpoint!) alone past the
-        # point the restart should resume from.
-        if len(participants) < int(self.ctrl[_G_QUORUM]):
-            self.ctrl[_G_QUORUM_LOST] = 1
-            raise QuorumLostError(
-                f"group below quorum {int(self.ctrl[_G_QUORUM])}",
-                survivors=self.active_ranks,
-            )
-        contributors = sorted(participants)
-        arrays = {r: self.layout.read_slot(self.data, r) for r in contributors}
-        error_code, error_arg = _ERR_NONE, 0
-        result: Optional[np.ndarray] = None
-        if kind == "allreduce":
-            vals = [arrays[r] for r in contributors]
-            result = reduce_arrays(vals, arg)
-            self.ctrl[_G_REDUCTIONS] += 1
-            self.ctrl[_G_BYTES_REDUCED] += result.nbytes * len(vals)
-        elif kind == "bcast":
-            root = arg
-            if root not in contributors or arrays[root] is None:
-                error_code, error_arg = _ERR_BCAST_ROOT_DEAD, root
-            else:
-                result = arrays[root]
-        elif kind == "gather":
-            result = np.stack([arrays[r] for r in contributors])
-        elif kind == "barrier":
-            result = None
-        else:  # pragma: no cover - closed set
-            raise RuntimeError(f"unknown collective {kind!r}")
+        # Without this check a survivor could complete a collective solo
+        # in the window between the supervisor marking the last corpse
+        # dead and the quorum flag landing — and then train (and
+        # checkpoint!) alone past the point the restart resumes from.
+        if not self._m.check_quorum():
+            raise self._m.quorum_error()
+        contributions = {r: self.layout.read_slot(self.data, r) for r in participants}
+        result, error = self._m.completed(kind, arg, contributions)
         # Publish: result bytes, then metadata, then RESULT_GEN last.
         self.layout.write_slot(self.data, self.size, result)
-        mask = 0
-        for r in range(self.size):
-            if self._status[r] == _ACTIVE:
-                mask |= 1 << r
-        self.ctrl[_G_RESULT_MEMBERS] = mask
-        self.ctrl[_G_ERROR_CODE] = error_code
-        self.ctrl[_G_ERROR_ARG] = error_arg
+        self.ctrl[_G_RESULT_MEMBERS] = sum(1 << r for r in participants)
+        self.ctrl[_G_ERROR_ROOT] = -1 if error is None else error.failed_ranks[0]
         self.ctrl[_G_RESULT_GEN] = gen
         return True
 
@@ -608,132 +490,50 @@ class ProcessComm(Communicator):
             # removing us from the membership — we were evicted while
             # waiting and the result slot has been recycled.
             raise RankEvictedError(self._rank)
-        code = int(self.ctrl[_G_ERROR_CODE])
+        root = int(self.ctrl[_G_ERROR_ROOT])
         mask = int(self.ctrl[_G_RESULT_MEMBERS])
         members = frozenset(r for r in range(self.size) if mask >> r & 1)
         payload = self.layout.read_slot(self.data, self.size)
         self._gen = gen + 1
-        if code == _ERR_BCAST_ROOT_DEAD:
-            raise RankFailedError(
-                f"bcast root {int(self.ctrl[_G_ERROR_ARG])} died before contributing",
-                failed_ranks=[int(self.ctrl[_G_ERROR_ARG])],
-            )
-        self.last_members = members
+        if root >= 0:
+            raise root_died(root)
         return payload, members
-
-    # -- Communicator API ---------------------------------------------------
-
-    def allreduce(self, array: np.ndarray, op: ReduceOp = ReduceOp.SUM) -> np.ndarray:
-        payload, _ = self._collective("allreduce", op, np.asarray(array))
-        return payload
-
-    def bcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
-        self._check_root(root)
-        if self._rank == root and array is None:
-            raise ValueError("root rank must supply an array to bcast")
-        payload, _ = self._collective(
-            "bcast", root, np.asarray(array) if self._rank == root else None
-        )
-        return payload
-
-    def barrier(self) -> None:
-        self._collective("barrier", None, None)
-
-    def gather(self, array: np.ndarray, root: int = 0) -> Optional[List[np.ndarray]]:
-        self._check_root(root)
-        payload, _ = self._collective("gather", root, np.asarray(array))
-        if self._rank != root:
-            return None
-        return [payload[i] for i in range(payload.shape[0])]
 
     # -- grow-back protocol -------------------------------------------------
 
     def resync_path(self, rank: int, incarnation: int) -> Path:
         return self.run_dir / f"resync-r{rank}-i{incarnation}.npz"
 
-    @property
-    def has_pending_respawns(self) -> bool:
-        return bool(np.any(self._respawn[: self.size] == 1))
-
-    def joins_due(self, events: Sequence = ()) -> List[Tuple[int, bool]]:
-        """Resolve admissions due now — donor (lowest active rank) only.
-
-        Non-donor ranks return an empty list unconditionally: their
-        injector replicas hand them the same recovery events, and a
-        single deterministic donor is what keeps one admission (and one
-        resync file) per event.
-        """
-        participants = self.active_ranks
-        if not participants or self._rank != participants[0]:
-            return []
-        if self.ctrl[_G_QUORUM_LOST]:
-            return []
-        queued = [r for r in range(self.size) if self._respawn[r] == 1]
-        for r in queued:
-            self._respawn[r] = 0
-        dead = {
-            r
-            for r in range(self.size)
-            if self._status[r] == _DEAD and self._join_req[r] == 0
-        }
-        spares = int(self.ctrl[_G_SPARES_LEFT])
-        due, spares_left = plan_admissions(events, dead, spares, queued)
-        # A delta, not a store: the supervisor reserves spares concurrently.
-        self.ctrl[_G_SPARES_LEFT] += spares_left - spares
-        return due
-
     def admit(self, rank: int, payload: Dict[str, np.ndarray], spare: bool = False) -> bool:
-        """Admit a dead rank: write its CRC-stamped resync, request a
-        respawn, and add it to the membership of the current generation.
+        """Admit a dead rank: write its CRC-stamped resync file, then the
+        membership words that make it a participant of this generation.
 
-        Ordering is the crash-safety story again: the payload file and
-        its CRC land before ``status`` flips to ACTIVE, and the
-        supervisor only spawns after ``join_req`` is stored — a donor
-        killed anywhere in between leaves a dead rank dead, never a
-        live rank with half a resync.
+        The supervisor spawns the joiner once the pending-join word is
+        stored, last — a donor killed anywhere before leaves a dead rank
+        dead, never a live rank with half a resync.
         """
-        if (
-            self.ctrl[_G_QUORUM_LOST]
-            or not 0 <= rank < self.size
-            or self._status[rank] != _DEAD
-            or self._join_req[rank] != 0
-        ):
-            return False
-        incarnation = int(self._inc[rank]) + 1
-        path = self.resync_path(rank, incarnation)
         arrays = {k: np.asarray(v) for k, v in payload.items()}
-        np.savez(path, **arrays)
         nbytes = sum(int(a.nbytes) for a in arrays.values())
-        self._resync_crc[rank] = resync_crc(arrays)
-        self._admit_gen[rank] = self._gen
-        self._inc[rank] = incarnation
-        self._evicted[rank] = 0
-        self._arrive[rank] = -1
-        self._begun[rank] = -1
-        self._join_spare[rank] = int(spare)
-        self._status[rank] = _ACTIVE
-        self._join_req[rank] = incarnation
-        self.ctrl[_G_RESYNCS] += 1
-        self.ctrl[_G_RESYNC_BYTES] += nbytes
-        _log.info(
-            "rank %d admitted (%s, incarnation %d) at generation %d; resync %d bytes",
-            rank, "spare" if spare else "recovered", incarnation, self._gen, nbytes,
-        )
-        return True
+
+        def stage(incarnation: int) -> int:
+            np.savez(self.resync_path(rank, incarnation), **arrays)
+            self._arrive[rank] = -1
+            return resync_crc(arrays)
+
+        incarnation = self._m.admit(rank, self._gen, spare, nbytes, stage)
+        if incarnation:
+            _log.info(
+                "rank %d admitted (%s, incarnation %d) at generation %d; resync %d bytes",
+                rank, "spare" if spare else "recovered", incarnation, self._gen, nbytes,
+            )
+        return bool(incarnation)
 
     def await_admission(self) -> Dict[str, np.ndarray]:
         """Claim this joiner's CRC-verified resync payload (joiner only)."""
-        if self.ctrl[_G_QUORUM_LOST]:
-            raise QuorumLostError(
-                f"group below quorum {int(self.ctrl[_G_QUORUM])}",
-                survivors=self.active_ranks,
-            )
-        if self._inc[self._rank] != self._incarnation:
-            raise RankEvictedError(self._rank)
-        path = self.resync_path(self._rank, self._incarnation)
-        with np.load(path) as data:
+        crc = self._m.claim(self._rank, self._incarnation)
+        with np.load(self.resync_path(self._rank, self._incarnation)) as data:
             payload = {k: np.array(data[k]) for k in data.files}
-        if resync_crc(payload) != int(self._resync_crc[self._rank]):
+        if resync_crc(payload) != crc:
             raise MessageCorruptError(
                 f"resync payload for rank {self._rank} failed CRC verification"
             )
@@ -768,10 +568,10 @@ class RankSupervisor:
     Owns process lifecycle, never the numerics: detects deaths by
     ``exitcode`` (negative → signal → :class:`ProcessCrashError`),
     detects hangs by heartbeat stall (SIGTERM, then SIGKILL after
-    ``term_grace_s``), marks corpses ``DEAD`` in the control segment so
-    the survivors' collectives shrink past them, spawns joiner
-    processes when a donor requests one, and tears everything down —
-    escalating politely — in :meth:`shutdown`.
+    ``term_grace_s``), fails or evicts the dead in the group's
+    membership so the survivors' collectives shrink past them, spawns a
+    joiner process for every admission a donor files, and tears
+    everything down — escalating politely — in :meth:`shutdown`.
     """
 
     def __init__(
@@ -782,7 +582,6 @@ class RankSupervisor:
         timeout_s: float,
         heartbeat_timeout_s: Optional[float] = None,
         term_grace_s: float = 5.0,
-        auto_respawn: bool = True,
     ):
         self.layout = layout
         self.ctrl = ctrl
@@ -792,17 +591,12 @@ class RankSupervisor:
             heartbeat_timeout_s if heartbeat_timeout_s is not None else 4 * timeout_s
         )
         self.term_grace_s = term_grace_s
-        self.auto_respawn = auto_respawn
         self.workers: Dict[int, _WorkerRecord] = {}
         self.failures: Dict[int, BaseException] = {}
         self.exit_codes: Dict[Tuple[int, int], int] = {}
         self.kill_counts: Dict[str, int] = {}
-        self._status = layout.field(ctrl, "status")
+        self.m = layout.membership(ctrl)
         self._beat = layout.field(ctrl, "heartbeat")
-        self._inc = layout.field(ctrl, "incarnation")
-        self._join_req = layout.field(ctrl, "join_req")
-        self._respawn = layout.field(ctrl, "respawn")
-        self._evicted = layout.field(ctrl, "evicted")
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -816,19 +610,20 @@ class RankSupervisor:
     def finished(self) -> bool:
         if self.live_count() > 0:
             return False
-        # A join request filed by a donor just before it finished still
+        # An admission filed by a donor just before it finished still
         # deserves a spawn — unless the group is already lost.
-        if not self.ctrl[_G_QUORUM_LOST]:
+        if not self.m.quorum_lost:
             for r in range(self.layout.world):
                 w = self.workers.get(r)
                 spawned = w.incarnation if w is not None else 0
-                if self._join_req[r] > spawned:
+                if self.m.join[r] > spawned:
                     return False
         return True
 
     def poll(self) -> None:
         """One supervision pass: reap, classify, evict hangs, spawn joins."""
         now = time.monotonic()
+        m = self.m
         for rank, w in list(self.workers.items()):
             code = w.proc.exitcode
             if code is not None:
@@ -845,12 +640,12 @@ class RankSupervisor:
                 w.beat_seen_at = now
             elif (
                 w.last_beat >= 0
-                and self._status[rank] == _ACTIVE
+                and m.is_current(rank, w.incarnation)
                 and now - w.beat_seen_at > self.heartbeat_timeout_s
             ):
                 self._evict_hung(rank, w, now)
             if w.term_at is None and (
-                self._status[rank] == _DEAD or self._inc[rank] != w.incarnation
+                m.status[rank] == DEAD or m.incarnation[rank] != w.incarnation
             ):
                 # Evicted by its peers and still running: a stall no
                 # heartbeat check above looks at any more.
@@ -868,11 +663,10 @@ class RankSupervisor:
                 _log.warning("rank %d ignored SIGTERM; escalating to SIGKILL", rank)
                 w.proc.kill()
                 w.term_at = None
-        self._service_join_requests()
+        self._spawn_joiners()
 
     def _classify_exit(self, rank: int, w: _WorkerRecord, code: int) -> None:
-        done = self._status[rank] == _DONE
-        if code == EXIT_OK and done:
+        if code == EXIT_OK and self.m.status[rank] == DONE:
             return
         if code < 0:
             name = signal.Signals(-code).name if -code in signal.Signals._value2member_map_ else str(-code)
@@ -889,46 +683,25 @@ class RankSupervisor:
         else:
             exc = ProcessCrashError(rank, code)
         self.failures[rank] = exc
-        if self._inc[rank] == w.incarnation and self._status[rank] != _DONE:
-            self._status[rank] = _DEAD
-            _log.warning("%s; %d survivors", exc, self._active_count())
-            self._check_quorum()
-            self._reserve_spare(rank)
+        if self.m.fail(rank, w.incarnation):
+            _log.warning("%s; %d survivors", exc, len(self.m.survivors()))
 
     def _evict_hung(self, rank: int, w: _WorkerRecord, now: float) -> None:
         _log.warning(
             "rank %d heartbeat stalled for %.1fs; evicting (SIGTERM, then SIGKILL)",
             rank, now - w.beat_seen_at,
         )
-        self._status[rank] = _DEAD
-        self._evicted[rank] = 1
+        self.m.fail(rank, w.incarnation, evicted=True)
         self.failures[rank] = ProcessCrashError(rank, None, signal_name="heartbeat-stall")
         w.proc.terminate()
         w.term_at = now
         w.reaped = True
-        self._check_quorum()
-        self._reserve_spare(rank)
 
-    def _reserve_spare(self, rank: int) -> None:
-        if (
-            self.auto_respawn
-            and self.ctrl[_G_SPARES_LEFT] > 0
-            and not self.ctrl[_G_QUORUM_LOST]
-            and self._respawn[rank] == 0
-            and self._join_req[rank] <= (self.workers[rank].incarnation if rank in self.workers else 0)
-        ):
-            self.ctrl[_G_SPARES_LEFT] -= 1
-            self._respawn[rank] = 1
-            _log.info(
-                "spare reserved for dead rank %d (%d left)",
-                rank, int(self.ctrl[_G_SPARES_LEFT]),
-            )
-
-    def _service_join_requests(self) -> None:
-        if self.ctrl[_G_QUORUM_LOST]:
+    def _spawn_joiners(self) -> None:
+        if self.m.quorum_lost:
             return
         for r in range(self.layout.world):
-            req = int(self._join_req[r])
+            req = int(self.m.join[r])
             if req == 0:
                 continue
             w = self.workers.get(r)
@@ -938,19 +711,6 @@ class RankSupervisor:
                 continue  # predecessor still unwinding; spawn next pass
             _log.info("spawning joiner process for rank %d (incarnation %d)", r, req)
             self.workers[r] = _WorkerRecord(self.spawn(r, req), req)
-
-    def _active_count(self) -> int:
-        # A rank that finished is a survivor, as in ``stats()``: a death
-        # after its peers are done must not read as a lost quorum.
-        return int(np.sum(self._status[: self.layout.world] != _DEAD))
-
-    def _check_quorum(self) -> None:
-        if not self.ctrl[_G_QUORUM_LOST] and self._active_count() < self.ctrl[_G_QUORUM]:
-            self.ctrl[_G_QUORUM_LOST] = 1
-            _log.warning(
-                "quorum lost: %d survivors < quorum %d",
-                self._active_count(), int(self.ctrl[_G_QUORUM]),
-            )
 
     # -- teardown -----------------------------------------------------------
 
@@ -974,24 +734,16 @@ class RankSupervisor:
     # -- reporting ----------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        world = self.layout.world
         return {
-            "survivors": [r for r in range(world) if self._status[r] != _DEAD],
+            **self.m.stats(),
             "failed_ranks": sorted(self.failures),
-            "evicted_ranks": [r for r in range(world) if self._evicted[r] == 1],
-            "rejoins": [r for r in range(world) if self._inc[r] > 0],
-            "reductions": int(self.ctrl[_G_REDUCTIONS]),
-            "bytes_reduced": int(self.ctrl[_G_BYTES_REDUCED]),
-            "resyncs": int(self.ctrl[_G_RESYNCS]),
-            "resync_bytes": int(self.ctrl[_G_RESYNC_BYTES]),
-            "spares_left": int(self.ctrl[_G_SPARES_LEFT]),
             "exit_codes": {f"{r}.{i}": c for (r, i), c in sorted(self.exit_codes.items())},
             "signal_kills": dict(self.kill_counts),
         }
 
     @property
     def quorum_lost(self) -> bool:
-        return bool(self.ctrl[_G_QUORUM_LOST])
+        return self.m.quorum_lost
 
     def begun_steps(self) -> Dict[int, int]:
         """Per-rank top-of-step watermarks (the restart replay filter)."""

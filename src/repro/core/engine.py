@@ -43,6 +43,7 @@ import numpy as np
 from repro.comm.communicator import Communicator, ReduceOp
 from repro.comm.elastic import ThreadedGroup
 from repro.comm.errors import QuorumLostError
+from repro.comm.membership import donor
 from repro.comm.plugin import MLPlugin, PluginConfig
 from repro.comm.serial import SteppedGroup
 from repro.core.elastic import MPI_LIKE, ElasticConfig
@@ -595,21 +596,22 @@ class _ElasticContext(RankContext):
         return self._next_batch()
 
     def _service_rejoins(self, global_step: int) -> None:
-        """Admit scheduled recoveries/spares due at this step boundary.
+        """Admit, as this step boundary's donor, whom the membership
+        decides (:mod:`repro.comm.membership`).
 
-        Whichever surviving rank gets here first consumes the events
-        (the injector hands them out at most once) and becomes the
-        resync donor — valid regardless of which rank wins, because
-        synchronous SGD keeps every replica bitwise identical.
+        Only the donor consumes the recovery events due here, so every
+        event is decided once, by the same rank on every transport; any
+        donor's state is a valid resync, because synchronous SGD keeps
+        every replica bitwise identical.
         """
         comm = self.comm
+        if donor(comm.last_members) != self.rank:
+            return
         events = (
             self.injector.recoveries_due(global_step)
             if self.injector.has_recoveries
             else ()
         )
-        if not events and not comm.has_pending_respawns:
-            return
         due = comm.joins_due(events)
         if not due:
             return

@@ -101,6 +101,18 @@ _RANK_KEYED = (
 )
 _JOIN_KINDS = (FaultKind.RANK_RECOVER, FaultKind.SPARE_JOIN)
 
+
+def _fired(event, begun: Dict[int, int]) -> bool:
+    """Whether a run whose ranks began the steps ``begun`` (per-rank
+    top-of-step watermarks) consumed plan ``event``: a rank-keyed event
+    fires on its rank at the top of its step, before anything else, and
+    a join event at the boundary the donor passes."""
+    if event.kind in _RANK_KEYED and event.rank is not None:
+        return begun.get(event.rank, -1) >= event.step
+    reached = max(begun.values(), default=-1)
+    return event.kind in _RANK_KEYED + _JOIN_KINDS and reached >= event.step
+
+
 class _ProcessContext(_ElasticContext):
     """Elastic rank context with real-process injection points.
 
@@ -229,7 +241,6 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
         "samples_seen": rc.samples_seen,
         "metrics": engine.metrics.dump(),
         "trace": engine.tracer.dump() if spec["trace"] else [],
-        "faults": injector.summary(),
     }
     (run_dir / f"worker-r{rank}-i{incarnation}.json").write_text(json.dumps(report))
     sys.exit(EXIT_OK)
@@ -280,22 +291,11 @@ class ProcessBackend(_GroupBackend):
         The thread backend keeps one injector across restarts,
         so fired events never re-fire; worker processes get a *fresh*
         injector each attempt, so the parent filters instead, using the
-        per-rank top-of-step watermarks from the control segment: a
-        rank-keyed event whose rank began its step already fired (the
-        hooks run at the top of the step, before anything else), and a
-        join event fired once any rank passed its step boundary.
+        per-rank top-of-step watermarks from the control segment
+        (:func:`_fired`).
         """
-        max_begun = max(consumed.values(), default=-1)
-        kept = []
-        for e in self.plan.events:
-            if e.kind in _RANK_KEYED and e.rank is not None:
-                if consumed.get(e.rank, -1) >= e.step:
-                    continue
-            elif e.kind in _JOIN_KINDS:
-                if max_begun >= e.step:
-                    continue
-            kept.append(e)
-        return FaultPlan(seed=self.plan.seed, events=tuple(kept))
+        kept = tuple(e for e in self.plan.events if not _fired(e, consumed))
+        return FaultPlan(seed=self.plan.seed, events=kept)
 
     # -- the driver ---------------------------------------------------------
 
@@ -354,7 +354,7 @@ class ProcessBackend(_GroupBackend):
                 ctrl_seg = create_segment(layout.ctrl_bytes)
                 data_seg = create_segment(layout.data_bytes)
                 ctrl = layout.ctrl_view(ctrl_seg.buf)
-                layout.init_ctrl(ctrl, quorum, el.spares)
+                layout.init_ctrl(ctrl, quorum, el.spares, el.auto_respawn)
                 attempt_dir = run_root / f"attempt-{self.restarts}"
                 attempt_dir.mkdir(parents=True, exist_ok=True)
                 spec = dict(
@@ -372,13 +372,7 @@ class ProcessBackend(_GroupBackend):
                     p.start()
                     return p
 
-                supervisor = RankSupervisor(
-                    layout,
-                    ctrl,
-                    spawn,
-                    timeout_s=timeout_s,
-                    auto_respawn=el.auto_respawn,
-                )
+                supervisor = RankSupervisor(layout, ctrl, spawn, timeout_s=timeout_s)
                 try:
                     supervisor.launch(range(world))
                     while not supervisor.finished():
@@ -415,7 +409,7 @@ class ProcessBackend(_GroupBackend):
 
             result = self._collect(
                 engine, attempt_dir, final_inc, shm_stats, signal_kills,
-                all_exit_codes, el.spares,
+                all_exit_codes, consumed,
             )
         finally:
             if own_run_dir:
@@ -432,7 +426,7 @@ class ProcessBackend(_GroupBackend):
         shm_stats: Dict[str, Any],
         signal_kills: Dict[str, int],
         exit_codes: Dict[str, int],
-        spares: int,
+        consumed: Dict[int, int],
     ) -> EngineResult:
         reports: Dict[int, Dict[str, Any]] = {}
         for r, inc in sorted(final_inc.items()):
@@ -459,27 +453,19 @@ class ProcessBackend(_GroupBackend):
 
         # Fold every completing worker's observability into the parent's
         # sinks — rank order, so merged artifacts are deterministic.
-        faults: Dict[str, int] = {}
-        join_kinds = {k.value for k in _JOIN_KINDS}
         for r in sorted(reports):
             rep = reports[r]
             engine.metrics.merge(rep["metrics"])
             if engine.tracer.enabled and rep["trace"]:
                 engine.tracer.absorb(rep["trace"])
-            for kind, n in rep["faults"].items():
-                if kind in join_kinds:
-                    # Every worker's injector replica consumes its own
-                    # copy of each join event; the most-progressed
-                    # worker's count is the true number fired.
-                    faults[kind] = max(faults.get(kind, 0), n)
-                else:
-                    faults[kind] = faults.get(kind, 0) + n
-        # A SIGKILLed worker can't report the proc_kill it consumed; the
-        # supervisor's death classification stands in for it.
-        if any(e.kind is FaultKind.PROC_KILL for e in self.plan.events):
-            n = signal_kills.get("SIGKILL", 0)
-            if n:
-                faults["proc_kill"] = faults.get("proc_kill", 0) + n
+        # What fired, counted from the plan and the watermarks of every
+        # attempt, the same rule the restart filter uses: a worker that
+        # died writes no report.  (MESSAGE_CORRUPT never fires here.)
+        fired = [
+            e.kind for e in self.plan.events
+            if e.kind is not FaultKind.MESSAGE_CORRUPT and _fired(e, consumed)
+        ]
+        faults = {k.value: fired.count(k) for k in FaultKind if k in fired}
 
         stats = {
             "backend": "process",
@@ -494,7 +480,7 @@ class ProcessBackend(_GroupBackend):
             "rejoins": shm_stats["rejoins"],
             "resyncs": shm_stats["resyncs"],
             "resync_bytes": shm_stats["resync_bytes"],
-            "spares_used": spares - shm_stats["spares_left"],
+            "spares_used": shm_stats["spares_used"],
             "faults_injected": faults,
             "exit_codes": exit_codes,
             "signal_kills": signal_kills,

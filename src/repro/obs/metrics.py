@@ -1,15 +1,11 @@
 """One registry for every number the system counts.
 
-Before this module the repo's instrumentation was scattered:
-:class:`~repro.io.pipeline.PipelineStats` counted pipeline behaviour,
-the elastic trainer published ``group_stats`` dicts, the staging tier
-kept :class:`~repro.io.staging.StagingStats`, and
-:class:`~repro.utils.timer.StageTimer` held stage totals — four schemas
-with four read APIs.  :class:`MetricsRegistry` unifies them behind one
-namespace of named counters, gauges, and histograms
-(``engine.steps``, ``comm.reductions``, ``io.staging.hedged_reads``,
-``engine.stage.io.seconds``, ...), with ``absorb_*`` adapters that map
-each legacy stats object into the shared namespace.
+:class:`MetricsRegistry` is one namespace of named counters, gauges,
+and histograms (``engine.steps``, ``comm.reductions``,
+``io.staging.hedged_reads``, ``engine.stage.io.seconds``, ...).  Code
+that counts writes its instruments directly; a stats dict — a rank
+group's ``group_stats``, the staging tier's counters — is folded in by
+:meth:`MetricsRegistry.absorb_mapping`.
 
 All instruments are thread-safe (rank threads increment concurrently)
 and deterministic: a counter's final value depends on what the run did,
@@ -271,7 +267,7 @@ class MetricsRegistry:
             lines.append(f"  {name} = {value}")
         return "\n".join(lines)
 
-    # -- adapters over the legacy stats objects ----------------------------
+    # -- stats dicts ---------------------------------------------------------
 
     def absorb_mapping(self, stats: Mapping[str, Any], prefix: str) -> None:
         """Add every numeric entry of a stats dict as a counter.
@@ -283,29 +279,3 @@ class MetricsRegistry:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 continue
             self.counter(f"{prefix}.{key}").add(value)
-
-    def absorb_pipeline(self, stats, prefix: str = "io.pipeline") -> None:
-        """Absorb a :class:`~repro.io.pipeline.PipelineStats`."""
-        self.counter(f"{prefix}.samples_delivered").add(stats.samples_delivered)
-        self.counter(f"{prefix}.producer_errors").add(stats.producer_errors)
-        self.gauge(f"{prefix}.max_queue_depth").set(stats.max_queue_depth)
-        self.histogram(f"{prefix}.consumer_wait_s").observe(stats.consumer_wait_s)
-        for name in (
-            "read_retries",
-            "records_skipped",
-            "hedged_reads",
-            "hedge_wins",
-            "fallback_reads",
-            "stage_retries",
-        ):
-            self.counter(f"{prefix}.{name}").add(getattr(stats, name))
-
-    def absorb_staging(self, stats, prefix: str = "io.staging") -> None:
-        """Absorb a :class:`~repro.io.staging.StagingStats`."""
-        self.absorb_mapping(stats.as_dict(), prefix)
-
-    def absorb_timer(self, timer, prefix: str = "engine.stage") -> None:
-        """Absorb a :class:`~repro.utils.timer.StageTimer`'s totals."""
-        for name, rec in timer.stages.items():
-            self.gauge(f"{prefix}.{name}.seconds").add(rec.total)
-            self.counter(f"{prefix}.{name}.count").add(rec.count)

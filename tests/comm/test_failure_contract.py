@@ -6,7 +6,8 @@ Engine rows drive ``TrainingEngine.run()`` over ``ThreadedBackend`` /
 events no fault plan can produce — run one rank body on either rank
 group: ``ThreadedGroup.run`` for threads, a ``RankSupervisor`` over
 spawned workers that follow ``_worker_main``'s exit-code protocol for
-processes.
+processes.  Grow-back rows run one seeded crash-and-rejoin plan through
+the engine and hold both domains to one table of what it reports.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from repro.core.process_backend import ProcessBackend
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
 from repro.faults import FaultEvent, FaultKind, FaultPlan
-from repro.faults.injector import InjectedCrash
+from repro.faults.injector import FaultInjector, InjectedCrash
 from tests.comm.test_process_group import PAYLOAD, _make_group
 from tests.conftest import join_rank_threads
 from tests.faults.test_delay_faults import ReleasableHang
@@ -158,6 +159,64 @@ def test_rank_hangs_while_its_peer_waits_in_a_collective(domain):
 
 
 # ---------------------------------------------------------------------------
+# Grow-back rows: one seeded plan, one report, both domains
+# ---------------------------------------------------------------------------
+
+
+def rank_1(kind, step):
+    return FaultEvent(kind, rank=1, step=step)
+
+
+#: Plan, warm spares, and what a two-rank, three-epoch run (four steps an
+#: epoch) reports on threads and on processes alike.
+GROWBACK = {
+    "recovered twice": (
+        [rank_1(FaultKind.RANK_CRASH, 1), rank_1(FaultKind.RANK_RECOVER, 3),
+         rank_1(FaultKind.RANK_CRASH, 6), rank_1(FaultKind.RANK_RECOVER, 8)],
+        0,
+        {"rejoins": [1, 1], "spares_used": 0, "survivors": [0, 1], "failed_ranks": [1],
+         "effective_batch": [2.0, 1.0, 2.0],
+         "faults_injected": {"rank_crash": 2, "rank_recover": 2}},
+    ),
+    "respawned twice": (
+        [rank_1(FaultKind.RANK_CRASH, 1), rank_1(FaultKind.RANK_CRASH, 5)],
+        2,
+        {"rejoins": [1, 1], "spares_used": 2, "survivors": [0, 1], "failed_ranks": [1],
+         "effective_batch": [2.0, 2.0, 2.0],
+         "faults_injected": {"rank_crash": 2}},
+    ),
+}
+#: A joiner process must reach its first collective within this.
+JOINER_START_S = 30.0
+
+
+@pytest.mark.parametrize("domain", DOMAINS)
+@pytest.mark.parametrize("case", GROWBACK)
+def test_a_rank_grows_back_twice(case, domain):
+    """Each admission is decided by the donor at the step boundary after
+    the death, so the report is the plan's, not the scheduler's."""
+    events, spares, expected = GROWBACK[case]
+    plan = FaultPlan(events=events)
+    if domain == "threads":
+        cls, faults = ThreadedBackend, {"injector": FaultInjector(plan)}
+    else:
+        cls, faults = ProcessBackend, {"plan": plan}
+    backend = cls(
+        tiny_16(),
+        make_dataset(8),
+        optimizer_config=OptimizerConfig(eta0=5e-3, decay_steps=50),
+        n_ranks=2,
+        elastic=ElasticConfig(quorum=1, spares=spares, timeout_s=JOINER_START_S, max_restarts=0),
+        **faults,
+    )
+    engine = TrainingEngine(backend, EngineConfig(epochs=3, validate=False))
+    history = engine.run()
+    got = {key: engine.group_stats.get(key) for key in expected}
+    got["effective_batch"] = history.effective_batch
+    assert got == expected
+
+
+# ---------------------------------------------------------------------------
 # Group rows: one rank body, both rank groups
 # ---------------------------------------------------------------------------
 
@@ -255,8 +314,7 @@ def launch_processes(
     # a worker slow to start on a loaded host reads as hung: no stall
     # timer except where it is the detector under test.
     sup = RankSupervisor(
-        layout, ctrl, spawn, timeout_s=timeout_s,
-        heartbeat_timeout_s=heartbeat_timeout_s, auto_respawn=False,
+        layout, ctrl, spawn, timeout_s=timeout_s, heartbeat_timeout_s=heartbeat_timeout_s
     )
     try:
         sup.launch(range(world))

@@ -266,7 +266,7 @@ class TestRankSupervisor:
         # spawn can outlast that, rank 0 is evicted as hung, rank 1 then dies
         # and "quorum lost: 0 survivors < quorum 1".  No stall timer here.
         sup = RankSupervisor(
-            layout, ctrl, spawn, timeout_s=5.0, heartbeat_timeout_s=math.inf, auto_respawn=False
+            layout, ctrl, spawn, timeout_s=5.0, heartbeat_timeout_s=math.inf
         )
         try:
             sup.launch(range(world))
@@ -302,7 +302,7 @@ class TestRankSupervisor:
             p.start()
             return p
 
-        sup = RankSupervisor(layout, ctrl, spawn, timeout_s=5.0, auto_respawn=False)
+        sup = RankSupervisor(layout, ctrl, spawn, timeout_s=5.0)
         try:
             sup.launch(range(world))
             assert sup.live_count() == 1

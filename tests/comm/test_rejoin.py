@@ -7,6 +7,7 @@ while peers already wait inside a pending collective, and stale threads
 of a readmitted rank being fenced by incarnation numbers.
 """
 
+import sys
 import threading
 import time
 
@@ -15,6 +16,7 @@ import pytest
 
 from repro.comm.communicator import ReduceOp
 from repro.comm.elastic import ElasticComm, ThreadedGroup, _ElasticState
+from repro.comm.membership import donor
 from repro.comm.errors import (
     MessageCorruptError,
     QuorumLostError,
@@ -29,6 +31,12 @@ def make_state(size=4, quorum=1, spares=0, with_spawner=True, **kw):
     if with_spawner:
         st.spawn_joiner = lambda rank, inc: spawned.append((rank, inc))
     return st, spawned
+
+
+def kill(st, *ranks):
+    with st.cond:
+        for rank in ranks:
+            assert st.m.fail(rank)
 
 
 def payload_for(rank):
@@ -102,39 +110,35 @@ class TestAdmissionProtocol:
 
     def test_admission_refused_without_joiner_body(self):
         st, _ = make_state(with_spawner=False)
-        st.active.discard(2)
-        with st.cond:
-            assert not st.admit_locked(2, payload_for(2), spare=False)
-        assert 2 not in st.active
+        kill(st, 2)
+        assert not ElasticComm(0, st).admit(2, payload_for(2))
+        assert 2 not in st.m.survivors()
 
     def test_admission_refused_for_active_or_bogus_ranks(self):
         st, spawned = make_state()
-        with st.cond:
-            assert not st.admit_locked(1, payload_for(1), spare=False)  # active
-            assert not st.admit_locked(7, payload_for(7), spare=False)  # range
-            assert not st.admit_locked(-1, payload_for(0), spare=False)
-        st.active.discard(2)
-        with st.cond:
-            assert st.admit_locked(2, payload_for(2), spare=False)
-            assert not st.admit_locked(2, payload_for(2), spare=False)  # joining
+        donor = ElasticComm(0, st)
+        assert not donor.admit(1, payload_for(1))  # active
+        assert not donor.admit(7, payload_for(7))  # range
+        assert not donor.admit(-1, payload_for(0))
+        kill(st, 2)
+        assert donor.admit(2, payload_for(2))
+        assert not donor.admit(2, payload_for(2))  # joining
         assert spawned == [(2, 1)]
 
     def test_resync_payload_is_deep_copied(self):
         st, _ = make_state()
-        st.active.discard(2)
+        kill(st, 2)
         payload = payload_for(2)
-        with st.cond:
-            assert st.admit_locked(2, payload, spare=False)
+        assert ElasticComm(0, st).admit(2, payload)
         payload["flat"][:] = -1.0  # donor mutates its buffers afterwards
         got = ElasticComm(2, st, incarnation=1).await_admission()
         np.testing.assert_array_equal(got["flat"], payload_for(2)["flat"])
 
     def test_corrupted_resync_fails_crc(self):
         st, _ = make_state()
-        st.active.discard(2)
-        with st.cond:
-            assert st.admit_locked(2, payload_for(2), spare=False)
-        st.joining[2].payload["flat"][0] += 1.0  # bit-rot in flight
+        kill(st, 2)
+        assert ElasticComm(0, st).admit(2, payload_for(2))
+        st.tickets[2]["flat"][0] += 1.0  # bit-rot in flight
         with pytest.raises(MessageCorruptError):
             ElasticComm(2, st, incarnation=1).await_admission()
 
@@ -144,30 +148,33 @@ class TestRejoinRaces:
         """A joiner evicted before claiming its resync must get a clean
         RankEvictedError, not a stale payload."""
         st, _ = make_state()
-        st.active.discard(2)
+        kill(st, 2)
+        donor = ElasticComm(0, st)
+        assert donor.admit(2, payload_for(2))
         with st.cond:
-            assert st.admit_locked(2, payload_for(2), spare=False)
             st.evict_locked(2, waited_s=0.0)  # same generation
-        assert 2 not in st.joining
+        assert st.m.join[2] == 0 and 2 not in st.tickets
         with pytest.raises(RankEvictedError):
             ElasticComm(2, st, incarnation=1).await_admission()
         # A later re-admission bumps the incarnation past the loser's.
-        with st.cond:
-            assert st.admit_locked(2, payload_for(2), spare=False)
-        assert st.incarnation[2] == 2
+        assert donor.admit(2, payload_for(2))
+        assert st.m.incarnation[2] == 2
         with pytest.raises(RankEvictedError):
             ElasticComm(2, st, incarnation=1).await_admission()
         ElasticComm(2, st, incarnation=2).await_admission()
+        # A resync is claimed once, and an original member has none.
+        for rank, incarnation in ((2, 2), (1, 0)):
+            with pytest.raises(RankEvictedError):
+                ElasticComm(rank, st, incarnation=incarnation).await_admission()
 
     def test_quorum_loss_while_resync_in_flight(self):
         st, _ = make_state(size=4, quorum=3)
-        st.active.discard(3)
-        with st.cond:
-            assert st.admit_locked(3, payload_for(3), spare=False)
+        kill(st, 3)
+        assert ElasticComm(0, st).admit(3, payload_for(3))
         # Two survivors die before the joiner claims its payload.
         st.mark_failed(0, RuntimeError("x"))
         st.mark_failed(1, RuntimeError("y"))
-        assert st.quorum_lost
+        assert st.m.quorum_lost
         with pytest.raises(QuorumLostError):
             ElasticComm(3, st, incarnation=1).await_admission()
 
@@ -175,8 +182,7 @@ class TestRejoinRaces:
         st, _ = make_state(size=4, quorum=3)
         st.mark_failed(0, RuntimeError("x"))
         st.mark_failed(1, RuntimeError("y"))
-        with st.cond:
-            assert not st.admit_locked(0, payload_for(0), spare=False)
+        assert not ElasticComm(2, st).admit(0, payload_for(0))
 
     def test_stale_thread_of_readmitted_rank_is_fenced(self):
         """A hung thread that out-sleeps its own eviction AND its rank's
@@ -208,47 +214,86 @@ class TestRejoinRaces:
         assert stats["rejoins"] == [1]
         assert stats["survivors"] == [0, 1, 2]
 
+    def test_every_rank_latches_the_same_members_under_fast_thread_switching(self):
+        """Eight rank threads, three crashes, auto-respawned at the next
+        boundary by its donor, with the interpreter switching threads
+        every microsecond: for every step all ranks latch one membership,
+        and the step's sum counts each of those members once."""
+        steps, crash_at = 25, {2: 3, 5: 9, 6: 9}
+        g = ThreadedGroup(8, timeout_s=5.0, quorum=1, spares=3)
+
+        def steps_from(comm, first):
+            seen = []
+            for step in range(first, steps):
+                if step == crash_at.get(comm.rank) and comm.incarnation == 0:
+                    raise RuntimeError("down")
+                if donor(comm.last_members) == comm.rank:
+                    for rank, spare in comm.joins_due():
+                        assert comm.admit(rank, {"step": np.int64(step)}, spare=spare)
+                total = comm.allreduce(np.ones(1))[0]
+                seen.append((step, comm.last_members, total))
+            return seen
+
+        def joiner(comm):
+            return steps_from(comm, int(comm.await_admission()["step"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = g.run(lambda comm: steps_from(comm, 0), joiner_fn=joiner)
+        finally:
+            sys.setswitchinterval(interval)
+        by_step = {}
+        for seen in results:
+            for step, members, total in seen:
+                assert total == len(members)
+                assert by_step.setdefault(step, members) == members
+        assert len(by_step) == steps
+        assert sorted(by_step[4]) == [0, 1, 2, 3, 4, 5, 6, 7]  # rank 2 back at step 4
+        assert g.stats()["rejoins"] == [2, 5, 6] and g.stats()["spares_used"] == 3
+
     def test_stale_failure_does_not_kill_successor(self):
         """mark_failed from an old incarnation is ignored."""
         st, _ = make_state()
-        st.active.discard(2)
-        with st.cond:
-            assert st.admit_locked(2, payload_for(2), spare=False)
+        kill(st, 2)
+        assert ElasticComm(0, st).admit(2, payload_for(2))
         st.mark_failed(2, RuntimeError("stale ghost"), incarnation=0)
-        assert 2 in st.active
+        assert 2 in st.m.survivors()
         assert 2 not in st.failures
 
 
 class TestSparePolicy:
-    def test_joins_due_recover_refunds_queued_spare(self):
-        """RANK_RECOVER (the original node came back) cancels a queued
-        auto-respawn for the same rank and returns its spare."""
-        st, _ = make_state(spares=1)
+    """The donor's decision at a step boundary, over the membership the
+    last collective latched (``last_members``)."""
+
+    @staticmethod
+    def donor_after(st, *dead):
+        kill(st, *dead)
         comm = ElasticComm(0, st)
-        st.mark_failed(2, RuntimeError("down"))  # reserves the spare
-        assert st.respawn_queue == [2]
-        assert st.spares_left == 0
+        comm.last_members = frozenset(st.m.survivors())
+        return comm
+
+    def test_joins_due_recover_takes_no_spare(self):
+        """RANK_RECOVER (the original node came back) readmits its rank
+        without drawing on the pool, auto-respawn or not."""
+        st, _ = make_state(spares=1)
+        comm = self.donor_after(st, 2)
         due = comm.joins_due([FaultEvent(FaultKind.RANK_RECOVER, rank=2, step=0)])
         assert due == [(2, False)]
-        assert st.respawn_queue == []
-        assert st.spares_left == 1
+        assert comm.admit(2, payload_for(2), spare=False)
+        assert st.m.spares_left == 1
 
     def test_joins_due_spare_join_picks_lowest_dead_rank(self):
-        st, _ = make_state(spares=2, with_spawner=True)
-        st.auto_respawn = False
-        comm = ElasticComm(0, st)
-        st.mark_failed(3, RuntimeError("a"))
-        st.mark_failed(1, RuntimeError("b"))
+        st, _ = make_state(spares=2, auto_respawn=False)
+        comm = self.donor_after(st, 3, 1)
         due = comm.joins_due([FaultEvent(FaultKind.SPARE_JOIN, rank=None, step=0)])
         assert due == [(1, True)]
-        assert st.spares_left == 1
+        assert comm.admit(1, payload_for(1), spare=True)
+        assert st.m.spares_left == 1
 
     def test_spare_budget_is_respected(self):
-        st, _ = make_state(spares=1)
-        st.auto_respawn = False
-        comm = ElasticComm(0, st)
-        st.mark_failed(1, RuntimeError("a"))
-        st.mark_failed(2, RuntimeError("b"))
+        st, _ = make_state(spares=1, auto_respawn=False)
+        comm = self.donor_after(st, 1, 2)
         due = comm.joins_due(
             [
                 FaultEvent(FaultKind.SPARE_JOIN, rank=1, step=0),
@@ -256,17 +301,22 @@ class TestSparePolicy:
             ]
         )
         assert due == [(1, True)]  # one spare, one join
-        assert st.spares_left == 0
+        assert comm.admit(1, payload_for(1), spare=True)
+        assert not comm.admit(2, payload_for(2), spare=True)  # the pool is empty
+        assert st.m.spares_left == 0
 
-    def test_auto_respawn_reserves_at_failure_time(self):
+    def test_auto_respawn_admits_missing_ranks_at_the_boundary(self):
+        """No reservation when a rank dies: the boundary replaces the
+        ranks missing from the latched membership, in rank order, while
+        spares remain, and never a rank whose admission is pending."""
         st, _ = make_state(spares=2)
-        comm = ElasticComm(0, st)
-        st.mark_failed(1, RuntimeError("a"))
-        st.mark_failed(3, RuntimeError("b"))
-        assert st.respawn_queue == [1, 3]
-        assert comm.has_pending_respawns
+        comm = self.donor_after(st, 3, 1)
         assert comm.joins_due() == [(1, True), (3, True)]
-        assert not comm.has_pending_respawns
+        assert comm.admit(1, payload_for(1), spare=True)
+        assert comm.joins_due() == [(3, True)]
+        st.m.reset(quorum=1, spares=1)
+        kill(st, 1, 3)
+        assert comm.joins_due() == [(1, True)]
 
     def test_warm_spares_auto_replace_evicted_ranks_end_to_end(self):
         g = ThreadedGroup(4, timeout_s=5.0, quorum=1, spares=1)

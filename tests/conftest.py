@@ -14,6 +14,18 @@ import pytest  # noqa: E402
 
 from repro.utils import cores  # noqa: E402
 
+try:
+    from hypothesis import settings
+except ImportError:  # a CI job that runs no property test need not install it
+    pass
+else:
+    # Property tests and state machines that set no budget of their own:
+    # ``tier1`` keeps them to seconds; ``--hypothesis-profile=slow`` (CI's
+    # fault-injection job) searches far longer.
+    settings.register_profile("tier1", deadline=None, stateful_step_count=20)
+    settings.register_profile("slow", deadline=None, max_examples=2000, stateful_step_count=100)
+    settings.load_profile("tier1")
+
 
 #: Thread names of ``ThreadedGroup`` ranks (``rank-2``, ``rank-2.1`` once
 #: readmitted); the helper a large convolution or a batched prediction runs

@@ -1,11 +1,8 @@
-"""Tests for the metrics registry and its legacy-stats adapters."""
+"""Tests for the metrics registry and its stats-dict absorber."""
 
 import pytest
 
-from repro.io.pipeline import PipelineStats
-from repro.io.staging import StagingStats
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.utils.timer import StageTimer
 
 
 class TestInstruments:
@@ -179,32 +176,3 @@ class TestAbsorbers:
         )
         assert m.names() == ["comm.reductions"]
         assert m.value("comm.reductions") == 4
-
-    def test_absorb_staging(self):
-        stats = StagingStats(stage_ins=3, hedged_reads=2, bytes_staged=100)
-        m = MetricsRegistry()
-        m.absorb_staging(stats)
-        assert m.value("io.staging.stage_ins") == 3
-        assert m.value("io.staging.hedged_reads") == 2
-        assert m.value("io.staging.bytes_staged") == 100
-
-    def test_absorb_pipeline(self):
-        stats = PipelineStats(
-            samples_delivered=8, max_queue_depth=4, hedged_reads=1, consumer_wait_s=0.25
-        )
-        m = MetricsRegistry()
-        m.absorb_pipeline(stats)
-        assert m.value("io.pipeline.samples_delivered") == 8
-        assert m.value("io.pipeline.max_queue_depth") == 4
-        assert m.value("io.pipeline.hedged_reads") == 1
-        assert m.value("io.pipeline.consumer_wait_s") == pytest.approx(0.25)
-
-    def test_absorb_timer(self):
-        t = StageTimer()
-        t.add("io", 1.5, count=3)
-        t.add("compute", 2.5)
-        m = MetricsRegistry()
-        m.absorb_timer(t)
-        assert m.value("engine.stage.io.seconds") == pytest.approx(1.5)
-        assert m.value("engine.stage.io.count") == 3
-        assert m.value("engine.stage.compute.seconds") == pytest.approx(2.5)

@@ -13,6 +13,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 REMOVED = {
+    # One membership: quorum, fencing, spares and admission are decided once,
+    # in repro.comm.membership (docs/resilience.md, "Membership rules"); the
+    # per-transport copies and the spare reserved when a rank dies.
+    "second membership": (
+        r"_check_quorum|_reserve_spare|finish_locked|admit_locked|_mark_peer_dead|_active_count"
+        r"|respawn_queue|has_pending_respawns|_G_SPARES_LEFT|comm\.admission",
+        ("src",),
+    ),
     # One helper thread: repro.utils.cores holds it and its split rule for
     # convolutions and the untaped batched forward alike
     # (docs/architecture.md); the kernels' private copy and its thread name.
