@@ -547,17 +547,21 @@ class ProcessComm(MemberComm):
 
 class _WorkerRecord:
     __slots__ = (
-        "proc", "incarnation", "last_beat", "beat_seen_at", "term_at", "out_since", "reaped",
+        "proc", "incarnation", "evictions", "last_beat", "beat_seen_at", "term_at",
+        "out_since", "reaped",
     )
 
-    def __init__(self, proc, incarnation: int):
+    def __init__(self, proc, incarnation: int, evictions: int):
         self.proc = proc
         self.incarnation = incarnation
+        #: the rank's eviction count when this worker was spawned: a
+        #: higher count means this incarnation was evicted
+        self.evictions = evictions
         self.last_beat = -1
         self.beat_seen_at = time.monotonic()
         self.term_at: Optional[float] = None
-        #: when this worker was first seen running on after its peers
-        #: evicted its rank; it has ``timeout_s`` to notice and exit.
+        #: when this worker was first seen running on after its rank was
+        #: evicted or reported its own death (see :meth:`RankSupervisor.poll`).
         self.out_since: Optional[float] = None
         self.reaped = False
 
@@ -602,7 +606,11 @@ class RankSupervisor:
 
     def launch(self, ranks: Sequence[int]) -> None:
         for r in ranks:
-            self.workers[r] = _WorkerRecord(self.spawn(r, 0), 0)
+            self._spawn(r, 0)
+
+    def _spawn(self, rank: int, incarnation: int) -> None:
+        proc = self.spawn(rank, incarnation)
+        self.workers[rank] = _WorkerRecord(proc, incarnation, int(self.m.evictions[rank]))
 
     def live_count(self) -> int:
         return sum(1 for w in self.workers.values() if w.proc.exitcode is None)
@@ -644,21 +652,25 @@ class RankSupervisor:
                 and now - w.beat_seen_at > self.heartbeat_timeout_s
             ):
                 self._evict_hung(rank, w, now)
-            if w.term_at is None and (
-                m.status[rank] == DEAD or m.incarnation[rank] != w.incarnation
-            ):
-                # Evicted by its peers and still running: a stall no
-                # heartbeat check above looks at any more.
+            evicted = m.incarnation[rank] != w.incarnation or m.evictions[rank] > w.evictions
+            if w.term_at is None and (evicted or m.status[rank] == DEAD):
+                # Out of the group and still running, a stall no heartbeat
+                # check above looks at any more.  Evicted by its peers: on
+                # record already, so it has ``timeout_s`` to notice.  Dead
+                # by its own report: on its way out, so it has the stall
+                # bound, and its exit says why it died.
                 if w.out_since is None:
                     w.out_since = now
-                elif now - w.out_since > self.timeout_s:
+                elif now - w.out_since > (
+                    self.timeout_s if evicted else self.heartbeat_timeout_s
+                ):
                     _log.warning(
-                        "rank %d still running %.1fs after its eviction; SIGTERM",
-                        rank, now - w.out_since,
+                        "rank %d still running %.1fs after its %s; SIGTERM",
+                        rank, now - w.out_since, "eviction" if evicted else "death",
                     )
                     w.proc.terminate()
                     w.term_at = now
-                    w.reaped = True
+                    w.reaped = evicted
             if w.term_at is not None and now - w.term_at > self.term_grace_s:
                 _log.warning("rank %d ignored SIGTERM; escalating to SIGKILL", rank)
                 w.proc.kill()
@@ -710,7 +722,7 @@ class RankSupervisor:
             if w is not None and w.proc.exitcode is None:
                 continue  # predecessor still unwinding; spawn next pass
             _log.info("spawning joiner process for rank %d (incarnation %d)", r, req)
-            self.workers[r] = _WorkerRecord(self.spawn(r, req), req)
+            self._spawn(r, req)
 
     # -- teardown -----------------------------------------------------------
 

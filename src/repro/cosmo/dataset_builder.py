@@ -27,12 +27,7 @@ import numpy as np
 from repro.core.parameters import ParameterSpace
 from repro.cosmo.histogram import particle_histogram, split_subvolumes
 from repro.cosmo.initial_conditions import _random_modes
-from repro.cosmo.lpt import (
-    SpectralGrid,
-    _lpt_spectrum,
-    displace_particles,
-    second_order_growth,
-)
+from repro.cosmo.lpt import SpectralGrid, _lpt_spectrum, _onto_lattice, second_order_growth
 from repro.cosmo.nbody import ColaStepper
 from repro.cosmo.power_spectrum import PowerSpectrum
 from repro.utils.rng import derive_seed, new_rng
@@ -122,7 +117,14 @@ def run_simulation(theta, config: SimulationConfig, seed: int = 0) -> np.ndarray
     if config.use_2lpt:
         d2 = second_order_growth(1.0, float(omega_m))
         field_k = _lpt_spectrum(grid, field_k, 1.0, d2)
-    return displace_particles(grid._stream_gradient(field_k), config.box_size, 1.0)
+    # Each displacement component is solved straight into its column of the
+    # positions, which then become Ψ + q.
+    n = config.particle_grid
+    positions = np.empty((n**3, 3))
+    columns = positions.reshape(n, n, n, 3)
+    for _ in grid._stream_gradient(field_k, [columns[..., a] for a in range(3)]):
+        pass
+    return _onto_lattice(positions, n, config.box_size)
 
 
 def simulate_density(theta, config: SimulationConfig, seed: int = 0) -> np.ndarray:

@@ -91,18 +91,16 @@ class SpectralGrid:
             pass
         return psi
 
-    def _stream_gradient(self, field_k: np.ndarray, out: np.ndarray | None = None):
+    def _stream_gradient(self, field_k: np.ndarray, out):
         """The three components of :meth:`inverse_gradient`, one at a time.
 
         Consumes ``field_k`` (scaled by ``1/k²`` in place).  Each
-        component lands in its row of ``out``; without ``out`` all three
-        share one ``n³`` buffer, so a component must be used up before
-        the next is asked for.
+        component lands in its entry of ``out``, three ``n³`` arrays —
+        strided ones too, such as the columns of the positions.
         """
-        buffers = out if out is not None else [np.empty((self.n,) * 3)] * 3
         base = np.multiply(self.inv_k2, field_k, out=field_k)
         work = np.empty_like(base)
-        for k_axis, component in zip(self.k_odd, buffers):
+        for k_axis, component in zip(self.k_odd, out):
             np.multiply(1j * k_axis, base, out=work)
             yield _real_field_into(work, component)
 
@@ -111,11 +109,13 @@ class SpectralGrid:
         second derivatives of the displacement potential
         (``φ_k = −δ_k/k²``, so ``(∂_a∂_b φ)_k = k_a k_b δ_k/k²``)."""
         n = self.n
-        base = self.inv_k2 * delta_k
-        work = np.empty_like(base)
+        work = np.empty(delta_k.shape, np.result_type(self.inv_k2, delta_k))
 
         def second_derivative(multiplier, out):
-            np.multiply(multiplier, base, out=work)
+            # (δ_k/k²)·M rounds as M·(δ_k/k²), so no scaled copy of δ_k is
+            # kept beside the work spectrum: each derivative scales afresh
+            np.multiply(self.inv_k2, delta_k, out=work)
+            np.multiply(work, multiplier, out=work)
             return _real_field_into(work, out)
 
         # Three real buffers for six derivatives: ``d00 d11 + (d00 + d11) d22``
@@ -206,12 +206,23 @@ def lattice_positions(n: int, box_size: float) -> np.ndarray:
     statistically irrelevant; the COLA stepper interpolates fields to
     particle positions, avoiding even that.
     """
+    return _onto_lattice(np.zeros((n**3, 3)), n, box_size)
+
+
+def _onto_lattice(x: np.ndarray, n: int, box_size: float) -> np.ndarray:
+    """Positions from the ``(n³, 3)`` displacements ``x``, in place: each
+    row's lattice center added (``Ψ + q`` is bitwise ``q + Ψ``), then
+    wrapped into the box."""
     centers = (np.arange(n) + 0.5) * (box_size / n)
-    grid = np.empty((n, n, n, 3), dtype=np.float64)
-    grid[..., 0] = centers[:, None, None]
-    grid[..., 1] = centers[None, :, None]
-    grid[..., 2] = centers
-    return grid.reshape(-1, 3)
+    cube = x.reshape(n, n, n, 3)
+    cube[..., 0] += centers[:, None, None]
+    cube[..., 1] += centers[None, :, None]
+    cube[..., 2] += centers
+    return wrap_periodic(x, box_size)
+
+
+#: Elements of ``D₂ Ψ⁽²⁾`` :func:`displace_particles` forms at a time.
+_BLOCK = 1 << 16
 
 
 def displace_particles(
@@ -238,18 +249,23 @@ def displace_particles(
         shape = np.shape(first)
         if n is None and len(shape) == 3:
             n = shape[0]
-            x = lattice_positions(n, box_size)
-            disp = np.empty(n**3)  # one n³ temporary for all three axes
-        if done == 3 or shape != (n, n, n):
+            x = np.empty((n**3, 3))
+        if done == 3 or shape != (n, n, n) or (
+            second is not None and np.shape(second) != shape
+        ):
             raise ValueError(wrong)
-        np.multiply(d1, np.ravel(first), out=disp)
+        # the displacement lands in its column of the positions; the second
+        # order is added a block at a time, so no n³ temporary is made
+        column = x[:, done]
+        np.multiply(d1, np.ravel(first), out=column)
         if second is not None:
-            disp += d2 * np.ravel(second)
-        x[:, done] += disp
+            second = np.ravel(second)
+            for lo in range(0, n**3, _BLOCK):
+                column[lo : lo + _BLOCK] += d2 * second[lo : lo + _BLOCK]
         done += 1
     if done != 3:
         raise ValueError(wrong)
-    return wrap_periodic(x, box_size)
+    return _onto_lattice(x, n, box_size)
 
 
 def wrap_periodic(positions: np.ndarray, box_size: float) -> np.ndarray:

@@ -238,6 +238,16 @@ def bcast_root_dies(comm, note, stall):
     return "bcast returned"
 
 
+def root_dies_slowly(comm, note, stall):
+    """The root reports its own death, then takes past ``timeout_s`` to exit
+    (processes only: a rank thread has no death to report but its raise)."""
+    if comm.rank == 0:
+        comm.mark_dead()
+        stall(4 * TIMEOUT_S)
+        raise RuntimeError("root died")
+    return bcast_root_dies(comm, note, stall)
+
+
 def straggler_arrives_after_eviction(comm, note, stall):
     sums = [float(comm.allreduce(np.array([1.0]))[0])]
     if comm.rank == 1:
@@ -252,7 +262,10 @@ def straggler_arrives_after_eviction(comm, note, stall):
     return str(sums)
 
 
-BODIES = {f.__name__: f for f in (hang_outside, bcast_root_dies, straggler_arrives_after_eviction)}
+BODIES = {
+    f.__name__: f
+    for f in (hang_outside, bcast_root_dies, root_dies_slowly, straggler_arrives_after_eviction)
+}
 
 
 def launch_threads(body, world, quorum, tmp_path, timeout_s=TIMEOUT_S):
@@ -367,6 +380,17 @@ def test_bcast_root_dies(domain, tmp_path):
     assert not lost
     assert returned == [None, "root dead (0,)", "root dead (0,)"]
     assert (stats["survivors"], stats["failed_ranks"]) == ([1, 2], [0])
+
+
+def test_process_that_reported_its_death_is_not_taken_for_evicted(tmp_path):
+    """Still running ``timeout_s`` after ``mark_dead()`` is a worker on its
+    way out, not a straggler its peers evicted: it is left to exit, and the
+    exit is on record as the failure."""
+    lost, cause, stats, returned, _ = launch_processes("root_dies_slowly", 3, 1, tmp_path)
+    assert not lost
+    assert returned == [None, "root dead (0,)", "root dead (0,)"]
+    assert isinstance(cause, ProcessCrashError) and cause.exitcode == EXIT_CRASH
+    assert (stats["survivors"], stats["evicted_ranks"], stats["failed_ranks"]) == ([1, 2], [], [0])
 
 
 @pytest.mark.parametrize("domain", DOMAINS)

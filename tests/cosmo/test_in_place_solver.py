@@ -1,9 +1,9 @@
 """The simulator's buffers are reused; its arguments and results are not.
 
 The spectral solver runs its transforms in place on work arrays and
-streams displacement components through one buffer.  These tests pin
-what a caller can rely on regardless: a public function never writes to
-an argument and never returns memory it will write to again, the
+solves displacement components straight into the positions.  These tests
+pin what a caller can rely on regardless: a public function never writes
+to an argument and never returns memory it will write to again, the
 streamed path equals the array path byte for byte, the peak allocation
 of one universe stays under a stated number of ``n³`` arrays, and the
 datasets the benchmark workloads build keep their bytes.
@@ -21,9 +21,11 @@ from repro.cosmo.dataset_builder import SimulationConfig, build_arrays, run_simu
 from repro.cosmo.initial_conditions import gaussian_random_modes, real_field
 from repro.cosmo.lpt import (
     SpectralGrid,
+    _lpt_spectrum,
     displace_particles,
     lpt2_displacement,
     lpt_displacement,
+    second_order_growth,
     zeldovich_displacement,
 )
 from repro.cosmo.nbody import ParticleMesh
@@ -89,6 +91,12 @@ class TestOwnership:
                 assert shared.tobytes() == fresh.tobytes()
 
 
+def one_buffer(n):
+    """Where a streamed component lands when the next one may overwrite
+    it: all three entries are one ``n³`` buffer."""
+    return [np.empty((n, n, n))] * 3
+
+
 class TestStreamedComponents:
     @settings(max_examples=20, deadline=None)
     @given(n=grids, seed=st.integers(0, 2**31 - 1))
@@ -96,7 +104,7 @@ class TestStreamedComponents:
         grid = SpectralGrid(n, BOX)
         field_k = modes(n, seed)
         psi = grid.inverse_gradient(field_k)
-        rows = [c.tobytes() for c in grid._stream_gradient(field_k.copy())]
+        rows = [c.tobytes() for c in grid._stream_gradient(field_k.copy(), one_buffer(n))]
         assert rows == [psi[axis].tobytes() for axis in range(3)]
 
     @settings(max_examples=20, deadline=None)
@@ -106,7 +114,8 @@ class TestStreamedComponents:
         field_k = modes(n, seed)
         psi = grid.inverse_gradient(field_k)
         from_array = displace_particles(psi, BOX, d1)
-        from_stream = displace_particles(grid._stream_gradient(field_k.copy()), BOX, d1)
+        stream = grid._stream_gradient(field_k.copy(), one_buffer(n))
+        from_stream = displace_particles(stream, BOX, d1)
         assert from_array.tobytes() == from_stream.tobytes()
         # an array argument is read, not consumed
         assert psi.tobytes() == grid.inverse_gradient(field_k).tobytes()
@@ -117,7 +126,11 @@ class TestStreamedComponents:
         psi1, psi2 = grid.inverse_gradient(k1), grid.inverse_gradient(k2)
         want = displace_particles(psi1, BOX, 0.9, psi2=psi2, d2=-0.4)
         got = displace_particles(
-            grid._stream_gradient(k1), BOX, 0.9, psi2=grid._stream_gradient(k2), d2=-0.4
+            grid._stream_gradient(k1, one_buffer(8)),
+            BOX,
+            0.9,
+            psi2=grid._stream_gradient(k2, one_buffer(8)),
+            d2=-0.4,
         )
         assert want.tobytes() == got.tobytes()
 
@@ -131,6 +144,12 @@ class TestStreamedComponents:
         with pytest.raises(ValueError, match="three"):
             displace_particles(fields, BOX, 1.0)
 
+    def test_second_order_component_of_another_shape_raises(self):
+        """Added a block at a time, a longer one would be cut short."""
+        first, second = np.zeros((3, 4, 4, 4)), np.zeros((3, 5, 5, 5))
+        with pytest.raises(ValueError, match="three"):
+            displace_particles(first, BOX, 1.0, psi2=second, d2=1.0)
+
 
 class TestAllocationBudget:
     """Peak traced bytes of one universe, in units of one ``n³`` float64
@@ -138,15 +157,18 @@ class TestAllocationBudget:
     a property of the code, not of the host: it repeats to within the few
     hundred bytes of Python objects made along the way.
 
-    What is alive at the peak (the first streamed component): the grid's
-    two real half-spectrum multipliers (1), the solved spectrum and the
-    work spectrum it is multiplied into (2 × ~1.04), the component buffer
-    (1), the ``(n³, 3)`` positions (3) and the displacement temporary (1)
-    — 8.3 at these sizes, against 9.8 with a transform that allocates
-    each pass and a ``(3, n, n, n)`` Ψ held beside the positions.
+    What is alive at the peak (in ``lpt2_source``): the grid's two real
+    half-spectrum multipliers (1), ``δ_k`` and the work spectrum each
+    derivative is scaled into (2 × ~1.04), and the three real buffers of
+    the six second derivatives (3) — 6.3 at these sizes.  Streaming the
+    displacements straight into the ``(n³, 3)`` positions ties it: grid,
+    solved spectrum, work spectrum, positions.  It was 8.3 with a
+    component buffer and a displacement temporary beside the positions,
+    and 9.8 with a transform that allocates each pass and a
+    ``(3, n, n, n)`` Ψ held beside them.
     """
 
-    BUDGET_UNITS = 9.3
+    BUDGET_UNITS = 6.6
 
     @pytest.mark.parametrize("n", [48, 49])
     def test_run_simulation_peak_within_budget(self, n):
@@ -192,9 +214,13 @@ DIGESTS = {
 }
 
 
-#: SHA-256 of ``run_simulation((0.29, 0.85, 0.95), config, seed=22)``,
-#: from the same solver.  Counts survive a last-bit change in a position;
-#: these do not, so they pin the order of every floating-point operation.
+THETA = (0.29, 0.85, 0.95)
+
+#: SHA-256 of ``run_simulation(THETA, config, seed=22)``, from the same
+#: solver.  Counts survive a last-bit change in a position; these do not,
+#: so they pin the order of every floating-point operation.  Outside COLA
+#: the public pieces must give the same bytes
+#: (:func:`through_displace_particles`).
 POSITION_DIGESTS = {
     "lpt2_g32": (
         SimulationConfig(particle_grid=32, histogram_grid=16),
@@ -208,11 +234,29 @@ POSITION_DIGESTS = {
         SimulationConfig(particle_grid=17, histogram_grid=16, use_2lpt=False),
         "b084dad322bc5357870dc549faf3e9af6013eb6796a6d6470e6bdea5bf0b70f7",
     ),
+    # recorded from the solver that streamed Ψ through one buffer
+    "zeldovich_g16": (
+        SimulationConfig(particle_grid=16, histogram_grid=16, use_2lpt=False),
+        "343728ca03fd306b12aa25fd22abdeb73ed56a2a7a13fcbd6893333d6d87c35a",
+    ),
     "cola_g16": (
         SimulationConfig(particle_grid=16, histogram_grid=16, box_size=64.0, cola_steps=2),
         "a85b6d68399eb23e83f697cbe44f3ea6b62b1205e9b78757c343e08397bbc328",
     ),
 }
+
+
+def through_displace_particles(config):
+    """``run_simulation``'s universe from the public pieces: the whole
+    ``(3, n, n, n)`` Ψ of the same modes, then :func:`displace_particles`
+    — the other entry point to the positions' add-centers-and-wrap tail."""
+    omega_m, sigma_8, n_s = THETA
+    spectrum = PowerSpectrum(omega_m=omega_m, sigma_8=sigma_8, n_s=n_s)
+    delta_k = gaussian_random_modes(config.particle_grid, config.box_size, spectrum, rng=22)
+    grid = SpectralGrid(config.particle_grid, config.box_size)
+    if config.use_2lpt:
+        delta_k = _lpt_spectrum(grid, delta_k, 1.0, second_order_growth(1.0, omega_m))
+    return displace_particles(grid.inverse_gradient(delta_k), config.box_size, 1.0)
 
 
 class TestDatasetDigest:
@@ -227,5 +271,7 @@ class TestDatasetDigest:
     @pytest.mark.parametrize("name", list(POSITION_DIGESTS))
     def test_positions_are_the_recorded_ones(self, name):
         config, digest = POSITION_DIGESTS[name]
-        positions = run_simulation((0.29, 0.85, 0.95), config, seed=22)
+        positions = run_simulation(THETA, config, seed=22)
         assert hashlib.sha256(positions.tobytes()).hexdigest() == digest
+        if config.cola_steps == 0:
+            assert through_displace_particles(config).tobytes() == positions.tobytes()
