@@ -29,8 +29,6 @@ This subpackage reproduces that stack in-process:
 * :mod:`repro.comm.plugin` — :class:`MLPlugin`, the CPE-ML-Plugin-like
   gradient-aggregation object (init/broadcast/gradients API, helper-
   thread teams, chunked pipelining).
-* :mod:`repro.comm.grpc_baseline` — the parameter-server-style
-  centralized aggregator the paper contrasts against.
 * :mod:`repro.comm.errors` — the typed :class:`CommError` hierarchy
   (rank failure/eviction, message corruption, quorum loss).
 * :mod:`repro.comm.stale` — :class:`StaleGroup`, the bounded-staleness
@@ -75,8 +73,6 @@ from repro.comm.compression import (
     compression_ratio,
     make_compressor,
 )
-from repro.comm.grpc_baseline import ParameterServer
-from repro.comm.horovod import HorovodLike
 
 __all__ = [
     "Communicator",
@@ -112,6 +108,4 @@ __all__ = [
     "TopKCompressor",
     "make_compressor",
     "compression_ratio",
-    "ParameterServer",
-    "HorovodLike",
 ]

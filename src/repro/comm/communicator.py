@@ -37,8 +37,8 @@ def reduce_arrays(arrays: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM) -> 
     This single helper is shared by every backend and by the schedule
     simulations, so all code paths produce identical numerics.  A rank's
     ``inf`` / ``nan`` is data here, not an error: it must survive the
-    reduction so every rank reaches the same overflow verdict (fp16 loss
-    scaling, the numerical-health watchdog), hence the ``errstate``.
+    reduction so every rank reaches the same fp16 loss-scale overflow
+    verdict, hence the ``errstate``.
     """
     if not arrays:
         raise ValueError("reduce_arrays needs at least one array")

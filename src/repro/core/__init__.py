@@ -79,7 +79,6 @@ from repro.core.checkpoint import (
     CheckpointError,
     CheckpointCorruptError,
 )
-from repro.core.hyperparams import HyperparameterSearch, TrialResult
 
 __all__ = [
     "ConvSpec",
@@ -127,6 +126,4 @@ __all__ = [
     "latest_checkpoint",
     "CheckpointError",
     "CheckpointCorruptError",
-    "HyperparameterSearch",
-    "TrialResult",
 ]

@@ -46,7 +46,6 @@ __all__ = [
     "load_checkpoint",
     "latest_checkpoint",
     "load_latest_checkpoint",
-    "prune_checkpoints",
     "sweep_stale_tmp",
 ]
 
@@ -318,18 +317,17 @@ def load_latest_checkpoint(
     model: CosmoFlowModel,
     optimizer: Optional[CosmoFlowOptimizer] = None,
     history: Optional[History] = None,
-    quarantine: bool = True,
 ) -> Optional[Path]:
     """Self-healing load: the newest checkpoint that passes verification.
 
     Walks the directory newest-first; a checkpoint that fails its CRC
-    (or is otherwise corrupt) is skipped — and, with ``quarantine``,
-    renamed aside with a ``.corrupt`` suffix so later scans don't
-    re-verify it — and the next older one is tried.  Returns the path
-    actually loaded, or ``None`` when no loadable checkpoint exists.
+    (or is otherwise corrupt) is skipped — renamed aside with a
+    ``.corrupt`` suffix so later scans don't re-verify it — and the next
+    older one is tried.  Returns the path actually loaded, or ``None``
+    when no loadable checkpoint exists.
 
-    Concurrent callers are safe: a file quarantined or pruned by a
-    peer mid-walk reads as ``FileNotFoundError`` and is skipped.
+    Concurrent callers are safe: a file quarantined by a peer mid-walk
+    reads as ``FileNotFoundError`` and is skipped.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -352,35 +350,9 @@ def load_latest_checkpoint(
                 "checkpoint %s failed verification (%s); falling back to the "
                 "previous one", path.name, exc,
             )
-            if quarantine:
-                try:
-                    path.rename(path.with_name(path.name + ".corrupt"))
-                except OSError:
-                    pass  # a concurrent rank already moved it
+            try:
+                path.rename(path.with_name(path.name + ".corrupt"))
+            except OSError:
+                pass  # a concurrent rank already moved it
             continue
     return None
-
-
-def prune_checkpoints(directory, keep_last: int) -> List[Path]:
-    """Delete all but the newest ``keep_last`` checkpoints.
-
-    Returns the removed paths.  The newest ``keep_last`` are never
-    touched, so a concurrent newest-first fallback walk always has a
-    target.
-    """
-    if keep_last < 1:
-        raise ValueError("keep_last must be >= 1")
-    directory = Path(directory)
-    if not directory.is_dir():
-        return []
-    candidates: List[Path] = sorted(
-        p for p in directory.glob("*.npz") if not p.name.endswith(".tmp")
-    )
-    removed: List[Path] = []
-    for p in candidates[:-keep_last]:
-        try:
-            p.unlink()
-        except OSError:
-            continue
-        removed.append(p)
-    return removed

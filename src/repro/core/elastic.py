@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.utils.retry import RetryPolicy
-
 __all__ = ["ElasticConfig", "MPI_LIKE"]
 
 
@@ -55,59 +53,40 @@ class ElasticConfig:
     unless a scheduler needs a hard bound, since hung ranks are already
     evicted by the collective heartbeat.
 
+    ``quorum_fraction`` of the ranks must survive, rounded up.  With ``checkpoint_dir`` set, the keeper rank writes a
+    checkpoint at the end of every epoch and keeps them all; a lost
+    quorum then restarts from the newest good one, at once, up to
+    ``max_restarts`` times.
+
     ``spares`` sizes the warm-spare pool for grow-back: with
     ``auto_respawn`` (the default), every evicted/failed rank is
     replaced by a spare at the next step boundary while the pool
     lasts; scheduled ``RANK_RECOVER``/``SPARE_JOIN`` fault events join
-    through the same admission path.  ``keep_last`` bounds checkpoint
-    retention (all but the newest N are pruned after each save).
-
-    ``restart_backoff`` optionally paces checkpoint restarts on a
-    jittered exponential schedule (shared
-    :func:`~repro.utils.retry.jittered_delay` semantics, seeded from
-    the run seed) so a fleet of simultaneously-restarting jobs does not
-    stampede the filesystem.  The default (``None``) restarts
-    immediately — the historical behaviour.
+    through the same admission path.
     """
 
     timeout_s: float = 30.0
-    quorum: Optional[int] = None  # absolute; overrides quorum_fraction
     quorum_fraction: float = 0.5  # survivors needed, as a fraction of n_ranks
     checkpoint_dir: Optional[str] = None
-    checkpoint_every_epochs: int = 1
     max_restarts: int = 2
     join_timeout_s: Optional[float] = None
     spares: int = 0
     auto_respawn: bool = True
-    keep_last: Optional[int] = None
-    restart_backoff: Optional["RetryPolicy"] = None
-    restart_jitter: float = 0.25
 
     def __post_init__(self):
-        if not 0.0 <= self.restart_jitter <= 1.0:
-            raise ValueError("restart_jitter must be in [0, 1]")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if self.join_timeout_s is not None and self.join_timeout_s <= 0:
             raise ValueError("join_timeout_s must be positive (or None to disable)")
         if not 0.0 < self.quorum_fraction <= 1.0:
             raise ValueError("quorum_fraction must be in (0, 1]")
-        if self.quorum is not None and self.quorum < 1:
-            raise ValueError("quorum must be >= 1")
-        if self.checkpoint_every_epochs < 1:
-            raise ValueError("checkpoint_every_epochs must be >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
         if self.spares < 0:
             raise ValueError("spares must be >= 0")
-        if self.keep_last is not None and self.keep_last < 1:
-            raise ValueError("keep_last must be >= 1 (or None to keep everything)")
 
     def resolve_quorum(self, n_ranks: int) -> int:
-        q = self.quorum if self.quorum is not None else math.ceil(
-            n_ranks * self.quorum_fraction
-        )
-        return max(1, min(n_ranks, q))
+        return math.ceil(n_ranks * self.quorum_fraction)
 
 
 #: The policy of a run given none: every rank is needed and nothing

@@ -25,9 +25,8 @@ calculation and global averaging" — is one program here, and
 Every backend reduces through
 :func:`repro.comm.communicator.reduce_arrays` in rank order, so runs
 with the same seed are bitwise identical across backends — the property
-the golden equivalence tests pin.  New aggregation strategies (e.g. the
-Horovod-style fused reducer in :mod:`repro.comm.horovod`) drop in via
-``aggregator_factory`` without touching the loop.
+the golden equivalence tests pin.  Rank groups aggregate through the
+paper's plugin (:class:`~repro.comm.plugin.MLPlugin`).
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -55,8 +54,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.utils.logging import get_logger
 from repro.utils.packing import flatten_arrays, unflatten_like
-from repro.utils.retry import jittered_delay
-from repro.utils.rng import derive_seed, new_rng
 from repro.utils.timer import StageTimer
 
 __all__ = [
@@ -245,36 +242,21 @@ class DivergenceCheck(Callback):
 
 
 class CheckpointCallback(Callback):
-    """Crash-safe checkpoint every ``every_epochs`` epochs.
+    """Crash-safe checkpoint at the end of every epoch.
 
     Only the keeper rank (lowest surviving rank) writes.  File names
     embed the zero-padded global step so
-    :func:`repro.core.checkpoint.latest_checkpoint` resumes from the
-    newest one.  ``keep_last``, when set, prunes all but the newest N
-    checkpoints after each save — bounded disk with the newest-good
-    fallback (:func:`repro.core.checkpoint.load_latest_checkpoint`)
-    always keeping a rollback target.
+    :func:`repro.core.checkpoint.load_latest_checkpoint` resumes from
+    the newest good one.  Every checkpoint is kept.
     """
 
-    def __init__(self, directory, every_epochs: int = 1, keep_last: Optional[int] = None):
-        if every_epochs < 1:
-            raise ValueError("every_epochs must be >= 1")
-        if keep_last is not None and keep_last < 1:
-            raise ValueError("keep_last must be >= 1 (or None to keep everything)")
+    def __init__(self, directory):
         self.directory = Path(directory)
-        self.every_epochs = every_epochs
-        self.keep_last = keep_last
 
     def on_epoch_end(self, rc):
         if not rc.is_keeper:
             return
-        if (rc.epoch + 1 - rc.start_epoch) % self.every_epochs != 0:
-            return
-        from repro.core.checkpoint import (
-            checkpoint_path,
-            prune_checkpoints,
-            save_checkpoint,
-        )
+        from repro.core.checkpoint import checkpoint_path, save_checkpoint
 
         if rc.steps_per_epoch is not None:
             step = (rc.epoch + 1) * rc.steps_per_epoch
@@ -286,8 +268,6 @@ class CheckpointCallback(Callback):
             rc.optimizer,
             history=rc.history,
         )
-        if self.keep_last is not None:
-            prune_checkpoints(self.directory, self.keep_last)
 
 
 class GroupStatsCollector(Callback):
@@ -357,7 +337,6 @@ class RankContext:
         self.step = -1
         self.last_loss = float("nan")
         self.last_val_loss = float("nan")
-        self.last_grads: Optional[List[np.ndarray]] = None
         self.divergence: Optional[float] = None
         self.samples_seen = 0
         #: Steps to skip at the start of the first epoch — a readmitted
@@ -635,7 +614,6 @@ class _ElasticContext(RankContext):
         payload = pack_training_state(self.model, self.optimizer, completed)
         payload["epoch"] = np.int64(self.epoch)
         payload["resume_step"] = np.int64(global_step % self.steps_per_epoch)
-        payload["lr_scale"] = np.float64(self.optimizer.lr_scale)
         return payload
 
     def burn_in(self) -> None:
@@ -727,7 +705,6 @@ class LocalBackend(ExecutionBackend):
         val_data=None,
         aggregator=None,
         rng=None,
-        history: Optional[History] = None,
         timer: Optional[StageTimer] = None,
     ):
         self.model = model
@@ -736,7 +713,6 @@ class LocalBackend(ExecutionBackend):
         self.val_data = val_data
         self.aggregator = aggregator
         self.rng = rng
-        self.history = history
         self.timer = timer
         self._rc: Optional[RankContext] = None
 
@@ -764,7 +740,6 @@ class LocalBackend(ExecutionBackend):
                 shuffle=cfg.shuffle,
                 aggregator=self.aggregator,
                 callbacks=callbacks,
-                history=self.history,
                 timer=self.timer,
             )
         else:
@@ -788,7 +763,6 @@ class _GroupBackend(ExecutionBackend):
         optimizer_config: Optional[OptimizerConfig] = None,
         n_ranks: int = 2,
         plugin_config: Optional[PluginConfig] = None,
-        aggregator_factory: Optional[Callable[[Communicator], Any]] = None,
     ):
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
@@ -804,7 +778,6 @@ class _GroupBackend(ExecutionBackend):
         self.optimizer_config = optimizer_config
         self.n_ranks = n_ranks
         self.plugin_config = plugin_config or PluginConfig()
-        self.aggregator_factory = aggregator_factory
         self.steps_per_epoch = len(train_data) // n_ranks  # paper: N_iters = N_samples / n_ranks
 
     def _replica(self, engine: "TrainingEngine"):
@@ -820,8 +793,6 @@ class _GroupBackend(ExecutionBackend):
         )
 
     def _aggregator(self, comm: Communicator):
-        if self.aggregator_factory is not None:
-            return self.aggregator_factory(comm)
         return MLPlugin(comm, self.plugin_config).init()
 
     def _val_view(self, rank: int):
@@ -884,7 +855,7 @@ def _restart_or_raise(backend, engine, callbacks, exc: QuorumLostError) -> None:
     """The elastic drivers' one answer to a lost quorum: count the
     restart, re-raise ``exc`` when the policy has no checkpoint
     directory or no restart budget left, otherwise fire ``on_restart``
-    and pace the relaunch."""
+    (the caller relaunches at once)."""
     el = backend.elastic
     backend.restarts += 1
     can_restart = el.checkpoint_dir is not None and backend.restarts <= el.max_restarts
@@ -898,17 +869,6 @@ def _restart_or_raise(backend, engine, callbacks, exc: QuorumLostError) -> None:
     if not can_restart:
         raise exc
     callbacks.on_restart(engine, backend.restarts, exc)
-    if el.restart_backoff is not None:
-        # Jittered pacing, seeded from the run seed: replacement-node
-        # bring-up does not stampede the checkpoint filesystem.
-        delay = jittered_delay(
-            el.restart_backoff,
-            backend.restarts - 1,
-            jitter=el.restart_jitter,
-            rng=new_rng(derive_seed(engine.config.seed, "elastic-restart", backend.restarts)),
-        )
-        if delay > 0:
-            time.sleep(delay)
 
 
 class ThreadedBackend(_GroupBackend):
@@ -946,13 +906,7 @@ class ThreadedBackend(_GroupBackend):
     def callbacks(self):
         cbs: List[Callback] = [DivergenceCheck()]
         if self.elastic.checkpoint_dir is not None:
-            cbs.append(
-                CheckpointCallback(
-                    self.elastic.checkpoint_dir,
-                    every_epochs=self.elastic.checkpoint_every_epochs,
-                    keep_last=self.elastic.keep_last,
-                )
-            )
+            cbs.append(CheckpointCallback(self.elastic.checkpoint_dir))
         return cbs
 
     def _rank_context(self, engine, comm, callbacks, model, optimizer, **extra):
@@ -1024,7 +978,6 @@ class ThreadedBackend(_GroupBackend):
         model, optimizer = self._replica(engine)
         history = History()
         restore_training_state(payload, model, optimizer, history)
-        optimizer.lr_scale = float(payload.get("lr_scale", 1.0))
         epoch = int(payload["epoch"])
         resume_step = int(payload["resume_step"])
         # Pre-loop phase for this rank: step-keyed faults key on the
@@ -1239,7 +1192,6 @@ class TrainingEngine:
             if rc.aggregates:
                 with rc.timed_stage("comm", step):
                     loss, grads = rc.aggregate(loss, grads)
-            rc.last_grads = grads
             with rc.timed_stage("optimizer", step):
                 rc.optimizer.step(grads)
             losses.append(loss)

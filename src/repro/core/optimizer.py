@@ -200,11 +200,6 @@ class CosmoFlowOptimizer:
             self.config.eps,
         )
         self.step_count = 0
-        #: Multiplicative safety factor on the scheduled rate.  Stays
-        #: 1.0 in normal training (``x * 1.0`` is exact in IEEE-754, so
-        #: the default changes nothing bitwise); the numerical-health
-        #: watchdog cuts it after a rollback.
-        self.lr_scale = 1.0
         #: Mixed-precision state (``precision="fp16"`` only): fp32
         #: master copies of every parameter and the dynamic loss
         #: scaler.  The model's own arrays always hold the fp16-rounded
@@ -229,8 +224,8 @@ class CosmoFlowOptimizer:
     def current_lr(self) -> float:
         """The global learning rate ``eta_t`` for the *next* step."""
         if self.config.use_decay:
-            return self.schedule(self.step_count) * self.lr_scale
-        return self.config.eta0 * self.lr_scale
+            return self.schedule(self.step_count)
+        return self.config.eta0
 
     def step(self, grads: Sequence[np.ndarray]) -> float:
         """Apply one update from (already averaged) gradients.

@@ -268,14 +268,12 @@ class ProcessBackend(_GroupBackend):
         elastic: Optional[ElasticConfig] = None,
         plan: Optional[FaultPlan] = None,
         run_dir=None,
-        timeout_s: Optional[float] = None,
         **kwargs,
     ):
         super().__init__(*args, **kwargs)
         self.elastic = elastic or MPI_LIKE
         self.plan = plan or FaultPlan()
         self.run_dir = run_dir
-        self.timeout_s = timeout_s
         self.restarts = 0
 
     def callbacks(self):
@@ -305,7 +303,6 @@ class ProcessBackend(_GroupBackend):
         el = self.elastic
         world = self.n_ranks
         quorum = el.resolve_quorum(world)
-        timeout_s = self.timeout_s if self.timeout_s is not None else el.timeout_s
         if el.checkpoint_dir is not None:
             Path(el.checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
@@ -333,7 +330,7 @@ class ProcessBackend(_GroupBackend):
         base_spec = {
             "world": world,
             "payload_bytes": payload_bytes,
-            "timeout_s": timeout_s,
+            "timeout_s": el.timeout_s,
             "engine_config": cfg,
             "epochs": epochs,
             "model_config": self.model_config,
@@ -372,7 +369,7 @@ class ProcessBackend(_GroupBackend):
                     p.start()
                     return p
 
-                supervisor = RankSupervisor(layout, ctrl, spawn, timeout_s=timeout_s)
+                supervisor = RankSupervisor(layout, ctrl, spawn, timeout_s=el.timeout_s)
                 try:
                     supervisor.launch(range(world))
                     while not supervisor.finished():

@@ -60,7 +60,6 @@ from repro.cosmo.statistics import (
     summary_features,
 )
 from repro.cosmo.baseline import StatisticalBaseline
-from repro.cosmo.halos import fof_halos, halo_mass_function, HaloCatalog
 
 __all__ = [
     "PowerSpectrum",
@@ -88,7 +87,4 @@ __all__ = [
     "density_moments",
     "summary_features",
     "StatisticalBaseline",
-    "fof_halos",
-    "halo_mass_function",
-    "HaloCatalog",
 ]

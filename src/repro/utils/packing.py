@@ -2,12 +2,12 @@
 
 Synchronous data-parallel training moves the model update as a single
 flat buffer (the paper's 28.15 MB message): every aggregation path —
-the CPE-ML-style plugin's chunked reduction, the Horovod-style fused
-allreduce, and the stepped trainer's simulated group — concatenates the
-per-layer gradients before communicating and restores the per-layer
-layout afterwards.  This module is the one implementation all of them
-share, so a flatten/unflatten round trip is bitwise lossless on every
-code path.
+the CPE-ML-style plugin's chunked reduction, the stepped group's and
+the stale group's one message per rank — concatenates the per-layer
+gradients before communicating and restores the per-layer layout
+afterwards.  This module is the one implementation all of them share,
+so a flatten/unflatten round trip is bitwise lossless on every code
+path.
 """
 
 from __future__ import annotations

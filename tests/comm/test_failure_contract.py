@@ -206,7 +206,7 @@ def test_a_rank_grows_back_twice(case, domain):
         make_dataset(8),
         optimizer_config=OptimizerConfig(eta0=5e-3, decay_steps=50),
         n_ranks=2,
-        elastic=ElasticConfig(quorum=1, spares=spares, timeout_s=JOINER_START_S, max_restarts=0),
+        elastic=ElasticConfig(quorum_fraction=0.5, spares=spares, timeout_s=JOINER_START_S, max_restarts=0),
         **faults,
     )
     engine = TrainingEngine(backend, EngineConfig(epochs=3, validate=False))
@@ -361,6 +361,25 @@ def test_thread_hangs_where_no_collective_sees_it(tmp_path):
     assert time.monotonic() - t0 < STALL_S  # evicted, not waited for
     assert lost and cause is None
     assert (stats["survivors"], stats["evicted_ranks"], stats["failed_ranks"]) == ([0], [1], [])
+
+
+def test_join_cap_fails_a_thread_stalled_after_its_peer_is_lost():
+    """A rank lost and its survivor stalled outside any collective before
+    either returned (docs/resilience.md): no grace starts, so
+    ``join_timeout_s`` is the one bound, and its expiry fails the stalled
+    rank.  The thread is released as the row ends."""
+    group = ThreadedGroup(2, timeout_s=STALL_S, quorum=1, join_timeout_s=2 * TIMEOUT_S)
+
+    def body(comm):
+        if comm.rank == 0:
+            raise ValueError("lost")
+        RELEASE.wait(STALL_S)
+        return "returned"
+
+    with pytest.raises(RankFailedError) as ei:
+        group.run(body)
+    assert type(ei.value) is RankFailedError
+    assert ei.value.failed_ranks == (1,)
 
 
 def test_process_hangs_where_no_collective_sees_it(tmp_path):

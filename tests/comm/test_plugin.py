@@ -1,9 +1,8 @@
-"""Tests for MLPlugin and the parameter-server baseline."""
+"""Tests for MLPlugin."""
 
 import numpy as np
 import pytest
 
-from repro.comm.grpc_baseline import ParameterServer
 from repro.comm.plugin import MLPlugin, PluginConfig
 from repro.comm.serial import SerialCommunicator
 from repro.comm.elastic import ThreadedGroup
@@ -123,63 +122,3 @@ class TestMLPluginMultiRank:
             return group.run(body)[0]
 
         np.testing.assert_allclose(run_with(1), run_with(7), rtol=1e-6, atol=1e-7)
-
-
-class TestParameterServer:
-    def test_aggregate_all(self):
-        ps = ParameterServer(3)
-        grads = [np.full(4, float(w)) for w in range(3)]
-        outs = ps.aggregate_all(grads)
-        for o in outs:
-            np.testing.assert_allclose(o, 1.0)
-        assert ps.steps_completed == 1
-
-    def test_pull_before_complete_raises(self):
-        ps = ParameterServer(2)
-        ps.push(0, np.ones(2))
-        with pytest.raises(RuntimeError, match="waiting on 1"):
-            ps.pull(0)
-
-    def test_double_push_raises(self):
-        ps = ParameterServer(2)
-        ps.push(0, np.ones(2))
-        with pytest.raises(RuntimeError, match="twice"):
-            ps.push(0, np.ones(2))
-
-    def test_push_after_aggregation_raises(self):
-        ps = ParameterServer(2)
-        ps.push(0, np.ones(2))
-        ps.push(1, np.ones(2))
-        with pytest.raises(RuntimeError):
-            ps.push(0, np.ones(2))
-
-    def test_multiple_steps(self):
-        ps = ParameterServer(2)
-        for step in range(3):
-            outs = ps.aggregate_all([np.full(2, float(step)), np.full(2, float(step))])
-            np.testing.assert_allclose(outs[0], step)
-        assert ps.steps_completed == 3
-
-    def test_root_link_accounting(self):
-        ps = ParameterServer(4)
-        ps.aggregate_all([np.ones(10, dtype=np.float32)] * 4)
-        # ingress: 4 pushes; egress: 4 pulls, 40 bytes each
-        assert ps.bytes_ingress == 160
-        assert ps.bytes_egress == 160
-        assert ps.root_link_bytes == 320
-
-    def test_bad_worker_index(self):
-        ps = ParameterServer(2)
-        with pytest.raises(ValueError):
-            ps.push(5, np.ones(2))
-        with pytest.raises(ValueError):
-            ps.pull(-1)
-
-    def test_wrong_gradient_count(self):
-        ps = ParameterServer(2)
-        with pytest.raises(ValueError):
-            ps.aggregate_all([np.ones(2)])
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            ParameterServer(0)

@@ -1,4 +1,4 @@
-"""Crash-safety and integrity guarantees of the checkpoint layer."""
+"""Round trips, crash-safety and integrity guarantees of the checkpoint layer."""
 
 import os
 import subprocess
@@ -15,13 +15,12 @@ from repro.core.checkpoint import (
     latest_checkpoint,
     load_checkpoint,
     load_latest_checkpoint,
-    prune_checkpoints,
     save_checkpoint,
     sweep_stale_tmp,
 )
 from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import CosmoFlowOptimizer
-from repro.core.topology import ConvSpec, CosmoFlowConfig
+from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
+from repro.core.topology import ConvSpec, CosmoFlowConfig, tiny_16
 
 MICRO = CosmoFlowConfig(
     name="micro4ckpt",
@@ -36,6 +35,64 @@ def make_model():
     model = CosmoFlowModel(MICRO, seed=0)
     opt = CosmoFlowOptimizer(model.parameter_arrays())
     return model, opt
+
+
+class TestCheckpoint:
+    def test_model_round_trip(self, tmp_path):
+        model = CosmoFlowModel(MICRO, seed=1)
+        path = save_checkpoint(tmp_path / "ckpt", model)
+        assert path.suffix == ".npz"
+        clone = CosmoFlowModel(MICRO, seed=2)
+        load_checkpoint(path, clone)
+        np.testing.assert_array_equal(
+            clone.get_flat_parameters(), model.get_flat_parameters()
+        )
+
+    def test_optimizer_state_round_trip(self, tmp_path):
+        model = CosmoFlowModel(MICRO, seed=1)
+        opt = CosmoFlowOptimizer(model.parameter_arrays(), OptimizerConfig())
+        x = np.zeros((1, 1, 4, 4, 4), dtype=np.float32)
+        y = np.full((1, 3), 0.5, dtype=np.float32)
+        for _ in range(3):
+            _, grads = model.loss_and_gradients(x, y)
+            opt.step(grads)
+        path = save_checkpoint(tmp_path / "full", model, opt)
+
+        clone = CosmoFlowModel(MICRO, seed=9)
+        clone_opt = CosmoFlowOptimizer(clone.parameter_arrays(), OptimizerConfig())
+        load_checkpoint(path, clone, clone_opt)
+        assert clone_opt.adam.t == 3
+        assert clone_opt.step_count == 3
+        for a, b in zip(clone_opt.adam.m, opt.adam.m):
+            np.testing.assert_array_equal(a, b)
+        # continued training is bitwise identical
+        _, g1 = model.loss_and_gradients(x, y)
+        _, g2 = clone.loss_and_gradients(x, y)
+        opt.step(g1)
+        clone_opt.step(g2)
+        np.testing.assert_array_equal(
+            model.get_flat_parameters(), clone.get_flat_parameters()
+        )
+
+    def test_wrong_config_rejected(self, tmp_path):
+        model = CosmoFlowModel(MICRO, seed=0)
+        path = save_checkpoint(tmp_path / "x", model)
+        other = CosmoFlowModel(tiny_16(), seed=0)
+        with pytest.raises(ValueError, match="config"):
+            load_checkpoint(path, other)
+
+    def test_missing_optimizer_state(self, tmp_path):
+        model = CosmoFlowModel(MICRO, seed=0)
+        path = save_checkpoint(tmp_path / "noopt", model)
+        opt = CosmoFlowOptimizer(model.parameter_arrays())
+        with pytest.raises(ValueError, match="optimizer"):
+            load_checkpoint(path, model, opt)
+
+    def test_foreign_optimizer_rejected(self, tmp_path):
+        model = CosmoFlowModel(MICRO, seed=0)
+        foreign = CosmoFlowOptimizer([np.zeros(3, dtype=np.float32)])
+        with pytest.raises(ValueError, match="belong"):
+            save_checkpoint(tmp_path / "bad", model, foreign)
 
 
 class TestAtomicSave:
@@ -162,16 +219,6 @@ class TestSelfHealingLoad:
         # The quarantined file is out of every later *.npz scan.
         assert latest_checkpoint(tmp_path).name == "ckpt-000001.npz"
 
-    def test_quarantine_can_be_disabled(self, tmp_path):
-        model, opt = make_model()
-        save_checkpoint(tmp_path / "ckpt-000001", model, opt)
-        save_checkpoint(tmp_path / "ckpt-000002", model, opt)
-        corrupt(tmp_path / "ckpt-000002.npz")
-        fresh, fopt = make_model()
-        loaded = load_latest_checkpoint(tmp_path, fresh, fopt, quarantine=False)
-        assert loaded.name == "ckpt-000001.npz"
-        assert (tmp_path / "ckpt-000002.npz").exists()
-
     def test_all_corrupt_returns_none(self, tmp_path):
         model, opt = make_model()
         save_checkpoint(tmp_path / "ckpt-000001", model, opt)
@@ -259,26 +306,3 @@ class TestCrashWindow:
     def test_sweep_missing_directory_is_noop(self, tmp_path):
         assert sweep_stale_tmp(tmp_path / "nope") == []
 
-
-class TestRetention:
-    def test_prune_keeps_newest(self, tmp_path):
-        model, opt = make_model()
-        for step in range(5):
-            save_checkpoint(tmp_path / f"ckpt-{step:06d}", model, opt)
-        removed = prune_checkpoints(tmp_path, keep_last=2)
-        assert sorted(p.name for p in removed) == [
-            "ckpt-000000.npz", "ckpt-000001.npz", "ckpt-000002.npz",
-        ]
-        assert sorted(p.name for p in tmp_path.glob("*.npz")) == [
-            "ckpt-000003.npz", "ckpt-000004.npz",
-        ]
-
-    def test_prune_fewer_than_keep_is_noop(self, tmp_path):
-        model, opt = make_model()
-        save_checkpoint(tmp_path / "ckpt-000001", model, opt)
-        assert prune_checkpoints(tmp_path, keep_last=3) == []
-        assert prune_checkpoints(tmp_path / "nope", keep_last=3) == []
-
-    def test_prune_validates_keep_last(self, tmp_path):
-        with pytest.raises(ValueError):
-            prune_checkpoints(tmp_path, keep_last=0)

@@ -57,8 +57,8 @@ def eval_loss(model, n=12, seed=1):
 class TestConfig:
     def test_quorum_resolution(self):
         assert ElasticConfig(quorum_fraction=0.5).resolve_quorum(8) == 4
-        assert ElasticConfig(quorum=6).resolve_quorum(8) == 6
-        assert ElasticConfig(quorum=99).resolve_quorum(8) == 8  # clamped
+        assert ElasticConfig(quorum_fraction=0.75).resolve_quorum(8) == 6
+        assert ElasticConfig(quorum_fraction=1.0).resolve_quorum(8) == 8
         assert ElasticConfig(quorum_fraction=0.01).resolve_quorum(2) == 1
 
     def test_validation(self):
@@ -217,9 +217,8 @@ class TestQuorumRestart:
             3,
             elastic=ElasticConfig(
                 timeout_s=10.0,
-                quorum=3,
+                quorum_fraction=1.0,
                 checkpoint_dir=str(tmp_path),
-                checkpoint_every_epochs=1,
                 max_restarts=2,
             ),
             injector=FaultInjector(plan),
@@ -245,7 +244,7 @@ class TestQuorumRestart:
             make_dataset(9),
             3,
             2,
-            elastic=ElasticConfig(timeout_s=10.0, quorum=3),  # no checkpoint_dir
+            elastic=ElasticConfig(timeout_s=10.0, quorum_fraction=1.0),  # no checkpoint_dir
             injector=FaultInjector(plan),
         )
         with pytest.raises(QuorumLostError):
@@ -267,7 +266,7 @@ class TestQuorumRestart:
             2,
             4,
             elastic=ElasticConfig(
-                timeout_s=10.0, quorum=2, checkpoint_dir=str(tmp_path)
+                timeout_s=10.0, quorum_fraction=1.0, checkpoint_dir=str(tmp_path)
             ),
             injector=FaultInjector(plan),
         )

@@ -93,7 +93,7 @@ class TestDeterminismGate:
             FaultEvent(kind=FaultKind.PROC_KILL, rank=1, step=2),
             FaultEvent(kind=FaultKind.RANK_RECOVER, rank=1, step=4),
         ))
-        elastic = ElasticConfig(timeout_s=15.0, quorum=2, auto_respawn=False)
+        elastic = ElasticConfig(timeout_s=15.0, quorum_fraction=0.5, auto_respawn=False)
         h_thr, p_thr, s_thr = run_elastic(ThreadedBackend, plan, elastic)
         h_proc, p_proc, s_proc = run_elastic(ProcessBackend, plan, elastic)
         assert_bitwise_equal(h_thr, h_proc, p_thr, p_proc)
@@ -119,7 +119,7 @@ class TestDeterminismGate:
 
         def elastic(ckpt):
             return ElasticConfig(
-                timeout_s=15.0, quorum=2, auto_respawn=False,
+                timeout_s=15.0, quorum_fraction=0.5, auto_respawn=False,
                 checkpoint_dir=str(ckpt), max_restarts=1,
             )
 
@@ -155,7 +155,7 @@ class TestNoLeaks:
         for plan in plans:
             run_elastic(
                 ProcessBackend, plan,
-                ElasticConfig(timeout_s=15.0, quorum=2, auto_respawn=False),
+                ElasticConfig(timeout_s=15.0, quorum_fraction=0.5, auto_respawn=False),
                 epochs=2,
             )
             assert multiprocessing.active_children() == []

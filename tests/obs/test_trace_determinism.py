@@ -48,9 +48,8 @@ def traced_elastic_run(ckpt_dir):
         n_ranks=3,
         elastic=ElasticConfig(
             timeout_s=10.0,
-            quorum=3,
+            quorum_fraction=1.0,
             checkpoint_dir=str(ckpt_dir),
-            checkpoint_every_epochs=1,
             max_restarts=2,
         ),
         injector=FaultInjector(plan),

@@ -13,6 +13,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 REMOVED = {
+    # Every module earns its place (tests/test_reachability.py): the parameter
+    # server, the Horovod reducer, the hyperparameter search, the numerical-
+    # health watchdog and the halo finder were reached only by their own
+    # tests, and the hooks and options below only by them or with one value
+    # outside tests.  Last present at 1c35cf7.
+    "test-only modules and single-value options": (
+        r"grpc_baseline|ParameterServer|HorovodLike|comm\.horovod|aggregator_factory"
+        r"|HyperparameterSearch|NumericalHealthWatchdog|fof_halos|HaloCatalog|lr_scale"
+        r"|last_grads|prune_checkpoints|keep_last|checkpoint_every_epochs|restart_backoff"
+        r"|restart_jitter",
+        ("src", "examples", "benchmarks"),
+    ),
     # One membership: quorum, fencing, spares and admission are decided once,
     # in repro.comm.membership (docs/resilience.md, "Membership rules"); the
     # per-transport copies and the spare reserved when a rank dies.

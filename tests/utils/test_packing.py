@@ -64,19 +64,3 @@ class TestUnflatten:
     def test_non_1d_buffer_rejected(self):
         with pytest.raises(ValueError, match="1-D"):
             unflatten_arrays(np.zeros((2, 3)), [(6,)])
-
-
-class TestCallSitesAgree:
-    """The three historical implementations must share this one."""
-
-    def test_plugin_and_horovod_agree(self):
-        from repro.comm.horovod import HorovodLike
-        from repro.comm.plugin import MLPlugin
-        from repro.comm.serial import SerialCommunicator
-
-        grads = _tensors()
-        plugin_out = MLPlugin(SerialCommunicator()).init().gradients(grads)
-        hvd_out = HorovodLike(SerialCommunicator()).init().gradients(grads)
-        for a, b, original in zip(plugin_out, hvd_out, grads):
-            np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(a, original)  # 1-rank mean = identity

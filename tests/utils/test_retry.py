@@ -121,22 +121,6 @@ class TestCallWithRetryJitter:
         assert slept == [policy.delay(0), policy.delay(1)]
 
 
-class TestElasticRestartBackoffConfig:
-    def test_config_accepts_policy(self):
-        from repro.core.elastic import ElasticConfig
-
-        cfg = ElasticConfig(
-            restart_backoff=RetryPolicy(base_delay_s=0.0), restart_jitter=0.5
-        )
-        assert cfg.restart_backoff.base_delay_s == 0.0
-
-    def test_invalid_restart_jitter_rejected(self):
-        from repro.core.elastic import ElasticConfig
-
-        with pytest.raises(ValueError):
-            ElasticConfig(restart_jitter=2.0)
-
-
 def test_numpy_interop():
     # The helper accepts any object with .uniform — numpy Generators in
     # practice — and returns a builtin float either way.
