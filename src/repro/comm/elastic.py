@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import threading
 import time
-import zlib
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,6 +43,7 @@ from repro.comm.errors import (
 )
 from repro.comm.membership import MemberComm, Membership, resync_crc
 from repro.obs.tracer import NULL_TRACER
+from repro.utils import checksum
 from repro.utils.logging import get_logger
 
 __all__ = ["ThreadedGroup", "ElasticComm"]
@@ -108,7 +108,7 @@ class _ElasticState:
         for r in ranks:
             c = self.slots[r]
             if c.crc is not None and c.wire is not None:
-                if zlib.crc32(np.ascontiguousarray(c.wire).tobytes()) != c.crc:
+                if checksum.crc32(np.ascontiguousarray(c.wire)) != c.crc:
                     if c.source is None:
                         raise MessageCorruptError(
                             f"rank {r}'s contribution corrupt and unrecoverable"
@@ -342,7 +342,7 @@ class ElasticComm(MemberComm):
         arr = np.asarray(array)
         if not st.checksums:
             return _Contribution(arr, None, None)
-        crc = zlib.crc32(np.ascontiguousarray(arr).tobytes())
+        crc = checksum.crc32(np.ascontiguousarray(arr))
         wire = st.injector.corrupt_message(self._rank, st.generation, arr)
         return _Contribution(wire, crc, arr)
 

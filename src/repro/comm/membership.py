@@ -41,7 +41,6 @@ first, then status, and the pending-join word last.
 from __future__ import annotations
 
 import contextlib
-import zlib
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +48,7 @@ import numpy as np
 from repro.comm.communicator import Communicator, ReduceOp, reduce_arrays
 from repro.comm.errors import QuorumLostError, RankEvictedError, RankFailedError
 from repro.faults.plan import FaultKind
+from repro.utils import checksum
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -390,6 +390,5 @@ def resync_crc(payload: Dict[str, np.ndarray]) -> int:
     0-d counters included, unlike a checkpoint's CRC."""
     crc = 0
     for key in sorted(payload):
-        arr = np.ascontiguousarray(np.asarray(payload[key]))
-        crc = zlib.crc32(arr.tobytes(), crc)
+        crc = checksum.crc32(np.ascontiguousarray(payload[key]), crc)
     return crc

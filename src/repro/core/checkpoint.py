@@ -24,7 +24,6 @@ from __future__ import annotations
 import os
 import re
 import threading
-import zlib
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
@@ -33,6 +32,7 @@ import numpy as np
 from repro.core.engine import History
 from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import CosmoFlowOptimizer
+from repro.utils import checksum
 from repro.utils.logging import get_logger
 from repro.utils.procs import pid_alive
 
@@ -88,7 +88,7 @@ def _payload_crc(payload: dict) -> int:
     for key in sorted(payload):
         value = payload[key]
         if isinstance(value, np.ndarray) and value.ndim > 0:
-            crc = zlib.crc32(np.ascontiguousarray(value).tobytes(), crc)
+            crc = checksum.crc32(np.ascontiguousarray(value), crc)
     return crc
 
 

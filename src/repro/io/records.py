@@ -9,9 +9,13 @@ framing implemented here is the actual TFRecord framing::
     bytes   payload[length]
     uint32  masked_crc32(payload)
 
-with TensorFlow's CRC mask ``((crc >> 15 | crc << 17) + 0xa282ead8)``
-(we compute the CRC with zlib's CRC-32 rather than CRC-32C — the only
-deviation, noted here because real TFRecord readers check it).
+with TensorFlow's CRC mask ``((crc >> 15 | crc << 17) + 0xa282ead8)``.
+The CRC is CRC-32 (the gzip polynomial), not TFRecord's CRC-32C — the
+only deviation, noted here because real TFRecord readers check it, and
+kept so that every record file written so far still verifies.  It is
+computed by :func:`repro.utils.checksum.crc32`: libdeflate's
+carry-less-multiply kernel where ``libdeflate.so.0`` loads, zlib's
+table-driven loop where it does not, with the same value either way.
 
 The payload is a self-describing binary encoding of one training
 sample: the 3D volume (float32) plus the target parameter vector.
@@ -19,14 +23,16 @@ sample: the 3D volume (float32) plus the target parameter vector.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import mmap
 import struct
-import zlib
 from pathlib import Path
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.utils import checksum
 
 __all__ = [
     "RecordCorruptionError",
@@ -81,7 +87,7 @@ def _mask(crc: int) -> int:
 
 def masked_crc32(data) -> int:
     """TFRecord's masked CRC: rotate and add the mask constant."""
-    return _mask(zlib.crc32(data))
+    return _mask(checksum.crc32(data))
 
 
 def _sample_parts(volume: np.ndarray, target: np.ndarray):
@@ -156,7 +162,7 @@ class RecordWriter:
         nbytes = crc = 0
         for part in parts:
             nbytes += memoryview(part).nbytes
-            crc = zlib.crc32(part, crc)
+            crc = checksum.crc32(part, crc)
         length = _LENGTH.pack(nbytes)
         self._fh.write(length)
         self._fh.write(_CRC.pack(masked_crc32(length)))
@@ -213,6 +219,16 @@ class RecordReader:
                 data = fh.read()
         view = memoryview(data)
         size = len(view)
+        # The CRCs read the mapping through ctypes arrays at its address,
+        # which the checksum kernel takes as they are: the address is
+        # taken once per file, where a slice of ``view`` would cost a
+        # NumPy view per record.  Each array is made after the bounds
+        # check that covers it, and dropped while ``data`` is alive.
+        base = np.frombuffer(data, np.uint8).ctypes.data
+
+        def at(start: int, stop: int):
+            return (ctypes.c_ubyte * (stop - start)).from_address(base + start)
+
         offset = index = 0
         while offset < size:
             body = offset + _FRAME.size
@@ -224,13 +240,14 @@ class RecordReader:
             else:
                 length, length_crc = _FRAME.unpack_from(view, offset)
                 end = body + length
-                if self.verify and length_crc != masked_crc32(view[offset : offset + _LENGTH.size]):
+                if self.verify and length_crc != masked_crc32(at(offset, offset + _LENGTH.size)):
                     reason = "length CRC mismatch"
                 elif size < end + _CRC.size:
                     reason = "truncated record"
                 else:
                     payload = view[body:end]
-                    if self.verify and _CRC.unpack_from(view, end)[0] != masked_crc32(payload):
+                    (payload_crc,) = _CRC.unpack_from(view, end)
+                    if self.verify and payload_crc != masked_crc32(at(body, end)):
                         reason = "payload CRC mismatch"
             if reason is not None:
                 if self.strict:

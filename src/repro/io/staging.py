@@ -54,12 +54,12 @@ import os
 import shutil
 import threading
 import time as _time
-import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.obs.tracer import NULL_TRACER
+from repro.utils import checksum
 from repro.utils.breaker import BreakerState, CircuitBreaker
 from repro.utils.logging import get_logger
 from repro.utils.retry import RetryPolicy, jittered_delay
@@ -250,7 +250,7 @@ class StagingManager:
 
     def target_of(self, path) -> int:
         """The burst-buffer server node a file's stripes live on."""
-        return zlib.crc32(Path(path).name.encode("utf-8")) % self.config.n_targets
+        return checksum.crc32(Path(path).name.encode("utf-8")) % self.config.n_targets
 
     def breaker(self, target: int) -> CircuitBreaker:
         return self._breakers[target]

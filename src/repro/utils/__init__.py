@@ -1,6 +1,7 @@
 """Shared utilities: seeded RNG helpers, stage timers, logging,
-retry schedules, the circuit breaker, and (``repro.utils.cores``) the
-one helper thread a large call runs beside itself.
+retry schedules, the circuit breaker, (``repro.utils.cores``) the one
+helper thread a large call runs beside itself, and
+(``repro.utils.checksum``) the one CRC-32 every checksum goes through.
 
 These helpers are deliberately tiny and dependency-free; every other
 subpackage may import them, and they import nothing from the rest of
