@@ -25,8 +25,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.parameters import ParameterSpace
-from repro.cosmo.histogram import particle_histogram, split_subvolumes
-from repro.cosmo.initial_conditions import _random_modes
+from repro.cosmo.histogram import (
+    _bin_axis,
+    _check_in_box,
+    _counts,
+    particle_histogram,
+    split_subvolumes,
+)
+from repro.cosmo.initial_conditions import gaussian_random_modes
 from repro.cosmo.lpt import SpectralGrid, _lpt_spectrum, _onto_lattice, second_order_growth
 from repro.cosmo.nbody import ColaStepper
 from repro.cosmo.power_spectrum import PowerSpectrum
@@ -64,6 +70,8 @@ class SimulationConfig:
     def __post_init__(self):
         if self.particle_grid < 4:
             raise ValueError("particle_grid must be >= 4")
+        if self.histogram_grid < 1:
+            raise ValueError(f"histogram_grid must be >= 1, got {self.histogram_grid}")
         if self.histogram_grid % self.splits != 0:
             raise ValueError("histogram_grid must be divisible by splits")
 
@@ -81,12 +89,10 @@ class SimulationConfig:
         return self.splits**3
 
 
-def run_simulation(theta, config: SimulationConfig, seed: int = 0) -> np.ndarray:
-    """Evolve one box to z=0; returns particle positions ``(N³, 3)``.
-
-    ``theta`` is ``(omega_m, sigma_8, n_s)`` (or the 2-parameter subset
-    with ns fixed at the Planck value).
-    """
+def _displacement_spectrum(theta, config: SimulationConfig, seed: int):
+    """One universe's grid and the spectrum whose inverse gradient
+    displaces its lattice: ``δ_k`` for first order and COLA, ``D₁δ_k +
+    D₂S_k`` for 2LPT."""
     theta = np.asarray(theta, dtype=np.float64)
     h = 0.67
     if theta.size == 2:
@@ -105,32 +111,53 @@ def run_simulation(theta, config: SimulationConfig, seed: int = 0) -> np.ndarray
     )
     if config.redshift > 0:
         spectrum = spectrum.at_redshift(config.redshift)
-    grid = SpectralGrid(config.particle_grid, config.box_size)
-    field_k = _random_modes(grid.k_mag, config.box_size, spectrum, new_rng(seed))
+    n, box = config.particle_grid, config.box_size
+    field_k = gaussian_random_modes(n, box, spectrum, new_rng(seed))
+    grid = SpectralGrid(n, box)
+    # The realized spectrum is already the z=0 (or target-z) one, so D₁ = 1.
+    # 2LPT puts both orders through one solve: the growth factors go in
+    # before the transform, and δ_k becomes D₁δ_k inside their sum.
+    if config.use_2lpt and config.cola_steps == 0:
+        d2 = second_order_growth(1.0, float(omega_m))
+        field_k = _lpt_spectrum(grid, field_k, 1.0, d2)
+    return grid, field_k
+
+
+def run_simulation(theta, config: SimulationConfig, seed: int = 0) -> np.ndarray:
+    """Evolve one box to z=0; returns particle positions ``(N³, 3)``.
+
+    ``theta`` is ``(omega_m, sigma_8, n_s)`` (or the 2-parameter subset
+    with ns fixed at the Planck value).
+    """
+    grid, field_k = _displacement_spectrum(theta, config, seed)
     if config.cola_steps > 0:
         psi1 = grid._gradient(field_k)
         return ColaStepper(psi1, config.box_size, n_steps=config.cola_steps).run()
-
-    # The realized spectrum is already the z=0 (or target-z) one, so D₁ = 1.
-    # 2LPT puts both orders through one solve: the growth factors go in
-    # before the transform, and δ_k is dropped once their sum exists.
-    if config.use_2lpt:
-        d2 = second_order_growth(1.0, float(omega_m))
-        field_k = _lpt_spectrum(grid, field_k, 1.0, d2)
     # Each displacement component is solved straight into its column of the
-    # positions, which then become Ψ + q.
+    # positions, and each slab of it becomes Ψ + q as it lands.
     n = config.particle_grid
     positions = np.empty((n**3, 3))
     columns = positions.reshape(n, n, n, 3)
-    for _ in grid._stream_gradient(field_k, [columns[..., a] for a in range(3)]):
-        pass
-    return _onto_lattice(positions, n, config.box_size)
+    for axis, planes, x in grid._stream_gradient(field_k, [columns[..., a] for a in range(3)]):
+        _onto_lattice(x, axis, planes, config.box_size)
+    return positions
 
 
 def simulate_density(theta, config: SimulationConfig, seed: int = 0) -> np.ndarray:
-    """One full-box particle-count histogram (``histogram_grid³``)."""
-    positions = run_simulation(theta, config, seed)
-    return particle_histogram(positions, config.histogram_grid, config.box_size)
+    """One full-box particle-count histogram (``histogram_grid³``): the
+    counts of :func:`particle_histogram` over :func:`run_simulation`'s
+    positions, binned a coordinate slab at a time as the solve yields it,
+    so the ``(N³, 3)`` positions never exist."""
+    bins, box = config.histogram_grid, config.box_size
+    if config.cola_steps > 0:
+        return particle_histogram(run_simulation(theta, config, seed), bins, box)
+    grid, field_k = _displacement_spectrum(theta, config, seed)
+    cells = np.zeros((config.particle_grid,) * 3, dtype=np.intp)
+    for axis, planes, x in grid._stream_gradient(field_k):
+        _onto_lattice(x, axis, planes, box)
+        _check_in_box(x, box)
+        _bin_axis(cells[planes], x, bins, box)
+    return _counts(cells, bins)
 
 
 def simulate_multichannel(
@@ -153,10 +180,10 @@ def simulate_multichannel(
         raise ValueError("redshifts must be >= 0")
     from dataclasses import replace as _replace
 
-    out = np.empty((len(redshifts),) + (config.histogram_grid,) * 3)
-    for c, z in enumerate(redshifts):
-        out[c] = simulate_density(theta, _replace(config, redshift=z), seed=seed)
-    return out
+    # stacked once all exist: no output array is alive during a solve
+    return np.stack(
+        [simulate_density(theta, _replace(config, redshift=z), seed=seed) for z in redshifts]
+    )
 
 
 #: Default log-scale spread divisor.
@@ -212,20 +239,28 @@ def build_arrays(
     volumes = np.empty((n_sims * per, n_channels, s, s, s), dtype=np.float32)
     theta_rows = np.empty((n_sims * per, space.n_params), dtype=np.float64)
     for i, theta in enumerate(thetas):
-        sim_seed = derive_seed(seed, "sim", i)
-        channels = simulate_multichannel(theta, config, zs, seed=sim_seed)
-        for c in range(n_channels):
-            subs = split_subvolumes(channels[c], config.splits)
-            for j, sub in enumerate(subs):
-                vol = (
-                    normalize_counts(sub, config.mean_count_per_voxel)
-                    if normalize
-                    else sub.astype(np.float32)
-                )
-                volumes[i * per + j, c] = vol
+        # the universe's histograms are an argument, gone when the call
+        # returns: none is alive while the next universe is simulated
+        _write_subvolumes(
+            volumes[i * per : (i + 1) * per],
+            simulate_multichannel(theta, config, zs, seed=derive_seed(seed, "sim", i)),
+            config,
+            normalize,
+        )
         theta_rows[i * per : (i + 1) * per] = theta
     targets = space.normalize(theta_rows).astype(np.float32)
     return volumes, targets, theta_rows
+
+
+def _write_subvolumes(out, channels, config: SimulationConfig, normalize: bool) -> None:
+    """Each channel's ``splits³`` sub-volumes into ``out[:, channel]``."""
+    for c, channel in enumerate(channels):
+        for j, sub in enumerate(split_subvolumes(channel, config.splits)):
+            out[j, c] = (
+                normalize_counts(sub, config.mean_count_per_voxel)
+                if normalize
+                else sub.astype(np.float32)
+            )
 
 
 def train_val_test_split(

@@ -33,30 +33,48 @@ def particle_histogram(positions: np.ndarray, n_bins: int, box_size: float) -> n
         raise ValueError(f"positions must be (N, 3), got {positions.shape}")
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    # ``initial``: no particles is a valid histogram; a NaN fails both tests
-    lo, hi = positions.min(initial=0.0), positions.max(initial=0.0)
-    if not (lo >= 0.0 and hi < box_size):
-        n_bad = positions.size - np.count_nonzero(np.isfinite(positions))
-        if n_bad:
-            raise ValueError(f"{n_bad} of {positions.size} coordinates are not finite")
-        raise ValueError("positions must lie in [0, box_size); wrap them first")
-    edges = np.linspace(0.0, box_size, n_bins + 1)
-    scale = n_bins / box_size
-    cells = np.empty(len(positions), dtype=np.intp)
+    _check_in_box(positions, box_size)
+    cells = np.zeros(len(positions), dtype=np.intp)
     for start in range(0, len(positions), _BLOCK):
         block = positions[start : start + _BLOCK]
-        cell = 0
         for axis in range(3):
-            x = block[:, axis]
-            idx = (x * scale).astype(np.intp)
-            np.minimum(idx, n_bins - 1, out=idx)
-            # Rounding leaves the candidate at most one bin off: one step each
-            # way against the edges gives edges[idx] <= x < edges[idx + 1].
-            idx -= x < edges.take(idx)
-            idx += x >= edges.take(idx + 1)
-            cell = cell * n_bins + idx
-        cells[start : start + _BLOCK] = cell
-    counts = np.bincount(cells, minlength=n_bins**3)
+            _bin_axis(cells[start : start + _BLOCK], block[:, axis], n_bins, box_size)
+    return _counts(cells, n_bins)
+
+
+def _check_in_box(x: np.ndarray, box_size: float) -> None:
+    """Raise unless every coordinate of ``x`` is finite and in ``[0, box_size)``."""
+    # ``initial``: no particles is a valid histogram; a NaN fails both tests
+    lo, hi = x.min(initial=0.0), x.max(initial=0.0)
+    if not (lo >= 0.0 and hi < box_size):
+        n_bad = x.size - np.count_nonzero(np.isfinite(x))
+        if n_bad:
+            raise ValueError(f"{n_bad} of {x.size} coordinates are not finite")
+        raise ValueError("positions must lie in [0, box_size); wrap them first")
+
+
+def _bin_axis(cells: np.ndarray, x: np.ndarray, n_bins: int, box_size: float) -> None:
+    """``cells = cells · n_bins + bin(x)``, in place, for one axis's
+    coordinates ``x``, which must lie in ``[0, box_size)``: from zeros, the
+    three axes in order leave each particle's flat cell in ``cells``.
+
+    The edges are uniform, so a coordinate's bin among them is computed,
+    not searched for.
+    """
+    edges = np.linspace(0.0, box_size, n_bins + 1)
+    idx = (x * (n_bins / box_size)).astype(np.intp)
+    np.minimum(idx, n_bins - 1, out=idx)
+    # Rounding leaves the candidate at most one bin off: one step each way
+    # against the edges gives edges[idx] <= x < edges[idx + 1].
+    idx -= x < edges.take(idx)
+    idx += x >= edges.take(idx + 1)
+    cells *= n_bins
+    cells += idx
+
+
+def _counts(cells: np.ndarray, n_bins: int) -> np.ndarray:
+    """The ``n_bins³`` count cube of the flat cells ``cells``."""
+    counts = np.bincount(cells.ravel(), minlength=n_bins**3)
     return counts.reshape(n_bins, n_bins, n_bins).astype(np.float64)
 
 

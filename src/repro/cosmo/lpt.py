@@ -25,7 +25,14 @@ from itertools import repeat
 
 import numpy as np
 
-from repro.cosmo.initial_conditions import _real_field_into, fourier_grid, half_spectrum
+from repro.cosmo.initial_conditions import (
+    _k_mag,
+    _real_slabs,
+    _slab_buffer,
+    _slabs,
+    _wavenumbers,
+    half_spectrum,
+)
 
 __all__ = [
     "SpectralGrid",
@@ -57,12 +64,16 @@ class SpectralGrid:
     """
 
     def __init__(self, n: int, box_size: float):
-        *self.k, self.k_mag = fourier_grid(n, box_size)
+        k1d = _wavenumbers(n, box_size)
+        self.k = [k1d[:, None, None], k1d[None, :, None], k1d[None, None, : n // 2 + 1]]
         self.n = n
         # 1/k² with the k=0 mode zeroed (the mean mode carries no force):
-        # where k² is 0 the division is skipped and that 0 stays
-        k2 = self.k_mag**2
-        self.inv_k2 = np.divide(1.0, k2, out=k2, where=k2 > 0.0)
+        # where k² is 0 the division is skipped and that 0 stays.  Built a
+        # slab at a time, so no whole |k| grid exists beside it.
+        self.inv_k2 = np.empty((n, n, n // 2 + 1))
+        for planes in _slabs(n):
+            k2 = _k_mag(k1d, planes) ** 2
+            self.inv_k2[planes] = np.divide(1.0, k2, out=k2, where=k2 > 0.0)
         self.k_odd = [k.copy() for k in self.k]
         if n % 2 == 0:
             for axis, k in enumerate(self.k_odd):
@@ -91,18 +102,23 @@ class SpectralGrid:
             pass
         return psi
 
-    def _stream_gradient(self, field_k: np.ndarray, out):
-        """The three components of :meth:`inverse_gradient`, one at a time.
+    def _stream_gradient(self, field_k: np.ndarray, out=None):
+        """The components of :meth:`inverse_gradient` as axis-0 slabs,
+        component by component: yields ``(axis, planes, slab)``.
 
-        Consumes ``field_k`` (scaled by ``1/k²`` in place).  Each
-        component lands in its entry of ``out``, three ``n³`` arrays —
-        strided ones too, such as the columns of the positions.
+        Consumes ``field_k`` (scaled by ``1/k²`` in place).  With ``out``,
+        three ``n³`` arrays (strided ones too, such as the columns of the
+        positions), each slab is that slab of its component's entry;
+        without, one slab buffer the next slab overwrites.
         """
         base = np.multiply(self.inv_k2, field_k, out=field_k)
         work = np.empty_like(base)
-        for k_axis, component in zip(self.k_odd, out):
+        buffer = _slab_buffer(self.n) if out is None else None
+        for axis, k_axis in enumerate(self.k_odd):
             np.multiply(1j * k_axis, base, out=work)
-            yield _real_field_into(work, component)
+            slab_of = buffer or out[axis].__getitem__
+            for planes, slab in _real_slabs(work, slab_of):
+                yield axis, planes, slab
 
     def lpt2_source(self, delta_k: np.ndarray) -> np.ndarray:
         """``S(x) = Σ_{a<b} (φ_aa φ_bb − φ_ab²)`` from the six distinct
@@ -111,31 +127,39 @@ class SpectralGrid:
         n = self.n
         work = np.empty(delta_k.shape, np.result_type(self.inv_k2, delta_k))
 
-        def second_derivative(multiplier, out):
+        buffer = _slab_buffer(n)
+
+        def second_derivative(multiplier, slab_of=buffer):
             # (δ_k/k²)·M rounds as M·(δ_k/k²), so no scaled copy of δ_k is
             # kept beside the work spectrum: each derivative scales afresh
             np.multiply(self.inv_k2, delta_k, out=work)
             np.multiply(work, multiplier, out=work)
-            return _real_field_into(work, out)
+            return _real_slabs(work, slab_of)
 
-        # Three real buffers for six derivatives: ``d00 d11 + (d00 + d11) d22``
-        # is done with d11 before d22 is needed, and with d00 after it.
-        source, d00, d11 = (np.empty((n, n, n)) for _ in range(3))
-        second_derivative(self.k[0] ** 2, d00)
-        second_derivative(self.k[1] ** 2, d11)
-        np.multiply(d00, d11, out=source)
-        d00 += d11
-        d00 *= second_derivative(self.k[2] ** 2, d11)  # d22, in d11's storage
-        source += d00
+        # Two real buffers for six derivatives: ``d00 d11 + (d00 + d11) d22``
+        # consumes d11 and d22 slab by slab as they are solved, and each
+        # mixed derivative is squared and subtracted a slab at a time.
+        source, d00 = np.empty((n, n, n)), np.empty((n, n, n))
+        for _ in second_derivative(self.k[0] ** 2, d00.__getitem__):
+            pass
+        for planes, d11 in second_derivative(self.k[1] ** 2):
+            total, first = source[planes], d00[planes]
+            np.multiply(first, d11, out=total)
+            first += d11
+        for planes, d22 in second_derivative(self.k[2] ** 2):
+            total, first = source[planes], d00[planes]
+            first *= d22
+            total += first
         for a, b in ((0, 1), (0, 2), (1, 2)):
             mixed = self.k_odd[a] * self.k_odd[b]
             if n % 2 == 0:
                 line = [0, 0, 0]
                 line[a] = line[b] = n // 2
                 mixed[tuple(line)] = self._k_nyquist2
-            off = second_derivative(mixed, d00)
-            off *= off
-            source -= off
+            for planes, off in second_derivative(mixed):
+                off *= off
+                total = source[planes]
+                total -= off
         return source
 
 
@@ -170,10 +194,12 @@ def lpt2_displacement(delta_k: np.ndarray, box_size: float) -> np.ndarray:
 
 def _lpt_spectrum(grid: SpectralGrid, delta_k: np.ndarray, d1: float, d2: float):
     """``D₁ δ_k + D₂ S_k``, a spectrum the caller owns: both LPT orders
-    apply the same linear operator, so it is applied once to this sum."""
+    apply the same linear operator, so it is applied once to this sum.
+    Consumes ``delta_k``: ``D₁ δ_k`` is formed in its storage."""
     total_k = half_spectrum(grid.lpt2_source(delta_k))
     total_k *= d2
-    total_k += d1 * delta_k
+    delta_k *= d1
+    total_k += delta_k
     return total_k
 
 
@@ -183,7 +209,7 @@ def lpt_displacement(
     """``D₁ Ψ⁽¹⁾ + D₂ Ψ⁽²⁾`` as ``(3, n, n, n)``, in one inverse
     transform per axis (see :func:`_lpt_spectrum`)."""
     grid = SpectralGrid.for_spectrum(delta_k, box_size)
-    return grid._gradient(_lpt_spectrum(grid, delta_k, d1, d2))
+    return grid._gradient(_lpt_spectrum(grid, delta_k.astype(np.complex128), d1, d2))
 
 
 def second_order_growth(d1: float, omega_m: float) -> float:
@@ -206,18 +232,21 @@ def lattice_positions(n: int, box_size: float) -> np.ndarray:
     statistically irrelevant; the COLA stepper interpolates fields to
     particle positions, avoiding even that.
     """
-    return _onto_lattice(np.zeros((n**3, 3)), n, box_size)
-
-
-def _onto_lattice(x: np.ndarray, n: int, box_size: float) -> np.ndarray:
-    """Positions from the ``(n³, 3)`` displacements ``x``, in place: each
-    row's lattice center added (``Ψ + q`` is bitwise ``q + Ψ``), then
-    wrapped into the box."""
-    centers = (np.arange(n) + 0.5) * (box_size / n)
+    x = np.zeros((n**3, 3))
     cube = x.reshape(n, n, n, 3)
-    cube[..., 0] += centers[:, None, None]
-    cube[..., 1] += centers[None, :, None]
-    cube[..., 2] += centers
+    for axis in range(3):
+        _onto_lattice(cube[..., axis], axis, slice(None), box_size)
+    return x
+
+
+def _onto_lattice(x: np.ndarray, axis: int, planes: slice, box_size: float) -> np.ndarray:
+    """Coordinate ``axis`` of the particles on the axis-0 ``planes`` of the
+    lattice, from their displacements ``x`` (``(len(planes), n, n)``), in
+    place: each lattice center added (``Ψ + q`` is bitwise ``q + Ψ``),
+    then wrapped into the box."""
+    n = x.shape[1]
+    centers = (np.arange(n) + 0.5) * (box_size / n)
+    x += (centers[planes, None, None], centers[:, None], centers)[axis]
     return wrap_periodic(x, box_size)
 
 
@@ -262,10 +291,11 @@ def displace_particles(
             second = np.ravel(second)
             for lo in range(0, n**3, _BLOCK):
                 column[lo : lo + _BLOCK] += d2 * second[lo : lo + _BLOCK]
+        _onto_lattice(column.reshape(n, n, n), done, slice(None), box_size)
         done += 1
     if done != 3:
         raise ValueError(wrong)
-    return _onto_lattice(x, n, box_size)
+    return x
 
 
 def wrap_periodic(positions: np.ndarray, box_size: float) -> np.ndarray:

@@ -193,8 +193,8 @@ class TestGoldenPreRefactor:
         return np.load(GOLDEN)
 
     def _check_host(self, golden):
-        # Portability guard built ONLY from refactor-independent APIs
-        # (raw model math), so a numerics regression in the engine still
+        # Portability guard built from NumPy and BLAS alone, none of the
+        # code under test, so a numerics regression anywhere in it still
         # FAILS — only a different BLAS/NumPy build skips.
         from tests.golden.generate_engine_golden import host_fingerprint
 

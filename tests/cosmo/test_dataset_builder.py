@@ -28,6 +28,12 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(histogram_grid=15, splits=2)
 
+    @pytest.mark.parametrize("grid", [0, -2])
+    def test_histogram_grid_below_one_is_refused_at_construction(self, grid):
+        # the fused dataset path bins without particle_histogram's own check
+        with pytest.raises(ValueError, match="histogram_grid must be >= 1"):
+            SimulationConfig(histogram_grid=grid)
+
 
 class TestRunSimulation:
     def test_positions_shape_and_bounds(self):

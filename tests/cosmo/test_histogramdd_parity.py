@@ -3,7 +3,8 @@
 ``tests/cosmo/histogramdd_reference.py`` is the specification: the
 computed-cell histogram must return ``numpy.histogramdd``'s counts and
 the add/subtract wrap ``np.mod``'s coordinates, so every dataset built
-through them is the same bytes — and no universe runs either call.
+through them is the same bytes — the ones binned slab by slab as the
+solver streams them included — and no universe runs either call.
 """
 
 import numpy as np
@@ -11,9 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cosmo.dataset_builder import SimulationConfig, build_arrays, simulate_density
+from repro.cosmo.dataset_builder import (
+    SimulationConfig,
+    build_arrays,
+    run_simulation,
+    simulate_density,
+)
 from repro.cosmo.histogram import _BLOCK, particle_histogram
-from repro.cosmo.lpt import wrap_periodic
+from repro.cosmo.initial_conditions import gaussian_random_modes
+from repro.cosmo.lpt import (
+    lpt_displacement,
+    second_order_growth,
+    wrap_periodic,
+    zeldovich_displacement,
+)
+from repro.cosmo.power_spectrum import PowerSpectrum
 from tests.cosmo import histogramdd_reference as reference
 
 BOX_SIZES = [128.0, 100.0, 256.0 / 3.0, 1e-3, 1e6]
@@ -214,13 +227,41 @@ DATASETS = {
 }
 
 
+def reference_positions(theta, config, seed):
+    """A 2LPT or first-order universe's positions without the solver's
+    slab stream or wrap: its whole ``(3, n, n, n)`` displacement from the
+    public solvers, plus the lattice written out here, through ``np.mod``."""
+    omega_m, sigma_8, n_s = (float(t) for t in theta)
+    spectrum = PowerSpectrum(omega_m=omega_m, sigma_8=sigma_8, n_s=n_s)
+    if config.redshift > 0:
+        spectrum = spectrum.at_redshift(config.redshift)
+    n, box = config.particle_grid, config.box_size
+    delta_k = gaussian_random_modes(n, box, spectrum, rng=seed)
+    if config.use_2lpt:
+        psi = lpt_displacement(delta_k, box, 1.0, second_order_growth(1.0, omega_m))
+    else:
+        psi = zeldovich_displacement(delta_k, box)
+    centers = (np.arange(n) + 0.5) * (box / n)
+    lattice = (centers[:, None, None], centers[:, None], centers)
+    positions = np.stack([psi[a] + lattice[a] for a in range(3)], axis=-1)
+    return reference.wrap_periodic(positions.reshape(-1, 3), box)
+
+
+def reference_density(theta, config, seed):
+    """A universe's histogram through ``numpy.histogramdd``; COLA's
+    positions come from ``run_simulation`` with the ``np.mod`` wrap."""
+    if config.cola_steps > 0:
+        positions = run_simulation(theta, config, seed)
+    else:
+        positions = reference_positions(theta, config, seed)
+    return reference.particle_histogram(positions, config.histogram_grid, config.box_size)
+
+
 class TestDatasetByteIdentity:
     @pytest.mark.parametrize("name", list(DATASETS))
     def test_build_arrays_bytes_equal_through_the_reference_kernels(self, name, monkeypatch):
         built = build_arrays(seed=5, **DATASETS[name])
-        monkeypatch.setattr(
-            "repro.cosmo.dataset_builder.particle_histogram", reference.particle_histogram
-        )
+        monkeypatch.setattr("repro.cosmo.dataset_builder.simulate_density", reference_density)
         monkeypatch.setattr("repro.cosmo.lpt.wrap_periodic", reference.wrap_periodic)
         monkeypatch.setattr("repro.cosmo.nbody.wrap_periodic", reference.wrap_periodic)
         expected = build_arrays(seed=5, **DATASETS[name])

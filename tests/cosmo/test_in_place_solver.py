@@ -1,12 +1,13 @@
 """The simulator's buffers are reused; its arguments and results are not.
 
-The spectral solver runs its transforms in place on work arrays and
-solves displacement components straight into the positions.  These tests
-pin what a caller can rely on regardless: a public function never writes
-to an argument and never returns memory it will write to again, the
-streamed path equals the array path byte for byte, the peak allocation
-of one universe stays under a stated number of ``n³`` arrays, and the
-datasets the benchmark workloads build keep their bytes.
+The spectral solver runs its transforms in place on work arrays, streams
+their last passes a slab of axis-0 planes at a time, and solves
+displacement components straight into the positions or the histogram.
+These tests pin what a caller can rely on regardless: a public function
+never writes to an argument and never returns memory it will write to
+again, the streamed path equals the array path byte for byte, the peak
+allocation of one universe stays under a stated number of ``n³`` arrays,
+and the datasets the benchmark workloads build keep their bytes.
 """
 
 import hashlib
@@ -17,8 +18,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cosmo.dataset_builder import SimulationConfig, build_arrays, run_simulation
-from repro.cosmo.initial_conditions import gaussian_random_modes, real_field
+from repro.cosmo.dataset_builder import (
+    SimulationConfig,
+    build_arrays,
+    run_simulation,
+    simulate_density,
+)
+from repro.cosmo.histogram import particle_histogram
+from repro.cosmo.initial_conditions import (
+    _slabs,
+    fourier_grid,
+    gaussian_random_modes,
+    real_field,
+)
 from repro.cosmo.lpt import (
     SpectralGrid,
     _lpt_spectrum,
@@ -32,6 +44,7 @@ from repro.cosmo.nbody import ParticleMesh
 from repro.cosmo.power_spectrum import PowerSpectrum
 
 BOX = 64.0
+THETA = (0.29, 0.85, 0.95)
 
 #: Even and odd grids (no Nyquist planes on the odd ones), small enough
 #: that a Hypothesis example costs milliseconds.
@@ -91,10 +104,14 @@ class TestOwnership:
                 assert shared.tobytes() == fresh.tobytes()
 
 
-def one_buffer(n):
-    """Where a streamed component lands when the next one may overwrite
-    it: all three entries are one ``n³`` buffer."""
-    return [np.empty((n, n, n))] * 3
+def one_buffer(grid, field_k):
+    """The components of ``inverse_gradient`` from the slab stream, each
+    assembled in one buffer the next component overwrites."""
+    buffer = np.empty((grid.n,) * 3)
+    for _, planes, slab in grid._stream_gradient(field_k):
+        buffer[planes] = slab
+        if planes.stop == grid.n:
+            yield buffer
 
 
 class TestStreamedComponents:
@@ -104,8 +121,13 @@ class TestStreamedComponents:
         grid = SpectralGrid(n, BOX)
         field_k = modes(n, seed)
         psi = grid.inverse_gradient(field_k)
-        rows = [c.tobytes() for c in grid._stream_gradient(field_k.copy(), one_buffer(n))]
-        assert rows == [psi[axis].tobytes() for axis in range(3)]
+        rows = np.full((3, n, n, n), np.nan)
+        visited = []
+        for axis, planes, slab in grid._stream_gradient(field_k.copy()):
+            rows[axis][planes] = slab
+            visited.append((axis, planes))
+        assert visited == [(axis, planes) for axis in range(3) for planes in _slabs(n)]
+        assert rows.tobytes() == psi.tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(n=grids, seed=st.integers(0, 2**31 - 1), d1=st.floats(0.1, 2.0))
@@ -114,8 +136,7 @@ class TestStreamedComponents:
         field_k = modes(n, seed)
         psi = grid.inverse_gradient(field_k)
         from_array = displace_particles(psi, BOX, d1)
-        stream = grid._stream_gradient(field_k.copy(), one_buffer(n))
-        from_stream = displace_particles(stream, BOX, d1)
+        from_stream = displace_particles(one_buffer(grid, field_k.copy()), BOX, d1)
         assert from_array.tobytes() == from_stream.tobytes()
         # an array argument is read, not consumed
         assert psi.tobytes() == grid.inverse_gradient(field_k).tobytes()
@@ -126,11 +147,7 @@ class TestStreamedComponents:
         psi1, psi2 = grid.inverse_gradient(k1), grid.inverse_gradient(k2)
         want = displace_particles(psi1, BOX, 0.9, psi2=psi2, d2=-0.4)
         got = displace_particles(
-            grid._stream_gradient(k1, one_buffer(8)),
-            BOX,
-            0.9,
-            psi2=grid._stream_gradient(k2, one_buffer(8)),
-            d2=-0.4,
+            one_buffer(grid, k1), BOX, 0.9, psi2=one_buffer(grid, k2), d2=-0.4
         )
         assert want.tobytes() == got.tobytes()
 
@@ -151,39 +168,115 @@ class TestStreamedComponents:
             displace_particles(first, BOX, 1.0, psi2=second, d2=1.0)
 
 
+def traced_peak_units(solve, n):
+    """Peak traced bytes of ``solve()``, past what was alive before it, in
+    ``n³`` float64 arrays; a first call pays for imports and FFT plans."""
+    solve()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solve()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * n**3)
+
+
 class TestAllocationBudget:
     """Peak traced bytes of one universe, in units of one ``n³`` float64
     array.  NumPy reports its buffers to ``tracemalloc``, so the number is
     a property of the code, not of the host: it repeats to within the few
     hundred bytes of Python objects made along the way.
 
-    What is alive at the peak (in ``lpt2_source``): the grid's two real
-    half-spectrum multipliers (1), ``δ_k`` and the work spectrum each
-    derivative is scaled into (2 × ~1.04), and the three real buffers of
-    the six second derivatives (3) — 6.3 at these sizes.  Streaming the
-    displacements straight into the ``(n³, 3)`` positions ties it: grid,
-    solved spectrum, work spectrum, positions.  It was 8.3 with a
-    component buffer and a displacement temporary beside the positions,
-    and 9.8 with a transform that allocates each pass and a
-    ``(3, n, n, n)`` Ψ held beside them.
+    The dataset path (``simulate_density``) peaks in ``lpt2_source``: the
+    grid's real half-spectrum ``1/k²`` (0.5), ``δ_k`` and the work
+    spectrum each derivative is scaled into (2 × ~1.04), the two real
+    buffers ``source`` and ``d00`` (2), one slab buffer (8 planes, 1/6 at
+    48³) and a ufunc cast buffer — 4.95 at 48³, 4.67 at 96³.  The other
+    four derivatives are consumed a slab at a time as their last two
+    inverse passes run, and the displacements are binned a slab at a time,
+    so the ``(n³, 3)`` positions never exist on that path.
+    ``run_simulation`` peaks in the displacement stage instead: grid,
+    solved spectrum, work spectrum and the positions (3) — 5.76 at 48³,
+    5.57 at 96³.  Both were 6.3 with a whole ``|k|`` grid, three real
+    buffers in ``lpt2_source`` and a whole-array wrap; 8.3 with a component
+    buffer and a displacement temporary beside the positions; and 9.8 with
+    a transform that allocates each pass and a ``(3, n, n, n)`` Ψ held
+    beside them.
     """
 
-    BUDGET_UNITS = 6.6
+    DATASET_BUDGET_UNITS = 5.0
+    POSITIONS_BUDGET_UNITS = 5.9
+
+    @pytest.mark.parametrize("n", [48, 49])
+    def test_simulate_density_peak_within_budget(self, n):
+        config = SimulationConfig(particle_grid=n, histogram_grid=16)
+        units = traced_peak_units(lambda: simulate_density(THETA, config, seed=1), n)
+        assert 3.0 < units <= self.DATASET_BUDGET_UNITS, f"peak is {units:.2f} n³ arrays"
 
     @pytest.mark.parametrize("n", [48, 49])
     def test_run_simulation_peak_within_budget(self, n):
         config = SimulationConfig(particle_grid=n, histogram_grid=16)
-        theta = (0.31, 0.82, 0.96)
-        run_simulation(theta, config, seed=1)  # imports and FFT plans: not the budget's
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            run_simulation(theta, config, seed=1)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        units = peak / (8 * n**3)
-        assert 3.0 < units <= self.BUDGET_UNITS, f"peak is {units:.2f} n³ arrays"
+        units = traced_peak_units(lambda: run_simulation(THETA, config, seed=1), n)
+        assert 3.0 < units <= self.POSITIONS_BUDGET_UNITS, f"peak is {units:.2f} n³ arrays"
+
+
+#: Grids a slab of axis-0 planes does not divide (33, 49, and the even 36),
+#: and ones smaller than one slab (5, 6): the last slab is short, or the
+#: only one.
+SLAB_GRIDS = [5, 6, 33, 36, 49]
+
+
+class TestSlabsEqualWholeArrays:
+    """Every streamed stage against the same operations on whole arrays,
+    byte for byte: the slabs change which memory holds a value, never an
+    operation or its order."""
+
+    @pytest.mark.parametrize("n", SLAB_GRIDS)
+    def test_modes_and_inverse_laplacian(self, n):
+        spectrum = PowerSpectrum()
+        k_mag = fourier_grid(n, BOX)[3]
+        want = np.fft.rfftn(np.random.default_rng(n).standard_normal((n, n, n)))
+        want *= np.sqrt(spectrum(k_mag) * n**3 / BOX**3)
+        want[0, 0, 0] = 0.0
+        assert gaussian_random_modes(n, BOX, spectrum, rng=n).tobytes() == want.tobytes()
+        k2 = k_mag**2
+        inv_k2 = np.divide(1.0, k2, out=k2, where=k2 > 0.0)
+        assert SpectralGrid(n, BOX).inv_k2.tobytes() == inv_k2.tobytes()
+
+    @pytest.mark.parametrize("n", SLAB_GRIDS)
+    def test_lpt2_source(self, n):
+        grid = SpectralGrid(n, BOX)
+        delta_k = modes(n, n)
+        kx, ky, kz = grid.k
+
+        def derivative(multiplier):
+            work = grid.inv_k2 * delta_k * multiplier
+            return np.fft.irfftn(work, s=(n,) * 3, axes=(0, 1, 2))
+
+        def mixed(a, b):
+            product = grid.k_odd[a] * grid.k_odd[b]
+            if n % 2 == 0:
+                line = [0, 0, 0]
+                line[a] = line[b] = n // 2
+                product[tuple(line)] = (np.pi * n / BOX) ** 2
+            return derivative(product)
+
+        d00, d11, d22 = derivative(kx**2), derivative(ky**2), derivative(kz**2)
+        want = d00 * d11 + (d00 + d11) * d22
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            want -= mixed(a, b) ** 2
+        assert grid.lpt2_source(delta_k).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", SLAB_GRIDS)
+    @pytest.mark.parametrize("use_2lpt", [True, False])
+    def test_binned_stream_equals_histogram_of_positions(self, n, use_2lpt):
+        config = SimulationConfig(
+            particle_grid=n, histogram_grid=8, box_size=BOX, use_2lpt=use_2lpt
+        )
+        positions = run_simulation(THETA, config, seed=n)
+        want = particle_histogram(positions, config.histogram_grid, BOX)
+        assert simulate_density(THETA, config, seed=n).tobytes() == want.tobytes()
 
 
 #: SHA-256 over (volumes, targets, theta) of ``build_arrays(n_sims, config,
@@ -213,8 +306,6 @@ DIGESTS = {
     ),
 }
 
-
-THETA = (0.29, 0.85, 0.95)
 
 #: SHA-256 of ``run_simulation(THETA, config, seed=22)``, from the same
 #: solver.  Counts survive a last-bit change in a position; these do not,

@@ -78,18 +78,28 @@ def run_distributed(mode):
     return engine.final_model.get_flat_parameters(), hist
 
 
-def host_fingerprint():
-    """BLAS/NumPy-build fingerprint from refactor-independent APIs.
+#: tiny_16's forward convolution GEMMs at batch 1, as ``(M, K, N)``.
+GEMM_SHAPES = ((16, 27, 2744), (96, 144, 175), (96, 288, 45))
 
-    Uses only ``CosmoFlowModel.loss_and_gradients`` — untouched by the
-    engine refactor — so the equivalence test can distinguish "fixture
-    from a different numerical build" (skip) from "refactor changed the
-    numerics" (fail).
+
+def host_fingerprint():
+    """BLAS/NumPy-build fingerprint from NumPy alone.
+
+    Fixed-seed float32 GEMMs at the convolutions' shapes and one real 3-D
+    FFT: a build that rounds them differently changes these bits, and no
+    change to ``repro`` can.  So the equivalence test skips on "fixture
+    from a different numerical build" and still fails on "the code changed
+    the numerics".
     """
-    model = CosmoFlowModel(tiny_16(), seed=0)
-    data = make_dataset(2)
-    loss, grads = model.loss_and_gradients(data.x[:1], data.y[:1])
-    return np.concatenate([[loss], grads[0].ravel()[:32]]).astype(np.float64)
+    rng = np.random.default_rng(0)
+    parts = []
+    for m, k, n in GEMM_SHAPES:
+        a = rng.standard_normal((m, k)).astype(np.float32)
+        b = rng.standard_normal((k, n)).astype(np.float32)
+        parts.append((a @ b).ravel()[:: m * n // 32])
+    field_k = np.fft.rfftn(rng.standard_normal((8, 8, 8)))
+    parts += [field_k.real.ravel()[::8], field_k.imag.ravel()[::8]]
+    return np.concatenate(parts).astype(np.float64)
 
 
 def main():
