@@ -13,59 +13,70 @@ the MUSIC+pycola simulation pipeline that generates training data
 (:mod:`repro.cosmo`), and a calibrated cluster performance model for
 the scaling studies (:mod:`repro.perfmodel`).
 
-Quickstart::
+Quickstart (``examples/quickstart.py`` is the longer version)::
 
     from repro import (CosmoFlowModel, CosmoFlowOptimizer, EngineConfig,
-                       LocalBackend, TrainingEngine, scaled_32)
-    from repro.cosmo import build_arrays
+                       InMemoryData, LocalBackend, TrainingEngine, tiny_16)
+    from repro.cosmo import SimulationConfig, build_arrays, train_val_test_split
 
-    data = build_arrays(n_sims=40, grid=32, seed=7)
-    model = CosmoFlowModel(scaled_32(), seed=0)
+    sim = SimulationConfig()  # 64³ particles -> eight 16³ sub-volumes each
+    volumes, targets, theta = build_arrays(6, sim, seed=7)
+    (x, y, _), (xv, yv, _), (xt, _, tt) = train_val_test_split(
+        volumes, targets, theta, sim.subvolumes_per_sim, rng=0)
+    model = CosmoFlowModel(tiny_16(), seed=0)
     optimizer = CosmoFlowOptimizer(model.parameter_arrays())
-    backend = LocalBackend(model, optimizer, train)  # or SteppedBackend(...)
-    history = TrainingEngine(backend, EngineConfig(epochs=8)).run()
-    # ... see examples/quickstart.py
+    backend = LocalBackend(model, optimizer, InMemoryData(x, y, augment=True),
+                           val_data=InMemoryData(xv, yv))
+    history = TrainingEngine(backend, EngineConfig(epochs=2)).run()
+    print(history.val_loss, model.predict(xt) - tt)
+
+Every package exports its public names lazily: ``import repro`` loads no
+submodule, and a name's first use loads only the module defining it.
 """
 
-from repro.core import (
-    CosmoFlowConfig,
-    CosmoFlowModel,
-    CosmoFlowOptimizer,
-    EngineConfig,
-    InMemoryData,
-    LocalBackend,
-    OptimizerConfig,
-    ParameterSpace,
-    SteppedBackend,
-    ThreadedBackend,
-    TrainingEngine,
-    build_network,
-    paper_128,
-    ravanbakhsh_64,
-    relative_errors,
-    scaled_32,
-    tiny_16,
-)
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CosmoFlowConfig",
-    "CosmoFlowModel",
-    "CosmoFlowOptimizer",
-    "EngineConfig",
-    "InMemoryData",
-    "LocalBackend",
-    "OptimizerConfig",
-    "ParameterSpace",
-    "SteppedBackend",
-    "ThreadedBackend",
-    "TrainingEngine",
-    "build_network",
-    "paper_128",
-    "ravanbakhsh_64",
-    "relative_errors",
-    "scaled_32",
-    "tiny_16",
-    "__version__",
-]
+
+def _lazy(package: str, table: dict):
+    """The public names of ``package``, each resolved on first use (PEP 562).
+
+    ``table`` maps each submodule, relative to ``package``, to the names it
+    defines that the package exports (``None``: the submodule itself).
+    Returns ``(__all__, __getattr__, __dir__)`` for the package to bind.  A
+    name's first lookup imports its submodule and binds every name the
+    table gives that submodule as a plain package global, so later lookups
+    never reach ``__getattr__``.
+    """
+    origin = {name: module for module, names in table.items() for name in names or (module,)}
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name):
+        module = origin.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        source = importlib.import_module(f"{package}.{module}")
+        names = table[module]
+        namespace.update({n: getattr(source, n) for n in names} if names else {name: source})
+        return namespace[name]
+
+    def __dir__():
+        return sorted(namespace.keys() | origin.keys())
+
+    return list(origin), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "core.topology": ("CosmoFlowConfig", "build_network", "paper_128", "ravanbakhsh_64",
+                      "scaled_32", "tiny_16"),
+    "core.model": ("CosmoFlowModel",),
+    "core.optimizer": ("CosmoFlowOptimizer", "OptimizerConfig"),
+    "core.engine": ("EngineConfig", "LocalBackend", "SteppedBackend", "ThreadedBackend",
+                    "TrainingEngine"),
+    "core.trainer": ("InMemoryData",),
+    "core.parameters": ("ParameterSpace",),
+    "core.metrics": ("relative_errors",),
+})
+__all__.append("__version__")

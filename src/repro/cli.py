@@ -882,6 +882,9 @@ def cmd_serve(args) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.utils.procs import raise_malloc_thresholds
+
+    raise_malloc_thresholds()
     args = build_parser().parse_args(argv)
     np.set_printoptions(suppress=True)
     return {

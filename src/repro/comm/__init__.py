@@ -43,69 +43,20 @@ This subpackage reproduces that stack in-process:
   segment cleanup.
 """
 
-from repro.comm.communicator import Communicator, ReduceOp
-from repro.comm.errors import (
-    CommError,
-    MessageCorruptError,
-    ProcessCrashError,
-    QuorumLostError,
-    RankEvictedError,
-    RankFailedError,
-)
-from repro.comm.serial import SerialCommunicator, SteppedGroup
-from repro.comm.elastic import ElasticComm, ThreadedGroup
-from repro.comm.process import ProcessComm, RankSupervisor, sweep_stale_segments
-from repro.comm.algorithms import (
-    ring_allreduce_schedule,
-    halving_doubling_schedule,
-    reduce_broadcast_schedule,
-    allreduce_time_model,
-    ALLREDUCE_ALGORITHMS,
-)
-from repro.comm.plugin import MLPlugin, PluginConfig
-from repro.comm.stale import STALE_MODES, StaleGroup, StalenessConfig, StragglerMonitor
-from repro.comm.compression import (
-    COMPRESSION_MODES,
-    CompressionStats,
-    Fp16Compressor,
-    GradientCompressor,
-    TopKCompressor,
-    compression_ratio,
-    make_compressor,
-)
+from repro import _lazy
 
-__all__ = [
-    "Communicator",
-    "ReduceOp",
-    "SerialCommunicator",
-    "SteppedGroup",
-    "ThreadedGroup",
-    "ElasticComm",
-    "ProcessComm",
-    "RankSupervisor",
-    "sweep_stale_segments",
-    "CommError",
-    "RankFailedError",
-    "ProcessCrashError",
-    "RankEvictedError",
-    "MessageCorruptError",
-    "QuorumLostError",
-    "ring_allreduce_schedule",
-    "halving_doubling_schedule",
-    "reduce_broadcast_schedule",
-    "allreduce_time_model",
-    "ALLREDUCE_ALGORITHMS",
-    "MLPlugin",
-    "PluginConfig",
-    "STALE_MODES",
-    "StaleGroup",
-    "StalenessConfig",
-    "StragglerMonitor",
-    "COMPRESSION_MODES",
-    "CompressionStats",
-    "GradientCompressor",
-    "Fp16Compressor",
-    "TopKCompressor",
-    "make_compressor",
-    "compression_ratio",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "communicator": ("Communicator", "ReduceOp"),
+    "serial": ("SerialCommunicator", "SteppedGroup"),
+    "elastic": ("ThreadedGroup", "ElasticComm"),
+    "process": ("ProcessComm", "RankSupervisor", "sweep_stale_segments"),
+    "errors": ("CommError", "RankFailedError", "ProcessCrashError", "RankEvictedError",
+               "MessageCorruptError", "QuorumLostError"),
+    "algorithms": ("ring_allreduce_schedule", "halving_doubling_schedule",
+                   "reduce_broadcast_schedule", "allreduce_time_model",
+                   "ALLREDUCE_ALGORITHMS"),
+    "plugin": ("MLPlugin", "PluginConfig"),
+    "stale": ("STALE_MODES", "StaleGroup", "StalenessConfig", "StragglerMonitor"),
+    "compression": ("COMPRESSION_MODES", "CompressionStats", "GradientCompressor",
+                    "Fp16Compressor", "TopKCompressor", "make_compressor", "compression_ratio"),
+})

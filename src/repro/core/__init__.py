@@ -26,104 +26,24 @@
   result summaries.
 """
 
-from repro.core.topology import (
-    ConvSpec,
-    CosmoFlowConfig,
-    paper_128,
-    ravanbakhsh_64,
-    scaled_32,
-    tiny_16,
-    build_network,
-)
-from repro.core.parameters import ParameterSpace, PLANCK_RANGES
-from repro.core.flops import (
-    LayerCost,
-    network_costs,
-    total_flops,
-    parameter_count,
-    parameter_bytes,
-    PAPER_TOTAL_FLOPS,
-    PAPER_PARAM_BYTES,
-)
-from repro.core.model import CosmoFlowModel
-from repro.core.optimizer import (
-    PolynomialDecay,
-    Adam,
-    larc_scale,
-    CosmoFlowOptimizer,
-    OptimizerConfig,
-)
-from repro.core.engine import (
-    Callback,
-    CheckpointCallback,
-    DivergenceCheck,
-    EngineConfig,
-    EngineResult,
-    ExecutionBackend,
-    GroupStatsCollector,
-    History,
-    LocalBackend,
-    LRRecorder,
-    RankContext,
-    SteppedBackend,
-    ThreadedBackend,
-    TrainingEngine,
-)
-from repro.core.trainer import InMemoryData
-from repro.core.elastic import ElasticConfig
-from repro.core.metrics import relative_errors, RelativeErrorSummary
-from repro.core.checkpoint import (
-    save_checkpoint,
-    load_checkpoint,
-    latest_checkpoint,
-    CheckpointError,
-    CheckpointCorruptError,
-)
+from repro import _lazy
 
-__all__ = [
-    "ConvSpec",
-    "CosmoFlowConfig",
-    "paper_128",
-    "ravanbakhsh_64",
-    "scaled_32",
-    "tiny_16",
-    "build_network",
-    "ParameterSpace",
-    "PLANCK_RANGES",
-    "LayerCost",
-    "network_costs",
-    "total_flops",
-    "parameter_count",
-    "parameter_bytes",
-    "PAPER_TOTAL_FLOPS",
-    "PAPER_PARAM_BYTES",
-    "CosmoFlowModel",
-    "PolynomialDecay",
-    "Adam",
-    "larc_scale",
-    "CosmoFlowOptimizer",
-    "OptimizerConfig",
-    "TrainingEngine",
-    "EngineConfig",
-    "EngineResult",
-    "ExecutionBackend",
-    "LocalBackend",
-    "SteppedBackend",
-    "ThreadedBackend",
-    "Callback",
-    "LRRecorder",
-    "DivergenceCheck",
-    "CheckpointCallback",
-    "GroupStatsCollector",
-    "RankContext",
-    "History",
-    "InMemoryData",
-    "ElasticConfig",
-    "relative_errors",
-    "RelativeErrorSummary",
-    "save_checkpoint",
-    "load_checkpoint",
-    "latest_checkpoint",
-    "CheckpointError",
-    "CheckpointCorruptError",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "topology": ("ConvSpec", "CosmoFlowConfig", "paper_128", "ravanbakhsh_64", "scaled_32",
+                 "tiny_16", "build_network"),
+    "parameters": ("ParameterSpace", "PLANCK_RANGES"),
+    "flops": ("LayerCost", "network_costs", "total_flops", "parameter_count",
+              "parameter_bytes", "PAPER_TOTAL_FLOPS", "PAPER_PARAM_BYTES"),
+    "model": ("CosmoFlowModel",),
+    "optimizer": ("PolynomialDecay", "Adam", "larc_scale", "CosmoFlowOptimizer",
+                  "OptimizerConfig"),
+    "engine": ("TrainingEngine", "EngineConfig", "EngineResult", "ExecutionBackend",
+               "LocalBackend", "SteppedBackend", "ThreadedBackend", "Callback", "LRRecorder",
+               "DivergenceCheck", "CheckpointCallback", "GroupStatsCollector", "RankContext",
+               "History"),
+    "trainer": ("InMemoryData",),
+    "elastic": ("ElasticConfig",),
+    "metrics": ("relative_errors", "RelativeErrorSummary"),
+    "checkpoint": ("save_checkpoint", "load_checkpoint", "latest_checkpoint",
+                   "CheckpointError", "CheckpointCorruptError"),
+})

@@ -35,26 +35,26 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.comm.communicator import Communicator, ReduceOp
-from repro.comm.elastic import ThreadedGroup
 from repro.comm.errors import QuorumLostError
-from repro.comm.membership import donor
-from repro.comm.plugin import MLPlugin, PluginConfig
 from repro.comm.serial import SteppedGroup
 from repro.core.elastic import MPI_LIKE, ElasticConfig
 from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
-from repro.faults.injector import FaultInjector
 from repro.obs.callback import TraceCallback
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.utils.logging import get_logger
 from repro.utils.packing import flatten_arrays, unflatten_like
 from repro.utils.timer import StageTimer
+
+if TYPE_CHECKING:  # what only the thread, elastic, fault and plugin paths load
+    from repro.comm.plugin import PluginConfig
+    from repro.faults.injector import FaultInjector
 
 __all__ = [
     "History",
@@ -583,6 +583,8 @@ class _ElasticContext(RankContext):
         donor's state is a valid resync, because synchronous SGD keeps
         every replica bitwise identical.
         """
+        from repro.comm.membership import donor
+
         comm = self.comm
         if donor(comm.last_members) != self.rank:
             return
@@ -764,6 +766,8 @@ class _GroupBackend(ExecutionBackend):
         n_ranks: int = 2,
         plugin_config: Optional[PluginConfig] = None,
     ):
+        from repro.comm.plugin import PluginConfig
+
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         if len(train_data) < n_ranks:
@@ -793,6 +797,8 @@ class _GroupBackend(ExecutionBackend):
         )
 
     def _aggregator(self, comm: Communicator):
+        from repro.comm.plugin import MLPlugin
+
         return MLPlugin(comm, self.plugin_config).init()
 
     def _val_view(self, rank: int):
@@ -898,6 +904,8 @@ class ThreadedBackend(_GroupBackend):
         injector: Optional[FaultInjector] = None,
         **kwargs,
     ):
+        from repro.faults.injector import FaultInjector
+
         super().__init__(*args, **kwargs)
         self.elastic = elastic or MPI_LIKE
         self.injector = injector or FaultInjector()
@@ -1009,6 +1017,8 @@ class ThreadedBackend(_GroupBackend):
             callbacks.on_rejoin(rc)
             engine.rank_loop(rc, epochs=epochs)
             return rc
+
+        from repro.comm.elastic import ThreadedGroup
 
         while True:
             group = ThreadedGroup(

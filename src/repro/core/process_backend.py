@@ -89,6 +89,7 @@ from repro.obs.callback import TraceCallback
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.utils.cores import share_cores
+from repro.utils.procs import raise_malloc_thresholds
 
 __all__ = ["ProcessBackend"]
 
@@ -158,6 +159,7 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
     classification protocol (see :mod:`repro.comm.process`).
     """
     signal.signal(signal.SIGTERM, _sigterm_to_exit)
+    raise_malloc_thresholds()
     # The other ranks convolve on the same cores at the same time.
     share_cores(spec["world"])
     run_dir = Path(spec["run_dir"])

@@ -30,61 +30,18 @@ This subpackage implements that entire pipeline at laptop scale:
   ~3x relative-error improvement claim, experiment E6).
 """
 
-from repro.cosmo.power_spectrum import PowerSpectrum, growth_factor
-from repro.cosmo.initial_conditions import (
-    gaussian_random_field,
-    gaussian_random_modes,
-    fourier_grid,
-)
-from repro.cosmo.lpt import (
-    zeldovich_displacement,
-    lpt2_displacement,
-    lpt_displacement,
-    displace_particles,
-)
-from repro.cosmo.nbody import ColaStepper, ParticleMesh
-from repro.cosmo.histogram import particle_histogram, split_subvolumes
-from repro.cosmo.dataset_builder import (
-    SimulationConfig,
-    run_simulation,
-    simulate_density,
-    simulate_multichannel,
-    build_arrays,
-    train_val_test_split,
-)
-from repro.cosmo.statistics import (
-    measure_power_spectrum,
-    two_point_correlation,
-    equilateral_bispectrum,
-    density_moments,
-    summary_features,
-)
-from repro.cosmo.baseline import StatisticalBaseline
+from repro import _lazy
 
-__all__ = [
-    "PowerSpectrum",
-    "growth_factor",
-    "gaussian_random_field",
-    "gaussian_random_modes",
-    "fourier_grid",
-    "zeldovich_displacement",
-    "lpt2_displacement",
-    "lpt_displacement",
-    "displace_particles",
-    "ColaStepper",
-    "ParticleMesh",
-    "particle_histogram",
-    "split_subvolumes",
-    "SimulationConfig",
-    "run_simulation",
-    "simulate_density",
-    "simulate_multichannel",
-    "build_arrays",
-    "train_val_test_split",
-    "measure_power_spectrum",
-    "two_point_correlation",
-    "equilateral_bispectrum",
-    "density_moments",
-    "summary_features",
-    "StatisticalBaseline",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "power_spectrum": ("PowerSpectrum", "growth_factor"),
+    "initial_conditions": ("gaussian_random_field", "gaussian_random_modes", "fourier_grid"),
+    "lpt": ("zeldovich_displacement", "lpt2_displacement", "lpt_displacement",
+            "displace_particles"),
+    "nbody": ("ColaStepper", "ParticleMesh"),
+    "histogram": ("particle_histogram", "split_subvolumes"),
+    "dataset_builder": ("SimulationConfig", "run_simulation", "simulate_density",
+                        "simulate_multichannel", "build_arrays", "train_val_test_split"),
+    "statistics": ("measure_power_spectrum", "two_point_correlation",
+                   "equilateral_bispectrum", "density_moments", "summary_features"),
+    "baseline": ("StatisticalBaseline",),
+})

@@ -64,21 +64,26 @@ class SpectralGrid:
     """
 
     def __init__(self, n: int, box_size: float):
-        k1d = _wavenumbers(n, box_size)
+        k1d = self._k1d = _wavenumbers(n, box_size)
         self.k = [k1d[:, None, None], k1d[None, :, None], k1d[None, None, : n // 2 + 1]]
         self.n = n
-        # 1/k² with the k=0 mode zeroed (the mean mode carries no force):
-        # where k² is 0 the division is skipped and that 0 stays.  Built a
-        # slab at a time, so no whole |k| grid exists beside it.
-        self.inv_k2 = np.empty((n, n, n // 2 + 1))
-        for planes in _slabs(n):
-            k2 = _k_mag(k1d, planes) ** 2
-            self.inv_k2[planes] = np.divide(1.0, k2, out=k2, where=k2 > 0.0)
         self.k_odd = [k.copy() for k in self.k]
         if n % 2 == 0:
             for axis, k in enumerate(self.k_odd):
                 k[(0,) * axis + (n // 2,)] = 0.0
         self._k_nyquist2 = (np.pi * n / box_size) ** 2
+
+    def _over_k2(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``spectrum / k²`` into ``out`` (either may be the other), as the
+        product with ``1/k²``, the ``k = 0`` mode zeroed (the mean mode
+        carries no force).  ``1/k²`` is rebuilt a slab at a time, so no
+        whole ``1/k²`` or ``|k|`` grid is ever held."""
+        for planes in _slabs(self.n):
+            k2 = _k_mag(self._k1d, planes) ** 2
+            # where k² is 0 the division is skipped and that 0 stays
+            inv_k2 = np.divide(1.0, k2, out=k2, where=k2 > 0.0)
+            np.multiply(inv_k2, spectrum[planes], out=out[planes])
+        return out
 
     @classmethod
     def for_spectrum(cls, field_k: np.ndarray, box_size: float) -> "SpectralGrid":
@@ -111,7 +116,7 @@ class SpectralGrid:
         positions), each slab is that slab of its component's entry;
         without, one slab buffer the next slab overwrites.
         """
-        base = np.multiply(self.inv_k2, field_k, out=field_k)
+        base = self._over_k2(field_k, out=field_k)
         work = np.empty_like(base)
         buffer = _slab_buffer(self.n) if out is None else None
         for axis, k_axis in enumerate(self.k_odd):
@@ -125,14 +130,14 @@ class SpectralGrid:
         second derivatives of the displacement potential
         (``φ_k = −δ_k/k²``, so ``(∂_a∂_b φ)_k = k_a k_b δ_k/k²``)."""
         n = self.n
-        work = np.empty(delta_k.shape, np.result_type(self.inv_k2, delta_k))
+        work = np.empty(delta_k.shape, np.result_type(np.float64, delta_k))
 
         buffer = _slab_buffer(n)
 
         def second_derivative(multiplier, slab_of=buffer):
             # (δ_k/k²)·M rounds as M·(δ_k/k²), so no scaled copy of δ_k is
             # kept beside the work spectrum: each derivative scales afresh
-            np.multiply(self.inv_k2, delta_k, out=work)
+            self._over_k2(delta_k, out=work)
             np.multiply(work, multiplier, out=work)
             return _real_slabs(work, slab_of)
 

@@ -25,22 +25,10 @@ circuit breakers, and degraded-mode fallback), and
 ``docs/resilience.md`` for the full failure model.
 """
 
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.faults.injector import (
-    FaultInjector,
-    InjectedCrash,
-    InjectedFault,
-    InjectedReadError,
-    InjectedStageError,
-)
+from repro import _lazy
 
-__all__ = [
-    "FaultEvent",
-    "FaultKind",
-    "FaultPlan",
-    "FaultInjector",
-    "InjectedCrash",
-    "InjectedFault",
-    "InjectedReadError",
-    "InjectedStageError",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "plan": ("FaultEvent", "FaultKind", "FaultPlan"),
+    "injector": ("FaultInjector", "InjectedCrash", "InjectedFault", "InjectedReadError",
+                 "InjectedStageError"),
+})

@@ -30,62 +30,16 @@ communication, limits scaling beyond ~512 nodes on Lustre.
   reads.
 """
 
-from repro.io.records import (
-    encode_sample,
-    decode_sample,
-    RecordWriter,
-    RecordReader,
-    write_record_file,
-    read_record_file,
-    RecordCorruptionError,
-    RecordCorruptError,
-)
-from repro.io.dataset import RecordDataset, write_dataset
-from repro.io.pipeline import PrefetchPipeline, PipelineStats
-from repro.io.staging import (
-    BreakerState,
-    CircuitBreaker,
-    StageError,
-    StagedRead,
-    StagingConfig,
-    StagingManager,
-    StagingStats,
-)
-from repro.io.filesystem import (
-    FilesystemSpec,
-    cori_lustre,
-    cori_datawarp,
-    pizdaint_lustre,
-    make_read_hook,
-    required_bandwidth_per_node,
-    PAPER_SAMPLE_MB,
-)
+from repro import _lazy
 
-__all__ = [
-    "encode_sample",
-    "decode_sample",
-    "RecordWriter",
-    "RecordReader",
-    "write_record_file",
-    "read_record_file",
-    "RecordCorruptionError",
-    "RecordCorruptError",
-    "RecordDataset",
-    "write_dataset",
-    "PrefetchPipeline",
-    "PipelineStats",
-    "BreakerState",
-    "CircuitBreaker",
-    "StageError",
-    "StagedRead",
-    "StagingConfig",
-    "StagingManager",
-    "StagingStats",
-    "FilesystemSpec",
-    "cori_lustre",
-    "cori_datawarp",
-    "pizdaint_lustre",
-    "make_read_hook",
-    "required_bandwidth_per_node",
-    "PAPER_SAMPLE_MB",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "records": ("encode_sample", "decode_sample", "RecordWriter", "RecordReader",
+                "write_record_file", "read_record_file", "RecordCorruptionError",
+                "RecordCorruptError"),
+    "dataset": ("RecordDataset", "write_dataset"),
+    "pipeline": ("PrefetchPipeline", "PipelineStats"),
+    "staging": ("BreakerState", "CircuitBreaker", "StageError", "StagedRead",
+                "StagingConfig", "StagingManager", "StagingStats"),
+    "filesystem": ("FilesystemSpec", "cori_lustre", "cori_datawarp", "pizdaint_lustre",
+                   "make_read_hook", "required_bandwidth_per_node", "PAPER_SAMPLE_MB"),
+})

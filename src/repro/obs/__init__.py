@@ -15,28 +15,11 @@ Section V scaling analysis, shared by every subsystem:
 See ``docs/observability.md`` for how to capture and read a trace.
 """
 
-from repro.obs.callback import TraceCallback
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.summarize import (
-    TraceSummary,
-    format_summary,
-    load_trace,
-    summarize_trace,
-)
-from repro.obs.tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer
+from repro import _lazy
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
-    "TraceCallback",
-    "TraceEvent",
-    "Tracer",
-    "TraceSummary",
-    "format_summary",
-    "load_trace",
-    "summarize_trace",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "tracer": ("NULL_TRACER", "NullTracer", "TraceEvent", "Tracer"),
+    "callback": ("TraceCallback",),
+    "summarize": ("TraceSummary", "format_summary", "load_trace", "summarize_trace"),
+})

@@ -22,28 +22,11 @@ epoch times, the sustained Pflop/s — and the benchmarks compare those
 predictions against the published values.
 """
 
-from repro.perfmodel.node import NodeSpec, knl_node, p100_node
-from repro.perfmodel.interconnect import InterconnectSpec, aries_plugin, PAPER_COMM
-from repro.perfmodel.cluster import (
-    ClusterModel,
-    ScalingPoint,
-    cori_datawarp_machine,
-    cori_lustre_machine,
-    pizdaint_lustre_machine,
-    FullScaleRun,
-)
+from repro import _lazy
 
-__all__ = [
-    "NodeSpec",
-    "knl_node",
-    "p100_node",
-    "InterconnectSpec",
-    "aries_plugin",
-    "PAPER_COMM",
-    "ClusterModel",
-    "ScalingPoint",
-    "cori_datawarp_machine",
-    "cori_lustre_machine",
-    "pizdaint_lustre_machine",
-    "FullScaleRun",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "node": ("NodeSpec", "knl_node", "p100_node"),
+    "interconnect": ("InterconnectSpec", "aries_plugin", "PAPER_COMM"),
+    "cluster": ("ClusterModel", "ScalingPoint", "cori_datawarp_machine",
+                "cori_lustre_machine", "pizdaint_lustre_machine", "FullScaleRun"),
+})

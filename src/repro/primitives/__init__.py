@@ -28,64 +28,16 @@ constant-weight special case of convolution, exactly as the paper
 describes.
 """
 
-from repro.primitives.conv3d import (
-    conv3d_forward,
-    conv3d_backward_data,
-    conv3d_backward_weights,
-    conv3d_output_shape,
-)
-from repro.primitives.pool3d import (
-    avg_pool3d_forward,
-    avg_pool3d_backward,
-    pool3d_output_shape,
-)
-from repro.primitives.registry import (
-    ConvImpl,
-    get_impl,
-    register_impl,
-    set_default_impl,
-    get_default_impl,
-    available_impls,
-)
-from repro.primitives.quantized import (
-    QuantizedWeights,
-    quantize_groupwise,
-    dequantize_groupwise,
-    pack_int4,
-    unpack_int4,
-    quantized_matmul,
-    conv3d_forward_int8,
-    conv3d_forward_int4,
-    QuantCache,
-    default_quant_cache,
-    clear_quant_cache,
-    DEFAULT_GROUP_SIZE,
-)
+from repro import _lazy
 
-__all__ = [
-    "conv3d_forward",
-    "conv3d_backward_data",
-    "conv3d_backward_weights",
-    "conv3d_output_shape",
-    "avg_pool3d_forward",
-    "avg_pool3d_backward",
-    "pool3d_output_shape",
-    "ConvImpl",
-    "get_impl",
-    "register_impl",
-    "set_default_impl",
-    "get_default_impl",
-    "available_impls",
-    "QuantizedWeights",
-    "quantize_groupwise",
-    "dequantize_groupwise",
-    "pack_int4",
-    "unpack_int4",
-    "quantized_matmul",
-    "conv3d_forward_int8",
-    "conv3d_forward_int4",
-    "QuantCache",
-    "default_quant_cache",
-    "clear_quant_cache",
-    "DEFAULT_GROUP_SIZE",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "conv3d": ("conv3d_forward", "conv3d_backward_data", "conv3d_backward_weights",
+               "conv3d_output_shape"),
+    "pool3d": ("avg_pool3d_forward", "avg_pool3d_backward", "pool3d_output_shape"),
+    "registry": ("ConvImpl", "get_impl", "register_impl", "set_default_impl",
+                 "get_default_impl", "available_impls"),
+    "quantized": ("QuantizedWeights", "quantize_groupwise", "dequantize_groupwise",
+                  "pack_int4", "unpack_int4", "quantized_matmul", "conv3d_forward_int8",
+                  "conv3d_forward_int4", "QuantCache", "default_quant_cache",
+                  "clear_quant_cache", "DEFAULT_GROUP_SIZE"),
+})

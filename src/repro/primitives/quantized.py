@@ -434,7 +434,8 @@ def _make_backward_weights(impl_name: str):
 
 
 def register_quantized_impls() -> None:
-    """Register the ``"int8"`` / ``"int4"`` ConvImpls (idempotent)."""
+    """Register the ``"int8"`` / ``"int4"`` ConvImpls (idempotent); the
+    registry calls this on the first lookup of either name."""
     _registry.register_impl(
         _registry.ConvImpl(
             name="int8",
@@ -451,6 +452,3 @@ def register_quantized_impls() -> None:
             backward_weights=_make_backward_weights("int4"),
         )
     )
-
-
-register_quantized_impls()

@@ -6,8 +6,9 @@ with ``--config=mkl``.  It is a name -> :class:`ConvImpl` table:
 
 * ``"gemm"`` — the one exact kernel family
   (:mod:`repro.primitives.conv3d`), and the default.
-* ``"int8"`` / ``"int4"`` — approximate quantized forwards, registered
-  by :mod:`repro.primitives.quantized`; reachable only by name.
+* ``"int8"`` / ``"int4"`` — approximate quantized forwards, defined by
+  :mod:`repro.primitives.quantized` and registered on their first lookup
+  by name, which is the only way to reach them.
 
 :func:`register_impl` adds more (tests and benchmarks register doubles).
 
@@ -21,6 +22,7 @@ the raw kernels, so the accounting costs nothing when off.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -165,6 +167,24 @@ _IMPLS: Dict[str, ConvImpl] = {
 }
 
 
+#: Families registered on their first lookup, by the module defining them.
+_QUANTIZED = ("int4", "int8")
+
+
+def _lookup(key: str) -> ConvImpl:
+    """The family registered as ``key``, registering it if it is one of
+    :data:`_QUANTIZED`; a ``KeyError`` naming the choices for any other."""
+    impl = _IMPLS.get(key)
+    if impl is None and key in _QUANTIZED:
+        importlib.import_module("repro.primitives.quantized").register_quantized_impls()
+        impl = _IMPLS[key]
+    if impl is None:
+        raise KeyError(
+            f"unknown conv3d implementation {key!r}; available: {available_impls()}"
+        )
+    return impl
+
+
 def register_impl(impl: ConvImpl, default: bool = False) -> ConvImpl:
     """Register (or replace) a convolution implementation.
 
@@ -231,7 +251,7 @@ def _instrument(impl: ConvImpl) -> ConvImpl:
 
 def available_impls() -> list[str]:
     """Names of the registered convolution implementations."""
-    return sorted(_IMPLS)
+    return sorted(_IMPLS.keys() | set(_QUANTIZED))
 
 
 def get_impl(name: str | None = None) -> ConvImpl:
@@ -241,12 +261,7 @@ def get_impl(name: str | None = None) -> ConvImpl:
     calls/FLOPs/bytes; otherwise they are the raw implementations.
     """
     key = _default if name is None else name
-    try:
-        impl = _IMPLS[key]
-    except KeyError:
-        raise KeyError(
-            f"unknown conv3d implementation {key!r}; available: {available_impls()}"
-        ) from None
+    impl = _lookup(key)
     if _metrics is None:
         return impl
     wrapped = _instrumented.get(key)
@@ -258,10 +273,7 @@ def get_impl(name: str | None = None) -> ConvImpl:
 def set_default_impl(name: str) -> None:
     """Set the implementation used when callers do not name one."""
     global _default
-    if name not in _IMPLS:
-        raise KeyError(
-            f"unknown conv3d implementation {name!r}; available: {available_impls()}"
-        )
+    _lookup(name)
     _default = name
 
 

@@ -25,27 +25,14 @@ identically from the same seed and fault plan.  See
 ``docs/serving.md`` for the architecture and the failure matrix.
 """
 
-from repro.serve.admission import AdmissionController, AdmissionDecision
-from repro.serve.cache import ResultCache
-from repro.serve.pool import ReplicaPool
-from repro.serve.replica import Replica, ReplicaState
-from repro.serve.request import InferenceRequest, Outcome
-from repro.serve.server import InferenceServer, ServeConfig, ServeReport
-from repro.serve.workload import WorkloadSpec, build_requests, payload_volume
+from repro import _lazy
 
-__all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "ResultCache",
-    "ReplicaPool",
-    "Replica",
-    "ReplicaState",
-    "InferenceRequest",
-    "Outcome",
-    "InferenceServer",
-    "ServeConfig",
-    "ServeReport",
-    "WorkloadSpec",
-    "build_requests",
-    "payload_volume",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "admission": ("AdmissionController", "AdmissionDecision"),
+    "cache": ("ResultCache",),
+    "pool": ("ReplicaPool",),
+    "replica": ("Replica", "ReplicaState"),
+    "request": ("InferenceRequest", "Outcome"),
+    "server": ("InferenceServer", "ServeConfig", "ServeReport"),
+    "workload": ("WorkloadSpec", "build_requests", "payload_volume"),
+})

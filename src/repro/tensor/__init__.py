@@ -20,32 +20,12 @@ dataset and the weights use 32-bit single precision floating point
 format").
 """
 
-from repro.tensor.tensor import Tensor, Parameter, no_grad
-from repro.tensor import ops
-from repro.tensor.layers import (
-    Layer,
-    Conv3D,
-    AvgPool3D,
-    Dense,
-    Flatten,
-    LeakyReLU,
-    BatchNorm,
-    Sequential,
-)
-from repro.tensor import initializers
+from repro import _lazy
 
-__all__ = [
-    "Tensor",
-    "Parameter",
-    "no_grad",
-    "ops",
-    "Layer",
-    "Conv3D",
-    "AvgPool3D",
-    "Dense",
-    "Flatten",
-    "LeakyReLU",
-    "BatchNorm",
-    "Sequential",
-    "initializers",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "tensor": ("Tensor", "Parameter", "no_grad"),
+    "ops": None,
+    "layers": ("Layer", "Conv3D", "AvgPool3D", "Dense", "Flatten", "LeakyReLU", "BatchNorm",
+               "Sequential"),
+    "initializers": None,
+})

@@ -6,41 +6,17 @@ returns a taped ``Tensor``.  The heavy numerical kernels live in
 the same division of labor as TensorFlow-over-MKL-DNN in the paper.
 """
 
-from repro.tensor.ops.elementwise import add, sub, mul, div, neg, power, exp, log, maximum, clip
-from repro.tensor.ops.reduce import sum_, mean
-from repro.tensor.ops.reshape import reshape, flatten, transpose
-from repro.tensor.ops.activations import leaky_relu, relu, sigmoid, tanh
-from repro.tensor.ops.dense import matmul, linear
-from repro.tensor.ops.conv import conv3d
-from repro.tensor.ops.pool import avg_pool3d
-from repro.tensor.ops.losses import mse_loss, mae_loss
-from repro.tensor.ops.batchnorm import batch_norm
+from repro import _lazy
 
-__all__ = [
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "neg",
-    "power",
-    "exp",
-    "log",
-    "maximum",
-    "clip",
-    "sum_",
-    "mean",
-    "reshape",
-    "flatten",
-    "transpose",
-    "leaky_relu",
-    "relu",
-    "sigmoid",
-    "tanh",
-    "matmul",
-    "linear",
-    "conv3d",
-    "avg_pool3d",
-    "mse_loss",
-    "mae_loss",
-    "batch_norm",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "elementwise": ("add", "sub", "mul", "div", "neg", "power", "exp", "log", "maximum",
+                    "clip"),
+    "reduce": ("sum_", "mean"),
+    "shape": ("reshape", "flatten", "transpose"),
+    "activations": ("leaky_relu", "relu", "sigmoid", "tanh"),
+    "dense": ("matmul", "linear"),
+    "conv": ("conv3d",),
+    "pool": ("avg_pool3d",),
+    "losses": ("mse_loss", "mae_loss"),
+    "batchnorm": ("batch_norm",),
+})

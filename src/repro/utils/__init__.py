@@ -8,22 +8,12 @@ subpackage may import them, and they import nothing from the rest of
 :mod:`repro`.
 """
 
-from repro.utils.rng import new_rng, spawn_rngs, derive_seed
-from repro.utils.timer import StageTimer, Timer, format_duration
-from repro.utils.logging import get_logger
-from repro.utils.retry import RetryPolicy, call_with_retry
-from repro.utils.breaker import BreakerState, CircuitBreaker
+from repro import _lazy
 
-__all__ = [
-    "new_rng",
-    "spawn_rngs",
-    "derive_seed",
-    "StageTimer",
-    "Timer",
-    "format_duration",
-    "get_logger",
-    "RetryPolicy",
-    "call_with_retry",
-    "BreakerState",
-    "CircuitBreaker",
-]
+__all__, __getattr__, __dir__ = _lazy(__name__, {
+    "rng": ("new_rng", "spawn_rngs", "derive_seed"),
+    "timer": ("StageTimer", "Timer", "format_duration"),
+    "logging": ("get_logger",),
+    "retry": ("RetryPolicy", "call_with_retry"),
+    "breaker": ("BreakerState", "CircuitBreaker"),
+})

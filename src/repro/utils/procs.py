@@ -1,4 +1,5 @@
-"""Small OS-process helpers shared by the process backend and sweepers.
+"""Small OS-process helpers shared by the entry points, the process
+backend and sweepers.
 
 The real-process execution backend (``repro.comm.process``) and the
 crash-debris sweepers (stale checkpoint temp files, orphaned shared
@@ -14,7 +15,10 @@ from __future__ import annotations
 import errno
 import os
 
-__all__ = ["pid_alive"]
+__all__ = ["pid_alive", "raise_malloc_thresholds"]
+
+#: ``mallopt`` parameters, from glibc's ``malloc.h``.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def pid_alive(pid: int) -> bool:
@@ -40,3 +44,29 @@ def pid_alive(pid: int) -> bool:
             return True
         return False
     return True
+
+
+def raise_malloc_thresholds() -> None:
+    """Keep a stepping process's temporaries in memory it has already
+    touched: glibc serves blocks up to 32 MiB from its heap instead of a
+    fresh ``mmap``, and keeps up to 64 MiB of freed heap instead of
+    returning it.
+
+    Until a process frees its first large block, glibc maps every block
+    over 128 KiB on its own and unmaps it on ``free``, so each training or
+    inference step faults in its larger temporaries afresh (thousands of
+    minor faults a ``scaled_32`` step).  Only an entry point calls this —
+    the CLI's ``main`` and a rank process's — never an import: in a process
+    whose work is not steps it only holds memory longer
+    (``docs/architecture.md``, "What a process imports").  Without glibc's
+    ``mallopt`` there is nothing to set.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)

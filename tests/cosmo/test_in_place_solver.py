@@ -188,25 +188,26 @@ class TestAllocationBudget:
     a property of the code, not of the host: it repeats to within the few
     hundred bytes of Python objects made along the way.
 
-    The dataset path (``simulate_density``) peaks in ``lpt2_source``: the
-    grid's real half-spectrum ``1/k²`` (0.5), ``δ_k`` and the work
-    spectrum each derivative is scaled into (2 × ~1.04), the two real
-    buffers ``source`` and ``d00`` (2), one slab buffer (8 planes, 1/6 at
-    48³) and a ufunc cast buffer — 4.95 at 48³, 4.67 at 96³.  The other
-    four derivatives are consumed a slab at a time as their last two
-    inverse passes run, and the displacements are binned a slab at a time,
-    so the ``(n³, 3)`` positions never exist on that path.
-    ``run_simulation`` peaks in the displacement stage instead: grid,
-    solved spectrum, work spectrum and the positions (3) — 5.76 at 48³,
-    5.57 at 96³.  Both were 6.3 with a whole ``|k|`` grid, three real
-    buffers in ``lpt2_source`` and a whole-array wrap; 8.3 with a component
-    buffer and a displacement temporary beside the positions; and 9.8 with
-    a transform that allocates each pass and a ``(3, n, n, n)`` Ψ held
+    The dataset path (``simulate_density``) peaks in ``lpt2_source``:
+    ``δ_k`` and the work spectrum each derivative is scaled into (2 ×
+    ~1.04), the two real buffers ``source`` and ``d00`` (2), one slab
+    buffer (8 planes, 1/6 at 48³), the slab of ``1/k²`` being rebuilt and
+    a ufunc cast buffer — 4.60 at 48³, 4.24 at 96³.  The other four
+    derivatives are consumed a slab at a time as their last two inverse
+    passes run, and the displacements are binned a slab at a time, so the
+    ``(n³, 3)`` positions never exist on that path.  ``run_simulation``
+    peaks in the displacement stage instead: solved spectrum, work
+    spectrum and the positions (3) — 5.24 at 48³, 5.06 at 96³.  They were
+    4.95 and 5.76 at 48³ with a whole real half-spectrum ``1/k²`` (0.5)
+    kept by the grid; 6.3 with a whole ``|k|`` grid, three real buffers in
+    ``lpt2_source`` and a whole-array wrap; 8.3 with a component buffer
+    and a displacement temporary beside the positions; and 9.8 with a
+    transform that allocates each pass and a ``(3, n, n, n)`` Ψ held
     beside them.
     """
 
-    DATASET_BUDGET_UNITS = 5.0
-    POSITIONS_BUDGET_UNITS = 5.9
+    DATASET_BUDGET_UNITS = 4.7
+    POSITIONS_BUDGET_UNITS = 5.3
 
     @pytest.mark.parametrize("n", [48, 49])
     def test_simulate_density_peak_within_budget(self, n):
@@ -227,6 +228,12 @@ class TestAllocationBudget:
 SLAB_GRIDS = [5, 6, 33, 36, 49]
 
 
+def whole_inv_k2(n):
+    """``1/k²`` on the whole half spectrum, the ``k = 0`` mode zeroed."""
+    k2 = fourier_grid(n, BOX)[3] ** 2
+    return np.divide(1.0, k2, out=k2, where=k2 > 0.0)
+
+
 class TestSlabsEqualWholeArrays:
     """Every streamed stage against the same operations on whole arrays,
     byte for byte: the slabs change which memory holds a value, never an
@@ -240,18 +247,20 @@ class TestSlabsEqualWholeArrays:
         want *= np.sqrt(spectrum(k_mag) * n**3 / BOX**3)
         want[0, 0, 0] = 0.0
         assert gaussian_random_modes(n, BOX, spectrum, rng=n).tobytes() == want.tobytes()
-        k2 = k_mag**2
-        inv_k2 = np.divide(1.0, k2, out=k2, where=k2 > 0.0)
-        assert SpectralGrid(n, BOX).inv_k2.tobytes() == inv_k2.tobytes()
+        delta_k = modes(n, n)
+        want = whole_inv_k2(n) * delta_k
+        got = SpectralGrid(n, BOX)._over_k2(delta_k, out=delta_k)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", SLAB_GRIDS)
     def test_lpt2_source(self, n):
         grid = SpectralGrid(n, BOX)
         delta_k = modes(n, n)
         kx, ky, kz = grid.k
+        inv_k2 = whole_inv_k2(n)
 
         def derivative(multiplier):
-            work = grid.inv_k2 * delta_k * multiplier
+            work = inv_k2 * delta_k * multiplier
             return np.fft.irfftn(work, s=(n,) * 3, axes=(0, 1, 2))
 
         def mixed(a, b):

@@ -333,6 +333,6 @@ class TestComposedBackward:
 
     @pytest.mark.parametrize("name", ["int8", "int4"])
     def test_every_other_family_is_composed(self, name):
-        impl = registry._IMPLS[name]
+        impl = registry.get_impl(name)
         assert impl.backward.__qualname__.startswith("_compose_backward")
         assert registry._IMPLS["gemm"].backward is conv3d_backward

@@ -1,6 +1,10 @@
 """Tests for the conv implementation registry."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +41,22 @@ class TestRegistry:
 
     def test_lookup_by_name(self):
         assert get_impl("int8").name == "int8"
+
+    def test_quantized_kernels_load_on_their_first_lookup(self):
+        """No import registers a family: the registry loads
+        :mod:`repro.primitives.quantized` when ``int8`` or ``int4`` is first
+        asked for, in a fresh interpreter."""
+        code = (
+            "import sys\n"
+            "from repro.primitives.registry import available_impls, get_impl\n"
+            "assert available_impls() == ['gemm', 'int4', 'int8']\n"
+            "assert 'repro.primitives.quantized' not in sys.modules\n"
+            "assert get_impl('int4').name == 'int4'\n"
+            "assert 'repro.primitives.quantized' in sys.modules\n"
+            "assert get_impl('int8').forward.__name__ == 'conv3d_forward_int8'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_set_default(self):
         set_default_impl("int8")

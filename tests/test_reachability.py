@@ -8,12 +8,15 @@ any non-package module of ``src/repro`` it does not reach.  Three rules
 decide what an import reaches:
 
 * ``from pkg import name`` reaches the submodule that *defines* ``name``,
-  found through ``pkg/__init__.py``'s own imports, so a package that
-  re-exports everything does not make everything reachable;
+  found through the lazy export table of ``pkg/__init__.py`` (or its own
+  imports), so a package that exports everything does not make everything
+  reachable;
 * a package bound as a namespace (``from repro.tensor import ops``,
-  ``import repro.tensor.ops``) reaches what its ``__init__`` imports;
+  ``import repro.tensor.ops``) reaches every module its table names and
+  what its ``__init__`` imports;
 * a string literal equal to a module's dotted name reaches that module
-  (the CLI picks backends from a table of such names).
+  (the CLI picks backends from a table of such names, and the kernel
+  registry loads the quantized kernels by one).
 
 A module reached by none of these is deleted, given a root, or named in
 ``EXCEPTIONS`` with its reason.
@@ -28,12 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 #: Modules kept although no root reaches them, each with its reason.
-EXCEPTIONS = {
-    "repro.primitives.quantized": (
-        "A11 selects its kernels by registry name (impl='int8'/'int4'); "
-        "the package __init__ registers them"
-    ),
-}
+EXCEPTIONS = {}
 
 
 def module_index(src=SRC):
@@ -77,6 +75,10 @@ class Reachability:
         self.reached.add(name)
         path, is_package = self.index[name]
         self.walk(_parse(path), name, is_package)
+        if is_package:
+            for exported in _reexports(path, name).values():
+                for origin, original in exported:
+                    self.from_import(origin, original)
 
     def walk(self, tree, module="", is_package=False):
         for node in ast.walk(tree):
@@ -109,12 +111,32 @@ class Reachability:
             self.from_import(origin, original)
 
 
+def _lazy_table(tree):
+    """Submodule → exported names (``None``: the submodule itself) of the
+    ``_lazy(__name__, {...})`` call in a package ``__init__``, if any."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_lazy"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Dict)
+        ):
+            return ast.literal_eval(node.args[1])
+    return {}
+
+
 @lru_cache(maxsize=None)
 def _reexports(path, package):
     """Name → [(module, name there)] for what a package ``__init__``
-    binds by ``from ... import``."""
+    exports through its lazy table or binds by ``from ... import``; a
+    submodule exported as itself is ``(package, its name)``."""
+    tree = _parse(path)
     found = {}
-    for node in _parse(path).body:
+    for module, names in _lazy_table(tree).items():
+        for name in names or (module,):
+            origin = f"{package}.{module}" if names else package
+            found.setdefault(name, []).append((origin, name))
+    for node in tree.body:
         if isinstance(node, ast.ImportFrom):
             source = _absolute(node, package, True)
             for alias in node.names:
@@ -181,6 +203,29 @@ def test_the_walk_follows_definitions_not_reexports(tmp_path):
     assert unreached(tmp_path) == ["repro.ns"]
 
 
+def test_the_walk_reads_lazy_export_tables(tmp_path):
+    """The same rules through a package that exports lazily: importing one
+    name reaches only its module, and binding the package as a namespace
+    reaches every module of its table, a submodule exported as itself too."""
+    pkg = tmp_path / "src" / "repro"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("def _lazy(package, table): ...\n")
+    (pkg / "__main__.py").write_text("from repro.sub import used\n")
+    (pkg / "sub" / "__init__.py").write_text(
+        "from repro import _lazy\n\n"
+        "__all__, __getattr__, __dir__ = _lazy(__name__, {\n"
+        "    'a': ('used', 'also'),\n    'b': ('idle',),\n    'ns': None,\n})\n"
+    )
+    for name, body in {"a": "used = also = 1\n", "b": "idle = 2\n", "ns": ""}.items():
+        (pkg / "sub" / f"{name}.py").write_text(body)
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "benchmarks").mkdir()
+    assert unreached(tmp_path) == ["repro.sub.b", "repro.sub.ns"]
+
+    (tmp_path / "bench" / "run.py").write_text("import repro.sub\n")
+    assert unreached(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # Names the examples import and the docs cite
 # ---------------------------------------------------------------------------
@@ -192,9 +237,13 @@ _DOTTED = re.compile(r"`(repro(?:\.\w+)+)")
 
 
 def _defines(path):
-    """Names a module's top level binds (definitions, assignments, imports)."""
-    names = set()
-    for node in _parse(path).body:
+    """Names a module's top level binds (definitions, assignments, imports,
+    and a package's lazy exports)."""
+    tree = _parse(path)
+    names = {
+        name for module, exported in _lazy_table(tree).items() for name in exported or (module,)
+    }
+    for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
