@@ -18,8 +18,9 @@ from repro.core.parameters import ParameterSpace
 from repro.core.topology import CosmoFlowConfig, build_network, default_parameter_space
 from repro.core import flops as flops_mod
 from repro.tensor import ops
-from repro.tensor.layers import Dense
-from repro.tensor.tensor import Tensor, no_grad
+from repro.tensor.layers import Dense, Sequential
+from repro.tensor.ops.losses import mse, mse_grad
+from repro.tensor.tensor import Tensor
 from repro.utils.cores import beside_helper, helper_pays
 
 __all__ = ["CosmoFlowModel"]
@@ -60,7 +61,7 @@ class CosmoFlowModel:
         # multiply-adds per sample.
         layers = self.network.layers
         head = next(i for i, layer in enumerate(layers) if isinstance(layer, Dense))
-        self._prefix, self._head = layers[:head], layers[head:]
+        self._prefix, self._head = Sequential(layers[:head]), Sequential(layers[head:])
         self._features = config.flattened_size
         self._prefix_macs = int(
             sum(c.fwd_flops for c in flops_mod.network_costs(config) if c.kind == "conv") // 2
@@ -119,13 +120,18 @@ class CosmoFlowModel:
             )
         return x
 
+    def _check_target(self, y_normalized) -> np.ndarray:
+        y = np.asarray(y_normalized, dtype=np.float32)
+        return y[None, :] if y.ndim == 1 else y
+
     def forward(self, x) -> Tensor:
-        """Taped forward pass (normalized-output space)."""
+        """Forward pass on the tape (normalized-output space): one node per
+        layer, each layer's own backward."""
         return self.network(Tensor(self._check_input(x)))
 
     def _untaped_forward(self, x) -> np.ndarray:
-        """The network's output on ``x``, with no tape: what prediction and
-        validation run.
+        """The network's output on ``x``, keeping nothing for a backward:
+        what prediction and validation run.
 
         A batch of two or more whose helper's share of the prefix — every
         layer before the first ``Dense``: convolutions, activations, pools,
@@ -139,31 +145,23 @@ class CosmoFlowModel:
         """
         x = self._check_input(x)
         n = len(x)
-        with no_grad():
-            if n < 2 or not helper_pays(n // 2 * self._prefix_macs):
-                return self.network(Tensor(x)).data
-            samples = collections.deque(range(n))
-            features = np.empty((n, self._features), dtype=np.float32)
+        if n < 2 or not helper_pays(n // 2 * self._prefix_macs):
+            return self.network.forward(x)[0]
+        samples = collections.deque(range(n))
+        features = np.empty((n, self._features), dtype=np.float32)
 
-            def lane():
-                with no_grad():  # grad mode is per thread: the helper's own
-                    while True:
-                        # A deque's pops are thread-safe: each sample, and so
-                        # each row of ``features``, goes to exactly one lane.
-                        try:
-                            i = samples.popleft()
-                        except IndexError:
-                            return
-                        t = Tensor(x[i : i + 1])
-                        for layer in self._prefix:
-                            t = layer(t)
-                        features[i] = t.data[0]
+        def lane():
+            while True:
+                # A deque's pops are thread-safe: each sample, and so each
+                # row of ``features``, goes to exactly one lane.
+                try:
+                    i = samples.popleft()
+                except IndexError:
+                    return
+                features[i] = self._prefix.forward(x[i : i + 1])[0][0]
 
-            beside_helper(lane, lane)
-            t = Tensor(features)
-            for layer in self._head:
-                t = layer(t)
-            return t.data
+        beside_helper(lane, lane)
+        return self._head.forward(features)[0]
 
     def predict_normalized(self, x) -> np.ndarray:
         """Inference in the [0,1] target space."""
@@ -174,12 +172,9 @@ class CosmoFlowModel:
         return self.space.denormalize(self.predict_normalized(x))
 
     def loss(self, x, y_normalized) -> Tensor:
-        """MSE loss tensor against normalized targets ``(N, n_outputs)``."""
-        y = np.asarray(y_normalized, dtype=np.float32)
-        if y.ndim == 1:
-            y = y[None, :]
-        pred = self.forward(x)
-        return ops.mse_loss(pred, Tensor(y))
+        """MSE loss tensor (on the tape) against normalized targets
+        ``(N, n_outputs)``."""
+        return ops.mse_loss(self.forward(x), Tensor(self._check_target(y_normalized)))
 
     def loss_and_gradients(
         self, x, y_normalized
@@ -188,24 +183,22 @@ class CosmoFlowModel:
 
         This is the ``compute_gradients`` of Algorithm 2; the caller
         averages the returned gradients across ranks and feeds them to
-        the optimizer.
+        the optimizer.  The network runs as a chain — one loop forward,
+        keeping each layer's context, one loop back — and every gradient
+        is a fresh array (also left on its parameter's ``.grad``), so a
+        caller may hold the lists of several calls at once.
         """
-        self.zero_grad()
-        loss = self.loss(x, y_normalized)
-        loss.backward()
-        grads = []
-        for p in self.parameters():
-            if p.grad is None:  # pragma: no cover - all params reachable
-                grads.append(np.zeros(p.shape, dtype=np.float32))
-            else:
-                grads.append(p.grad)
+        out, ctx = self.network.forward(self._check_input(x), keep=True)
+        loss, diff = mse(out, self._check_target(y_normalized))
+        g = mse_grad(diff, np.array(1, dtype=loss.dtype)).astype(out.dtype, copy=False)
+        _, *grads = self.network.backward(ctx, g, need_input_grad=False)
+        for p, grad in zip(self.network.parameters(), grads):
+            p.grad = grad
         return loss.item(), grads
 
     def validation_loss(self, x, y_normalized) -> float:
-        """Untaped loss for validation loops."""
-        y = np.asarray(y_normalized, dtype=np.float32)
-        if y.ndim == 1:
-            y = y[None, :]
+        """Loss for validation loops (nothing kept for a backward)."""
+        y = self._check_target(y_normalized)
         return float(np.mean((self._untaped_forward(x) - y) ** 2))
 
     # -- static accounting -----------------------------------------------------

@@ -15,7 +15,7 @@ existing fp32 engine:
 * **fp16 compute**: batch inputs are rounded through fp16 before the
   forward pass and per-parameter gradients are rounded through fp16
   after the backward pass — the network's numerics are what an fp16
-  kernel pipeline would produce, while the tape itself stays fp32.
+  kernel pipeline would produce, while the chain itself stays fp32.
 * **dynamic loss scaling** (:class:`LossScaler`): gradients are
   multiplied by a running scale *before* the fp16 rounding so small
   gradients survive the format's 2^-24 floor.  A non-finite gradient

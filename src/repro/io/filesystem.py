@@ -27,6 +27,7 @@ is :func:`required_bandwidth_per_node`: ``BW_min = b × S / t``.
 
 from __future__ import annotations
 
+import time as _time
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,8 +253,6 @@ def make_read_hook(
     hooks built the same way replay the same latency sequence — never
     fresh OS entropy.
     """
-    import time as _time
-
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     if time_scale < 0:

@@ -23,9 +23,9 @@ the reduction dimension; along W the input keeps whole contiguous rows:
   The ``kw`` W-shifted, zero-margined copies of the gradient are built
   once and feed both GEMMs: the transposed weight matrix times them is
   the gradient of ``rows``, which ``kd*kh`` row-slab adds scatter into
-  the input gradient; they times ``rows^T`` — the forward's own
-  ``rows`` when handed back (:func:`conv3d_pack`) — is the weight
-  gradient.  :func:`conv3d_backward_data` and
+  the input gradient; ``rows`` — the forward's own when handed back
+  (:func:`conv3d_pack`) — times their transpose is the weight
+  gradient's transpose.  :func:`conv3d_backward_data` and
   :func:`conv3d_backward_weights` are that same code asked for one
   result; there is no second backward.
 
@@ -43,10 +43,9 @@ and is one copy.  The Python loops left in this module each *add*, and
 the order of their adds is the bits of the result: the forward's
 ``kw`` tap sums (:func:`_gemm_sum_taps`) and the backward's ``kd*kh``
 row-slab scatter-adds into the input gradient (overlapping windows
-accumulate).  Two ``kw``-long copy loops stay as well: the zero-margined
-placements of :func:`_shifted_grad` (each tap writes a different slice
-of a different plane) and the per-tap un-arranging of the weight
-gradient (as one transposing copy it measured ~5x slower).
+accumulate).  One ``kw``-long copy loop stays as well: the
+zero-margined placements of :func:`_shifted_grad` (each tap writes a
+different slice of a different plane).
 
 Two cores per call
 ------------------
@@ -62,7 +61,7 @@ of them.  The slabs are the ones one thread would pack, so every GEMM is
 the same call on the same operands as on one thread, and every output
 element has one writer: the bits do not move.  The helper is joined
 before the call returns or raises, so no thread outlives a kernel call;
-it runs kernel code only, never the tape (grad mode is thread-local).
+it runs kernel code only.
 
 Derived once
 ------------
@@ -74,8 +73,8 @@ its GEMMs' multiply-adds per output channel — is one immutable
 kernel, stride, padding)`` and looked up afterwards, the way MKL-DNN
 creates a layer's primitive once and then only executes it.  The cache
 holds tuples and slices, never an array (outputs and packed operands
-escape to the caller's tape, so each call allocates its own), which
-keeps it thread-safe and costs no memory worth counting.
+escape to the caller's layer context, so each call allocates its own),
+which keeps it thread-safe and costs no memory worth counting.
 """
 
 from __future__ import annotations
@@ -470,15 +469,19 @@ def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bia
 
     def weight_grad():
         rows = _pack(_pad_input(x, geo.padding), plan) if packed is None else packed
-        grad_wm = shifted @ rows.reshape(geo.reduction, -1).T
-        # Undo _weight_matrix's arrangement, one gemm-tap at a time (a single
-        # transposing copy is ~5x slower in NumPy).
+        # The transposed product, with the taps (the operand rows, ``K``) as
+        # the GEMM's long output axis: ``rows @ shifted.T`` is ``(shifted @
+        # rows.T).T`` byte for byte on the BLAS this is measured on (a test
+        # pins it at every preset's shapes) and faster where ``K * OC`` is
+        # small, conv1's ``27 x 16`` most of all.
+        grad_wt = rows.reshape(geo.reduction, -1) @ shifted.T
+        # Undo _weight_matrix's arrangement: one transposing copy.
         oc, ic = grad_out.shape[1], geo.packed_shape[0]
         kt, ku = len(plan.gemm_taps), len(plan.pack_taps)
-        grad_w = np.empty((oc, ic, kd, kh, kw), dtype=grad_wm.dtype)
-        taps_last = grad_w.reshape(oc, ic, kd, kh, kt, ku)
-        for zw, per_tap in enumerate(grad_wm.reshape(kt, oc, ic, kd, kh, ku)):
-            taps_last[:, :, :, :, zw] = per_tap
+        grad_w = np.empty((oc, ic, kd, kh, kw), dtype=grad_wt.dtype)
+        grad_w.reshape(oc, ic, kd, kh, kt, ku)[...] = grad_wt.reshape(
+            ic, kd, kh, ku, kt, oc
+        ).transpose(5, 0, 1, 2, 4, 3)
         return grad_w
 
     def bias_grad():

@@ -1,6 +1,6 @@
 """Implementation registry for the convolution primitives.
 
-The framework layer (:mod:`repro.tensor.ops.conv`) calls through this
+The framework layer (:class:`repro.tensor.layers.Conv3D`) calls through this
 registry, mirroring how TensorFlow dispatches to MKL-DNN when built
 with ``--config=mkl``.  It is a name -> :class:`ConvImpl` table:
 
@@ -70,9 +70,9 @@ class ConvImpl:
     ``pack``, when set, is ``pack(x, kernel, stride, padding)`` returning
     the operand ``forward`` and ``backward_weights`` would each build
     from ``x`` (or ``None`` to have them build it); both then accept it
-    as the keyword ``packed=``, so the tensor layer packs once per step.
+    as the keyword ``packed=``, so the layer packs once per step.
 
-    ``backward`` is what the tape calls, once per convolution:
+    ``backward`` is what the layer's backward calls, once per convolution:
     ``backward(x, grad_out, w, stride, padding, *, with_bias,
     need_input_grad, need_weight_grad[, packed])`` returning ``(grad_x,
     grad_w, grad_b)`` with ``None`` for what was not asked.  A family

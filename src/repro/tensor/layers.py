@@ -1,20 +1,40 @@
-"""Layer objects: parameter-owning building blocks.
+"""Layer objects: parameter-owning building blocks that run as a chain.
 
-A :class:`Layer` owns :class:`~repro.tensor.tensor.Parameter` objects
-and implements ``forward``.  :class:`Sequential` chains layers — this
-is the unit the CosmoFlow topology builder assembles, playing the role
-of TensorFlow's graph construction.
+Each layer owns its arithmetic twice over — forward and backward — on
+plain ndarrays:
+
+* ``forward(x, keep=False)`` returns ``(output, ctx)``.  With ``keep``
+  the context holds what ``backward`` needs (the input, a packed GEMM
+  operand, a shape); without it the context is ``None`` and nothing is
+  held: prediction.
+* ``backward(ctx, g, need_input_grad=True)`` returns ``(grad_x,
+  *grad_weights)``, the weight gradients in :meth:`Layer.operands`
+  order, each a fresh array.  ``need_input_grad=False`` lets a layer
+  skip its input gradient (the chain's first layer; only a convolution
+  has work to skip).
+
+A layer keeps no per-call state: contexts live in the caller, so two
+threads may run one layer object at once.  :class:`Sequential` runs the
+chain — one loop forward, one back — the way the paper's static graph
+executes MKL-DNN primitives built once per shape (Section IV).
+
+Calling a layer on a :class:`~repro.tensor.tensor.Tensor` is the tape
+adapter: it records one node whose backward is the layer's own.  The
+functional ops in :mod:`repro.tensor.ops` run these layers, so no layer's
+arithmetic is written twice.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, List
 
 import numpy as np
 
-from repro.tensor import initializers, ops
-from repro.tensor.ops.activations import DEFAULT_LEAKY_ALPHA
-from repro.tensor.tensor import Parameter, Tensor
+from repro import primitives
+from repro.primitives.pool3d import avg_pool3d_backward, avg_pool3d_forward
+from repro.tensor import initializers
+from repro.tensor.tensor import Parameter, Tensor, _grad_enabled
 from repro.utils.rng import new_rng
 
 __all__ = [
@@ -28,22 +48,52 @@ __all__ = [
     "Sequential",
 ]
 
+#: TensorFlow's default leaky-ReLU slope (tf.nn.leaky_relu alpha), which
+#: the paper's r1.5 code path uses.
+DEFAULT_LEAKY_ALPHA = 0.2
+
 
 class Layer:
-    """Base class: a named, parameter-owning callable."""
+    """Base class: a named, parameter-owning step of the chain."""
 
     def __init__(self, name: str = ""):
         self.name = name or type(self).__name__.lower()
 
-    def forward(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
+    @classmethod
+    def over(cls, name: str, **attrs) -> "Layer":
+        """A layer of this kind whose attributes — weight tensors included —
+        are given, not built: what a functional op runs for one call."""
+        layer = cls.__new__(cls)
+        layer.name = name
+        vars(layer).update(attrs)
+        return layer
+
+    def forward(self, x: np.ndarray, keep: bool = False):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def backward(self, ctx, g: np.ndarray, need_input_grad: bool = True):  # pragma: no cover
+        raise NotImplementedError
+
+    def operands(self) -> tuple:
+        """The layer's weight tensors, in the order ``backward`` returns
+        their gradients."""
+        return ()
+
     def __call__(self, x) -> Tensor:
-        return self.forward(x if isinstance(x, Tensor) else Tensor(x))
+        """The tape adapter: one node, whose backward is this layer's."""
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        weights = self.operands()
+        taped = _grad_enabled() and (x.requires_grad or any(w.requires_grad for w in weights))
+        out, ctx = self.forward(x.data, taped)
+        if not taped:
+            return Tensor(out)
+        return Tensor._make(
+            out, (x,) + weights, lambda g: self.backward(ctx, g, x.requires_grad), self.name
+        )
 
     def parameters(self) -> List[Parameter]:
         """All trainable parameters owned (directly) by this layer."""
-        return [v for v in vars(self).values() if isinstance(v, Parameter)]
+        return [t for t in self.operands() if isinstance(t, Parameter)]
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -65,7 +115,15 @@ class Conv3D(Layer):
     """3D convolution layer with optional bias.
 
     Weights are ``(OC, IC, KD, KH, KW)``, He-initialized for leaky ReLU.
+    The kernels come from :mod:`repro.primitives.registry` on every call
+    (``impl`` names a family; ``None`` is the registry's default).  A kept
+    forward packs its input once and hands the packed operand to the
+    backward's weight-gradient GEMM; one without ``keep`` leaves packing
+    (sample by sample) to the kernel, as does a ``pack`` that returns
+    ``None`` (an operand too large to hold until the backward).
     """
+
+    impl = None
 
     def __init__(
         self,
@@ -100,8 +158,32 @@ class Conv3D(Layer):
             else None
         )
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.conv3d(x, self.weight, self.bias, self.stride, self.padding)
+    def operands(self) -> tuple:
+        return (self.weight,) if self.bias is None else (self.weight, self.bias)
+
+    def forward(self, x, keep=False):
+        # Through the package: the registry loads on the first convolution,
+        # not with every process that imports a layer.
+        kernels = primitives.get_impl(self.impl)
+        w = self.weight.data
+        shared = (
+            {"packed": kernels.pack(x, w.shape[2:], self.stride, self.padding)}
+            if keep and kernels.pack is not None
+            else {}
+        )
+        b = None if self.bias is None else self.bias.data
+        out = kernels.forward(x, w, b, self.stride, self.padding, **shared)
+        return out, ((kernels, x, shared) if keep else None)
+
+    def backward(self, ctx, g, need_input_grad=True):
+        kernels, x, shared = ctx
+        grads = kernels.backward(
+            x, np.ascontiguousarray(g), self.weight.data, self.stride, self.padding,
+            with_bias=self.bias is not None,
+            need_input_grad=need_input_grad,
+            **shared,
+        )
+        return grads if self.bias is not None else grads[:2]
 
     def output_shape(self, input_shape):
         from repro.primitives.conv3d import conv3d_output_shape
@@ -122,8 +204,12 @@ class AvgPool3D(Layer):
         self.kernel = kernel
         self.stride = stride
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.avg_pool3d(x, self.kernel, self.stride)
+    def forward(self, x, keep=False):
+        out = avg_pool3d_forward(x, self.kernel, self.stride)
+        return out, (x.shape[2:] if keep else None)
+
+    def backward(self, input_shape, g, need_input_grad=True):
+        return (avg_pool3d_backward(g, input_shape, self.kernel, self.stride),)
 
     def output_shape(self, input_shape):
         from repro.primitives.pool3d import pool3d_output_shape
@@ -161,8 +247,25 @@ class Dense(Layer):
             else None
         )
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.linear(x, self.weight, self.bias)
+    def operands(self) -> tuple:
+        return (self.weight,) if self.bias is None else (self.weight, self.bias)
+
+    def forward(self, x, keep=False):
+        out = x @ self.weight.data
+        if self.bias is not None:
+            out = out + self.bias.data
+        return out, (x if keep else None)
+
+    def backward(self, x, g, need_input_grad=True):
+        w = self.weight.data
+        # np.dot, not matmul: at batch 1 the weight gradient is an outer
+        # product, which np.dot hands to BLAS as one while matmul's K = 1
+        # GEMM is several times slower; the bytes are the same at every
+        # batch (a test pins it at the presets' shapes).
+        gw = np.dot(x.T, g)
+        if self.bias is None:
+            return g @ w.T, gw
+        return g @ w.T, gw, g.sum(axis=0)
 
     def output_shape(self, input_shape):
         if tuple(input_shape) != (self.in_features,):
@@ -173,24 +276,54 @@ class Dense(Layer):
 
 
 class Flatten(Layer):
-    """Flatten per-sample axes, keeping the batch axis."""
+    """Flatten the axes from ``start_axis`` on (default: keep the batch axis)."""
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.flatten(x, start_axis=1)
+    def __init__(self, name: str = "", start_axis: int = 1):
+        super().__init__(name)
+        self.start_axis = start_axis
+
+    def forward(self, x, keep=False):
+        lead = x.shape[: self.start_axis]
+        out = x.reshape(lead + (-(-x.size // max(1, math.prod(lead))),))
+        return out, (x.shape if keep else None)
+
+    def backward(self, input_shape, g, need_input_grad=True):
+        return (g.reshape(input_shape),)
 
     def output_shape(self, input_shape):
         return (int(np.prod(input_shape)),)
 
 
 class LeakyReLU(Layer):
-    """Leaky ReLU activation layer."""
+    """Leaky ReLU, ``x if x > 0 else alpha * x`` elementwise.
+
+    The paper implements it "by calling two Relu and ReluGrad operations"
+    in TensorFlow; here the forward is one ``np.maximum(x, alpha*x)`` and
+    the backward one masked multiply.
+    """
 
     def __init__(self, alpha: float = DEFAULT_LEAKY_ALPHA, name: str = ""):
         super().__init__(name)
         self.alpha = alpha
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.leaky_relu(x, self.alpha)
+    def forward(self, x, keep=False):
+        alpha = self.alpha
+        if 0.0 < alpha <= 1.0:
+            # Bitwise-equal to the masked multiply below (alpha*x is on the
+            # right side of x for either sign; +-0, inf and NaN included) at
+            # a fraction of np.where's cost.  alpha == 0 is excluded only
+            # because 0*inf is NaN where relu(inf) must stay inf.
+            out = np.asarray(x * alpha)  # asarray: a 0-d product is a scalar
+            np.maximum(x, out, out=out)
+            return out, (x if keep else None)
+        scale = np.where(x > 0, np.array(1.0, dtype=x.dtype), np.array(alpha, dtype=x.dtype))
+        return x * scale, (scale if keep else None)
+
+    def backward(self, ctx, g, need_input_grad=True):
+        alpha = self.alpha
+        if 0.0 < alpha <= 1.0:  # ctx is the input
+            return (g * np.maximum((ctx > 0).astype(ctx.dtype), alpha),)
+        return (g * ctx,)  # ctx is the forward's scale
 
     def output_shape(self, input_shape):
         return tuple(input_shape)
@@ -201,7 +334,8 @@ class BatchNorm(Layer):
     :mod:`repro.tensor.ops.batchnorm` for why CosmoFlow removes it).
 
     ``train()`` / ``eval()`` switch between batch and running
-    statistics, mirroring framework conventions.
+    statistics, mirroring framework conventions.  It runs on the tape
+    only (benchmark A5's ablation); CosmoFlow's chain has no batch norm.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1, name: str = ""):
@@ -228,7 +362,10 @@ class BatchNorm(Layer):
     def set_training(self, training: bool) -> None:
         self.training = training
 
-    def forward(self, x: Tensor) -> Tensor:
+    def operands(self) -> tuple:
+        return (self.gamma, self.beta)
+
+    def __call__(self, x) -> Tensor:
         from repro.tensor.ops.batchnorm import batch_norm
 
         return batch_norm(
@@ -258,7 +395,7 @@ class Sequential(Layer):
         if not self.layers:
             raise ValueError("Sequential requires at least one layer")
         # The chain is fixed at construction, so its parameter list is too:
-        # gathered once, not by walking every layer's attributes per call.
+        # gathered once, not per call.
         self._parameters = tuple(p for layer in self.layers for p in layer.parameters())
 
     def __iter__(self) -> Iterator[Layer]:
@@ -267,10 +404,33 @@ class Sequential(Layer):
     def __len__(self) -> int:
         return len(self.layers)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def __call__(self, x) -> Tensor:
+        """On the tape: one node per layer."""
         for layer in self.layers:
             x = layer(x)
         return x
+
+    def forward(self, x, keep=False):
+        """The chain's one forward loop; the context is the list of the
+        layers' contexts."""
+        if not keep:
+            for layer in self.layers:
+                x = layer.forward(x)[0]
+            return x, None
+        ctx = []
+        for layer in self.layers:
+            x, c = layer.forward(x, True)
+            ctx.append(c)
+        return x, ctx
+
+    def backward(self, ctx, g, need_input_grad=True):
+        """The chain's one backward loop: ``(grad_x, *grads)``, the weight
+        gradients in :meth:`parameters` order."""
+        grads = []
+        for i in range(len(self.layers) - 1, -1, -1):
+            g, *own = self.layers[i].backward(ctx[i], g, need_input_grad or i > 0)
+            grads[:0] = own
+        return (g, *grads)
 
     def parameters(self) -> List[Parameter]:
         return list(self._parameters)

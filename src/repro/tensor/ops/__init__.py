@@ -1,9 +1,11 @@
-"""Differentiable operations.
+"""Differentiable operations on the tape.
 
 Each op takes :class:`~repro.tensor.Tensor` (or array-like) inputs and
-returns a taped ``Tensor``.  The heavy numerical kernels live in
-:mod:`repro.primitives`; these modules only add the autograd plumbing,
-the same division of labor as TensorFlow-over-MKL-DNN in the paper.
+returns a taped ``Tensor``.  The network's ops (``conv3d``,
+``avg_pool3d``, ``leaky_relu``, ``linear``, ``flatten``) run the layers
+of :mod:`repro.tensor.layers` through their tape adapter, and
+``mse_loss`` computes what the model's chain does (``losses.mse``); the
+heavy numerical kernels live in :mod:`repro.primitives`.
 """
 
 from repro import _lazy

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.tensor.layers import Dense
 from repro.tensor.tensor import Tensor
 
 __all__ = ["matmul", "linear"]
@@ -22,7 +23,8 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, w, bias=None) -> Tensor:
-    """Affine map ``x @ w + bias`` for ``x (N, IN)``, ``w (IN, OUT)``.
+    """Affine map ``x @ w + bias`` for ``x (N, IN)``, ``w (IN, OUT)``:
+    :class:`~repro.tensor.layers.Dense` over given weight tensors.
 
     The FC layers of CosmoFlow (fc1–fc3).  With the paper's mini-batch
     of one, this is a single SGEMV per layer.
@@ -33,19 +35,7 @@ def linear(x, w, bias=None) -> Tensor:
         raise ValueError(f"linear expects 2D x and w, got {x.shape}, {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise ValueError(f"linear shape mismatch: x {x.shape} @ w {w.shape}")
-    out = x.data @ w.data
-    if bias is None:
-        def backward(g):
-            return g @ w.data.T, x.data.T @ g
-
-        return Tensor._make(out, (x, w), backward, "linear")
-
-    b = bias if isinstance(bias, Tensor) else Tensor(bias)
-    if b.shape != (w.shape[1],):
+    b = None if bias is None else (bias if isinstance(bias, Tensor) else Tensor(bias))
+    if b is not None and b.shape != (w.shape[1],):
         raise ValueError(f"bias shape {b.shape} != ({w.shape[1]},)")
-    out = out + b.data
-
-    def backward_b(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
-
-    return Tensor._make(out, (x, w, b), backward_b, "linear")
+    return Dense.over("linear", weight=w, bias=b)(x)

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from repro.tensor.layers import Flatten
 from repro.tensor.tensor import Tensor
 
 __all__ = ["reshape", "flatten", "transpose"]
@@ -23,10 +22,9 @@ def reshape(a, shape) -> Tensor:
 
 
 def flatten(a, start_axis: int = 1) -> Tensor:
-    """Flatten all axes from ``start_axis`` on (default keeps batch)."""
-    a = a if isinstance(a, Tensor) else Tensor(a)
-    lead = a.shape[:start_axis]
-    return reshape(a, lead + (-(-a.size // max(1, math.prod(lead))),))
+    """Flatten all axes from ``start_axis`` on (default keeps batch):
+    :class:`~repro.tensor.layers.Flatten`."""
+    return Flatten(start_axis=start_axis)(a)
 
 
 def transpose(a, axes=None) -> Tensor:

@@ -101,8 +101,7 @@ def beside_helper(helper_work, own_work):
     while the caller runs the first.  The helper is joined before anything
     is returned or raised, so no thread outlives the call; its exception is
     re-raised here (the caller's own takes precedence).  Thread-local state
-    — grad mode among it — is the caller's alone: ``helper_work`` sets up
-    what it needs."""
+    is the caller's alone: ``helper_work`` sets up what it needs."""
     done = {}
 
     def run():

@@ -105,13 +105,13 @@ def fail_on(monkeypatch, layer, sides, finished):
     helper would see it unfinished."""
     real = layer.forward
 
-    def forward(t):
+    def forward(x, keep=False):
         side = "helper" if threading.current_thread().name == cores.HELPER_THREAD_NAME else "caller"
         if side in sides:
             raise RuntimeError(f"failed on the {side}")
         time.sleep(0.05)
         finished.append(side)
-        return real(t)
+        return real(x, keep)
 
     monkeypatch.setattr(layer, "forward", forward)
 
@@ -123,7 +123,7 @@ def test_a_lane_failure_surfaces_after_the_join(monkeypatch, split_at, sides, ra
     model = CosmoFlowModel(tiny_16(), seed=0)
     x, _ = batch(model, 4)
     finished = []
-    fail_on(monkeypatch, model._prefix[0], sides, finished)
+    fail_on(monkeypatch, model._prefix.layers[0], sides, finished)
     split_at(ALWAYS)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"failed on the {raised}"):
@@ -135,26 +135,28 @@ def test_a_lane_failure_surfaces_after_the_join(monkeypatch, split_at, sides, ra
 
 
 def test_the_helper_builds_no_tape(monkeypatch, split_at):
-    """Grad mode is per thread: the helper turns it off itself, so nothing
-    it runs records a tape (or keeps a packed operand for a backward)."""
+    """Both lanes run the chain's forward without ``keep``: no layer on
+    either thread keeps a context (or a packed operand) for a backward, and
+    no grad mode is consulted or changed."""
     model = CosmoFlowModel(tiny_16(), seed=0)
     x, _ = batch(model, 8)
     seen = []
     for layer in model._prefix:
         real = layer.forward
 
-        def forward(t, real=real):
-            out = real(t)
-            seen.append((threading.current_thread().name, _grad_enabled(), out.requires_grad))
+        def forward(x, keep=False, real=real):
+            out, ctx = real(x, keep)
+            seen.append((threading.current_thread().name, keep, ctx is not None))
             time.sleep(0.001)  # lets the other lane run: tiny_16 samples are too quick to share
-            return out
+            return out, ctx
 
         monkeypatch.setattr(layer, "forward", forward)
     split_at(ALWAYS)
     assert _grad_enabled()
     model.predict(x)
+    assert _grad_enabled()
     assert {name for name, _, _ in seen} == {"MainThread", cores.HELPER_THREAD_NAME}
-    assert not any(grad or taped for _, grad, taped in seen)
+    assert not any(keep or kept for _, keep, kept in seen)
 
 
 @pytest.mark.parametrize(

@@ -57,3 +57,25 @@ def check_grads(build, arrays: dict[str, np.ndarray], rtol=1e-4, atol=1e-5, eps=
         np.testing.assert_allclose(
             got, want, rtol=rtol, atol=atol, err_msg=f"gradient mismatch for {name}"
         )
+
+
+def check_layer_grads(layer, x: np.ndarray, rtol=1e-4, atol=1e-5, eps=1e-4, seed=0):
+    """Check a layer's ``backward`` against finite differences of its
+    ``forward``, on plain arrays (no tape).
+
+    The scalar is ``sum(forward(x) * r)`` for a fixed random ``r``, so
+    ``backward(ctx, r)`` is its gradient: for ``x`` first, then for each
+    of the layer's ``parameters()`` in order (their ``.data`` is perturbed
+    in place, so use float64 parameters).
+    """
+    out, ctx = layer.forward(x, keep=True)
+    r = np.random.default_rng(seed).standard_normal(out.shape)
+    grads = layer.backward(ctx, r)
+    arrays = [("input", x)] + [(p.name or f"param{i}", p.data) for i, p in enumerate(layer.parameters())]
+    assert len(grads) == len(arrays), f"{len(grads)} gradients for {len(arrays)} arrays"
+    for (name, array), got in zip(arrays, grads):
+        want = numerical_grad(lambda: (layer.forward(x)[0] * r).sum(), array, eps)
+        assert got.shape == array.shape, f"gradient shape for {name}"
+        np.testing.assert_allclose(
+            got, want, rtol=rtol, atol=atol, err_msg=f"gradient mismatch for {name}"
+        )

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.io import filesystem
 from repro.io.dataset import RecordDataset, write_dataset
 from repro.io.filesystem import FilesystemSpec, cori_lustre, make_read_hook
 from repro.io.pipeline import PrefetchPipeline
@@ -18,18 +19,26 @@ def fast_spec(mbps=100.0):
 
 
 class TestMakeReadHook:
-    def test_sleeps_for_modeled_time(self):
-        hook = make_read_hook(fast_spec(mbps=1.0), n_nodes=1)  # 1 MB/s
-        t0 = time.perf_counter()
-        hook("x", 30_000)  # 30 KB at 1 MB/s = 30 ms
-        elapsed = time.perf_counter() - t0
-        assert 0.02 < elapsed < 0.2
+    def test_sleeps_for_modeled_time(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(filesystem._time, "sleep", slept.append)
+        spec = fast_spec(mbps=1.0)  # 1 MB/s
+        hook = make_read_hook(spec, n_nodes=1)
+        hook("x", 30_000)  # 30 KB at 1 MB/s = 30 ms, times a straggler draw
+        # The hook's own stream, replayed: the first draw of the spec's seed.
+        assert slept == [spec.read_time_s(30_000, 1, rng=spec.default_rng())]
+        assert 0.02 < slept[0] < 0.2
 
-    def test_time_scale(self):
+    def test_time_scale(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(filesystem._time, "sleep", slept.append)
         hook = make_read_hook(fast_spec(mbps=1.0), n_nodes=1, time_scale=0.0)
-        t0 = time.perf_counter()
         hook("x", 10_000_000)
-        assert time.perf_counter() - t0 < 0.01
+        assert slept == []
+        half = make_read_hook(fast_spec(mbps=1.0), n_nodes=1, time_scale=0.5)
+        half("x", 10_000)
+        spec = fast_spec(mbps=1.0)
+        assert slept == [spec.read_time_s(10_000, 1, rng=spec.default_rng()) * 0.5]
 
     def test_contention_slows_reads(self):
         spec = cori_lustre()

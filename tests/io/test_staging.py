@@ -439,14 +439,18 @@ class TestDeterminism:
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)
 
-    def test_virtual_clock_never_sleeps_by_default(self, tmp_path, record_files):
-        import time
+    def test_virtual_clock_never_sleeps_by_default(self, tmp_path, record_files, monkeypatch):
+        from repro.io import staging
 
+        slept = []
+        monkeypatch.setattr(staging._time, "sleep", slept.append)
         mgr = make_manager(tmp_path)
-        t0 = time.perf_counter()
         mgr._advance(100.0)
-        assert time.perf_counter() - t0 < 0.5
+        assert slept == []
         assert mgr.clock_s == 100.0
+        scaled = StagingManager(tmp_path / "bb-scaled", seed=7, time_scale=0.001)
+        scaled._advance(100.0)
+        assert slept == [100.0 * 0.001]
 
 
 class TestPipelineIntegration:

@@ -11,7 +11,6 @@ The ISSUE acceptance criteria pinned here:
   and numerics are bit-identical to traced runs.
 """
 
-import time
 from collections import Counter
 
 import numpy as np
@@ -127,18 +126,22 @@ class TestDisabledTracing:
         assert traced.val_loss == ref.val_loss
 
     def test_disabled_call_site_overhead_is_negligible(self):
-        # The call-site pattern is `if tracer.enabled:` plus, for
-        # spans, a pre-dispatched no-op context manager; bound the
-        # per-call cost rather than racing wall clocks.
+        # The call-site pattern is `if tracer.enabled:` plus, for spans, a
+        # pre-dispatched no-op context manager.  What keeps that cheap is
+        # structure, checked here without a clock: the flag is a plain
+        # False, and every span is one shared object that records nothing.
+        # (The per-call cost is the bench's `obs.null_tracer.span_ns`.)
         from repro.obs.tracer import NULL_TRACER
 
-        n = 100_000
-        t0 = time.perf_counter()
-        for _ in range(n):
-            if NULL_TRACER.enabled:
-                pass  # pragma: no cover
-        per_call = (time.perf_counter() - t0) / n
-        assert per_call < 5e-6  # far below any step time
+        assert NULL_TRACER.enabled is False
+        first = NULL_TRACER.span("a", cat="x", track=1, k=2)
+        assert NULL_TRACER.span("b") is first
+        assert type(first).__slots__ == ()
+        with first as entered:
+            assert entered is first
+        NULL_TRACER.instant("c")
+        NULL_TRACER.complete("d", 0.0, 1.0)
+        assert NULL_TRACER.events == []
 
 
 class TestTracingOverhead:
