@@ -29,11 +29,11 @@ from repro.utils.timer import StageTimer
 
 
 @pytest.fixture()
-def timed_registry():
-    """Wrap the default kernels with timers, like VTune attributing time
-    to the MKL-DNN hotspots."""
+def timed_registry(monkeypatch):
+    """Wrap the kernels with timers, like VTune attributing time to the
+    MKL-DNN hotspots."""
     timer = StageTimer()
-    base = registry.get_impl("gemm")
+    base = registry.GEMM
 
     def wrap(fn, stage):
         def inner(*args, **kwargs):
@@ -42,16 +42,15 @@ def timed_registry():
 
         return inner
 
-    registry._IMPLS["timed"] = ConvImpl(
+    monkeypatch.setattr(registry, "GEMM", ConvImpl(
         name="timed",
         forward=wrap(base.forward, "conv3d"),
         backward_data=wrap(base.backward_data, "conv3d"),
         backward_weights=wrap(base.backward_weights, "conv3d"),
-    )
-    registry.set_default_impl("timed")
-    yield timer
-    registry.set_default_impl("gemm")
-    del registry._IMPLS["timed"]
+        pack=wrap(base.pack, "conv3d"),
+        backward=wrap(base.backward, "conv3d"),
+    ))
+    return timer
 
 
 def test_single_node_profile(timed_registry, benchmark):

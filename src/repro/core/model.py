@@ -17,9 +17,8 @@ import numpy as np
 from repro.core.parameters import ParameterSpace
 from repro.core.topology import CosmoFlowConfig, build_network, default_parameter_space
 from repro.core import flops as flops_mod
-from repro.tensor import ops
 from repro.tensor.layers import Dense, Sequential
-from repro.tensor.ops.losses import mse, mse_grad
+from repro.tensor.ops import mse, mse_grad, mse_loss
 from repro.tensor.tensor import Tensor
 from repro.utils.cores import beside_helper, helper_pays
 
@@ -113,9 +112,9 @@ class CosmoFlowModel:
             x = x[None, None]
         elif x.ndim == 4:
             x = x[:, None]
-        if x.ndim != 5 or x.shape[1] != c or x.shape[2:] != (s, s, s):
+        if x.ndim != 5 or x.shape[1] != c or x.shape[2:] != (s, s, s) or not len(x):
             raise ValueError(
-                f"expected input (N, {c}, {s}, {s}, {s}) "
+                f"expected input (N, {c}, {s}, {s}, {s}) with N >= 1 "
                 f"(or unbatched/channel-less variants), got {x.shape}"
             )
         return x
@@ -174,7 +173,7 @@ class CosmoFlowModel:
     def loss(self, x, y_normalized) -> Tensor:
         """MSE loss tensor (on the tape) against normalized targets
         ``(N, n_outputs)``."""
-        return ops.mse_loss(self.forward(x), Tensor(self._check_target(y_normalized)))
+        return mse_loss(self.forward(x), Tensor(self._check_target(y_normalized)))
 
     def loss_and_gradients(
         self, x, y_normalized

@@ -6,8 +6,7 @@ pooling, built around a 16-channel blocked memory layout, SIMD
 vectorization over the channel block, and loop-level threading
 (Algorithm 1).
 
-This subpackage provides one exact kernel family and its approximate
-low-precision forwards:
+This subpackage provides one exact kernel family:
 
 * :mod:`repro.primitives.conv3d` — the production kernels.  Each pass
   is one BLAS GEMM over an operand that unrolls the kernel's
@@ -17,11 +16,9 @@ low-precision forwards:
   16-channel-blocked direct loop nest) is kept as an executable
   specification under ``tests/primitives/algorithm1_reference.py``
   that these kernels are checked against.
-* :mod:`repro.primitives.quantized` — int8/int4 packed-weight forwards
-  with per-group scales.
 
-Kernel lookup goes through :mod:`repro.primitives.registry`, a name ->
-``ConvImpl`` table with optional metrics accounting.
+The layers reach it through :func:`repro.primitives.registry.get_impl`,
+which adds optional metrics accounting.
 
 Average pooling (:mod:`repro.primitives.pool3d`) is implemented as the
 constant-weight special case of convolution, exactly as the paper
@@ -34,10 +31,5 @@ __all__, __getattr__, __dir__ = _lazy(__name__, {
     "conv3d": ("conv3d_forward", "conv3d_backward_data", "conv3d_backward_weights",
                "conv3d_output_shape"),
     "pool3d": ("avg_pool3d_forward", "avg_pool3d_backward", "pool3d_output_shape"),
-    "registry": ("ConvImpl", "get_impl", "register_impl", "set_default_impl",
-                 "get_default_impl", "available_impls"),
-    "quantized": ("QuantizedWeights", "quantize_groupwise", "dequantize_groupwise",
-                  "pack_int4", "unpack_int4", "quantized_matmul", "conv3d_forward_int8",
-                  "conv3d_forward_int4", "QuantCache", "default_quant_cache",
-                  "clear_quant_cache", "DEFAULT_GROUP_SIZE"),
+    "registry": ("ConvImpl", "get_impl"),
 })

@@ -200,15 +200,12 @@ class _Plan(NamedTuple):
         return (ic, kd, kh, len(self.pack_taps), n, od, oh, self.row)
 
 
-def _plan(ic: int, kernel: Shape3, stride: Shape3, out_shape: Shape3, im2col=None) -> _Plan:
-    """The plan of one shape; ``im2col`` puts the W-taps on the packing
-    side whatever the reduction length (the quantized kernels' rows)."""
+def _plan(ic: int, kernel: Shape3, stride: Shape3, out_shape: Shape3) -> _Plan:
+    """The plan of one shape."""
     kd, kh, kw = kernel
     sw, ow = stride[2], out_shape[2]
     shifts = tuple(slice(zw, zw + sw * (ow - 1) + 1, sw) for zw in range(kw))
-    if im2col is None:
-        im2col = ic * kd * kh * kw <= _IM2COL_MAX_REDUCTION
-    if im2col:
+    if ic * kd * kh * kw <= _IM2COL_MAX_REDUCTION:
         return _Plan(kernel, stride, out_shape, shifts, (slice(None),), ow)
     row = sw * (ow - 1) + kw
     return _Plan(kernel, stride, out_shape, (slice(0, row),), shifts, row)
@@ -245,11 +242,11 @@ def _window_steps(plan: _Plan) -> Shape3:
 
 
 @_shape_cached
-def _geometry(n: int, ic: int, input_shape, kernel, stride, padding, im2col=None) -> _Geometry:
+def _geometry(n: int, ic: int, input_shape, kernel, stride, padding) -> _Geometry:
     kernel, stride, padding = _triple(kernel), _triple(stride), _triple(padding)
     input_shape = tuple(int(s) for s in input_shape)
     out_shape = conv3d_output_shape(input_shape, kernel, stride, padding)
-    plan = _plan(ic, kernel, stride, out_shape, im2col)
+    plan = _plan(ic, kernel, stride, out_shape)
     reduction = ic * kernel[0] * kernel[1] * len(plan.pack_taps)
     padded = tuple(s + 2 * p for s, p in zip(input_shape, padding))
     # _windows addresses the padded input through raw strides: the furthest

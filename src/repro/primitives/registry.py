@@ -1,16 +1,9 @@
-"""Implementation registry for the convolution primitives.
+"""The convolution kernels the layers call, with optional metrics accounting.
 
-The framework layer (:class:`repro.tensor.layers.Conv3D`) calls through this
-registry, mirroring how TensorFlow dispatches to MKL-DNN when built
-with ``--config=mkl``.  It is a name -> :class:`ConvImpl` table:
-
-* ``"gemm"`` — the one exact kernel family
-  (:mod:`repro.primitives.conv3d`), and the default.
-* ``"int8"`` / ``"int4"`` — approximate quantized forwards, defined by
-  :mod:`repro.primitives.quantized` and registered on their first lookup
-  by name, which is the only way to reach them.
-
-:func:`register_impl` adds more (tests and benchmarks register doubles).
+The framework layer (:class:`repro.tensor.layers.Conv3D`) calls through
+:func:`get_impl`, mirroring how TensorFlow dispatches to MKL-DNN when built
+with ``--config=mkl``.  There is one kernel family, :data:`GEMM`
+(:mod:`repro.primitives.conv3d`).
 
 Optional accounting: :func:`set_metrics` attaches a
 :class:`~repro.obs.metrics.MetricsRegistry`, after which every kernel
@@ -22,98 +15,66 @@ the raw kernels, so the accounting costs nothing when off.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.primitives import conv3d as _gemm
 
-__all__ = [
-    "ConvImpl",
-    "get_impl",
-    "register_impl",
-    "set_default_impl",
-    "get_default_impl",
-    "available_impls",
-    "set_metrics",
-    "get_metrics",
-    "count_fallback",
-]
-
-
-def _compose_backward(backward_data: Callable, backward_weights: Callable) -> Callable:
-    """The combined ``ConvImpl.backward`` of a family that only has the
-    two per-pass kernels: one call of each, as the tape used to make."""
-
-    def backward(
-        x, grad_out, w, stride=1, padding=0, *,
-        with_bias=False, need_input_grad=True, need_weight_grad=True, **shared,
-    ):
-        gx = gw = gb = None
-        if need_input_grad:
-            gx = backward_data(grad_out, w, x.shape[2:], stride, padding)
-        if need_weight_grad:
-            gw = backward_weights(
-                x, grad_out, w.shape[2:], stride, padding, with_bias=with_bias, **shared
-            )
-            if with_bias:
-                gw, gb = gw
-        return gx, gw, gb
-
-    return backward
+__all__ = ["ConvImpl", "GEMM", "get_impl", "set_metrics", "get_metrics"]
 
 
 @dataclass(frozen=True)
 class ConvImpl:
     """A family of convolution kernels sharing one calling convention.
 
-    ``pack``, when set, is ``pack(x, kernel, stride, padding)`` returning
-    the operand ``forward`` and ``backward_weights`` would each build
-    from ``x`` (or ``None`` to have them build it); both then accept it
-    as the keyword ``packed=``, so the layer packs once per step.
+    ``pack(x, kernel, stride, padding)`` returns the operand ``forward``
+    and ``backward_weights`` would each build from ``x`` (or ``None`` to
+    have them build it); both accept it as the keyword ``packed=``, so the
+    layer packs once per step.
 
     ``backward`` is what the layer's backward calls, once per convolution:
     ``backward(x, grad_out, w, stride, padding, *, with_bias,
-    need_input_grad, need_weight_grad[, packed])`` returning ``(grad_x,
-    grad_w, grad_b)`` with ``None`` for what was not asked.  A family
-    that leaves it out gets the two per-pass kernels composed.
+    need_input_grad, need_weight_grad, packed)`` returning ``(grad_x,
+    grad_w, grad_b)`` with ``None`` for what was not asked.
     """
 
     name: str
     forward: Callable
     backward_data: Callable
     backward_weights: Callable
-    pack: Optional[Callable] = None
-    backward: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.backward is None:
-            object.__setattr__(
-                self, "backward", _compose_backward(self.backward_data, self.backward_weights)
-            )
+    pack: Callable
+    backward: Callable
 
 
-_default = "gemm"
+#: The one kernel family.
+GEMM = ConvImpl(
+    name="gemm",
+    forward=_gemm.conv3d_forward,
+    backward_data=_gemm.conv3d_backward_data,
+    backward_weights=_gemm.conv3d_backward_weights,
+    pack=_gemm.conv3d_pack,
+    backward=_gemm.conv3d_backward,
+)
 
 #: When set (via :func:`set_metrics`), kernel calls are counted here.
 _metrics = None
 
-#: Instrumented wrappers, built lazily per registered implementation.
-#: Invalidated whenever the metrics registry or an impl is swapped.
-_instrumented: Dict[str, ConvImpl] = {}
+#: ``(family, its instrumented wrapper)``, built on the first lookup with
+#: metrics attached; rebuilt when either is swapped.
+_instrumented: Optional[Tuple[ConvImpl, ConvImpl]] = None
 
 
 def set_metrics(registry) -> None:
     """Attach a metrics registry for per-call FLOP/byte accounting.
 
     Pass ``None`` to detach; subsequent :func:`get_impl` calls return
-    the raw, uncounted kernels again.  Always invalidates the cached
-    instrumented wrappers so counters never land on a previously
+    the raw, uncounted kernels again.  Always drops the cached
+    instrumented wrapper so counters never land on a previously
     attached registry.
     """
-    global _metrics
+    global _metrics, _instrumented
     _metrics = registry
-    _instrumented.clear()
+    _instrumented = None
 
 
 def get_metrics():
@@ -144,60 +105,6 @@ def record_conv_call(
     m.counter(f"primitives.conv3d.{op}.calls").add(1)
     m.counter(f"primitives.conv3d.{op}.flops").add(_conv_flops(n, oc, ic, out_spatial, kernel))
     m.counter(f"primitives.conv3d.{op}.bytes").add(nbytes)
-
-
-def count_fallback(impl_name: str, op: str) -> None:
-    """Count a silent impl substitution (e.g. int8 backward -> gemm)."""
-    m = _metrics
-    if m is None:
-        return
-    m.counter("primitives.conv3d.fallbacks").add(1)
-    m.counter(f"primitives.conv3d.{impl_name}.{op}.fallbacks").add(1)
-
-
-_IMPLS: Dict[str, ConvImpl] = {
-    "gemm": ConvImpl(
-        name="gemm",
-        forward=_gemm.conv3d_forward,
-        backward_data=_gemm.conv3d_backward_data,
-        backward_weights=_gemm.conv3d_backward_weights,
-        pack=_gemm.conv3d_pack,
-        backward=_gemm.conv3d_backward,
-    ),
-}
-
-
-#: Families registered on their first lookup, by the module defining them.
-_QUANTIZED = ("int4", "int8")
-
-
-def _lookup(key: str) -> ConvImpl:
-    """The family registered as ``key``, registering it if it is one of
-    :data:`_QUANTIZED`; a ``KeyError`` naming the choices for any other."""
-    impl = _IMPLS.get(key)
-    if impl is None and key in _QUANTIZED:
-        importlib.import_module("repro.primitives.quantized").register_quantized_impls()
-        impl = _IMPLS[key]
-    if impl is None:
-        raise KeyError(
-            f"unknown conv3d implementation {key!r}; available: {available_impls()}"
-        )
-    return impl
-
-
-def register_impl(impl: ConvImpl, default: bool = False) -> ConvImpl:
-    """Register (or replace) a convolution implementation.
-
-    The instrumented-wrapper cache is invalidated so a re-registered
-    impl cannot be shadowed by a stale wrapper around its predecessor.
-    """
-    if not isinstance(impl, ConvImpl):
-        raise TypeError(f"expected ConvImpl, got {type(impl).__name__}")
-    _IMPLS[impl.name] = impl
-    _instrumented.clear()
-    if default:
-        set_default_impl(impl.name)
-    return impl
 
 
 def _instrument(impl: ConvImpl) -> ConvImpl:
@@ -249,34 +156,12 @@ def _instrument(impl: ConvImpl) -> ConvImpl:
     )
 
 
-def available_impls() -> list[str]:
-    """Names of the registered convolution implementations."""
-    return sorted(_IMPLS.keys() | set(_QUANTIZED))
-
-
-def get_impl(name: str | None = None) -> ConvImpl:
-    """Look up an implementation by name (``None`` -> current default).
-
-    With a metrics registry attached the returned kernels also count
-    calls/FLOPs/bytes; otherwise they are the raw implementations.
-    """
-    key = _default if name is None else name
-    impl = _lookup(key)
+def get_impl() -> ConvImpl:
+    """The convolution kernels: :data:`GEMM`, counting calls/FLOPs/bytes
+    while a metrics registry is attached."""
     if _metrics is None:
-        return impl
-    wrapped = _instrumented.get(key)
-    if wrapped is None:
-        wrapped = _instrumented[key] = _instrument(impl)
-    return wrapped
-
-
-def set_default_impl(name: str) -> None:
-    """Set the implementation used when callers do not name one."""
-    global _default
-    _lookup(name)
-    _default = name
-
-
-def get_default_impl() -> str:
-    """Name of the implementation used when callers do not name one."""
-    return _default
+        return GEMM
+    global _instrumented
+    if _instrumented is None or _instrumented[0] is not GEMM:
+        _instrumented = (GEMM, _instrument(GEMM))
+    return _instrumented[1]

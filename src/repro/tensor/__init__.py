@@ -14,9 +14,8 @@ actually needs, implemented from scratch:
 * :class:`repro.tensor.Tensor` — an ndarray wrapper with reverse-mode
   automatic differentiation over a dynamically recorded tape; calling a
   layer on one records a node whose backward is the layer's own.
-* :mod:`repro.tensor.ops` — differentiable operations on the tape: the
-  layers' ops (3D convolution, average pooling, dense, leaky ReLU,
-  flatten) and elementwise ops, reductions, reshapes and losses.
+* :mod:`repro.tensor.ops` — the mean-squared-error loss, on plain arrays
+  (what the chain computes) and as one node of the tape.
 * :mod:`repro.tensor.initializers` — weight initializers.
 
 Everything is float32 by default, matching the paper ("both the input
@@ -29,7 +28,6 @@ from repro import _lazy
 __all__, __getattr__, __dir__ = _lazy(__name__, {
     "tensor": ("Tensor", "Parameter", "no_grad"),
     "ops": None,
-    "layers": ("Layer", "Conv3D", "AvgPool3D", "Dense", "Flatten", "LeakyReLU", "BatchNorm",
-               "Sequential"),
+    "layers": ("Layer", "Conv3D", "AvgPool3D", "Dense", "Flatten", "LeakyReLU", "Sequential"),
     "initializers": None,
 })

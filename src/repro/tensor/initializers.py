@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.utils.rng import new_rng
 
-__all__ = ["he_normal", "glorot_uniform", "zeros", "conv3d_fan_in", "dense_fan_in"]
+__all__ = ["he_normal", "zeros", "conv3d_fan_in", "dense_fan_in"]
 
 
 def conv3d_fan_in(shape: tuple[int, ...]) -> int:
@@ -43,16 +43,6 @@ def he_normal(shape, rng=None, leaky_alpha: float = 0.0, dtype=np.float32) -> np
     fan = _fan_in(tuple(shape))
     std = np.sqrt(2.0 / ((1.0 + leaky_alpha**2) * fan))
     return (rng.standard_normal(shape) * std).astype(dtype)
-
-
-def glorot_uniform(shape, rng=None, dtype=np.float32) -> np.ndarray:
-    """Glorot/Xavier uniform init over ``[-limit, limit]``."""
-    rng = new_rng(rng)
-    shape = tuple(shape)
-    fan_in = _fan_in(shape)
-    fan_out = shape[0] * int(np.prod(shape[2:])) if len(shape) == 5 else shape[1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
 def zeros(shape, dtype=np.float32) -> np.ndarray:

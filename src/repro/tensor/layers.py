@@ -19,9 +19,8 @@ chain — one loop forward, one back — the way the paper's static graph
 executes MKL-DNN primitives built once per shape (Section IV).
 
 Calling a layer on a :class:`~repro.tensor.tensor.Tensor` is the tape
-adapter: it records one node whose backward is the layer's own.  The
-functional ops in :mod:`repro.tensor.ops` run these layers, so no layer's
-arithmetic is written twice.
+adapter: it records one node whose backward is the layer's own, so no
+layer's arithmetic is written twice.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "Dense",
     "Flatten",
     "LeakyReLU",
-    "BatchNorm",
     "Sequential",
 ]
 
@@ -58,15 +56,6 @@ class Layer:
 
     def __init__(self, name: str = ""):
         self.name = name or type(self).__name__.lower()
-
-    @classmethod
-    def over(cls, name: str, **attrs) -> "Layer":
-        """A layer of this kind whose attributes — weight tensors included —
-        are given, not built: what a functional op runs for one call."""
-        layer = cls.__new__(cls)
-        layer.name = name
-        vars(layer).update(attrs)
-        return layer
 
     def forward(self, x: np.ndarray, keep: bool = False):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -98,10 +87,6 @@ class Layer:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def set_training(self, training: bool) -> None:
-        """Switch train/inference behaviour (no-op for stateless layers;
-        :class:`BatchNorm` and containers override)."""
-
     def output_shape(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         """Per-sample output shape given a per-sample input shape
         (no batch axis)."""
@@ -115,15 +100,14 @@ class Conv3D(Layer):
     """3D convolution layer with optional bias.
 
     Weights are ``(OC, IC, KD, KH, KW)``, He-initialized for leaky ReLU.
-    The kernels come from :mod:`repro.primitives.registry` on every call
-    (``impl`` names a family; ``None`` is the registry's default).  A kept
-    forward packs its input once and hands the packed operand to the
-    backward's weight-gradient GEMM; one without ``keep`` leaves packing
-    (sample by sample) to the kernel, as does a ``pack`` that returns
-    ``None`` (an operand too large to hold until the backward).
+    The kernels come from :func:`repro.primitives.registry.get_impl` on
+    every call (the metrics-counting wrapper while ``set_metrics`` is
+    attached).  A kept forward packs its input once and hands the packed
+    operand to the backward's weight-gradient GEMM; one without ``keep``
+    leaves packing (sample by sample) to the kernel, as does a ``pack``
+    that returns ``None`` (an operand too large to hold until the
+    backward).
     """
-
-    impl = None
 
     def __init__(
         self,
@@ -164,24 +148,20 @@ class Conv3D(Layer):
     def forward(self, x, keep=False):
         # Through the package: the registry loads on the first convolution,
         # not with every process that imports a layer.
-        kernels = primitives.get_impl(self.impl)
+        kernels = primitives.get_impl()
         w = self.weight.data
-        shared = (
-            {"packed": kernels.pack(x, w.shape[2:], self.stride, self.padding)}
-            if keep and kernels.pack is not None
-            else {}
-        )
+        packed = kernels.pack(x, w.shape[2:], self.stride, self.padding) if keep else None
         b = None if self.bias is None else self.bias.data
-        out = kernels.forward(x, w, b, self.stride, self.padding, **shared)
-        return out, ((kernels, x, shared) if keep else None)
+        out = kernels.forward(x, w, b, self.stride, self.padding, packed=packed)
+        return out, ((kernels, x, packed) if keep else None)
 
     def backward(self, ctx, g, need_input_grad=True):
-        kernels, x, shared = ctx
+        kernels, x, packed = ctx
         grads = kernels.backward(
             x, np.ascontiguousarray(g), self.weight.data, self.stride, self.padding,
             with_bias=self.bias is not None,
             need_input_grad=need_input_grad,
-            **shared,
+            packed=packed,
         )
         return grads if self.bias is not None else grads[:2]
 
@@ -276,22 +256,16 @@ class Dense(Layer):
 
 
 class Flatten(Layer):
-    """Flatten the axes from ``start_axis`` on (default: keep the batch axis)."""
-
-    def __init__(self, name: str = "", start_axis: int = 1):
-        super().__init__(name)
-        self.start_axis = start_axis
+    """Flatten every axis but the batch axis."""
 
     def forward(self, x, keep=False):
-        lead = x.shape[: self.start_axis]
-        out = x.reshape(lead + (-(-x.size // max(1, math.prod(lead))),))
-        return out, (x.shape if keep else None)
+        return x.reshape(len(x), -1), (x.shape if keep else None)
 
     def backward(self, input_shape, g, need_input_grad=True):
         return (g.reshape(input_shape),)
 
     def output_shape(self, input_shape):
-        return (int(np.prod(input_shape)),)
+        return (math.prod(input_shape),)
 
 
 class LeakyReLU(Layer):
@@ -326,63 +300,6 @@ class LeakyReLU(Layer):
         return (g * ctx,)  # ctx is the forward's scale
 
     def output_shape(self, input_shape):
-        return tuple(input_shape)
-
-
-class BatchNorm(Layer):
-    """Per-channel batch normalization (see
-    :mod:`repro.tensor.ops.batchnorm` for why CosmoFlow removes it).
-
-    ``train()`` / ``eval()`` switch between batch and running
-    statistics, mirroring framework conventions.  It runs on the tape
-    only (benchmark A5's ablation); CosmoFlow's chain has no batch norm.
-    """
-
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1, name: str = ""):
-        super().__init__(name)
-        if channels < 1:
-            raise ValueError("channels must be >= 1")
-        self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = Parameter(np.ones(channels, dtype=np.float32), name=f"{self.name}/gamma")
-        self.beta = Parameter(np.zeros(channels, dtype=np.float32), name=f"{self.name}/beta")
-        self.running_mean = np.zeros(channels, dtype=np.float64)
-        self.running_var = np.ones(channels, dtype=np.float64)
-        self.training = True
-
-    def train(self) -> "BatchNorm":
-        self.training = True
-        return self
-
-    def eval(self) -> "BatchNorm":
-        self.training = False
-        return self
-
-    def set_training(self, training: bool) -> None:
-        self.training = training
-
-    def operands(self) -> tuple:
-        return (self.gamma, self.beta)
-
-    def __call__(self, x) -> Tensor:
-        from repro.tensor.ops.batchnorm import batch_norm
-
-        return batch_norm(
-            x,
-            self.gamma,
-            self.beta,
-            eps=self.eps,
-            running_stats=(self.running_mean, self.running_var),
-            training=self.training,
-            momentum=self.momentum,
-        )
-
-    def output_shape(self, input_shape):
-        if input_shape[0] != self.channels:
-            raise ValueError(
-                f"{self.name}: expected {self.channels} channels, got {input_shape[0]}"
-            )
         return tuple(input_shape)
 
 
@@ -434,18 +351,6 @@ class Sequential(Layer):
 
     def parameters(self) -> List[Parameter]:
         return list(self._parameters)
-
-    def set_training(self, training: bool) -> None:
-        for layer in self.layers:
-            layer.set_training(training)
-
-    def train(self) -> "Sequential":
-        self.set_training(True)
-        return self
-
-    def eval(self) -> "Sequential":
-        self.set_training(False)
-        return self
 
     def output_shape(self, input_shape):
         shape = tuple(input_shape)

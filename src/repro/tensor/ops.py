@@ -1,8 +1,10 @@
-"""Loss functions.
+"""The loss, on plain arrays and on the tape.
 
 CosmoFlow is a regression network; training minimizes the mean squared
 error between the predicted and true (normalized) cosmological
-parameters (ΩM, σ8, ns).
+parameters (ΩM, σ8, ns).  :func:`mse` and :func:`mse_grad` are what the
+model's chain computes; :func:`mse_loss` records the same arithmetic as
+one node of the :class:`~repro.tensor.tensor.Tensor` tape.
 """
 
 from __future__ import annotations
@@ -11,19 +13,12 @@ import numpy as np
 
 from repro.tensor.tensor import Tensor
 
-__all__ = ["mse_loss", "mae_loss"]
+__all__ = ["mse", "mse_grad", "mse_loss"]
 
 
 def _check_shapes(pred, target) -> None:
     if pred.shape != target.shape:
         raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
-
-
-def _pair(pred, target):
-    pred = pred if isinstance(pred, Tensor) else Tensor(pred)
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    _check_shapes(pred, target)
-    return pred, target
 
 
 def mse(pred: np.ndarray, target: np.ndarray):
@@ -43,7 +38,8 @@ def mse_grad(diff: np.ndarray, g) -> np.ndarray:
 
 def mse_loss(pred, target) -> Tensor:
     """Mean squared error over all elements (scalar tensor)."""
-    pred, target = _pair(pred, target)
+    pred = pred if isinstance(pred, Tensor) else Tensor(pred)
+    target = target if isinstance(target, Tensor) else Tensor(target)
     out, diff = mse(pred.data, target.data)
 
     def backward(g):
@@ -51,17 +47,3 @@ def mse_loss(pred, target) -> Tensor:
         return gp.astype(pred.dtype, copy=False), (-gp).astype(pred.dtype, copy=False)
 
     return Tensor._make(out, (pred, target), backward, "mse_loss")
-
-
-def mae_loss(pred, target) -> Tensor:
-    """Mean absolute error over all elements (scalar tensor)."""
-    pred, target = _pair(pred, target)
-    diff = pred.data - target.data
-    out = np.asarray(np.abs(diff).mean(), dtype=pred.dtype)
-    sign = np.sign(diff) / pred.size
-
-    def backward(g):
-        gp = g * sign
-        return gp.astype(pred.dtype, copy=False), (-gp).astype(pred.dtype, copy=False)
-
-    return Tensor._make(out, (pred, target), backward, "mae_loss")

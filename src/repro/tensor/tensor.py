@@ -1,12 +1,16 @@
 """Reverse-mode automatic differentiation over a dynamic tape.
 
-A :class:`Tensor` wraps a NumPy array.  Differentiable operations
-record, on each result tensor, its parent tensors and a backward
-closure mapping the result's gradient to per-parent gradients.
-:meth:`Tensor.backward` then walks the recorded graph in reverse
-topological order, accumulating gradients — the same reverse-mode
-algorithm TensorFlow's graph executor runs, minus the static-graph
-compilation.
+A :class:`Tensor` wraps a NumPy array.  Calling a layer on one, or
+:func:`~repro.tensor.ops.mse_loss`, records on the result its parent
+tensors and a backward closure mapping the result's gradient to
+per-parent gradients.  :meth:`Tensor.backward` then walks the recorded
+graph in reverse topological order, accumulating gradients — the same
+reverse-mode algorithm TensorFlow's graph executor runs, minus the
+static-graph compilation.
+
+The model trains and predicts as a chain of layers on plain arrays
+(:mod:`repro.tensor.layers`); the tape is the adapter the benchmark's
+hand-driven step and per-layer probes use.
 
 Design notes
 ------------
@@ -14,12 +18,11 @@ Design notes
   across multiple uses of a tensor (fan-out) and across multiple
   ``backward()`` calls until :meth:`Tensor.zero_grad` — the semantics
   data-parallel SGD needs.
-* ``requires_grad`` propagates through ops; subgraphs that cannot reach
-  a parameter are not taped, so inference costs no autograd overhead.
+* ``requires_grad`` propagates through recorded nodes; subgraphs that
+  cannot reach a parameter are not taped, so inference costs no autograd
+  overhead.
 * The :func:`no_grad` context manager disables taping globally (used by
   validation loops).
-* Broadcasting is supported for elementwise ops; gradients are summed
-  back over broadcast axes (:func:`unbroadcast`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "Parameter", "no_grad", "unbroadcast"]
+__all__ = ["Tensor", "Parameter", "no_grad"]
 
 DEFAULT_DTYPE = np.float32
 
@@ -50,26 +53,6 @@ def no_grad():
         yield
     finally:
         _state.grad_enabled = prev
-
-
-def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` back down to ``shape`` after NumPy broadcasting.
-
-    The adjoint of broadcasting is summation over the broadcast axes:
-    leading axes that were added, plus any axis that was stretched from
-    size 1.
-    """
-    if grad.shape == shape:
-        return grad
-    # Remove added leading axes.
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    # Sum over stretched axes.
-    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -224,74 +207,6 @@ class Tensor:
                     flow[key] = flow[key] + pg
                 else:
                     flow[key] = pg
-
-    # -- operator sugar (implemented in repro.tensor.ops) --------------------
-
-    def __add__(self, other):
-        from repro.tensor import ops
-
-        return ops.add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        from repro.tensor import ops
-
-        return ops.sub(self, other)
-
-    def __rsub__(self, other):
-        from repro.tensor import ops
-
-        return ops.sub(other, self)
-
-    def __mul__(self, other):
-        from repro.tensor import ops
-
-        return ops.mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        from repro.tensor import ops
-
-        return ops.div(self, other)
-
-    def __rtruediv__(self, other):
-        from repro.tensor import ops
-
-        return ops.div(other, self)
-
-    def __neg__(self):
-        from repro.tensor import ops
-
-        return ops.neg(self)
-
-    def __pow__(self, exponent):
-        from repro.tensor import ops
-
-        return ops.power(self, exponent)
-
-    def __matmul__(self, other):
-        from repro.tensor import ops
-
-        return ops.matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        from repro.tensor import ops
-
-        return ops.sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        from repro.tensor import ops
-
-        return ops.mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        from repro.tensor import ops
-
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return ops.reshape(self, shape)
 
 
 class Parameter(Tensor):

@@ -22,7 +22,7 @@ from repro.tensor.tensor import Tensor, _grad_enabled
 
 
 def conv3d(x, w, b, stride, padding):
-    kernels = get_impl(None)
+    kernels = get_impl()
     has_bias = b is not None
     taped = _grad_enabled() and (w.requires_grad or (has_bias and b.requires_grad))
     shared = (

@@ -174,9 +174,8 @@ class TestGradcheckPerLayer:
             (AvgPool3D(2), (2, 2, 5, 4, 6)),
             (AvgPool3D(3, stride=2), (1, 2, 5, 5, 5)),
             (Flatten(), (2, 3, 2, 2)),
-            (Flatten(start_axis=2), (2, 3, 2, 2)),
         ],
-        ids=["lrelu", "relu", "lrelu-steep", "pool", "pool-overlapping", "flatten", "flatten-2"],
+        ids=["lrelu", "relu", "lrelu-steep", "pool", "pool-overlapping", "flatten"],
     )
     def test_layers_without_weights(self, layer, shape):
         check_layer_grads(layer, randn(*shape, seed=1))

@@ -51,6 +51,15 @@ class TestForwardAndPredict:
         with pytest.raises(ValueError):
             model.forward(np.zeros((1, 1, 8, 8, 8), dtype=np.float32))
 
+    @pytest.mark.parametrize("entry", ["predict", "validation_loss", "loss_and_gradients"])
+    def test_empty_batch_raises_at_the_boundary(self, model, entry):
+        """N = 0 is refused before any layer runs, naming the shape wanted
+        (it used to fail inside ``Dense``'s matmul)."""
+        empty = np.zeros((0, 1, 16, 16, 16), dtype=np.float32)
+        args = () if entry == "predict" else (np.zeros((0, 3), dtype=np.float32),)
+        with pytest.raises(ValueError, match=r"expected input \(N, 1, 16, 16, 16\) with N >= 1"):
+            getattr(model, entry)(empty, *args)
+
     def test_predict_physical_units(self, model):
         rng = np.random.default_rng(2)
         theta = model.predict(sample_volume(rng))

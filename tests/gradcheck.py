@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor
-
 
 def numerical_grad(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:
     """Central-difference gradient of scalar-valued ``f()`` w.r.t. ``x``.
@@ -24,39 +22,6 @@ def numerical_grad(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:
         flat_x[i] = orig
         flat_g[i] = (fp - fm) / (2 * eps)
     return g
-
-
-def check_grads(build, arrays: dict[str, np.ndarray], rtol=1e-4, atol=1e-5, eps=1e-4):
-    """Check autograd gradients of a scalar expression against finite
-    differences.
-
-    Parameters
-    ----------
-    build
-        Callable taking ``dict[str, Tensor]`` and returning a scalar
-        :class:`Tensor`.
-    arrays
-        Named float64 input arrays; each is treated as requiring grad.
-    """
-    tensors = {k: Tensor(v.copy(), requires_grad=True) for k, v in arrays.items()}
-    out = build(tensors)
-    out.backward()
-    for name, base in arrays.items():
-        work = base.copy()
-
-        def f(name=name, work=work):
-            probe = {
-                k: Tensor(work if k == name else arrays[k], requires_grad=False)
-                for k in arrays
-            }
-            return build(probe).item()
-
-        want = numerical_grad(f, work, eps)
-        got = tensors[name].grad
-        assert got is not None, f"no gradient for {name}"
-        np.testing.assert_allclose(
-            got, want, rtol=rtol, atol=atol, err_msg=f"gradient mismatch for {name}"
-        )
 
 
 def check_layer_grads(layer, x: np.ndarray, rtol=1e-4, atol=1e-5, eps=1e-4, seed=0):

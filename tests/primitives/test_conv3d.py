@@ -473,17 +473,19 @@ class TestOneGemmPerPass:
     def test_tape_keeps_each_forwards_own_packed_rows(self):
         """A backward that runs only after a second same-shaped taped
         forward and an untaped one still sees its own forward's input."""
-        from repro.tensor import Tensor, ops
+        from repro.tensor import Tensor
         from repro.tensor.tensor import Parameter, no_grad
+        from tests.primitives.test_conv3d_backward import conv
 
         rng = np.random.default_rng(19)
         x1, w, b, g = self._case(rng, 16, 1, 0)
         x2 = rng.standard_normal(x1.shape).astype(np.float32)
         weight, bias = Parameter(w), Parameter(b)
-        y1 = ops.conv3d(Tensor(x1), weight, bias)
-        ops.conv3d(Tensor(x2), weight, bias)
+        layer = conv(weight, bias)
+        y1 = layer(Tensor(x1))
+        layer(Tensor(x2))
         with no_grad():
-            ops.conv3d(Tensor(x2 * 3), weight, bias)
+            layer(Tensor(x2 * 3))
         y1.backward(g)
         want_w, want_b = conv3d_backward_weights(x1, g, (3, 3, 3), with_bias=True)
         np.testing.assert_array_equal(weight.grad, want_w)
@@ -493,15 +495,16 @@ class TestOneGemmPerPass:
         """Past ``_PACK_MAX_ELEMS`` nothing is handed out to be held from
         forward to backward; both passes pack for themselves, same values."""
         from repro.primitives import conv3d as kernels
-        from repro.tensor import Tensor, ops
+        from repro.tensor import Tensor
         from repro.tensor.tensor import Parameter
+        from tests.primitives.test_conv3d_backward import conv
 
         rng = np.random.default_rng(20)
         x, w, b, g = self._case(rng, 16, 1, 0)
         monkeypatch.setattr(kernels, "_PACK_MAX_ELEMS", conv3d_pack(x, (3, 3, 3)).size - 1)
         assert conv3d_pack(x, (3, 3, 3)) is None
         weight, bias = Parameter(w), Parameter(b)
-        y = ops.conv3d(Tensor(x), weight, bias)
+        y = conv(weight, bias)(Tensor(x))
         np.testing.assert_array_equal(y.data, conv3d_forward(x, w, b))
         y.backward(g)
         want_w, want_b = conv3d_backward_weights(x, g, (3, 3, 3), with_bias=True)

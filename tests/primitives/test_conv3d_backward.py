@@ -24,9 +24,17 @@ from repro.primitives.conv3d import (
     conv3d_backward_weights,
     conv3d_pack,
 )
-from repro.tensor import Tensor, ops
+from repro.tensor import Tensor
+from repro.tensor.layers import Conv3D
 from repro.tensor.tensor import Parameter
 from tests.primitives import two_pass_reference as reference
+
+
+def conv(w, b=None, stride=1, padding=0):
+    """A ``Conv3D`` layer over the given weight tensors."""
+    layer = Conv3D(w.shape[1], w.shape[0], w.shape[2:], stride, padding, bias=b is not None)
+    layer.weight, layer.bias = w, b
+    return layer
 
 
 def make_case(seed, n, ic, oc, spatial, kernel, stride, padding):
@@ -116,11 +124,12 @@ class TestBitwiseParity:
         )
 
     def test_tape_gradients_equal_the_reference(self):
-        """Through ``ops.conv3d``: one closure, one kernel call, same bits."""
+        """Through a ``Conv3D`` on the tape: one node, one kernel call, same
+        bits."""
         x, w, g = make_case(5, 2, 16, 8, (6, 6, 6), (3, 3, 3), 2, 1)
         b = np.linspace(-1, 1, 8, dtype=np.float32)
         xt, wt, bt = Parameter(x), Parameter(w), Parameter(b)
-        ops.conv3d(xt, wt, bt, 2, 1).backward(g)
+        conv(wt, bt, 2, 1)(xt).backward(g)
         np.testing.assert_array_equal(
             xt.grad, reference.conv3d_backward_data(g, w, (6, 6, 6), 2, 1)
         )
@@ -129,7 +138,7 @@ class TestBitwiseParity:
         np.testing.assert_array_equal(bt.grad, want_b)
 
         wt2 = Parameter(w)
-        ops.conv3d(Tensor(x), wt2, None, 2, 1).backward(g)
+        conv(wt2, None, 2, 1)(Tensor(x)).backward(g)
         np.testing.assert_array_equal(wt2.grad, want_w)
 
 
@@ -273,35 +282,34 @@ class TestGeometryRecord:
 
 
 class TestComposedBackward:
-    """A family registered with only the per-pass kernels (the ``int8``
-    shape) gets ``backward`` composed from them."""
-
-    def setup_method(self):
-        self.saved_impls = dict(registry._IMPLS)
+    """A family patched in whose ``backward`` is the two per-pass kernels
+    run one after the other: the layer calls it once per convolution and
+    the counters see both passes."""
 
     def teardown_method(self):
-        registry._IMPLS.clear()
-        registry._IMPLS.update(self.saved_impls)
         registry.set_metrics(None)
 
-    def test_composed_backward_runs_both_passes_and_counts_them(self):
+    def test_composed_backward_runs_both_passes_and_counts_them(self, monkeypatch):
         calls = []
 
-        def backward_data(*args, **kwargs):
+        def backward(x, grad_out, w, stride=1, padding=0, *, with_bias, need_input_grad,
+                     packed):
             calls.append("data")
-            return conv3d_backward_data(*args, **kwargs)
-
-        def backward_weights(*args, **kwargs):
+            gx = conv3d_backward_data(grad_out, w, x.shape[2:], stride, padding)
             calls.append("weights")
-            return conv3d_backward_weights(*args, **kwargs)
+            gw = conv3d_backward_weights(
+                x, grad_out, w.shape[2:], stride, padding, with_bias=with_bias, packed=packed
+            )
+            return (gx, *gw) if with_bias else (gx, gw, None)
 
-        impl = registry.register_impl(registry.ConvImpl(
+        monkeypatch.setattr(registry, "GEMM", registry.ConvImpl(
             name="two_pass",
             forward=kernels.conv3d_forward,
-            backward_data=backward_data,
-            backward_weights=backward_weights,
+            backward_data=conv3d_backward_data,
+            backward_weights=conv3d_backward_weights,
+            pack=conv3d_pack,
+            backward=backward,
         ))
-        assert impl.backward.__qualname__.startswith("_compose_backward") and impl.pack is None
         metrics = MetricsRegistry()
         registry.set_metrics(metrics)
 
@@ -309,7 +317,7 @@ class TestComposedBackward:
         xt, wt, bt = Parameter(x), Parameter(w), Parameter(np.zeros(8, dtype=np.float32))
         for n_convs in (1, 2):
             xt.zero_grad(), wt.zero_grad(), bt.zero_grad()
-            ops.conv3d(xt, wt, bt, impl="two_pass").backward(g)
+            conv(wt, bt)(xt).backward(g)
             assert calls == ["data", "weights"] * n_convs
             for op in ("backward_data", "backward_weights"):
                 assert metrics.counter(f"primitives.conv3d.{op}.calls").value == n_convs
@@ -323,16 +331,10 @@ class TestComposedBackward:
         registry.set_metrics(metrics)
         x, w, g = make_case(12, 1, 16, 8, (6, 6, 6), (3, 3, 3), 1, 0)
         xt, wt = Parameter(x), Parameter(w)
-        ops.conv3d(xt, wt).backward(g)
-        ops.conv3d(Tensor(x), wt).backward(g)  # no input gradient: no backward_data
+        conv(wt)(xt).backward(g)
+        conv(wt)(Tensor(x)).backward(g)  # no input gradient: no backward_data
         assert metrics.counter("primitives.conv3d.backward_data.calls").value == 1
         assert metrics.counter("primitives.conv3d.backward_weights.calls").value == 2
         flops = 2 * 8 * 16 * 4**3 * 27
         assert metrics.counter("primitives.conv3d.backward_data.flops").value == flops
         assert metrics.counter("primitives.conv3d.backward_weights.flops").value == 2 * flops
-
-    @pytest.mark.parametrize("name", ["int8", "int4"])
-    def test_every_other_family_is_composed(self, name):
-        impl = registry.get_impl(name)
-        assert impl.backward.__qualname__.startswith("_compose_backward")
-        assert registry._IMPLS["gemm"].backward is conv3d_backward

@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.primitives import conv3d as kernels
-from repro.primitives import quantized
 from repro.primitives.conv3d import conv3d_forward, conv3d_pack
 from repro.primitives.pool3d import avg_pool3d_backward
 from tests.primitives import two_pass_reference as reference
@@ -171,38 +170,6 @@ class TestWindowBounds:
         x = np.zeros((1, 1, 4, 4, 4), np.float32)
         view = kernels._windows(x, kernels._geometry(1, 1, (4, 4, 4), 3, 1, 0).plan)
         assert not view.flags.writeable and np.shares_memory(view, x)
-
-
-class TestQuantizedRows:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        n=st.sampled_from([1, 2]),
-        c=st.sampled_from([1, 3, 16]),
-        spatial=st.tuples(*[st.integers(3, 7)] * 3),
-        kernel=st.tuples(*[st.sampled_from([1, 2, 3])] * 3),
-        stride=st.tuples(*[st.sampled_from([1, 2])] * 3),
-        padding=st.tuples(*[st.sampled_from([0, 1])] * 3),
-        layout=st.sampled_from(LAYOUTS),
-    )
-    def test_im2col_rows_equal_the_slab_loop(
-        self, seed, n, c, spatial, kernel, stride, padding, layout
-    ):
-        """Always im2col, whatever ``C * K^3``: the slab loop with every
-        W-tap on the packing side, then rows = output positions."""
-        assume(all(s + 2 * p >= k for s, p, k in zip(spatial, padding, kernel)))
-        x = embedded(np.random.default_rng(seed), (n, c) + spatial, np.float32, layout)
-        od, oh, ow = reference.conv3d_output_shape(spatial, kernel, stride, padding)
-        taps = tuple(slice(zw, zw + stride[2] * (ow - 1) + 1, stride[2]) for zw in range(kernel[2]))
-        plan = reference._Plan(kernel, stride, (od, oh, ow), taps, (slice(None),), ow)
-        cols = reference._pack(reference._pad_input(x, padding), plan)
-        want = np.ascontiguousarray(cols.transpose(4, 5, 6, 7, 0, 1, 2, 3)).reshape(
-            n * od * oh * ow, -1
-        )
-
-        rows, out_shape = quantized._im2col_rows(x, kernel, stride, padding)
-        assert out_shape == (n, od, oh, ow)
-        assert_same_bytes(rows, want)
 
 
 class TestPoolBackward:

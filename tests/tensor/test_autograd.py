@@ -1,11 +1,34 @@
-"""Tests for the autograd core (repro.tensor.tensor)."""
+"""Tests for the autograd core (repro.tensor.tensor).
+
+The tape records a node per layer call and one for ``mse_loss``; these
+check its walk over such graphs: fan-out into a shared parameter, a
+diamond, repeated ``backward`` calls, ``no_grad``, a deep chain.
+"""
 
 import numpy as np
 import pytest
 
-from repro.tensor import ops
-from repro.tensor.tensor import Parameter, Tensor, no_grad, unbroadcast
-from tests.gradcheck import check_grads
+from repro.tensor.layers import Dense, LeakyReLU
+from repro.tensor.ops import mse_loss
+from repro.tensor.tensor import Parameter, Tensor, no_grad
+
+
+def scale(w, bias=None):
+    """A 1 -> 1 ``Dense`` layer: ``x * w (+ bias)``."""
+    layer = Dense(1, 1, bias=bias is not None, rng=0)
+    layer.weight.data[...] = w
+    if bias is not None:
+        layer.bias.data[...] = bias
+    return layer
+
+
+def scalar(value, requires_grad=False):
+    return Tensor(np.full((1, 1), value, dtype=np.float32), requires_grad=requires_grad)
+
+
+def squared(t):
+    """``t**2`` for a ``(1, 1)`` tensor, on the tape."""
+    return mse_loss(t, np.zeros((1, 1), dtype=np.float32))
 
 
 class TestTensorBasics:
@@ -42,7 +65,7 @@ class TestTensorBasics:
 
     def test_detach_cuts_tape(self):
         a = Tensor([1.0], requires_grad=True)
-        b = (a * 2.0).detach()
+        b = LeakyReLU()(a).detach()
         assert not b.requires_grad
         assert b._backward is None
 
@@ -54,155 +77,102 @@ class TestTensorBasics:
 
 class TestBackwardMechanics:
     def test_simple_chain(self):
-        x = Tensor(2.0, requires_grad=True)
-        y = (x * 3.0 + 1.0) * (x * 3.0 + 1.0)  # (3x+1)^2, dy/dx = 6(3x+1) = 42
+        x = scalar(2.0, requires_grad=True)
+        y = squared(scale(3.0, bias=1.0)(x))  # (3x+1)^2, dy/dx = 6(3x+1) = 42
         y.backward()
-        assert x.grad == pytest.approx(42.0)
+        assert x.grad.item() == pytest.approx(42.0)
 
     def test_fan_out_accumulates(self):
-        x = Tensor(3.0, requires_grad=True)
-        y = x * x + x  # dy/dx = 2x + 1 = 7
+        """One parameter feeds two nodes: its gradient is the sum of both."""
+        x = scalar(1.0, requires_grad=True)
+        layer = scale(3.0)
+        y = squared(layer(layer(x)))  # (w^2 x)^2: d/dw = 4 w^3 x^2, d/dx = 2 w^4 x
         y.backward()
-        assert x.grad == pytest.approx(7.0)
+        assert layer.weight.grad.item() == pytest.approx(108.0)
+        assert x.grad.item() == pytest.approx(162.0)
 
     def test_diamond_graph(self):
-        x = Tensor(2.0, requires_grad=True)
-        a = x * 2.0
-        b = x * 3.0
-        y = a * b  # y = 6x^2, dy/dx = 24
+        x = scalar(2.0, requires_grad=True)
+        a, b = scale(2.0), scale(3.0)
+        y = mse_loss(a(x), b(x))  # (2x - 3x)^2 = x^2
         y.backward()
-        assert x.grad == pytest.approx(24.0)
+        assert x.grad.item() == pytest.approx(4.0)
+        assert a.weight.grad.item() == pytest.approx(-8.0)  # 2(2x - 3x) x
+        assert b.weight.grad.item() == pytest.approx(8.0)
 
     def test_grad_accumulates_across_backward_calls(self):
-        x = Tensor(1.0, requires_grad=True)
-        (x * 2.0).backward()
-        (x * 2.0).backward()
-        assert x.grad == pytest.approx(4.0)
+        x = scalar(1.0, requires_grad=True)
+        layer = scale(2.0)
+        squared(layer(x)).backward()
+        squared(layer(x)).backward()
+        assert x.grad.item() == pytest.approx(16.0)
 
     def test_repeated_backward_same_graph_no_double_count_of_interior(self):
-        x = Tensor(1.0, requires_grad=True)
-        y = x * 5.0
+        x = scalar(1.0, requires_grad=True)
+        y = squared(scale(2.0)(scale(5.0)(x)))  # (10x)^2, d/dx = 200x
         y.backward()
         y.backward()
-        assert x.grad == pytest.approx(10.0)
+        assert x.grad.item() == pytest.approx(400.0)
 
     def test_zero_grad(self):
-        x = Tensor(1.0, requires_grad=True)
-        (x * 2.0).backward()
+        x = scalar(1.0, requires_grad=True)
+        squared(x).backward()
         x.zero_grad()
         assert x.grad is None
 
     def test_nonscalar_needs_explicit_grad(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        y = x * 2.0
+        x = Tensor(np.array([[1.0], [2.0]], dtype=np.float32), requires_grad=True)
+        y = scale(2.0)(x)
         with pytest.raises(RuntimeError):
             y.backward()
-        y.backward(np.array([1.0, 1.0], dtype=np.float32))
-        np.testing.assert_allclose(x.grad, [2.0, 2.0])
+        y.backward(np.ones((2, 1), dtype=np.float32))
+        np.testing.assert_allclose(x.grad, [[2.0], [2.0]])
 
     def test_wrong_grad_shape_raises(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor(np.array([[1.0], [2.0]], dtype=np.float32), requires_grad=True)
         with pytest.raises(ValueError):
-            (x * 2.0).backward(np.ones(3, dtype=np.float32))
+            scale(2.0)(x).backward(np.ones(3, dtype=np.float32))
 
     def test_backward_on_nograd_tensor_raises(self):
         with pytest.raises(RuntimeError):
             Tensor(1.0).backward()
 
     def test_no_requires_grad_means_no_tape(self):
-        a = Tensor([1.0])
-        b = a * 2.0
+        """A layer with no parameters on a tensor that needs no gradient
+        records nothing."""
+        b = LeakyReLU()(Tensor([1.0]))
         assert not b.requires_grad and b._backward is None
 
     def test_no_grad_context(self):
-        x = Tensor(1.0, requires_grad=True)
+        x = scalar(1.0, requires_grad=True)
         with no_grad():
-            y = x * 2.0
+            y = scale(2.0)(x)
         assert not y.requires_grad
 
     def test_no_grad_nesting_restores(self):
-        x = Tensor(1.0, requires_grad=True)
+        x = scalar(1.0, requires_grad=True)
+        layer = scale(2.0)
         with no_grad():
             with no_grad():
                 pass
-            y = x * 2.0
+            y = layer(x)
             assert not y.requires_grad
-        z = x * 2.0
+        z = layer(x)
         assert z.requires_grad
 
     def test_deep_chain_no_recursion_error(self):
-        x = Tensor(1.0, requires_grad=True)
+        x = scalar(1.0, requires_grad=True)
         y = x
+        identity = LeakyReLU()  # on a positive input
         for _ in range(3000):
-            y = y + 0.001
-        y.backward()
-        assert x.grad == pytest.approx(1.0)
+            y = identity(y)
+        squared(y).backward()
+        assert x.grad.item() == pytest.approx(2.0)
 
     def test_grad_stops_at_nongrad_branch(self):
-        x = Tensor(2.0, requires_grad=True)
-        c = Tensor(3.0)  # constant
-        y = x * c
+        x = scalar(2.0, requires_grad=True)
+        c = scalar(3.0)  # constant
+        y = mse_loss(scale(1.0)(x), c)  # (x - c)^2
         y.backward()
-        assert x.grad == pytest.approx(3.0)
+        assert x.grad.item() == pytest.approx(-2.0)
         assert c.grad is None
-
-
-class TestUnbroadcast:
-    def test_no_op_when_same_shape(self):
-        g = np.ones((2, 3))
-        assert unbroadcast(g, (2, 3)) is g
-
-    def test_sums_added_leading_axes(self):
-        g = np.ones((4, 2, 3))
-        np.testing.assert_allclose(unbroadcast(g, (2, 3)), np.full((2, 3), 4.0))
-
-    def test_sums_stretched_axes(self):
-        g = np.ones((2, 3))
-        np.testing.assert_allclose(unbroadcast(g, (2, 1)), np.full((2, 1), 3.0))
-
-    def test_scalar_target(self):
-        g = np.ones((2, 3))
-        np.testing.assert_allclose(unbroadcast(g, ()), 6.0)
-
-    def test_combined(self):
-        g = np.ones((5, 2, 3))
-        np.testing.assert_allclose(unbroadcast(g, (1, 3)), np.full((1, 3), 10.0))
-
-
-class TestCompositeGradients:
-    """End-to-end finite-difference checks through composite expressions."""
-
-    def test_polynomial(self):
-        rng = np.random.default_rng(0)
-        check_grads(
-            lambda t: ((t["x"] * t["x"] + t["x"] * 3.0) * 0.5).sum(),
-            {"x": rng.standard_normal((3, 4))},
-        )
-
-    def test_rational(self):
-        rng = np.random.default_rng(1)
-        check_grads(
-            lambda t: (t["a"] / (t["b"] * t["b"] + 1.0)).sum(),
-            {"a": rng.standard_normal((4,)), "b": rng.standard_normal((4,))},
-        )
-
-    def test_broadcast_expression(self):
-        rng = np.random.default_rng(2)
-        check_grads(
-            lambda t: (t["m"] * t["v"]).sum(),
-            {"m": rng.standard_normal((3, 4)), "v": rng.standard_normal((4,))},
-        )
-
-    def test_mean_and_power(self):
-        rng = np.random.default_rng(3)
-        check_grads(
-            lambda t: (t["x"] ** 3).mean(),
-            {"x": rng.standard_normal((5,)) + 2.0},
-        )
-
-    def test_exp_log_chain(self):
-        rng = np.random.default_rng(4)
-        check_grads(
-            lambda t: ops.log(ops.exp(t["x"]) + 1.0).sum(),
-            {"x": rng.standard_normal((6,))},
-        )

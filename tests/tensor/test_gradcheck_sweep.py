@@ -1,101 +1,18 @@
-"""Finite-difference gradient sweep over under-tested op corners.
-
-``tests/tensor/test_ops.py`` covers each op's happy path; this sweep
-targets the argument corners the CosmoFlow model itself never exercises
-but the public op API allows: ``keepdims`` reductions, tuple and
-negative axes, reshape/transpose chains, and pooling over extents that
-the kernel does not divide (floor semantics — trailing voxels are
-dropped and must receive exactly zero gradient).
+"""Gradient corners the CosmoFlow presets never reach: pooling over
+extents the kernel does not divide (floor semantics — trailing voxels are
+dropped and must receive exactly zero gradient) and overlapping windows;
+and the fp16 pipeline's gradients against fp32.
 """
 
 import numpy as np
 
-from repro.tensor import ops
+from repro.tensor.layers import AvgPool3D
 from repro.tensor.tensor import Tensor
-from tests.gradcheck import check_grads
+from tests.gradcheck import check_layer_grads
 
 
 def randn(rng, *shape):
     return rng.standard_normal(shape)
-
-
-class TestReduceCorners:
-    def test_sum_keepdims(self):
-        rng = np.random.default_rng(0)
-        check_grads(
-            lambda t: (ops.sum_(t["x"], axis=1, keepdims=True) * t["x"]).sum(),
-            {"x": randn(rng, 3, 4)},
-        )
-
-    def test_sum_axis_tuple(self):
-        rng = np.random.default_rng(1)
-        check_grads(
-            lambda t: (ops.sum_(t["x"], axis=(0, 2)) ** 2).sum(),
-            {"x": randn(rng, 2, 3, 4)},
-        )
-
-    def test_sum_negative_axis(self):
-        rng = np.random.default_rng(2)
-        check_grads(
-            lambda t: (ops.sum_(t["x"], axis=-1) ** 2).sum(),
-            {"x": randn(rng, 3, 4)},
-        )
-
-    def test_sum_all_axes_keepdims(self):
-        rng = np.random.default_rng(3)
-        check_grads(
-            lambda t: (ops.sum_(t["x"], keepdims=True) * t["x"]).sum(),
-            {"x": randn(rng, 2, 3)},
-        )
-
-    def test_mean_keepdims_broadcasts_back(self):
-        # x - mean(x, keepdims=True): the keepdims shape must broadcast
-        # against the input inside the graph, not just at the output.
-        rng = np.random.default_rng(4)
-        check_grads(
-            lambda t: ((t["x"] - ops.mean(t["x"], axis=-1, keepdims=True)) ** 2).sum(),
-            {"x": randn(rng, 3, 5)},
-        )
-
-    def test_mean_negative_axis_tuple(self):
-        rng = np.random.default_rng(5)
-        check_grads(
-            lambda t: (ops.mean(t["x"], axis=(-2, -1)) ** 2).sum(),
-            {"x": randn(rng, 2, 3, 4)},
-        )
-
-
-class TestReshapeChains:
-    def test_transpose_reshape_sum_chain(self):
-        rng = np.random.default_rng(6)
-        check_grads(
-            lambda t: (
-                ops.sum_(ops.reshape(ops.transpose(t["x"], (1, 0, 2)), (3, 8)), axis=0)
-                ** 2
-            ).sum(),
-            {"x": randn(rng, 2, 3, 4)},
-        )
-
-    def test_transpose_default_reverses_axes(self):
-        rng = np.random.default_rng(7)
-        check_grads(
-            lambda t: ((ops.transpose(t["x"]) * t["y"]) ** 2).sum(),
-            {"x": randn(rng, 2, 3), "y": randn(rng, 3, 2)},
-        )
-
-    def test_flatten_start_axis(self):
-        rng = np.random.default_rng(8)
-        check_grads(
-            lambda t: (ops.flatten(t["x"], start_axis=2) ** 2).sum(),
-            {"x": randn(rng, 2, 3, 2, 2)},
-        )
-
-    def test_reshape_inferred_dim(self):
-        rng = np.random.default_rng(9)
-        check_grads(
-            lambda t: (ops.reshape(t["x"], (4, -1)) ** 2).sum(),
-            {"x": randn(rng, 2, 2, 3)},
-        )
 
 
 class TestPoolNonDivisible:
@@ -103,15 +20,12 @@ class TestPoolNonDivisible:
         # 5^3 input with kernel 2 -> 2^3 output; the trailing plane in
         # each axis is dropped by floor division.
         rng = np.random.default_rng(10)
-        check_grads(
-            lambda t: (ops.avg_pool3d(t["x"], kernel=2) ** 2).sum(),
-            {"x": randn(rng, 1, 1, 5, 5, 5)},
-        )
+        check_layer_grads(AvgPool3D(2), randn(rng, 1, 1, 5, 5, 5))
 
     def test_dropped_voxels_get_zero_grad(self):
         rng = np.random.default_rng(11)
         x = Tensor(randn(rng, 1, 1, 5, 5, 5), requires_grad=True)
-        ops.avg_pool3d(x, kernel=2).sum().backward()
+        AvgPool3D(2)(x).backward(np.ones((1, 1, 2, 2, 2)))
         g = x.grad
         # Covered voxels each contribute to exactly one window: 1/8.
         np.testing.assert_allclose(g[:, :, :4, :4, :4], 1.0 / 8)
@@ -123,10 +37,7 @@ class TestPoolNonDivisible:
         # Overlapping windows: each interior voxel feeds several
         # windows, so the gradient must accumulate across them.
         rng = np.random.default_rng(12)
-        check_grads(
-            lambda t: (ops.avg_pool3d(t["x"], kernel=3, stride=2) ** 2).sum(),
-            {"x": randn(rng, 1, 1, 5, 5, 5)},
-        )
+        check_layer_grads(AvgPool3D(3, stride=2), randn(rng, 1, 1, 5, 5, 5))
 
 
 class TestFp16PipelineGradients:

@@ -30,11 +30,6 @@ class TestInitializers:
         b = initializers.he_normal((64, 512), rng=rng, leaky_alpha=1.0).std()
         assert b < a
 
-    def test_glorot_uniform_bounds(self):
-        w = initializers.glorot_uniform((100, 100), rng=np.random.default_rng(2))
-        limit = np.sqrt(6.0 / 200)
-        assert np.all(np.abs(w) <= limit)
-
     def test_zeros(self):
         assert np.all(initializers.zeros((3, 3)) == 0.0)
 
@@ -78,7 +73,7 @@ class TestConv3DLayer:
     def test_grad_reaches_weights(self):
         layer = Conv3D(1, 2, 2, rng=np.random.default_rng(0))
         out = layer(np.ones((1, 1, 3, 3, 3), dtype=np.float32))
-        out.sum().backward()
+        out.backward(np.ones_like(out.data))
         assert layer.weight.grad is not None
         assert layer.bias.grad is not None
 
@@ -172,7 +167,7 @@ class TestSequential:
         net = self.build()
         x = np.random.default_rng(1).standard_normal((1, 1, 8, 8, 8)).astype(np.float32)
         out = net(x)
-        out.sum().backward()
+        out.backward(np.ones_like(out.data))
         for p in net.parameters():
             assert p.grad is not None
             assert p.grad.shape == p.shape

@@ -8,7 +8,6 @@ that counts modules runs in a fresh interpreter.
 """
 
 import importlib
-import inspect
 import json
 import os
 import resource
@@ -47,12 +46,11 @@ def test_the_cli_loads_only_itself():
 
 
 #: What the engine's local and stepped paths never run: the threaded,
-#: elastic, process, stale, fault, serving and modelling code, the
-#: quantized kernels, and the standard modules only those pull in.
+#: elastic, process, stale, fault, serving and modelling code, and the
+#: standard modules only those pull in.
 NOT_IN_THE_ENGINE = (
     "multiprocessing", "socket", "hashlib", "repro.comm.elastic", "repro.comm.process",
     "repro.comm.stale", "repro.faults", "repro.serve", "repro.perfmodel",
-    "repro.primitives.quantized",
 )
 
 
@@ -90,18 +88,6 @@ def test_every_export_is_its_defining_modules_object(package):
         for name in names or (submodule,):
             assert getattr(module, name) is (getattr(source, name) if names else source), name
             assert names is None or f"{package}.{name}" not in INDEX, name
-
-
-def test_reshape_is_the_function():
-    """``repro.tensor.ops.reshape`` is the op, whichever of its module's
-    names loads the module first."""
-    loaded_after(
-        "import inspect\nfrom repro.tensor.ops import flatten\n"
-        "import repro.tensor.ops as ops\nassert inspect.isfunction(ops.reshape)"
-    )
-    from repro.tensor import ops
-
-    assert inspect.isfunction(ops.reshape)
 
 
 def test_a_name_loads_its_module_on_first_use_and_is_then_a_global():

@@ -15,8 +15,7 @@ decide what an import reaches:
   ``import repro.tensor.ops``) reaches every module its table names and
   what its ``__init__`` imports;
 * a string literal equal to a module's dotted name reaches that module
-  (the CLI picks backends from a table of such names, and the kernel
-  registry loads the quantized kernels by one).
+  (the CLI picks backends from a table of such names).
 
 A module reached by none of these is deleted, given a root, or named in
 ``EXCEPTIONS`` with its reason.
@@ -271,24 +270,27 @@ def resolves(dotted, index):
 
 def test_examples_import_only_what_exists():
     """CI runs two of the examples; an import of a deleted name breaks
-    the others silently, so every ``from repro… import X`` resolves."""
+    the others silently, so every ``from repro… import X`` resolves — in
+    the examples, and in ``bench/`` and ``benchmarks/``, whose imports
+    otherwise break only when the benchmark runs."""
     index = module_index()
     broken = []
-    for path in sorted((ROOT / "examples").glob("*.py")):
+    for path in sorted((ROOT / "examples").glob("*.py")) + root_files():
+        name = path.relative_to(ROOT)
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
                 broken += [
-                    f"{path.name}: from {node.module} import {a.name}"
+                    f"{name}: from {node.module} import {a.name}"
                     for a in node.names
                     if not resolves(f"{node.module}.{a.name}", index)
                 ]
             elif isinstance(node, ast.Import):
                 broken += [
-                    f"{path.name}: import {a.name}"
+                    f"{name}: import {a.name}"
                     for a in node.names
                     if a.name.startswith("repro") and a.name not in index
                 ]
-    assert not broken, "examples import names that do not exist:\n" + "\n".join(broken)
+    assert not broken, "imports of names that do not exist:\n" + "\n".join(broken)
 
 
 def test_docs_cite_only_what_exists():
