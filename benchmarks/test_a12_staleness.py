@@ -123,7 +123,6 @@ def test_staleness_acceptance(benchmark):
     #    slowness ended, rehabilitated it.
     assert gs["quarantined_ranks"] == [1]
     assert gs["rehabilitated_ranks"] == [1]
-    assert gs["evicted_ranks"] == []
     # The slow rank kept contributing (late or quarantined-async), it
     # was never silently dropped from the run.
     assert gs["contributions"][1] > 0

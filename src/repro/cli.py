@@ -505,8 +505,7 @@ def cmd_train(args) -> int:
                 print(f"virtual time: {gs['virtual_time_s']:.3f}s  "
                       f"contributions: {gs['contributions']}")
                 print(f"quarantined: {gs['quarantined_ranks']}  "
-                      f"rehabilitated: {gs['rehabilitated_ranks']}  "
-                      f"evicted: {gs['evicted_ranks']}")
+                      f"rehabilitated: {gs['rehabilitated_ranks']}")
                 if gs["max_staleness"] > bound:
                     # The group raises on a sync violation; this guards the
                     # reported numbers end to end for CI's benefit.

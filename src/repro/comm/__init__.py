@@ -34,7 +34,7 @@ This subpackage reproduces that stack in-process:
 * :mod:`repro.comm.stale` — :class:`StaleGroup`, the bounded-staleness
   partial collective (SSGD/SAGN): each step folds the fastest quorum's
   gradients, stragglers fold in late within a hard staleness bound,
-  and a :class:`StragglerMonitor` quarantines/rehabilitates/evicts
+  and a :class:`StragglerMonitor` quarantines and rehabilitates
   persistent slow ranks — all on deterministic virtual time.
 * :mod:`repro.comm.process` — :class:`ProcessComm` +
   :class:`RankSupervisor`, the same protocol for ranks as spawned OS

@@ -33,7 +33,7 @@ real deployments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -119,12 +119,11 @@ class TopKCompressor(GradientCompressor):
 
     name = "topk"
 
-    def __init__(self, fraction: float = 0.1, error_feedback: bool = True):
+    def __init__(self, fraction: float = 0.1):
         super().__init__()
         if not 0.0 < fraction <= 1.0:
             raise ValueError("topk fraction must be in (0, 1]")
         self.fraction = float(fraction)
-        self.error_feedback = bool(error_feedback)
         self.residual: Optional[np.ndarray] = None
 
     def k_for(self, size: int) -> int:
@@ -142,19 +141,16 @@ class TopKCompressor(GradientCompressor):
             self.stats.bytes_in += int(flat.nbytes)
             self.stats.bytes_wire += int(flat.nbytes)
             return flat
-        work = flat
-        if self.error_feedback:
-            if self.residual is None or self.residual.size != flat.size:
-                self.residual = np.zeros(flat.size, dtype=np.float32)
-            work = flat + self.residual
+        if self.residual is None or self.residual.size != flat.size:
+            self.residual = np.zeros(flat.size, dtype=np.float32)
+        work = flat + self.residual
         k = self.k_for(work.size)
         # Stable sort on negated magnitude: equal magnitudes keep index
         # order, making the selected support deterministic.
         order = np.argsort(-np.abs(work), kind="stable")[:k]
         dense = np.zeros_like(work)
         dense[order] = work[order]
-        if self.error_feedback:
-            self.residual = work - dense
+        self.residual = work - dense
         self.stats.calls += 1
         self.stats.bytes_in += int(flat.nbytes)
         self.stats.bytes_wire += k * 8  # 4 value bytes + 4 index bytes
@@ -164,11 +160,7 @@ class TopKCompressor(GradientCompressor):
         self.residual = None
 
 
-def make_compressor(
-    mode: str,
-    topk_fraction: float = 0.1,
-    error_feedback: bool = True,
-) -> Optional[GradientCompressor]:
+def make_compressor(mode: str, topk_fraction: float = 0.1) -> Optional[GradientCompressor]:
     """Build one rank's compressor; ``None`` for mode ``"none"``
     (the fp32 path stays literally untouched)."""
     if mode == "none":
@@ -176,25 +168,10 @@ def make_compressor(
     if mode == "fp16":
         return Fp16Compressor()
     if mode == "topk":
-        return TopKCompressor(topk_fraction, error_feedback=error_feedback)
+        return TopKCompressor(topk_fraction)
     raise ValueError(
         f"unknown compression mode {mode!r}; expected one of {COMPRESSION_MODES}"
     )
-
-
-def make_compressors(
-    mode: str,
-    n: int,
-    topk_fraction: float = 0.1,
-    error_feedback: bool = True,
-) -> Optional[List[GradientCompressor]]:
-    """One compressor per rank (each owns its residual), or ``None``."""
-    if mode == "none":
-        return None
-    return [
-        make_compressor(mode, topk_fraction, error_feedback=error_feedback)
-        for _ in range(n)
-    ]
 
 
 def compression_ratio(mode: str, topk_fraction: float = 0.1) -> float:

@@ -30,7 +30,7 @@ here.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -52,14 +52,13 @@ class PluginConfig:
     transform (:mod:`repro.comm.compression`): ``"none"`` leaves the
     fp32 path untouched; ``"fp16"`` casts through half precision;
     ``"topk"`` keeps the ``topk_fraction`` largest-magnitude elements
-    with (by default) error-feedback residual accumulation.
+    with error-feedback residual accumulation.
     """
 
     teams: int = 1
     threads_per_team: int = 4
     compression: str = "none"
     topk_fraction: float = 0.1
-    error_feedback: bool = True
 
     def __post_init__(self):
         if self.teams < 1 or self.threads_per_team < 1:
@@ -78,9 +77,7 @@ class PluginConfig:
 
     def build_compressor(self):
         """One rank's compressor instance (``None`` for mode "none")."""
-        return make_compressor(
-            self.compression, self.topk_fraction, error_feedback=self.error_feedback
-        )
+        return make_compressor(self.compression, self.topk_fraction)
 
 
 @dataclass
@@ -91,7 +88,6 @@ class PluginStats:
     bytes_reduced: int = 0
     chunks_reduced: int = 0
     seconds: float = 0.0
-    per_call_seconds: List[float] = field(default_factory=list)
 
 
 class MLPlugin:
@@ -151,11 +147,9 @@ class MLPlugin:
                 reduced[lo:hi] = self.comm.allreduce(flat[lo:hi], op=ReduceOp.MEAN)
                 self.stats.chunks_reduced += 1
 
-        elapsed = time.perf_counter() - t0
         self.stats.calls += 1
         self.stats.bytes_reduced += int(flat.nbytes)
-        self.stats.seconds += elapsed
-        self.stats.per_call_seconds.append(elapsed)
+        self.stats.seconds += time.perf_counter() - t0
 
         return unflatten_arrays(reduced, shapes)
 

@@ -531,7 +531,7 @@ class ProcessComm(MemberComm):
     def await_admission(self) -> Dict[str, np.ndarray]:
         """Claim this joiner's CRC-verified resync payload (joiner only)."""
         crc = self._m.claim(self._rank, self._incarnation)
-        with np.load(self.resync_path(self._rank, self._incarnation)) as data:
+        with open(self.resync_path(self._rank, self._incarnation), "rb") as fh, np.load(fh) as data:
             payload = {k: np.array(data[k]) for k in data.files}
         if resync_crc(payload) != crc:
             raise MessageCorruptError(

@@ -33,9 +33,8 @@ A :class:`StragglerMonitor` watches per-rank delivered-gradient
 latency (EWMA, published on the MetricsRegistry), **quarantines** a
 persistent straggler — demotes it to an asynchronous contributor whose
 gradients no longer gate the quorum and are dropped when they exceed
-the bound — **rehabilitates** it after consecutive healthy deliveries,
-and can optionally **evict** it outright (the elastic
-shrink-and-continue analogue: the mean renormalizes over survivors).
+the bound — and **rehabilitates** it after consecutive healthy
+deliveries.
 """
 
 from __future__ import annotations
@@ -53,6 +52,16 @@ __all__ = ["StalenessConfig", "StragglerMonitor", "StaleGroup", "STALE_MODES"]
 #: Aggregation modes the stale group implements.
 STALE_MODES = ("ssgd", "sagn")
 
+#: The monitor's per-rank latency EWMA smoothing.
+EWMA_ALPHA = 0.5
+#: Consecutive slow deliveries that quarantine a rank.
+QUARANTINE_AFTER = 2
+#: A quarantined rank's delivery counts as healthy at or under this
+#: multiple of the other ranks' median EWMA ...
+REHAB_FACTOR = 1.5
+#: ... and this many consecutive healthy deliveries rehabilitate it.
+REHAB_AFTER = 2
+
 
 @dataclass(frozen=True)
 class StalenessConfig:
@@ -68,27 +77,19 @@ class StalenessConfig:
     immediately, i.e. plain ssgd behavior).
 
     ``base_step_time_s`` is the virtual fault-free per-rank step
-    duration; injected ``RANK_HANG`` delays add to it.  The monitor
-    knobs: per-rank latency EWMA smoothing ``ewma_alpha``; a rank is
-    quarantined after ``quarantine_after`` consecutive deliveries with
-    EWMA above ``quarantine_factor`` × the median of the *other*
-    ranks' EWMAs (``quarantine_factor=None`` disables the monitor);
-    it is rehabilitated after ``rehab_after`` consecutive deliveries
-    faster than ``rehab_factor`` × that median; ``evict_after`` (steps
-    spent in quarantine without rehabilitating) escalates to eviction
-    (``None`` = never evict).
+    duration; injected ``RANK_HANG`` delays add to it.  A rank is
+    quarantined after :data:`QUARANTINE_AFTER` consecutive deliveries
+    with latency EWMA above ``quarantine_factor`` × the median of the
+    *other* ranks' EWMAs (``quarantine_factor=None`` disables the
+    monitor), and rehabilitated after :data:`REHAB_AFTER` consecutive
+    deliveries no slower than :data:`REHAB_FACTOR` × that median.
     """
 
     staleness_bound: int = 4
     quorum_fraction: float = 0.5
     window: int = 1
     base_step_time_s: float = 0.01
-    ewma_alpha: float = 0.5
     quarantine_factor: Optional[float] = 3.0
-    quarantine_after: int = 2
-    rehab_factor: float = 1.5
-    rehab_after: int = 2
-    evict_after: Optional[int] = None
 
     def __post_init__(self):
         if self.staleness_bound < 0:
@@ -99,18 +100,8 @@ class StalenessConfig:
             raise ValueError("window must be >= 1")
         if self.base_step_time_s <= 0:
             raise ValueError("base_step_time_s must be > 0")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if self.quarantine_factor is not None and self.quarantine_factor <= 1.0:
             raise ValueError("quarantine_factor must be > 1 (or None to disable)")
-        if self.quarantine_after < 1:
-            raise ValueError("quarantine_after must be >= 1")
-        if self.rehab_factor < 1.0:
-            raise ValueError("rehab_factor must be >= 1")
-        if self.rehab_after < 1:
-            raise ValueError("rehab_after must be >= 1")
-        if self.evict_after is not None and self.evict_after < 1:
-            raise ValueError("evict_after must be >= 1 (or None to never evict)")
 
     @property
     def monitor_enabled(self) -> bool:
@@ -164,8 +155,7 @@ class StragglerMonitor:
         instant; the monitor only decides.
         """
         prev = self.ewma.get(rank)
-        alpha = self.config.ewma_alpha
-        ew = duration_s if prev is None else alpha * duration_s + (1.0 - alpha) * prev
+        ew = duration_s if prev is None else EWMA_ALPHA * duration_s + (1.0 - EWMA_ALPHA) * prev
         self.ewma[rank] = ew
         if self.metrics is not None:
             self.metrics.gauge(f"stale.rank{rank}.latency_ewma_s").set(ew)
@@ -179,7 +169,7 @@ class StragglerMonitor:
                 self._slow_strikes[rank] = self._slow_strikes.get(rank, 0) + 1
             else:
                 self._slow_strikes[rank] = 0
-            if self._slow_strikes[rank] >= self.config.quarantine_after:
+            if self._slow_strikes[rank] >= QUARANTINE_AFTER:
                 self._slow_strikes[rank] = 0
                 self._healthy_strikes[rank] = 0
                 self.quarantine_log.append((rank, step))
@@ -188,11 +178,11 @@ class StragglerMonitor:
             # Rehabilitation judges raw delivery latency, not the EWMA:
             # the EWMA's memory of the slow period would otherwise hold
             # a recovered rank in quarantine for many extra deliveries.
-            if duration_s <= self.config.rehab_factor * median:
+            if duration_s <= REHAB_FACTOR * median:
                 self._healthy_strikes[rank] = self._healthy_strikes.get(rank, 0) + 1
             else:
                 self._healthy_strikes[rank] = 0
-            if self._healthy_strikes[rank] >= self.config.rehab_after:
+            if self._healthy_strikes[rank] >= REHAB_AFTER:
                 self._healthy_strikes[rank] = 0
                 self._slow_strikes[rank] = 0
                 self.rehab_log.append((rank, step))
@@ -260,8 +250,6 @@ class StaleGroup:
         self._in_flight: Dict[int, _InFlight] = {}
         self.sync_ranks = set(range(size))
         self.quarantined: set = set()
-        self.evicted: set = set()
-        self._quarantined_at: Dict[int, int] = {}
         self._window_acc: List[_InFlight] = []
         self._last_flush_step = -1
         # -- statistics (all deterministic under a seeded schedule) --
@@ -274,26 +262,16 @@ class StaleGroup:
         self.bound_waits = 0
         self.quarantines = 0
         self.rehabs = 0
-        self.evictions = 0
         self.ever_quarantined: set = set()
         self.ever_rehabilitated: set = set()
-
-    # -- membership ----------------------------------------------------------
-
-    @property
-    def active_count(self) -> int:
-        """Ranks still contributing gradients (sync + quarantined)."""
-        return self.size - len(self.evicted)
 
     # -- the two-phase step API ----------------------------------------------
 
     def begin_step(self, step: int) -> List[int]:
-        """Ranks that start a fresh gradient at this step: every
-        non-evicted rank whose previous gradient has folded (or been
-        dropped).  Sorted, so callers compute in deterministic order."""
-        return sorted(
-            r for r in range(self.size) if r not in self.evicted and r not in self._in_flight
-        )
+        """Ranks that start a fresh gradient at this step: every rank
+        whose previous gradient has folded (or been dropped).  Sorted,
+        so callers compute in deterministic order."""
+        return [r for r in range(self.size) if r not in self._in_flight]
 
     def complete_step(
         self, step: int, contribs: Dict[int, Tuple[float, np.ndarray]]
@@ -305,8 +283,6 @@ class StaleGroup:
         folded ``(mean loss, mean flat gradient)`` over this step's
         contributions.
         """
-        if self.active_count < 1:
-            raise RuntimeError("stale group has no active ranks left")
         cfg = self.config
         t0 = self.now
         for r in sorted(contribs):
@@ -361,7 +337,6 @@ class StaleGroup:
             close = min(m.finish for m in self._in_flight.values())
 
         self._apply_decisions(step, decisions)
-        self._maybe_evict(step)
 
         contributions.sort(key=lambda sm: (sm[1].birth, sm[1].rank))
         for staleness, m in contributions:
@@ -441,7 +416,6 @@ class StaleGroup:
             if verdict == "quarantine" and rank in self.sync_ranks:
                 self.sync_ranks.discard(rank)
                 self.quarantined.add(rank)
-                self._quarantined_at[rank] = step
                 self.quarantines += 1
                 self.ever_quarantined.add(rank)
                 if self.metrics is not None:
@@ -450,7 +424,6 @@ class StaleGroup:
                     self.tracer.instant("quarantine", cat="stale", track=rank, step=step)
             elif verdict == "rehabilitate" and rank in self.quarantined:
                 self.quarantined.discard(rank)
-                self._quarantined_at.pop(rank, None)
                 self.sync_ranks.add(rank)
                 self.rehabs += 1
                 self.ever_rehabilitated.add(rank)
@@ -458,21 +431,6 @@ class StaleGroup:
                     self.metrics.counter("stale.rehabs").add()
                 if self.tracer is not None:
                     self.tracer.instant("rehabilitate", cat="stale", track=rank, step=step)
-
-    def _maybe_evict(self, step: int) -> None:
-        if self.config.evict_after is None:
-            return
-        for rank in sorted(self.quarantined):
-            if step - self._quarantined_at[rank] >= self.config.evict_after:
-                self.quarantined.discard(rank)
-                self._quarantined_at.pop(rank, None)
-                self.evicted.add(rank)
-                self._in_flight.pop(rank, None)
-                self.evictions += 1
-                if self.metrics is not None:
-                    self.metrics.counter("stale.evictions").add()
-                if self.tracer is not None:
-                    self.tracer.instant("evict", cat="stale", track=rank, step=step)
 
     # -- reporting -----------------------------------------------------------
 
@@ -498,10 +456,8 @@ class StaleGroup:
             "contributions": list(self.contributions),
             "quarantines": self.quarantines,
             "rehabs": self.rehabs,
-            "evictions": self.evictions,
             "quarantined_ranks": sorted(self.ever_quarantined),
             "rehabilitated_ranks": sorted(self.ever_rehabilitated),
-            "evicted_ranks": sorted(self.evicted),
         }
         if self.monitor is not None:
             out["latency_ewma_s"] = {r: self.monitor.ewma[r] for r in sorted(self.monitor.ewma)}

@@ -213,15 +213,22 @@ def load_checkpoint(
     truncated, or fails its CRC.
     """
     path = Path(path)
+    # The handle is ours, not NumPy's: on a truncated archive np.load
+    # raises from inside NpzFile's constructor without closing the file
+    # it opened.
+    fh = None
     try:
-        data = np.load(path, allow_pickle=False)
+        fh = open(path, "rb")
+        data = np.load(fh, allow_pickle=False)
     except FileNotFoundError:
         raise
     except Exception as exc:
+        if fh is not None:
+            fh.close()
         raise CheckpointCorruptError(
             f"checkpoint {path} is unreadable ({exc})", path=path
         ) from exc
-    with data:
+    with fh, data:
         try:
             version = int(data["format_version"])
             if version != _FORMAT_VERSION:

@@ -116,7 +116,6 @@ class EngineConfig:
     epochs: int = 10
     batch_size: int = 1
     seed: Optional[int] = 0
-    shuffle: bool = True
     validate: bool = True
     divergence_threshold: float = 1e-5
 
@@ -307,7 +306,6 @@ class RankContext:
         val_batch_size: int = 1,
         steps_per_epoch: Optional[int] = None,
         rng=None,
-        shuffle: bool = True,
         aggregator=None,
         comm: Optional[Communicator] = None,
         callbacks: Optional[CallbackList] = None,
@@ -326,7 +324,6 @@ class RankContext:
         self.val_batch_size = val_batch_size
         self.steps_per_epoch = steps_per_epoch
         self.rng = rng
-        self.shuffle = shuffle
         self.aggregator = aggregator
         self.comm = comm
         self.callbacks = callbacks if callbacks is not None else CallbackList()
@@ -381,9 +378,7 @@ class RankContext:
 
     def start_stream(self) -> None:
         """Open this epoch's training-batch stream."""
-        self._it = self.train_view.batches(
-            self.batch_size, rng=self.rng, shuffle=self.shuffle
-        )
+        self._it = self.train_view.batches(self.batch_size, rng=self.rng)
 
     def fetch(self, step: int):
         """Next batch of the epoch, or ``None`` when exhausted."""
@@ -495,7 +490,7 @@ class _SteppedContext(RankContext):
 
     def start_stream(self):
         self._iters = [
-            shard.batches(self.batch_size, rng=rng, shuffle=self.shuffle)
+            shard.batches(self.batch_size, rng=rng)
             for shard, rng in zip(self.shards, self.rngs)
         ]
 
@@ -739,7 +734,6 @@ class LocalBackend(ExecutionBackend):
                 batch_size=cfg.batch_size,
                 val_batch_size=cfg.batch_size,
                 rng=rng,
-                shuffle=cfg.shuffle,
                 aggregator=self.aggregator,
                 callbacks=callbacks,
                 timer=self.timer,
@@ -840,7 +834,6 @@ class SteppedBackend(_GroupBackend):
             batch_size=cfg.batch_size,
             val_batch_size=1,
             steps_per_epoch=self.steps_per_epoch,
-            shuffle=cfg.shuffle,
             callbacks=callbacks,
         )
 
@@ -934,7 +927,6 @@ class ThreadedBackend(_GroupBackend):
             val_batch_size=1,
             steps_per_epoch=self.steps_per_epoch,
             rng=np.random.default_rng([cfg.seed, comm.rank]),
-            shuffle=cfg.shuffle,
             aggregator=self._aggregator(comm),
             comm=comm,
             callbacks=callbacks,

@@ -145,10 +145,10 @@ def network_costs(config: CosmoFlowConfig) -> List[LayerCost]:
                 bwd_weight_flops=mac,
             )
         )
-        if j < len(widths) or config.output_activation:
+        if j < len(widths):
             costs.append(
                 LayerCost(
-                    name=f"lrelu_fc{j}" if j < len(widths) else "lrelu_out",
+                    name=f"lrelu_fc{j}",
                     kind="activation",
                     output_shape=(width,),
                     params=0,

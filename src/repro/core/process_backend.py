@@ -446,7 +446,8 @@ class ProcessBackend(_GroupBackend):
         )
         model = CosmoFlowModel(self.model_config, seed=engine.config.seed)
         history = History()
-        with np.load(attempt_dir / f"result-r{keeper}-i{final_inc[keeper]}.npz") as data:
+        result = attempt_dir / f"result-r{keeper}-i{final_inc[keeper]}.npz"
+        with open(result, "rb") as fh, np.load(fh) as data:
             restore_training_state(data, model, history=history)
         divergence = reports[keeper]["divergence"]
 

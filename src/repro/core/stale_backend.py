@@ -43,12 +43,6 @@ class _StaleContext(_SteppedContext):
     into this step's average.
     """
 
-    def effective_batch(self) -> int:
-        # Eviction shrinks the contributing set (the elastic analogue);
-        # fault-free runs report batch_size * n_ranks like the
-        # synchronous backends.
-        return self.batch_size * self.group.active_count
-
     def fetch(self, step):
         self._global_step = self.epoch * self.steps_per_epoch + step
         self._starters = self.group.begin_step(self._global_step)

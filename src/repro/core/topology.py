@@ -72,11 +72,6 @@ class CosmoFlowConfig:
     input_channels: int = 1
     leaky_alpha: float = 0.2
     pool_kernel: int = 2
-    #: Apply leaky ReLU to the final (output) layer.  The paper says
-    #: "all convolution and FC layers use leaky Relu"; a linear head is
-    #: the conventional regression choice and with [0,1]-normalized
-    #: targets the two train almost identically.  Default False.
-    output_activation: bool = False
 
     def __post_init__(self):
         if self.input_size < 4:
@@ -262,9 +257,8 @@ def build_network(config: CosmoFlowConfig, seed=None) -> Sequential:
         layers.append(Dense(prev, width, rng=rng, name=f"fc{j}"))
         layers.append(LeakyReLU(config.leaky_alpha, name=f"lrelu_fc{j}"))
         prev = width
+    # A linear regression head (docs/paper_mapping.md).
     layers.append(Dense(prev, config.n_outputs, rng=rng, name=f"fc{len(config.fc_sizes) + 1}"))
-    if config.output_activation:
-        layers.append(LeakyReLU(config.leaky_alpha, name="lrelu_out"))
     return Sequential(layers, name=config.name)
 
 

@@ -28,7 +28,6 @@ __all__ = [
     "gaussian_random_modes",
     "gaussian_random_field",
     "zero_nyquist",
-    "field_rms",
 ]
 
 
@@ -193,8 +192,3 @@ def zero_nyquist(delta_k: np.ndarray) -> np.ndarray:
         out[:, m, :] = 0.0
         out[:, :, m] = 0.0
     return out
-
-
-def field_rms(delta: np.ndarray) -> float:
-    """RMS of a density field (diagnostic)."""
-    return float(np.sqrt(np.mean(np.square(delta))))

@@ -20,7 +20,7 @@ communication, limits scaling beyond ~512 nodes on Lustre.
   direct read's batches, batch for batch, at every thread count.
 * :mod:`repro.io.filesystem` — parameterized models of Cori Lustre,
   Cori DataWarp and Piz Daint Lustre (OST counts, striping, bandwidth,
-  contention, per-target variability) used by the scaling experiments
+  contention) used by the scaling experiments
   and by Equation 1's bandwidth analysis.
 * :mod:`repro.io.staging` — :class:`StagingManager`, the resilient
   burst-buffer staging tier (DataWarp → Lustre hierarchy): stage-in
@@ -41,5 +41,5 @@ __all__, __getattr__, __dir__ = _lazy(__name__, {
     "staging": ("BreakerState", "CircuitBreaker", "StageError", "StagedRead",
                 "StagingConfig", "StagingManager", "StagingStats"),
     "filesystem": ("FilesystemSpec", "cori_lustre", "cori_datawarp", "pizdaint_lustre",
-                   "make_read_hook", "required_bandwidth_per_node", "PAPER_SAMPLE_MB"),
+                   "required_bandwidth_per_node", "PAPER_SAMPLE_MB"),
 })

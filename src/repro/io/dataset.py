@@ -98,8 +98,8 @@ class RecordDataset:
         if missing:
             raise FileNotFoundError(f"missing record files: {missing}")
         #: Optional callable(path, nbytes) invoked per file read — the
-        #: hook the filesystem model uses to inject read latency (and
-        #: the fault injector uses to inject read errors).  Hooks may
+        #: hook a slow store injects read latency through (E3) and the
+        #: fault injector injects read errors through.  Hooks may
         #: optionally take an ``attempt`` keyword to see retries.
         self.read_hook = read_hook
         self._hook_takes_attempt = read_hook is not None and (

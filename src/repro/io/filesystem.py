@@ -27,19 +27,15 @@ is :func:`required_bandwidth_per_node`: ``BW_min = b × S / t``.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.utils.rng import derive_seed, new_rng
 
 __all__ = [
     "FilesystemSpec",
     "cori_lustre",
     "cori_datawarp",
     "pizdaint_lustre",
-    "make_read_hook",
     "required_bandwidth_per_node",
     "PAPER_SAMPLE_MB",
 ]
@@ -68,8 +64,6 @@ class FilesystemSpec:
     #: deliverable to this job on the busy shared system (the hard
     #: aggregate ceiling shared across all readers).
     efficiency: float = 1.0
-    #: Lognormal sigma of per-read bandwidth variability (stragglers).
-    variability_sigma: float = 0.0
 
     def __post_init__(self):
         if self.n_targets < 1 or self.stripe_targets < 1:
@@ -84,8 +78,6 @@ class FilesystemSpec:
             raise ValueError("contention_per_doubling must be >= 0")
         if not 0.0 < self.efficiency <= 1.0:
             raise ValueError("efficiency must be in (0, 1]")
-        if self.variability_sigma < 0:
-            raise ValueError("variability_sigma must be >= 0")
 
     # -- capacity ------------------------------------------------------------------
 
@@ -133,35 +125,6 @@ class FilesystemSpec:
             raise ValueError("required bandwidth must be positive")
         return self.usable_bandwidth_GBps * 1e3 / required_MBps_per_node
 
-    # -- read-time sampling -----------------------------------------------------------
-
-    def default_rng(self) -> np.random.Generator:
-        """The spec's deterministic variability stream (seeded by name).
-
-        Every fresh call starts the same stream, so a bare
-        ``read_time_s()`` draw is reproducible; callers that want
-        *evolving* variability across reads hold one generator and pass
-        it to every call (as :func:`make_read_hook` does).
-        """
-        return new_rng(derive_seed(0, "filesystem", self.name))
-
-    def read_time_s(self, nbytes: float, n_nodes: int, rng=None) -> float:
-        """Seconds for one node (of ``n_nodes`` concurrently reading) to
-        pull ``nbytes``; optionally sampled with straggler variability.
-
-        ``rng`` may be a seeded :class:`numpy.random.Generator`, an
-        integer seed, or ``None`` — which uses :meth:`default_rng`, not
-        OS entropy, so the simulation stays reproducible end to end.
-        """
-        bw = self.per_node_bandwidth_MBps(n_nodes) * 1e6
-        if self.variability_sigma > 0:
-            rng = self.default_rng() if rng is None else new_rng(rng)
-            # Lognormal with mean 1: slow tails model the paper's
-            # low-bandwidth OSTs.
-            factor = rng.lognormal(-0.5 * self.variability_sigma**2, self.variability_sigma)
-            bw *= factor
-        return float(nbytes) / bw
-
 
 def cori_lustre() -> FilesystemSpec:
     """Cori's Sonexion 2000 Lustre: 248 OSTs, 700 GB/s nominal
@@ -186,7 +149,6 @@ def cori_lustre() -> FilesystemSpec:
         client_base_MBps=104.0,
         contention_per_doubling=0.19,
         efficiency=0.21,
-        variability_sigma=0.35,
     )
 
 
@@ -207,7 +169,6 @@ def cori_datawarp() -> FilesystemSpec:
         client_base_MBps=1200.0,
         contention_per_doubling=0.05,
         efficiency=0.9,
-        variability_sigma=0.05,
     )
 
 
@@ -230,41 +191,7 @@ def pizdaint_lustre() -> FilesystemSpec:
         client_base_MBps=104.0,
         contention_per_doubling=0.19,
         efficiency=0.225,
-        variability_sigma=0.35,
     )
-
-
-def make_read_hook(
-    spec: FilesystemSpec,
-    n_nodes: int,
-    time_scale: float = 1.0,
-    rng=None,
-):
-    """A ``RecordDataset.read_hook`` that sleeps for the modeled read time.
-
-    Connects the filesystem model to the *real* prefetch pipeline: every
-    file read blocks for ``spec.read_time_s(nbytes, n_nodes)`` (scaled
-    by ``time_scale`` so experiments stay fast), reproducing the paper's
-    Lustre stall behaviour end-to-end in running code rather than only
-    in the analytical model.
-
-    ``rng`` (seeded generator or integer seed) drives the straggler
-    variability; ``None`` seeds the hook from the spec's name, so two
-    hooks built the same way replay the same latency sequence — never
-    fresh OS entropy.
-    """
-    if n_nodes < 1:
-        raise ValueError("n_nodes must be >= 1")
-    if time_scale < 0:
-        raise ValueError("time_scale must be >= 0")
-    rng = spec.default_rng() if rng is None else new_rng(rng)
-
-    def hook(path, nbytes: int) -> None:
-        delay = spec.read_time_s(nbytes, n_nodes, rng=rng) * time_scale
-        if delay > 0:
-            _time.sleep(delay)
-
-    return hook
 
 
 def required_bandwidth_per_node(

@@ -19,9 +19,9 @@ handling a production staging tier needs:
   retried on a :class:`~repro.utils.retry.RetryPolicy` schedule with
   seeded jitter, so storms of synchronized retries (and flaky
   `STAGE_FAIL` injections) are absorbed deterministically.
-* **Hedged reads** — when the hot tier's modeled latency for a read
-  blows past ``hedge_budget_s``, a duplicate read is issued against
-  the backing store and the faster of the two wins (the classic
+* **Hedged reads** — when a hot-tier read stalls past
+  ``hedge_budget_s`` (an injected ``TARGET_SLOW`` delay), a duplicate
+  read is issued against the backing store and wins (the classic
   tail-tolerance technique; here it also feeds the breaker).
 * **Per-target circuit breakers** — each file maps to one of
   ``n_targets`` burst-buffer server nodes; ``breaker_threshold``
@@ -41,11 +41,9 @@ handling a production staging tier needs:
 
 Determinism: all decisions (hedge-or-not, breaker trips, half-open
 transitions, retry jitter) are made on a **virtual clock** advanced by
-*modeled* latencies — seeded per ``(file, visit)`` so the same seed and
-:class:`~repro.faults.FaultPlan` reproduce the same decision sequence.
-``time_scale`` optionally converts virtual time into real ``sleep``
-so pipeline-stall experiments feel the latency; the default (0) makes
-simulation instant without changing a single decision.
+injected delays and seeded retry backoffs — jitter is seeded per
+``(file, visit)`` so the same seed and :class:`~repro.faults.FaultPlan`
+reproduce the same decision sequence.
 """
 
 from __future__ import annotations
@@ -53,8 +51,7 @@ from __future__ import annotations
 import os
 import shutil
 import threading
-import time as _time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
@@ -77,6 +74,11 @@ __all__ = [
 
 _log = get_logger("io.staging")
 
+#: Stage-in retry schedule, and the +/- fraction of each backoff drawn
+#: from the seeded per-visit generator.
+RETRY = RetryPolicy(base_delay_s=0.05)
+RETRY_JITTER = 0.25
+
 
 class StageError(IOError):
     """A stage-in failed terminally (retry budget exhausted)."""
@@ -88,27 +90,22 @@ class StagingConfig:
 
     ``capacity_bytes`` bounds the burst-buffer allocation (LRU eviction
     on overflow; ``None`` = unbounded).  ``hedge_budget_s`` is the
-    modeled hot-tier latency past which a read is hedged against the
-    backing store (``None`` disables hedging).  ``n_targets`` is the
+    hot-tier stall past which a read is hedged against the backing
+    store (``None`` disables hedging).  ``n_targets`` is the
     number of burst-buffer server nodes files are distributed over —
     the granularity at which breakers trip (DataWarp: 125 server nodes
     for the paper's allocation).
     """
 
     capacity_bytes: Optional[int] = None
-    retry: RetryPolicy = field(default_factory=lambda: RetryPolicy(base_delay_s=0.05))
-    retry_jitter: float = 0.25  # +/- fraction of each backoff, seeded
     hedge_budget_s: Optional[float] = None
     n_targets: int = 4
     breaker_threshold: int = 3
     breaker_reset_s: float = 30.0
-    stage_on_miss: bool = True
 
     def __post_init__(self):
         if self.capacity_bytes is not None and self.capacity_bytes < 1:
             raise ValueError("capacity_bytes must be >= 1 (or None)")
-        if not 0.0 <= self.retry_jitter <= 1.0:
-            raise ValueError("retry_jitter must be in [0, 1]")
         if self.hedge_budget_s is not None and self.hedge_budget_s < 0:
             raise ValueError("hedge_budget_s must be >= 0 (or None)")
         if self.n_targets < 1:
@@ -158,7 +155,7 @@ class StagedRead(NamedTuple):
 
     path: Path  # the physical file to read
     tier: str  # "bb" | "backing" | "hedge"
-    latency_s: float  # modeled latency charged for this read
+    latency_s: float  # virtual latency charged for this read
 
 
 class _StagedFile:
@@ -180,21 +177,12 @@ class StagingManager:
         copies (and the quarantine) live here.
     config
         :class:`StagingConfig` policy.
-    backing_spec, bb_spec
-        Optional :class:`~repro.io.filesystem.FilesystemSpec` models
-        whose ``read_time_s`` provides the *modeled* latency of each
-        tier (Lustre / DataWarp presets).  ``None`` models a zero-cost
-        tier — decisions then depend only on injected faults.
-    n_nodes
-        Concurrent readers the latency model should assume.
     seed
-        Seeds retry jitter and per-read latency sampling; with the same
-        seed and fault plan every decision replays identically.
+        Seeds retry jitter; with the same seed and fault plan every
+        decision replays identically.
     injector
         Optional :class:`~repro.faults.FaultInjector` supplying
         ``STAGE_FAIL`` / ``TARGET_SLOW`` / ``BB_EVICT`` events.
-    time_scale
-        Real seconds slept per virtual second (0 = never sleep).
     tracer
         Optional :class:`~repro.obs.tracer.Tracer`; every decision-log
         entry is mirrored as an instant event on the ``"staging"``
@@ -205,34 +193,22 @@ class StagingManager:
         self,
         bb_dir,
         config: Optional[StagingConfig] = None,
-        backing_spec=None,
-        bb_spec=None,
-        n_nodes: int = 1,
         seed: int = 0,
         injector=None,
-        time_scale: float = 0.0,
         tracer=None,
     ):
-        if n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
-        if time_scale < 0:
-            raise ValueError("time_scale must be >= 0")
         self.bb_dir = Path(bb_dir)
         self.bb_dir.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir = self.bb_dir / "quarantine"
         self.config = config or StagingConfig()
-        self.backing_spec = backing_spec
-        self.bb_spec = bb_spec
-        self.n_nodes = n_nodes
         self.seed = seed
         self.injector = injector
-        self.time_scale = time_scale
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = StagingStats()
         #: Human-readable decision log ("stage:x", "hedge:y", "trip:t2",
         #: ...) — the determinism tests compare two runs' logs verbatim.
         self.events: List[str] = []
-        #: Virtual clock (seconds of modeled latency accrued).
+        #: Virtual clock (seconds of injected delay and backoff accrued).
         self.clock_s = 0.0
         self._staged: Dict[Path, _StagedFile] = {}
         self._visits: Dict[Path, int] = {}  # per-file read/stage ordinal
@@ -282,39 +258,19 @@ class StagingManager:
                 kind, cat="io", track="staging", file=str(detail), vts=self.clock_s
             )
 
-    # -- virtual time / latency ----------------------------------------------
+    # -- virtual time ----------------------------------------------------------
 
     def _advance(self, dt: float) -> None:
-        if dt <= 0:
-            return
-        self.clock_s += dt
-        if self.time_scale > 0:
-            _time.sleep(dt * self.time_scale)
+        if dt > 0:
+            self.clock_s += dt
 
-    def _visit_rng(self, path: Path, purpose: str):
-        """Seeded generator keyed by (file, visit ordinal, purpose) —
-        latency draws don't depend on cross-file interleaving.
-
-        Returned as a callable that builds the generator on first use:
-        every visit takes its ordinal, but only one that draws (a
-        latency model, retry jitter) pays for a generator.
-        """
+    def _next_visit(self, path: Path) -> int:
+        """Take the file's next visit ordinal.  Reads and stage-ins share
+        the count, so a stage-in's jitter seed ``(file, visit)`` does not
+        depend on cross-file interleaving."""
         visit = self._visits.get(path, 0)
         self._visits[path] = visit + 1
-        rng = None
-
-        def draw():
-            nonlocal rng
-            if rng is None:
-                rng = new_rng(derive_seed(self.seed, purpose, path.name, visit))
-            return rng
-
-        return draw
-
-    def _tier_latency(self, spec, nbytes: int, rng) -> float:
-        if spec is None:
-            return 0.0
-        return spec.read_time_s(nbytes, self.n_nodes, rng=rng())
+        return visit
 
     # -- breaker bookkeeping -------------------------------------------------
 
@@ -353,36 +309,32 @@ class StagingManager:
             if source in self._staged:
                 return True
             target = self.target_of(source)
-            rng = self._visit_rng(source, "stage")
-            policy = self.config.retry
-            for attempt in range(policy.max_attempts):
+            visit = self._next_visit(source)
+            rng = None
+            for attempt in range(RETRY.max_attempts):
                 try:
-                    self._stage_once(source, attempt, rng)
+                    self._stage_once(source, attempt)
                 except (OSError, StageError) as exc:
-                    if attempt + 1 >= policy.max_attempts:
+                    if attempt + 1 >= RETRY.max_attempts:
                         self.stats.stage_failures += 1
                         self._event("stage-fail", source.name)
                         self._record_failure(target)
                         _log.warning("stage-in of %s failed terminally: %s", source, exc)
                         return False
                     self.stats.stage_retries += 1
-                    jitter = self.config.retry_jitter
-                    self._advance(
-                        jittered_delay(
-                            policy, attempt, jitter=jitter, rng=rng() if jitter else None
-                        )
-                    )
+                    if rng is None:
+                        rng = new_rng(derive_seed(self.seed, "stage", source.name, visit))
+                    self._advance(jittered_delay(RETRY, attempt, jitter=RETRY_JITTER, rng=rng))
                 else:
                     self._event("stage", source.name)
                     self.breaker(target).record_success()
                     return True
         return False  # pragma: no cover - loop always returns
 
-    def _stage_once(self, source: Path, attempt: int, rng) -> None:
+    def _stage_once(self, source: Path, attempt: int) -> None:
         if self.injector is not None:
             self.injector.on_stage(source, attempt=attempt)
         data = source.read_bytes()
-        self._advance(self._tier_latency(self.backing_spec, len(data), rng))
         dest = self.bb_dir / source.name
         # Never written in place: a reader may hold a mapping of a file
         # already under this name (another rank's copy on the shared
@@ -489,15 +441,15 @@ class StagingManager:
         """Resolve one read through the tier hierarchy.
 
         The fallback ladder, top to bottom: staged burst-buffer copy →
-        hedged read (hot tier raced against the backing store) → direct
-        backing-store read (miss, open breaker, eviction, or failed
-        stage-in).  Never raises for tier trouble — the worst outcome
-        is a slow, counted, backing-store read.
+        hedged read (a hot-tier stall past the budget, won by the backing
+        store) → direct backing-store read (open breaker, eviction, or
+        failed stage-in; a miss stages first).  Never raises for tier
+        trouble — the worst outcome is a counted backing-store read.
         """
         source = Path(source)
         with self._lock:
             target = self.target_of(source)
-            rng = self._visit_rng(source, "read")
+            self._next_visit(source)
             slow_s = 0.0
             if self.injector is not None:
                 slow_s, evict = self.injector.on_staged_read(source, target)
@@ -505,37 +457,26 @@ class StagingManager:
                     self.evict_all()
             entry = self._staged.get(source)
             allowed = self._allow(target)
-            if entry is None and allowed and self.config.stage_on_miss:
-                if self.stage(source):
-                    entry = self._staged.get(source)
+            if entry is None and allowed and self.stage(source):
+                entry = self._staged.get(source)
             if entry is None or not allowed:
-                nbytes = source.stat().st_size
-                latency = self._tier_latency(self.backing_spec, nbytes, rng)
-                self._advance(latency)
                 self.stats.fallback_reads += 1
                 self._event("fallback", source.name)
-                return StagedRead(source, "backing", latency)
-            # Hot-tier read, possibly hedged.
+                return StagedRead(source, "backing", 0.0)
+            # Hot-tier read, hedged when it stalls past the budget.
             entry.last_used = self.clock_s
-            bb_latency = self._tier_latency(self.bb_spec, entry.nbytes, rng) + slow_s
             budget = self.config.hedge_budget_s
-            if budget is not None and bb_latency > budget:
+            if budget is not None and slow_s > budget:
                 self.stats.hedged_reads += 1
                 self._event("hedge", source.name)
-                backing_latency = budget + self._tier_latency(
-                    self.backing_spec, entry.nbytes, rng
-                )
-                # Over-budget hot reads are target failures either way:
-                # this is the signal that trips a slow target's breaker.
+                # An over-budget hot read is a target failure: this is
+                # the signal that trips a slow target's breaker.  The
+                # backing-store duplicate, issued at the budget, wins.
                 self._record_failure(target)
-                if backing_latency < bb_latency:
-                    self.stats.hedge_wins += 1
-                    self._advance(backing_latency)
-                    return StagedRead(source, "hedge", backing_latency)
-                self._advance(bb_latency)
-                self.stats.bb_reads += 1
-                return StagedRead(entry.path, "bb", bb_latency)
-            self._advance(bb_latency)
+                self.stats.hedge_wins += 1
+                self._advance(budget)
+                return StagedRead(source, "hedge", budget)
+            self._advance(slow_s)
             self.stats.bb_reads += 1
             self.breaker(target).record_success()
-            return StagedRead(entry.path, "bb", bb_latency)
+            return StagedRead(entry.path, "bb", slow_s)

@@ -21,6 +21,7 @@ from collections import deque
 from enum import Enum
 from typing import Deque, Iterable, List
 
+from repro.serve.replica import WARMUP_S
 from repro.serve.request import InferenceRequest
 
 __all__ = ["AdmissionDecision", "AdmissionController"]
@@ -38,31 +39,18 @@ class AdmissionController:
 
     ``batch_service_s`` is the nominal (jitter-free) service time of a
     full batch — the unit the wait estimate is denominated in.
-    ``feasibility_margin`` scales the estimate: > 1 sheds earlier
-    (conservative), < 1 admits optimistically.
     """
 
-    def __init__(
-        self,
-        max_queue: int,
-        max_batch: int,
-        batch_service_s: float,
-        warmup_s: float = 0.0,
-        feasibility_margin: float = 1.0,
-    ):
+    def __init__(self, max_queue: int, max_batch: int, batch_service_s: float):
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if batch_service_s <= 0:
             raise ValueError("batch_service_s must be > 0")
-        if feasibility_margin <= 0:
-            raise ValueError("feasibility_margin must be > 0")
         self.max_queue = max_queue
         self.max_batch = max_batch
         self.batch_service_s = batch_service_s
-        self.warmup_s = warmup_s
-        self.feasibility_margin = feasibility_margin
         self.queue: Deque[InferenceRequest] = deque()
         self.admitted = 0
         self.shed = {d: 0 for d in AdmissionDecision if d is not AdmissionDecision.ADMIT}
@@ -80,14 +68,14 @@ class AdmissionController:
         Work ahead of it: every in-flight batch plus the queue (itself
         included) packed into ``max_batch`` batches, spread over the
         replicas that can serve.  When nothing is serving yet the first
-        wave also waits out a warmup.
+        wave also waits out a replica warmup (:data:`WARMUP_S`).
         """
         lanes = max(1, n_serving if n_serving > 0 else n_warming)
         batches_ahead = in_flight + math.ceil((len(self.queue) + 1) / self.max_batch)
         waves = math.ceil(batches_ahead / lanes)
-        est = now + waves * self.batch_service_s * self.feasibility_margin
+        est = now + waves * self.batch_service_s
         if n_serving == 0:
-            est += self.warmup_s
+            est += WARMUP_S
         return est
 
     def decide(

@@ -30,7 +30,6 @@ Degradation ladder (most graceful first):
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -40,13 +39,17 @@ from repro.perfmodel.node import NodeSpec, knl_node
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.cache import ResultCache
 from repro.serve.pool import ReplicaPool
-from repro.serve.replica import Replica, ReplicaState
+from repro.serve.replica import WARMUP_S, Replica, ReplicaState
 from repro.serve.request import InferenceRequest, Outcome
 from repro.serve.workload import payload_volume
-from repro.utils.breaker import CircuitBreaker
 from repro.utils.rng import derive_seed, new_rng
 
 __all__ = ["ServeConfig", "ServeReport", "InferenceServer"]
+
+#: Latency of a result-cache hit, seconds.
+CACHE_LATENCY_S = 0.0005
+#: Health-check latency to notice a replica's death, seconds.
+CRASH_DETECTION_S = 0.02
 
 _SHED_OUTCOME = {
     AdmissionDecision.SHED_QUEUE_FULL: Outcome.SHED_QUEUE_FULL,
@@ -64,18 +67,9 @@ class ServeConfig:
     max_batch: int = 4
     max_wait_s: float = 0.005  # micro-batching window
     max_queue: int = 64
-    overhead_s: float = 0.002  # fixed per-batch dispatch cost
     cache_capacity: int = 256  # entries; 0 disables the result cache
-    cache_latency_s: float = 0.0005
     hedge_budget_s: Optional[float] = None  # None disables hedging
-    crash_detection_s: float = 0.02  # health-check latency to notice a death
-    warmup_s: float = 0.05  # replica boot / spare promotion cost
-    straggler_threshold_s: Optional[float] = None  # breaker failure cutoff
-    breaker_threshold: int = 3
-    breaker_reset_s: float = 1.0
-    feasibility_margin: float = 1.0
     run_inference: bool = False  # real model predictions on completion
-    time_scale: float = 0.0  # real seconds slept per virtual second
 
     def __post_init__(self):
         if self.n_replicas < 1:
@@ -88,21 +82,10 @@ class ServeConfig:
             raise ValueError("max_wait_s must be >= 0")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
-        for name in ("overhead_s", "cache_latency_s", "crash_detection_s",
-                     "warmup_s", "time_scale"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
         if self.cache_capacity < 0:
             raise ValueError("cache_capacity must be >= 0")
         if self.hedge_budget_s is not None and self.hedge_budget_s < 0:
             raise ValueError("hedge_budget_s must be >= 0 (or None)")
-        if (
-            self.straggler_threshold_s is not None
-            and self.straggler_threshold_s <= 0
-        ):
-            raise ValueError("straggler_threshold_s must be > 0 (or None)")
-        if self.feasibility_margin <= 0:
-            raise ValueError("feasibility_margin must be > 0")
 
 
 @dataclass
@@ -196,12 +179,9 @@ class InferenceServer:
     Parameters
     ----------
     model
-        The :class:`~repro.core.model.CosmoFlowModel` being served.
-        With ``weights_path`` unset every replica shares this instance
-        (models with the same config and seed are bitwise identical);
-        with it set, each replica loads its own copy from the
-        checkpoint — the serving analogue of the paper's parameter
-        broadcast.
+        The :class:`~repro.core.model.CosmoFlowModel` being served;
+        every replica shares this instance (models with the same config
+        and seed are bitwise identical).
     config
         :class:`ServeConfig` policy.
     node
@@ -214,11 +194,6 @@ class InferenceServer:
     injector
         Optional :class:`~repro.faults.FaultInjector` supplying
         ``REPLICA_CRASH`` / ``REPLICA_SLOW`` events at dispatch points.
-    staging, weights_path
-        Optional weight-distribution path: the checkpoint at
-        ``weights_path`` is staged into the burst buffer once, then
-        every replica boot (and spare promotion) charges one staged
-        read of it on top of ``warmup_s``.
     tracer
         Optional tracer; every decision mirrors onto the ``"serve"``
         track as an instant stamped with the virtual clock.
@@ -234,8 +209,6 @@ class InferenceServer:
         node: Optional[NodeSpec] = None,
         seed: int = 0,
         injector=None,
-        staging=None,
-        weights_path=None,
         tracer=None,
         metrics: Optional[MetricsRegistry] = None,
     ):
@@ -244,8 +217,6 @@ class InferenceServer:
         self.node = node or knl_node()
         self.seed = seed
         self.injector = injector
-        self.staging = staging
-        self.weights_path = weights_path
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = ResultCache(self.config.cache_capacity)
@@ -260,8 +231,6 @@ class InferenceServer:
             batch_service_s=self.pool.replicas[0].nominal_service_s(
                 self.config.max_batch
             ),
-            warmup_s=self.config.warmup_s,
-            feasibility_margin=self.config.feasibility_margin,
         )
         self._heap: List[Tuple[float, int, str, Any]] = []
         self._seq = 0
@@ -278,41 +247,11 @@ class InferenceServer:
 
     # -- construction --------------------------------------------------------
 
-    def _replica_model(self):
-        if self.weights_path is None:
-            return self.model
-        from repro.core.checkpoint import load_checkpoint
-        from repro.core.model import CosmoFlowModel
-
-        replica_model = CosmoFlowModel(self.model.config, seed=0)
-        load_checkpoint(self.weights_path, replica_model)
-        return replica_model
-
-    def _new_replica(self, rid: int) -> Replica:
-        return Replica(
-            rid,
-            self._replica_model(),
-            self.node,
-            overhead_s=self.config.overhead_s,
-            breaker=CircuitBreaker(
-                f"replica-{rid}",
-                threshold=self.config.breaker_threshold,
-                reset_s=self.config.breaker_reset_s,
-            ),
-        )
-
     def _build_pool(self) -> ReplicaPool:
         n = self.config.n_replicas
-        primaries = [self._new_replica(i) for i in range(n)]
-        spares = [self._new_replica(n + i) for i in range(self.config.n_spares)]
+        primaries = [Replica(i, self.model, self.node) for i in range(n)]
+        spares = [Replica(n + i, self.model, self.node) for i in range(self.config.n_spares)]
         return ReplicaPool(primaries, spares)
-
-    def _weight_load_s(self) -> float:
-        """Modeled latency of pulling weights through the staging tier
-        for one replica boot (0 when no staging path is configured)."""
-        if self.staging is None or self.weights_path is None:
-            return 0.0
-        return self.staging.read(self.weights_path).latency_s
 
     # -- event plumbing ------------------------------------------------------
 
@@ -322,8 +261,6 @@ class InferenceServer:
 
     def _advance_to(self, t: float) -> None:
         if t > self.clock_s:
-            if self.config.time_scale > 0:
-                time.sleep((t - self.clock_s) * self.config.time_scale)
             self.clock_s = t
 
     def _event(self, kind: str, detail) -> None:
@@ -347,10 +284,8 @@ class InferenceServer:
         state, so build a fresh server per run (replay does the same,
         which is what makes two same-seed runs comparable verbatim).
         """
-        if self.staging is not None and self.weights_path is not None:
-            self.staging.stage(self.weights_path)
         for replica in self.pool.replicas:
-            ready_at = self.clock_s + self.config.warmup_s + self._weight_load_s()
+            ready_at = self.clock_s + WARMUP_S
             replica.ready_at_s = ready_at
             self._event("boot", replica.name)
             self._push(ready_at, "ready", replica)
@@ -378,7 +313,7 @@ class InferenceServer:
         if self.cache.capacity > 0:
             result = self.cache.get(request.payload)
             if result is not None:
-                request.resolve(Outcome.CACHE_HIT, now + self.config.cache_latency_s)
+                request.resolve(Outcome.CACHE_HIT, now + CACHE_LATENCY_S)
                 self._latency.observe(request.latency_s)
                 self._count("cache_hits")
                 self._event("cache_hit", request.rid)
@@ -421,14 +356,7 @@ class InferenceServer:
         replica.batches_served += 1
         replica.busy_s += batch.service_s
         self._service.observe(batch.service_s)
-        if (
-            self.config.straggler_threshold_s is not None
-            and batch.service_s > self.config.straggler_threshold_s
-        ):
-            replica.breaker.record_failure(now)
-            self._event("straggle", f"{batch.name}:{replica.name}")
-        else:
-            replica.breaker.record_success()
+        replica.breaker.record_success()
         newly = [r for r in batch.requests if r.resolve(Outcome.COMPLETED, now)]
         if not newly:
             # The hedge twin beat this batch to every request.
@@ -465,7 +393,7 @@ class InferenceServer:
             self._count("redrained", n)
             self._event("redrain", f"n{n}")
         if spare is not None:
-            ready_at = now + self.config.warmup_s + self._weight_load_s()
+            ready_at = now + WARMUP_S
             spare.ready_at_s = ready_at
             self._count("spares_promoted")
             self._event("promote", spare.name)
@@ -515,7 +443,7 @@ class InferenceServer:
         if slow_s > 0:
             self._event("slow", f"{batch.name}:{replica.name}")
         if crash:
-            self._push(now + self.config.crash_detection_s, "crash", batch)
+            self._push(now + CRASH_DETECTION_S, "crash", batch)
         else:
             self._push(now + service_s, "done", batch)
             if self.config.hedge_budget_s is not None and not is_hedge:

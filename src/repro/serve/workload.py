@@ -35,7 +35,6 @@ class WorkloadSpec:
     rate_qps: float = 100.0
     deadline_slack_s: float = 0.25
     n_unique: int = 32
-    start_s: float = 0.0
 
     def __post_init__(self):
         if self.n_requests < 1:
@@ -46,14 +45,12 @@ class WorkloadSpec:
             raise ValueError("deadline_slack_s must be > 0")
         if self.n_unique < 1:
             raise ValueError("n_unique must be >= 1")
-        if self.start_s < 0:
-            raise ValueError("start_s must be >= 0")
 
 
 def build_requests(spec: WorkloadSpec, seed: int = 0) -> List[InferenceRequest]:
     """The full request stream for one run, in arrival order."""
     rng = new_rng(derive_seed(seed, "serve-workload"))
-    t = spec.start_s
+    t = 0.0
     requests: List[InferenceRequest] = []
     for rid in range(spec.n_requests):
         t += float(rng.exponential(1.0 / spec.rate_qps))

@@ -53,7 +53,7 @@ class TestFp16Compressor:
 
 class TestTopKCompressor:
     def test_keeps_largest_magnitudes(self):
-        c = TopKCompressor(fraction=0.25, error_feedback=False)
+        c = TopKCompressor(fraction=0.25)
         g = np.asarray([0.1, -5.0, 0.2, 3.0, -0.3, 0.05, 1.0, -0.01], np.float32)
         out = c.compress(g)
         # k = 2 of 8: keeps -5.0 and 3.0, zeroes the rest.
@@ -62,7 +62,7 @@ class TestTopKCompressor:
         assert np.array_equal(out, expect)
 
     def test_tie_break_is_by_index(self):
-        c = TopKCompressor(fraction=0.5, error_feedback=False)
+        c = TopKCompressor(fraction=0.5)
         g = np.asarray([1.0, -1.0, 1.0, -1.0], np.float32)
         out = c.compress(g)
         assert np.array_equal(out, np.asarray([1.0, -1.0, 0.0, 0.0], np.float32))
@@ -89,11 +89,6 @@ class TestTopKCompressor:
         for _ in range(12):
             out = c.compress(np.asarray([0.0, 0.0, 0.0, 1.0], np.float32))
         assert out[3] > 0.0
-
-    def test_no_error_feedback_drops_mass(self):
-        c = TopKCompressor(fraction=0.25, error_feedback=False)
-        c.compress(np.asarray([10.0, 0.0, 0.0, 1.0], np.float32))
-        assert c.residual is None
 
     def test_wire_bytes(self):
         c = TopKCompressor(fraction=0.1)
@@ -137,9 +132,9 @@ class TestFactoryAndRatio:
 
     def test_modes(self):
         assert isinstance(make_compressor("fp16"), Fp16Compressor)
-        c = make_compressor("topk", 0.2, error_feedback=False)
+        c = make_compressor("topk", 0.2)
         assert isinstance(c, TopKCompressor)
-        assert c.fraction == 0.2 and not c.error_feedback
+        assert c.fraction == 0.2
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):

@@ -47,7 +47,7 @@ class TestMLPluginSerial:
         assert plugin.stats.calls == 1
         assert plugin.stats.bytes_reduced == 32
         assert plugin.stats.chunks_reduced == 2
-        assert len(plugin.stats.per_call_seconds) == 1
+        assert plugin.stats.seconds > 0
 
     def test_more_chunks_than_elements(self):
         plugin = MLPlugin(SerialCommunicator(), PluginConfig(teams=1, threads_per_team=16)).init()

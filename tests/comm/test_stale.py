@@ -47,12 +47,7 @@ class TestStalenessConfig:
             {"quorum_fraction": 1.5},
             {"window": 0},
             {"base_step_time_s": 0.0},
-            {"ewma_alpha": 0.0},
             {"quarantine_factor": 1.0},
-            {"quarantine_after": 0},
-            {"rehab_factor": 0.5},
-            {"rehab_after": 0},
-            {"evict_after": 0},
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -207,18 +202,6 @@ class TestMonitor:
         g = slow_rank_group(cfg, delay_s=9 * BASE, slow_steps=12, size=2, monitor=mon)
         run_group(g, 12)
         assert g.quarantines == 1
-
-    def test_eviction_after_quarantine(self):
-        cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5,
-                              base_step_time_s=BASE, evict_after=5)
-        mon = StragglerMonitor(4, cfg)
-        g = slow_rank_group(cfg, delay_s=9 * BASE, slow_steps=60, monitor=mon)
-        run_group(g, 40)
-        assert g.evictions == 1
-        assert g.stats()["evicted_ranks"] == [1]
-        assert g.active_count == 3
-        # Evicted ranks never start again.
-        assert 1 not in g.begin_step(40)
 
     def test_no_quarantine_without_faults(self):
         cfg, mon = self.make()

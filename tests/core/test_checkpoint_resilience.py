@@ -148,8 +148,9 @@ class TestCorruptionDetection:
             load_checkpoint(path, fresh, fopt)
 
     def test_garbage_file_detected(self, tmp_path):
+        # Behind a zip signature, so np.load takes the archive path.
         path = tmp_path / "junk.npz"
-        path.write_bytes(b"not a checkpoint at all")
+        path.write_bytes(b"PK\x03\x04not a checkpoint at all")
         model, opt = make_model()
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path, model, opt)

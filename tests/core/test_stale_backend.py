@@ -135,20 +135,6 @@ class TestStragglerRuns:
         assert gs["rehabilitated_ranks"] == [1]
         assert gs["quarantines"] >= 1
         assert gs["rehabs"] >= 1
-        assert gs["evicted_ranks"] == []
-
-    def test_eviction_shrinks_group(self):
-        cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5,
-                              evict_after=4)
-        # Slow for the whole run: quarantine escalates to eviction.
-        t, hist = run_engine(
-            StaleBackend, stale_mode="ssgd", staleness=cfg, epochs=10,
-            injector=self.straggler_injector(steps=100),
-        )
-        gs = t.group_stats
-        assert gs["evicted_ranks"] == [1]
-        assert gs["evictions"] == 1
-        assert np.isfinite(hist.train_loss[-1])
 
     def test_sagn_straggler_run(self):
         cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5,

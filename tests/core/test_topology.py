@@ -138,13 +138,6 @@ class TestBuildNetwork:
         # leaky ReLU after every conv and hidden FC, linear head
         assert kinds.count("LeakyReLU") == 7 + 2
 
-    def test_output_activation_flag(self):
-        from dataclasses import replace
-
-        cfg = replace(tiny_16(), output_activation=True)
-        net = build_network(cfg, seed=0)
-        assert type(net.layers[-1]).__name__ == "LeakyReLU"
-
     def test_default_parameter_space(self):
         assert default_parameter_space(paper_128()).n_params == 3
         assert default_parameter_space(ravanbakhsh_64()).names == ("omega_m", "sigma_8")

@@ -1,6 +1,5 @@
 """Tests for the filesystem models and Equation 1."""
 
-import numpy as np
 import pytest
 
 from repro.io.filesystem import (
@@ -108,53 +107,7 @@ class TestScalingBehaviour:
         assert all(a >= b for a, b in zip(bws, bws[1:]))
 
 
-class TestReadTime:
-    def test_deterministic_without_variability(self):
-        fs = FilesystemSpec(
-            name="t", n_targets=4, per_target_bandwidth_GBps=1.0,
-            stripe_targets=4, stripe_size_MB=1.0, client_base_MBps=100.0,
-        )
-        t = fs.read_time_s(8e6, 1)
-        assert t == pytest.approx(8e6 / 100e6)
-
-    def test_variability_samples_differ(self):
-        fs = cori_lustre()
-        times = {fs.read_time_s(8e6, 128, rng=np.random.default_rng(s)) for s in range(5)}
-        assert len(times) == 5
-
-    def test_variability_mean_near_nominal(self):
-        fs = cori_lustre()
-        rng = np.random.default_rng(0)
-        nominal = 8e6 / (fs.per_node_bandwidth_MBps(128) * 1e6)
-        times = [fs.read_time_s(8e6, 128, rng=rng) for _ in range(500)]
-        # lognormal with mean 1 on bandwidth -> harmonic-ish mean on time;
-        # just require same order of magnitude and positive skew
-        assert np.median(times) == pytest.approx(nominal, rel=0.3)
-        assert np.mean(times) >= np.median(times) * 0.9
-
-    def test_no_rng_falls_back_to_seeded_default(self):
-        """rng=None must mean the spec's own derived stream, not the
-        process-global NumPy RNG: two fresh calls draw the same value,
-        and specs with different names draw different ones."""
-        fs = cori_lustre()
-        assert fs.read_time_s(8e6, 128) == fs.read_time_s(8e6, 128)
-        other = cori_datawarp()
-        assert fs.read_time_s(8e6, 128) != other.read_time_s(8e6, 128)
-
-    def test_default_rng_isolated_from_global_state(self):
-        fs = cori_lustre()
-        np.random.seed(12345)
-        a = fs.read_time_s(8e6, 128)
-        np.random.seed(54321)
-        b = fs.read_time_s(8e6, 128)
-        assert a == b
-
-    def test_rng_accepts_seed_or_generator(self):
-        fs = cori_lustre()
-        a = fs.read_time_s(8e6, 128, rng=7)
-        b = fs.read_time_s(8e6, 128, rng=np.random.default_rng(7))
-        assert a == b
-
+class TestSpecValidation:
     def test_validation(self):
         with pytest.raises(ValueError):
             FilesystemSpec("x", 0, 1.0, 1, 1.0, 10.0)
@@ -162,8 +115,6 @@ class TestReadTime:
             FilesystemSpec("x", 4, 1.0, 8, 1.0, 10.0)  # stripe > targets
         with pytest.raises(ValueError):
             FilesystemSpec("x", 4, 1.0, 2, 1.0, 10.0, efficiency=0.0)
-        with pytest.raises(ValueError):
-            FilesystemSpec("x", 4, 1.0, 2, 1.0, 10.0, variability_sigma=-1)
         with pytest.raises(ValueError):
             FilesystemSpec("x", 4, 1.0, 2, 1.0, 10.0, contention_per_doubling=-0.1)
         with pytest.raises(ValueError):

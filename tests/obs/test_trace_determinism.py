@@ -22,9 +22,8 @@ from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.io.dataset import write_dataset
-from repro.io.staging import StagingConfig, StagingManager
+from repro.io.staging import RETRY, StagingConfig, StagingManager
 from repro.obs import Tracer
-from repro.utils.retry import RetryPolicy
 
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
@@ -84,17 +83,18 @@ def traced_staging_run(tmp_path, name):
     vols = rng.standard_normal((8, 1, 4, 4, 4)).astype(np.float32)
     tgts = rng.random((8, 3)).astype(np.float32)
     files = write_dataset(tmp_path / f"src-{name}", vols, tgts, samples_per_file=2)
-    # stage ops 0-3 are stage_all's four shards (ops 0-2 fail
-    # terminally with max_attempts=1); op 4 is the first read's
-    # stage-on-miss retry, which also fails -> a fallback read.  Reads
-    # 1 and 3 hit a slow target and hedge.
+    # stage ops 0-3 are stage_all's four shards (ops 0-2 fail every
+    # attempt, terminally); op 4 is the first read's stage-in of its
+    # miss, which also fails -> a fallback read.  Reads 1 and 3 hit a
+    # slow target and hedge.
+    attempts = RETRY.max_attempts
     plan = FaultPlan(
         seed=5,
         events=(
-            FaultEvent(FaultKind.STAGE_FAIL, step=0),
-            FaultEvent(FaultKind.STAGE_FAIL, step=1),
-            FaultEvent(FaultKind.STAGE_FAIL, step=2),
-            FaultEvent(FaultKind.STAGE_FAIL, step=4),
+            FaultEvent(FaultKind.STAGE_FAIL, step=0, repeats=attempts),
+            FaultEvent(FaultKind.STAGE_FAIL, step=1, repeats=attempts),
+            FaultEvent(FaultKind.STAGE_FAIL, step=2, repeats=attempts),
+            FaultEvent(FaultKind.STAGE_FAIL, step=4, repeats=attempts),
             FaultEvent(FaultKind.TARGET_SLOW, step=1, delay_s=0.5),
             FaultEvent(FaultKind.TARGET_SLOW, step=3, delay_s=0.5),
         ),
@@ -102,10 +102,7 @@ def traced_staging_run(tmp_path, name):
     tracer = Tracer()
     mgr = StagingManager(
         tmp_path / f"bb-{name}",
-        config=StagingConfig(
-            retry=RetryPolicy(max_attempts=1, base_delay_s=0.01),
-            hedge_budget_s=0.05,
-        ),
+        config=StagingConfig(hedge_budget_s=0.05),
         seed=7,
         injector=FaultInjector(plan),
         tracer=tracer,

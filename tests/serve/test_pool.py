@@ -6,7 +6,7 @@ from repro.core.model import CosmoFlowModel
 from repro.core.topology import tiny_16
 from repro.perfmodel.node import NodeSpec
 from repro.serve.pool import ReplicaPool
-from repro.serve.replica import Replica, ReplicaState
+from repro.serve.replica import OVERHEAD_S, Replica, ReplicaState
 from repro.utils.rng import new_rng
 
 
@@ -23,14 +23,14 @@ def make_replica(rid, model, jitter=0.0):
     node = NodeSpec(
         name="n", sustained_flops=1e9, peak_flops=1e12, jitter_sigma=jitter
     )
-    return Replica(rid, model, node, overhead_s=0.001)
+    return Replica(rid, model, node)
 
 
 class TestReplica:
     def test_service_time_is_flops_over_rate_plus_overhead(self, model):
         r = make_replica(0, model)
         nominal = r.nominal_service_s(4)
-        expected = 0.001 + 4 * r.fwd_flops_per_sample / 1e9
+        expected = OVERHEAD_S + 4 * r.fwd_flops_per_sample / 1e9
         assert nominal == pytest.approx(expected)
         # Zero jitter: the sampled draw equals the nominal time.
         assert r.service_time(4, new_rng(0)) == pytest.approx(nominal)

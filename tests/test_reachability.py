@@ -1,5 +1,5 @@
-"""Every module in ``src/repro`` earns its place, and every name the
-examples and docs point at exists.
+"""Every module in ``src/repro`` earns its place, every policy field has
+a caller, and every name the examples and docs point at exists.
 
 The first check walks the import graph statically (``ast``; nothing is
 imported) from the program's roots — ``repro.__main__`` (hence the CLI),
@@ -303,3 +303,110 @@ def test_docs_cite_only_what_exists():
         if not resolves(dotted, index)
     ]
     assert not broken, "docs cite repro paths that do not exist:\n" + "\n".join(broken)
+
+
+# ---------------------------------------------------------------------------
+# Every policy field has a caller
+# ---------------------------------------------------------------------------
+
+#: Policy classes, each with the module that defines it.
+POLICY_CLASSES = {
+    "ServeConfig": "repro/serve/server.py",
+    "WorkloadSpec": "repro/serve/workload.py",
+    "StagingConfig": "repro/io/staging.py",
+    "StalenessConfig": "repro/comm/stale.py",
+    "PluginConfig": "repro/comm/plugin.py",
+    "ElasticConfig": "repro/core/elastic.py",
+    "EngineConfig": "repro/core/engine.py",
+}
+
+#: Defaulted fields kept although no caller outside tests sets them,
+#: each with its reason.
+KEEP = {
+    "EngineConfig.divergence_threshold": "a safety bound: the cross-rank parameter "
+    "spread the synchronous-training invariant tolerates",
+    "ElasticConfig.join_timeout_s": "a safety bound: the wall-time cap a scheduler "
+    "may need on one launch of the training group",
+}
+
+#: Where a caller counts: the program, the benchmark and the examples.
+CALLER_DIRS = ("src", "bench", "benchmarks", "examples")
+
+
+def defaulted_fields(path, cls):
+    """The fields of class ``cls`` in ``path`` that carry a default."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            return [
+                statement.target.id
+                for statement in node.body
+                if isinstance(statement, ast.AnnAssign) and statement.value is not None
+            ]
+    raise AssertionError(f"{cls} is not defined in {path}")
+
+
+def keywords_set(root=ROOT):
+    """``(callee, keyword)`` for every keyword a call under ``CALLER_DIRS``
+    passes, a ``**{"key": ...}`` splat's keys included; the callee is the
+    called name, or the attribute called (``dataclasses.replace``)."""
+    found = set()
+    for directory in CALLER_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                for keyword in node.keywords:
+                    if keyword.arg is not None:
+                        found.add((callee, keyword.arg))
+                    elif isinstance(keyword.value, ast.Dict):
+                        found.update(
+                            (callee, key.value)
+                            for key in keyword.value.keys
+                            if isinstance(key, ast.Constant)
+                        )
+    return found
+
+
+def uncalled_fields(root=ROOT, classes=POLICY_CLASSES):
+    """``Class.field`` for every defaulted policy field no caller sets —
+    by keyword to the class, or through ``replace``/``_replace``."""
+    passed = keywords_set(root)
+    return sorted(
+        f"{cls}.{name}"
+        for cls, module in classes.items()
+        for name in defaulted_fields(root / "src" / module, cls)
+        if not any((callee, name) in passed for callee in (cls, "replace", "_replace"))
+    )
+
+
+def test_every_policy_field_has_a_caller():
+    uncalled = uncalled_fields()
+    stray = [field for field in uncalled if field not in KEEP]
+    assert not stray, (
+        "policy fields no CLI verb, bench workload, benchmarks/ row or example "
+        "sets — make each a constant, or name it in KEEP with a reason:\n" + "\n".join(stray)
+    )
+    settable = [field for field in KEEP if field not in uncalled]
+    assert not settable, f"these have a caller now; drop them from KEEP: {settable}"
+
+
+def test_the_field_scan_sees_keywords_replace_and_splats(tmp_path):
+    """A field counts as set through a keyword to its class, a keyword to
+    ``replace``, or a key of a ``**{...}`` splat; one set only in tests
+    does not count."""
+    src = tmp_path / "src" / "repro"
+    src.mkdir(parents=True)
+    (src / "policy.py").write_text(
+        "@dataclass\nclass ServeConfig:\n    required: int\n    a: int = 1\n"
+        "    b: int = 2\n    c: int = 3\n    d: int = 4\n"
+    )
+    for directory in ("bench", "benchmarks", "examples", "tests"):
+        (tmp_path / directory).mkdir()
+    (tmp_path / "tests" / "test_policy.py").write_text("ServeConfig(d=0)\n")
+    (tmp_path / "bench" / "run.py").write_text(
+        "from repro import policy\npolicy.ServeConfig(a=0)\nreplace(config, b=0)\n"
+    )
+    (tmp_path / "examples" / "demo.py").write_text("ServeConfig(**{'c': 0})\n")
+    classes = {"ServeConfig": "repro/policy.py"}
+    assert uncalled_fields(tmp_path, classes) == ["ServeConfig.d"]

@@ -14,6 +14,18 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 REMOVED = {
+    # Every option has a caller (tests/test_reachability.py): the serve
+    # weight path, the serve straggle branch, staging's tier-latency model
+    # and the read hook built on it, stale eviction, and the settable values
+    # only tests set.  Last present at b84e10d.
+    "test-only policy fields and the paths they gated": (
+        r"weights_path|_weight_load_s|straggler_threshold_s|feasibility_margin|time_scale"
+        r"|backing_spec|bb_spec|_tier_latency|\bread_time_s\(|make_read_hook|variability_sigma"
+        r"|stage_on_miss|retry_jitter|evict_after|_maybe_evict|ewma_alpha|quarantine_after"
+        r"|rehab_factor|rehab_after|error_feedback|make_compressors|output_activation|field_rms"
+        r"|per_call_seconds",
+        ("src", "examples", "benchmarks"),
+    ),
     # One vocabulary: the model is a chain of five layer kinds trained in
     # fp32 without batch norm (Section III-A), on one kernel family
     # (docs/architecture.md); the tape's general ops, batch norm, the
