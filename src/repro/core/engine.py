@@ -12,8 +12,8 @@ calculation and global averaging" — is one program here, and
   :class:`History` / :class:`~repro.utils.timer.StageTimer` accounting
   behind the Figure 3 stage profile;
 * an :class:`ExecutionBackend` decides only *how ranks execute and
-  aggregate*: in-process (:class:`LocalBackend`), sequentially
-  simulated (:class:`SteppedBackend`), or one OS thread per rank
+  aggregate*: in-process (:class:`LocalBackend`), simulated on one
+  replica (:class:`SteppedBackend`), or one OS thread per rank
   (:class:`ThreadedBackend`) under an
   :class:`~repro.core.elastic.ElasticConfig` — fully synchronous by
   default, fault-tolerant with checkpoint/restart when the policy
@@ -385,17 +385,22 @@ class RankContext:
         return next(self._it, None)
 
     def _loss_and_grads(self, x, y):
-        """One worker gradient computation, honoring the optimizer's
-        precision mode: fp32 calls straight through (bitwise identical
-        to every prior release); fp16 rounds inputs/gradients through
-        half precision with the dynamic loss scale applied (see
-        :mod:`repro.core.precision`)."""
+        """One worker gradient computation: :meth:`_group_loss_and_grads`
+        with the batch as one group."""
+        return self._group_loss_and_grads(x, y, None)[0]
+
+    def _group_loss_and_grads(self, x, y, sizes):
+        """Each group's loss and gradients
+        (:meth:`~repro.core.model.CosmoFlowModel.group_loss_and_gradients`),
+        honoring the optimizer's precision mode: fp32 calls straight
+        through; fp16 rounds inputs/gradients through half precision with
+        the dynamic loss scale applied (see :mod:`repro.core.precision`)."""
         scaler = getattr(self.optimizer, "scaler", None)
         if scaler is not None:
-            from repro.core.precision import fp16_loss_and_gradients
+            from repro.core.precision import fp16_group_loss_and_gradients
 
-            return fp16_loss_and_gradients(self.model, x, y, scaler.scale)
-        return self.model.loss_and_gradients(x, y)
+            return fp16_group_loss_and_gradients(self.model, x, y, sizes, scaler.scale)
+        return self.model.group_loss_and_gradients(x, y, sizes)
 
     def compute(self, batch):
         """Loss and gradients for one batch; returns ``(loss, grads, n)``."""
@@ -463,13 +468,18 @@ class RankContext:
 
 
 class _SteppedContext(RankContext):
-    """K simulated ranks executed sequentially on one model replica.
+    """K simulated ranks on one model replica.
 
     Synchronous SGD keeps every replica bitwise identical between
     steps, so one model instance can compute all k per-rank gradients
-    sequentially and apply the update averaged in rank order once —
-    exact, not approximate: k ranks at mini-batch 1 are single-process
-    SGD at batch k.
+    and apply their average, taken in rank order, once.  Each rank's
+    loss and gradients are what its own replica computes — the ranks'
+    batches run as the groups of one pass
+    (:meth:`~repro.core.model.CosmoFlowModel.group_loss_and_gradients`),
+    which keeps every rank's gradients apart — so a stepped run equals
+    threaded and process ranks bit for bit.  It is not bitwise
+    single-process SGD at batch k: a batch-k GEMM sums over samples
+    inside BLAS, in an order of its own.
     """
 
     def __init__(self, engine, *, group: SteppedGroup, shards, rngs, compressors=None, **kwargs):
@@ -479,7 +489,7 @@ class _SteppedContext(RankContext):
         self.rngs = rngs
         #: One gradient compressor per virtual rank (or ``None``): the
         #: top-k error-feedback residual is per-rank state, so k
-        #: sequentially simulated ranks need k residuals to stay
+        #: simulated ranks need k residuals to stay
         #: bitwise identical to k threads each owning one.
         self.compressors = compressors
         self._iters = None
@@ -495,16 +505,24 @@ class _SteppedContext(RankContext):
         ]
 
     def fetch(self, step):
-        return [next(it) for it in self._iters]
+        return [self._next_batch(r) for r in range(len(self._iters))]
+
+    def _next_batch(self, r: int):
+        # A shard with fewer batches than the epoch has steps (uneven shards
+        # at a batch size above one) starts its next pass, as a thread
+        # rank's stream does (_ElasticContext._next_batch).
+        try:
+            return next(self._iters[r])
+        except StopIteration:
+            self._iters[r] = self.shards[r].batches(self.batch_size, rng=self.rngs[r])
+            return next(self._iters[r])
 
     def compute(self, batch):
-        losses, grad_lists, n = [], [], 0
-        for x, y in batch:
-            loss, grads = self._loss_and_grads(x, y)
-            losses.append(loss)
-            grad_lists.append(grads)
-            n += len(x)
-        return losses, grad_lists, n
+        sizes = [len(x) for x, _ in batch]
+        x = np.concatenate([x for x, _ in batch])
+        y = np.concatenate([y for _, y in batch])
+        results = self._group_loss_and_grads(x, y, sizes)
+        return [loss for loss, _ in results], [grads for _, grads in results], len(x)
 
     def aggregate(self, losses, grad_lists):
         # One flat message per virtual rank, like the plugin's fused
@@ -803,9 +821,9 @@ class _GroupBackend(ExecutionBackend):
 
 
 class SteppedBackend(_GroupBackend):
-    """K simulated ranks executed sequentially in the calling thread —
-    exact SSGD emulation that scales to thousands of virtual ranks
-    (the Figure 5 convergence study's vehicle)."""
+    """K simulated ranks in the calling thread, their batches run as the
+    groups of one pass — exact SSGD emulation that scales to thousands of
+    virtual ranks (the Figure 5 convergence study's vehicle)."""
 
     #: The stale backend substitutes its context over a ``StaleGroup``.
     context_cls = _SteppedContext

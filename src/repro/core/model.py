@@ -17,9 +17,11 @@ import numpy as np
 from repro.core.parameters import ParameterSpace
 from repro.core.topology import CosmoFlowConfig, build_network, default_parameter_space
 from repro.core import flops as flops_mod
-from repro.tensor.layers import Dense, Sequential
+from repro.primitives import conv3d as kernels
+from repro.tensor.layers import Conv3D, Dense, Sequential
 from repro.tensor.ops import mse, mse_grad, mse_loss
 from repro.tensor.tensor import Tensor
+from repro.utils import cores
 from repro.utils.cores import beside_helper, helper_pays
 
 __all__ = ["CosmoFlowModel"]
@@ -55,9 +57,10 @@ class CosmoFlowModel:
                 f"parameter space has {self.space.n_params} parameters but the "
                 f"network predicts {config.n_outputs}"
             )
-        # The untaped forward's two parts (see _untaped_forward), the width
-        # of what passes between them, and the prefix's convolution
-        # multiply-adds per sample.
+        # The network's two parts (see _untaped_forward and
+        # group_loss_and_gradients), the width of what passes between them,
+        # the prefix's convolution multiply-adds per sample, and the
+        # elements its convolutions pack per sample.
         layers = self.network.layers
         head = next(i for i, layer in enumerate(layers) if isinstance(layer, Dense))
         self._prefix, self._head = Sequential(layers[:head]), Sequential(layers[head:])
@@ -65,6 +68,14 @@ class CosmoFlowModel:
         self._prefix_macs = int(
             sum(c.fwd_flops for c in flops_mod.network_costs(config) if c.kind == "conv") // 2
         )
+        shape = (config.input_channels,) + (config.input_size,) * 3
+        self._packed_per_sample = 0
+        for layer in self._prefix:
+            if isinstance(layer, Conv3D):
+                self._packed_per_sample += kernels.conv3d_pack_size(
+                    (1,) + shape, layer.kernel, layer.stride, layer.padding
+                )
+            shape = layer.output_shape(shape)
 
     # -- parameters -----------------------------------------------------------
 
@@ -182,18 +193,88 @@ class CosmoFlowModel:
 
         This is the ``compute_gradients`` of Algorithm 2; the caller
         averages the returned gradients across ranks and feeds them to
-        the optimizer.  The network runs as a chain — one loop forward,
-        keeping each layer's context, one loop back — and every gradient
-        is a fresh array (also left on its parameter's ``.grad``), so a
-        caller may hold the lists of several calls at once.
+        the optimizer.  It is :meth:`group_loss_and_gradients` with the
+        whole batch as one group.
         """
-        out, ctx = self.network.forward(self._check_input(x), keep=True)
-        loss, diff = mse(out, self._check_target(y_normalized))
-        g = mse_grad(diff, np.array(1, dtype=loss.dtype)).astype(out.dtype, copy=False)
-        _, *grads = self.network.backward(ctx, g, need_input_grad=False)
+        return self.group_loss_and_gradients(x, y_normalized)[0]
+
+    def group_loss_and_gradients(
+        self, x, y_normalized, sizes=None
+    ) -> List[Tuple[float, List[np.ndarray]]]:
+        """Loss and gradients of each group of a batch: the first
+        ``sizes[0]`` samples, the next ``sizes[1]``, ... (default: one
+        group).  Group ``i``'s pair is ``loss_and_gradients`` of its
+        samples alone, bit for bit; a stepped backend passes its simulated
+        ranks' batches joined in rank order.
+
+        The network runs as a chain — one loop forward, keeping each
+        layer's context, one loop back — in two parts.  The prefix (every
+        layer before the first ``Dense``) runs once over the groups, its
+        convolutions keeping each group's weight gradients apart
+        (``Layer.forward``'s ``groups``).  The dense head and the loss run
+        once per group: a batched GEMM's rows are not the one-row GEMMs'
+        bytes.  Groups are joined into runs small enough to pay (see
+        :meth:`_chunks`); a group too large for a run alone runs alone,
+        as its own call would.
+
+        Every gradient is a fresh array (the last group's are also left on
+        the parameters' ``.grad``), so a caller may hold the lists of
+        several groups and calls at once.
+        """
+        x = self._check_input(x)
+        y = self._check_target(y_normalized)
+        chunks = [(0, ((0, len(x)),))] if sizes is None else self._chunks(len(x), sizes)
+        results = []
+        for lo, groups in chunks:
+            features, ctx = self._prefix.forward(x[lo : lo + groups[-1][1]], True, groups)
+            g_features = np.empty(features.shape, features.dtype)
+            heads = []
+            for a, b in groups:
+                out, head_ctx = self._head.forward(features[a:b], True)
+                loss, diff = mse(out, y[lo + a : lo + b])
+                g = mse_grad(diff, np.array(1, dtype=loss.dtype)).astype(out.dtype, copy=False)
+                g_features[a:b], *head_grads = self._head.backward(head_ctx, g)
+                heads.append((loss.item(), head_grads))
+            _, *prefix_grads = self._prefix.backward(ctx, g_features, need_input_grad=False)
+            for i, (loss, head_grads) in enumerate(heads):
+                grads = [grad[i] for grad in prefix_grads]
+                grads += head_grads
+                results.append((loss, grads))
         for p, grad in zip(self.network.parameters(), grads):
             p.grad = grad
-        return loss.item(), grads
+        return results
+
+    def _chunks(self, n: int, sizes) -> List[Tuple[int, Tuple[Tuple[int, int], ...]]]:
+        """``sizes`` as runs of whole groups, each ``(first sample, group
+        bounds relative to it)``: as many groups to a run as keep its
+        convolutions' packed operands within ``conv3d``'s packing budget
+        (``_PACK_MAX_ELEMS``) and its prefix's multiply-adds within the
+        work that pays for a helper thread's start and join
+        (``cores._HELPER_MIN_MACS``), and at least one.
+
+        The second bound is the one that binds.  Joining saves each call's
+        fixed costs, which that much work already hides; past it a joined
+        pass only streams larger arrays through the cache.  ``tiny_16``
+        joins up to 8 samples; a ``scaled_32`` sample is past it alone
+        (64 ranks joined 12 to a run were 10-18 % slower a step than one
+        at a time, and held 60 MB more).
+        """
+        sizes = [int(s) for s in sizes]
+        if not sizes or min(sizes) < 1 or sum(sizes) != n:
+            raise ValueError(f"group sizes {sizes} do not split a batch of {n} samples")
+        cap = min(
+            kernels._PACK_MAX_ELEMS // self._packed_per_sample,
+            cores._HELPER_MIN_MACS // self._prefix_macs,
+        )
+        chunks, lo, bounds = [], 0, []
+        for size in sizes:
+            end = bounds[-1][1] if bounds else 0
+            if bounds and end + size > cap:
+                chunks.append((lo, tuple(bounds)))
+                lo, bounds, end = lo + end, [], 0
+            bounds.append((end, end + size))
+        chunks.append((lo, tuple(bounds)))
+        return chunks
 
     def validation_loss(self, x, y_normalized) -> float:
         """Loss for validation loops (nothing kept for a backward)."""

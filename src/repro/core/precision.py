@@ -179,10 +179,22 @@ def fp16_loss_and_gradients(
     by ``scale`` and rounded through fp16 (where |g*S| > 65504 becomes
     ``inf`` — the overflow signal), then widened back to fp32 for the
     allreduce.  The returned loss is the true, *unscaled* loss so
-    training curves stay comparable with fp32 runs.
+    training curves stay comparable with fp32 runs.  It is
+    :func:`fp16_group_loss_and_gradients` with the batch as one group.
     """
+    return fp16_group_loss_and_gradients(model, x, y, None, scale)[0]
+
+
+def fp16_group_loss_and_gradients(
+    model, x, y, sizes, scale: float
+) -> List[Tuple[float, List[np.ndarray]]]:
+    """:func:`fp16_loss_and_gradients` of each group of a batch
+    (:meth:`~repro.core.model.CosmoFlowModel.group_loss_and_gradients`):
+    the joined input is rounded once, which rounds each sample as its
+    group's own call would."""
     x16 = fp16_round(np.asarray(x, dtype=np.float32))
-    loss, grads = model.loss_and_gradients(x16, y)
     s = np.float32(scale)
-    scaled = [fp16_round(np.asarray(g, np.float32) * s) for g in grads]
-    return loss, scaled
+    return [
+        (loss, [fp16_round(np.asarray(g, np.float32) * s) for g in grads])
+        for loss, grads in model.group_loss_and_gradients(x16, y, sizes)
+    ]

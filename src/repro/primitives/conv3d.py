@@ -27,7 +27,10 @@ the reduction dimension; along W the input keeps whole contiguous rows:
   (:func:`conv3d_pack`) — times their transpose is the weight
   gradient's transpose.  :func:`conv3d_backward_data` and
   :func:`conv3d_backward_weights` are that same code asked for one
-  result; there is no second backward.
+  result; there is no second backward.  Asked for ``groups`` (separate
+  callers' samples joined into one batch: a stepped step's ranks), it
+  keeps one weight and bias gradient per group, each from the group's
+  column block of both operands.
 
 Where ``IC * K^3`` is small (CosmoFlow's one-channel conv1) the W axis
 is unrolled into the reduction too — im2col: the shifts happen while
@@ -92,6 +95,7 @@ from repro.utils.cores import beside_helper, helper_pays
 __all__ = [
     "conv3d_output_shape",
     "conv3d_pack",
+    "conv3d_pack_size",
     "conv3d_forward",
     "conv3d_backward",
     "conv3d_backward_data",
@@ -312,6 +316,14 @@ def conv3d_pack(x: np.ndarray, kernel, stride=1, padding=0) -> np.ndarray | None
     return _pack(_pad_input(x, geo.padding), geo.plan)
 
 
+def conv3d_pack_size(x_shape, kernel, stride=1, padding=0) -> int:
+    """Elements of the operand :func:`conv3d_pack` builds for an input of
+    shape ``x_shape`` ``(N, IC, ID, IH, IW)``, whether or not it would hand
+    it out."""
+    n, ic, *spatial = x_shape
+    return math.prod(_geometry(n, ic, tuple(spatial), kernel, stride, padding).packed_shape)
+
+
 def _check_packed(packed: np.ndarray, geo: _Geometry) -> None:
     if packed.shape != geo.packed_shape:
         raise ValueError(
@@ -366,6 +378,7 @@ def conv3d_forward(
     padding=0,
     *,
     packed: np.ndarray | None = None,
+    groups=None,
 ) -> np.ndarray:
     """Forward 3D convolution.
 
@@ -384,6 +397,11 @@ def conv3d_forward(
         it for :func:`conv3d_backward`.  Without it the input is
         packed here one sample (and bounded depth slab) at a time, so a
         batched inference call never holds batch-sized buffers.
+    groups
+        As in :func:`conv3d_backward`.  A sample's output never depends on
+        another's, so the forward ignores it; it is part of the calling
+        convention so that the metrics wrapper can count the weights once
+        per group, as that many calls would read them.
 
     Returns
     -------
@@ -432,11 +450,14 @@ def conv3d_forward(
     return out.astype(x.dtype, copy=False)
 
 
-def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bias=False):
+def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bias=False,
+              groups=None):
     """The one gemm backward: ``(grad_x, grad_w, grad_b)`` of the
     convolution ``geo`` describes — the input gradient when ``w`` is
     given, the weight gradient when ``x`` is (on ``packed`` if that is
-    too), the bias gradient ``with_bias`` — from one shifted gradient."""
+    too), the bias gradient ``with_bias`` — from one shifted gradient.
+    With ``groups`` the weight and bias gradients are one per group (see
+    :func:`conv3d_backward`), stacked along a leading axis."""
     plan = geo.plan
     if grad_out.shape[2:] != plan.out_shape:
         raise ValueError(
@@ -445,6 +466,7 @@ def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bia
         )
     if packed is not None:
         _check_packed(packed, geo)
+    spans = ((0, grad_out.shape[0]),) if groups is None else groups
     shifted = _shifted_grad(grad_out, plan)
     (kd, kh, kw), (sd, sh, _), (od, oh, _) = plan.kernel, plan.stride, plan.out_shape
 
@@ -466,23 +488,35 @@ def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bia
 
     def weight_grad():
         rows = _pack(_pad_input(x, geo.padding), plan) if packed is None else packed
-        # The transposed product, with the taps (the operand rows, ``K``) as
-        # the GEMM's long output axis: ``rows @ shifted.T`` is ``(shifted @
-        # rows.T).T`` byte for byte on the BLAS this is measured on (a test
-        # pins it at every preset's shapes) and faster where ``K * OC`` is
-        # small, conv1's ``27 x 16`` most of all.
-        grad_wt = rows.reshape(geo.reduction, -1) @ shifted.T
-        # Undo _weight_matrix's arrangement: one transposing copy.
+        rows = rows.reshape(geo.reduction, -1)
+        # A sample's columns are one block of both operands: a group's block
+        # is the operands its own call would build.
+        cols = shifted.shape[1] // grad_out.shape[0]
         oc, ic = grad_out.shape[1], geo.packed_shape[0]
         kt, ku = len(plan.gemm_taps), len(plan.pack_taps)
-        grad_w = np.empty((oc, ic, kd, kh, kw), dtype=grad_wt.dtype)
-        grad_w.reshape(oc, ic, kd, kh, kt, ku)[...] = grad_wt.reshape(
-            ic, kd, kh, ku, kt, oc
-        ).transpose(5, 0, 1, 2, 4, 3)
+        dtype = np.promote_types(rows.dtype, shifted.dtype)
+        grad_w = np.empty((len(spans), oc, ic, kd, kh, kw), dtype=dtype)
+        for i, (a, b) in enumerate(spans):
+            # The transposed product, with the taps (the operand rows, ``K``)
+            # as the GEMM's long output axis: ``rows @ shifted.T`` is
+            # ``(shifted @ rows.T).T`` byte for byte on the BLAS this is
+            # measured on (a test pins it at every preset's shapes) and
+            # faster where ``K * OC`` is small, conv1's ``27 x 16`` most of
+            # all.
+            grad_wt = rows[:, a * cols : b * cols] @ shifted[:, a * cols : b * cols].T
+            # Undo _weight_matrix's arrangement: one transposing copy.
+            grad_w[i].reshape(oc, ic, kd, kh, kt, ku)[...] = grad_wt.reshape(
+                ic, kd, kh, ku, kt, oc
+            ).transpose(5, 0, 1, 2, 4, 3)
         return grad_w
 
     def bias_grad():
-        return grad_out.sum(axis=(0, 2, 3, 4)) if with_bias else None
+        if not with_bias:
+            return None
+        grad_b = np.empty((len(spans), grad_out.shape[1]), dtype=grad_out.dtype)
+        for i, (a, b) in enumerate(spans):
+            grad_b[i] = grad_out[a:b].sum(axis=(0, 2, 3, 4))
+        return grad_b
 
     if w is not None and x is not None and helper_pays(grad_out.shape[1] * geo.gemm_macs_per_oc):
         (grad_x, grad_b), grad_w = beside_helper(weight_grad, lambda: (input_grad(), bias_grad()))
@@ -490,6 +524,9 @@ def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bia
         grad_x = input_grad() if w is not None else None
         grad_w = weight_grad() if x is not None else None
         grad_b = bias_grad()
+    if groups is None:
+        grad_w = None if grad_w is None else grad_w[0]
+        grad_b = None if grad_b is None else grad_b[0]
     return grad_x, grad_w, grad_b
 
 
@@ -504,6 +541,7 @@ def conv3d_backward(
     need_input_grad: bool = True,
     need_weight_grad: bool = True,
     packed: np.ndarray | None = None,
+    groups=None,
 ):
     """Every gradient of one convolution, from one shifted gradient.
 
@@ -522,10 +560,20 @@ def conv3d_backward(
     packed
         The forward's ``conv3d_pack(x, kernel, stride, padding)``, if the
         caller kept it; ``x`` is repacked otherwise.
+    groups
+        ``((start, stop), ...)``: contiguous runs of samples that tile the
+        batch in order, each a separate caller's (the simulated ranks of a
+        stepped step).  The input gradient is still one GEMM over every
+        sample; each group's weight and bias gradients are computed from
+        its own columns of both operands and its own samples of
+        ``grad_out`` — what a call on the group alone computes, bit for
+        bit (``tests/core/test_chain.py`` pins the GEMM property at every
+        preset's shapes).
 
     Returns
     -------
-    ``(grad_x, grad_w, grad_b)`` shaped like ``x``, ``w`` and ``(OC,)``.
+    ``(grad_x, grad_w, grad_b)`` shaped like ``x``, ``w`` and ``(OC,)``;
+    with ``groups``, ``grad_w`` and ``grad_b`` gain a leading group axis.
     """
     n, ic = x.shape[:2]
     if ic != w.shape[1]:
@@ -544,6 +592,7 @@ def conv3d_backward(
         x=x if need_weight_grad else None,
         packed=packed,
         with_bias=with_bias and need_weight_grad,
+        groups=groups,
     )
 
 

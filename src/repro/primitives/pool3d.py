@@ -83,13 +83,18 @@ def avg_pool3d_backward(
     shape = (n, c) + tuple(input_shape)
     if (sd, sh, sw) == (kd, kh, kw):
         # Windows tile the input (CosmoFlow's only case): each voxel lies in
-        # at most one, so its gradient is a copy — repeat along W, H, D —
-        # and only an odd extent leaves a tail outside every window.
-        tiled = scaled.repeat(kw, axis=4).repeat(kh, axis=3).repeat(kd, axis=2)
-        if tiled.shape == shape:
-            return tiled
+        # at most one, so its gradient is a copy — a repeat along W, then
+        # one broadcast copy along D and H into the output, whose only
+        # temporary is a kd*kh-th of its size — and only an odd extent
+        # leaves a tail outside every window.
+        rows = scaled.repeat(kw, axis=4)[:, :, :, None, :, None, :]
+        tiled = (n, c, od, kd, oh, kh, ow * kw)
+        if (kd * od, kh * oh, kw * ow) == tuple(input_shape):
+            grad_in = np.empty(shape, dtype=grad_out.dtype)
+            grad_in.reshape(tiled)[...] = rows
+            return grad_in
         grad_in = np.zeros(shape, dtype=grad_out.dtype)
-        grad_in[:, :, : kd * od, : kh * oh, : kw * ow] = tiled
+        grad_in[:, :, : kd * od, : kh * oh, : kw * ow].reshape(tiled)[...] = rows
         return grad_in
     # Overlapping windows accumulate into a voxel (the order of the adds is
     # its bits); where none can overlap an offset's pass assigns, and gaps

@@ -9,6 +9,8 @@ Optional accounting: :func:`set_metrics` attaches a
 :class:`~repro.obs.metrics.MetricsRegistry`, after which every kernel
 call increments ``primitives.conv3d.<op>.{calls,flops,bytes}``
 counters (the Section-III "portion of the computational cost" numbers).
+A grouped call (the simulated ranks of a stepped step in one pass) counts
+as one call whose FLOPs and bytes are those of its groups' calls.
 With no registry attached — the default — :func:`get_impl` hands back
 the raw kernels, so the accounting costs nothing when off.
 """
@@ -34,8 +36,10 @@ class ConvImpl:
 
     ``backward`` is what the layer's backward calls, once per convolution:
     ``backward(x, grad_out, w, stride, padding, *, with_bias,
-    need_input_grad, need_weight_grad, packed)`` returning ``(grad_x,
-    grad_w, grad_b)`` with ``None`` for what was not asked.
+    need_input_grad, need_weight_grad, packed, groups)`` returning
+    ``(grad_x, grad_w, grad_b)`` with ``None`` for what was not asked; with
+    ``groups`` (which ``forward`` takes too) the weight and bias gradients
+    are one per group of samples.
     """
 
     name: str
@@ -107,6 +111,15 @@ def record_conv_call(
     m.counter(f"primitives.conv3d.{op}.bytes").add(nbytes)
 
 
+def _reads(kwargs) -> int:
+    """How many callers' weight reads one call stands for: one per group
+    of a grouped call (``groups=``, see
+    :func:`~repro.primitives.conv3d.conv3d_backward`), so that grouping
+    changes the call counters and nothing else."""
+    groups = kwargs.get("groups")
+    return 1 if groups is None else len(groups)
+
+
 def _instrument(impl: ConvImpl) -> ConvImpl:
     """Wrap an implementation's kernels with FLOP/byte accounting."""
 
@@ -114,7 +127,7 @@ def _instrument(impl: ConvImpl) -> ConvImpl:
         out = impl.forward(x, w, bias, stride=stride, padding=padding, **shared)
         n, oc, ic = x.shape[0], w.shape[0], w.shape[1]
         record_conv_call("forward", n, oc, ic, out.shape[2:], w.shape[2:],
-                         x.nbytes + w.nbytes + out.nbytes)
+                         x.nbytes + _reads(shared) * w.nbytes + out.nbytes)
         return out
 
     def backward_data(grad_out, w, input_shape, stride=1, padding=0):
@@ -140,7 +153,7 @@ def _instrument(impl: ConvImpl) -> ConvImpl:
         n, oc, ic = x.shape[0], w.shape[0], w.shape[1]
         if gx is not None:
             record_conv_call("backward_data", n, oc, ic, grad_out.shape[2:], w.shape[2:],
-                             grad_out.nbytes + w.nbytes + gx.nbytes)
+                             grad_out.nbytes + _reads(kwargs) * w.nbytes + gx.nbytes)
         if gw is not None:
             record_conv_call("backward_weights", n, oc, ic, grad_out.shape[2:], w.shape[2:],
                              x.nbytes + grad_out.nbytes + gw.nbytes)

@@ -3,10 +3,17 @@
 Each layer owns its arithmetic twice over — forward and backward — on
 plain ndarrays:
 
-* ``forward(x, keep=False)`` returns ``(output, ctx)``.  With ``keep``
-  the context holds what ``backward`` needs (the input, a packed GEMM
-  operand, a shape); without it the context is ``None`` and nothing is
-  held: prediction.
+* ``forward(x, keep=False, groups=None)`` returns ``(output, ctx)``.
+  With ``keep`` the context holds what ``backward`` needs (the input, a
+  packed GEMM operand, a shape); without it the context is ``None`` and
+  nothing is held: prediction.  ``groups``, with ``keep``, splits the
+  batch into contiguous runs of samples, ``((start, stop), ...)``, that
+  are separate callers' (the simulated ranks of a stepped step): every
+  weight gradient ``backward`` returns then has a leading group axis, and
+  group ``i``'s is what the group alone would get, bit for bit.  Only a
+  convolution has weights to keep apart; ``Dense`` refuses groups (a
+  batched GEMM's rows are not its one-row GEMMs', byte for byte), so a
+  model runs its dense head once per group.
 * ``backward(ctx, g, need_input_grad=True)`` returns ``(grad_x,
   *grad_weights)``, the weight gradients in :meth:`Layer.operands`
   order, each a fresh array.  ``need_input_grad=False`` lets a layer
@@ -57,7 +64,7 @@ class Layer:
     def __init__(self, name: str = ""):
         self.name = name or type(self).__name__.lower()
 
-    def forward(self, x: np.ndarray, keep: bool = False):  # pragma: no cover - abstract
+    def forward(self, x: np.ndarray, keep: bool = False, groups=None):  # pragma: no cover
         raise NotImplementedError
 
     def backward(self, ctx, g: np.ndarray, need_input_grad: bool = True):  # pragma: no cover
@@ -106,7 +113,10 @@ class Conv3D(Layer):
     operand to the backward's weight-gradient GEMM; one without ``keep``
     leaves packing (sample by sample) to the kernel, as does a ``pack``
     that returns ``None`` (an operand too large to hold until the
-    backward).
+    backward).  A grouped forward's backward still runs one input-gradient
+    GEMM over the whole batch and computes each group's weight and bias
+    gradients from the group's own block of the same operands
+    (:func:`~repro.primitives.conv3d.conv3d_backward`'s ``groups``).
     """
 
     def __init__(
@@ -145,23 +155,24 @@ class Conv3D(Layer):
     def operands(self) -> tuple:
         return (self.weight,) if self.bias is None else (self.weight, self.bias)
 
-    def forward(self, x, keep=False):
+    def forward(self, x, keep=False, groups=None):
         # Through the package: the registry loads on the first convolution,
         # not with every process that imports a layer.
         kernels = primitives.get_impl()
         w = self.weight.data
         packed = kernels.pack(x, w.shape[2:], self.stride, self.padding) if keep else None
         b = None if self.bias is None else self.bias.data
-        out = kernels.forward(x, w, b, self.stride, self.padding, packed=packed)
-        return out, ((kernels, x, packed) if keep else None)
+        out = kernels.forward(x, w, b, self.stride, self.padding, packed=packed, groups=groups)
+        return out, ((kernels, x, packed, groups) if keep else None)
 
     def backward(self, ctx, g, need_input_grad=True):
-        kernels, x, packed = ctx
+        kernels, x, packed, groups = ctx
         grads = kernels.backward(
             x, np.ascontiguousarray(g), self.weight.data, self.stride, self.padding,
             with_bias=self.bias is not None,
             need_input_grad=need_input_grad,
             packed=packed,
+            groups=groups,
         )
         return grads if self.bias is not None else grads[:2]
 
@@ -184,7 +195,7 @@ class AvgPool3D(Layer):
         self.kernel = kernel
         self.stride = stride
 
-    def forward(self, x, keep=False):
+    def forward(self, x, keep=False, groups=None):
         out = avg_pool3d_forward(x, self.kernel, self.stride)
         return out, (x.shape[2:] if keep else None)
 
@@ -230,7 +241,9 @@ class Dense(Layer):
     def operands(self) -> tuple:
         return (self.weight,) if self.bias is None else (self.weight, self.bias)
 
-    def forward(self, x, keep=False):
+    def forward(self, x, keep=False, groups=None):
+        if groups is not None:
+            raise ValueError(f"{self.name}: a dense layer runs once per group, not grouped")
         out = x @ self.weight.data
         if self.bias is not None:
             out = out + self.bias.data
@@ -258,7 +271,7 @@ class Dense(Layer):
 class Flatten(Layer):
     """Flatten every axis but the batch axis."""
 
-    def forward(self, x, keep=False):
+    def forward(self, x, keep=False, groups=None):
         return x.reshape(len(x), -1), (x.shape if keep else None)
 
     def backward(self, input_shape, g, need_input_grad=True):
@@ -280,7 +293,7 @@ class LeakyReLU(Layer):
         super().__init__(name)
         self.alpha = alpha
 
-    def forward(self, x, keep=False):
+    def forward(self, x, keep=False, groups=None):
         alpha = self.alpha
         if 0.0 < alpha <= 1.0:
             # Bitwise-equal to the masked multiply below (alpha*x is on the
@@ -296,7 +309,12 @@ class LeakyReLU(Layer):
     def backward(self, ctx, g, need_input_grad=True):
         alpha = self.alpha
         if 0.0 < alpha <= 1.0:  # ctx is the input
-            return (g * np.maximum((ctx > 0).astype(ctx.dtype), alpha),)
+            # g * max(x > 0, alpha), every step in one buffer: two
+            # batch-sized temporaries fewer, whose pages a step would
+            # otherwise fault in afresh.
+            scale = np.asarray(ctx > 0).astype(ctx.dtype)  # asarray: 0-d gives a scalar
+            np.maximum(scale, alpha, out=scale)
+            return (np.multiply(g, scale, out=scale if g.dtype == scale.dtype else None),)
         return (g * ctx,)  # ctx is the forward's scale
 
     def output_shape(self, input_shape):
@@ -327,7 +345,7 @@ class Sequential(Layer):
             x = layer(x)
         return x
 
-    def forward(self, x, keep=False):
+    def forward(self, x, keep=False, groups=None):
         """The chain's one forward loop; the context is the list of the
         layers' contexts."""
         if not keep:
@@ -336,7 +354,7 @@ class Sequential(Layer):
             return x, None
         ctx = []
         for layer in self.layers:
-            x, c = layer.forward(x, True)
+            x, c = layer.forward(x, True, groups)
             ctx.append(c)
         return x, ctx
 

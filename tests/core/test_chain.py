@@ -11,23 +11,33 @@ Pinned here:
   call, never on the layer;
 * the ``Tensor`` adapter (``layer(t)`` ... ``loss.backward()``) gives the
   chain's bytes;
-* the two BLAS properties the chain's GEMMs rely on.
+* the BLAS properties the chain's GEMMs rely on, and the one it does not;
+* a grouped pass (the simulated ranks of a stepped step) gives each group
+  its own call's loss and gradients, byte for byte, however the groups
+  fall into chunks.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.model import CosmoFlowModel
-from repro.core.precision import fp16_loss_and_gradients, fp16_round
+from repro.core.precision import (
+    fp16_group_loss_and_gradients,
+    fp16_loss_and_gradients,
+    fp16_round,
+)
 from repro.core.topology import scaled_32, tiny_16
 from repro.primitives import conv3d as kernels
 from repro.tensor import ops
 from repro.tensor.layers import AvgPool3D, Conv3D, Dense, Flatten, LeakyReLU, Sequential
 from repro.tensor.tensor import Tensor, no_grad
+from repro.utils import cores
 from tests.core import tape_reference
 from tests.gradcheck import check_layer_grads
 
 PRESETS = {"tiny_16": tiny_16, "scaled_32": scaled_32}
+#: Group layouts of a joined batch: sizes in order.
+GROUPINGS = {"1+1+1+1": (1, 1, 1, 1), "2+1+3": (2, 1, 3), "3+3": (3, 3)}
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +53,12 @@ def case(model, n, seed=0):
 
 def as_bytes(loss, grads):
     return np.float64(loss).tobytes(), [g.tobytes() for g in grads]
+
+
+def bounds(sizes):
+    """``sizes`` as the ``(start, stop)`` runs the layers take as ``groups``."""
+    edges = np.cumsum((0,) + tuple(sizes)).tolist()
+    return tuple(zip(edges[:-1], edges[1:]))
 
 
 class TestBitsAgainstTheTape:
@@ -232,6 +248,138 @@ class TestBlasProperties:
                 g = rng.standard_normal((n, layer.out_features)).astype(np.float32)
                 x[0, :3], g[0, :2] = 0.0, -0.0  # signed zeros keep their sign
                 assert np.dot(x.T, g).tobytes() == (x.T @ g).tobytes(), layer.name
+
+    @pytest.mark.parametrize("sizes", GROUPINGS.values(), ids=GROUPINGS)
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_a_group_of_a_joined_convolution_is_its_own_call(self, models, preset, sizes):
+        """One convolution over joined groups: each group's forward output and
+        input gradient are its own call's (its columns of one GEMM), and its
+        weight and bias gradients, from its block of the joined operands,
+        are its own call's too."""
+        model = models[preset]
+        x, _ = case(model, sum(sizes), seed=10)
+        groups = bounds(sizes)
+        rng = np.random.default_rng(11)
+        for layer in model.network:
+            if isinstance(layer, Dense):
+                break
+            if isinstance(layer, Conv3D):
+                w, b = layer.weight.data, layer.bias.data
+                packed = kernels.conv3d_pack(x, w.shape[2:])
+                out = kernels.conv3d_forward(x, w, b, packed=packed)
+                g = rng.standard_normal(out.shape).astype(np.float32)
+                gx, gw, gb = kernels.conv3d_backward(
+                    x, g, w, with_bias=True, packed=packed, groups=groups
+                )
+                assert gw.shape == (len(sizes),) + w.shape and gb.shape == (len(sizes),) + b.shape
+                for i, (lo, hi) in enumerate(groups):
+                    xi = x[lo:hi].copy()
+                    own = kernels.conv3d_pack(xi, w.shape[2:])
+                    want_out = kernels.conv3d_forward(xi, w, b, packed=own)
+                    want = kernels.conv3d_backward(xi, g[lo:hi].copy(), w, with_bias=True, packed=own)
+                    assert out[lo:hi].tobytes() == want_out.tobytes(), layer.name
+                    assert gx[lo:hi].tobytes() == want[0].tobytes(), layer.name
+                    assert gw[i].tobytes() == want[1].tobytes(), layer.name
+                    assert gb[i].tobytes() == want[2].tobytes(), layer.name
+            x = layer.forward(x)[0]
+
+    def test_the_dense_row_split_is_not_assumed(self, models, monkeypatch):
+        """A batched ``x @ W``'s rows are not the one-row products' bytes on
+        this BLAS, so a grouped pass runs every dense layer once per group
+        and a dense layer refuses to run grouped."""
+        model = models["tiny_16"]
+        sizes = (2, 1, 3)
+        seen = []
+        forward = Dense.forward
+
+        def spy(self, x, keep=False, groups=None):
+            seen.append(len(x))
+            return forward(self, x, keep, groups)
+
+        monkeypatch.setattr(Dense, "forward", spy)
+        x, y = case(model, sum(sizes))
+        model.group_loss_and_gradients(x, y, sizes)
+        n_dense = sum(isinstance(layer, Dense) for layer in model.network)
+        assert seen == [n for n in sizes for _ in range(n_dense)]
+        with pytest.raises(ValueError, match="once per group"):
+            model.network.forward(x, keep=True, groups=bounds(sizes))
+
+
+class TestGroupsAreRanks:
+    """``group_loss_and_gradients``: the simulated ranks of a stepped step
+    as the groups of one pass, each getting its own call's bytes."""
+
+    @staticmethod
+    def separately(model, x, y, sizes, step=CosmoFlowModel.loss_and_gradients):
+        return [
+            as_bytes(*step(model, x[lo:hi].copy(), y[lo:hi].copy())) for lo, hi in bounds(sizes)
+        ]
+
+    @pytest.mark.parametrize("sizes", GROUPINGS.values(), ids=GROUPINGS)
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_each_group_gets_its_own_calls_bytes(self, models, preset, sizes):
+        model = models[preset]
+        x, y = case(model, sum(sizes), seed=12)
+        got = model.group_loss_and_gradients(x, y, sizes)
+        assert [as_bytes(*pair) for pair in got] == self.separately(model, x, y, sizes)
+        # Fresh arrays: no group's gradient shares memory with another's.
+        flat = [g for _, grads in got for g in grads]
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(flat) for b in flat[i + 1 :]
+        )
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_the_fp16_path(self, models, preset):
+        model = models[preset]
+        sizes, scale = (2, 1, 3), 512.0
+        x, y = case(model, sum(sizes), seed=13)
+        got = fp16_group_loss_and_gradients(model, x, y, sizes, scale)
+
+        def fp16_step(m, xi, yi):
+            return fp16_loss_and_gradients(m, xi, yi, scale)
+
+        assert [as_bytes(*pair) for pair in got] == self.separately(
+            model, x, y, sizes, fp16_step
+        )
+
+    @pytest.mark.parametrize("bound", ["pack", "macs"])
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_chunks_change_no_byte(self, models, preset, bound, monkeypatch):
+        """Runs of groups past either bound of ``_chunks`` split into
+        chunks; a group too large for a run alone runs alone (and, past the
+        packing budget, packs inside its own backward).  Neither moves a
+        bit."""
+        model = models[preset]
+        sizes = (1, 1, 1, 1, 2, 1)
+        x, y = case(model, sum(sizes), seed=14)
+        want = self.separately(model, x, y, sizes)
+        if bound == "pack":
+            monkeypatch.setattr(cores, "_HELPER_MIN_MACS", float("inf"))
+            name, per_sample = "_PACK_MAX_ELEMS", model._packed_per_sample
+        else:
+            name, per_sample = "_HELPER_MIN_MACS", model._prefix_macs
+        for budget, chunks in [
+            (2 * per_sample, [(1, 1), (1, 1), (2,), (1,)]),
+            (3 * per_sample, [(1, 1, 1), (1, 2), (1,)]),
+            (per_sample // 2, [(1,), (1,), (1,), (1,), (2,), (1,)]),
+        ]:
+            monkeypatch.setattr(kernels if bound == "pack" else cores, name, budget)
+            runs = [tuple(hi - lo for lo, hi in groups) for _, groups in model._chunks(len(x), sizes)]
+            assert runs == chunks
+            got = model.group_loss_and_gradients(x, y, sizes)
+            assert [as_bytes(*pair) for pair in got] == want, budget
+
+    def test_a_scaled_32_sample_runs_alone_and_tiny_16_joins_eight(self, models):
+        for preset, run in [("scaled_32", 1), ("tiny_16", 8)]:
+            chunks = models[preset]._chunks(16, [1] * 16)
+            assert [len(groups) for _, groups in chunks] == [run] * (16 // run), preset
+
+    def test_sizes_must_split_the_batch(self, models):
+        model = models["tiny_16"]
+        x, y = case(model, 3)
+        for sizes in [(1, 1), (2, 2), (3, 0), ()]:
+            with pytest.raises(ValueError, match="do not split"):
+                model.group_loss_and_gradients(x, y, sizes)
 
 
 def test_a_target_of_the_wrong_shape_is_refused(models):

@@ -60,13 +60,13 @@ def make_dataset(n, seed=0, size=16):
     return InMemoryData(x, y)
 
 
-def make_backend(mode, n_ranks, train=None, val=None, seed=SEED, rng=None):
+def make_backend(mode, n_ranks, train=None, val=None, seed=SEED, rng=None, opt=OPT):
     train = train if train is not None else make_dataset(9)
     val = val if val is not None else make_dataset(6, seed=7)
     if mode == "local":
         assert n_ranks == 1
         model = CosmoFlowModel(tiny_16(), seed=seed)
-        optimizer = CosmoFlowOptimizer(model.parameter_arrays(), OPT)
+        optimizer = CosmoFlowOptimizer(model.parameter_arrays(), opt)
         return LocalBackend(model, optimizer, train, val_data=val, rng=rng)
     cls, extra = {
         "stepped": (SteppedBackend, {}),
@@ -76,16 +76,18 @@ def make_backend(mode, n_ranks, train=None, val=None, seed=SEED, rng=None):
         "ssgd": (StaleBackend, {"stale_mode": "ssgd", "staleness": SYNC}),
         "sagn": (StaleBackend, {"stale_mode": "sagn", "staleness": SYNC}),
     }[mode]
-    return cls(tiny_16(), train, val_data=val, optimizer_config=OPT, n_ranks=n_ranks, **extra)
+    return cls(tiny_16(), train, val_data=val, optimizer_config=opt, n_ranks=n_ranks, **extra)
 
 
-def run_engine(mode, n_ranks, epochs=EPOCHS, seed=SEED, metrics=None, **backend_kwargs):
+def run_engine(
+    mode, n_ranks, epochs=EPOCHS, seed=SEED, metrics=None, batch_size=1, validate=True,
+    **backend_kwargs,
+):
     """Train through the engine with the given backend; return
     (flat_params, train_loss, val_loss)."""
     backend = make_backend(mode, n_ranks, seed=seed, **backend_kwargs)
-    engine = TrainingEngine(
-        backend, config=EngineConfig(epochs=epochs, seed=seed), metrics=metrics
-    )
+    config = EngineConfig(epochs=epochs, seed=seed, batch_size=batch_size, validate=validate)
+    engine = TrainingEngine(backend, config=config, metrics=metrics)
     hist = engine.run()
     return (
         engine.final_model.get_flat_parameters(),
@@ -122,6 +124,54 @@ class TestCrossModeBitwise:
         np.testing.assert_array_equal(params, ref_params)
         assert train == ref_train
         assert val == ref_val
+
+
+class TestSteppedGroupsMatchThreaded:
+    """Stepped ranks run as the groups of one pass
+    (``CosmoFlowModel.group_loss_and_gradients``).  Uneven shards — 10
+    samples over 3 ranks — give groups of unequal size; a per-rank batch
+    of 2 also gives groups of 2 and 1 in one step, and a shard that runs
+    out before the epoch's last step starts its next pass, as a thread
+    rank's stream does."""
+
+    @pytest.mark.parametrize(
+        "batch_size, precision", [(1, "fp32"), (2, "fp32"), (1, "fp16")],
+        ids=["batch1", "batch2", "fp16"],
+    )
+    def test_uneven_shards(self, batch_size, precision):
+        opt = OptimizerConfig(eta0=5e-3, decay_steps=50, precision=precision)
+        runs = [
+            run_engine(mode, 3, epochs=2, batch_size=batch_size, train=make_dataset(10), opt=opt)
+            for mode in ("stepped", "threaded")
+        ]
+        (params, train, val), (want_params, want_train, want_val) = runs
+        np.testing.assert_array_equal(params, want_params)
+        assert train == want_train
+        assert val == want_val
+
+    def test_conv_counters_count_the_ranks_calls_once_each(self):
+        """With the conv metrics attached, a stepped k = 3 run's FLOP and
+        byte counters are three thread ranks' and its call counters a
+        third of theirs: one grouped call stands for the ranks' three."""
+        from repro.obs import MetricsRegistry
+        from repro.primitives import registry
+
+        counted = {}
+        for mode in ("stepped", "threaded"):
+            metrics = MetricsRegistry()
+            registry.set_metrics(metrics)
+            try:
+                run_engine(mode, 3, epochs=1, validate=False)
+            finally:
+                registry.set_metrics(None)
+            counted[mode] = {
+                k: v for k, v in metrics.snapshot().items() if k.startswith("primitives.conv3d.")
+            }
+        stepped, threaded = counted["stepped"], counted["threaded"]
+        assert sorted(stepped) == sorted(threaded) and stepped
+        for key, value in threaded.items():
+            want = value // 3 if key.endswith(".calls") else value
+            assert value % 3 == 0 and stepped[key] == want, key
 
 
 class TestMetricsConsistency:

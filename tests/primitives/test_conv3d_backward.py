@@ -293,7 +293,8 @@ class TestComposedBackward:
         calls = []
 
         def backward(x, grad_out, w, stride=1, padding=0, *, with_bias, need_input_grad,
-                     packed):
+                     packed, groups):
+            assert groups is None  # an ungrouped step
             calls.append("data")
             gx = conv3d_backward_data(grad_out, w, x.shape[2:], stride, padding)
             calls.append("weights")
