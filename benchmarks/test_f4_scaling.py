@@ -105,7 +105,7 @@ def test_real_thread_scaling(benchmark):
         engine = TrainingEngine(backend, EngineConfig(epochs=1, validate=False))
         t0 = time.perf_counter()
         engine.run()
-        return backend.steps_per_epoch * ranks / (time.perf_counter() - t0)
+        return engine.metrics.value("engine.records") / (time.perf_counter() - t0)
 
     throughput = {r: run(r) for r in (1, 2, 4)}
     benchmark.pedantic(run, args=(2,), rounds=1, iterations=1)

@@ -77,7 +77,7 @@ def real_thread_scaling() -> None:
         t0 = time.perf_counter()
         engine.run()
         elapsed = time.perf_counter() - t0
-        processed = backend.steps_per_epoch * ranks
+        processed = engine.metrics.value("engine.records")
         throughput = processed / elapsed
         if base is None:
             base = throughput

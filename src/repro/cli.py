@@ -346,7 +346,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_train(args) -> int:
     from repro.core.checkpoint import save_checkpoint
-    from repro.core.engine import EngineConfig, TrainingEngine
+    from repro.core.engine import EngineConfig, TrainingEngine, steps_per_epoch
     from repro.core.model import CosmoFlowModel
     from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
     from repro.core.trainer import InMemoryData
@@ -388,7 +388,7 @@ def cmd_train(args) -> int:
             raise SystemExit(
                 f"dataset of {len(train)} samples cannot feed {args.ranks} ranks"
             )
-        steps = len(train) // (1 if local else args.ranks)
+        steps = steps_per_epoch(train, 1 if local else args.ranks, 1)
         opt_config = OptimizerConfig(
             eta0=args.eta0, decay_steps=max(1, args.epochs * steps),
             precision=args.precision,
@@ -592,7 +592,7 @@ def cmd_scaling(args) -> int:
 def cmd_faultsim(args) -> int:
     from repro.comm.errors import QuorumLostError
     from repro.core.elastic import ElasticConfig
-    from repro.core.engine import EngineConfig, TrainingEngine
+    from repro.core.engine import EngineConfig, TrainingEngine, steps_per_epoch
     from repro.core.optimizer import OptimizerConfig
     from repro.core.topology import tiny_16
     from repro.core.trainer import InMemoryData
@@ -603,7 +603,8 @@ def cmd_faultsim(args) -> int:
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal((args.samples, 1, 16, 16, 16)).astype(np.float32)
     y = rng.uniform(0.2, 0.8, size=(args.samples, 3)).astype(np.float32)
-    steps = (args.samples // args.ranks) * args.epochs
+    data = InMemoryData(x, y)
+    steps = steps_per_epoch(data, args.ranks, 1) * args.epochs
     if args.plan_file:
         try:
             plan = FaultPlan.load(args.plan_file)
@@ -647,7 +648,7 @@ def cmd_faultsim(args) -> int:
     faults = {"plan": plan} if args.backend == "process" else {"injector": FaultInjector(plan)}
     backend = _backend_class(_FAULTSIM_MODES[args.backend])(
         tiny_16(),
-        InMemoryData(x, y),
+        data,
         optimizer_config=OptimizerConfig(eta0=5e-3, decay_steps=max(1, steps)),
         n_ranks=args.ranks,
         elastic=ElasticConfig(
@@ -846,7 +847,6 @@ def cmd_serve(args) -> int:
             print(f"trace: {out} ({len(tracer.ordered())} events, partial)")
         return exc.exit_code
     print(report.describe())
-    print(f"breakers: {server.pool.breaker_states()}")
     if injector is not None:
         print(f"faults fired: {injector.summary() or 'none'}")
     if args.report:

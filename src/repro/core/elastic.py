@@ -23,8 +23,8 @@ degrades in three layers instead:
 3. **Determinism.**  With no faults injected, every step is bitwise
    identical under every policy and to the stepped backend: same
    per-rank RNG streams, same rank-order reduction, same collective
-   sequence.  On restart, completed epochs' batch orders are replayed
-   ("burned in") so the resumed RNG stream matches an uninterrupted
+   sequence.  On restart, each rank's stream replays the completed
+   epochs' draws (``RankStream.seek``) so it matches an uninterrupted
    run.
 
 Fault injection is cooperative: ranks call

@@ -66,6 +66,8 @@ __all__ = [
     "CheckpointCallback",
     "GroupStatsCollector",
     "RankContext",
+    "RankStream",
+    "steps_per_epoch",
     "EngineResult",
     "ExecutionBackend",
     "LocalBackend",
@@ -257,12 +259,8 @@ class CheckpointCallback(Callback):
             return
         from repro.core.checkpoint import checkpoint_path, save_checkpoint
 
-        if rc.steps_per_epoch is not None:
-            step = (rc.epoch + 1) * rc.steps_per_epoch
-        else:
-            step = rc.optimizer.step_count
         save_checkpoint(
-            checkpoint_path(self.directory, step),
+            checkpoint_path(self.directory, rc.global_step(rc.steps_per_epoch)),
             rc.model,
             rc.optimizer,
             history=rc.history,
@@ -278,18 +276,88 @@ class GroupStatsCollector(Callback):
 
 
 # ---------------------------------------------------------------------------
+# The epoch stream
+# ---------------------------------------------------------------------------
+
+
+def steps_per_epoch(data, n_ranks: int, batch: int) -> int:
+    """Steps in one epoch: one pass over the smallest shard,
+    ``ceil(min_r len(shard_r) / batch)``.  Algorithm 2's
+    ``N_samples / n_ranks`` at one sample per rank — round-robin shards
+    at batch 1 give ``N // n_ranks``."""
+    if n_ranks == 1:
+        smallest = len(data)
+    else:
+        smallest = min(len(data.shard(r, n_ranks)) for r in range(n_ranks))
+    return -(-smallest // batch)
+
+
+class RankStream:
+    """One rank's training batches: each epoch one shuffled pass over its
+    shard (``shard.batches(batch, rng)``), cut to ``steps_per_epoch``.
+
+    :meth:`next` opens the epoch's pass at its first draw and closes it
+    at the epoch's last (a reader's threads and counters finish with
+    the epoch); within an epoch it starts a new pass only when the
+    current one runs short (a ``strict=False`` record skipped after the
+    dataset counted it), and a shard that yields nothing raises.
+    :meth:`seek` replays the draws a restarted or readmitted rank
+    missed, so its stream stands where an uninterrupted rank's does.
+    """
+
+    def __init__(self, shard, rng, batch: int, steps_per_epoch: int):
+        self.shard = shard
+        self.rng = rng
+        self.batch = batch
+        self.steps_per_epoch = steps_per_epoch
+        self._epoch: Optional[int] = None
+        self._drawn = 0
+        self._pass = None
+
+    def open(self) -> None:
+        """Start one shuffled pass over the shard."""
+        self._pass = self.shard.batches(self.batch, rng=self.rng)
+
+    def next(self, epoch: int):
+        """The next batch of ``epoch``."""
+        if epoch != self._epoch:
+            self._epoch, self._drawn = epoch, 0
+            self.open()
+        batch = next(self._pass, None)
+        if batch is None:
+            self.open()
+            batch = next(self._pass, None)
+            if batch is None:
+                raise RuntimeError("data shard yielded no batches")
+        self._drawn += 1
+        if self._drawn == self.steps_per_epoch:
+            self._pass.close()
+        return batch
+
+    def seek(self, epochs: int, steps: int = 0) -> None:
+        """Replay the draws of ``epochs`` whole epochs and the first
+        ``steps`` of the next."""
+        for epoch in range(epochs):
+            for _ in range(self.steps_per_epoch):
+                self.next(epoch)
+        for _ in range(steps):
+            self.next(epochs)
+
+
+# ---------------------------------------------------------------------------
 # Per-rank execution context
 # ---------------------------------------------------------------------------
 
 
 class RankContext:
     """Everything one executing worker sees: its model replica,
-    optimizer, data views, aggregator, timers, and curves.
+    optimizer, batch stream, validation view, aggregator, timers, and
+    curves.
 
-    The engine drives the loop through four verbs — ``start_stream``
-    (new epoch), ``fetch`` (one batch, ``None`` when exhausted),
-    ``compute`` (loss + gradients), ``aggregate`` (global averaging) —
-    which backends specialize without the loop body branching on mode.
+    The engine drives the loop through three verbs — ``fetch`` (the
+    step's batch from the rank's :class:`RankStream`), ``compute``
+    (loss + gradients), ``aggregate`` (global averaging) — which
+    backends specialize without the loop body branching on mode.
     """
 
     def __init__(
@@ -298,14 +366,13 @@ class RankContext:
         *,
         model: CosmoFlowModel,
         optimizer: CosmoFlowOptimizer,
-        train_view,
+        stream: Optional[RankStream],
+        steps_per_epoch: int,
         val_view=None,
         rank: int = 0,
         n_ranks: int = 1,
         batch_size: int = 1,
         val_batch_size: int = 1,
-        steps_per_epoch: Optional[int] = None,
-        rng=None,
         aggregator=None,
         comm: Optional[Communicator] = None,
         callbacks: Optional[CallbackList] = None,
@@ -316,14 +383,13 @@ class RankContext:
         self.engine = engine
         self.model = model
         self.optimizer = optimizer
-        self.train_view = train_view
+        self.stream = stream
         self.val_view = val_view
         self.rank = rank
         self.n_ranks = n_ranks
         self.batch_size = batch_size
         self.val_batch_size = val_batch_size
         self.steps_per_epoch = steps_per_epoch
-        self.rng = rng
         self.aggregator = aggregator
         self.comm = comm
         self.callbacks = callbacks if callbacks is not None else CallbackList()
@@ -342,7 +408,6 @@ class RankContext:
         #: Whether this context was built from a mid-run state resync.
         self.rejoined = False
         self._tracked_total = 0.0
-        self._it = None
 
     # -- capabilities -----------------------------------------------------
 
@@ -374,15 +439,15 @@ class RankContext:
         n = len(members) if members is not None else self.n_ranks
         return self.batch_size * n
 
-    # -- the four verbs ---------------------------------------------------
+    def global_step(self, step: int) -> int:
+        """Step ``step`` of this epoch, counted from the run's first."""
+        return self.epoch * self.steps_per_epoch + step
 
-    def start_stream(self) -> None:
-        """Open this epoch's training-batch stream."""
-        self._it = self.train_view.batches(self.batch_size, rng=self.rng)
+    # -- the three verbs --------------------------------------------------
 
     def fetch(self, step: int):
-        """Next batch of the epoch, or ``None`` when exhausted."""
-        return next(self._it, None)
+        """The step's batch."""
+        return self.stream.next(self.epoch)
 
     def _loss_and_grads(self, x, y):
         """One worker gradient computation: :meth:`_group_loss_and_grads`
@@ -482,40 +547,23 @@ class _SteppedContext(RankContext):
     inside BLAS, in an order of its own.
     """
 
-    def __init__(self, engine, *, group: SteppedGroup, shards, rngs, compressors=None, **kwargs):
-        super().__init__(engine, **kwargs)
+    def __init__(self, engine, *, group: SteppedGroup, streams, compressors=None, **kwargs):
+        super().__init__(engine, stream=None, **kwargs)
         self.group = group
-        self.shards = shards
-        self.rngs = rngs
+        #: One :class:`RankStream` per virtual rank.
+        self.streams = streams
         #: One gradient compressor per virtual rank (or ``None``): the
         #: top-k error-feedback residual is per-rank state, so k
         #: simulated ranks need k residuals to stay
         #: bitwise identical to k threads each owning one.
         self.compressors = compressors
-        self._iters = None
 
     @property
     def aggregates(self) -> bool:
         return True
 
-    def start_stream(self):
-        self._iters = [
-            shard.batches(self.batch_size, rng=rng)
-            for shard, rng in zip(self.shards, self.rngs)
-        ]
-
     def fetch(self, step):
-        return [self._next_batch(r) for r in range(len(self._iters))]
-
-    def _next_batch(self, r: int):
-        # A shard with fewer batches than the epoch has steps (uneven shards
-        # at a batch size above one) starts its next pass, as a thread
-        # rank's stream does (_ElasticContext._next_batch).
-        try:
-            return next(self._iters[r])
-        except StopIteration:
-            self._iters[r] = self.shards[r].batches(self.batch_size, rng=self.rngs[r])
-            return next(self._iters[r])
+        return [stream.next(self.epoch) for stream in self.streams]
 
     def compute(self, batch):
         sizes = [len(x) for x, _ in batch]
@@ -539,53 +587,33 @@ class _SteppedContext(RankContext):
 
 
 class _ElasticContext(RankContext):
-    """One rank of a thread (or process) group: cooperative fault hooks,
-    a recycling batch stream, and grow-back admission servicing.  With
-    an empty fault plan and no spares every hook is a fast path, which
-    keeps fault-free runs bitwise identical to the stepped backend."""
+    """One rank of a thread (or process) group: cooperative fault hooks
+    and grow-back admission servicing.  With an empty fault plan and no
+    spares every hook is a fast path, which keeps fault-free runs
+    bitwise identical to the stepped backend."""
 
     def __init__(self, engine, *, injector, **kwargs):
         super().__init__(engine, **kwargs)
         self.injector = injector
-        #: Batch draws to discard on the next ``start_stream`` — a
-        #: readmitted rank's first (partial) epoch starts mid-stream.
-        self._skip_next_stream = 0
-
-    def start_stream(self):
-        super().start_stream()
-        skip, self._skip_next_stream = self._skip_next_stream, 0
-        for _ in range(skip):
-            self._next_batch()
-
-    def _next_batch(self):
-        # A strict=False dataset skips records that went corrupt after
-        # construction, so an epoch stream can come up short of
-        # steps_per_epoch — recycle it instead of letting the bad
-        # record kill the rank with StopIteration.
-        try:
-            return next(self._it)
-        except StopIteration:
-            self.start_stream()
-            try:
-                return next(self._it)
-            except StopIteration:
-                raise RuntimeError(
-                    f"rank {self.rank}: data shard yielded no batches"
-                ) from None
 
     def fetch(self, step):
         # Top of step is where a real failure detector would observe
         # missed heartbeats; step-keyed faults fire here — and where
         # scheduled recoveries are serviced, so a joiner is admitted at
         # a step (= generation) boundary.
-        global_step = self.epoch * self.steps_per_epoch + step
-        self._service_rejoins(global_step)
-        self.injector.begin_step(self.rank, global_step)
+        global_step = self.global_step(step)
+        self._begin_step(global_step)
         self.injector.maybe_crash(self.rank, global_step)
         stall = self.injector.hang_delay(self.rank, global_step)
         if stall > 0:
             time.sleep(stall)
-        return self._next_batch()
+        return super().fetch(step)
+
+    def _begin_step(self, global_step: int) -> None:
+        """The step boundary: admit whom the membership decides, then
+        key this rank's step-keyed faults on ``global_step``."""
+        self._service_rejoins(global_step)
+        self.injector.begin_step(self.rank, global_step)
 
     def _service_rejoins(self, global_step: int) -> None:
         """Admit, as this step boundary's donor, whom the membership
@@ -630,14 +658,6 @@ class _ElasticContext(RankContext):
         payload["epoch"] = np.int64(self.epoch)
         payload["resume_step"] = np.int64(global_step % self.steps_per_epoch)
         return payload
-
-    def burn_in(self) -> None:
-        """Replay completed epochs' batch draws so the resumed RNG
-        stream is exactly where an uninterrupted run would be."""
-        for _ in range(self.start_epoch):
-            self.start_stream()
-            for _ in range(self.steps_per_epoch):
-                self._next_batch()
 
 
 # ---------------------------------------------------------------------------
@@ -743,15 +763,16 @@ class LocalBackend(ExecutionBackend):
                     if cfg.seed is not None
                     else np.random.default_rng()
                 )
+            steps = steps_per_epoch(self.train_data, 1, cfg.batch_size)
             self._rc = RankContext(
                 engine,
                 model=self.model,
                 optimizer=self.optimizer,
-                train_view=self.train_data,
+                stream=RankStream(self.train_data, rng, cfg.batch_size, steps),
+                steps_per_epoch=steps,
                 val_view=self.val_data,
                 batch_size=cfg.batch_size,
                 val_batch_size=cfg.batch_size,
-                rng=rng,
                 aggregator=self.aggregator,
                 callbacks=callbacks,
                 timer=self.timer,
@@ -794,7 +815,15 @@ class _GroupBackend(ExecutionBackend):
         self.optimizer_config = optimizer_config
         self.n_ranks = n_ranks
         self.plugin_config = plugin_config or PluginConfig()
-        self.steps_per_epoch = len(train_data) // n_ranks  # paper: N_iters = N_samples / n_ranks
+
+    def _steps_per_epoch(self, engine: "TrainingEngine") -> int:
+        return steps_per_epoch(self.train_data, self.n_ranks, engine.config.batch_size)
+
+    def _stream(self, engine: "TrainingEngine", rank: int, steps: int) -> RankStream:
+        """Rank ``rank``'s shard under its ``[seed, rank]`` shuffle stream."""
+        cfg = engine.config
+        shard = self.train_data.shard(rank, self.n_ranks)
+        return RankStream(shard, np.random.default_rng([cfg.seed, rank]), cfg.batch_size, steps)
 
     def _replica(self, engine: "TrainingEngine"):
         """A freshly seeded model and its optimizer."""
@@ -805,7 +834,7 @@ class _GroupBackend(ExecutionBackend):
         if self.optimizer_config is not None:
             return self.optimizer_config
         return OptimizerConfig(
-            decay_steps=max(1, engine.config.epochs * self.steps_per_epoch)
+            decay_steps=max(1, engine.config.epochs * self._steps_per_epoch(engine))
         )
 
     def _aggregator(self, comm: Communicator):
@@ -831,8 +860,8 @@ class SteppedBackend(_GroupBackend):
     def _make_context(self, engine, group, callbacks) -> _SteppedContext:
         """All simulated ranks on one replica: per-rank shards, RNG
         streams and compressors, shared model and optimizer."""
-        cfg = engine.config
         k = self.n_ranks
+        steps = self._steps_per_epoch(engine)
         model, optimizer = self._replica(engine)
         if self.plugin_config.compression != "none":
             compressors = [self.plugin_config.build_compressor() for _ in range(k)]
@@ -841,17 +870,15 @@ class SteppedBackend(_GroupBackend):
         return self.context_cls(
             engine,
             group=group,
-            shards=[self.train_data.shard(r, k) for r in range(k)],
-            rngs=[np.random.default_rng([cfg.seed, r]) for r in range(k)],
+            streams=[self._stream(engine, r, steps) for r in range(k)],
             compressors=compressors,
             model=model,
             optimizer=optimizer,
-            train_view=self.train_data,
             val_view=self.val_data,
             n_ranks=k,
-            batch_size=cfg.batch_size,
+            batch_size=engine.config.batch_size,
             val_batch_size=1,
-            steps_per_epoch=self.steps_per_epoch,
+            steps_per_epoch=steps,
             callbacks=callbacks,
         )
 
@@ -929,22 +956,21 @@ class ThreadedBackend(_GroupBackend):
         return cbs
 
     def _rank_context(self, engine, comm, callbacks, model, optimizer, **extra):
-        """One real rank over ``comm``: its shard, its ``[seed, rank]``
-        shuffle stream, its own replica and aggregator."""
-        cfg = engine.config
+        """One real rank over ``comm``: its shard under its ``[seed,
+        rank]`` shuffle stream, its own replica and aggregator."""
+        steps = self._steps_per_epoch(engine)
         return self.context_cls(
             engine,
             injector=self.injector,
             model=model,
             optimizer=optimizer,
-            train_view=self.train_data.shard(comm.rank, self.n_ranks),
+            stream=self._stream(engine, comm.rank, steps),
+            steps_per_epoch=steps,
             val_view=self._val_view(comm.rank),
             rank=comm.rank,
             n_ranks=self.n_ranks,
-            batch_size=cfg.batch_size,
+            batch_size=engine.config.batch_size,
             val_batch_size=1,
-            steps_per_epoch=self.steps_per_epoch,
-            rng=np.random.default_rng([cfg.seed, comm.rank]),
             aggregator=self._aggregator(comm),
             comm=comm,
             callbacks=callbacks,
@@ -967,7 +993,7 @@ class ThreadedBackend(_GroupBackend):
                 self.elastic.checkpoint_dir, model, optimizer, history=history
             )
             if ckpt is not None:
-                start_epoch = optimizer.step_count // self.steps_per_epoch
+                start_epoch = optimizer.step_count // self._steps_per_epoch(engine)
         # Pre-training phase: step-keyed faults must not fire on the
         # initial parameter broadcast.
         self.injector.begin_step(comm.rank, -1)
@@ -977,7 +1003,7 @@ class ThreadedBackend(_GroupBackend):
         # Algorithm 2 preamble: rank 0's parameters to all ranks (after a
         # restart this also re-synchronizes any replica drift).
         rc.aggregator.broadcast_parameters(model.parameter_arrays())
-        rc.burn_in()
+        rc.stream.seek(start_epoch)
         return rc
 
     def _make_rejoin_context(self, engine, comm, callbacks, payload) -> RankContext:
@@ -986,8 +1012,8 @@ class ThreadedBackend(_GroupBackend):
         Everything — parameters, Adam slots, counters, curves — comes
         from the donated state; the joiner never touches the group's
         collectives during construction (a broadcast here would desync
-        the survivors' lockstep collective schedule).  The RNG stream
-        burns in the completed epochs plus the partial rejoin epoch, so
+        the survivors' lockstep collective schedule).  The batch stream
+        replays the completed epochs plus the partial rejoin epoch, so
         from its first step the rank is bitwise indistinguishable from
         one that never left.
         """
@@ -1006,8 +1032,7 @@ class ThreadedBackend(_GroupBackend):
         )
         rc.rejoined = True
         rc.resume_step = resume_step
-        rc.burn_in()
-        rc._skip_next_stream = resume_step
+        rc.stream.seek(epoch, resume_step)
         return rc
 
     def execute(self, engine, callbacks, epochs=None):
@@ -1196,17 +1221,14 @@ class TrainingEngine:
         rc.callbacks.on_epoch_end(rc)
 
     def train_epoch(self, rc: RankContext) -> float:
-        """One pass over the training data; returns the mean step loss."""
+        """One epoch of ``rc.steps_per_epoch`` steps; returns the mean step loss."""
         losses: List[float] = []
-        rc.start_stream()
         # A readmitted rank resumes its first (partial) epoch at the
         # step it was admitted at; every other context starts at 0.
-        step, rc.resume_step = rc.resume_step, 0
-        while rc.steps_per_epoch is None or step < rc.steps_per_epoch:
+        first, rc.resume_step = rc.resume_step, 0
+        for step in range(first, rc.steps_per_epoch):
             with rc.timed_stage("io", step):
                 batch = rc.fetch(step)
-            if batch is None:
-                break
             with rc.timed_stage("compute", step):
                 loss, grads, n_samples = rc.compute(batch)
             if rc.aggregates:
@@ -1219,9 +1241,6 @@ class TrainingEngine:
             rc.step = step
             rc.last_loss = loss
             rc.callbacks.on_step_end(rc)
-            step += 1
-        if not losses:
-            raise RuntimeError("training epoch saw no batches")
         return float(np.mean(losses))
 
     def validate(self, rc: RankContext) -> float:

@@ -117,26 +117,18 @@ def _fired(event, begun: Dict[int, int]) -> bool:
 class _ProcessContext(_ElasticContext):
     """Elastic rank context with real-process injection points.
 
-    Identical to the thread ranks' context except at the top of each
-    step, where it (1) records the step watermark the restart replay
-    filter reads, and (2) gives ``proc_kill`` events their honest
-    realization — ``os.kill(getpid(), SIGKILL)`` — before the
-    cooperative crash hook runs.  Both fire before any of the step's
-    collectives, so survivor numerics are identical to the threaded
-    backend's for the same plan.
+    Identical to the thread ranks' context except at the step boundary,
+    where it (1) records the step watermark the restart replay filter
+    reads, and (2) gives ``proc_kill`` events their honest realization
+    — ``os.kill(getpid(), SIGKILL)`` — before the cooperative crash hook
+    runs.  Both fire before any of the step's collectives, so survivor
+    numerics are identical to the threaded backend's for the same plan.
     """
 
-    def fetch(self, step):
-        global_step = self.epoch * self.steps_per_epoch + step
+    def _begin_step(self, global_step):
         self.comm.note_step(global_step)
-        self._service_rejoins(global_step)
-        self.injector.begin_step(self.rank, global_step)
+        super()._begin_step(global_step)
         self.injector.maybe_kill(self.rank, global_step)
-        self.injector.maybe_crash(self.rank, global_step)
-        stall = self.injector.hang_delay(self.rank, global_step)
-        if stall > 0:
-            time.sleep(stall)
-        return self._next_batch()
 
 
 class _WorkerBackend(ThreadedBackend):

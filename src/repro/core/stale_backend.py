@@ -44,9 +44,9 @@ class _StaleContext(_SteppedContext):
     """
 
     def fetch(self, step):
-        self._global_step = self.epoch * self.steps_per_epoch + step
+        self._global_step = self.global_step(step)
         self._starters = self.group.begin_step(self._global_step)
-        return [(r, next(self._iters[r])) for r in self._starters]
+        return [(r, self.streams[r].next(self.epoch)) for r in self._starters]
 
     def compute(self, batch):
         losses: Dict[int, float] = {}

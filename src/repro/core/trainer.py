@@ -43,8 +43,10 @@ class InMemoryData:
     :mod:`repro.io.pipeline` implements the same protocol backed by
     record files and prefetch threads.
 
-    With ``augment=True`` every served training volume gets a random
-    cube symmetry (see :func:`random_cube_symmetry`).
+    With ``augment=True`` every volume of a shuffled pass gets a cube
+    symmetry drawn from that pass's ``rng`` (see
+    :func:`random_cube_symmetry`); an unshuffled pass — evaluation —
+    reads the volumes as stored.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, augment: bool = False):
@@ -76,7 +78,7 @@ class InMemoryData:
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             xb = self.x[idx]
-            if self.augment:
+            if self.augment and shuffle:
                 xb = np.stack([random_cube_symmetry(v, rng) for v in xb])
             yield xb, self.y[idx]
 

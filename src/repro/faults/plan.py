@@ -92,9 +92,8 @@ class FaultKind(enum.Enum):
     REPLICA_CRASH = "replica_crash"
     #: An inference replica straggles: one dispatched batch takes an
     #: extra ``delay_s`` (GC pause, noisy neighbor, thermal throttle).
-    #: Hedged dispatch races a duplicate past the latency budget, and
-    #: repeated stalls trip the replica's circuit breaker.  Keyed like
-    #: ``REPLICA_CRASH``.
+    #: Hedged dispatch races a duplicate past the latency budget.  Keyed
+    #: like ``REPLICA_CRASH``.
     REPLICA_SLOW = "replica_slow"
 
 

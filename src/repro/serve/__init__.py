@@ -12,8 +12,7 @@ over:
   deadline-feasibility load shedding;
 * :mod:`repro.serve.cache` — content-hash LRU result cache (the
   degraded-mode floor: correct answers with zero replicas alive);
-* :mod:`repro.serve.replica` — one model instance on a modeled node,
-  with a per-replica circuit breaker;
+* :mod:`repro.serve.replica` — one model instance on a modeled node;
 * :mod:`repro.serve.pool` — membership, crash handling, warm spares;
 * :mod:`repro.serve.server` — the deterministic discrete-event loop
   tying it together on a seeded virtual clock.

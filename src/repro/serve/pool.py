@@ -1,7 +1,7 @@
 """Replica pool: membership, health, crash handling, warm spares.
 
-The pool tracks which replicas can take work *right now* (alive, idle,
-breaker permitting) and owns the crash path: a dead replica leaves the
+The pool tracks which replicas can take work *right now* (alive and
+idle) and owns the crash path: a dead replica leaves the
 rotation permanently and, when a spare remains, hands its slot to the
 next cold standby.  Spares are "warm" in the elastic-trainer sense —
 provisioned but not serving — so promotion costs one warmup (weight
@@ -66,23 +66,11 @@ class ReplicaPool:
 
     # -- dispatch selection --------------------------------------------------
 
-    def idle_replicas(self, now: float) -> List[Replica]:
-        """Dispatchable replicas at ``now``: idle *and* admitted by
-        their breaker (an OPEN breaker past cooldown half-opens here
-        and its replica becomes the probe)."""
-        return [
-            r
-            for r in self.replicas
-            if r.state is ReplicaState.IDLE and r.breaker.allow(now)
-        ]
-
-    def pick(self, now: float) -> Optional[Replica]:
+    def pick(self) -> Optional[Replica]:
         """The dispatch target: least-loaded idle replica, ties broken
         by id — a deterministic order with no RNG involvement."""
-        idle = self.idle_replicas(now)
-        if not idle:
-            return None
-        return min(idle, key=lambda r: (r.batches_served, r.rid))
+        idle = [r for r in self.replicas if r.state is ReplicaState.IDLE]
+        return min(idle, key=lambda r: (r.batches_served, r.rid), default=None)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -91,7 +79,7 @@ class ReplicaPool:
         if replica.state is ReplicaState.WARMING:
             replica.state = ReplicaState.IDLE
 
-    def crash(self, replica: Replica, now: float) -> Optional[Replica]:
+    def crash(self, replica: Replica) -> Optional[Replica]:
         """Kill ``replica`` and promote the next spare, if any.
 
         Returns the promoted spare (in ``WARMING`` — the caller owns
@@ -100,7 +88,6 @@ class ReplicaPool:
         as a tombstone so reports can account for it.
         """
         replica.state = ReplicaState.DEAD
-        replica.breaker.record_failure(now)
         self.crashes += 1
         if not self.spares:
             return None
@@ -109,6 +96,3 @@ class ReplicaPool:
         self.replicas.append(spare)
         self.promotions += 1
         return spare
-
-    def breaker_states(self) -> dict:
-        return {r.name: r.breaker.state.value for r in self.replicas}

@@ -14,7 +14,6 @@ from __future__ import annotations
 from enum import Enum
 from repro.core import flops as flops_mod
 from repro.perfmodel.node import NodeSpec
-from repro.utils.breaker import CircuitBreaker
 
 __all__ = ["ReplicaState", "Replica"]
 
@@ -22,10 +21,6 @@ __all__ = ["ReplicaState", "Replica"]
 OVERHEAD_S = 0.002
 #: Replica boot / spare promotion cost, seconds.
 WARMUP_S = 0.05
-#: Consecutive failures that trip a replica's breaker OPEN, and the
-#: cooldown before its HALF_OPEN probe.
-BREAKER_THRESHOLD = 3
-BREAKER_RESET_S = 1.0
 
 
 class ReplicaState(Enum):
@@ -36,20 +31,12 @@ class ReplicaState(Enum):
 
 
 class Replica:
-    """A single model server in the pool.
-
-    ``breaker`` is the per-replica circuit breaker: repeated failures
-    trip it OPEN and the dispatcher routes around the replica until the
-    cooldown's HALF_OPEN probe succeeds.
-    """
+    """A single model server in the pool."""
 
     def __init__(self, rid: int, model, node: NodeSpec):
         self.rid = rid
         self.model = model
         self.node = node
-        self.breaker = CircuitBreaker(
-            f"replica-{rid}", threshold=BREAKER_THRESHOLD, reset_s=BREAKER_RESET_S
-        )
         self.state = ReplicaState.WARMING
         self.ready_at_s = 0.0
         self.batches_served = 0

@@ -15,7 +15,7 @@ Degradation ladder (most graceful first):
    even with zero replicas alive.
 2. **Micro-batched dispatch** — the normal path: batch up to
    ``max_batch`` requests or ``max_wait_s``, run on the least-loaded
-   idle replica whose breaker admits work.
+   idle replica.
 3. **Hedged dispatch** — a batch in flight past ``hedge_budget_s`` is
    duplicated onto an idle replica; first completion wins.
 4. **Redrain + warm spare** — a crashed replica's in-flight requests
@@ -110,7 +110,6 @@ class ServeReport:
     promotions: int = 0
     hedges: int = 0
     hedge_wins: int = 0
-    breaker_trips: int = 0
     duration_s: float = 0.0
     served_qps: float = 0.0
     latency_p50_s: float = 0.0
@@ -140,8 +139,7 @@ class ServeReport:
             f"  deadline misses: {self.deadline_misses}",
             f"  batches: {self.batches}  crashes: {self.crashes} "
             f"(redrained {self.redrained}, promoted {self.promotions})",
-            f"  hedges: {self.hedges} (wins {self.hedge_wins})  "
-            f"breaker trips: {self.breaker_trips}",
+            f"  hedges: {self.hedges} (wins {self.hedge_wins})",
             f"  latency: p50={self.latency_p50_s * 1e3:.2f}ms "
             f"p99={self.latency_p99_s * 1e3:.2f}ms "
             f"max={self.latency_max_s * 1e3:.2f}ms",
@@ -356,7 +354,6 @@ class InferenceServer:
         replica.batches_served += 1
         replica.busy_s += batch.service_s
         self._service.observe(batch.service_s)
-        replica.breaker.record_success()
         newly = [r for r in batch.requests if r.resolve(Outcome.COMPLETED, now)]
         if not newly:
             # The hedge twin beat this batch to every request.
@@ -382,7 +379,7 @@ class InferenceServer:
         batch.in_flight = False
         self._in_flight.pop(batch.bid, None)
         replica = batch.replica
-        spare = self.pool.crash(replica, now)
+        spare = self.pool.crash(replica)
         self._count("crashes")
         self._event("crash", f"{replica.name}:{batch.name}")
         unresolved = [r for r in batch.requests if not r.resolved]
@@ -409,7 +406,7 @@ class InferenceServer:
         unresolved = [r for r in batch.requests if not r.resolved]
         if not unresolved:
             return
-        replica = self.pool.pick(self.clock_s)
+        replica = self.pool.pick()
         if replica is None:
             self._push(self.clock_s + self.config.hedge_budget_s, "hedge", batch)
             return
@@ -455,7 +452,7 @@ class InferenceServer:
         (re)arm the batching-window flush timer."""
         now = self.clock_s
         while self.admission.batch_ready(now, self.config.max_wait_s):
-            replica = self.pool.pick(now)
+            replica = self.pool.pick()
             if replica is None:
                 break
             self._dispatch(self.admission.take_batch(), replica)
@@ -503,7 +500,6 @@ class InferenceServer:
             self.metrics.counter("serve.completed").value
             + self.metrics.counter("serve.cache_hits").value
         )
-        trips = sum(r.breaker.trips for r in self.pool.replicas)
         return ServeReport(
             n_requests=len(requests),
             completed=int(self.metrics.counter("serve.completed").value),
@@ -519,7 +515,6 @@ class InferenceServer:
             promotions=self.pool.promotions,
             hedges=self._hedges,
             hedge_wins=self._hedge_wins,
-            breaker_trips=trips,
             duration_s=duration,
             served_qps=served / duration if duration > 0 else 0.0,
             latency_p50_s=self._latency.p50,

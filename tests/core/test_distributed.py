@@ -8,6 +8,7 @@ from repro.core.engine import (
     SteppedBackend,
     ThreadedBackend,
     TrainingEngine,
+    steps_per_epoch,
 )
 from repro.core.optimizer import OptimizerConfig
 from repro.core.process_backend import ProcessBackend
@@ -47,8 +48,10 @@ class TestConfig:
             backend_cls(tiny_16(), make_dataset(2), n_ranks=4)
 
     def test_steps_per_epoch(self):
-        backend = SteppedBackend(tiny_16(), make_dataset(10), n_ranks=3)
-        assert backend.steps_per_epoch == 3  # floor(10 / 3), paper's N/k
+        data = make_dataset(10)
+        assert steps_per_epoch(data, 3, 1) == 3  # floor(10 / 3), paper's N/k
+        assert steps_per_epoch(data, 3, 2) == 2  # one pass over a 3-sample shard
+        assert steps_per_epoch(data, 1, 4) == 3
 
 
 class TestSteppedMode:
@@ -67,7 +70,7 @@ class TestSteppedMode:
     def test_group_stats_recorded(self):
         engine = group_engine(SteppedBackend, make_dataset(4), 2, 1)
         engine.run()
-        assert engine.group_stats["reductions"] == engine.backend.steps_per_epoch
+        assert engine.group_stats["reductions"] == steps_per_epoch(engine.backend.train_data, 2, 1)
         assert engine.group_stats["bytes_reduced"] > 0
 
     def test_final_model_available(self):

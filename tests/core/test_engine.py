@@ -18,6 +18,7 @@ from repro.core.engine import (
     CheckpointCallback,
     EngineConfig,
     LocalBackend,
+    RankStream,
     SteppedBackend,
     ThreadedBackend,
     TrainingEngine,
@@ -220,7 +221,7 @@ class TestEngineMechanics:
         )
         eng.run()
         ckpt = latest_checkpoint(tmp_path)
-        # Local backend names checkpoints by optimizer step count.
+        # Checkpoints are named by global step: 2 epochs x 3 steps.
         assert ckpt is not None and ckpt.name == "ckpt-00000006.npz"
 
     def test_validation_io_attributed_to_io_stage(self):
@@ -233,9 +234,32 @@ class TestEngineMechanics:
         eng = TrainingEngine(backend, config=EngineConfig(epochs=1))
         eng.run()
         rc = backend.context(eng, eng.build_callbacks())
-        train_io_calls = 3 + 1  # 3 batches + exhausted-stream probe
+        train_io_calls = 3  # one fetch per step of the epoch
         val_io_calls = 3 + 1
         assert rc.timer.stages["io"].count == train_io_calls + val_io_calls
+
+
+class TestRankStream:
+    def test_seek_stands_where_an_uninterrupted_stream_stands(self):
+        """A rank readmitted at step 1 of epoch 2 draws what a rank that
+        never left draws there: 5 samples at batch 2 are 3 steps, the
+        last one short."""
+        shard = make_dataset(5)
+
+        def stream():
+            return RankStream(shard, np.random.default_rng([0, 1]), 2, 3)
+
+        never_left = stream()
+        for epoch in range(2):
+            for _ in range(3):
+                never_left.next(epoch)
+        never_left.next(2)
+        rejoined = stream()
+        rejoined.seek(2, 1)
+        for _ in range(2):
+            want, got = never_left.next(2), rejoined.next(2)
+            assert want[0].tobytes() == got[0].tobytes()
+            assert want[1].tobytes() == got[1].tobytes()
 
 
 class TestFrontDoor:

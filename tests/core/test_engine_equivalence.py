@@ -23,6 +23,7 @@ a loud reason) if the *seed* sanity value doesn't match, rather than
 failing on an unrelated machine.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,24 @@ def make_dataset(n, seed=0, size=16):
     x = rng.standard_normal((n, 1, size, size, size)).astype(np.float32)
     y = rng.uniform(0.2, 0.8, size=(n, 3)).astype(np.float32)
     return InMemoryData(x, y)
+
+
+class CountingData(InMemoryData):
+    """Counts the shuffled passes opened over each rank's shard."""
+
+    def __init__(self, x, y, opens=None, rank=None):
+        super().__init__(x, y)
+        self.opens = opens if opens is not None else Counter()
+        self.rank = rank
+
+    def batches(self, batch_size=1, rng=None, shuffle=True):
+        if shuffle:
+            self.opens[self.rank] += 1
+        return super().batches(batch_size, rng=rng, shuffle=shuffle)
+
+    def shard(self, rank, n_ranks):
+        base = super().shard(rank, n_ranks)
+        return CountingData(base.x, base.y, self.opens, rank)
 
 
 def make_backend(mode, n_ranks, train=None, val=None, seed=SEED, rng=None, opt=OPT):
@@ -130,9 +149,8 @@ class TestSteppedGroupsMatchThreaded:
     """Stepped ranks run as the groups of one pass
     (``CosmoFlowModel.group_loss_and_gradients``).  Uneven shards — 10
     samples over 3 ranks — give groups of unequal size; a per-rank batch
-    of 2 also gives groups of 2 and 1 in one step, and a shard that runs
-    out before the epoch's last step starts its next pass, as a thread
-    rank's stream does."""
+    of 2 also gives groups of 2 and 1 in one step: the epoch's last step
+    takes the smaller shards' short last batch."""
 
     @pytest.mark.parametrize(
         "batch_size, precision", [(1, "fp32"), (2, "fp32"), (1, "fp16")],
@@ -172,6 +190,49 @@ class TestSteppedGroupsMatchThreaded:
         for key, value in threaded.items():
             want = value // 3 if key.endswith(".calls") else value
             assert value % 3 == 0 and stepped[key] == want, key
+
+
+class TestOneEpochAtBatchTwo:
+    """An epoch is one pass over the smallest shard.  10 samples over 3
+    ranks at a per-rank batch of 2 are shards of 4, 3 and 3: two steps,
+    each rank's pass opened once, and all ten samples drawn per epoch."""
+
+    EPOCHS = 2
+
+    @staticmethod
+    def run(mode, n_ranks, train, **kwargs):
+        from repro.obs import MetricsRegistry
+
+        metrics = MetricsRegistry()
+        out = run_engine(
+            mode, n_ranks, epochs=TestOneEpochAtBatchTwo.EPOCHS, batch_size=2, train=train,
+            metrics=metrics, **kwargs,
+        )
+        return out, metrics
+
+    @pytest.mark.parametrize("mode", ["stepped", "threaded", "ssgd"])
+    def test_one_pass_per_epoch(self, mode):
+        data = make_dataset(10)
+        train = CountingData(data.x, data.y)
+        _, metrics = self.run(mode, 3, train, validate=False)
+        assert metrics.value("engine.steps") == 2 * self.EPOCHS
+        assert dict(train.opens) == {0: self.EPOCHS, 1: self.EPOCHS, 2: self.EPOCHS}
+        assert metrics.value("engine.records") == 10 * self.EPOCHS
+
+    def test_process_matches_stepped(self, tmp_path, monkeypatch):
+        """7 samples over 2 processes: shards of 4 and 3, two steps.
+        (Without validation: the stepped replica averages the whole
+        validation set, two ranks average their shards' means.)"""
+        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
+        runs = [
+            self.run(mode, 2, make_dataset(7), validate=False) for mode in ("stepped", "process")
+        ]
+        for _, metrics in runs:
+            assert metrics.value("engine.steps") == 2 * self.EPOCHS
+            assert metrics.value("engine.records") == 7 * self.EPOCHS
+        ((params, train, _), _), ((want_params, want_train, _), _) = runs
+        np.testing.assert_array_equal(params, want_params)
+        assert train == want_train
 
 
 class TestMetricsConsistency:

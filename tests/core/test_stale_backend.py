@@ -4,6 +4,7 @@ baselines at bound 0, seeded straggler replay, monitor lifecycle, and
 composition with gradient compression."""
 
 import numpy as np
+import pytest
 
 from repro.comm.plugin import PluginConfig
 from repro.comm.stale import StalenessConfig
@@ -27,7 +28,7 @@ OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
 
 def run_engine(backend_cls, *, epochs=2, n=16, ranks=4, compression="none",
-               validate=False, **backend_kwargs):
+               validate=False, batch_size=1, **backend_kwargs):
     backend = backend_cls(
         tiny_16(),
         make_dataset(n),
@@ -37,7 +38,8 @@ def run_engine(backend_cls, *, epochs=2, n=16, ranks=4, compression="none",
         plugin_config=PluginConfig(compression=compression),
         **backend_kwargs,
     )
-    engine = TrainingEngine(backend, EngineConfig(epochs=epochs, validate=validate))
+    config = EngineConfig(epochs=epochs, validate=validate, batch_size=batch_size)
+    engine = TrainingEngine(backend, config)
     hist = engine.run()
     return engine, hist
 
@@ -147,6 +149,39 @@ class TestStragglerRuns:
         assert gs["mode"] == "sagn"
         assert gs["max_staleness"] <= 4
         assert np.isfinite(hist.train_loss[-1])
+
+
+@pytest.mark.parametrize("n", [12, 10], ids=["even", "uneven"])
+class TestBatchTwo:
+    """A per-rank batch of 2 over 3 ranks: 12 samples are shards of 4,
+    10 are shards of 4, 3 and 3 — two steps an epoch either way, drawn
+    through the same per-rank streams as the stepped ranks'."""
+
+    @pytest.mark.parametrize("mode", ["ssgd", "sagn"])
+    def test_bound0_equals_stepped(self, mode, n):
+        kw = dict(epochs=2, n=n, ranks=3, batch_size=2)
+        t_stale, h_stale = run_engine(
+            StaleBackend, stale_mode=mode, staleness=SYNC_STALENESS, **kw
+        )
+        t_step, h_step = run_engine(SteppedBackend, **kw)
+        assert h_stale.train_loss == h_step.train_loss
+        for a, b in zip(
+            t_stale.final_model.parameter_arrays(),
+            t_step.final_model.parameter_arrays(),
+        ):
+            assert np.array_equal(a, b)
+        assert t_stale.group_stats["contributions"] == [4, 4, 4]  # 2 steps x 2 epochs
+
+    def test_straggler_run_completes(self, n):
+        cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5, quarantine_factor=None)
+        injector = FaultInjector(FaultPlan(seed=7).with_slow_rank(1, 0.09, n_steps=6))
+        t, hist = run_engine(
+            StaleBackend, stale_mode="ssgd", staleness=cfg, epochs=3, n=n, ranks=3,
+            batch_size=2, injector=injector,
+        )
+        assert len(hist.train_loss) == 3
+        assert np.isfinite(hist.train_loss[-1])
+        assert t.group_stats["hangs_injected"] > 0
 
 
 class TestCompression:

@@ -125,13 +125,29 @@ class TestAugmentation:
         y = rng.random((4, 3)).astype(np.float32)
         plain = InMemoryData(x, y)
         aug = InMemoryData(x, y, augment=True)
-        xp = np.concatenate([b for b, _ in plain.batches(1, shuffle=False)])
-        xa = np.concatenate([b for b, _ in aug.batches(1, rng=np.random.default_rng(5), shuffle=False)])
-        np.testing.assert_array_equal(xp, x)
-        assert not np.array_equal(xa, x)  # some volume transformed
-        # targets unchanged by augmentation
-        ya = np.concatenate([t for _, t in aug.batches(1, shuffle=False)])
-        np.testing.assert_array_equal(ya, y)
+
+        def shuffled_pass(data):
+            batches = list(data.batches(1, rng=np.random.default_rng(5)))
+            return np.concatenate([b for b, _ in batches]), np.concatenate([t for _, t in batches])
+
+        # The shuffle is the pass's first draw, so both passes take the
+        # same order and differ only by the symmetries.
+        (xp, yp), (xa, ya) = shuffled_pass(plain), shuffled_pass(aug)
+        assert not np.array_equal(xa, xp)  # some volume transformed
+        np.testing.assert_array_equal(ya, yp)  # targets unchanged by augmentation
+
+    def test_unshuffled_pass_reads_as_stored(self):
+        """Evaluation draws no symmetry: two unshuffled passes over an
+        augmented set are byte-equal, and equal to the stored volumes."""
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((4, 1, 3, 3, 3)).astype(np.float32)
+        y = rng.random((4, 3)).astype(np.float32)
+        aug = InMemoryData(x, y, augment=True)
+        passes = [
+            np.concatenate([b for b, _ in aug.batches(2, shuffle=False)]).tobytes()
+            for _ in range(2)
+        ]
+        assert passes[0] == passes[1] == x.tobytes()
 
     def test_shard_inherits_augment(self):
         x = np.zeros((4, 1, 2, 2, 2), dtype=np.float32)

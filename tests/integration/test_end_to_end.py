@@ -9,6 +9,7 @@ from repro.core.engine import (
     SteppedBackend,
     ThreadedBackend,
     TrainingEngine,
+    steps_per_epoch,
 )
 from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
@@ -97,7 +98,7 @@ class TestSimulateToTraining:
             optimizer_config=OptimizerConfig(),
             n_ranks=24,
         )
-        assert backend.steps_per_epoch == 2
+        assert steps_per_epoch(backend.train_data, 24, 1) == 2
         hist = TrainingEngine(backend, EngineConfig(epochs=2, validate=False)).run()
         assert len(hist.train_loss) == 2
         assert all(np.isfinite(v) for v in hist.train_loss)

@@ -162,7 +162,11 @@ class TestPrefetchPipeline:
         assert fast < slow
 
     def test_trainer_integration(self, dataset_dir):
-        """The pipeline satisfies the engine's dataset protocol."""
+        """The pipeline satisfies the engine's dataset protocol, and each
+        epoch's pass ends with the epoch: no I/O thread outlives the run,
+        even parked at a one-file look-ahead bound."""
+        import threading
+
         from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
         from repro.core.model import CosmoFlowModel
         from repro.core.optimizer import CosmoFlowOptimizer
@@ -177,11 +181,12 @@ class TestPrefetchPipeline:
             n_outputs=3,
         )
         model = CosmoFlowModel(cfg, seed=0)
-        pipe = PrefetchPipeline(RecordDataset(paths), n_io_threads=2)
+        pipe = PrefetchPipeline(RecordDataset(paths), n_io_threads=3, buffer_size=1)
         backend = LocalBackend(model, CosmoFlowOptimizer(model.parameter_arrays()), pipe)
         hist = TrainingEngine(backend, EngineConfig(epochs=2, validate=False)).run()
         assert len(hist.train_loss) == 2
         assert all(np.isfinite(l) for l in hist.train_loss)
+        assert not [t for t in threading.enumerate() if t.name.startswith("io-")]
 
     def test_validation_errors(self, dataset_dir):
         _, paths, _, _ = dataset_dir

@@ -57,33 +57,24 @@ class TestPool:
 
     def test_pick_prefers_least_loaded_then_lowest_id(self, model):
         pool = self.make_pool(model)
-        assert pool.pick(0.0).rid == 0
+        assert pool.pick().rid == 0
         pool.replicas[0].batches_served = 2
         pool.replicas[1].batches_served = 1
-        assert pool.pick(0.0).rid == 2  # 0 batches served
+        assert pool.pick().rid == 2  # 0 batches served
         pool.replicas[2].batches_served = 1
-        assert pool.pick(0.0).rid == 1  # tie at 1 -> lowest id
+        assert pool.pick().rid == 1  # tie at 1 -> lowest id
 
     def test_busy_and_dead_excluded(self, model):
         pool = self.make_pool(model, n=2)
         pool.replicas[0].state = ReplicaState.BUSY
-        assert pool.pick(0.0).rid == 1
-        pool.crash(pool.replicas[1], now=0.0)
-        assert pool.pick(0.0) is None
+        assert pool.pick().rid == 1
+        pool.crash(pool.replicas[1])
+        assert pool.pick() is None
         assert pool.n_alive() == 1 and pool.n_serving() == 1
-
-    def test_open_breaker_sidelines_until_cooldown(self, model):
-        pool = self.make_pool(model, n=1)
-        r = pool.replicas[0]
-        for _ in range(r.breaker.threshold):
-            r.breaker.record_failure(0.0)
-        assert pool.pick(0.1) is None  # OPEN, inside cooldown
-        probe = pool.pick(0.0 + r.breaker.reset_s + 1.0)
-        assert probe is r  # HALF_OPEN probe admitted
 
     def test_crash_promotes_spare_in_order(self, model):
         pool = self.make_pool(model, n=2, spares=2)
-        spare = pool.crash(pool.replicas[0], now=1.0)
+        spare = pool.crash(pool.replicas[0])
         assert spare.rid == 2 and spare.state is ReplicaState.WARMING
         assert spare in pool.replicas and pool.n_spares_left() == 1
         assert pool.crashes == 1 and pool.promotions == 1
@@ -91,10 +82,10 @@ class TestPool:
     def test_exhausted(self, model):
         pool = self.make_pool(model, n=1, spares=1)
         assert not pool.exhausted()
-        s = pool.crash(pool.replicas[0], now=0.0)
+        s = pool.crash(pool.replicas[0])
         assert not pool.exhausted()
         pool.mark_ready(s)
-        assert pool.crash(s, now=1.0) is None
+        assert pool.crash(s) is None
         assert pool.exhausted()
 
     def test_empty_pool_rejected(self):

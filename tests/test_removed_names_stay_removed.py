@@ -14,6 +14,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 REMOVED = {
+    # One epoch stream: every rank context draws through one RankStream
+    # (docs/architecture.md, "The I/O path"); the per-context stream
+    # variants, their burn-in and skip counters.  Last present at d68be9a.
+    "per-context batch streams": (
+        r"burn_in|_skip_next_stream|_next_batch|start_stream|self\._iters\b",
+        ("src", "examples", "benchmarks"),
+    ),
+    # A serving replica fails only by crashing, which marks it DEAD for
+    # good, so its breaker could never trip (docs/serving.md); staging's
+    # per-target breakers (repro.utils.breaker) stay.  Last present at d68be9a.
+    "serving replica breakers": (
+        r"BREAKER_THRESHOLD|BREAKER_RESET_S|pool\.breaker_states|replica\.breaker|\br\.breaker",
+        ("src", "examples", "benchmarks"),
+    ),
     # Every option has a caller (tests/test_reachability.py): the serve
     # weight path, the serve straggle branch, staging's tier-latency model
     # and the read hook built on it, stale eviction, and the settable values
