@@ -12,6 +12,8 @@ of compute, via a timing-wrapped kernel registry — and printed as the
 Figure 3 fractions.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -25,32 +27,34 @@ from repro.core.topology import scaled_32
 from repro.core.trainer import InMemoryData
 from repro.primitives import registry
 from repro.primitives.registry import ConvImpl
-from repro.utils.timer import StageTimer
 
 
 @pytest.fixture()
 def timed_registry(monkeypatch):
-    """Wrap the kernels with timers, like VTune attributing time to the
-    MKL-DNN hotspots."""
-    timer = StageTimer()
+    """Wrap the kernels with a timer, like VTune attributing time to the
+    MKL-DNN hotspots; ``["conv3d"]`` is their summed seconds."""
+    spent = {"conv3d": 0.0}
     base = registry.GEMM
 
-    def wrap(fn, stage):
+    def wrap(fn):
         def inner(*args, **kwargs):
-            with timer.stage(stage):
+            t0 = time.perf_counter()
+            try:
                 return fn(*args, **kwargs)
+            finally:
+                spent["conv3d"] += time.perf_counter() - t0
 
         return inner
 
     monkeypatch.setattr(registry, "GEMM", ConvImpl(
         name="timed",
-        forward=wrap(base.forward, "conv3d"),
-        backward_data=wrap(base.backward_data, "conv3d"),
-        backward_weights=wrap(base.backward_weights, "conv3d"),
-        pack=wrap(base.pack, "conv3d"),
-        backward=wrap(base.backward, "conv3d"),
+        forward=wrap(base.forward),
+        backward_data=wrap(base.backward_data),
+        backward_weights=wrap(base.backward_weights),
+        pack=wrap(base.pack),
+        backward=wrap(base.backward),
     ))
-    return timer
+    return spent
 
 
 def test_single_node_profile(timed_registry, benchmark):
@@ -58,28 +62,28 @@ def test_single_node_profile(timed_registry, benchmark):
     x = rng.standard_normal((12, 1, 32, 32, 32)).astype(np.float32)
     y = rng.uniform(0.2, 0.8, size=(12, 3)).astype(np.float32)
     model = CosmoFlowModel(scaled_32(), seed=0)
-    timer = StageTimer()
     backend = LocalBackend(
         model,
         CosmoFlowOptimizer(model.parameter_arrays()),
         InMemoryData(x, y),
         aggregator=MLPlugin(SerialCommunicator()).init(),  # paper: plugin on even at 1 node
-        timer=timer,
     )
     engine = TrainingEngine(backend, EngineConfig(epochs=1, validate=False))
     benchmark.pedantic(engine.run, args=(1,), rounds=1, iterations=1)
 
-    conv_time = timed_registry.stages["conv3d"].total
-    stages = timer.stages
-    compute = stages["compute"].total
-    non_conv = max(0.0, compute - conv_time)
+    conv_time = timed_registry["conv3d"]
+
+    def stage(name):
+        return engine.metrics.value(f"engine.stage.{name}.seconds", 0.0)
+
+    non_conv = max(0.0, stage("compute") - conv_time)
     rows = {
         "3D convolutions (MKL-DNN analogue)": conv_time,
         "non-conv compute (elementwise, FC, loss)": non_conv,
-        "CPE ML Plugin (gradient aggregation)": stages.get("comm").total if "comm" in stages else 0.0,
-        "optimizer (Adam+LARC update)": stages["optimizer"].total,
-        "I/O (sample fetch)": stages["io"].total,
-        "framework/other": stages.get("other").total if "other" in stages else 0.0,
+        "CPE ML Plugin (gradient aggregation)": stage("comm"),
+        "optimizer (Adam+LARC update)": stage("optimizer"),
+        "I/O (sample fetch)": stage("io"),
+        "framework/other": stage("other"),
     }
     total = sum(rows.values())
     lines = [

@@ -39,7 +39,7 @@ __all__, __getattr__, __dir__ = _lazy(__name__, {
                   "OptimizerConfig"),
     "engine": ("TrainingEngine", "EngineConfig", "EngineResult", "ExecutionBackend",
                "LocalBackend", "SteppedBackend", "ThreadedBackend", "Callback", "LRRecorder",
-               "DivergenceCheck", "CheckpointCallback", "GroupStatsCollector", "RankContext",
+               "DivergenceCheck", "CheckpointCallback", "RankContext",
                "History"),
     "trainer": ("InMemoryData",),
     "elastic": ("ElasticConfig",),

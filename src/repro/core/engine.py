@@ -9,8 +9,8 @@ calculation and global averaging" — is one program here, and
 * the engine owns the canonical epoch/step loop — batch fetch (``io``),
   loss+gradients (``compute``), gradient aggregation (``comm``),
   optimizer update (``optimizer``), validation, and the
-  :class:`History` / :class:`~repro.utils.timer.StageTimer` accounting
-  behind the Figure 3 stage profile;
+  :class:`History` and ``engine.stage.*`` accounting behind the
+  Figure 3 stage profile;
 * an :class:`ExecutionBackend` decides only *how ranks execute and
   aggregate*: in-process (:class:`LocalBackend`), simulated on one
   replica (:class:`SteppedBackend`), or one OS thread per rank
@@ -19,7 +19,7 @@ calculation and global averaging" — is one program here, and
   default, fault-tolerant with checkpoint/restart when the policy
   lowers the quorum;
 * mode-specific bookkeeping — learning-rate recording, divergence
-  checking, checkpointing, group-stats collection — lives in
+  checking, checkpointing — lives in
   :class:`Callback` hooks, so the loop body contains no mode branches.
 
 Every backend reduces through
@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.comm.communicator import Communicator, ReduceOp
+from repro.comm.communicator import Communicator, ReduceOp, reduce_arrays
 from repro.comm.errors import QuorumLostError
 from repro.comm.serial import SteppedGroup
 from repro.core.elastic import MPI_LIKE, ElasticConfig
@@ -50,7 +50,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.utils.logging import get_logger
 from repro.utils.packing import flatten_arrays, unflatten_like
-from repro.utils.timer import StageTimer
 
 if TYPE_CHECKING:  # what only the thread, elastic, fault and plugin paths load
     from repro.comm.plugin import PluginConfig
@@ -64,7 +63,6 @@ __all__ = [
     "LRRecorder",
     "DivergenceCheck",
     "CheckpointCallback",
-    "GroupStatsCollector",
     "RankContext",
     "RankStream",
     "steps_per_epoch",
@@ -267,14 +265,6 @@ class CheckpointCallback(Callback):
         )
 
 
-class GroupStatsCollector(Callback):
-    """Publishes the backend's communication/fault statistics on the
-    engine as ``engine.group_stats`` (installed by default)."""
-
-    def on_run_end(self, engine, result):
-        engine.group_stats = dict(result.stats)
-
-
 # ---------------------------------------------------------------------------
 # The epoch stream
 # ---------------------------------------------------------------------------
@@ -351,8 +341,7 @@ class RankStream:
 
 class RankContext:
     """Everything one executing worker sees: its model replica,
-    optimizer, batch stream, validation view, aggregator, timers, and
-    curves.
+    optimizer, batch stream, validation views, aggregator, and curves.
 
     The engine drives the loop through three verbs — ``fetch`` (the
     step's batch from the rank's :class:`RankStream`), ``compute``
@@ -368,7 +357,7 @@ class RankContext:
         optimizer: CosmoFlowOptimizer,
         stream: Optional[RankStream],
         steps_per_epoch: int,
-        val_view=None,
+        val_views: Sequence = (),
         rank: int = 0,
         n_ranks: int = 1,
         batch_size: int = 1,
@@ -377,14 +366,15 @@ class RankContext:
         comm: Optional[Communicator] = None,
         callbacks: Optional[CallbackList] = None,
         history: Optional[History] = None,
-        timer: Optional[StageTimer] = None,
         start_epoch: int = 0,
     ):
-        self.engine = engine
+        self.bind(engine, callbacks if callbacks is not None else CallbackList())
         self.model = model
         self.optimizer = optimizer
         self.stream = stream
-        self.val_view = val_view
+        #: The validation sets this context evaluates, one per rank it
+        #: runs (empty: no validation).
+        self.val_views = list(val_views)
         self.rank = rank
         self.n_ranks = n_ranks
         self.batch_size = batch_size
@@ -392,22 +382,28 @@ class RankContext:
         self.steps_per_epoch = steps_per_epoch
         self.aggregator = aggregator
         self.comm = comm
-        self.callbacks = callbacks if callbacks is not None else CallbackList()
         self.history = history if history is not None else History()
-        self.timer = timer if timer is not None else StageTimer()
         self.start_epoch = start_epoch
         self.epoch = start_epoch
         self.step = -1
         self.last_loss = float("nan")
         self.last_val_loss = float("nan")
         self.divergence: Optional[float] = None
-        self.samples_seen = 0
         #: Steps to skip at the start of the first epoch — a readmitted
         #: rank resumes mid-epoch at the step it was admitted at.
         self.resume_step = 0
         #: Whether this context was built from a mid-run state resync.
         self.rejoined = False
-        self._tracked_total = 0.0
+        #: Stage time of the current epoch, for :meth:`account_untracked`.
+        self._epoch_tracked = 0.0
+
+    def bind(self, engine: "TrainingEngine", callbacks: CallbackList) -> None:
+        """Attach this context to the engine running it: its hooks, and
+        the registry and tracer its stage windows and records go to."""
+        self.engine = engine
+        self.callbacks = callbacks
+        self._stages: Dict[str, tuple] = {}
+        self._records = None
 
     # -- capabilities -----------------------------------------------------
 
@@ -479,57 +475,62 @@ class RankContext:
         loss = self.aggregator.average_scalar(loss)
         return loss, grads
 
-    def aggregate_scalar(self, value: float) -> float:
-        """Globally average a scalar metric (the validation loop's
-        "loss calculation and global averaging")."""
+    def aggregate_scalar(self, values: List[float]) -> float:
+        """Globally average this context's validation means, one per
+        view (the validation loop's "loss calculation and global
+        averaging")."""
+        (value,) = values
         return self.aggregator.average_scalar(value)
 
     # -- accounting -------------------------------------------------------
 
     @contextmanager
     def timed_stage(self, name: str, step: Optional[int] = None):
-        """Time one stage region into both the :class:`StageTimer` and
-        the engine's tracer.
+        """Time one stage region into the engine's metrics registry
+        (``engine.stage.<name>.seconds`` / ``.count``) and its tracer.
 
         One ``perf_counter`` window feeds both sinks, so the durations
-        in an exported trace sum to exactly the stage totals ``History``
-        accounting reports — ``trace summarize`` and Figure 3 agree by
-        construction, not by coincidence.
+        in an exported trace sum to exactly the registry's stage totals
+        — ``trace summarize`` and Figure 3 agree by construction, not
+        by coincidence.
         """
         t0 = time.perf_counter()
         try:
             yield
         finally:
             dt = time.perf_counter() - t0
-            self.timer.add(name, dt)
-            tracer = self.engine.tracer
-            if tracer.enabled:
-                tracer.complete(
-                    name, t0, dt, cat="engine", track=self.rank, step=step, epoch=self.epoch
-                )
+            self._epoch_tracked += dt
+            self._record_stage(name, t0, dt, step=step)
 
-    def account_untracked(self, elapsed: float) -> None:
-        """Attribute loop/framework overhead not captured by a stage —
-        Figure 3's "TensorFlow framework time" analogue."""
-        tracked = sum(
-            self.timer.stages[s].total
-            for s in ("io", "compute", "comm", "optimizer")
-            if s in self.timer.stages
-        )
-        epoch_tracked = tracked - self._tracked_total
-        self._tracked_total = tracked
-        other = max(0.0, elapsed - epoch_tracked)
-        self.timer.add("other", other)
+    def _record_stage(self, name: str, t0: float, dt: float, **args) -> None:
+        stage = self._stages.get(name)
+        if stage is None:
+            m = self.engine.metrics
+            stage = self._stages[name] = (
+                m.gauge(f"engine.stage.{name}.seconds"),
+                m.counter(f"engine.stage.{name}.count"),
+            )
+        seconds, count = stage
+        seconds.add(dt)
+        count.add(1)
         tracer = self.engine.tracer
         if tracer.enabled:
-            tracer.complete(
-                "other",
-                time.perf_counter() - other,
-                other,
-                cat="engine",
-                track=self.rank,
-                epoch=self.epoch,
-            )
+            tracer.complete(name, t0, dt, cat="engine", track=self.rank, **args, epoch=self.epoch)
+
+    def count_records(self, n: int) -> None:
+        """Add one step's samples to the run's ``engine.records``: each
+        executing rank adds its own (a stepped context its simulated
+        ranks' sum), so every backend totals the same for one run."""
+        if self._records is None:
+            self._records = self.engine.metrics.counter("engine.records")
+        self._records.add(n)
+
+    def account_untracked(self, elapsed: float) -> None:
+        """Attribute the epoch's loop/framework time no stage captured —
+        Figure 3's "TensorFlow framework time" analogue — to ``other``."""
+        other = max(0.0, elapsed - self._epoch_tracked)
+        self._epoch_tracked = 0.0
+        self._record_stage("other", time.perf_counter() - other, other)
 
 
 class _SteppedContext(RankContext):
@@ -581,9 +582,13 @@ class _SteppedContext(RankContext):
         avg_flat = self.group.allreduce(flats, ReduceOp.MEAN)[0]
         return float(np.mean(losses)), unflatten_like(avg_flat, grad_lists[0])
 
-    def aggregate_scalar(self, value):
-        # Validation runs once on the shared replica — nothing to average.
-        return value
+    def aggregate_scalar(self, values):
+        # The k ranks' validation means, averaged as the plugin averages
+        # a scalar over real ranks: float64 1-vectors in rank order.
+        # Straight through reduce_arrays, so `reductions` counts
+        # gradient reductions only.
+        means = [np.asarray([v], dtype=np.float64) for v in values]
+        return float(reduce_arrays(means, ReduceOp.MEAN)[0])
 
 
 class _ElasticContext(RankContext):
@@ -728,8 +733,8 @@ class LocalBackend(ExecutionBackend):
     even at the single node").
 
     The context is created once and reused across ``execute`` calls, so
-    history, stage timers, and the shuffle RNG stream accumulate over
-    repeated runs.
+    history and the shuffle RNG stream accumulate over repeated runs;
+    each run's stage time and records go to the engine running it.
     """
 
     def __init__(
@@ -740,7 +745,6 @@ class LocalBackend(ExecutionBackend):
         val_data=None,
         aggregator=None,
         rng=None,
-        timer: Optional[StageTimer] = None,
     ):
         self.model = model
         self.optimizer = optimizer
@@ -748,7 +752,6 @@ class LocalBackend(ExecutionBackend):
         self.val_data = val_data
         self.aggregator = aggregator
         self.rng = rng
-        self.timer = timer
         self._rc: Optional[RankContext] = None
 
     def context(self, engine: "TrainingEngine", callbacks: CallbackList) -> RankContext:
@@ -770,15 +773,14 @@ class LocalBackend(ExecutionBackend):
                 optimizer=self.optimizer,
                 stream=RankStream(self.train_data, rng, cfg.batch_size, steps),
                 steps_per_epoch=steps,
-                val_view=self.val_data,
+                val_views=[self.val_data] if self.val_data is not None else [],
                 batch_size=cfg.batch_size,
                 val_batch_size=cfg.batch_size,
                 aggregator=self.aggregator,
                 callbacks=callbacks,
-                timer=self.timer,
             )
         else:
-            self._rc.callbacks = callbacks
+            self._rc.bind(engine, callbacks)
         return self._rc
 
     def execute(self, engine, callbacks, epochs=None):
@@ -842,11 +844,15 @@ class _GroupBackend(ExecutionBackend):
 
         return MLPlugin(comm, self.plugin_config).init()
 
-    def _val_view(self, rank: int):
+    def _val_views(self, ranks) -> list:
+        """The validation views of ``ranks``: each rank's shard, or the
+        whole set for every rank when it has fewer samples than ranks."""
         val = self.val_data
         if val is None:
-            return None
-        return val.shard(rank, self.n_ranks) if len(val) >= self.n_ranks else val
+            return []
+        if len(val) < self.n_ranks:
+            return [val for _ in ranks]
+        return [val.shard(r, self.n_ranks) for r in ranks]
 
 
 class SteppedBackend(_GroupBackend):
@@ -871,10 +877,10 @@ class SteppedBackend(_GroupBackend):
             engine,
             group=group,
             streams=[self._stream(engine, r, steps) for r in range(k)],
+            val_views=self._val_views(range(k)),
             compressors=compressors,
             model=model,
             optimizer=optimizer,
-            val_view=self.val_data,
             n_ranks=k,
             batch_size=engine.config.batch_size,
             val_batch_size=1,
@@ -966,7 +972,7 @@ class ThreadedBackend(_GroupBackend):
             optimizer=optimizer,
             stream=self._stream(engine, comm.rank, steps),
             steps_per_epoch=steps,
-            val_view=self._val_view(comm.rank),
+            val_views=self._val_views([comm.rank]),
             rank=comm.rank,
             n_ranks=self.n_ranks,
             batch_size=engine.config.batch_size,
@@ -1142,7 +1148,6 @@ class TrainingEngine:
         return CallbackList(
             [
                 LRRecorder(),
-                GroupStatsCollector(),
                 TraceCallback(self.tracer, self.metrics),
                 *self.backend.callbacks(),
                 *self.callbacks,
@@ -1156,6 +1161,7 @@ class TrainingEngine:
         self._check_divergence(result.divergence)
         self.history = result.history
         self._final_model = result.model
+        self.group_stats = dict(result.stats)
         callbacks.on_run_end(self, result)
         return self.history
 
@@ -1208,9 +1214,7 @@ class TrainingEngine:
         rc.callbacks.on_epoch_start(rc)
         train_loss = self.train_epoch(rc)
         val_loss = (
-            self.validate(rc)
-            if (self.config.validate and rc.val_view is not None)
-            else float("nan")
+            self.validate(rc) if (self.config.validate and rc.val_views) else float("nan")
         )
         elapsed = time.perf_counter() - t0
         rc.account_untracked(elapsed)
@@ -1237,23 +1241,36 @@ class TrainingEngine:
             with rc.timed_stage("optimizer", step):
                 rc.optimizer.step(grads)
             losses.append(loss)
-            rc.samples_seen += n_samples
+            rc.count_records(n_samples)
             rc.step = step
             rc.last_loss = loss
             rc.callbacks.on_step_end(rc)
         return float(np.mean(losses))
 
     def validate(self, rc: RankContext) -> float:
-        """Mean validation loss (globally averaged when aggregating).
+        """Mean validation loss (globally averaged when aggregating):
+        each view's mean, then the average of the means over ranks.
 
         Batch fetches are attributed to the ``io`` stage and loss
         evaluation to ``compute``, so validation I/O no longer lands in
         ``other`` and skews the Figure 3 profile.
         """
-        if rc.val_view is None:
+        if not rc.val_views:
             raise RuntimeError("no validation data configured")
+        means = [self._view_loss(rc, view) for view in rc.val_views]
+        if rc.aggregates:
+            with rc.timed_stage("comm"):
+                loss = rc.aggregate_scalar(means)
+        else:
+            (loss,) = means
+        rc.last_val_loss = loss
+        rc.callbacks.on_validation(rc)
+        return loss
+
+    def _view_loss(self, rc: RankContext, view) -> float:
+        """Mean validation loss over one view."""
         losses = []
-        it = rc.val_view.batches(rc.val_batch_size, shuffle=False)
+        it = view.batches(rc.val_batch_size, shuffle=False)
         while True:
             with rc.timed_stage("io"):
                 batch = next(it, None)
@@ -1262,10 +1279,4 @@ class TrainingEngine:
             x, y = batch
             with rc.timed_stage("compute"):
                 losses.append(rc.model.validation_loss(x, y))
-        loss = float(np.mean(losses))
-        if rc.aggregates:
-            with rc.timed_stage("comm"):
-                loss = rc.aggregate_scalar(loss)
-        rc.last_val_loss = loss
-        rc.callbacks.on_validation(rc)
-        return loss
+        return float(np.mean(losses))

@@ -186,7 +186,7 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
         metrics=MetricsRegistry(),
     )
     # Mirror the parent engine's per-rank hook order; driver-level hooks
-    # (GroupStatsCollector, user callbacks) stay in the parent.
+    # (user callbacks, the group stats) stay in the parent.
     callbacks = CallbackList(
         [
             LRRecorder(),
@@ -232,7 +232,6 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
         "incarnation": incarnation,
         "rejoined": rc.rejoined,
         "divergence": rc.divergence,
-        "samples_seen": rc.samples_seen,
         "metrics": engine.metrics.dump(),
         "trace": engine.tracer.dump() if spec["trace"] else [],
     }

@@ -1,8 +1,9 @@
 """Stale-synchronous execution backend (``mode="ssgd"`` / ``"sagn"``).
 
 Like :class:`~repro.core.engine.SteppedBackend`, the ranks are
-*simulated*: one shared model replica computes per-rank gradients
-sequentially.  For synchronous SGD that simulation is exact because
+*simulated*: one shared model replica computes the per-rank gradients,
+the starting ranks' batches run as the groups of one pass.  For
+synchronous SGD that simulation is exact because
 every replica holds identical parameters between steps; under bounded
 staleness it stays exact for a subtler reason — a late gradient is, by
 definition, a gradient computed at an *older* parameter version, and
@@ -22,9 +23,7 @@ sync baseline — losses, gradients, and parameters alike.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.comm.stale import StaleGroup, StalenessConfig, StragglerMonitor
 from repro.core.engine import SteppedBackend, _SteppedContext
@@ -35,37 +34,27 @@ __all__ = ["StaleBackend"]
 
 
 class _StaleContext(_SteppedContext):
-    """Sequentially simulated ranks over a :class:`StaleGroup`.
+    """Simulated ranks over a :class:`StaleGroup`.
 
     Each engine step, only the ranks the group says are *free* compute
     a gradient (a straggler stays busy across several steps of virtual
-    time); the group decides which gradients — fresh and late — fold
-    into this step's average.
+    time), their batches in starter order through the stepped context's
+    grouped pass; the group decides which gradients — fresh and late —
+    fold into this step's average.
     """
 
     def fetch(self, step):
         self._global_step = self.global_step(step)
         self._starters = self.group.begin_step(self._global_step)
-        return [(r, self.streams[r].next(self.epoch)) for r in self._starters]
-
-    def compute(self, batch):
-        losses: Dict[int, float] = {}
-        grad_lists: Dict[int, List[np.ndarray]] = {}
-        n = 0
-        for r, (x, y) in batch:
-            loss, grads = self._loss_and_grads(x, y)
-            losses[r] = loss
-            grad_lists[r] = grads
-            n += len(x)
-        return losses, grad_lists, n
+        return [self.streams[r].next(self.epoch) for r in self._starters]
 
     def aggregate(self, losses, grad_lists):
         contribs = {}
-        for r in self._starters:
-            flat = flatten_arrays(grad_lists[r])
+        for r, loss, grads in zip(self._starters, losses, grad_lists):
+            flat = flatten_arrays(grads)
             if self.compressors is not None:
                 flat = self.compressors[r].compress(flat)
-            contribs[r] = (losses[r], flat)
+            contribs[r] = (loss, flat)
         loss, avg_flat = self.group.complete_step(self._global_step, contribs)
         return loss, unflatten_like(avg_flat, self.model.parameter_arrays())
 

@@ -9,8 +9,8 @@ repo's fault-tolerance story:
 * :mod:`repro.faults.plan` — :class:`FaultPlan`, a deterministic,
   seeded schedule of :class:`FaultEvent` entries (rank crash, rank
   hang, allreduce message corruption, on-disk record corruption,
-  filesystem read errors and latency spikes, burst-buffer stage-in
-  failures, slow storage targets, and burst-buffer evictions);
+  burst-buffer stage-in failures, slow storage targets, burst-buffer
+  evictions, and serving-replica crashes and stragglers);
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, the
   thread-safe runtime that fires each event exactly once at the
   matching injection point and counts what it injected.
@@ -18,7 +18,7 @@ repo's fault-tolerance story:
 The *recovery side* lives with the code it protects:
 :mod:`repro.comm.elastic` (shrink-and-continue collectives),
 :mod:`repro.core.elastic` (elastic SSGD with checkpoint restart),
-:mod:`repro.io` (retry/skip on injected I/O faults),
+:mod:`repro.io` (skip on corrupt records),
 :mod:`repro.io.staging` (burst-buffer staging with hedged reads,
 circuit breakers, and degraded-mode fallback), and
 :mod:`repro.core.checkpoint` (crash-safe snapshots).  See
@@ -29,6 +29,5 @@ from repro import _lazy
 
 __all__, __getattr__, __dir__ = _lazy(__name__, {
     "plan": ("FaultEvent", "FaultKind", "FaultPlan"),
-    "injector": ("FaultInjector", "InjectedCrash", "InjectedFault", "InjectedReadError",
-                 "InjectedStageError"),
+    "injector": ("FaultInjector", "InjectedCrash", "InjectedFault", "InjectedStageError"),
 })

@@ -23,7 +23,6 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 __all__ = [
     "InjectedFault",
     "InjectedCrash",
-    "InjectedReadError",
     "InjectedStageError",
     "FaultInjector",
 ]
@@ -35,10 +34,6 @@ class InjectedFault(Exception):
 
 class InjectedCrash(InjectedFault, RuntimeError):
     """A scheduled rank crash (stands in for a dead node/process)."""
-
-
-class InjectedReadError(InjectedFault, IOError):
-    """A scheduled filesystem read failure (transient unless repeated)."""
 
 
 class InjectedStageError(InjectedFault, IOError):
@@ -57,11 +52,10 @@ class FaultInjector:
         self.plan = plan or FaultPlan()
         self._lock = threading.Lock()
         self._remaining: List[_Pending] = [_Pending(e) for e in self.plan.events]
-        self._reads = 0
         self._stages = 0  # stage-in operations (STAGE_FAIL domain)
         self._staged_reads = 0  # staged reads (TARGET_SLOW/BB_EVICT domain)
         self._dispatches = 0  # serving dispatches (REPLICA_* domain)
-        self._local = threading.local()  # per-thread current read index
+        self._local = threading.local()  # per-thread current stage index
         self._rank_step: Dict[int, int] = {}  # rank -> current training step
         self.fired: Dict[FaultKind, int] = {k: 0 for k in FaultKind}
 
@@ -218,37 +212,6 @@ class FaultInjector:
         flat[len(flat) // 2] ^= 0xFF
         return wire
 
-    # -- I/O hooks (called by the dataset read path) ---------------------------
-
-    def on_read(self, path, attempt: int = 0) -> None:
-        """Injection point for one file-read attempt.
-
-        First attempts (``attempt == 0``) advance the global read
-        counter that ``READ_ERROR``/``READ_DELAY`` events key on;
-        retries re-test the same read index so an event with
-        ``repeats > 1`` keeps failing until the retries outlast it.
-        """
-        if self.empty:
-            return
-        if attempt == 0:
-            with self._lock:
-                read_index = self._reads
-                self._reads += 1
-            self._local.read_index = read_index
-        else:
-            # Retries re-test the read they belong to, even when other
-            # threads have advanced the global counter in the meantime.
-            read_index = getattr(self._local, "read_index", self._reads - 1)
-        e = self._take(FaultKind.READ_DELAY, None, read_index)
-        if e is not None and e.delay_s > 0:
-            import time
-
-            time.sleep(e.delay_s)
-        if self._take(FaultKind.READ_ERROR, None, read_index) is not None:
-            raise InjectedReadError(
-                f"injected read error on {path} (read #{read_index}, attempt {attempt})"
-            )
-
     # -- staging hooks (called by repro.io.staging.StagingManager) -------------
 
     def on_stage(self, path, attempt: int = 0) -> None:
@@ -314,17 +277,6 @@ class FaultInjector:
         crash = self._take(FaultKind.REPLICA_CRASH, replica, index) is not None
         e = self._take(FaultKind.REPLICA_SLOW, replica, index)
         return crash, (e.delay_s if e is not None else 0.0)
-
-    def read_hook(self, base_hook=None):
-        """Wrap (or create) a ``RecordDataset.read_hook`` that injects
-        this plan's I/O faults before delegating to ``base_hook``."""
-
-        def hook(path, nbytes: int, attempt: int = 0) -> None:
-            self.on_read(path, attempt=attempt)
-            if base_hook is not None:
-                base_hook(path, nbytes)
-
-        return hook
 
     # -- on-disk corruption (test/benchmark utility) ---------------------------
 

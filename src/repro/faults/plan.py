@@ -58,10 +58,6 @@ class FaultKind(enum.Enum):
     #: A record payload on disk is bit-flipped (detected by the TFRecord
     #: CRC, skipped by the non-strict reader).
     RECORD_CORRUPT = "record_corrupt"
-    #: A file read raises an IOError (retried with backoff).
-    READ_ERROR = "read_error"
-    #: A file read blocks an extra ``delay_s`` (latency spike).
-    READ_DELAY = "read_delay"
     #: A burst-buffer stage-in attempt fails (retried with backoff +
     #: jitter; terminal failure degrades to backing-store reads).
     STAGE_FAIL = "stage_fail"
@@ -111,8 +107,6 @@ class FaultEvent:
       first checksummed contribution of that step is corrupted); in
       standalone communicator use, ``step`` is the collective sequence
       number;
-    * I/O faults (``READ_ERROR``/``READ_DELAY``) match on ``step`` = the
-      injector's global read counter;
     * ``RECORD_CORRUPT`` matches on ``step`` = record index within the
       file handed to :meth:`FaultInjector.corrupt_record_file`;
     * ``STAGE_FAIL`` matches on ``step`` = the injector's stage-in
@@ -125,8 +119,9 @@ class FaultEvent:
       injector's serving-dispatch counter, with the ``rank`` slot
       optionally pinning a replica id (``None`` = any).
 
-    ``repeats`` lets a read error persist for several attempts so the
-    retry path is genuinely exercised (default: transient, one attempt).
+    ``repeats`` lets a stage-in failure persist for several attempts so
+    the retry path is genuinely exercised (default: transient, one
+    attempt).
     """
 
     kind: FaultKind
@@ -243,8 +238,8 @@ class FaultPlan:
 
         * a rank-keyed event referencing a rank outside
           ``[0, n_ranks)`` — it would never fire, silently;
-        * a delay-carrying event (``RANK_HANG``/``READ_DELAY``/
-          ``TARGET_SLOW``/``REPLICA_SLOW``) with ``delay_s <= 0`` — it
+        * a delay-carrying event (``RANK_HANG``/``TARGET_SLOW``/
+          ``REPLICA_SLOW``) with ``delay_s <= 0`` — it
           would fire and stall nothing, silently;
         * with ``n_steps`` given, a recovery event
           (``RANK_RECOVER``/``SPARE_JOIN``) scheduled at or past the
@@ -266,7 +261,6 @@ class FaultPlan:
         )
         delay_kinds = (
             FaultKind.RANK_HANG,
-            FaultKind.READ_DELAY,
             FaultKind.TARGET_SLOW,
             FaultKind.REPLICA_SLOW,
         )
@@ -396,10 +390,6 @@ class FaultPlan:
         hang_rate: float = 0.0,
         hang_delay_s: float = 0.05,
         corrupt_rate: float = 0.0,
-        read_error_rate: float = 0.0,
-        n_reads: int = 0,
-        read_delay_rate: float = 0.0,
-        read_delay_s: float = 0.01,
         stage_fail_rate: float = 0.0,
         n_stage_ops: int = 0,
         stage_fail_repeats: int = 1,
@@ -415,7 +405,6 @@ class FaultPlan:
         """Draw a plan from per-(rank, step) Bernoulli rates.
 
         ``crash_rate`` etc. are probabilities per rank per step (per
-        read for the I/O kinds, over ``n_reads`` read operations; per
         stage-in over ``n_stage_ops``; per staged read over
         ``n_staged_reads`` for the burst-buffer kinds; per serving
         dispatch over ``n_dispatches`` for the replica kinds).  The
@@ -427,8 +416,6 @@ class FaultPlan:
             ("crash_rate", crash_rate),
             ("hang_rate", hang_rate),
             ("corrupt_rate", corrupt_rate),
-            ("read_error_rate", read_error_rate),
-            ("read_delay_rate", read_delay_rate),
             ("stage_fail_rate", stage_fail_rate),
             ("target_slow_rate", target_slow_rate),
             ("bb_evict_rate", bb_evict_rate),
@@ -460,13 +447,6 @@ class FaultPlan:
                     events.append(
                         FaultEvent(FaultKind.MESSAGE_CORRUPT, rank=rank, step=step)
                     )
-        for read in range(n_reads):
-            if read_error_rate and rng.random() < read_error_rate:
-                events.append(FaultEvent(FaultKind.READ_ERROR, step=read))
-            if read_delay_rate and rng.random() < read_delay_rate:
-                events.append(
-                    FaultEvent(FaultKind.READ_DELAY, step=read, delay_s=read_delay_s)
-                )
         for op in range(n_stage_ops):
             if stage_fail_rate and rng.random() < stage_fail_rate:
                 events.append(

@@ -16,7 +16,6 @@ with the loads made ahead of time.
 
 from __future__ import annotations
 
-import inspect
 import threading
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -25,7 +24,6 @@ import numpy as np
 
 from repro.io.records import RecordCorruptionError, RecordReader, write_record_file
 from repro.utils.logging import get_logger
-from repro.utils.retry import RetryPolicy, call_with_retry
 from repro.utils.rng import new_rng
 
 __all__ = ["write_dataset", "RecordDataset"]
@@ -85,7 +83,6 @@ class RecordDataset:
         self,
         paths: Sequence,
         read_hook=None,
-        retry: Optional[RetryPolicy] = None,
         strict: bool = True,
         staging=None,
         *,
@@ -98,16 +95,9 @@ class RecordDataset:
         if missing:
             raise FileNotFoundError(f"missing record files: {missing}")
         #: Optional callable(path, nbytes) invoked per file read — the
-        #: hook a slow store injects read latency through (E3) and the
-        #: fault injector injects read errors through.  Hooks may
-        #: optionally take an ``attempt`` keyword to see retries.
+        #: hook a slow store injects read latency through (E3).  What it
+        #: raises propagates from the read.
         self.read_hook = read_hook
-        self._hook_takes_attempt = read_hook is not None and (
-            "attempt" in inspect.signature(read_hook).parameters
-        )
-        #: Optional bounded-retry policy for transient read errors.
-        #: ``None`` keeps the historical fail-fast behaviour.
-        self.retry = retry
         #: With ``strict=False``, corrupt records are skipped and
         #: counted instead of raising (see :class:`RecordReader`).
         self.strict = strict
@@ -126,8 +116,7 @@ class RecordDataset:
         )
         self._lock = threading.Lock()
         self.bytes_read = 0
-        #: Fault counters, reported through the pipeline's stats.
-        self.read_retries = 0
+        #: Fault counter, reported through the pipeline's stats.
         self.records_skipped = 0
 
     def __len__(self) -> int:
@@ -136,12 +125,6 @@ class RecordDataset:
     @property
     def n_files(self) -> int:
         return len(self.paths)
-
-    def _call_hook(self, path: Path, nbytes: int, attempt: int) -> None:
-        if self._hook_takes_attempt:
-            self.read_hook(path, nbytes, attempt=attempt)
-        else:
-            self.read_hook(path, nbytes)
 
     def _read_records(self, physical: Path):
         reader = RecordReader(physical, strict=self.strict)
@@ -162,13 +145,13 @@ class RecordDataset:
         """One file's samples as read-only views of its mapping: the
         caller copies each volume once, into the array it hands out.
         ``resolved`` is the :meth:`_resolve` the caller has already made
-        for this read; a retry resolves again."""
+        for this read."""
 
-        def read_from(physical: Path, tier: str, attempt: int):
+        def read_from(physical: Path, tier: str):
             try:
                 nbytes = physical.stat().st_size
                 if self.read_hook is not None:
-                    self._call_hook(path, nbytes, attempt)
+                    self.read_hook(path, nbytes)
                 samples, reader = self._read_records(physical)
                 corrupt = reader.records_skipped > 0
             except FileNotFoundError:
@@ -177,7 +160,7 @@ class RecordDataset:
                 # Another reader's stage-in evicted this copy after it
                 # was resolved and before it was opened: a burst-buffer
                 # eviction, so a degraded read of the source, counted.
-                return read_from(self.staging.handle_evicted(path).path, "backing", attempt)
+                return read_from(self.staging.handle_evicted(path).path, "backing")
             except RecordCorruptionError:
                 if tier != "bb":
                     raise
@@ -197,28 +180,7 @@ class RecordDataset:
                 )
             return samples
 
-        def attempt_read(attempt: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-            first = resolved is not None and attempt == 0
-            return read_from(*(resolved if first else self._resolve(path)), attempt)
-
-        if self.retry is None:
-            return attempt_read(0)
-
-        def on_retry(attempt: int, exc: BaseException) -> None:
-            with self._lock:
-                self.read_retries += 1
-            _log.warning(
-                "read of %s failed (attempt %d): %s — retrying", path, attempt + 1, exc
-            )
-
-        # Corruption subclasses IOError but is not transient: no retry.
-        return call_with_retry(
-            attempt_read,
-            self.retry,
-            retryable=(OSError,),
-            non_retryable=(RecordCorruptionError,),
-            on_retry=on_retry,
-        )
+        return read_from(*(resolved if resolved is not None else self._resolve(path)))
 
     def batches(
         self, batch_size: int = 1, rng=None, shuffle: bool = True
@@ -287,7 +249,6 @@ class RecordDataset:
         return RecordDataset(
             picked,
             read_hook=self.read_hook,
-            retry=self.retry,
             strict=self.strict,
             staging=self.staging,
             _counts=self._counts[rank::n_ranks],

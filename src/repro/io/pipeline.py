@@ -39,11 +39,10 @@ _log = get_logger("io.pipeline")
 
 
 #: Dataset and staging-tier counters PipelineStats mirrors per epoch
-#: (snapshot deltas): anything degraded — a skipped record, a retried
-#: read, a hedged or fallback read through the staging tier — surfaces
-#: as a number here instead of vanishing into a log line.
+#: (snapshot deltas): anything degraded — a skipped record, a hedged
+#: or fallback read through the staging tier, a retried stage-in —
+#: surfaces as a number here instead of vanishing into a log line.
 RESILIENCE_COUNTERS = (
-    "read_retries",
     "records_skipped",
     "hedged_reads",
     "hedge_wins",
@@ -63,7 +62,6 @@ class PipelineStats:
     #: Seconds the consumer was blocked on a load, per batch delivered.
     waits: List[float] = field(default_factory=list)
     #: Resilience counters (deltas observed through the source dataset).
-    read_retries: int = 0
     records_skipped: int = 0
     producer_errors: int = 0
     #: Staging-tier counters (deltas; zero without a StagingManager).
@@ -76,8 +74,7 @@ class PipelineStats:
         """Total degraded events this epoch — the single number a CI
         assertion or benchmark table wants."""
         return (
-            self.read_retries
-            + self.records_skipped
+            self.records_skipped
             + self.hedged_reads
             + self.fallback_reads
             + self.stage_retries
@@ -117,8 +114,8 @@ class PrefetchPipeline:
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """``dataset.batches(batch_size, rng, shuffle)``, read ahead."""
         stats = self.stats
-        # Snapshot the resilience counters so the epoch's retries/skips/
-        # hedges can be attributed to this pipeline's stats.
+        # Snapshot the resilience counters so the epoch's skips/hedges/
+        # retried stage-ins can be attributed to this pipeline's stats.
         counters0 = self._counters()
         waited = stats.consumer_wait_s
         try:

@@ -6,15 +6,16 @@ the full :class:`~repro.core.engine.Callback` protocol without
 importing it, to keep ``repro.obs`` free of core dependencies).  It has
 two jobs:
 
-* **Metrics** — always on.  It maintains the engine-level counters the
-  cross-backend consistency tests compare: ``engine.steps`` (global
-  synchronized optimizer steps, counted once per step on the keeper
-  rank so local, stepped, threaded, and elastic runs agree),
-  ``engine.rank_steps`` (per-executing-rank step count),
-  ``engine.records`` (samples consumed, globally), ``engine.epochs``,
-  and ``comm.step_aggregations`` (gradient-averaging rounds).  On run
-  end it absorbs the backend's ``group_stats`` and each rank's
-  :class:`~repro.utils.timer.StageTimer` into the registry.
+* **Metrics** — always on.  It counts the loop's hook events:
+  ``engine.steps`` (global synchronized optimizer steps, counted once
+  per step on the keeper rank so local, stepped, threaded, and elastic
+  runs agree), ``engine.rank_steps`` (per-executing-rank step count),
+  ``engine.epochs``, ``engine.rejoins``, ``engine.restarts`` and
+  ``comm.step_aggregations`` (gradient-averaging rounds).  On run end
+  it absorbs the backend's ``group_stats`` into the registry.  Stage
+  time (``engine.stage.<s>.seconds`` / ``.count``) and
+  ``engine.records`` are written by the engine loop where it measures
+  them (:meth:`~repro.core.engine.RankContext.timed_stage`), not here.
 
 * **Tracing** — active only when the engine's tracer is enabled.  It
   marks epoch boundaries, validation results, elastic restarts, and
@@ -58,14 +59,6 @@ class TraceCallback:
     def on_step_end(self, rc) -> None:
         m = self.metrics
         m.counter("engine.rank_steps").add(1)
-        # Records are counted as a *global* quantity: each executing
-        # rank adds its own samples (the stepped context already sums
-        # its virtual ranks), so every backend converges on the same
-        # total for the same run.
-        delta = rc.samples_seen - getattr(rc, "_obs_samples_absorbed", 0)
-        rc._obs_samples_absorbed = rc.samples_seen
-        if delta:
-            m.counter("engine.records").add(delta)
         if rc.is_keeper:
             # One synchronized global step per keeper-rank step: local
             # k=1, stepped, threaded, and elastic all count the same.
@@ -108,16 +101,7 @@ class TraceCallback:
             )
 
     def on_rank_end(self, rc) -> None:
-        # Stage totals accumulate on the rank's timer across epochs (and
-        # across repeated runs of a reused LocalBackend context), so
-        # absorb only the delta since this callback last looked.
-        absorbed = getattr(rc, "_obs_timer_absorbed", {})
-        for name, rec in rc.timer.stages.items():
-            seen_total, seen_count = absorbed.get(name, (0.0, 0))
-            self.metrics.gauge(f"engine.stage.{name}.seconds").add(rec.total - seen_total)
-            self.metrics.counter(f"engine.stage.{name}.count").add(rec.count - seen_count)
-            absorbed[name] = (rec.total, rec.count)
-        rc._obs_timer_absorbed = absorbed
+        return None
 
     # -- driver hooks ------------------------------------------------------
 

@@ -4,10 +4,10 @@
 written by :meth:`~repro.obs.tracer.Tracer.export` and rebuilds the
 paper's single-node profile: per-stage wall time, step counts, and
 fractions, overall and per rank track.  Because the engine emits each
-stage span with the *same* duration it adds to its
-:class:`~repro.utils.timer.StageTimer`, the table's totals agree with
-the run's ``History``/stage accounting exactly (up to the µs float
-round-trip of the JSON format).
+stage span with the *same* duration it adds to the run's
+``engine.stage.<s>.seconds``, the table's totals agree with the
+registry's stage accounting exactly (up to the µs float round-trip of
+the JSON format).
 """
 
 from __future__ import annotations

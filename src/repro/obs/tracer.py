@@ -126,8 +126,8 @@ class Tracer:
         """Record an externally timed span.
 
         ``t0`` is a ``time.perf_counter()`` reading; passing the exact
-        duration a :class:`~repro.utils.timer.StageTimer` accumulated
-        keeps trace totals and stage accounting identical.
+        duration written to a metrics registry keeps trace totals and
+        stage accounting identical.
         """
         self._append(TraceEvent(name, cat, "X", track, 0, t0 - self._epoch, dur_s, args))
 

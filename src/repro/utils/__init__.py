@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG helpers, stage timers, logging,
+"""Shared utilities: seeded RNG helpers, a timer, logging,
 retry schedules, the circuit breaker, (``repro.utils.cores``) the one
 helper thread a large call runs beside itself, and
 (``repro.utils.checksum``) the one CRC-32 every checksum goes through.
@@ -12,8 +12,8 @@ from repro import _lazy
 
 __all__, __getattr__, __dir__ = _lazy(__name__, {
     "rng": ("new_rng", "spawn_rngs", "derive_seed"),
-    "timer": ("StageTimer", "Timer", "format_duration"),
+    "timer": ("Timer", "format_duration"),
     "logging": ("get_logger",),
-    "retry": ("RetryPolicy", "call_with_retry"),
+    "retry": ("RetryPolicy",),
     "breaker": ("BreakerState", "CircuitBreaker"),
 })

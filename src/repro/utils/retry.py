@@ -1,27 +1,21 @@
-"""Bounded retry with exponential backoff (optionally jittered).
+"""Bounded retry schedules: exponential backoff, optionally jittered.
 
-The I/O path uses this to survive transient filesystem errors (a Lustre
-OST dropping out, an injected :class:`~repro.faults.InjectedReadError`)
-without crashing the trainer: a fixed number of attempts, exponentially
-spaced, then the last error propagates.  Deterministic by design — the
+The staging tier retries a failed stage-in on a :class:`RetryPolicy`
+schedule: a fixed number of attempts, exponentially spaced, then the
+copy degrades to backing-store reads.  Deterministic by design — the
 bare schedule has no jitter, and :func:`jittered_delay` only randomizes
 when handed a *seeded* generator — so fault-injection tests see
 identical schedules every run.
 
-:func:`jittered_delay` is the one place backoff jitter lives: the
-staging tier's stage-in retries, the elastic driver's restart pacing,
-and the serving tier's replica-bring-up retries all spread their
-synchronized retry storms through it (same formula, same draw order),
-so a seed reproduces every backoff in the system.
+:func:`jittered_delay` is the one place backoff jitter lives (one
+draw per call, in call order), so a seed reproduces every backoff.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type
 
-__all__ = ["RetryPolicy", "call_with_retry", "jittered_delay"]
+__all__ = ["RetryPolicy", "jittered_delay"]
 
 
 @dataclass(frozen=True)
@@ -76,40 +70,3 @@ def jittered_delay(
     if jitter and rng is not None:
         delay *= 1.0 + jitter * float(rng.uniform(-1.0, 1.0))
     return delay
-
-
-def call_with_retry(
-    fn: Callable,
-    policy: RetryPolicy,
-    retryable: Tuple[Type[BaseException], ...] = (IOError,),
-    non_retryable: Tuple[Type[BaseException], ...] = (),
-    on_retry: Callable[[int, BaseException], None] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    jitter: float = 0.0,
-    rng: Optional[object] = None,
-):
-    """Call ``fn(attempt)`` up to ``policy.max_attempts`` times.
-
-    ``fn`` receives the attempt index so callers can thread it through
-    to injection points.  ``on_retry(attempt, exc)`` fires before each
-    backoff (for counters/logging).  ``non_retryable`` wins over
-    ``retryable`` — corruption errors subclass :class:`IOError` but
-    retrying cannot fix them, so they propagate immediately.
-    ``jitter``/``rng`` spread the backoffs via :func:`jittered_delay`.
-    """
-    last: BaseException = None
-    for attempt in range(policy.max_attempts):
-        try:
-            return fn(attempt)
-        except retryable as exc:
-            if non_retryable and isinstance(exc, non_retryable):
-                raise
-            last = exc
-            if attempt + 1 >= policy.max_attempts:
-                break
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            backoff = jittered_delay(policy, attempt, jitter=jitter, rng=rng)
-            if backoff > 0:
-                sleep(backoff)
-    raise last

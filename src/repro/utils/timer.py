@@ -1,20 +1,15 @@
-"""Wall-clock timers with named stages.
+"""A wall-clock timer and a duration formatter.
 
-The paper's Figure 3 attributes single-node step time to stages
-(3D convolutions, non-convolutional compute, communication plugin,
-framework overhead, ...).  :class:`StageTimer` provides exactly that:
-wrap regions in ``with timer.stage("conv3d"):`` and read back per-stage
-totals, counts and fractions.
+Training-loop stage time (the paper's Figure 3) is not kept here: the
+engine writes each stage window straight into the run's metrics
+registry (``engine.stage.<s>.seconds``, :mod:`repro.obs`).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator
 
-__all__ = ["Timer", "StageTimer", "format_duration"]
+__all__ = ["Timer", "format_duration"]
 
 
 def format_duration(seconds: float) -> str:
@@ -59,69 +54,3 @@ class Timer:
     def reset(self) -> None:
         self._start = None
         self.elapsed = 0.0
-
-
-@dataclass
-class StageRecord:
-    """Accumulated time for one named stage."""
-
-    total: float = 0.0
-    count: int = 0
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-@dataclass
-class StageTimer:
-    """Accumulates wall time attributed to named stages.
-
-    Nested stages are permitted and accumulate independently (time inside
-    an inner stage is counted in both), mirroring how profilers report
-    inclusive time.  Use distinct stage names when exclusive accounting
-    is needed.
-    """
-
-    stages: Dict[str, StageRecord] = field(default_factory=dict)
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            rec = self.stages.setdefault(name, StageRecord())
-            rec.total += time.perf_counter() - start
-            rec.count += 1
-
-    def add(self, name: str, seconds: float, count: int = 1) -> None:
-        """Attribute externally measured time to a stage."""
-        rec = self.stages.setdefault(name, StageRecord())
-        rec.total += seconds
-        rec.count += count
-
-    def total(self) -> float:
-        return sum(rec.total for rec in self.stages.values())
-
-    def fractions(self) -> Dict[str, float]:
-        """Per-stage fraction of the summed stage time."""
-        denom = self.total()
-        if denom <= 0.0:
-            return {name: 0.0 for name in self.stages}
-        return {name: rec.total / denom for name, rec in self.stages.items()}
-
-    def reset(self) -> None:
-        self.stages.clear()
-
-    def report(self, title: str = "stage breakdown") -> str:
-        """Human-readable table of stages sorted by total time."""
-        lines = [title]
-        width = max((len(n) for n in self.stages), default=10)
-        for name, rec in sorted(self.stages.items(), key=lambda kv: -kv[1].total):
-            frac = rec.total / self.total() if self.total() else 0.0
-            lines.append(
-                f"  {name:<{width}}  {format_duration(rec.total):>10}"
-                f"  {frac * 100:5.1f}%  (n={rec.count})"
-            )
-        return "\n".join(lines)

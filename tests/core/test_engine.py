@@ -28,6 +28,7 @@ from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
+from repro.obs import Tracer
 
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
@@ -233,10 +234,62 @@ class TestEngineMechanics:
         )
         eng = TrainingEngine(backend, config=EngineConfig(epochs=1))
         eng.run()
-        rc = backend.context(eng, eng.build_callbacks())
         train_io_calls = 3  # one fetch per step of the epoch
         val_io_calls = 3 + 1
-        assert rc.timer.stages["io"].count == train_io_calls + val_io_calls
+        assert eng.metrics.value("engine.stage.io.count") == train_io_calls + val_io_calls
+
+
+class TestStageWindows:
+    """``RankContext.timed_stage`` writes each window once, straight into
+    the registry and tracer of the engine running the context."""
+
+    @staticmethod
+    def context():
+        eng = local_engine(epochs=1, n=3, val=False)
+        return eng, eng.backend.context(eng, eng.build_callbacks())
+
+    def test_stage_accumulation(self):
+        eng, rc = self.context()
+        for _ in range(3):
+            with rc.timed_stage("io"):
+                pass
+        assert eng.metrics.value("engine.stage.io.count") == 3
+        assert eng.metrics.value("engine.stage.io.seconds") >= 0.0
+
+    def test_exception_still_recorded(self):
+        eng, rc = self.context()
+        with pytest.raises(KeyError):
+            with rc.timed_stage("compute"):
+                raise KeyError("boom")
+        assert eng.metrics.value("engine.stage.compute.count") == 1
+
+    def test_other_is_each_epochs_untracked_remainder(self):
+        eng, rc = self.context()
+        with rc.timed_stage("io"):
+            pass
+        tracked = eng.metrics.value("engine.stage.io.seconds")
+        rc.account_untracked(1.0)
+        assert eng.metrics.value("engine.stage.other.seconds") == 1.0 - tracked
+        rc.account_untracked(0.5)  # the next epoch tracked nothing
+        assert eng.metrics.value("engine.stage.other.seconds") == (1.0 - tracked) + 0.5
+        assert eng.metrics.value("engine.stage.other.count") == 2
+
+    def test_reused_local_backend_counts_into_the_running_engine(self):
+        model = CosmoFlowModel(tiny_16(), seed=0)
+        backend = LocalBackend(
+            model, CosmoFlowOptimizer(model.parameter_arrays(), OPT), make_dataset(3)
+        )
+        engines = [
+            TrainingEngine(backend, config=EngineConfig(epochs=1), tracer=Tracer())
+            for _ in range(2)
+        ]
+        for eng in engines:
+            eng.run()
+        for eng in engines:
+            spans = [e for e in eng.tracer.events if e.ph == "X" and e.name == "compute"]
+            assert len(spans) == 3
+            assert eng.metrics.value("engine.stage.compute.count") == 3
+            assert eng.metrics.value("engine.records") == 3
 
 
 class TestRankStream:

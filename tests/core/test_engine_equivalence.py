@@ -235,6 +235,25 @@ class TestOneEpochAtBatchTwo:
         assert train == want_train
 
 
+class TestUnevenValidation:
+    """Every mode averages its ranks' own validation means, so stepped
+    and bound-0 ``ssgd`` equal threaded ranks bit for bit when the
+    validation set does not split evenly over the ranks (5 samples; and
+    6, where only the order of the sum differs, at a seed it shows)."""
+
+    @pytest.mark.parametrize("n_val, seed", [(5, 0), (6, 5)])
+    def test_val_loss_equal_across_modes(self, n_val, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((8 + n_val, 1, 16, 16, 16)).astype(np.float32)
+        y = rng.uniform(0.2, 0.8, size=(8 + n_val, 3)).astype(np.float32)
+        train, val = InMemoryData(x[:8], y[:8]), InMemoryData(x[8:], y[8:])
+        val_loss = {
+            mode: run_engine(mode, 2, epochs=1, seed=seed, train=train, val=val)[2]
+            for mode in ("stepped", "threaded", "ssgd")
+        }
+        assert val_loss["stepped"] == val_loss["threaded"] == val_loss["ssgd"], val_loss
+
+
 class TestMetricsConsistency:
     """Satellite: observability counters are mode-invariant.
 

@@ -9,6 +9,7 @@ import pytest
 from repro.comm.plugin import PluginConfig
 from repro.comm.stale import StalenessConfig
 from repro.core.engine import EngineConfig, SteppedBackend, ThreadedBackend, TrainingEngine
+from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import OptimizerConfig
 from repro.core.stale_backend import StaleBackend
 from repro.core.topology import tiny_16
@@ -88,6 +89,23 @@ class TestSyncEquivalence:
         assert gs["contributions"] == [8, 8, 8, 8]  # 4 steps/epoch × 2 epochs
         assert gs["hangs_injected"] == 0
         assert gs["virtual_time_s"] > 0
+
+
+class TestGroupedPass:
+    def test_starters_run_as_one_pass(self, monkeypatch):
+        """The ranks that start a step run their batches as the groups
+        of one pass, like stepped ranks: 3 starters, one call."""
+        calls = []
+        real = CosmoFlowModel.group_loss_and_gradients
+
+        def counting(model, x, y, sizes=None):
+            calls.append(sizes)
+            return real(model, x, y, sizes)
+
+        monkeypatch.setattr(CosmoFlowModel, "group_loss_and_gradients", counting)
+        run_engine(StaleBackend, stale_mode="ssgd", staleness=SYNC_STALENESS,
+                   epochs=1, n=3, ranks=3)
+        assert calls == [[1, 1, 1]]
 
 
 class TestStragglerRuns:

@@ -12,7 +12,6 @@ from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData, random_cube_symmetry
 from repro.utils.rng import new_rng
-from repro.utils.timer import StageTimer
 
 
 def make_dataset(n=8, seed=0, size=16):
@@ -195,14 +194,12 @@ class TestTrainer:
 
     def test_stage_timer_populated(self):
         model = CosmoFlowModel(tiny_16(), seed=0)
-        timer = StageTimer()
-        engine = local_engine(
-            model, make_dataset(4), EngineConfig(epochs=1, validate=False), timer=timer
-        )
+        engine = local_engine(model, make_dataset(4), EngineConfig(epochs=1, validate=False))
         engine.run()
-        assert "compute" in timer.stages
-        assert "optimizer" in timer.stages
-        assert timer.stages["compute"].total > 0
+        m = engine.metrics
+        assert m.value("engine.stage.compute.count") == 4
+        assert m.value("engine.stage.optimizer.count") == 4
+        assert m.value("engine.stage.compute.seconds") > 0
 
     def test_throughput(self):
         model = CosmoFlowModel(tiny_16(), seed=0)
@@ -219,18 +216,17 @@ class TestTrainer:
         """Paper-style: plugin enabled even on a single node."""
         model = CosmoFlowModel(tiny_16(), seed=0)
         plugin = MLPlugin(SerialCommunicator()).init()
-        timer = StageTimer()
         engine = local_engine(
             model,
             make_dataset(4),
             EngineConfig(epochs=2),
             val_data=make_dataset(2, seed=5),
             aggregator=plugin,
-            timer=timer,
         )
         hist = engine.run()
         assert plugin.stats.calls == 8  # 4 samples x 2 epochs, batch 1
-        assert "comm" in timer.stages
+        # 4 gradient averages and 1 validation average per epoch.
+        assert engine.metrics.value("engine.stage.comm.count") == 10
         assert len(hist.train_loss) == 2
 
     def test_plugin_does_not_change_numerics(self):

@@ -106,8 +106,8 @@ class TestValidateDelayEvents:
         "event",
         [
             FaultEvent(FaultKind.RANK_HANG, rank=0, step=1),
-            FaultEvent(FaultKind.READ_DELAY, step=1),
             FaultEvent(FaultKind.TARGET_SLOW, step=1),
+            FaultEvent(FaultKind.TARGET_SLOW, rank=1, step=1),
             FaultEvent(FaultKind.REPLICA_SLOW, step=1),
         ],
     )

@@ -9,7 +9,7 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     InjectedCrash,
-    InjectedReadError,
+    InjectedStageError,
 )
 from repro.io.records import RecordCorruptError, RecordReader, write_record_file
 
@@ -26,16 +26,16 @@ class TestFaultPlan:
 
     def test_bad_fields(self):
         with pytest.raises(ValueError):
-            FaultEvent(FaultKind.READ_ERROR, step=-1)
+            FaultEvent(FaultKind.STAGE_FAIL, step=-1)
         with pytest.raises(ValueError):
-            FaultEvent(FaultKind.READ_ERROR, repeats=0)
+            FaultEvent(FaultKind.STAGE_FAIL, repeats=0)
         with pytest.raises(ValueError):
             FaultEvent(FaultKind.RANK_HANG, rank=0, delay_s=-1.0)
 
     def test_sample_deterministic(self):
         kwargs = dict(
             n_ranks=8, n_steps=40, crash_rate=0.01, hang_rate=0.02,
-            read_error_rate=0.05, n_reads=50,
+            stage_fail_rate=0.05, n_stage_ops=50,
         )
         a = FaultPlan.sample(seed=11, **kwargs)
         b = FaultPlan.sample(seed=11, **kwargs)
@@ -120,17 +120,17 @@ class TestInjector:
         assert inj.hang_delay(0, 1) == 0.25
         assert inj.hang_delay(0, 1) == 0.0  # one-shot
 
-    def test_read_error_with_repeats(self):
+    def test_stage_fail_with_repeats(self):
         inj = FaultInjector(
-            FaultPlan(events=[FaultEvent(FaultKind.READ_ERROR, step=1, repeats=2)])
+            FaultPlan(events=[FaultEvent(FaultKind.STAGE_FAIL, step=1, repeats=2)])
         )
-        inj.on_read("f0")  # read 0: clean
-        with pytest.raises(InjectedReadError):
-            inj.on_read("f1")  # read 1, attempt 0
-        with pytest.raises(InjectedReadError):
-            inj.on_read("f1", attempt=1)  # retry still fails (repeats=2)
-        inj.on_read("f1", attempt=2)  # retry succeeds
-        assert inj.fired[FaultKind.READ_ERROR] == 2
+        inj.on_stage("f0")  # stage-in 0: clean
+        with pytest.raises(InjectedStageError):
+            inj.on_stage("f1")  # stage-in 1, attempt 0
+        with pytest.raises(InjectedStageError):
+            inj.on_stage("f1", attempt=1)  # retry still fails (repeats=2)
+        inj.on_stage("f1", attempt=2)  # retry succeeds
+        assert inj.fired[FaultKind.STAGE_FAIL] == 2
 
     def test_message_corruption_flips_bytes(self):
         inj = FaultInjector(
@@ -179,7 +179,7 @@ class TestInjector:
         inj = FaultInjector()
         inj.maybe_crash(0, 0)
         assert inj.hang_delay(0, 0) == 0.0
-        inj.on_read("x")
+        assert inj.on_stage("x") is None
         arr = np.zeros(4)
         assert inj.corrupt_message(0, 0, arr) is arr
         assert inj.fired_total() == 0
@@ -231,8 +231,8 @@ class TestPlanValidation:
         assert plan.validate(n_ranks=1) == []
 
     def test_unkeyed_kinds_ignore_rank_bound(self):
-        # READ_ERROR's step is a read ordinal, not a rank — never flagged.
-        plan = FaultPlan(events=[FaultEvent(FaultKind.READ_ERROR, step=999)])
+        # STAGE_FAIL's step is a stage-in ordinal, not a rank — never flagged.
+        plan = FaultPlan(events=[FaultEvent(FaultKind.STAGE_FAIL, step=999)])
         assert plan.validate(n_ranks=1, n_steps=1) == []
 
     def test_bad_n_ranks_rejected(self):

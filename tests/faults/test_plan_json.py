@@ -22,8 +22,8 @@ def sample_plan():
         crash_rate=0.05,
         hang_rate=0.05,
         corrupt_rate=0.05,
-        read_error_rate=0.1,
-        n_reads=20,
+        target_slow_rate=0.1,
+        n_staged_reads=20,
         stage_fail_rate=0.2,
         n_stage_ops=6,
         stage_fail_repeats=3,
@@ -43,7 +43,7 @@ class TestRoundTrip:
             events=(
                 FaultEvent(FaultKind.PROC_KILL, rank=2, step=5),
                 FaultEvent(FaultKind.RANK_HANG, rank=0, step=1, delay_s=0.25),
-                FaultEvent(FaultKind.READ_ERROR, step=7, repeats=4),
+                FaultEvent(FaultKind.STAGE_FAIL, step=7, repeats=4),
                 FaultEvent(FaultKind.RANK_RECOVER, rank=2, step=9),
             ),
         )
@@ -115,6 +115,20 @@ class TestRejection:
             }
         )
         with pytest.raises(ValueError, match="solar_flare"):
+            FaultPlan.from_json(doc)
+
+    @pytest.mark.parametrize("kind", ["read_error", "read_delay"])
+    def test_removed_read_kinds_are_unknown(self, kind):
+        # Dataset reads are no longer a fault domain: a plan naming one
+        # is refused, not silently trained through.
+        doc = json.dumps(
+            {
+                "schema_version": PLAN_SCHEMA_VERSION,
+                "seed": 0,
+                "events": [{"kind": kind, "step": 0}],
+            }
+        )
+        with pytest.raises(ValueError, match=f"unknown fault kind '{kind}'"):
             FaultPlan.from_json(doc)
 
     def test_invalid_event_fields_rejected_by_event_validation(self):

@@ -1,10 +1,11 @@
-"""Resilience tests for the I/O path: retries, skips, error propagation.
+"""Resilience tests for the I/O path: skips and error propagation.
 
-Covers the fault-tolerance contract of the read stack: injected read
-errors are retried with backoff, corrupt records are skipped and
-counted (never crash the trainer), and a fatal reader exception inside
-the prefetch pipeline surfaces in the consuming thread at its place in
-the stream without leaking daemon threads.
+Covers the fault-tolerance contract of the read stack: corrupt records
+are skipped and counted (never crash the trainer), a failed read fails
+fast, and a fatal reader exception inside the prefetch pipeline
+surfaces in the consuming thread at its place in the stream without
+leaking daemon threads.  (Retried reads belong to the staging tier:
+``tests/io/test_staging.py``.)
 """
 
 import threading
@@ -13,17 +14,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.faults import (
-    FaultEvent,
-    FaultInjector,
-    FaultKind,
-    FaultPlan,
-    InjectedReadError,
-)
+from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.io.dataset import RecordDataset, write_dataset
 from repro.io.pipeline import PrefetchPipeline
 from repro.io.records import RecordCorruptError
-from repro.utils.retry import RetryPolicy, call_with_retry
+from repro.utils.retry import RetryPolicy
 
 
 def make_files(tmp_path, n=24, size=4, samples_per_file=4):
@@ -33,52 +28,32 @@ def make_files(tmp_path, n=24, size=4, samples_per_file=4):
     return write_dataset(tmp_path, vols, tgts, samples_per_file=samples_per_file)
 
 
+class ReadError(OSError):
+    """The failure :func:`failing_reads` raises."""
+
+
+def failing_reads(*bad):
+    """A ``read_hook`` that raises :class:`ReadError` at the given read
+    ordinals (counted across the I/O threads, in the order reads start)."""
+    lock = threading.Lock()
+    count = [0]
+
+    def hook(path, nbytes):
+        with lock:
+            n = count[0]
+            count[0] += 1
+        if n in bad:
+            raise ReadError(f"read #{n} of {path} failed")
+
+    return hook
+
+
 class TestRetryPolicy:
     def test_backoff_schedule(self):
         p = RetryPolicy(max_attempts=4, base_delay_s=0.01, multiplier=2.0, max_delay_s=0.03)
         assert p.delay(0) == pytest.approx(0.01)
         assert p.delay(1) == pytest.approx(0.02)
         assert p.delay(2) == pytest.approx(0.03)  # capped
-
-    def test_succeeds_after_transient_failures(self):
-        sleeps = []
-        calls = []
-
-        def fn(attempt):
-            calls.append(attempt)
-            if attempt < 2:
-                raise IOError("transient")
-            return "ok"
-
-        out = call_with_retry(
-            fn, RetryPolicy(max_attempts=3, base_delay_s=0.5), sleep=sleeps.append
-        )
-        assert out == "ok"
-        assert calls == [0, 1, 2]
-        assert sleeps == [0.5, 1.0]  # exponential backoff
-
-    def test_exhaustion_reraises_last(self):
-        with pytest.raises(IOError, match="always"):
-            call_with_retry(
-                lambda a: (_ for _ in ()).throw(IOError("always")),
-                RetryPolicy(max_attempts=2, base_delay_s=0.0),
-            )
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = []
-
-        def fn(attempt):
-            calls.append(attempt)
-            raise RecordCorruptError("rot", path="x")
-
-        with pytest.raises(RecordCorruptError):
-            call_with_retry(
-                fn,
-                RetryPolicy(max_attempts=5, base_delay_s=0.0),
-                retryable=(IOError,),
-                non_retryable=(RecordCorruptError,),
-            )
-        assert calls == [0]  # corruption is not retried
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -88,41 +63,12 @@ class TestRetryPolicy:
 
 
 class TestDatasetRetry:
-    def test_injected_read_error_is_retried(self, tmp_path):
-        paths = make_files(tmp_path)
-        inj = FaultInjector(
-            FaultPlan(events=[FaultEvent(FaultKind.READ_ERROR, step=2, repeats=2)])
-        )
-        ds = RecordDataset(
-            paths,
-            read_hook=inj.read_hook(),
-            retry=RetryPolicy(max_attempts=3, base_delay_s=0.0),
-        )
-        batches = list(ds.batches(4, rng=0, shuffle=False))
-        assert sum(len(b[0]) for b in batches) == 24  # nothing lost
-        assert ds.read_retries == 2
-        assert inj.fired[FaultKind.READ_ERROR] == 2
-
-    def test_persistent_error_exhausts_retries(self, tmp_path):
-        paths = make_files(tmp_path)
-        inj = FaultInjector(
-            FaultPlan(events=[FaultEvent(FaultKind.READ_ERROR, step=0, repeats=10)])
-        )
-        ds = RecordDataset(
-            paths,
-            read_hook=inj.read_hook(),
-            retry=RetryPolicy(max_attempts=3, base_delay_s=0.0),
-        )
-        with pytest.raises(InjectedReadError):
-            list(ds.batches(4, rng=0, shuffle=False))
+    """A dataset read is not retried: what fails, fails at the read."""
 
     def test_no_retry_by_default(self, tmp_path):
         paths = make_files(tmp_path)
-        inj = FaultInjector(
-            FaultPlan(events=[FaultEvent(FaultKind.READ_ERROR, step=0)])
-        )
-        ds = RecordDataset(paths, read_hook=inj.read_hook())
-        with pytest.raises(InjectedReadError):
+        ds = RecordDataset(paths, read_hook=failing_reads(0))
+        with pytest.raises(ReadError, match="read #0"):
             list(ds.batches(4, rng=0, shuffle=False))
 
     def test_corrupt_record_skipped_not_retried(self, tmp_path):
@@ -131,13 +77,11 @@ class TestDatasetRetry:
             FaultPlan(events=[FaultEvent(FaultKind.RECORD_CORRUPT, step=1)])
         )
         inj.corrupt_record_file(paths[0])
-        ds = RecordDataset(
-            paths, retry=RetryPolicy(max_attempts=2, base_delay_s=0.0), strict=False
-        )
+        ds = RecordDataset(paths, strict=False)
         assert len(ds) == 23  # the corrupt record is not even counted
         total = sum(len(b[0]) for b in ds.batches(4, rng=0, shuffle=False))
         assert total == 23
-        assert ds.read_retries == 0  # corruption is not transient
+        assert ds.records_skipped == 1
 
     def test_strict_dataset_raises_typed_error(self, tmp_path):
         paths = make_files(tmp_path)
@@ -152,9 +96,10 @@ class TestDatasetRetry:
 
     def test_shard_inherits_policy(self, tmp_path):
         paths = make_files(tmp_path)
-        ds = RecordDataset(paths, retry=RetryPolicy(max_attempts=5), strict=False)
+        hook = failing_reads()
+        ds = RecordDataset(paths, read_hook=hook, strict=False)
         shard = ds.shard(1, 2)
-        assert shard.retry == ds.retry
+        assert shard.read_hook is hook
         assert shard.strict is False
 
     def test_shard_reuses_the_parents_index(self, tmp_path, checksummed):
@@ -194,30 +139,19 @@ class TestPipelineFaultPropagation:
         paths = make_files(tmp_path)
         # Both I/O threads' first read fails (reads 0 and 1), so no batch
         # can ever be produced.
-        inj = FaultInjector(
-            FaultPlan(
-                events=[
-                    FaultEvent(FaultKind.READ_ERROR, step=0, repeats=100),
-                    FaultEvent(FaultKind.READ_ERROR, step=1, repeats=100),
-                ]
-            )
-        )
-        ds = RecordDataset(paths, read_hook=inj.read_hook())
+        ds = RecordDataset(paths, read_hook=failing_reads(0, 1))
         pipe = PrefetchPipeline(ds, n_io_threads=2, buffer_size=4)
         it = pipe.batches(4, rng=0)
         # The consumer must see the failure on its first next() call.
-        with pytest.raises(InjectedReadError):
+        with pytest.raises(ReadError):
             next(it)
 
     def test_error_does_not_leak_threads(self, tmp_path):
         paths = make_files(tmp_path)
-        inj = FaultInjector(
-            FaultPlan(events=[FaultEvent(FaultKind.READ_ERROR, step=3, repeats=100)])
-        )
-        ds = RecordDataset(paths, read_hook=inj.read_hook())
+        ds = RecordDataset(paths, read_hook=failing_reads(3))
         before = threading.active_count()
         pipe = PrefetchPipeline(ds, n_io_threads=3, buffer_size=2)
-        with pytest.raises(InjectedReadError):
+        with pytest.raises(ReadError):
             for _ in pipe.batches(4, rng=0):
                 pass
         deadline = time.monotonic() + 5.0
@@ -228,43 +162,28 @@ class TestPipelineFaultPropagation:
 
     def test_error_surfaces_promptly_even_with_buffered_batches(self, tmp_path):
         paths = make_files(tmp_path)
-        inj = FaultInjector(
-            FaultPlan(events=[FaultEvent(FaultKind.READ_ERROR, step=4, repeats=100)])
-        )
-        ds = RecordDataset(paths, read_hook=inj.read_hook())
+        ds = RecordDataset(paths, read_hook=failing_reads(4))
         pipe = PrefetchPipeline(ds, n_io_threads=1, buffer_size=2)
         it = pipe.batches(4, rng=0)
         consumed = 0
-        with pytest.raises(InjectedReadError):
+        with pytest.raises(ReadError):
             for _ in it:
                 consumed += 1
         # 6 files, one batch each: the error is the 5th read's, and it
         # surfaces at the 5th batch — where the direct read raises it.
         assert consumed == 4
 
-    def test_pipeline_counts_retries_and_skips(self, tmp_path):
+    def test_pipeline_counts_skips(self, tmp_path):
         paths = make_files(tmp_path)
-        inj = FaultInjector(
-            FaultPlan(
-                events=[
-                    FaultEvent(FaultKind.READ_ERROR, step=2),
-                    FaultEvent(FaultKind.RECORD_CORRUPT, step=2),
-                ]
-            )
-        )
-        inj.corrupt_record_file(paths[3])
-        ds = RecordDataset(
-            paths,
-            read_hook=inj.read_hook(),
-            retry=RetryPolicy(max_attempts=3, base_delay_s=0.0),
-            strict=False,
-        )
+        FaultInjector(
+            FaultPlan(events=[FaultEvent(FaultKind.RECORD_CORRUPT, step=2)])
+        ).corrupt_record_file(paths[3])
+        ds = RecordDataset(paths, strict=False)
         pipe = PrefetchPipeline(ds, n_io_threads=2, buffer_size=4)
         total = sum(len(b[0]) for b in pipe.batches(4, rng=0))
         assert total == 23  # one corrupt record dropped, nothing crashed
         # Each file is read once per epoch, whatever the thread count:
-        # one injected error is one retry, one corrupt record one skip.
-        assert pipe.stats.read_retries == 1
+        # one corrupt record is one skip.
         assert pipe.stats.records_skipped == 1
         assert pipe.stats.producer_errors == 0
 
@@ -274,16 +193,19 @@ class TestPipelineFaultPropagation:
         pipe = PrefetchPipeline(ds, n_io_threads=2, buffer_size=4)
         total = sum(len(b[0]) for b in pipe.batches(4, rng=0))
         assert total == 24
-        assert pipe.stats.read_retries == 0
         assert pipe.stats.records_skipped == 0
         assert pipe.stats.producer_errors == 0
 
     def test_read_delay_fault_just_slows(self, tmp_path):
         paths = make_files(tmp_path)
-        inj = FaultInjector(
-            FaultPlan(events=[FaultEvent(FaultKind.READ_DELAY, step=1, delay_s=0.05)])
-        )
-        ds = RecordDataset(paths, read_hook=inj.read_hook())
+        slowed = []
+
+        def slow_store(path, nbytes):
+            if not slowed:
+                slowed.append(path)
+                time.sleep(0.05)
+
+        ds = RecordDataset(paths, read_hook=slow_store)
         total = sum(len(b[0]) for b in ds.batches(4, rng=0, shuffle=False))
         assert total == 24
-        assert inj.fired[FaultKind.READ_DELAY] == 1
+        assert len(slowed) == 1

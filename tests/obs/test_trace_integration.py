@@ -4,7 +4,7 @@ The ISSUE acceptance criteria pinned here:
 
 * a seeded elastic run with a tracer produces a valid Chrome trace with
   per-rank tracks and io/compute/comm/optimizer spans;
-* ``trace summarize`` totals agree with the run's StageTimer/History
+* ``trace summarize`` totals agree with the run's registry stage
   accounting (same numbers, by construction — one timing window feeds
   both sinks);
 * with tracing disabled (the default NULL_TRACER) runs record nothing
@@ -93,9 +93,9 @@ class TestTracedElasticRun:
         )
 
     def test_summarize_agrees_with_stage_accounting(self, traced):
-        # One perf_counter window feeds both the StageTimer (absorbed
-        # into the metrics registry) and the trace span, so the
-        # summarize totals must match up to the µs JSON round-trip.
+        # One perf_counter window feeds both the metrics registry and
+        # the trace span, so the summarize totals must match up to the
+        # µs JSON round-trip.
         _, metrics, _, path = traced
         summary = summarize_trace(load_trace(path))
         for stage in STAGES:

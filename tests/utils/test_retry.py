@@ -1,15 +1,15 @@
 """Tests for the consolidated retry/backoff helper.
 
-The jittered schedule is shared by the staging tier, the elastic
-restart loop, and the serving tier's replica bring-up, so its
+The staging tier's stage-in retries draw their jitter here, so its
 determinism contract — same seed, same delays, in draw order — is
-load-bearing for every fault benchmark's bitwise-replay assertion.
+load-bearing for every staging fault benchmark's bitwise-replay
+assertion.
 """
 
 import numpy as np
 import pytest
 
-from repro.utils.retry import RetryPolicy, call_with_retry, jittered_delay
+from repro.utils.retry import RetryPolicy, jittered_delay
 from repro.utils.rng import new_rng
 
 
@@ -74,51 +74,6 @@ class TestJitteredDelay:
                 1.0 + 0.25 * float(rng_old.uniform(-1.0, 1.0))
             )
             assert got == want
-
-
-class TestCallWithRetryJitter:
-    def test_sleeps_are_jittered_and_seeded(self):
-        policy = RetryPolicy(max_attempts=4, base_delay_s=0.01)
-
-        def run(seed):
-            slept = []
-            calls = []
-
-            def fn(attempt):
-                calls.append(attempt)
-                if attempt < 3:
-                    raise IOError("transient")
-                return "ok"
-
-            out = call_with_retry(
-                fn,
-                policy,
-                sleep=slept.append,
-                jitter=0.25,
-                rng=new_rng(seed),
-            )
-            assert out == "ok"
-            assert calls == [0, 1, 2, 3]
-            return slept
-
-        a, b, c = run(1), run(1), run(2)
-        assert a == b
-        assert a != c
-        assert len(a) == 3
-        for attempt, d in enumerate(a):
-            base = policy.delay(attempt)
-            assert 0.75 * base <= d <= 1.25 * base
-
-    def test_default_unjittered_path_unchanged(self):
-        policy = RetryPolicy(max_attempts=3, base_delay_s=0.01)
-        slept = []
-
-        def fn(attempt):
-            raise IOError("always")
-
-        with pytest.raises(IOError):
-            call_with_retry(fn, policy, sleep=slept.append)
-        assert slept == [policy.delay(0), policy.delay(1)]
 
 
 def test_numpy_interop():

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.utils.logging import get_logger
-from repro.utils.timer import StageTimer, Timer, format_duration
+from repro.utils.timer import Timer, format_duration
 
 
 class TestFormatDuration:
@@ -80,101 +80,6 @@ class TestTimer:
             pass
         t.reset()
         assert t.elapsed == 0.0
-
-
-class TestStageTimer:
-    def test_stage_accumulation(self):
-        st = StageTimer()
-        with st.stage("a"):
-            time.sleep(0.005)
-        with st.stage("a"):
-            pass
-        assert st.stages["a"].count == 2
-        assert st.stages["a"].total >= 0.004
-
-    def test_add_external(self):
-        st = StageTimer()
-        st.add("io", 1.5)
-        st.add("io", 0.5)
-        assert st.stages["io"].total == 2.0
-        assert st.stages["io"].count == 2
-        assert st.stages["io"].mean == 1.0
-
-    def test_fractions_sum_to_one(self):
-        st = StageTimer()
-        st.add("a", 3.0)
-        st.add("b", 1.0)
-        fr = st.fractions()
-        assert abs(sum(fr.values()) - 1.0) < 1e-12
-        assert fr["a"] == pytest.approx(0.75)
-
-    def test_fractions_empty(self):
-        assert StageTimer().fractions() == {}
-
-    def test_report_contains_stages(self):
-        st = StageTimer()
-        st.add("conv3d", 2.0)
-        st.add("comm", 1.0)
-        rep = st.report("breakdown")
-        assert "conv3d" in rep and "comm" in rep and "breakdown" in rep
-
-    def test_reset(self):
-        st = StageTimer()
-        st.add("a", 1.0)
-        st.reset()
-        assert st.total() == 0.0
-
-    def test_exception_still_recorded(self):
-        st = StageTimer()
-        with pytest.raises(ValueError):
-            with st.stage("x"):
-                raise ValueError("boom")
-        assert st.stages["x"].count == 1
-
-    def test_nested_distinct_stages_count_inclusively(self):
-        # Documented semantics: time inside an inner stage is counted
-        # in BOTH stages, like a profiler's inclusive time.
-        st = StageTimer()
-        with st.stage("outer"):
-            with st.stage("inner"):
-                time.sleep(0.005)
-        assert st.stages["outer"].count == 1
-        assert st.stages["inner"].count == 1
-        assert st.stages["outer"].total >= st.stages["inner"].total >= 0.004
-
-    def test_reentrant_same_stage(self):
-        # Re-entering the SAME stage name nests fine; each exit records
-        # its own window, so the elapsed inner time is double-counted —
-        # exactly the inclusive-time contract.
-        st = StageTimer()
-        with st.stage("a"):
-            with st.stage("a"):
-                time.sleep(0.003)
-        assert st.stages["a"].count == 2
-        assert st.stages["a"].total >= 2 * 0.002
-
-    def test_zero_duration_stage(self):
-        st = StageTimer()
-        with st.stage("noop"):
-            pass
-        rec = st.stages["noop"]
-        assert rec.count == 1
-        assert rec.total >= 0.0
-        # A zero-total stage must not poison derived views.
-        st.add("noop", -rec.total)  # force an exact 0.0 total
-        assert st.stages["noop"].mean == 0.0 or st.stages["noop"].total == 0.0
-        assert st.report()  # renders without dividing by zero
-
-    def test_all_zero_totals_fractions_are_zero(self):
-        st = StageTimer()
-        st.add("a", 0.0)
-        st.add("b", 0.0)
-        assert st.fractions() == {"a": 0.0, "b": 0.0}
-
-    def test_mean_of_empty_record(self):
-        st = StageTimer()
-        st.add("a", 0.0, count=0)
-        assert st.stages["a"].mean == 0.0
 
 
 class TestLogging:
