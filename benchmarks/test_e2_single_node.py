@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_report
-from repro.comm.plugin import MLPlugin
 from repro.comm.serial import SerialCommunicator
 from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
@@ -34,7 +33,7 @@ def throughput_for(config, n_samples=8):
         CosmoFlowOptimizer(model.parameter_arrays()),
         InMemoryData(x, y),
         # include plugin overhead, as the paper does
-        aggregator=MLPlugin(SerialCommunicator()).init(),
+        comm=SerialCommunicator(),
     )
     engine = TrainingEngine(backend, EngineConfig(epochs=1, validate=False))
     engine.run()

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import save_report
-from repro.comm.plugin import MLPlugin
 from repro.comm.serial import SerialCommunicator
 from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
@@ -66,7 +65,7 @@ def test_single_node_profile(timed_registry, benchmark):
         model,
         CosmoFlowOptimizer(model.parameter_arrays()),
         InMemoryData(x, y),
-        aggregator=MLPlugin(SerialCommunicator()).init(),  # paper: plugin on even at 1 node
+        comm=SerialCommunicator(),  # paper: plugin on even at 1 node
     )
     engine = TrainingEngine(backend, EngineConfig(epochs=1, validate=False))
     benchmark.pedantic(engine.run, args=(1,), rounds=1, iterations=1)

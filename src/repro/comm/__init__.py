@@ -9,7 +9,7 @@ computing gradients").
 This subpackage reproduces that stack in-process:
 
 * :mod:`repro.comm.communicator` — the abstract :class:`Communicator`
-  API (rank, size, allreduce, bcast, barrier) every backend implements.
+  API (rank, size, allreduce, bcast) every backend implements.
 * :mod:`repro.comm.serial` — a size-1 communicator and a
   ``SteppedGroup`` of sequential rank communicators for deterministic
   simulated multi-rank execution (ranks run one after another; the
@@ -26,9 +26,10 @@ This subpackage reproduces that stack in-process:
   message schedules: ring, recursive halving-doubling, and the
   centralized reduce-broadcast that gRPC's master-slave aggregation
   uses; plus their cost models (used by :mod:`repro.perfmodel`).
-* :mod:`repro.comm.plugin` — :class:`MLPlugin`, the CPE-ML-Plugin-like
-  gradient-aggregation object (init/broadcast/gradients API, helper-
-  thread teams, chunked pipelining).
+* :mod:`repro.comm.plugin` — :func:`gradient_message`, one rank's step
+  message (its gradients flattened, through its compressor), and
+  :class:`PluginConfig`, the message's wire format: what every rank
+  sends for Algorithm 2's ``mc.gradients(g)``.
 * :mod:`repro.comm.errors` — the typed :class:`CommError` hierarchy
   (rank failure/eviction, message corruption, quorum loss).
 * :mod:`repro.comm.stale` — :class:`StaleGroup`, the bounded-staleness
@@ -55,7 +56,7 @@ __all__, __getattr__, __dir__ = _lazy(__name__, {
     "algorithms": ("ring_allreduce_schedule", "halving_doubling_schedule",
                    "reduce_broadcast_schedule", "allreduce_time_model",
                    "ALLREDUCE_ALGORITHMS"),
-    "plugin": ("MLPlugin", "PluginConfig"),
+    "plugin": ("PluginConfig", "gradient_message"),
     "stale": ("STALE_MODES", "StaleGroup", "StalenessConfig", "StragglerMonitor"),
     "compression": ("COMPRESSION_MODES", "CompressionStats", "GradientCompressor",
                     "Fp16Compressor", "TopKCompressor", "make_compressor", "compression_ratio"),

@@ -1,10 +1,10 @@
 """The abstract communicator API.
 
 Modeled on the MPI subset a synchronous data-parallel trainer needs
-(and the subset the CPE ML Plugin wraps): allreduce for gradient
-averaging, broadcast for initial-parameter distribution ("the initial
-model parameters are broadcast from rank 0 to all other ranks"),
-barrier, and gather/allgather for metrics.
+(and the subset the CPE ML Plugin wraps): allreduce for gradient and
+loss averaging, and broadcast for initial-parameter distribution ("the
+initial model parameters are broadcast from rank 0 to all other
+ranks").
 
 All backends reduce in rank order with a fixed association, so results
 are bitwise reproducible for a given rank count regardless of thread
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -87,28 +87,6 @@ class Communicator(ABC):
     @abstractmethod
     def bcast(self, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
         """Broadcast ``array`` from ``root`` to every rank."""
-
-    @abstractmethod
-    def barrier(self) -> None:
-        """Block until every rank has entered the barrier."""
-
-    @abstractmethod
-    def gather(self, array: np.ndarray, root: int = 0) -> Optional[List[np.ndarray]]:
-        """Gather per-rank arrays at ``root`` (others receive ``None``)."""
-
-    def allgather(self, array: np.ndarray) -> List[np.ndarray]:
-        """Gather per-rank arrays at every rank.
-
-        Default implementation: gather at 0 then broadcast (backends may
-        override with something smarter).
-        """
-        gathered = self.gather(array, root=0)
-        if self.rank == 0:
-            stacked = np.stack(gathered)
-        else:
-            stacked = None
-        stacked = self.bcast(stacked, root=0)
-        return [stacked[i] for i in range(self.size)]
 
     def _check_root(self, root: int) -> None:
         if not 0 <= root < self.size:

@@ -15,7 +15,7 @@ The E4 communication term is linear in message bytes (the paper's
   per element sent — a 5x byte reduction at k=10%.
 
 Compression is a *pre-reduction transform on the local flat gradient*:
-the group reduction downstream is the unchanged rank-ordered chunked
+the group reduction downstream is the unchanged rank-ordered element-wise
 MEAN, which is why serial (stepped), threaded, and process backends
 stay bitwise identical to each other under compression — each virtual
 or real rank owns one compressor (and its residual), applies the same

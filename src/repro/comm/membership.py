@@ -18,6 +18,8 @@ policy, and the reduction and resync counters.
 
 The rules, each written once below:
 
+* the **quorum** of ``n`` ranks at a fraction ``f`` is ``ceil(n f)``,
+  taken on ``f`` as written (:func:`quorum_size`);
 * a **survivor** is a rank that is not dead — one that finished counts;
 * the **participants** of collective ``g`` are the active ranks admitted
   at or before ``g``; a collective completes over exactly them, never
@@ -41,6 +43,8 @@ first, then status, and the pending-join word last.
 from __future__ import annotations
 
 import contextlib
+import math
+from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -60,6 +64,7 @@ __all__ = [
     "complete",
     "donor",
     "plan_admissions",
+    "quorum_size",
     "resync_crc",
     "root_died",
 ]
@@ -317,19 +322,19 @@ class MemberComm(Communicator):
             raise ValueError("root rank must supply an array to bcast")
         return self._latched("bcast", root, np.asarray(array) if self._rank == root else None)
 
-    def barrier(self) -> None:
-        self._latched("barrier", None, None)
-
-    def gather(self, array: np.ndarray, root: int = 0) -> Optional[List[np.ndarray]]:
-        self._check_root(root)
-        rows = self._latched("gather", root, np.asarray(array))
-        return list(rows) if self._rank == root else None
-
 
 def donor(members: Optional[frozenset]) -> Optional[int]:
     """The rank that decides admissions at a step boundary: the lowest of
     the membership the last completed collective latched."""
     return min(members) if members else None
+
+
+def quorum_size(n: int, fraction: float) -> int:
+    """The survivors a group of ``n`` ranks needs at quorum ``fraction``:
+    ``ceil(n * fraction)`` on the decimal the fraction is written as, so
+    0.56 of 25 is 14 (the float product 14.000000000000002 would round
+    up to 15)."""
+    return math.ceil(Fraction(str(fraction)) * n)
 
 
 def plan_admissions(
@@ -371,17 +376,12 @@ def root_died(root: int) -> RankFailedError:
 def complete(kind: str, arg, contributions: Mapping[int, Optional[np.ndarray]]):
     """The result of one collective over its participants' contributions:
     ``(payload, error)``, in rank order whatever order they arrived in."""
-    ranks = sorted(contributions)
     if kind == "allreduce":
-        return reduce_arrays([contributions[r] for r in ranks], arg), None
+        return reduce_arrays([contributions[r] for r in sorted(contributions)], arg), None
     if kind == "bcast":
         if contributions.get(arg) is None:
             return None, root_died(arg)
         return np.asarray(contributions[arg]), None
-    if kind == "gather":
-        return np.stack([contributions[r] for r in ranks]), None
-    if kind == "barrier":
-        return None, None
     raise RuntimeError(f"unknown collective {kind!r}")
 
 

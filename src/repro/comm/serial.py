@@ -44,21 +44,14 @@ class SerialCommunicator(Communicator):
             raise ValueError("root rank must supply an array to bcast")
         return np.array(array, copy=True)
 
-    def barrier(self) -> None:
-        return None
-
-    def gather(self, array: np.ndarray, root: int = 0) -> Optional[List[np.ndarray]]:
-        self._check_root(root)
-        return [np.array(array, copy=True)]
-
 
 class SteppedGroup:
     """A group of ``size`` simulated ranks executed sequentially.
 
-    The driver (e.g. the engine's ``SteppedBackend``) loops
-    over ranks itself and calls these group-level collectives with one
-    array per rank.  Statistics (`bytes_reduced`, `reductions`) track
-    communication volume for reporting.
+    The driver (e.g. the engine's ``SteppedBackend``) loops over ranks
+    itself and calls the group-level allreduce with one array per rank.
+    Statistics (`bytes_reduced`, `reductions`) track communication
+    volume for reporting.
     """
 
     def __init__(self, size: int):
@@ -72,30 +65,15 @@ class SteppedGroup:
     def size(self) -> int:
         return self._size
 
-    def _check(self, arrays: Sequence[np.ndarray]) -> None:
-        if len(arrays) != self._size:
-            raise ValueError(
-                f"expected one array per rank ({self._size}), got {len(arrays)}"
-            )
-
     def allreduce(
         self, arrays: Sequence[np.ndarray], op: ReduceOp = ReduceOp.SUM
     ) -> List[np.ndarray]:
-        """Reduce per-rank arrays; returns the per-rank results."""
-        self._check(arrays)
+        """Reduce per-rank arrays; every rank's entry is the one result."""
+        if len(arrays) != self._size:
+            raise ValueError(f"expected one array per rank ({self._size}), got {len(arrays)}")
         result = reduce_arrays([np.asarray(a) for a in arrays], op)
         self.reductions += 1
         self.bytes_reduced += result.nbytes * self._size
-        # Rank 0 may keep the reduction buffer; the rest get copies so
-        # per-rank in-place updates stay independent.
-        return [result] + [result.copy() for _ in range(self._size - 1)]
-
-    def bcast(self, array: np.ndarray) -> List[np.ndarray]:
-        """Broadcast one array to every rank (root is implicit)."""
-        arr = np.asarray(array)
-        return [np.array(arr, copy=True) for _ in range(self._size)]
-
-    def gather(self, arrays: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Group-level gather: validates and returns copies."""
-        self._check(arrays)
-        return [np.array(a, copy=True) for a in arrays]
+        # One result every rank reads: the simulated ranks share one
+        # replica, so nothing updates a rank's copy on its own.
+        return [result] * self._size

@@ -39,13 +39,13 @@ deliveries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.comm.communicator import ReduceOp, reduce_arrays
+from repro.comm.membership import quorum_size
 
 __all__ = ["StalenessConfig", "StragglerMonitor", "StaleGroup", "STALE_MODES"]
 
@@ -111,7 +111,7 @@ class StalenessConfig:
         """Contributors a step waits for among ``n_sync`` sync ranks."""
         if n_sync < 1:
             return 0
-        return max(1, min(n_sync, math.ceil(self.quorum_fraction * n_sync)))
+        return quorum_size(n_sync, self.quorum_fraction)
 
 
 class StragglerMonitor:

@@ -35,7 +35,6 @@ observe missed heartbeats.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,7 +85,9 @@ class ElasticConfig:
             raise ValueError("spares must be >= 0")
 
     def resolve_quorum(self, n_ranks: int) -> int:
-        return math.ceil(n_ranks * self.quorum_fraction)
+        from repro.comm.membership import quorum_size
+
+        return quorum_size(n_ranks, self.quorum_fraction)
 
 
 #: The policy of a run given none: every rank is needed and nothing

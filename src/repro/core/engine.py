@@ -25,8 +25,10 @@ calculation and global averaging" — is one program here, and
 Every backend reduces through
 :func:`repro.comm.communicator.reduce_arrays` in rank order, so runs
 with the same seed are bitwise identical across backends — the property
-the golden equivalence tests pin.  Rank groups aggregate through the
-paper's plugin (:class:`~repro.comm.plugin.MLPlugin`).
+the golden equivalence tests pin.  Every rank, real or simulated, sends
+one gradient message a step
+(:func:`~repro.comm.plugin.gradient_message`), Algorithm 2's
+``mc.gradients(g)``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import numpy as np
 
 from repro.comm.communicator import Communicator, ReduceOp, reduce_arrays
 from repro.comm.errors import QuorumLostError
+from repro.comm.plugin import PluginConfig, gradient_message
 from repro.comm.serial import SteppedGroup
 from repro.core.elastic import MPI_LIKE, ElasticConfig
 from repro.core.model import CosmoFlowModel
@@ -49,10 +52,10 @@ from repro.obs.callback import TraceCallback
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.utils.logging import get_logger
-from repro.utils.packing import flatten_arrays, unflatten_like
+from repro.utils.packing import unflatten_like
 
-if TYPE_CHECKING:  # what only the thread, elastic, fault and plugin paths load
-    from repro.comm.plugin import PluginConfig
+if TYPE_CHECKING:  # what only the thread, elastic and fault paths load
+    from repro.comm.compression import GradientCompressor
     from repro.faults.injector import FaultInjector
 
 __all__ = [
@@ -341,7 +344,8 @@ class RankStream:
 
 class RankContext:
     """Everything one executing worker sees: its model replica,
-    optimizer, batch stream, validation views, aggregator, and curves.
+    optimizer, batch stream, validation views, communicator and
+    gradient compressor, and curves.
 
     The engine drives the loop through three verbs — ``fetch`` (the
     step's batch from the rank's :class:`RankStream`), ``compute``
@@ -362,8 +366,8 @@ class RankContext:
         n_ranks: int = 1,
         batch_size: int = 1,
         val_batch_size: int = 1,
-        aggregator=None,
         comm: Optional[Communicator] = None,
+        compressor: Optional["GradientCompressor"] = None,
         callbacks: Optional[CallbackList] = None,
         history: Optional[History] = None,
         start_epoch: int = 0,
@@ -380,8 +384,10 @@ class RankContext:
         self.batch_size = batch_size
         self.val_batch_size = val_batch_size
         self.steps_per_epoch = steps_per_epoch
-        self.aggregator = aggregator
         self.comm = comm
+        #: This rank's gradient compressor (``None``: the fp32 message
+        #: goes as is); its top-k residual is the rank's own state.
+        self.compressor = compressor
         self.history = history if history is not None else History()
         self.start_epoch = start_epoch
         self.epoch = start_epoch
@@ -410,7 +416,7 @@ class RankContext:
     @property
     def aggregates(self) -> bool:
         """Whether this rank participates in gradient/loss averaging."""
-        return self.aggregator is not None
+        return self.comm is not None
 
     @property
     def is_keeper(self) -> bool:
@@ -470,17 +476,17 @@ class RankContext:
         return loss, grads, len(x)
 
     def aggregate(self, loss, grads):
-        """Globally average the step's gradients and loss."""
-        grads = self.aggregator.gradients(grads)
-        loss = self.aggregator.average_scalar(loss)
-        return loss, grads
+        """Globally average the step's gradients — one message, one
+        allreduce — and its loss."""
+        flat = self.comm.allreduce(gradient_message(grads, self.compressor), ReduceOp.MEAN)
+        return self.aggregate_scalar([loss]), unflatten_like(flat, grads)
 
     def aggregate_scalar(self, values: List[float]) -> float:
-        """Globally average this context's validation means, one per
-        view (the validation loop's "loss calculation and global
-        averaging")."""
+        """Globally average one scalar per rank this context runs — a
+        step's loss, a validation view's mean (the validation loop's
+        "loss calculation and global averaging") — as float64."""
         (value,) = values
-        return self.aggregator.average_scalar(value)
+        return float(self.comm.allreduce(np.asarray([value], dtype=np.float64), ReduceOp.MEAN)[0])
 
     # -- accounting -------------------------------------------------------
 
@@ -548,12 +554,12 @@ class _SteppedContext(RankContext):
     inside BLAS, in an order of its own.
     """
 
-    def __init__(self, engine, *, group: SteppedGroup, streams, compressors=None, **kwargs):
+    def __init__(self, engine, *, group: SteppedGroup, streams, compressors, **kwargs):
         super().__init__(engine, stream=None, **kwargs)
         self.group = group
         #: One :class:`RankStream` per virtual rank.
         self.streams = streams
-        #: One gradient compressor per virtual rank (or ``None``): the
+        #: One gradient compressor (or ``None``) per virtual rank: the
         #: top-k error-feedback residual is per-rank state, so k
         #: simulated ranks need k residuals to stay
         #: bitwise identical to k threads each owning one.
@@ -574,17 +580,14 @@ class _SteppedContext(RankContext):
         return [loss for loss, _ in results], [grads for _, grads in results], len(x)
 
     def aggregate(self, losses, grad_lists):
-        # One flat message per virtual rank, like the plugin's fused
-        # buffer; the group reduces them in rank order.
-        flats = [flatten_arrays(grads) for grads in grad_lists]
-        if self.compressors is not None:
-            flats = [c.compress(f) for c, f in zip(self.compressors, flats)]
+        # One message per virtual rank; the group reduces them in rank order.
+        flats = [gradient_message(g, c) for g, c in zip(grad_lists, self.compressors)]
         avg_flat = self.group.allreduce(flats, ReduceOp.MEAN)[0]
         return float(np.mean(losses)), unflatten_like(avg_flat, grad_lists[0])
 
     def aggregate_scalar(self, values):
-        # The k ranks' validation means, averaged as the plugin averages
-        # a scalar over real ranks: float64 1-vectors in rank order.
+        # The k ranks' validation means, averaged as real ranks average
+        # a scalar: float64 1-vectors in rank order.
         # Straight through reduce_arrays, so `reductions` counts
         # gradient reductions only.
         means = [np.asarray([v], dtype=np.float64) for v in values]
@@ -676,21 +679,19 @@ def _precision_stats(optimizer) -> Dict[str, Any]:
     return scaler.stats() if scaler is not None else {}
 
 
-def _compression_stats(compressors) -> Dict[str, Any]:
-    """Rank-0's compressor counters for a backend's run stats.
+def _compression_stats(c0) -> Dict[str, Any]:
+    """Rank 0's compressor counters for a backend's run stats.
 
     Every rank compresses the same number of same-sized messages, so
     rank 0's per-rank counters are representative and — crucially —
     identical across the stepped/threaded/process backends (a sum over
     the stepped backend's virtual ranks would not be comparable to the
-    single thread-local compressor a threaded rank exposes).  Empty for
+    single compressor a threaded or process rank owns).  Empty for
     mode "none": the uncompressed stats dict stays byte-for-byte what
     it was before compression existed.
     """
-    compressors = list(compressors or ())
-    if not compressors or compressors[0] is None:
+    if c0 is None:
         return {}
-    c0 = compressors[0]
     return {
         "compression": c0.name,
         "compression_calls": c0.stats.calls,
@@ -729,8 +730,9 @@ class ExecutionBackend:
 
 class LocalBackend(ExecutionBackend):
     """Single in-process rank — the paper's single-node run, optionally
-    with a single-rank aggregation plugin ("enable the CPE ML plugin
-    even at the single node").
+    averaging through a one-rank communicator (``comm=
+    SerialCommunicator()``: "enable the CPE ML plugin even at the single
+    node").
 
     The context is created once and reused across ``execute`` calls, so
     history and the shuffle RNG stream accumulate over repeated runs;
@@ -743,14 +745,14 @@ class LocalBackend(ExecutionBackend):
         optimizer: CosmoFlowOptimizer,
         train_data,
         val_data=None,
-        aggregator=None,
+        comm: Optional[Communicator] = None,
         rng=None,
     ):
         self.model = model
         self.optimizer = optimizer
         self.train_data = train_data
         self.val_data = val_data
-        self.aggregator = aggregator
+        self.comm = comm
         self.rng = rng
         self._rc: Optional[RankContext] = None
 
@@ -776,7 +778,7 @@ class LocalBackend(ExecutionBackend):
                 val_views=[self.val_data] if self.val_data is not None else [],
                 batch_size=cfg.batch_size,
                 val_batch_size=cfg.batch_size,
-                aggregator=self.aggregator,
+                comm=self.comm,
                 callbacks=callbacks,
             )
         else:
@@ -801,8 +803,6 @@ class _GroupBackend(ExecutionBackend):
         n_ranks: int = 2,
         plugin_config: Optional[PluginConfig] = None,
     ):
-        from repro.comm.plugin import PluginConfig
-
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         if len(train_data) < n_ranks:
@@ -839,11 +839,6 @@ class _GroupBackend(ExecutionBackend):
             decay_steps=max(1, engine.config.epochs * self._steps_per_epoch(engine))
         )
 
-    def _aggregator(self, comm: Communicator):
-        from repro.comm.plugin import MLPlugin
-
-        return MLPlugin(comm, self.plugin_config).init()
-
     def _val_views(self, ranks) -> list:
         """The validation views of ``ranks``: each rank's shard, or the
         whole set for every rank when it has fewer samples than ranks."""
@@ -869,16 +864,12 @@ class SteppedBackend(_GroupBackend):
         k = self.n_ranks
         steps = self._steps_per_epoch(engine)
         model, optimizer = self._replica(engine)
-        if self.plugin_config.compression != "none":
-            compressors = [self.plugin_config.build_compressor() for _ in range(k)]
-        else:
-            compressors = None
         return self.context_cls(
             engine,
             group=group,
             streams=[self._stream(engine, r, steps) for r in range(k)],
             val_views=self._val_views(range(k)),
-            compressors=compressors,
+            compressors=[self.plugin_config.build_compressor() for _ in range(k)],
             model=model,
             optimizer=optimizer,
             n_ranks=k,
@@ -890,7 +881,7 @@ class SteppedBackend(_GroupBackend):
 
     def _result(self, rc, hist: History, stats: Dict[str, Any]) -> EngineResult:
         stats.update(_precision_stats(rc.optimizer))
-        stats.update(_compression_stats(rc.compressors))
+        stats.update(_compression_stats(rc.compressors[0]))
         return EngineResult(history=hist, model=rc.model, stats=stats)
 
     def execute(self, engine, callbacks, epochs=None):
@@ -963,7 +954,7 @@ class ThreadedBackend(_GroupBackend):
 
     def _rank_context(self, engine, comm, callbacks, model, optimizer, **extra):
         """One real rank over ``comm``: its shard under its ``[seed,
-        rank]`` shuffle stream, its own replica and aggregator."""
+        rank]`` shuffle stream, its own replica and compressor."""
         steps = self._steps_per_epoch(engine)
         return self.context_cls(
             engine,
@@ -977,8 +968,8 @@ class ThreadedBackend(_GroupBackend):
             n_ranks=self.n_ranks,
             batch_size=engine.config.batch_size,
             val_batch_size=1,
-            aggregator=self._aggregator(comm),
             comm=comm,
+            compressor=self.plugin_config.build_compressor(),
             callbacks=callbacks,
             **extra,
         )
@@ -1006,9 +997,12 @@ class ThreadedBackend(_GroupBackend):
         rc = self._rank_context(
             engine, comm, callbacks, model, optimizer, history=history, start_epoch=start_epoch
         )
-        # Algorithm 2 preamble: rank 0's parameters to all ranks (after a
-        # restart this also re-synchronizes any replica drift).
-        rc.aggregator.broadcast_parameters(model.parameter_arrays())
+        # Algorithm 2 preamble: rank 0's parameters to all ranks as one
+        # flat message (after a restart this also re-synchronizes any
+        # replica drift).
+        model.set_flat_parameters(
+            comm.bcast(model.get_flat_parameters() if comm.rank == 0 else None, root=0)
+        )
         rc.stream.seek(start_epoch)
         return rc
 
@@ -1092,7 +1086,7 @@ class ThreadedBackend(_GroupBackend):
             "faults_injected": self.injector.summary(),
         }
         stats.update(_precision_stats(rc0.optimizer))
-        stats.update(_compression_stats([getattr(rc0.aggregator, "compressor", None)]))
+        stats.update(_compression_stats(rc0.compressor))
         # A record-backed dataset routed through the burst-buffer tier
         # reports its staging decisions alongside the comm-layer stats;
         # the manager is shared by every rank's shard, so this is the

@@ -80,6 +80,8 @@ from repro.core.engine import (
     TrainingEngine,
     _ElasticContext,
     _GroupBackend,
+    _compression_stats,
+    _precision_stats,
     _restart_or_raise,
 )
 from repro.core.model import CosmoFlowModel
@@ -232,6 +234,7 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
         "incarnation": incarnation,
         "rejoined": rc.rejoined,
         "divergence": rc.divergence,
+        "stats": {**_precision_stats(rc.optimizer), **_compression_stats(rc.compressor)},
         "metrics": engine.metrics.dump(),
         "trace": engine.tracer.dump() if spec["trace"] else [],
     }
@@ -299,9 +302,9 @@ class ProcessBackend(_GroupBackend):
         if el.checkpoint_dir is not None:
             Path(el.checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
-        # Slot capacity: the largest payload any collective moves is the
-        # full float64 flat parameter vector (the divergence check's
-        # allreduce); gradients travel in chunks of at most that size.
+        # Slot capacity: twice the largest payload a collective moves,
+        # one float32 per parameter (the gradient message, the parameter
+        # broadcast, the divergence check's allreduces).
         probe = CosmoFlowModel(self.model_config, seed=cfg.seed)
         payload_bytes = 8 * probe.num_parameters + 4096
 
@@ -476,6 +479,9 @@ class ProcessBackend(_GroupBackend):
             "exit_codes": exit_codes,
             "signal_kills": signal_kills,
         }
+        # The loss-scale and compression counters of the rank whose
+        # curves are reported, as the thread backend reports its rank 0's.
+        stats.update(reports[keeper]["stats"])
         return EngineResult(
             history=history, model=model, stats=stats, divergence=divergence
         )

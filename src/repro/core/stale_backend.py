@@ -25,10 +25,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.comm.plugin import gradient_message
 from repro.comm.stale import StaleGroup, StalenessConfig, StragglerMonitor
 from repro.core.engine import SteppedBackend, _SteppedContext
 from repro.faults.injector import FaultInjector
-from repro.utils.packing import flatten_arrays, unflatten_like
+from repro.utils.packing import unflatten_like
 
 __all__ = ["StaleBackend"]
 
@@ -49,12 +50,10 @@ class _StaleContext(_SteppedContext):
         return [self.streams[r].next(self.epoch) for r in self._starters]
 
     def aggregate(self, losses, grad_lists):
-        contribs = {}
-        for r, loss, grads in zip(self._starters, losses, grad_lists):
-            flat = flatten_arrays(grads)
-            if self.compressors is not None:
-                flat = self.compressors[r].compress(flat)
-            contribs[r] = (loss, flat)
+        contribs = {
+            r: (loss, gradient_message(grads, self.compressors[r]))
+            for r, loss, grads in zip(self._starters, losses, grad_lists)
+        }
         loss, avg_flat = self.group.complete_step(self._global_step, contribs)
         return loss, unflatten_like(avg_flat, self.model.parameter_arrays())
 

@@ -1,13 +1,12 @@
 """Flatten/unflatten packing of per-tensor arrays into one message.
 
 Synchronous data-parallel training moves the model update as a single
-flat buffer (the paper's 28.15 MB message): every aggregation path —
-the CPE-ML-style plugin's chunked reduction, the stepped group's and
-the stale group's one message per rank — concatenates the per-layer
-gradients before communicating and restores the per-layer layout
-afterwards.  This module is the one implementation all of them share,
-so a flatten/unflatten round trip is bitwise lossless on every code
-path.
+flat buffer (the paper's 28.15 MB message): every rank's step message
+(:func:`repro.comm.plugin.gradient_message`) concatenates the
+per-layer gradients before communicating, and the reduced message is
+sliced back into the per-layer layout afterwards.  This module is the
+one implementation of both, so a flatten/unflatten round trip is
+bitwise lossless on every code path.
 """
 
 from __future__ import annotations

@@ -52,9 +52,6 @@ class TestSerialCommunicator:
         x = np.array([1.0, 2.0])
         np.testing.assert_allclose(comm.allreduce(x, ReduceOp.MEAN), x)
         np.testing.assert_allclose(comm.bcast(x), x)
-        gathered = comm.gather(x)
-        assert len(gathered) == 1
-        comm.barrier()
 
     def test_bcast_copies(self):
         comm = SerialCommunicator()
@@ -71,12 +68,6 @@ class TestSerialCommunicator:
         with pytest.raises(ValueError):
             SerialCommunicator().bcast(np.ones(1), root=1)
 
-    def test_allgather(self):
-        comm = SerialCommunicator()
-        out = comm.allgather(np.array([7.0]))
-        assert len(out) == 1
-        np.testing.assert_allclose(out[0], [7.0])
-
 
 class TestSteppedGroup:
     def test_allreduce_mean(self):
@@ -87,29 +78,17 @@ class TestSteppedGroup:
         for o in out:
             np.testing.assert_allclose(o, 1.5)
 
-    def test_results_independent(self):
-        g = SteppedGroup(2)
-        out = g.allreduce([np.ones(2), np.ones(2)], ReduceOp.SUM)
-        out[0][0] = 99.0
-        assert out[1][0] == 2.0
+    def test_every_rank_reads_one_result(self):
+        g = SteppedGroup(3)
+        out = g.allreduce([np.ones(2)] * 3, ReduceOp.SUM)
+        assert out[0] is out[1] is out[2]
+        np.testing.assert_array_equal(out[0], [3.0, 3.0])
 
     def test_stats(self):
         g = SteppedGroup(2)
         g.allreduce([np.ones(4, dtype=np.float32)] * 2)
         assert g.reductions == 1
         assert g.bytes_reduced == 4 * 4 * 2
-
-    def test_bcast(self):
-        g = SteppedGroup(3)
-        out = g.bcast(np.array([5.0]))
-        assert len(out) == 3
-        for o in out:
-            np.testing.assert_allclose(o, [5.0])
-
-    def test_gather(self):
-        g = SteppedGroup(2)
-        out = g.gather([np.array([0.0]), np.array([1.0])])
-        np.testing.assert_allclose(out[1], [1.0])
 
     def test_wrong_count_raises(self):
         g = SteppedGroup(3)

@@ -236,6 +236,16 @@ class TestElasticAndProcessBackends:
         p_threaded, _, _ = _run(ThreadedBackend, compression)
         assert np.array_equal(p_elastic, p_threaded)
 
+    @pytest.mark.parametrize("compression", ["fp16", "topk"])
+    def test_process_reports_the_threaded_stats(self, compression, tmp_path, monkeypatch):
+        """Rank 0's loss-scale and compression counters: process == threaded."""
+        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
+        _, s_process, _ = _run(ProcessBackend, compression, precision="fp16", epochs=1)
+        _, s_threaded, _ = _run(ThreadedBackend, compression, precision="fp16", epochs=1)
+        keys = sorted(k for k in s_threaded if k.startswith(("loss_scale", "compression")))
+        assert len(keys) == 9
+        assert {k: s_process.get(k) for k in keys} == {k: s_threaded[k] for k in keys}
+
     def test_process_backend_matches_stepped_topk(self):
         p_process, _, _ = _run(ProcessBackend, "topk", epochs=1)
         p_stepped, _, _ = _run(SteppedBackend, "topk", epochs=1)

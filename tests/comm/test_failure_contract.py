@@ -221,8 +221,13 @@ def test_a_rank_grows_back_twice(case, domain):
 # ---------------------------------------------------------------------------
 
 
+def meet(comm):
+    """Every rank arrives before any goes on: a one-element allreduce."""
+    comm.allreduce(np.zeros(1))
+
+
 def hang_outside(comm, note, stall):
-    comm.barrier()
+    meet(comm)
     if comm.rank == 1:
         stall(STALL_S)  # no collective in sight, no heartbeat
     return "returned"
@@ -294,7 +299,7 @@ def _process_rank(rank, world, ctrl_name, data_name, run_dir, body, timeout_s):
     try:
         # Workers start one after the other: meet first, then arm the
         # bound under test.
-        comm.barrier()
+        meet(comm)
         comm.timeout_s = timeout_s
         returned = BODIES[body](comm, note, time.sleep)
     except QuorumLostError:

@@ -344,11 +344,10 @@ def test_completion_is_in_rank_order_whatever_the_arrival_order(order):
     rng = np.random.default_rng(0)
     arrays = {r: rng.standard_normal(5).astype(np.float32) for r in range(4)}
     arrived = {r: arrays[r] for r in order}
-    for kind, arg in (("allreduce", ReduceOp.MEAN), ("gather", 0), ("bcast", 2)):
+    for kind, arg in (("allreduce", ReduceOp.MEAN), ("bcast", 2)):
         payload, error = complete(kind, arg, arrived)
         want, _ = complete(kind, arg, dict(sorted(arrays.items())))
         assert error is None and payload.tobytes() == want.tobytes()
-    assert complete("barrier", None, arrived) == (None, None)
 
 
 def test_a_bcast_whose_root_left_fails_every_participant():

@@ -59,6 +59,11 @@ class TestStalenessConfig:
         assert cfg.resolve_quorum(4) == 2
         assert cfg.resolve_quorum(1) == 1
         assert StalenessConfig(quorum_fraction=1.0).resolve_quorum(5) == 5
+        assert StalenessConfig().resolve_quorum(0) == 0
+
+    def test_quorum_takes_the_fraction_as_written(self):
+        # 0.28 * 25 is 7.000000000000001 in floats; its ceiling is 8.
+        assert StalenessConfig(quorum_fraction=0.28).resolve_quorum(25) == 7
 
     def test_monitor_disable(self):
         assert not StalenessConfig(quarantine_factor=None).monitor_enabled

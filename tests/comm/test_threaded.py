@@ -24,7 +24,7 @@ def run_with_rank_1_hung_outside_collectives(group):
     release = threading.Event()
 
     def body(comm):
-        comm.barrier()
+        comm.allreduce(np.zeros(1))  # every rank arrives first
         if comm.rank == 1:
             release.wait(5.0)  # far past any timeout, no collective in sight
         return comm.rank
@@ -93,34 +93,6 @@ class TestThreadedGroup:
 
         for r in g.run(body):
             np.testing.assert_allclose(r, [42.0])
-
-    def test_gather(self):
-        g = ThreadedGroup(3)
-
-        def body(comm):
-            return comm.gather(np.array([float(comm.rank)]), root=1)
-
-        results = g.run(body)
-        assert results[0] is None and results[2] is None
-        np.testing.assert_allclose(np.concatenate(results[1]), [0.0, 1.0, 2.0])
-
-    def test_allgather(self):
-        g = ThreadedGroup(3)
-
-        def body(comm):
-            return comm.allgather(np.array([float(comm.rank)]))
-
-        for r in g.run(body):
-            np.testing.assert_allclose(np.concatenate(r), [0.0, 1.0, 2.0])
-
-    def test_barrier_runs(self):
-        g = ThreadedGroup(4)
-
-        def body(comm):
-            comm.barrier()
-            return comm.rank
-
-        assert sorted(g.run(body)) == [0, 1, 2, 3]
 
     def test_args_per_rank(self):
         g = ThreadedGroup(2)

@@ -61,6 +61,10 @@ class TestConfig:
         assert ElasticConfig(quorum_fraction=1.0).resolve_quorum(8) == 8
         assert ElasticConfig(quorum_fraction=0.01).resolve_quorum(2) == 1
 
+    def test_quorum_takes_the_fraction_as_written(self):
+        # 0.56 * 25 is 14.000000000000002 in floats; its ceiling is 15.
+        assert ElasticConfig(quorum_fraction=0.56).resolve_quorum(25) == 14
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ElasticConfig(timeout_s=0)

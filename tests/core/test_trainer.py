@@ -4,7 +4,6 @@ through ``TrainingEngine(LocalBackend)``."""
 import numpy as np
 import pytest
 
-from repro.comm.plugin import MLPlugin
 from repro.comm.serial import SerialCommunicator
 from repro.core.engine import EngineConfig, LocalBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
@@ -215,17 +214,16 @@ class TestTrainer:
     def test_with_single_rank_plugin(self):
         """Paper-style: plugin enabled even on a single node."""
         model = CosmoFlowModel(tiny_16(), seed=0)
-        plugin = MLPlugin(SerialCommunicator()).init()
         engine = local_engine(
             model,
             make_dataset(4),
             EngineConfig(epochs=2),
             val_data=make_dataset(2, seed=5),
-            aggregator=plugin,
+            comm=SerialCommunicator(),
         )
         hist = engine.run()
-        assert plugin.stats.calls == 8  # 4 samples x 2 epochs, batch 1
-        # 4 gradient averages and 1 validation average per epoch.
+        # 4 gradient averages (4 samples, batch 1) and 1 validation
+        # average per epoch.
         assert engine.metrics.value("engine.stage.comm.count") == 10
         assert len(hist.train_loss) == 2
 
@@ -241,7 +239,7 @@ class TestTrainer:
             data,
             cfg,
             opt=OptimizerConfig(),
-            aggregator=MLPlugin(SerialCommunicator()).init(),
+            comm=SerialCommunicator(),
         ).run()
         np.testing.assert_allclose(
             a.get_flat_parameters(), b.get_flat_parameters(), rtol=1e-6, atol=1e-7

@@ -231,7 +231,7 @@ def test_the_walk_reads_lazy_export_tables(tmp_path):
 
 DOCS = sorted((ROOT / "docs").glob("*.md")) + [ROOT / "README.md", ROOT / "DESIGN.md"]
 
-#: A backticked dotted path into the package, e.g. `repro.comm.plugin.MLPlugin`.
+#: A backticked dotted path into the package, e.g. `repro.comm.plugin.PluginConfig`.
 _DOTTED = re.compile(r"`(repro(?:\.\w+)+)")
 
 

@@ -14,6 +14,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 REMOVED = {
+    # One gradient message: every rank flattens its gradients once
+    # (repro.comm.plugin.gradient_message) and a thread or process rank
+    # averages them in one allreduce; the plugin object, its chunk loop,
+    # lifecycle and stats, and the collectives nothing called.  Last
+    # present at 0ed57b7.
+    "plugin object and unused collectives": (
+        r"MLPlugin|PluginStats|threads_per_team|n_chunks|broadcast_parameters|\.barrier\("
+        r"|\.gather\(|allgather\(",
+        ("src", "examples", "benchmarks"),
+    ),
     # The engine counts once: RankContext.timed_stage writes each stage
     # window into the run's metrics registry and tracer, and the loop adds
     # each step's samples to engine.records (docs/observability.md); the
