@@ -8,7 +8,7 @@ worker and communication threads.
 We reproduce the software-level breakdown: a single-rank training run
 (with the plugin enabled, exactly as the paper's single-node profile)
 whose stages are timed — convolution kernels separately from the rest
-of compute, via a timing-wrapped kernel registry — and printed as the
+of compute, by timing the kernels the layers call — and printed as the
 Figure 3 fractions.
 """
 
@@ -24,16 +24,15 @@ from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import CosmoFlowOptimizer
 from repro.core.topology import scaled_32
 from repro.core.trainer import InMemoryData
-from repro.primitives import registry
-from repro.primitives.registry import ConvImpl
+from repro.primitives import conv3d
 
 
 @pytest.fixture()
-def timed_registry(monkeypatch):
-    """Wrap the kernels with a timer, like VTune attributing time to the
-    MKL-DNN hotspots; ``["conv3d"]`` is their summed seconds."""
+def timed_kernels(monkeypatch):
+    """Wrap the kernels the layers call with a timer, like VTune
+    attributing time to the MKL-DNN hotspots; ``["conv3d"]`` is their
+    summed seconds."""
     spent = {"conv3d": 0.0}
-    base = registry.GEMM
 
     def wrap(fn):
         def inner(*args, **kwargs):
@@ -45,18 +44,12 @@ def timed_registry(monkeypatch):
 
         return inner
 
-    monkeypatch.setattr(registry, "GEMM", ConvImpl(
-        name="timed",
-        forward=wrap(base.forward),
-        backward_data=wrap(base.backward_data),
-        backward_weights=wrap(base.backward_weights),
-        pack=wrap(base.pack),
-        backward=wrap(base.backward),
-    ))
+    for name in ("conv3d_pack", "conv3d_forward", "conv3d_backward"):
+        monkeypatch.setattr(conv3d, name, wrap(getattr(conv3d, name)))
     return spent
 
 
-def test_single_node_profile(timed_registry, benchmark):
+def test_single_node_profile(timed_kernels, benchmark):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((12, 1, 32, 32, 32)).astype(np.float32)
     y = rng.uniform(0.2, 0.8, size=(12, 3)).astype(np.float32)
@@ -70,7 +63,7 @@ def test_single_node_profile(timed_registry, benchmark):
     engine = TrainingEngine(backend, EngineConfig(epochs=1, validate=False))
     benchmark.pedantic(engine.run, args=(1,), rounds=1, iterations=1)
 
-    conv_time = timed_registry["conv3d"]
+    conv_time = timed_kernels["conv3d"]
 
     def stage(name):
         return engine.metrics.value(f"engine.stage.{name}.seconds", 0.0)

@@ -375,12 +375,12 @@ def cmd_train(args) -> int:
         tracer = Tracer()
         metrics = MetricsRegistry()
 
-    from repro.primitives import registry as conv_registry
+    from repro.primitives import conv3d
 
     if metrics is not None:
         # Conv kernels count calls/flops/bytes into the same registry
         # the tracer prints.
-        conv_registry.set_metrics(metrics)
+        conv3d.set_metrics(metrics)
 
     try:
         local = args.mode == "local"
@@ -522,7 +522,7 @@ def cmd_train(args) -> int:
         return 0
     finally:
         if metrics is not None:
-            conv_registry.set_metrics(None)
+            conv3d.set_metrics(None)
 
 
 def cmd_trace(args) -> int:

@@ -207,7 +207,7 @@ class ElasticComm(MemberComm):
     """Per-rank handle to a :class:`ThreadedGroup`."""
 
     def __init__(self, rank: int, state: _ElasticState, incarnation: int = 0):
-        super().__init__(rank, state.m, incarnation, guard=state.cond)
+        super().__init__(rank, state.m, incarnation, guard=state.cond, tracer=state.tracer)
         self._st = state
 
     def admit(self, rank: int, payload: Dict[str, np.ndarray], spare: bool = False) -> bool:
@@ -273,13 +273,7 @@ class ElasticComm(MemberComm):
     # -- the one collective engine ----------------------------------------
 
     def _collective(self, kind: str, arg, array: Optional[np.ndarray]):
-        st = self._st
-        if not st.tracer.enabled:
-            payload, members = self._collective_inner((kind, arg), array)
-        else:
-            nbytes = 0 if array is None else int(np.asarray(array).nbytes)
-            with st.tracer.span(kind, cat="comm", track=self._rank, nbytes=nbytes):
-                payload, members = self._collective_inner((kind, arg), array)
+        payload, members = self._collective_inner((kind, arg), array)
         # Every rank reads the one result: each takes its own copy.
         return (None if payload is None else np.array(payload, copy=True)), members
 

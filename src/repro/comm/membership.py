@@ -52,6 +52,7 @@ import numpy as np
 from repro.comm.communicator import Communicator, ReduceOp, reduce_arrays
 from repro.comm.errors import QuorumLostError, RankEvictedError, RankFailedError
 from repro.faults.plan import FaultKind
+from repro.obs.tracer import NULL_TRACER
 from repro.utils import checksum
 from repro.utils.logging import get_logger
 
@@ -267,16 +268,20 @@ class MemberComm(Communicator):
     members)``, returning a payload this rank owns, plus ``admit`` and
     ``await_admission``; ``guard`` is the lock its words are read under.
     ``rank`` and ``size`` keep their *original* values for the life of
-    the group (shards and RNG streams stay stable across shrinks).
+    the group (shards and RNG streams stay stable across shrinks).  Every
+    collective is one ``comm`` span (with its ``nbytes``) on ``tracer``,
+    on this rank's track, whatever the transport.
     """
 
     def __init__(
-        self, rank: int, m: Membership, incarnation: int, guard=contextlib.nullcontext()
+        self, rank: int, m: Membership, incarnation: int, guard=contextlib.nullcontext(),
+        tracer=NULL_TRACER,
     ):
         self._rank = rank
         self._m = m
         self._incarnation = incarnation
         self._guard = guard
+        self._tracer = tracer
         # Membership of the last collective this rank completed.  Unlike
         # a live read of ``active_ranks``, this is fixed at collective
         # completion, so every participant observes the same value for
@@ -310,7 +315,9 @@ class MemberComm(Communicator):
             return self._m.admissions(self.last_members, events)
 
     def _latched(self, kind: str, arg, array: Optional[np.ndarray]):
-        payload, self.last_members = self._collective(kind, arg, array)
+        nbytes = 0 if array is None else array.nbytes
+        with self._tracer.span(kind, cat="comm", track=self._rank, nbytes=nbytes):
+            payload, self.last_members = self._collective(kind, arg, array)
         return payload
 
     def allreduce(self, array: np.ndarray, op: ReduceOp = ReduceOp.SUM) -> np.ndarray:

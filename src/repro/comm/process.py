@@ -58,6 +58,7 @@ from repro.comm.errors import (
     RankFailedError,
 )
 from repro.comm.membership import DEAD, DONE, MemberComm, Membership, resync_crc, root_died
+from repro.obs.tracer import NULL_TRACER
 from repro.utils.logging import get_logger
 from repro.utils.procs import pid_alive
 
@@ -363,7 +364,8 @@ class ProcessComm(MemberComm):
     is the polling, the ``arrive`` / ``heartbeat`` / ``begun`` words, the
     payload slots and the resync files: CRC-stamped files under
     ``run_dir`` rather than in-memory tickets (they exceed the collective
-    slot and must survive the donor).
+    slot and must survive the donor).  ``tracer`` is the worker's own: its
+    collectives' spans reach the parent with the rest of its trace.
     """
 
     def __init__(
@@ -376,8 +378,9 @@ class ProcessComm(MemberComm):
         run_dir,
         incarnation: int = 0,
         poll_s: float = 0.0005,
+        tracer=NULL_TRACER,
     ):
-        super().__init__(rank, layout.membership(ctrl), incarnation)
+        super().__init__(rank, layout.membership(ctrl), incarnation, tracer=tracer)
         self.layout = layout
         self.ctrl = ctrl
         self.data = data_buf

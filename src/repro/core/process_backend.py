@@ -89,7 +89,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.callback import TraceCallback
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.utils.cores import share_cores
 from repro.utils.procs import raise_malloc_thresholds
 
@@ -161,6 +161,7 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
     data_seg = attach_segment(spec["data_name"])
     layout = ShmLayout(spec["world"], spec["payload_bytes"])
     ctrl = layout.ctrl_view(ctrl_seg.buf)
+    tracer = Tracer() if spec["trace"] else NULL_TRACER
     comm = ProcessComm(
         rank,
         layout,
@@ -169,6 +170,7 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
         timeout_s=spec["timeout_s"],
         run_dir=run_dir,
         incarnation=incarnation,
+        tracer=tracer,
     )
     injector = FaultInjector(FaultPlan.from_json(spec["plan_json"]))
     backend = _WorkerBackend(
@@ -184,7 +186,7 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
     engine = TrainingEngine(
         backend,
         config=spec["engine_config"],
-        tracer=Tracer() if spec["trace"] else None,
+        tracer=tracer,
         metrics=MetricsRegistry(),
     )
     # Mirror the parent engine's per-rank hook order; driver-level hooks
@@ -302,11 +304,12 @@ class ProcessBackend(_GroupBackend):
         if el.checkpoint_dir is not None:
             Path(el.checkpoint_dir).mkdir(parents=True, exist_ok=True)
 
-        # Slot capacity: twice the largest payload a collective moves,
-        # one float32 per parameter (the gradient message, the parameter
-        # broadcast, the divergence check's allreduces).
+        # Slot capacity: the largest payload a collective moves, one
+        # float32 per parameter (the gradient message, the parameter
+        # broadcast, the divergence check's allreduces); a larger one
+        # fails loudly in ShmLayout.write_slot.
         probe = CosmoFlowModel(self.model_config, seed=cfg.seed)
-        payload_bytes = 8 * probe.num_parameters + 4096
+        payload_bytes = 4 * probe.num_parameters
 
         own_run_dir = self.run_dir is None
         run_root = (

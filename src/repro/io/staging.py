@@ -155,16 +155,11 @@ class StagedRead(NamedTuple):
 
     path: Path  # the physical file to read
     tier: str  # "bb" | "backing" | "hedge"
-    latency_s: float  # virtual latency charged for this read
 
 
-class _StagedFile:
-    __slots__ = ("path", "nbytes", "last_used")
-
-    def __init__(self, path: Path, nbytes: int, last_used: float):
-        self.path = path
-        self.nbytes = nbytes
-        self.last_used = last_used
+class _StagedFile(NamedTuple):
+    path: Path
+    nbytes: int
 
 
 class StagingManager:
@@ -210,6 +205,8 @@ class StagingManager:
         self.events: List[str] = []
         #: Virtual clock (seconds of injected delay and backoff accrued).
         self.clock_s = 0.0
+        #: Staged copies, least recently used first: a stage-in or a hit
+        #: moves its file to the end, and capacity evicts from the front.
         self._staged: Dict[Path, _StagedFile] = {}
         self._visits: Dict[Path, int] = {}  # per-file read/stage ordinal
         self._breakers = [
@@ -307,6 +304,7 @@ class StagingManager:
         source = Path(source)
         with self._lock:
             if source in self._staged:
+                self._touch(source)
                 return True
             target = self.target_of(source)
             visit = self._next_visit(source)
@@ -351,27 +349,27 @@ class StagingManager:
         except BaseException:
             landing.unlink(missing_ok=True)
             raise
-        self._staged[source] = _StagedFile(dest, len(data), self.clock_s)
+        self._staged[source] = _StagedFile(dest, len(data))
         self.stats.stage_ins += 1
         self.stats.bytes_staged += len(data)
-        self._enforce_capacity(keep=source)
+        self._enforce_capacity()
 
     def stage_all(self, sources: Sequence) -> int:
         """Stage a manifest's shards; returns how many staged cleanly."""
         return sum(1 for s in sources if self.stage(s))
 
-    def _enforce_capacity(self, keep: Optional[Path] = None) -> None:
+    def _touch(self, source: Path) -> None:
+        """Make ``source`` the most recently used staged file."""
+        self._staged[source] = self._staged.pop(source)
+
+    def _enforce_capacity(self) -> None:
+        """Evict least recently used files until the staged bytes fit; the
+        file just staged, last in the order, always stays."""
         cap = self.config.capacity_bytes
         if cap is None:
             return
         while self.staged_bytes > cap and len(self._staged) > 1:
-            victim = min(
-                (p for p in self._staged if p != keep),
-                key=lambda p: self._staged[p].last_used,
-                default=None,
-            )
-            if victim is None:
-                return
+            victim = next(iter(self._staged))
             self._drop(victim)
             self.stats.capacity_evictions += 1
             self._event("lru-evict", victim.name)
@@ -404,7 +402,7 @@ class StagingManager:
         with self._lock:
             self.stats.fallback_reads += 1
             self._event("fallback", source.name)
-        return StagedRead(source, "backing", 0.0)
+        return StagedRead(source, "backing")
 
     def handle_corrupt(self, source) -> StagedRead:
         """A staged copy yielded corrupt records: quarantine it, re-stage
@@ -431,9 +429,9 @@ class StagingManager:
             if self.stage(source):
                 self.stats.restages += 1
                 self._event("restage", source.name)
-                return StagedRead(self._staged[source].path, "bb", 0.0)
+                return StagedRead(self._staged[source].path, "bb")
             self.stats.fallback_reads += 1
-            return StagedRead(source, "backing", 0.0)
+            return StagedRead(source, "backing")
 
     # -- the read path -------------------------------------------------------
 
@@ -459,12 +457,13 @@ class StagingManager:
             allowed = self._allow(target)
             if entry is None and allowed and self.stage(source):
                 entry = self._staged.get(source)
+            elif entry is not None and allowed:
+                self._touch(source)
             if entry is None or not allowed:
                 self.stats.fallback_reads += 1
                 self._event("fallback", source.name)
-                return StagedRead(source, "backing", 0.0)
+                return StagedRead(source, "backing")
             # Hot-tier read, hedged when it stalls past the budget.
-            entry.last_used = self.clock_s
             budget = self.config.hedge_budget_s
             if budget is not None and slow_s > budget:
                 self.stats.hedged_reads += 1
@@ -475,8 +474,8 @@ class StagingManager:
                 self._record_failure(target)
                 self.stats.hedge_wins += 1
                 self._advance(budget)
-                return StagedRead(source, "hedge", budget)
+                return StagedRead(source, "hedge")
             self._advance(slow_s)
             self.stats.bb_reads += 1
             self.breaker(target).record_success()
-            return StagedRead(entry.path, "bb", slow_s)
+            return StagedRead(entry.path, "bb")

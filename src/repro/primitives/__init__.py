@@ -17,8 +17,12 @@ This subpackage provides one exact kernel family:
   specification under ``tests/primitives/algorithm1_reference.py``
   that these kernels are checked against.
 
-The layers reach it through :func:`repro.primitives.registry.get_impl`,
-which adds optional metrics accounting.
+The layers call these kernels directly, as TensorFlow built with
+``--config=mkl`` calls MKL-DNN's.  The kernels count their own passes
+(calls, FLOPs, bytes) on the metrics registry
+:func:`repro.primitives.conv3d.set_metrics` attaches;
+:func:`get_impl` hands a caller that times them one at a time the three
+passes by name.
 
 Average pooling (:mod:`repro.primitives.pool3d`) is implemented as the
 constant-weight special case of convolution, exactly as the paper
@@ -29,7 +33,6 @@ from repro import _lazy
 
 __all__, __getattr__, __dir__ = _lazy(__name__, {
     "conv3d": ("conv3d_forward", "conv3d_backward_data", "conv3d_backward_weights",
-               "conv3d_output_shape"),
+               "conv3d_output_shape", "get_impl"),
     "pool3d": ("avg_pool3d_forward", "avg_pool3d_backward", "pool3d_output_shape"),
-    "registry": ("ConvImpl", "get_impl"),
 })

@@ -78,6 +78,17 @@ creates a layer's primitive once and then only executes it.  The cache
 holds tuples and slices, never an array (outputs and packed operands
 escape to the caller's layer context, so each call allocates its own),
 which keeps it thread-safe and costs no memory worth counting.
+
+Counted where they run
+----------------------
+:func:`set_metrics` attaches a :class:`~repro.obs.metrics.MetricsRegistry`
+(``repro train --trace`` does); while one is attached every kernel call
+adds ``primitives.conv3d.<pass>.{calls,flops,bytes}`` for each pass it
+ran (the Section-III "portion of the computational cost" numbers):
+:func:`conv3d_backward` asked for both gradients counts one
+``backward_data`` and one ``backward_weights`` call.  A grouped call
+counts once, with the FLOPs and bytes of its groups' calls (the weights
+read once per group).  Detached — the default — a call pays one test.
 """
 
 from __future__ import annotations
@@ -85,6 +96,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import types
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -100,6 +112,9 @@ __all__ = [
     "conv3d_backward",
     "conv3d_backward_data",
     "conv3d_backward_weights",
+    "get_impl",
+    "get_metrics",
+    "set_metrics",
 ]
 
 Shape3 = Tuple[int, int, int]
@@ -113,6 +128,34 @@ def _triple(v) -> Shape3:
     if len(t) != 3:
         raise ValueError(f"expected scalar or length-3 value, got {v!r}")
     return t
+
+
+#: When set (:func:`set_metrics`), kernel calls are counted here.
+_metrics = None
+
+
+def set_metrics(registry) -> None:
+    """Attach a metrics registry that every later kernel call counts its
+    passes on; ``None`` detaches it."""
+    global _metrics
+    _metrics = registry
+
+
+def get_metrics():
+    """The attached metrics registry (``None`` when off)."""
+    return _metrics
+
+
+def _count(op: str, geo: _Geometry, oc: int, nbytes: int) -> None:
+    """Count one ``op`` pass of the convolution ``geo`` describes, with
+    ``oc`` output channels and ``nbytes`` moved, on the attached registry.
+    All three passes make the same ``N*OC*IC*OD*OH*OW*KD*KH*KW``
+    multiply-adds, 2 FLOPs each, contracted over different axes."""
+    ic, n = geo.packed_shape[0], geo.packed_shape[4]
+    flops = 2 * n * oc * ic * math.prod(geo.plan.out_shape) * math.prod(geo.plan.kernel)
+    _metrics.counter(f"primitives.conv3d.{op}.calls").add(1)
+    _metrics.counter(f"primitives.conv3d.{op}.flops").add(flops)
+    _metrics.counter(f"primitives.conv3d.{op}.bytes").add(nbytes)
 
 
 #: Distinct shape keys kept per cached builder (a network has a handful).
@@ -399,9 +442,9 @@ def conv3d_forward(
         batched inference call never holds batch-sized buffers.
     groups
         As in :func:`conv3d_backward`.  A sample's output never depends on
-        another's, so the forward ignores it; it is part of the calling
-        convention so that the metrics wrapper can count the weights once
-        per group, as that many calls would read them.
+        another's, so the forward computes nothing differently; the
+        counters read the weights once per group, as that many calls
+        would.
 
     Returns
     -------
@@ -421,33 +464,36 @@ def conv3d_forward(
     if packed is not None:
         _check_packed(packed, geo)
         _gemm_sum_taps(a, packed, bias, out, plan)
-        return out.astype(x.dtype, copy=False)
-
-    xp = _pad_input(x, geo.padding)
-    od = plan.out_shape[0]
-    sd, kd = plan.stride[0], plan.kernel[0]
-    slab = max(1, min(od, _PACK_MAX_ELEMS // geo.plane_elems))
-    units = collections.deque(
-        (b, d0, min(d0 + slab, od)) for b in range(n) for d0 in range(0, od, slab)
-    )
-
-    def run():
-        # A deque's pops are thread-safe: each unit, and so each slice of
-        # ``out``, goes to exactly one thread.
-        while True:
-            try:
-                b, d0, d1 = units.popleft()
-            except IndexError:
-                return
-            part = plan._replace(out_shape=(d1 - d0,) + plan.out_shape[1:])
-            rows = _pack(xp[b : b + 1, :, sd * d0 : sd * (d1 - 1) + kd], part)
-            _gemm_sum_taps(a, rows, bias, out[b : b + 1, :, d0:d1], part)
-
-    if len(units) > 1 and helper_pays(w.shape[0] * geo.gemm_macs_per_oc // 2):
-        beside_helper(run, run)
     else:
-        run()
-    return out.astype(x.dtype, copy=False)
+        xp = _pad_input(x, geo.padding)
+        od = plan.out_shape[0]
+        sd, kd = plan.stride[0], plan.kernel[0]
+        slab = max(1, min(od, _PACK_MAX_ELEMS // geo.plane_elems))
+        units = collections.deque(
+            (b, d0, min(d0 + slab, od)) for b in range(n) for d0 in range(0, od, slab)
+        )
+
+        def run():
+            # A deque's pops are thread-safe: each unit, and so each slice
+            # of ``out``, goes to exactly one thread.
+            while True:
+                try:
+                    b, d0, d1 = units.popleft()
+                except IndexError:
+                    return
+                part = plan._replace(out_shape=(d1 - d0,) + plan.out_shape[1:])
+                rows = _pack(xp[b : b + 1, :, sd * d0 : sd * (d1 - 1) + kd], part)
+                _gemm_sum_taps(a, rows, bias, out[b : b + 1, :, d0:d1], part)
+
+        if len(units) > 1 and helper_pays(w.shape[0] * geo.gemm_macs_per_oc // 2):
+            beside_helper(run, run)
+        else:
+            run()
+    out = out.astype(x.dtype, copy=False)
+    if _metrics is not None:
+        reads = 1 if groups is None else len(groups)
+        _count("forward", geo, w.shape[0], x.nbytes + reads * w.nbytes + out.nbytes)
+    return out
 
 
 def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bias=False,
@@ -457,7 +503,8 @@ def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bia
     given, the weight gradient when ``x`` is (on ``packed`` if that is
     too), the bias gradient ``with_bias`` — from one shifted gradient.
     With ``groups`` the weight and bias gradients are one per group (see
-    :func:`conv3d_backward`), stacked along a leading axis."""
+    :func:`conv3d_backward`), stacked along a leading axis.  Counts each
+    pass it ran (see *Counted where they run*)."""
     plan = geo.plan
     if grad_out.shape[2:] != plan.out_shape:
         raise ValueError(
@@ -524,6 +571,13 @@ def _backward(geo: _Geometry, grad_out, *, w=None, x=None, packed=None, with_bia
         grad_x = input_grad() if w is not None else None
         grad_w = weight_grad() if x is not None else None
         grad_b = bias_grad()
+    if _metrics is not None:
+        oc = grad_out.shape[1]
+        if grad_x is not None:
+            _count("backward_data", geo, oc,
+                   grad_out.nbytes + len(spans) * w.nbytes + grad_x.nbytes)
+        if grad_w is not None:
+            _count("backward_weights", geo, oc, x.nbytes + grad_out.nbytes + grad_w.nbytes)
     if groups is None:
         grad_w = None if grad_w is None else grad_w[0]
         grad_b = None if grad_b is None else grad_b[0]
@@ -628,3 +682,17 @@ def conv3d_backward_weights(
     geo = _geometry(n, ic, x.shape[2:], kernel, stride, padding)
     _, grad_w, grad_b = _backward(geo, grad_out, x=x, packed=packed, with_bias=with_bias)
     return (grad_w, grad_b) if with_bias else grad_w
+
+
+#: The per-pass kernels, by pass.
+_PASSES = types.SimpleNamespace(
+    forward=conv3d_forward,
+    backward_data=conv3d_backward_data,
+    backward_weights=conv3d_backward_weights,
+)
+
+
+def get_impl() -> types.SimpleNamespace:
+    """The kernels by pass — ``forward``, ``backward_data`` and
+    ``backward_weights`` — for a caller that times them one at a time."""
+    return _PASSES

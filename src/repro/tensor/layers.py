@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, List
 
 import numpy as np
 
-from repro import primitives
+from repro.primitives import conv3d
 from repro.primitives.pool3d import avg_pool3d_backward, avg_pool3d_forward
 from repro.tensor import initializers
 from repro.tensor.tensor import Parameter, Tensor, _grad_enabled
@@ -107,9 +107,10 @@ class Conv3D(Layer):
     """3D convolution layer with optional bias.
 
     Weights are ``(OC, IC, KD, KH, KW)``, He-initialized for leaky ReLU.
-    The kernels come from :func:`repro.primitives.registry.get_impl` on
-    every call (the metrics-counting wrapper while ``set_metrics`` is
-    attached).  A kept forward packs its input once and hands the packed
+    It calls the kernels of :mod:`repro.primitives.conv3d`, which count
+    their own passes while a metrics registry is attached
+    (:func:`~repro.primitives.conv3d.set_metrics`).  A kept forward packs
+    its input once and hands the packed
     operand to the backward's weight-gradient GEMM; one without ``keep``
     leaves packing (sample by sample) to the kernel, as does a ``pack``
     that returns ``None`` (an operand too large to hold until the
@@ -156,18 +157,17 @@ class Conv3D(Layer):
         return (self.weight,) if self.bias is None else (self.weight, self.bias)
 
     def forward(self, x, keep=False, groups=None):
-        # Through the package: the registry loads on the first convolution,
-        # not with every process that imports a layer.
-        kernels = primitives.get_impl()
         w = self.weight.data
-        packed = kernels.pack(x, w.shape[2:], self.stride, self.padding) if keep else None
+        packed = conv3d.conv3d_pack(x, w.shape[2:], self.stride, self.padding) if keep else None
         b = None if self.bias is None else self.bias.data
-        out = kernels.forward(x, w, b, self.stride, self.padding, packed=packed, groups=groups)
-        return out, ((kernels, x, packed, groups) if keep else None)
+        out = conv3d.conv3d_forward(
+            x, w, b, self.stride, self.padding, packed=packed, groups=groups
+        )
+        return out, ((x, packed, groups) if keep else None)
 
     def backward(self, ctx, g, need_input_grad=True):
-        kernels, x, packed, groups = ctx
-        grads = kernels.backward(
+        x, packed, groups = ctx
+        grads = conv3d.conv3d_backward(
             x, np.ascontiguousarray(g), self.weight.data, self.stride, self.padding,
             with_bias=self.bias is not None,
             need_input_grad=need_input_grad,
@@ -177,12 +177,10 @@ class Conv3D(Layer):
         return grads if self.bias is not None else grads[:2]
 
     def output_shape(self, input_shape):
-        from repro.primitives.conv3d import conv3d_output_shape
-
         c, *spatial = input_shape
         if c != self.in_channels:
             raise ValueError(f"{self.name}: expected {self.in_channels} channels, got {c}")
-        return (self.out_channels,) + conv3d_output_shape(
+        return (self.out_channels,) + conv3d.conv3d_output_shape(
             tuple(spatial), self.kernel, self.stride, self.padding
         )
 

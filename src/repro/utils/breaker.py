@@ -1,5 +1,5 @@
-"""The three-state circuit breaker the staging tier (one per burst-buffer
-target) and the serving tier (one per replica) both trip.
+"""The three-state circuit breaker the staging tier trips, one per
+burst-buffer target.
 
 It keeps no clock: every call is handed ``now``, so whoever owns the
 (virtual) clock owns the transitions and a seed replays them exactly.
@@ -23,9 +23,8 @@ class BreakerState(enum.Enum):
 class CircuitBreaker:
     """Per-target failure accounting with OPEN/HALF_OPEN/CLOSED states.
 
-    Driven entirely by an external clock value (the staging manager's or
-    the serving tier's virtual clock), so transitions are deterministic
-    under simulation.
+    Driven entirely by an external clock value (the staging manager's
+    virtual clock), so transitions are deterministic under simulation.
     """
 
     def __init__(self, name: str, threshold: int = 3, reset_s: float = 30.0):

@@ -162,7 +162,9 @@ class TestPreamble:
 @pytest.mark.parametrize("backend_cls", [ThreadedBackend, ProcessBackend])
 def test_a_step_is_one_gradient_and_one_loss_reduction(backend_cls, tmp_path, monkeypatch):
     """2 reductions a step, plus the divergence check's 2 at run end; the
-    preamble broadcasts rank 0's parameters as one message."""
+    preamble broadcasts rank 0's parameters as one message.  Thread and
+    process ranks alike leave one ``comm`` span per collective on their
+    own track."""
     monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
     tracer = Tracer()
     backend = backend_cls(
@@ -172,6 +174,9 @@ def test_a_step_is_one_gradient_and_one_loss_reduction(backend_cls, tmp_path, mo
     engine.run()
     steps = 2 * 4  # 2 epochs of 8 samples over 2 ranks at batch 1
     assert engine.group_stats["reductions"] == 2 * steps + 2
-    if backend_cls is ThreadedBackend:
-        bcasts = [e.track for e in tracer.ordered() if e.name == "bcast"]
-        assert sorted(bcasts) == [0, 1]
+
+    def tracks(name):
+        return sorted(e.track for e in tracer.ordered() if e.name == name and e.cat == "comm")
+
+    assert tracks("allreduce") == [0] * (2 * steps + 2) + [1] * (2 * steps + 2)
+    assert tracks("bcast") == [0, 1]

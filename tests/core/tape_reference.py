@@ -16,24 +16,23 @@ import math
 
 import numpy as np
 
+from repro.primitives import conv3d as kernels
 from repro.primitives.pool3d import avg_pool3d_backward, avg_pool3d_forward
-from repro.primitives.registry import get_impl
 from repro.tensor.tensor import Tensor, _grad_enabled
 
 
 def conv3d(x, w, b, stride, padding):
-    kernels = get_impl()
     has_bias = b is not None
     taped = _grad_enabled() and (w.requires_grad or (has_bias and b.requires_grad))
     shared = (
-        {"packed": kernels.pack(x.data, w.shape[2:], stride, padding)}
-        if taped and kernels.pack is not None
-        else {}
+        {"packed": kernels.conv3d_pack(x.data, w.shape[2:], stride, padding)} if taped else {}
     )
-    out = kernels.forward(x.data, w.data, b.data if has_bias else None, stride, padding, **shared)
+    out = kernels.conv3d_forward(
+        x.data, w.data, b.data if has_bias else None, stride, padding, **shared
+    )
 
     def backward(g):
-        grads = kernels.backward(
+        grads = kernels.conv3d_backward(
             x.data, np.ascontiguousarray(g), w.data, stride, padding,
             with_bias=has_bias,
             need_input_grad=x.requires_grad,

@@ -172,16 +172,16 @@ class TestSteppedGroupsMatchThreaded:
         byte counters are three thread ranks' and its call counters a
         third of theirs: one grouped call stands for the ranks' three."""
         from repro.obs import MetricsRegistry
-        from repro.primitives import registry
+        from repro.primitives import conv3d
 
         counted = {}
         for mode in ("stepped", "threaded"):
             metrics = MetricsRegistry()
-            registry.set_metrics(metrics)
+            conv3d.set_metrics(metrics)
             try:
                 run_engine(mode, 3, epochs=1, validate=False)
             finally:
-                registry.set_metrics(None)
+                conv3d.set_metrics(None)
             counted[mode] = {
                 k: v for k, v in metrics.snapshot().items() if k.startswith("primitives.conv3d.")
             }

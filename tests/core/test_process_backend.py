@@ -15,6 +15,9 @@ import multiprocessing
 
 import numpy as np
 
+from repro.comm.plugin import PluginConfig
+from repro.comm.process import ShmLayout
+from repro.core import process_backend
 from repro.core.elastic import ElasticConfig
 from repro.core.engine import (
     EngineConfig,
@@ -161,3 +164,32 @@ class TestNoLeaks:
             assert multiprocessing.active_children() == []
             assert sweep_stale_segments() == []
         assert not list(registry.glob("*.json"))
+
+
+class TestSlotSize:
+    def test_a_slot_holds_one_float32_per_parameter(self, tmp_path, monkeypatch):
+        """The largest payload a collective moves is one float32 per
+        parameter, fp16 training with top-k compression included, and a
+        slot is that large: a larger payload fails the run in
+        ``ShmLayout.write_slot``."""
+        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
+        layouts = []
+
+        class Recorded(ShmLayout):
+            def __init__(self, *args):
+                super().__init__(*args)
+                layouts.append(self)
+
+        monkeypatch.setattr(process_backend, "ShmLayout", Recorded)
+        backend = ProcessBackend(
+            tiny_16(), make_dataset(8),
+            optimizer_config=OptimizerConfig(eta0=5e-3, decay_steps=50, precision="fp16"),
+            n_ranks=2, plugin_config=PluginConfig(compression="topk"),
+        )
+        engine = TrainingEngine(backend, EngineConfig(epochs=1))
+        history = engine.run()
+        assert len(history.train_loss) == 1 and np.isfinite(history.train_loss).all()
+        assert [layout.payload_bytes for layout in layouts] == [
+            4 * engine.final_model.num_parameters
+        ]
+

@@ -5,11 +5,12 @@ Python function calls: the chain's loops, each layer's forward and
 backward, the kernels' Python and NumPy's own Python wrappers.  Counting
 them (``sys.setprofile`` ``call`` events — no clock) catches per-step
 bookkeeping creeping back, on any host, without a timing to flake.  The
-pins are the counts once the kernel lookup lost its name table (the chain
-first made 125 and 170, the tape's step 263 and 355, counted the same
-way) plus a small margin for NumPy's wrappers.  A stepped backend's
-``compute`` for four ranks runs their batches as the groups of one pass,
-so it is pinned too (it was 494 as four one-group calls).  ``python
+pins are the counts once ``Conv3D`` called the kernels directly, with no
+lookup (127 and 171 before; the chain first made 125 and 170, the tape's
+step 263 and 355, counted the same way), plus a small margin for NumPy's
+wrappers.  A stepped backend's ``compute`` for four ranks runs their
+batches as the groups of one pass, so it is pinned too (197; 200 with
+the lookup, 494 as four one-group calls).  ``python
 -m tests.core.test_step_calls`` prints the counts (it needs no pytest).
 """
 
@@ -25,10 +26,10 @@ from repro.core.trainer import InMemoryData
 from repro.utils import cores
 
 #: Calls per warm ``loss_and_gradients``: (count when pinned, margin).
-PINNED = {"tiny_16": (122, 8), "scaled_32": (166, 8)}
+PINNED = {"tiny_16": (124, 6), "scaled_32": (167, 6)}
 #: Calls per warm stepped ``compute`` of four ``tiny_16`` ranks at
 #: mini-batch 1: (count when pinned, margin).
-STEPPED4_PINNED = (200, 16)
+STEPPED4_PINNED = (197, 16)
 PRESETS = {"tiny_16": tiny_16, "scaled_32": scaled_32}
 
 

@@ -325,10 +325,10 @@ class TestCommandsSlow:
         )
         out = capsys.readouterr().out
         assert "primitives.conv3d.forward.calls" in out
-        # Global registry state restored after the run.
-        from repro.primitives import registry
+        # The kernels' registry detached after the run.
+        from repro.primitives import conv3d
 
-        assert registry.get_metrics() is None
+        assert conv3d.get_metrics() is None
 
     def test_train_distributed_modes(self, tmp_path, capsys):
         """The train command drives every engine backend via --mode."""

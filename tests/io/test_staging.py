@@ -130,6 +130,16 @@ class TestStageIn:
         assert not mgr.is_staged(record_files[0])  # oldest evicted
         assert mgr.stats.capacity_evictions == 1
 
+    def test_a_reread_file_is_not_the_one_evicted(self, tmp_path, record_files):
+        """Recency is the order of reads, not of stage-ins: the file read
+        again just before the buffer fills stays, the other one goes."""
+        f0, f1, f2 = record_files
+        mgr = make_manager(tmp_path, capacity_bytes=2 * f0.stat().st_size + 1)
+        for source in (f0, f1, f0, f2):
+            assert mgr.read(source).tier == "bb"
+        assert [e for e in mgr.events if e.startswith("lru-evict")] == [f"lru-evict:{f1.name}"]
+        assert mgr.is_staged(f0) and not mgr.is_staged(f1) and mgr.is_staged(f2)
+
 
 class TestLandingVerification:
     """A copy that lands in the burst buffer differing from the bytes

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.obs.metrics import MetricsRegistry
 from repro.primitives import conv3d as kernels
-from repro.primitives import registry
 from repro.primitives.conv3d import (
     conv3d_backward,
     conv3d_backward_data,
@@ -282,54 +281,15 @@ class TestGeometryRecord:
 
 
 class TestComposedBackward:
-    """A family patched in whose ``backward`` is the two per-pass kernels
-    run one after the other: the layer calls it once per convolution and
-    the counters see both passes."""
+    """The layer's backward is one kernel call per convolution, counted as
+    the passes it ran."""
 
     def teardown_method(self):
-        registry.set_metrics(None)
-
-    def test_composed_backward_runs_both_passes_and_counts_them(self, monkeypatch):
-        calls = []
-
-        def backward(x, grad_out, w, stride=1, padding=0, *, with_bias, need_input_grad,
-                     packed, groups):
-            assert groups is None  # an ungrouped step
-            calls.append("data")
-            gx = conv3d_backward_data(grad_out, w, x.shape[2:], stride, padding)
-            calls.append("weights")
-            gw = conv3d_backward_weights(
-                x, grad_out, w.shape[2:], stride, padding, with_bias=with_bias, packed=packed
-            )
-            return (gx, *gw) if with_bias else (gx, gw, None)
-
-        monkeypatch.setattr(registry, "GEMM", registry.ConvImpl(
-            name="two_pass",
-            forward=kernels.conv3d_forward,
-            backward_data=conv3d_backward_data,
-            backward_weights=conv3d_backward_weights,
-            pack=conv3d_pack,
-            backward=backward,
-        ))
-        metrics = MetricsRegistry()
-        registry.set_metrics(metrics)
-
-        x, w, g = make_case(11, 1, 16, 8, (6, 6, 6), (3, 3, 3), 1, 0)
-        xt, wt, bt = Parameter(x), Parameter(w), Parameter(np.zeros(8, dtype=np.float32))
-        for n_convs in (1, 2):
-            xt.zero_grad(), wt.zero_grad(), bt.zero_grad()
-            conv(wt, bt)(xt).backward(g)
-            assert calls == ["data", "weights"] * n_convs
-            for op in ("backward_data", "backward_weights"):
-                assert metrics.counter(f"primitives.conv3d.{op}.calls").value == n_convs
-        np.testing.assert_array_equal(xt.grad, reference.conv3d_backward_data(g, w, (6, 6, 6)))
-        want_w, want_b = reference.conv3d_backward_weights(x, g, (3, 3, 3), with_bias=True)
-        np.testing.assert_array_equal(wt.grad, want_w)
-        np.testing.assert_array_equal(bt.grad, want_b)
+        kernels.set_metrics(None)
 
     def test_gemm_counts_each_pass_once_per_conv_from_one_call(self):
         metrics = MetricsRegistry()
-        registry.set_metrics(metrics)
+        kernels.set_metrics(metrics)
         x, w, g = make_case(12, 1, 16, 8, (6, 6, 6), (3, 3, 3), 1, 0)
         xt, wt = Parameter(x), Parameter(w)
         conv(wt)(xt).backward(g)

@@ -1,4 +1,4 @@
-"""Tests for the kernel lookup and its metrics accounting."""
+"""Tests for the one kernel family and the kernels' own metrics accounting."""
 
 import re
 
@@ -7,8 +7,13 @@ import pytest
 
 from repro import primitives
 from repro.obs import MetricsRegistry
-from repro.primitives import registry
-from repro.primitives.registry import GEMM, ConvImpl, get_impl, set_metrics
+from repro.primitives.conv3d import (
+    conv3d_backward_data,
+    conv3d_backward_weights,
+    conv3d_forward,
+    get_impl,
+    set_metrics,
+)
 from repro.tensor.tensor import Tensor
 
 
@@ -16,32 +21,6 @@ from repro.tensor.tensor import Tensor
 def detach_metrics():
     yield
     set_metrics(None)
-
-
-class TestRegistry:
-    def test_default_is_gemm(self):
-        assert get_impl() is GEMM and GEMM.name == "gemm"
-
-    def test_pack_survives_instrumentation(self):
-        """The counting wrappers must hand the packed operand through and
-        count the calls as before."""
-        metrics = MetricsRegistry()
-        set_metrics(metrics)
-        k = get_impl()
-        assert k is not GEMM and k.pack is GEMM.pack
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((1, 16, 5, 5, 5)).astype(np.float32)
-        w = rng.standard_normal((4, 16, 3, 3, 3)).astype(np.float32)
-        g = rng.standard_normal((1, 4, 3, 3, 3)).astype(np.float32)
-        packed = k.pack(x, (3, 3, 3), 1, 0)
-        np.testing.assert_array_equal(k.forward(x, w, None, 1, 0, packed=packed), k.forward(x, w))
-        np.testing.assert_array_equal(
-            k.backward_weights(x, g, (3, 3, 3), 1, 0, packed=packed),
-            k.backward_weights(x, g, (3, 3, 3)),
-        )
-        snap = metrics.snapshot()
-        assert snap["primitives.conv3d.forward.calls"] == 2
-        assert snap["primitives.conv3d.backward_weights.calls"] == 2
 
 
 class TestOneFamily:
@@ -64,32 +43,6 @@ class TestOneFamily:
 
 
 class TestRegisterImpl:
-    def test_replace_invalidates_instrumented_wrappers(self, monkeypatch):
-        """A family patched in must not be shadowed by a stale instrumented
-        wrapper around its predecessor."""
-        metrics = MetricsRegistry()
-        set_metrics(metrics)
-        x = np.zeros((1, 2, 3, 3, 3), dtype=np.float32)
-        w = np.zeros((2, 2, 2, 2, 2), dtype=np.float32)
-        get_impl().forward(x, w)  # builds + caches the wrapper
-        calls = []
-
-        def spy_forward(xx, ww, bias=None, stride=1, padding=0, packed=None):
-            calls.append("hit")
-            return GEMM.forward(xx, ww, bias, stride=stride, padding=padding, packed=packed)
-
-        monkeypatch.setattr(registry, "GEMM", ConvImpl(
-            name="gemm",
-            forward=spy_forward,
-            backward_data=GEMM.backward_data,
-            backward_weights=GEMM.backward_weights,
-            pack=GEMM.pack,
-            backward=GEMM.backward,
-        ))
-        get_impl().forward(x, w)
-        assert calls == ["hit"]  # wrapper was rebuilt over the new family
-        assert metrics.snapshot()["primitives.conv3d.forward.calls"] == 2
-
     def test_set_metrics_invalidates_instrumented_wrappers(self):
         """Counters must land on the currently attached registry, never a
         previously attached one."""
@@ -97,9 +50,37 @@ class TestRegisterImpl:
         set_metrics(first)
         x = np.zeros((1, 2, 3, 3, 3), dtype=np.float32)
         w = np.zeros((2, 2, 2, 2, 2), dtype=np.float32)
-        get_impl().forward(x, w)
+        conv3d_forward(x, w)
         second = MetricsRegistry()
         set_metrics(second)
-        get_impl().forward(x, w)
+        conv3d_forward(x, w)
         assert first.snapshot()["primitives.conv3d.forward.calls"] == 1
         assert second.snapshot()["primitives.conv3d.forward.calls"] == 1
+
+
+class TestPerPassKernelsCountThemselves:
+    def test_each_pass_called_alone_counts_one_call(self):
+        metrics = MetricsRegistry()
+        set_metrics(metrics)
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 4, 6, 6, 6)).astype(np.float32)
+        w = rng.standard_normal((8, 4, 3, 3, 3)).astype(np.float32)
+        g = rng.standard_normal((2, 8, 4, 4, 4)).astype(np.float32)
+        gx = conv3d_backward_data(g, w, (6, 6, 6))
+        gw, gb = conv3d_backward_weights(x, g, (3, 3, 3), with_bias=True)
+        flops = 2 * 2 * 8 * 4 * 4**3 * 27
+        assert {k: v for k, v in metrics.snapshot().items() if "backward" in k} == {
+            "primitives.conv3d.backward_data.calls": 1,
+            "primitives.conv3d.backward_data.flops": flops,
+            "primitives.conv3d.backward_data.bytes": g.nbytes + w.nbytes + gx.nbytes,
+            "primitives.conv3d.backward_weights.calls": 1,
+            "primitives.conv3d.backward_weights.flops": flops,
+            "primitives.conv3d.backward_weights.bytes": x.nbytes + g.nbytes + gw.nbytes,
+        }
+
+    def test_the_pass_namespace_is_the_kernels(self):
+        kernels = get_impl()
+        assert kernels is primitives.get_impl()
+        assert (kernels.forward, kernels.backward_data, kernels.backward_weights) == (
+            conv3d_forward, conv3d_backward_data, conv3d_backward_weights
+        )
