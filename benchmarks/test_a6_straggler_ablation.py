@@ -128,10 +128,10 @@ def test_measured_sync_vs_ssgd(benchmark):
         f"{'late folds':>12}",
     ]
     for b in bounds:
-        g = groups[b]
+        g, s = groups[b], groups[b].stats()
         lines.append(
             f"{b:>6}{g.virtual_time_s:>13.3f}{sync_vt / g.virtual_time_s:>8.2f}x"
-            f"{g.max_staleness:>11}{g.late_folds:>12}"
+            f"{s['max_staleness']:>11}{s['late_folds']:>12}"
         )
     save_report("a6_sync_vs_ssgd", "\n".join(lines))
 
@@ -143,4 +143,4 @@ def test_measured_sync_vs_ssgd(benchmark):
     assert all(a >= b for a, b in zip(vts, vts[1:]))
     assert groups[4].virtual_time_s < sync_vt / 2
     for b in bounds[1:]:
-        assert groups[b].max_staleness <= b
+        assert groups[b].stats()["max_staleness"] <= b

@@ -61,7 +61,7 @@ def train_through(dataset, seed=0):
     engine = TrainingEngine(backend, EngineConfig(epochs=EPOCHS, validate=False))
     t0 = time.perf_counter()
     hist = engine.run()
-    return hist, time.perf_counter() - t0, pipe.stats
+    return hist, time.perf_counter() - t0
 
 
 def run_at_rate(
@@ -111,13 +111,13 @@ def run_at_rate(
     )
     manager.stage_all(record_files)
     dataset = RecordDataset(record_files, strict=False, staging=manager)
-    hist, elapsed, stats = train_through(dataset)
+    hist, elapsed = train_through(dataset)
     s = manager.stats
     return {
         "plan": plan,
         "loss": hist.train_loss[-1],
         "time": elapsed,
-        "skipped": stats.records_skipped,
+        "skipped": dataset.records_skipped,
         "hedges": s.hedged_reads,
         "hedge_wins": s.hedge_wins,
         "trips": s.breaker_trips,
@@ -130,7 +130,7 @@ def run_at_rate(
 
 def test_storage_fault_sweep(benchmark, record_files, tmp_path):
     # Baseline: no staging tier at all (direct backing-store reads).
-    direct_hist, _, _ = train_through(RecordDataset(record_files))
+    direct_hist, _ = train_through(RecordDataset(record_files))
 
     # (stage_fail, target_slow, bb_evict, corrupt records) to sweep.
     rates = [
@@ -213,7 +213,7 @@ def test_staging_decisions_deterministic(record_files, tmp_path):
         )
         manager.stage_all(record_files)
         dataset = RecordDataset(record_files, strict=False, staging=manager)
-        hist, _, _ = train_through(dataset)
+        hist, _ = train_through(dataset)
         return manager.events, manager.stats.as_dict(), hist.train_loss
 
     events_a, stats_a, loss_a = once("a")

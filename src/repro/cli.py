@@ -740,9 +740,9 @@ def cmd_stage(args) -> int:
     )
     try:
         with interruptible():
-            staged = manager.stage_all(paths)
-            print(f"staged {staged}/{len(paths)} shards "
-                  f"({manager.staged_bytes / 1e6:.1f} MB in burst buffer)")
+            # The verification pass stages each shard on its first read,
+            # so a burst buffer smaller than the split evicts only what
+            # has been read.
             dataset = RecordDataset(paths, strict=args.strict, staging=manager)
             delivered = sum(
                 len(x)
@@ -759,6 +759,9 @@ def cmd_stage(args) -> int:
         print(manager.stats.describe())
         print(f"FAILED: verification read pass died: {exc}")
         return 1
+    staged = sum(manager.is_staged(p) for p in paths)
+    print(f"staged {staged}/{len(paths)} shards "
+          f"({manager.staged_bytes / 1e6:.1f} MB in burst buffer)")
     skipped = dataset.records_skipped
     print(f"verification pass: {delivered} records delivered, {skipped} skipped")
     print(manager.stats.describe())

@@ -35,6 +35,9 @@ persistent straggler — demotes it to an asynchronous contributor whose
 gradients no longer gate the quorum and are dropped when they exceed
 the bound — and **rehabilitates** it after consecutive healthy
 deliveries.
+
+The group counts once, in its metrics registry (``stale.*``), and
+:meth:`StaleGroup.stats` reads its totals back from there.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ import numpy as np
 
 from repro.comm.communicator import ReduceOp, reduce_arrays
 from repro.comm.membership import quorum_size
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["StalenessConfig", "StragglerMonitor", "StaleGroup", "STALE_MODES"]
 
@@ -124,19 +129,15 @@ class StragglerMonitor:
     decision sequence is a pure function of the delay schedule.
     """
 
-    def __init__(self, n_ranks: int, config: StalenessConfig, metrics=None, tracer=None):
+    def __init__(self, n_ranks: int, config: StalenessConfig, metrics=None):
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         self.n_ranks = n_ranks
         self.config = config
-        self.metrics = metrics
-        self.tracer = tracer
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.ewma: Dict[int, float] = {}
         self._slow_strikes: Dict[int, int] = {}
         self._healthy_strikes: Dict[int, int] = {}
-        #: ``(rank, step)`` decision logs, in decision order.
-        self.quarantine_log: List[Tuple[int, int]] = []
-        self.rehab_log: List[Tuple[int, int]] = []
 
     def _median_of_others(self, rank: int) -> Optional[float]:
         others = [v for r, v in self.ewma.items() if r != rank]
@@ -157,8 +158,7 @@ class StragglerMonitor:
         prev = self.ewma.get(rank)
         ew = duration_s if prev is None else EWMA_ALPHA * duration_s + (1.0 - EWMA_ALPHA) * prev
         self.ewma[rank] = ew
-        if self.metrics is not None:
-            self.metrics.gauge(f"stale.rank{rank}.latency_ewma_s").set(ew)
+        self.metrics.gauge(f"stale.rank{rank}.latency_ewma_s").set(ew)
         if not self.config.monitor_enabled:
             return None
         median = self._median_of_others(rank)
@@ -172,7 +172,6 @@ class StragglerMonitor:
             if self._slow_strikes[rank] >= QUARANTINE_AFTER:
                 self._slow_strikes[rank] = 0
                 self._healthy_strikes[rank] = 0
-                self.quarantine_log.append((rank, step))
                 return "quarantine"
         else:
             # Rehabilitation judges raw delivery latency, not the EWMA:
@@ -185,7 +184,6 @@ class StragglerMonitor:
             if self._healthy_strikes[rank] >= REHAB_AFTER:
                 self._healthy_strikes[rank] = 0
                 self._slow_strikes[rank] = 0
-                self.rehab_log.append((rank, step))
                 return "rehabilitate"
         return None
 
@@ -222,6 +220,9 @@ class StaleGroup:
     :func:`~repro.comm.communicator.reduce_arrays` — the same kernel
     the synchronous backends reduce with, which is what makes
     ``staleness_bound=0`` bitwise identical to them.
+
+    ``metrics`` defaults to a fresh registry (``StaleBackend`` passes
+    the engine's) and ``tracer`` to :data:`~repro.obs.tracer.NULL_TRACER`.
     """
 
     def __init__(
@@ -243,8 +244,8 @@ class StaleGroup:
         self.mode = mode
         self.injector = injector
         self.monitor = monitor
-        self.metrics = metrics
-        self.tracer = tracer
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.tracer = tracer if tracer is not None else NULL_TRACER
         #: The group's virtual clock: the close time of the last step.
         self.now = 0.0
         self._in_flight: Dict[int, _InFlight] = {}
@@ -252,18 +253,9 @@ class StaleGroup:
         self.quarantined: set = set()
         self._window_acc: List[_InFlight] = []
         self._last_flush_step = -1
-        # -- statistics (all deterministic under a seeded schedule) --
         self.reductions = 0
         self.bytes_reduced = 0
-        self.contributions = [0] * size
-        self.late_folds = 0
-        self.dropped_stale = 0
-        self.max_staleness = 0
         self.bound_waits = 0
-        self.quarantines = 0
-        self.rehabs = 0
-        self.ever_quarantined: set = set()
-        self.ever_rehabilitated: set = set()
 
     # -- the two-phase step API ----------------------------------------------
 
@@ -312,9 +304,7 @@ class StaleGroup:
                 if m.rank in self.quarantined and staleness > cfg.staleness_bound:
                     # An async contributor's gradient past the bound is
                     # discarded rather than folded stale.
-                    self.dropped_stale += 1
-                    if self.metrics is not None:
-                        self.metrics.counter("stale.dropped").add()
+                    self.metrics.counter("stale.dropped").add()
                     continue
                 if staleness > cfg.staleness_bound:
                     raise RuntimeError(
@@ -339,23 +329,17 @@ class StaleGroup:
         self._apply_decisions(step, decisions)
 
         contributions.sort(key=lambda sm: (sm[1].birth, sm[1].rank))
+        metrics = self.metrics
         for staleness, m in contributions:
-            self.contributions[m.rank] += 1
-            if staleness > self.max_staleness:
-                self.max_staleness = staleness
+            metrics.histogram("stale.staleness").observe(staleness)
+            metrics.counter(f"stale.rank{m.rank}.contributions").add()
             if staleness > 0:
-                self.late_folds += 1
-                if self.tracer is not None:
+                metrics.counter("stale.late_folds").add()
+                if self.tracer.enabled:
                     self.tracer.instant(
                         "fold_in", cat="stale", track=m.rank,
                         step=step, birth=m.birth, staleness=staleness,
                     )
-            if self.metrics is not None:
-                self.metrics.histogram("stale.staleness").observe(staleness)
-                self.metrics.counter("stale.contributions").add()
-                self.metrics.counter(f"stale.rank{m.rank}.contributions").add()
-                if staleness > 0:
-                    self.metrics.counter("stale.late_folds").add()
 
         flats = [m.flat for _, m in contributions]
         losses = [m.loss for _, m in contributions]
@@ -363,8 +347,7 @@ class StaleGroup:
         self.reductions += 1
         self.bytes_reduced += avg.nbytes * len(flats)
         self.now = close
-        if self.metrics is not None:
-            self.metrics.histogram("stale.step_virtual_s").observe(close - t0)
+        metrics.histogram("stale.step_virtual_s").observe(close - t0)
         return float(np.mean(losses)), avg
 
     # -- internals -----------------------------------------------------------
@@ -416,20 +399,14 @@ class StaleGroup:
             if verdict == "quarantine" and rank in self.sync_ranks:
                 self.sync_ranks.discard(rank)
                 self.quarantined.add(rank)
-                self.quarantines += 1
-                self.ever_quarantined.add(rank)
-                if self.metrics is not None:
-                    self.metrics.counter("stale.quarantines").add()
-                if self.tracer is not None:
+                self.metrics.counter(f"stale.rank{rank}.quarantines").add()
+                if self.tracer.enabled:
                     self.tracer.instant("quarantine", cat="stale", track=rank, step=step)
             elif verdict == "rehabilitate" and rank in self.quarantined:
                 self.quarantined.discard(rank)
                 self.sync_ranks.add(rank)
-                self.rehabs += 1
-                self.ever_rehabilitated.add(rank)
-                if self.metrics is not None:
-                    self.metrics.counter("stale.rehabs").add()
-                if self.tracer is not None:
+                self.metrics.counter(f"stale.rank{rank}.rehabs").add()
+                if self.tracer.enabled:
                     self.tracer.instant("rehabilitate", cat="stale", track=rank, step=step)
 
     # -- reporting -----------------------------------------------------------
@@ -440,7 +417,18 @@ class StaleGroup:
         return self.now
 
     def stats(self) -> Dict[str, object]:
-        """Run statistics (the backend publishes these as group stats)."""
+        """Run statistics (the backend publishes these as group stats).
+
+        The event counts are read back from the ``stale.*`` instruments
+        of :attr:`metrics`, their one store: on a registry shared across
+        runs (the engine's, when one engine runs twice) they are the
+        totals of every run, as ``engine.records`` is.
+        """
+        m = self.metrics
+        ranks = range(self.size)
+        quarantines = [m.value(f"stale.rank{r}.quarantines", 0) for r in ranks]
+        rehabs = [m.value(f"stale.rank{r}.rehabs", 0) for r in ranks]
+        staleness = m.histogram("stale.staleness")
         out: Dict[str, object] = {
             "mode": self.mode,
             "staleness_bound": self.config.staleness_bound,
@@ -449,15 +437,15 @@ class StaleGroup:
             "reductions": self.reductions,
             "bytes_reduced": self.bytes_reduced,
             "virtual_time_s": self.now,
-            "max_staleness": self.max_staleness,
-            "late_folds": self.late_folds,
-            "dropped_stale": self.dropped_stale,
+            "max_staleness": int(staleness.max) if staleness.count else 0,
+            "late_folds": m.value("stale.late_folds", 0),
+            "dropped_stale": m.value("stale.dropped", 0),
             "bound_waits": self.bound_waits,
-            "contributions": list(self.contributions),
-            "quarantines": self.quarantines,
-            "rehabs": self.rehabs,
-            "quarantined_ranks": sorted(self.ever_quarantined),
-            "rehabilitated_ranks": sorted(self.ever_rehabilitated),
+            "contributions": [m.value(f"stale.rank{r}.contributions", 0) for r in ranks],
+            "quarantines": sum(quarantines),
+            "rehabs": sum(rehabs),
+            "quarantined_ranks": [r for r in ranks if quarantines[r]],
+            "rehabilitated_ranks": [r for r in ranks if rehabs[r]],
         }
         if self.monitor is not None:
             out["latency_ewma_s"] = {r: self.monitor.ewma[r] for r in sorted(self.monitor.ewma)}

@@ -1087,14 +1087,6 @@ class ThreadedBackend(_GroupBackend):
         }
         stats.update(_precision_stats(rc0.optimizer))
         stats.update(_compression_stats(rc0.compressor))
-        # A record-backed dataset routed through the burst-buffer tier
-        # reports its staging decisions alongside the comm-layer stats;
-        # the manager is shared by every rank's shard, so this is the
-        # run total.
-        staging = getattr(self.train_data, "staging", None)
-        if staging is not None:
-            stats["staging"] = staging.stats.as_dict()
-            stats["staging_breakers"] = staging.breaker_states()
         return EngineResult(
             history=rc0.history, model=rc0.model, stats=stats, divergence=rc0.divergence
         )

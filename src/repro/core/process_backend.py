@@ -20,10 +20,10 @@ so injected crash+recovery schedules replay bitwise too.
 
 Worker-side observability is first-class: each worker runs its own
 :class:`~repro.obs.tracer.Tracer` and
-:class:`~repro.obs.metrics.MetricsRegistry`, dumps them to a per-rank
-report file on exit, and the parent merges them into the engine's
-sinks — N processes produce the same metrics a single shared registry
-would have seen.
+:class:`~repro.obs.metrics.MetricsRegistry` (the conv kernels' pass
+counters attached to it), dumps them to a per-rank report file on
+exit, and the parent merges them into the engine's sinks — N processes
+produce the same metrics a single shared registry would have seen.
 
 Caveats versus the thread backend (documented, by design):
 
@@ -90,6 +90,7 @@ from repro.faults.plan import FaultKind, FaultPlan
 from repro.obs.callback import TraceCallback
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.primitives import conv3d
 from repro.utils.cores import share_cores
 from repro.utils.procs import raise_malloc_thresholds
 
@@ -189,6 +190,9 @@ def _worker_main(spec: Dict[str, Any], rank: int, incarnation: int) -> None:
         tracer=tracer,
         metrics=MetricsRegistry(),
     )
+    # The conv kernels count this rank's passes into the registry the
+    # worker ships home, as thread ranks count into the parent's.
+    conv3d.set_metrics(engine.metrics)
     # Mirror the parent engine's per-rank hook order; driver-level hooks
     # (user callbacks, the group stats) stay in the parent.
     callbacks = CallbackList(

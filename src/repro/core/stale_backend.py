@@ -80,7 +80,7 @@ class StaleBackend(SteppedBackend):
     def execute(self, engine, callbacks, epochs=None):
         k = self.n_ranks
         monitor = (
-            StragglerMonitor(k, self.staleness, metrics=engine.metrics, tracer=engine.tracer)
+            StragglerMonitor(k, self.staleness, metrics=engine.metrics)
             if self.staleness.monitor_enabled
             else None
         )

@@ -26,34 +26,25 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
 from repro.io.dataset import RecordDataset
-from repro.utils.logging import get_logger
 
-__all__ = ["PipelineStats", "PrefetchPipeline", "RESILIENCE_COUNTERS"]
-
-_log = get_logger("io.pipeline")
-
-
-#: Dataset and staging-tier counters PipelineStats mirrors per epoch
-#: (snapshot deltas): anything degraded — a skipped record, a hedged
-#: or fallback read through the staging tier, a retried stage-in —
-#: surfaces as a number here instead of vanishing into a log line.
-RESILIENCE_COUNTERS = (
-    "records_skipped",
-    "hedged_reads",
-    "hedge_wins",
-    "fallback_reads",
-    "stage_retries",
-)
+__all__ = ["PipelineStats", "PrefetchPipeline"]
 
 
 @dataclass
 class PipelineStats:
-    """Observed pipeline behaviour over one epoch."""
+    """What only the pipeline observes, over every epoch it has read.
+
+    Skipped records are the dataset's count
+    (:attr:`RecordDataset.records_skipped
+    <repro.io.dataset.RecordDataset.records_skipped>`) and hedged,
+    fallback and retried reads the staging tier's
+    (:class:`~repro.io.staging.StagingStats`); they are not copied here.
+    """
 
     samples_delivered: int = 0
     consumer_wait_s: float = 0.0
@@ -61,24 +52,8 @@ class PipelineStats:
     max_queue_depth: int = 0
     #: Seconds the consumer was blocked on a load, per batch delivered.
     waits: List[float] = field(default_factory=list)
-    #: Resilience counters (deltas observed through the source dataset).
-    records_skipped: int = 0
+    #: Loads that raised on an I/O thread (each re-raised to the consumer).
     producer_errors: int = 0
-    #: Staging-tier counters (deltas; zero without a StagingManager).
-    hedged_reads: int = 0
-    hedge_wins: int = 0
-    fallback_reads: int = 0
-    stage_retries: int = 0
-
-    def degraded_total(self) -> int:
-        """Total degraded events this epoch — the single number a CI
-        assertion or benchmark table wants."""
-        return (
-            self.records_skipped
-            + self.hedged_reads
-            + self.fallback_reads
-            + self.stage_retries
-        )
 
 
 class PrefetchPipeline:
@@ -114,35 +89,12 @@ class PrefetchPipeline:
     ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         """``dataset.batches(batch_size, rng, shuffle)``, read ahead."""
         stats = self.stats
-        # Snapshot the resilience counters so the epoch's skips/hedges/
-        # retried stage-ins can be attributed to this pipeline's stats.
-        counters0 = self._counters()
         waited = stats.consumer_wait_s
-        try:
-            for batch in self.dataset.stream(batch_size, rng, shuffle, self._read_ahead):
-                stats.waits.append(stats.consumer_wait_s - waited)
-                waited = stats.consumer_wait_s
-                stats.samples_delivered += len(batch[0])
-                yield batch
-        finally:
-            for name, now in self._counters().items():
-                setattr(stats, name, getattr(stats, name) + now - counters0[name])
-            if stats.degraded_total():
-                _log.info(
-                    "pipeline epoch, degraded reads so far: %s",
-                    ", ".join(f"{name}={getattr(stats, name)}" for name in RESILIENCE_COUNTERS),
-                )
-
-    def _counters(self) -> Dict[str, int]:
-        """The resilience counters now: the dataset's own where it has
-        one, else its staging tier's (shared by every shard over that
-        tier; zero without one)."""
-        dataset = self.dataset
-        tier = dataset.staging.stats if dataset.staging is not None else None
-        return {
-            name: getattr(dataset if hasattr(dataset, name) else tier, name, 0)
-            for name in RESILIENCE_COUNTERS
-        }
+        for batch in self.dataset.stream(batch_size, rng, shuffle, self._read_ahead):
+            stats.waits.append(stats.consumer_wait_s - waited)
+            waited = stats.consumer_wait_s
+            stats.samples_delivered += len(batch[0])
+            yield batch
 
     def _read_ahead(self, paths: List[Path]) -> Iterator[list]:
         """Each file's samples, in ``paths`` order, loaded on the I/O

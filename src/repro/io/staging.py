@@ -116,9 +116,9 @@ class StagingConfig:
 class StagingStats:
     """Everything the staging tier did, as numbers.
 
-    These are the counters the A8 benchmark and ``repro stage`` report,
-    and the ones :class:`~repro.io.pipeline.PipelineStats` snapshots so
-    degraded reads never disappear silently.
+    The one store of the tier's counts: the A8 benchmark and ``repro
+    stage`` report them from here, and every shard and prefetch
+    pipeline reading through the manager counts into this one object.
     """
 
     stage_ins: int = 0

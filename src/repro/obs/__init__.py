@@ -5,8 +5,8 @@ Section V scaling analysis, shared by every subsystem:
 
 * :mod:`repro.obs.tracer` — span/instant events with per-rank tracks
   and a Chrome trace-event exporter (``chrome://tracing`` / Perfetto);
-* :mod:`repro.obs.metrics` — named counters/gauges/histograms that
-  absorb the legacy ad-hoc stats objects behind one read API;
+* :mod:`repro.obs.metrics` — named counters/gauges/histograms, each
+  written once by the code that does the counted work;
 * :mod:`repro.obs.callback` — the engine hook wiring both into
   :class:`~repro.core.engine.TrainingEngine`;
 * :mod:`repro.obs.summarize` — ``repro trace summarize``'s

@@ -11,11 +11,13 @@ two jobs:
   per step on the keeper rank so local, stepped, threaded, and elastic
   runs agree), ``engine.rank_steps`` (per-executing-rank step count),
   ``engine.epochs``, ``engine.rejoins``, ``engine.restarts`` and
-  ``comm.step_aggregations`` (gradient-averaging rounds).  On run end
-  it absorbs the backend's ``group_stats`` into the registry.  Stage
-  time (``engine.stage.<s>.seconds`` / ``.count``) and
-  ``engine.records`` are written by the engine loop where it measures
-  them (:meth:`~repro.core.engine.RankContext.timed_stage`), not here.
+  ``comm.step_aggregations`` (gradient-averaging rounds).  Stage time
+  (``engine.stage.<s>.seconds`` / ``.count``) and ``engine.records``
+  are written by the engine loop where it measures them
+  (:meth:`~repro.core.engine.RankContext.timed_stage`), not here; the
+  backend's ``group_stats`` stay the run's report
+  (:attr:`~repro.core.engine.EngineResult.stats`) and are not copied
+  into the registry.
 
 * **Tracing** — active only when the engine's tracer is enabled.  It
   marks epoch boundaries, validation results, elastic restarts, and
@@ -117,11 +119,5 @@ class TraceCallback:
             )
 
     def on_run_end(self, engine, result) -> None:
-        self.metrics.absorb_mapping(
-            {k: v for k, v in result.stats.items() if k != "staging"}, "comm"
-        )
-        staging = result.stats.get("staging")
-        if isinstance(staging, dict):
-            self.metrics.absorb_mapping(staging, "io.staging")
         if self.tracer.enabled:
             self.tracer.instant("run-end", cat="engine", track="driver")

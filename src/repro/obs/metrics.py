@@ -1,11 +1,13 @@
 """One registry for every number the system counts.
 
 :class:`MetricsRegistry` is one namespace of named counters, gauges,
-and histograms (``engine.steps``, ``comm.reductions``,
-``io.staging.hedged_reads``, ``engine.stage.io.seconds``, ...).  Code
-that counts writes its instruments directly; a stats dict — a rank
-group's ``group_stats``, the staging tier's counters — is folded in by
-:meth:`MetricsRegistry.absorb_mapping`.
+and histograms (``engine.steps``, ``engine.stage.io.seconds``,
+``stale.late_folds``, ``serve.crashes``, ...).  Code that counts writes
+its instruments directly, where the work happens, and a report reads
+them back; nothing is copied in after the fact.  A rank group's
+``group_stats`` and the staging tier's
+:class:`~repro.io.staging.StagingStats` are reports of their own, not
+folded in here.
 
 All instruments are thread-safe (rank threads increment concurrently)
 and deterministic: a counter's final value depends on what the run did,
@@ -16,7 +18,7 @@ property the cross-backend metrics-consistency tests pin.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -234,9 +236,9 @@ class MetricsRegistry:
         """Fold one :meth:`dump` into this registry, additively.
 
         Counters add, gauges add (every gauge in the engine's namespace
-        is an accumulated total — stage seconds, queue depths summed at
-        absorb time — so addition is the semantics that makes N child
-        registries equal one shared registry), and histograms re-observe
+        is an accumulated total — stage seconds — so addition is the
+        semantics that makes N child registries equal one shared
+        registry), and histograms re-observe
         the child's raw samples, keeping quantiles exact after the
         merge.  A name bound to a different instrument kind here raises
         ``TypeError`` (same rule as first use).
@@ -266,16 +268,3 @@ class MetricsRegistry:
                 )
             lines.append(f"  {name} = {value}")
         return "\n".join(lines)
-
-    # -- stats dicts ---------------------------------------------------------
-
-    def absorb_mapping(self, stats: Mapping[str, Any], prefix: str) -> None:
-        """Add every numeric entry of a stats dict as a counter.
-
-        Non-numeric entries (survivor lists, breaker-state strings) are
-        skipped — they are reports, not metrics.
-        """
-        for key, value in stats.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
-            self.counter(f"{prefix}.{key}").add(value)

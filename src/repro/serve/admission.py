@@ -52,8 +52,6 @@ class AdmissionController:
         self.max_batch = max_batch
         self.batch_service_s = batch_service_s
         self.queue: Deque[InferenceRequest] = deque()
-        self.admitted = 0
-        self.shed = {d: 0 for d in AdmissionDecision if d is not AdmissionDecision.ADMIT}
 
     def __len__(self) -> int:
         return len(self.queue)
@@ -102,7 +100,6 @@ class AdmissionController:
 
     def push(self, request: InferenceRequest) -> None:
         self.queue.append(request)
-        self.admitted += 1
 
     def redrain(self, requests: Iterable[InferenceRequest]) -> int:
         """Re-insert in-flight requests from a dead replica at the
@@ -134,6 +131,3 @@ class AdmissionController:
         while self.queue and len(batch) < self.max_batch:
             batch.append(self.queue.popleft())
         return batch
-
-    def record_shed(self, decision: AdmissionDecision) -> None:
-        self.shed[decision] += 1

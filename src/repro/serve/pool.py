@@ -35,8 +35,6 @@ class ReplicaPool:
             raise ValueError("pool needs at least one replica")
         self.replicas: List[Replica] = list(replicas)
         self.spares: List[Replica] = list(spares or [])
-        self.crashes = 0
-        self.promotions = 0
 
     # -- membership views ----------------------------------------------------
 
@@ -88,11 +86,9 @@ class ReplicaPool:
         as a tombstone so reports can account for it.
         """
         replica.state = ReplicaState.DEAD
-        self.crashes += 1
         if not self.spares:
             return None
         spare = self.spares.pop(0)
         spare.state = ReplicaState.WARMING
         self.replicas.append(spare)
-        self.promotions += 1
         return spare

@@ -40,7 +40,6 @@ class Replica:
         self.state = ReplicaState.WARMING
         self.ready_at_s = 0.0
         self.batches_served = 0
-        self.busy_s = 0.0  # total modeled service time accumulated
         self._fwd_flops = flops_mod.total_flops(model.config)["fwd"]
 
     @property

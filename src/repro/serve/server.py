@@ -197,7 +197,10 @@ class InferenceServer:
         track as an instant stamped with the virtual clock.
     metrics
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; one is
-        created when omitted.  All instruments live under ``serve.``.
+        created when omitted.  All instruments live under ``serve.``,
+        and they are the one store of the tier's counts: every count in
+        the :class:`ServeReport` is read from them (so a registry shared
+        by two servers reports both runs' totals).
     """
 
     def __init__(
@@ -236,10 +239,6 @@ class InferenceServer:
         self._batches = 0
         self._in_flight: Dict[int, _Batch] = {}
         self._next_flush_s: Optional[float] = None
-        self._deadline_misses = 0
-        self._dropped = 0
-        self._hedges = 0
-        self._hedge_wins = 0
         self._latency = self.metrics.histogram("serve.latency_s")
         self._service = self.metrics.histogram("serve.service_s")
 
@@ -330,7 +329,6 @@ class InferenceServer:
             self._event("admit", request.rid)
             self._pump()
         else:
-            self.admission.record_shed(decision)
             request.resolve(_SHED_OUTCOME[decision])  # no finish_s: never served
             self._count(decision.value)
             self._event(decision.value, request.rid)
@@ -352,7 +350,6 @@ class InferenceServer:
         if replica.state is ReplicaState.BUSY:
             replica.state = ReplicaState.IDLE
         replica.batches_served += 1
-        replica.busy_s += batch.service_s
         self._service.observe(batch.service_s)
         newly = [r for r in batch.requests if r.resolve(Outcome.COMPLETED, now)]
         if not newly:
@@ -361,13 +358,11 @@ class InferenceServer:
             self._pump()
             return
         if batch.is_hedge:
-            self._hedge_wins += 1
             self._count("hedge_wins")
             self._event("hedge_win", batch.name)
         for request in newly:
             self._latency.observe(request.latency_s)
             if not request.met_deadline:
-                self._deadline_misses += 1
                 self._count("deadline_misses")
             self._cache_result(request, replica)
         self._count("completed", len(newly))
@@ -392,7 +387,7 @@ class InferenceServer:
         if spare is not None:
             ready_at = now + WARMUP_S
             spare.ready_at_s = ready_at
-            self._count("spares_promoted")
+            self._count("promotions")
             self._event("promote", spare.name)
             self._push(ready_at, "ready", spare)
         self._pump()
@@ -413,7 +408,6 @@ class InferenceServer:
         twin = self._dispatch(list(batch.requests), replica, is_hedge=True)
         batch.twin = twin
         twin.twin = batch
-        self._hedges += 1
         self._count("hedges")
         self._event("hedge", f"{batch.name}:{replica.name}")
 
@@ -487,38 +481,29 @@ class InferenceServer:
         while self.admission.queue:
             request = self.admission.queue.popleft()
             if request.resolve(Outcome.DROPPED):
-                self._dropped += 1
                 self._count("dropped")
                 self._event("drop", request.rid)
 
     # -- reporting -----------------------------------------------------------
 
     def _report(self, requests: List[InferenceRequest]) -> ServeReport:
-        shed = self.admission.shed
+        counts = {
+            name: self.metrics.value(f"serve.{name}", 0)
+            for name in (
+                "completed", "cache_hits", "dropped", "deadline_misses", "batches",
+                "crashes", "redrained", "promotions", "hedges", "hedge_wins",
+                *(d.value for d in _SHED_OUTCOME),
+            )
+        }
         duration = self.clock_s
-        served = (
-            self.metrics.counter("serve.completed").value
-            + self.metrics.counter("serve.cache_hits").value
-        )
+        served = counts["completed"] + counts["cache_hits"]
         return ServeReport(
             n_requests=len(requests),
-            completed=int(self.metrics.counter("serve.completed").value),
-            cache_hits=int(self.metrics.counter("serve.cache_hits").value),
-            shed_queue_full=shed[AdmissionDecision.SHED_QUEUE_FULL],
-            shed_deadline=shed[AdmissionDecision.SHED_DEADLINE],
-            shed_unavailable=shed[AdmissionDecision.SHED_UNAVAILABLE],
-            dropped=self._dropped,
-            deadline_misses=self._deadline_misses,
-            batches=self._batches,
-            crashes=self.pool.crashes,
-            redrained=int(self.metrics.counter("serve.redrained").value),
-            promotions=self.pool.promotions,
-            hedges=self._hedges,
-            hedge_wins=self._hedge_wins,
             duration_s=duration,
             served_qps=served / duration if duration > 0 else 0.0,
             latency_p50_s=self._latency.p50,
             latency_p99_s=self._latency.p99,
             latency_max_s=self._latency.max if self._latency.count else 0.0,
             latency_mean_s=self._latency.mean,
+            **counts,
         )

@@ -250,3 +250,28 @@ class TestElasticAndProcessBackends:
         p_process, _, _ = _run(ProcessBackend, "topk", epochs=1)
         p_stepped, _, _ = _run(SteppedBackend, "topk", epochs=1)
         assert np.array_equal(p_process, p_stepped)
+
+
+class TestGroupStatsAreTheReport:
+    def test_two_runs_copy_no_group_stats_into_the_registry(self):
+        """A run's compression and loss-scale figures live in its
+        ``group_stats``; the engine's registry keeps only what code
+        counted where it ran, so a second run of one engine neither
+        sums two ratios nor two loss scales into it."""
+        backend = ThreadedBackend(
+            tiny_16(),
+            make_dataset(),
+            optimizer_config=OptimizerConfig(decay_steps=100, precision="fp16"),
+            n_ranks=2,
+            plugin_config=PluginConfig(compression="topk"),
+        )
+        engine = TrainingEngine(backend, EngineConfig(epochs=1, seed=0))
+        engine.run()
+        first = engine.group_stats
+        engine.run()
+        for key in ("compression_ratio", "loss_scale"):
+            assert engine.group_stats[key] == first[key]
+        names = engine.metrics.names()
+        assert "comm.step_aggregations" in names and "engine.steps" in names
+        for name in ("comm.compression_ratio", "comm.loss_scale", "comm.reductions"):
+            assert name not in names

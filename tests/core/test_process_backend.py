@@ -31,6 +31,8 @@ from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
 from repro.faults import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.obs.metrics import MetricsRegistry
+from repro.primitives import conv3d
 
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
@@ -135,6 +137,33 @@ class TestDeterminismGate:
         assert s_thr["restarts"] == 1
         assert s_proc["restarts"] == 1
         assert_bitwise_equal(h_thr, h_proc, p_thr, p_proc)
+
+
+class TestConvCounters:
+    def test_process_ranks_count_their_conv_passes_as_threads_do(
+        self, tmp_path, monkeypatch
+    ):
+        """Each worker counts its conv passes into the registry it ships
+        home, so a process run's merged counters equal a threaded run's."""
+        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
+        counted = {}
+        for backend_cls in (ThreadedBackend, ProcessBackend):
+            metrics = MetricsRegistry()
+            conv3d.set_metrics(metrics)
+            try:
+                backend = backend_cls(
+                    tiny_16(), make_dataset(4), optimizer_config=OPT, n_ranks=2
+                )
+                config = EngineConfig(epochs=1, validate=False)
+                TrainingEngine(backend, config, metrics=metrics).run()
+            finally:
+                conv3d.set_metrics(None)
+            counted[backend_cls] = {
+                k: v for k, v in metrics.snapshot().items()
+                if k.startswith("primitives.conv3d.")
+            }
+        assert len(counted[ThreadedBackend]) == 9
+        assert counted[ProcessBackend] == counted[ThreadedBackend]
 
 
 class TestNoLeaks:

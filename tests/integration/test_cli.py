@@ -145,6 +145,27 @@ class TestStageCommand:
         assert "staged 2/2 shards" in out
         assert "8 records delivered, 0 skipped" in out
 
+    def test_stage_stages_each_shard_once_at_half_capacity(self, tmp_path, capsys):
+        # The verification pass stages a shard when it first reads it, so
+        # a burst buffer that holds half the shards evicts only shards
+        # already read and stages none twice.
+        from repro.io.dataset import write_dataset
+
+        rng = np.random.default_rng(0)
+        vols = rng.standard_normal((6, 1, 8, 8, 8)).astype(np.float32)
+        tgts = rng.random((6, 3)).astype(np.float32)
+        paths = write_dataset(tmp_path / "data", vols, tgts, samples_per_file=1)
+        half_mb = sum(p.stat().st_size for p in paths) / 2 / 1e6
+        rc = main([
+            "stage", "--data", str(tmp_path / "data"),
+            "--bb-dir", str(tmp_path / "bb"), "--capacity-mb", str(half_mb),
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "6 records delivered, 0 skipped" in out
+        assert "  stage ins: 6\n" in out
+        assert "staged 3/6 shards" in out
+
     def test_stage_under_faults_still_succeeds(self, record_dir, capsys):
         rc = main([
             "stage", "--data", str(record_dir / "data"),

@@ -184,7 +184,7 @@ class TestPipelineFaultPropagation:
         assert total == 23  # one corrupt record dropped, nothing crashed
         # Each file is read once per epoch, whatever the thread count:
         # one corrupt record is one skip.
-        assert pipe.stats.records_skipped == 1
+        assert ds.records_skipped == 1
         assert pipe.stats.producer_errors == 0
 
     def test_fault_free_pipeline_unchanged(self, tmp_path):
@@ -193,7 +193,7 @@ class TestPipelineFaultPropagation:
         pipe = PrefetchPipeline(ds, n_io_threads=2, buffer_size=4)
         total = sum(len(b[0]) for b in pipe.batches(4, rng=0))
         assert total == 24
-        assert pipe.stats.records_skipped == 0
+        assert ds.records_skipped == 0
         assert pipe.stats.producer_errors == 0
 
     def test_read_delay_fault_just_slows(self, tmp_path):

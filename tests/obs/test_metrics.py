@@ -166,13 +166,3 @@ class TestRegistryReads:
         text = m.report()
         assert "engine.steps = 7" in text
         assert "n=1" in text
-
-
-class TestAbsorbers:
-    def test_absorb_mapping_skips_non_numeric(self):
-        m = MetricsRegistry()
-        m.absorb_mapping(
-            {"reductions": 4, "survivors": [0, 1], "ok": True, "note": "x"}, "comm"
-        )
-        assert m.names() == ["comm.reductions"]
-        assert m.value("comm.reductions") == 4

@@ -77,7 +77,9 @@ class TestPool:
         spare = pool.crash(pool.replicas[0])
         assert spare.rid == 2 and spare.state is ReplicaState.WARMING
         assert spare in pool.replicas and pool.n_spares_left() == 1
-        assert pool.crashes == 1 and pool.promotions == 1
+        assert [r.state for r in pool.replicas] == [
+            ReplicaState.DEAD, ReplicaState.IDLE, ReplicaState.WARMING
+        ]
 
     def test_exhausted(self, model):
         pool = self.make_pool(model, n=1, spares=1)

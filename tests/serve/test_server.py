@@ -2,6 +2,9 @@
 behaviors at test scale: throughput scaling, crash failover with zero
 loss, fast shedding under overload, and bitwise replay."""
 
+from collections import Counter
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.serve import (
     InferenceServer,
     Outcome,
     ServeConfig,
+    ServeReport,
     WorkloadSpec,
     build_requests,
 )
@@ -198,21 +202,52 @@ class TestObservability:
         from repro.obs.summarize import load_trace, summarize_trace
 
         tracer = Tracer()
-        cfg = ServeConfig(n_replicas=2, n_spares=1)
+        cfg = ServeConfig(n_replicas=2, n_spares=1, max_queue=8, hedge_budget_s=0.05)
         spec = WorkloadSpec(n_requests=60, rate_qps=200.0, deadline_slack_s=0.4, n_unique=16)
+        plan = FaultPlan(events=[
+            FaultEvent(FaultKind.REPLICA_CRASH, step=2),
+            FaultEvent(FaultKind.REPLICA_SLOW, step=6, delay_s=0.3),
+        ])
         srv = InferenceServer(
             model, cfg, node=node(), seed=5,
-            injector=FaultInjector(crash_plan(2)), tracer=tracer,
+            injector=FaultInjector(plan), tracer=tracer,
         )
-        rep = srv.run(build_requests(spec, seed=5))
+        requests = build_requests(spec, seed=5)
+        rep = srv.run(requests)
         # Every decision-log entry has a matching instant on "serve".
         summary = summarize_trace(load_trace(tracer.export(tmp_path / "t.json")))
         per = summary.per_track_instants["serve"]
         assert per.get("admit", 0) == srv.metrics.value("serve.admitted")
-        assert per.get("crash", 0) == rep.crashes == 1
         assert len(srv.events) == sum(per.values())
-        assert srv.metrics.value("serve.completed") == rep.completed
         assert srv.metrics.histogram("serve.latency_s").count == rep.served
+        # Every count the report gives agrees with the requests' own
+        # outcomes and with the decision log, which the server keeps
+        # apart from the counters the report is read from.
+        outcomes = Counter(r.outcome for r in requests)
+        expected = {
+            "completed": outcomes[Outcome.COMPLETED],
+            "cache_hits": outcomes[Outcome.CACHE_HIT],
+            "shed_queue_full": outcomes[Outcome.SHED_QUEUE_FULL],
+            "shed_deadline": outcomes[Outcome.SHED_DEADLINE],
+            "shed_unavailable": outcomes[Outcome.SHED_UNAVAILABLE],
+            "dropped": outcomes[Outcome.DROPPED],
+            "deadline_misses": sum(
+                r.outcome is Outcome.COMPLETED and not r.met_deadline for r in requests
+            ),
+            "batches": per.get("dispatch", 0),
+            "crashes": per.get("crash", 0),
+            "redrained": sum(
+                int(e.rsplit(":n", 1)[1]) for e in srv.events if e.startswith("redrain:")
+            ),
+            "promotions": per.get("promote", 0),
+            "hedges": per.get("hedge", 0),
+            "hedge_wins": per.get("hedge_win", 0),
+        }
+        counts = {f.name for f in fields(ServeReport) if f.type == "int"}
+        assert counts == set(expected) | {"n_requests"}
+        assert {name: getattr(rep, name) for name in expected} == expected
+        assert rep.crashes == rep.promotions == 1
+        assert rep.cache_hits > 0 and rep.hedges > 0 and rep.redrained > 0
 
     def test_real_inference_results_cached(self, model):
         from repro.serve.workload import payload_volume
