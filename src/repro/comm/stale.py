@@ -30,7 +30,7 @@ plain rank order, making the bound-0 group **bitwise identical** to
 the synchronous stepped/threaded baselines.
 
 A :class:`StragglerMonitor` watches per-rank delivered-gradient
-latency (EWMA, published on the MetricsRegistry), **quarantines** a
+latency (an EWMA, reported in the group's stats), **quarantines** a
 persistent straggler — demotes it to an asynchronous contributor whose
 gradients no longer gate the quorum and are dropped when they exceed
 the bound — and **rehabilitates** it after consecutive healthy
@@ -129,12 +129,11 @@ class StragglerMonitor:
     decision sequence is a pure function of the delay schedule.
     """
 
-    def __init__(self, n_ranks: int, config: StalenessConfig, metrics=None):
+    def __init__(self, n_ranks: int, config: StalenessConfig):
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         self.n_ranks = n_ranks
         self.config = config
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.ewma: Dict[int, float] = {}
         self._slow_strikes: Dict[int, int] = {}
         self._healthy_strikes: Dict[int, int] = {}
@@ -158,7 +157,6 @@ class StragglerMonitor:
         prev = self.ewma.get(rank)
         ew = duration_s if prev is None else EWMA_ALPHA * duration_s + (1.0 - EWMA_ALPHA) * prev
         self.ewma[rank] = ew
-        self.metrics.gauge(f"stale.rank{rank}.latency_ewma_s").set(ew)
         if not self.config.monitor_enabled:
             return None
         median = self._median_of_others(rank)
@@ -221,8 +219,9 @@ class StaleGroup:
     the synchronous backends reduce with, which is what makes
     ``staleness_bound=0`` bitwise identical to them.
 
-    ``metrics`` defaults to a fresh registry (``StaleBackend`` passes
-    the engine's) and ``tracer`` to :data:`~repro.obs.tracer.NULL_TRACER`.
+    ``metrics`` defaults to a fresh registry (``StaleBackend`` merges
+    each run's into the engine's after it) and ``tracer`` to
+    :data:`~repro.obs.tracer.NULL_TRACER`.
     """
 
     def __init__(
@@ -420,9 +419,8 @@ class StaleGroup:
         """Run statistics (the backend publishes these as group stats).
 
         The event counts are read back from the ``stale.*`` instruments
-        of :attr:`metrics`, their one store: on a registry shared across
-        runs (the engine's, when one engine runs twice) they are the
-        totals of every run, as ``engine.records`` is.
+        of :attr:`metrics`, their one store, so a group reports every
+        step it has folded: ``StaleBackend`` builds one group a run.
         """
         m = self.metrics
         ranks = range(self.size)

@@ -79,22 +79,21 @@ class StaleBackend(SteppedBackend):
 
     def execute(self, engine, callbacks, epochs=None):
         k = self.n_ranks
-        monitor = (
-            StragglerMonitor(k, self.staleness, metrics=engine.metrics)
-            if self.staleness.monitor_enabled
-            else None
-        )
+        monitor = StragglerMonitor(k, self.staleness) if self.staleness.monitor_enabled else None
+        # The group counts this run on a registry of its own, so its stats
+        # are this run's; the engine's registry takes the counts after the
+        # run, as it takes a worker process's.
         group = StaleGroup(
             k,
             self.staleness,
             mode=self.stale_mode,
             injector=self.injector,
             monitor=monitor,
-            metrics=engine.metrics,
             tracer=engine.tracer,
         )
         rc = self._make_context(engine, group, callbacks)
         hist = engine.rank_loop(rc, epochs=epochs)
+        engine.metrics.merge(group.metrics.dump())
         stats = group.stats()
         stats["hangs_injected"] = self.injector.fired_total()
         return self._result(rc, hist, stats)

@@ -274,21 +274,18 @@ class StagingManager:
     def _record_failure(self, target: int) -> None:
         b = self._breakers[target]
         before = b.state
-        trips = b.trips
-        half = b.half_opens
         b.record_failure(self.clock_s)
-        self.stats.breaker_trips += b.trips - trips
-        self.stats.breaker_half_opens += b.half_opens - half
         if b.state is BreakerState.OPEN and before is not BreakerState.OPEN:
+            self.stats.breaker_trips += 1
             self._event("trip", b.name)
             _log.warning("circuit breaker %s tripped OPEN", b.name)
 
     def _allow(self, target: int) -> bool:
         b = self._breakers[target]
-        half = b.half_opens
+        before = b.state
         ok = b.allow(self.clock_s)
-        if b.half_opens != half:
-            self.stats.breaker_half_opens += b.half_opens - half
+        if b.state is not before:  # OPEN past its cooldown -> HALF_OPEN
+            self.stats.breaker_half_opens += 1
             self._event("half-open", b.name)
         return ok
 

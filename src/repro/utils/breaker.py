@@ -38,8 +38,6 @@ class CircuitBreaker:
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at = 0.0
-        self.trips = 0
-        self.half_opens = 0
 
     def allow(self, now: float) -> bool:
         """Whether the hot tier may serve a request at time ``now``.
@@ -50,7 +48,6 @@ class CircuitBreaker:
         if self.state is BreakerState.OPEN:
             if now - self.opened_at >= self.reset_s:
                 self.state = BreakerState.HALF_OPEN
-                self.half_opens += 1
                 return True
             return False
         return True
@@ -66,7 +63,5 @@ class CircuitBreaker:
             self.state is BreakerState.HALF_OPEN
             or self.consecutive_failures >= self.threshold
         ):
-            if self.state is not BreakerState.OPEN:
-                self.trips += 1
             self.state = BreakerState.OPEN
             self.opened_at = now

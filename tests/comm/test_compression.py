@@ -1,5 +1,6 @@
 """Compressed allreduce: compressor units, error-feedback identities,
-and golden bitwise replay across execution backends."""
+and seeded replay.  That every execution mode compresses to the same
+bits is the contract's engine line (``tests/contract/test_engine_line.py``)."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from repro.comm.compression import (
     make_compressor,
 )
 from repro.comm.plugin import PluginConfig
-from repro.core.elastic import ElasticConfig
 from repro.core.engine import (
     EngineConfig,
     SteppedBackend,
@@ -20,16 +20,8 @@ from repro.core.engine import (
     TrainingEngine,
 )
 from repro.core.optimizer import OptimizerConfig
-from repro.core.process_backend import ProcessBackend
 from repro.core.topology import tiny_16
-from repro.core.trainer import InMemoryData
-
-
-def make_dataset(n=12, seed=3, size=16):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 1, size, size, size)).astype(np.float32)
-    y = rng.uniform(0.2, 0.8, size=(n, 3)).astype(np.float32)
-    return InMemoryData(x, y)
+from tests.contract import dataset
 
 
 class TestFp16Compressor:
@@ -155,35 +147,27 @@ class TestFactoryAndRatio:
         assert PluginConfig(compression="fp16").build_compressor() is not None
 
 
-def _run(backend_cls, compression, precision="fp32", n=2, epochs=2, seed=0, **policy):
-    backend = backend_cls(
+def _run(compression):
+    backend = SteppedBackend(
         tiny_16(),
-        make_dataset(),
-        optimizer_config=OptimizerConfig(decay_steps=100, precision=precision),
-        n_ranks=n,
+        dataset(12, seed=3),
+        optimizer_config=OptimizerConfig(decay_steps=100),
+        n_ranks=2,
         plugin_config=PluginConfig(compression=compression),
-        **policy,
     )
-    engine = TrainingEngine(backend, EngineConfig(epochs=epochs, seed=seed))
+    engine = TrainingEngine(backend, EngineConfig(epochs=2, seed=0))
     engine.run()
     return engine.final_model.get_flat_parameters(), engine.group_stats, engine.history
 
 
 class TestGoldenCrossBackend:
-    """Golden bitwise fixtures: compressed runs replay identically
-    across the serial (stepped) and threaded backends, and mode "none"
-    stays bitwise equal to the pre-compression fp32 path."""
-
-    @pytest.mark.parametrize("compression", ["fp16", "topk"])
-    def test_stepped_equals_threaded(self, compression):
-        p_stepped, _, _ = _run(SteppedBackend, compression)
-        p_threaded, _, _ = _run(ThreadedBackend, compression)
-        assert np.array_equal(p_stepped, p_threaded)
+    """Compressed runs replay bitwise, and mode "none" stays bitwise
+    equal to the pre-compression fp32 path."""
 
     @pytest.mark.parametrize("compression", ["fp16", "topk"])
     def test_replay_is_deterministic(self, compression):
-        p1, s1, h1 = _run(SteppedBackend, compression)
-        p2, s2, h2 = _run(SteppedBackend, compression)
+        p1, s1, h1 = _run(compression)
+        p2, s2, h2 = _run(compression)
         assert np.array_equal(p1, p2)
         assert h1.train_loss == h2.train_loss
         assert s1["compression_bytes_wire"] == s2["compression_bytes_wire"]
@@ -192,10 +176,10 @@ class TestGoldenCrossBackend:
         # compression="none" must not merely approximate the original
         # fp32 path — it must not touch it.  Run through a config with
         # the field defaulted vs explicitly "none".
-        p_default, s_default, _ = _run(SteppedBackend, "none")
+        p_default, s_default, _ = _run("none")
         backend = SteppedBackend(
             tiny_16(),
-            make_dataset(),
+            dataset(12, seed=3),
             optimizer_config=OptimizerConfig(decay_steps=100),
             n_ranks=2,
         )
@@ -206,13 +190,8 @@ class TestGoldenCrossBackend:
         )
         assert "compression" not in s_default  # no counters for "none"
 
-    def test_compressed_under_fp16_precision_cross_backend(self):
-        p1, _, _ = _run(SteppedBackend, "topk", precision="fp16")
-        p2, _, _ = _run(ThreadedBackend, "topk", precision="fp16")
-        assert np.array_equal(p1, p2)
-
     def test_stats_surface_byte_savings(self):
-        _, stats, _ = _run(SteppedBackend, "topk")
+        _, stats, _ = _run("topk")
         assert stats["compression"] == "topk"
         assert stats["compression_bytes_in"] > stats["compression_bytes_wire"]
         assert (
@@ -224,32 +203,9 @@ class TestGoldenCrossBackend:
     def test_compression_changes_trajectory(self):
         # Sanity that the compressors are actually in the loop: a lossy
         # mode must not be bitwise identical to the exact path.
-        p_none, _, _ = _run(SteppedBackend, "none")
-        p_topk, _, _ = _run(SteppedBackend, "topk")
+        p_none, _, _ = _run("none")
+        p_topk, _, _ = _run("topk")
         assert not np.array_equal(p_none, p_topk)
-
-
-class TestElasticAndProcessBackends:
-    @pytest.mark.parametrize("compression", ["fp16", "topk"])
-    def test_elastic_faultfree_matches_threaded(self, compression):
-        p_elastic, _, _ = _run(ThreadedBackend, compression, elastic=ElasticConfig())
-        p_threaded, _, _ = _run(ThreadedBackend, compression)
-        assert np.array_equal(p_elastic, p_threaded)
-
-    @pytest.mark.parametrize("compression", ["fp16", "topk"])
-    def test_process_reports_the_threaded_stats(self, compression, tmp_path, monkeypatch):
-        """Rank 0's loss-scale and compression counters: process == threaded."""
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
-        _, s_process, _ = _run(ProcessBackend, compression, precision="fp16", epochs=1)
-        _, s_threaded, _ = _run(ThreadedBackend, compression, precision="fp16", epochs=1)
-        keys = sorted(k for k in s_threaded if k.startswith(("loss_scale", "compression")))
-        assert len(keys) == 9
-        assert {k: s_process.get(k) for k in keys} == {k: s_threaded[k] for k in keys}
-
-    def test_process_backend_matches_stepped_topk(self):
-        p_process, _, _ = _run(ProcessBackend, "topk", epochs=1)
-        p_stepped, _, _ = _run(SteppedBackend, "topk", epochs=1)
-        assert np.array_equal(p_process, p_stepped)
 
 
 class TestGroupStatsAreTheReport:
@@ -260,7 +216,7 @@ class TestGroupStatsAreTheReport:
         sums two ratios nor two loss scales into it."""
         backend = ThreadedBackend(
             tiny_16(),
-            make_dataset(),
+            dataset(12, seed=3),
             optimizer_config=OptimizerConfig(decay_steps=100, precision="fp16"),
             n_ranks=2,
             plugin_config=PluginConfig(compression="topk"),

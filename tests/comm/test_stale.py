@@ -231,10 +231,10 @@ class TestMonitor:
     def test_ewma_published_on_registry(self):
         cfg = StalenessConfig(staleness_bound=4, base_step_time_s=BASE)
         metrics = MetricsRegistry()
-        mon = StragglerMonitor(2, cfg, metrics=metrics)
+        mon = StragglerMonitor(2, cfg)
         g = StaleGroup(2, cfg, monitor=mon, metrics=metrics)
         run_group(g, 3)
-        assert metrics.value("stale.rank0.latency_ewma_s") == pytest.approx(BASE)
+        assert mon.ewma[0] == pytest.approx(BASE)
         assert metrics.value("stale.rank0.contributions") == 3
         assert metrics.value("stale.rank1.contributions") == 3
         assert metrics.value("stale.staleness") is not None
@@ -246,7 +246,7 @@ class TestObservability:
                               base_step_time_s=BASE)
         metrics = MetricsRegistry()
         tracer = Tracer()
-        mon = StragglerMonitor(4, cfg, metrics=metrics)
+        mon = StragglerMonitor(4, cfg)
         plan = FaultPlan(seed=1).with_slow_rank(1, 9 * BASE, n_steps=10)
         g = StaleGroup(4, cfg, injector=FaultInjector(plan), monitor=mon,
                        metrics=metrics, tracer=tracer)

@@ -1,5 +1,5 @@
-"""Suite-wide set-up: one BLAS thread, and no rank or helper thread
-outlives the test that started it."""
+"""Suite-wide set-up: one BLAS thread, no rank or helper thread outlives
+the test that started it, and the checksum probe the I/O tests share."""
 
 import os
 
@@ -12,7 +12,7 @@ import time  # noqa: E402
 
 import pytest  # noqa: E402
 
-from repro.utils import cores  # noqa: E402
+from repro.utils import checksum, cores  # noqa: E402
 
 try:
     from hypothesis import settings
@@ -80,3 +80,18 @@ def split_at(monkeypatch):
         monkeypatch.setattr(cores, "spare_core", lambda: spare_core)
 
     return set_to
+
+
+@pytest.fixture
+def checksummed(monkeypatch):
+    """The byte count of every ``checksum.crc32`` call made from here on,
+    in call order: what the record layer read *and* verified."""
+    sizes = []
+    real_crc32 = checksum.crc32
+
+    def crc32(data, *start):
+        sizes.append(memoryview(data).nbytes)
+        return real_crc32(data, *start)
+
+    monkeypatch.setattr(checksum, "crc32", crc32)
+    return sizes

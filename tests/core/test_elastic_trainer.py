@@ -2,8 +2,8 @@
 
 The contract under test:
 
-* faults disabled → bitwise identical to the threaded backend (same
-  history, same final parameters);
+* faults disabled → bitwise identical to the threaded backend (cells of
+  the contract's engine line, ``tests/contract/test_engine_line.py``);
 * a rank crash at a fixed step → training completes over the survivors
   with the gradient average renormalized, final loss close to the
   fault-free run;
@@ -22,13 +22,7 @@ from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
-
-
-def make_dataset(n=8, seed=0, size=16):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 1, size, size, size)).astype(np.float32)
-    y = rng.uniform(0.2, 0.8, size=(n, 3)).astype(np.float32)
-    return InMemoryData(x, y)
+from tests.contract import dataset
 
 
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
@@ -41,14 +35,14 @@ def group_engine(backend_cls, data, n_ranks, epochs, **kwargs):
 
 
 def run_threaded_reference(n_ranks=3, epochs=3, n=9):
-    engine = group_engine(ThreadedBackend, make_dataset(n), n_ranks, epochs)
+    engine = group_engine(ThreadedBackend, dataset(n), n_ranks, epochs)
     hist = engine.run()
     return hist, engine.final_model.get_flat_parameters()
 
 
 def eval_loss(model, n=12, seed=1):
     """Loss of ``model`` on a fixed held-out set (same for every run)."""
-    data = make_dataset(n, seed=seed)
+    data = dataset(n, seed=seed)
     return float(
         np.mean([model.validation_loss(x, y) for x, y in data.batches(1, shuffle=False)])
     )
@@ -81,49 +75,12 @@ class TestConfig:
         assert ElasticConfig().join_timeout_s is None
 
 
-class TestBitwiseIdentity:
-    def test_fault_free_matches_threaded_exactly(self):
-        ref_hist, ref_params = run_threaded_reference()
-        engine = group_engine(
-            ThreadedBackend,
-            make_dataset(9),
-            3,
-            3,
-            elastic=FAST,
-        )
-        hist = engine.run()
-        assert hist.train_loss == ref_hist.train_loss  # bitwise, not approx
-        assert hist.lr == ref_hist.lr
-        np.testing.assert_array_equal(
-            engine.final_model.get_flat_parameters(), ref_params
-        )
-        assert engine.group_stats["restarts"] == 0
-        assert engine.group_stats["failed_ranks"] == []
-
-    def test_mode_elastic_on_plain_trainer(self):
-        """The default-constructed policy and no injector: the same
-        numbers as under no policy at all."""
-        ref_hist, ref_params = run_threaded_reference()
-        engine = group_engine(
-            ThreadedBackend,
-            make_dataset(9),
-            3,
-            3,
-            elastic=ElasticConfig(),
-        )
-        hist = engine.run()
-        assert hist.train_loss == ref_hist.train_loss
-        np.testing.assert_array_equal(
-            engine.final_model.get_flat_parameters(), ref_params
-        )
-
-
 class TestCrashSurvival:
     def test_rank_crash_completes_over_survivors(self):
         epochs, n_ranks, n = 6, 4, 16
         ref_engine = group_engine(
             ThreadedBackend,
-            make_dataset(n),
+            dataset(n),
             n_ranks,
             epochs,
         )
@@ -137,7 +94,7 @@ class TestCrashSurvival:
         )
         engine = group_engine(
             ThreadedBackend,
-            make_dataset(n),
+            dataset(n),
             n_ranks,
             epochs,
             elastic=FAST,
@@ -156,7 +113,7 @@ class TestCrashSurvival:
         plan = FaultPlan(events=[FaultEvent(FaultKind.RANK_CRASH, rank=0, step=2)])
         engine = group_engine(
             ThreadedBackend,
-            make_dataset(9),
+            dataset(9),
             3,
             2,
             elastic=FAST,
@@ -173,7 +130,7 @@ class TestCrashSurvival:
         )
         engine = group_engine(
             ThreadedBackend,
-            make_dataset(9),
+            dataset(9),
             3,
             2,
             elastic=ElasticConfig(timeout_s=0.3),
@@ -193,7 +150,7 @@ class TestCrashSurvival:
         )
         engine = group_engine(
             ThreadedBackend,
-            make_dataset(9),
+            dataset(9),
             3,
             3,
             elastic=FAST,
@@ -216,7 +173,7 @@ class TestQuorumRestart:
         )
         engine = group_engine(
             ThreadedBackend,
-            make_dataset(9),
+            dataset(9),
             3,
             3,
             elastic=ElasticConfig(
@@ -245,7 +202,7 @@ class TestQuorumRestart:
         )
         engine = group_engine(
             ThreadedBackend,
-            make_dataset(9),
+            dataset(9),
             3,
             2,
             elastic=ElasticConfig(timeout_s=10.0, quorum_fraction=1.0),  # no checkpoint_dir
@@ -266,7 +223,7 @@ class TestQuorumRestart:
         )
         engine = group_engine(
             ThreadedBackend,
-            make_dataset(8),
+            dataset(8),
             2,
             4,
             elastic=ElasticConfig(
@@ -306,7 +263,7 @@ class TestShortEpochStream:
         epochs, n_ranks = 2, 2
         engine = group_engine(
             ThreadedBackend,
-            ShortEpochData(make_dataset(8).x, make_dataset(8).y),
+            ShortEpochData(dataset(8).x, dataset(8).y),
             n_ranks,
             epochs,
             elastic=FAST,

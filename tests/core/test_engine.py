@@ -1,9 +1,9 @@
 """The TrainingEngine: callback hooks, backend protocol, config knobs.
 
-Cross-mode numerics are covered by ``test_engine_equivalence.py``; this
-file tests the engine's *mechanics* — hooks fire in order with the
-right context, the divergence threshold is a config field, and the
-loop body is mode-free.
+Cross-mode numerics are the contract's engine line
+(``tests/contract/test_engine_line.py``); this file tests the engine's
+*mechanics* — hooks fire in order with the right context, the
+divergence threshold is a config field, and the loop body is mode-free.
 """
 
 import inspect

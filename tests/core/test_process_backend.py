@@ -1,12 +1,11 @@
-"""Cross-backend determinism gate: real processes vs threads vs stepped.
+"""Real processes under replayed faults: the same bits as threads.
 
-The contract under test is the strongest one the engine makes: with the
-same seed, the ``process`` backend — ranks as real OS processes, real
-SIGKILLs, shared-memory collectives — produces **bitwise** identical
-History curves and final parameters to the in-process backends, both
-fault-free and under a replayed crash/recovery schedule.  Any drift
-here means the process backend computed something, not just scheduled
-something, differently.
+With the same seed and fault plan, the ``process`` backend — ranks as
+real OS processes, real SIGKILLs, shared-memory collectives — produces
+**bitwise** identical History curves and final parameters to the thread
+backend under a crash/recovery schedule and a quorum-loss restart, and
+leaves no process or segment behind.  Its fault-free runs are cells of
+the contract's engine line (``tests/contract/test_engine_line.py``).
 """
 
 from __future__ import annotations
@@ -19,29 +18,15 @@ from repro.comm.plugin import PluginConfig
 from repro.comm.process import ShmLayout
 from repro.core import process_backend
 from repro.core.elastic import ElasticConfig
-from repro.core.engine import (
-    EngineConfig,
-    SteppedBackend,
-    ThreadedBackend,
-    TrainingEngine,
-)
+from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.process_backend import ProcessBackend
 from repro.core.topology import tiny_16
-from repro.core.trainer import InMemoryData
 from repro.faults import FaultInjector
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.obs.metrics import MetricsRegistry
-from repro.primitives import conv3d
+from tests.contract import dataset
 
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
-
-
-def make_dataset(n=8, seed=0, size=16):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 1, size, size, size)).astype(np.float32)
-    y = rng.uniform(0.2, 0.8, size=(n, 3)).astype(np.float32)
-    return InMemoryData(x, y)
 
 
 def assert_bitwise_equal(h1, h2, p1, p2):
@@ -52,44 +37,19 @@ def assert_bitwise_equal(h1, h2, p1, p2):
     assert np.array_equal(p1, p2)
 
 
-def run(backend_cls, n_ranks, epochs, validate, **kwargs):
-    backend = backend_cls(
-        tiny_16(), make_dataset(8), optimizer_config=OPT, n_ranks=n_ranks, **kwargs
-    )
-    engine = TrainingEngine(backend, EngineConfig(epochs=epochs, validate=validate))
-    history = engine.run()
-    return history, engine.final_model.get_flat_parameters(), engine.group_stats
-
-
-def run_distributed(backend_cls, n_ranks=2, epochs=2):
-    return run(backend_cls, n_ranks, epochs, validate=True)
-
-
 def run_elastic(backend_cls, plan, elastic, epochs=3, n_ranks=4):
     # Rank threads share one injector; worker processes each build
     # their own from the shipped plan.
     faults = {"plan": plan} if backend_cls is ProcessBackend else {"injector": FaultInjector(plan)}
-    return run(backend_cls, n_ranks, epochs, validate=False, elastic=elastic, **faults)
+    backend = backend_cls(
+        tiny_16(), dataset(8), optimizer_config=OPT, n_ranks=n_ranks, elastic=elastic, **faults
+    )
+    engine = TrainingEngine(backend, EngineConfig(epochs=epochs, validate=False))
+    history = engine.run()
+    return history, engine.final_model.get_flat_parameters(), engine.group_stats
 
 
 class TestDeterminismGate:
-    def test_process_matches_threaded_and_stepped_fault_free(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
-        h_thr, p_thr, _ = run_distributed(ThreadedBackend)
-        h_step, p_step, _ = run_distributed(SteppedBackend)
-        h_proc, p_proc, stats = run_distributed(ProcessBackend)
-        assert_bitwise_equal(h_thr, h_proc, p_thr, p_proc)
-        assert_bitwise_equal(h_step, h_proc, p_step, p_proc)
-        assert stats["backend"] == "process"
-        assert stats["max_param_divergence"] == 0.0
-        assert stats["reductions"] > 0
-        assert stats["restarts"] == 0
-        # Every worker ran to completion and exited cleanly.
-        assert set(stats["exit_codes"]) == {"0.0", "1.0"}
-        assert set(stats["exit_codes"].values()) == {0}
-
     def test_process_matches_threaded_under_sigkill_and_rejoin(
         self, tmp_path, monkeypatch
     ):
@@ -139,33 +99,6 @@ class TestDeterminismGate:
         assert_bitwise_equal(h_thr, h_proc, p_thr, p_proc)
 
 
-class TestConvCounters:
-    def test_process_ranks_count_their_conv_passes_as_threads_do(
-        self, tmp_path, monkeypatch
-    ):
-        """Each worker counts its conv passes into the registry it ships
-        home, so a process run's merged counters equal a threaded run's."""
-        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
-        counted = {}
-        for backend_cls in (ThreadedBackend, ProcessBackend):
-            metrics = MetricsRegistry()
-            conv3d.set_metrics(metrics)
-            try:
-                backend = backend_cls(
-                    tiny_16(), make_dataset(4), optimizer_config=OPT, n_ranks=2
-                )
-                config = EngineConfig(epochs=1, validate=False)
-                TrainingEngine(backend, config, metrics=metrics).run()
-            finally:
-                conv3d.set_metrics(None)
-            counted[backend_cls] = {
-                k: v for k, v in metrics.snapshot().items()
-                if k.startswith("primitives.conv3d.")
-            }
-        assert len(counted[ThreadedBackend]) == 9
-        assert counted[ProcessBackend] == counted[ThreadedBackend]
-
-
 class TestNoLeaks:
     def test_chaos_run_leaves_no_orphans_or_segments(self, tmp_path, monkeypatch):
         """After a run with a real mid-epoch SIGKILL: every worker
@@ -211,7 +144,7 @@ class TestSlotSize:
 
         monkeypatch.setattr(process_backend, "ShmLayout", Recorded)
         backend = ProcessBackend(
-            tiny_16(), make_dataset(8),
+            tiny_16(), dataset(8),
             optimizer_config=OptimizerConfig(eta0=5e-3, decay_steps=50, precision="fp16"),
             n_ranks=2, plugin_config=PluginConfig(compression="topk"),
         )

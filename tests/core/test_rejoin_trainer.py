@@ -10,7 +10,8 @@ The contract:
 * the whole fault + recovery schedule is seeded: replaying it gives a
   bitwise-identical run;
 * a rejoin-enabled run with no faults is bitwise identical to the
-  plain threaded backend (zero-cost when unused).
+  plain threaded backend (zero-cost when unused): the contract's engine
+  line runs every ``elastic`` cell with two warm spares.
 """
 
 import numpy as np
@@ -19,16 +20,9 @@ from repro.core.elastic import ElasticConfig
 from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
 from repro.core.optimizer import OptimizerConfig
 from repro.core.topology import tiny_16
-from repro.core.trainer import InMemoryData
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from repro.obs.metrics import MetricsRegistry
-
-
-def make_dataset(n=16, seed=0, size=16):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 1, size, size, size)).astype(np.float32)
-    y = rng.uniform(0.2, 0.8, size=(n, 3)).astype(np.float32)
-    return InMemoryData(x, y)
+from tests.contract import dataset
 
 
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
@@ -37,7 +31,7 @@ OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 def run_growback(plan=None, spares=0, n_ranks=4, epochs=4, n=16, metrics=None, timeout_s=10.0):
     backend = ThreadedBackend(
         tiny_16(),
-        make_dataset(n),
+        dataset(n),
         optimizer_config=OPT,
         n_ranks=n_ranks,
         elastic=ElasticConfig(timeout_s=timeout_s, spares=spares),
@@ -130,21 +124,3 @@ class TestRejoinDeterminism:
             t2.final_model.get_flat_parameters(),
         )
         assert t1.group_stats["rejoins"] == t2.group_stats["rejoins"] == [1, 3]
-
-    def test_no_fault_run_with_growback_enabled_is_bitwise_baseline(self):
-        """Spares configured but never used: the run must be bitwise
-        identical to the plain threaded backend."""
-        ref = TrainingEngine(
-            ThreadedBackend(tiny_16(), make_dataset(), optimizer_config=OPT, n_ranks=4),
-            EngineConfig(epochs=3, validate=False),
-        )
-        ref_hist = ref.run()
-        engine, hist = run_growback(plan=None, spares=2, epochs=3)
-        assert hist.train_loss == ref_hist.train_loss
-        assert hist.lr == ref_hist.lr
-        np.testing.assert_array_equal(
-            engine.final_model.get_flat_parameters(),
-            ref.final_model.get_flat_parameters(),
-        )
-        assert engine.group_stats["rejoins"] == []
-        assert engine.group_stats["spares_used"] == 0

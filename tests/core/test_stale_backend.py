@@ -1,45 +1,37 @@
 """End-to-end tests for the bounded-staleness training backends
-(``mode="ssgd"`` / ``"sagn"``): bitwise equivalence to the synchronous
-baselines at bound 0, seeded straggler replay, monitor lifecycle, and
-composition with gradient compression."""
+(``mode="ssgd"`` / ``"sagn"``): the group's report, seeded straggler
+replay, monitor lifecycle, and composition with gradient compression.
+That bound 0 is the synchronous run, bit for bit, is the contract's
+engine line (``tests/contract/test_engine_line.py``)."""
 
 import numpy as np
 import pytest
 
 from repro.comm.plugin import PluginConfig
 from repro.comm.stale import StalenessConfig
-from repro.core.engine import EngineConfig, SteppedBackend, ThreadedBackend, TrainingEngine
+from repro.core.engine import EngineConfig, TrainingEngine
 from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import OptimizerConfig
 from repro.core.stale_backend import StaleBackend
 from repro.core.topology import tiny_16
-from repro.core.trainer import InMemoryData
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-
-
-def make_dataset(n=16, seed=0, size=16):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, 1, size, size, size)).astype(np.float32)
-    y = rng.uniform(0.2, 0.8, size=(n, 3)).astype(np.float32)
-    return InMemoryData(x, y)
+from tests.contract import dataset
 
 
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
 
-def run_engine(backend_cls, *, epochs=2, n=16, ranks=4, compression="none",
-               validate=False, batch_size=1, **backend_kwargs):
-    backend = backend_cls(
+def run_engine(*, epochs=2, n=16, ranks=4, compression="none", batch_size=1, **backend_kwargs):
+    backend = StaleBackend(
         tiny_16(),
-        make_dataset(n),
-        val_data=make_dataset(4, seed=9) if validate else None,
+        dataset(n),
         optimizer_config=OPT,
         n_ranks=ranks,
         plugin_config=PluginConfig(compression=compression),
         **backend_kwargs,
     )
-    config = EngineConfig(epochs=epochs, validate=validate, batch_size=batch_size)
+    config = EngineConfig(epochs=epochs, validate=False, batch_size=batch_size)
     engine = TrainingEngine(backend, config)
     hist = engine.run()
     return engine, hist
@@ -49,39 +41,14 @@ SYNC_STALENESS = StalenessConfig(staleness_bound=0, quarantine_factor=None)
 
 
 class TestSyncEquivalence:
-    """``ssgd`` with bound 0 and no faults is the synchronous run,
-    bitwise."""
-
-    def test_bitwise_equal_to_stepped_and_threaded(self):
-        t_ssgd, h_ssgd = run_engine(
-            StaleBackend, stale_mode="ssgd", staleness=SYNC_STALENESS, validate=True
-        )
-        t_step, h_step = run_engine(SteppedBackend, validate=True)
-        t_thr, h_thr = run_engine(ThreadedBackend, validate=True)
-        assert h_ssgd.train_loss == h_step.train_loss == h_thr.train_loss
-        assert h_ssgd.val_loss == h_step.val_loss == h_thr.val_loss
-        p_ssgd = t_ssgd.final_model.parameter_arrays()
-        for other in (t_step, t_thr):
-            for a, b in zip(p_ssgd, other.final_model.parameter_arrays()):
-                assert np.array_equal(a, b)
-
-    def test_sagn_window_one_also_bitwise(self):
-        cfg = StalenessConfig(staleness_bound=0, window=1, quarantine_factor=None)
-        t_sagn, h_sagn = run_engine(StaleBackend, stale_mode="sagn", staleness=cfg)
-        t_step, h_step = run_engine(SteppedBackend)
-        assert h_sagn.train_loss == h_step.train_loss
-        for a, b in zip(
-            t_sagn.final_model.parameter_arrays(),
-            t_step.final_model.parameter_arrays(),
-        ):
-            assert np.array_equal(a, b)
+    """``ssgd`` with bound 0 and no faults."""
 
     def test_default_staleness_config_attached(self):
-        backend = StaleBackend(tiny_16(), make_dataset(4))
+        backend = StaleBackend(tiny_16(), dataset(4))
         assert isinstance(backend.staleness, StalenessConfig)
 
     def test_group_stats_published(self):
-        t, _ = run_engine(StaleBackend, stale_mode="ssgd", staleness=SYNC_STALENESS)
+        t, _ = run_engine(stale_mode="ssgd", staleness=SYNC_STALENESS)
         gs = t.group_stats
         assert gs["mode"] == "ssgd"
         assert gs["max_staleness"] == 0
@@ -103,7 +70,7 @@ class TestGroupedPass:
             return real(model, x, y, sizes)
 
         monkeypatch.setattr(CosmoFlowModel, "group_loss_and_gradients", counting)
-        run_engine(StaleBackend, stale_mode="ssgd", staleness=SYNC_STALENESS,
+        run_engine(stale_mode="ssgd", staleness=SYNC_STALENESS,
                    epochs=1, n=3, ranks=3)
         assert calls == [[1, 1, 1]]
 
@@ -116,7 +83,7 @@ class TestStragglerRuns:
         cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5,
                               quarantine_factor=None)
         t, hist = run_engine(
-            StaleBackend, stale_mode="ssgd", staleness=cfg, epochs=3,
+            stale_mode="ssgd", staleness=cfg, epochs=3,
             injector=self.straggler_injector(),
         )
         gs = t.group_stats
@@ -130,7 +97,7 @@ class TestStragglerRuns:
         def once():
             cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5)
             t, hist = run_engine(
-                StaleBackend, stale_mode="ssgd", staleness=cfg, epochs=2,
+                stale_mode="ssgd", staleness=cfg, epochs=2,
                 injector=self.straggler_injector(),
             )
             return hist, t.final_model.parameter_arrays(), t.group_stats
@@ -147,7 +114,7 @@ class TestStragglerRuns:
         # recovers: the monitor must quarantine it and readmit it.
         cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5)
         t, _ = run_engine(
-            StaleBackend, stale_mode="ssgd", staleness=cfg, epochs=10,
+            stale_mode="ssgd", staleness=cfg, epochs=10,
             injector=self.straggler_injector(steps=10),
         )
         gs = t.group_stats
@@ -160,7 +127,7 @@ class TestStragglerRuns:
         cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5,
                               window=2, quarantine_factor=None)
         t, hist = run_engine(
-            StaleBackend, stale_mode="sagn", staleness=cfg, epochs=3,
+            stale_mode="sagn", staleness=cfg, epochs=3,
             injector=self.straggler_injector(),
         )
         gs = t.group_stats
@@ -172,29 +139,13 @@ class TestStragglerRuns:
 @pytest.mark.parametrize("n", [12, 10], ids=["even", "uneven"])
 class TestBatchTwo:
     """A per-rank batch of 2 over 3 ranks: 12 samples are shards of 4,
-    10 are shards of 4, 3 and 3 — two steps an epoch either way, drawn
-    through the same per-rank streams as the stepped ranks'."""
-
-    @pytest.mark.parametrize("mode", ["ssgd", "sagn"])
-    def test_bound0_equals_stepped(self, mode, n):
-        kw = dict(epochs=2, n=n, ranks=3, batch_size=2)
-        t_stale, h_stale = run_engine(
-            StaleBackend, stale_mode=mode, staleness=SYNC_STALENESS, **kw
-        )
-        t_step, h_step = run_engine(SteppedBackend, **kw)
-        assert h_stale.train_loss == h_step.train_loss
-        for a, b in zip(
-            t_stale.final_model.parameter_arrays(),
-            t_step.final_model.parameter_arrays(),
-        ):
-            assert np.array_equal(a, b)
-        assert t_stale.group_stats["contributions"] == [4, 4, 4]  # 2 steps x 2 epochs
+    10 are shards of 4, 3 and 3 — two steps an epoch either way."""
 
     def test_straggler_run_completes(self, n):
         cfg = StalenessConfig(staleness_bound=4, quorum_fraction=0.5, quarantine_factor=None)
         injector = FaultInjector(FaultPlan(seed=7).with_slow_rank(1, 0.09, n_steps=6))
         t, hist = run_engine(
-            StaleBackend, stale_mode="ssgd", staleness=cfg, epochs=3, n=n, ranks=3,
+            stale_mode="ssgd", staleness=cfg, epochs=3, n=n, ranks=3,
             batch_size=2, injector=injector,
         )
         assert len(hist.train_loss) == 3
@@ -203,21 +154,8 @@ class TestBatchTwo:
 
 
 class TestCompression:
-    def test_topk_ssgd_bound0_matches_stepped_topk(self):
-        t_ssgd, h_ssgd = run_engine(
-            StaleBackend, stale_mode="ssgd", staleness=SYNC_STALENESS,
-            compression="topk",
-        )
-        t_step, h_step = run_engine(SteppedBackend, compression="topk")
-        assert h_ssgd.train_loss == h_step.train_loss
-        for a, b in zip(
-            t_ssgd.final_model.parameter_arrays(),
-            t_step.final_model.parameter_arrays(),
-        ):
-            assert np.array_equal(a, b)
-
     def test_compression_stats_reported(self):
         t, _ = run_engine(
-            StaleBackend, stale_mode="ssgd", staleness=SYNC_STALENESS, compression="fp16"
+            stale_mode="ssgd", staleness=SYNC_STALENESS, compression="fp16"
         )
         assert t.group_stats.get("compression") == "fp16"
