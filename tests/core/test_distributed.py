@@ -20,9 +20,9 @@ from tests.contract import dataset
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
 
-def group_engine(backend_cls, data, n_ranks, epochs, validate=False, **kwargs):
+def group_engine(backend_cls, data, n_ranks, epochs, seed=0, validate=False, **kwargs):
     backend = backend_cls(tiny_16(), data, optimizer_config=OPT, n_ranks=n_ranks, **kwargs)
-    return TrainingEngine(backend, EngineConfig(epochs=epochs, validate=validate))
+    return TrainingEngine(backend, EngineConfig(epochs=epochs, seed=seed, validate=validate))
 
 
 class TestConfig:
@@ -89,6 +89,20 @@ class TestThreadedMode:
         assert len(hist.train_loss) == 2
         assert engine.group_stats["max_param_divergence"] <= 1e-5
         assert engine.final_model is not None
+
+    def test_threaded_matches_stepped(self):
+        """The two execution modes end on the same bits at a seed other
+        than the contract's."""
+        data = dataset(6, seed=3)
+        stepped = group_engine(SteppedBackend, data, 3, 2, seed=1)
+        threaded = group_engine(ThreadedBackend, data, 3, 2, seed=1)
+        h1 = stepped.run()
+        h2 = threaded.run()
+        assert h1.train_loss == h2.train_loss
+        np.testing.assert_array_equal(
+            stepped.final_model.get_flat_parameters(),
+            threaded.final_model.get_flat_parameters(),
+        )
 
 
 class TestBatchSizeEffect:

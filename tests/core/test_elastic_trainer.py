@@ -2,8 +2,9 @@
 
 The contract under test:
 
-* faults disabled → bitwise identical to the threaded backend (cells of
-  the contract's engine line, ``tests/contract/test_engine_line.py``);
+* faults disabled → bitwise identical to the threaded backend (same
+  history, same final parameters; more configurations are cells of the
+  contract's engine line, ``tests/contract/test_engine_line.py``);
 * a rank crash at a fixed step → training completes over the survivors
   with the gradient average renormalized, final loss close to the
   fault-free run;
@@ -73,6 +74,26 @@ class TestConfig:
         # A healthy run must never be wall-clock capped by the join
         # (the collective timeout is a heartbeat, not a run bound).
         assert ElasticConfig().join_timeout_s is None
+
+
+class TestBitwiseIdentity:
+    def test_fault_free_matches_threaded_exactly(self):
+        ref_hist, ref_params = run_threaded_reference()
+        engine = group_engine(
+            ThreadedBackend,
+            dataset(9),
+            3,
+            3,
+            elastic=FAST,
+        )
+        hist = engine.run()
+        assert hist.train_loss == ref_hist.train_loss  # bitwise, not approx
+        assert hist.lr == ref_hist.lr
+        np.testing.assert_array_equal(
+            engine.final_model.get_flat_parameters(), ref_params
+        )
+        assert engine.group_stats["restarts"] == 0
+        assert engine.group_stats["failed_ranks"] == []
 
 
 class TestCrashSurvival:

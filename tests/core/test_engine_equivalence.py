@@ -1,10 +1,13 @@
-"""The golden fixtures, and the count of one epoch's passes.
+"""Cross-mode pins, the golden fixtures, and the count of one epoch's passes.
 
 ``tests/golden/engine_golden.npz`` holds final parameters and loss
 curves captured from the pre-engine trainers (commit 20df40d; see
 ``tests/golden/generate_engine_golden.py``).  The engine must still
 reproduce those bits exactly.  That every execution mode ends on the
-same bits is the contract's engine line, ``tests/contract/test_engine_line.py``.
+same bits is the contract's engine line, ``tests/contract/test_engine_line.py``;
+the cross-mode tests here pin configurations its tier-1 cells do not run
+(k = 3 over even shards for three epochs, 6 validation samples over
+uneven training shards, other seeds).
 
 The golden fixtures are host-generated: a different BLAS/NumPy build
 may legitimately produce different bits, so the golden test skips (with
@@ -29,6 +32,7 @@ from repro.core.engine import (
 )
 from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import CosmoFlowOptimizer, OptimizerConfig
+from repro.core.process_backend import ProcessBackend
 from repro.core.stale_backend import StaleBackend
 from repro.core.topology import tiny_16
 from repro.core.trainer import InMemoryData
@@ -39,6 +43,8 @@ GOLDEN = Path(__file__).parent.parent / "golden" / "engine_golden.npz"
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 EPOCHS = 3
 SEED = 0
+#: Fully synchronous staleness: wait for every rank, fold in rank order.
+SYNC = StalenessConfig(staleness_bound=0, quarantine_factor=None)
 
 
 class CountingData(InMemoryData):
@@ -59,33 +65,33 @@ class CountingData(InMemoryData):
         return CountingData(base.x, base.y, self.opens, rank)
 
 
-def make_backend(mode, n_ranks, train=None, val=None, rng=None):
+def make_backend(mode, n_ranks, train=None, val=None, seed=SEED, rng=None, opt=OPT):
     train = train if train is not None else dataset(9)
     val = val if val is not None else dataset(6, seed=7)
     if mode == "local":
         assert n_ranks == 1
-        model = CosmoFlowModel(tiny_16(), seed=SEED)
-        optimizer = CosmoFlowOptimizer(model.parameter_arrays(), OPT)
+        model = CosmoFlowModel(tiny_16(), seed=seed)
+        optimizer = CosmoFlowOptimizer(model.parameter_arrays(), opt)
         return LocalBackend(model, optimizer, train, val_data=val, rng=rng)
     cls, extra = {
         "stepped": (SteppedBackend, {}),
         "threaded": (ThreadedBackend, {}),
         "elastic": (ThreadedBackend, {"elastic": ElasticConfig(timeout_s=10.0)}),
-        "ssgd": (
-            StaleBackend,
-            {"staleness": StalenessConfig(staleness_bound=0, quarantine_factor=None)},
-        ),
+        "process": (ProcessBackend, {}),
+        "ssgd": (StaleBackend, {"stale_mode": "ssgd", "staleness": SYNC}),
+        "sagn": (StaleBackend, {"stale_mode": "sagn", "staleness": SYNC}),
     }[mode]
-    return cls(tiny_16(), train, val_data=val, optimizer_config=OPT, n_ranks=n_ranks, **extra)
+    return cls(tiny_16(), train, val_data=val, optimizer_config=opt, n_ranks=n_ranks, **extra)
 
 
 def run_engine(
-    mode, n_ranks, epochs=EPOCHS, metrics=None, batch_size=1, validate=True, **backend_kwargs
+    mode, n_ranks, epochs=EPOCHS, seed=SEED, metrics=None, batch_size=1, validate=True,
+    **backend_kwargs,
 ):
     """Train through the engine with the given backend; return
     (flat_params, train_loss, val_loss)."""
-    backend = make_backend(mode, n_ranks, **backend_kwargs)
-    config = EngineConfig(epochs=epochs, seed=SEED, batch_size=batch_size, validate=validate)
+    backend = make_backend(mode, n_ranks, seed=seed, **backend_kwargs)
+    config = EngineConfig(epochs=epochs, seed=seed, batch_size=batch_size, validate=validate)
     engine = TrainingEngine(backend, config=config, metrics=metrics)
     hist = engine.run()
     return (
@@ -93,6 +99,48 @@ def run_engine(
         list(hist.train_loss),
         list(hist.val_loss),
     )
+
+
+class TestCrossModeBitwise:
+    """threaded == elastic == process == ssgd == sagn (bound 0) ==
+    stepped, bitwise, at k = 3 over even shards (9 samples, 6 to
+    validate) for three epochs."""
+
+    @pytest.fixture(scope="class")
+    def reference_k3(self):
+        return run_engine("stepped", 3)
+
+    @pytest.mark.parametrize("mode", ["threaded", "elastic", "process", "ssgd", "sagn"])
+    def test_k3_matches_stepped(self, mode, reference_k3, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
+        ref_params, ref_train, ref_val = reference_k3
+        params, train, val = run_engine(mode, 3)
+        np.testing.assert_array_equal(params, ref_params)
+        assert train == ref_train  # bitwise, not approx
+        assert val == ref_val
+
+
+class TestSteppedGroupsMatchThreaded:
+    """Stepped ranks run as the groups of one pass
+    (``CosmoFlowModel.group_loss_and_gradients``).  Uneven shards — 10
+    samples over 3 ranks — give groups of unequal size; a per-rank batch
+    of 2 also gives groups of 2 and 1 in one step: the epoch's last step
+    takes the smaller shards' short last batch."""
+
+    @pytest.mark.parametrize(
+        "batch_size, precision", [(1, "fp32"), (2, "fp32"), (1, "fp16")],
+        ids=["batch1", "batch2", "fp16"],
+    )
+    def test_uneven_shards(self, batch_size, precision):
+        opt = OptimizerConfig(eta0=5e-3, decay_steps=50, precision=precision)
+        runs = [
+            run_engine(mode, 3, epochs=2, batch_size=batch_size, train=dataset(10), opt=opt)
+            for mode in ("stepped", "threaded")
+        ]
+        (params, train, val), (want_params, want_train, want_val) = runs
+        np.testing.assert_array_equal(params, want_params)
+        assert train == want_train
+        assert val == want_val
 
 
 class TestOneEpochAtBatchTwo:
@@ -121,6 +169,25 @@ class TestOneEpochAtBatchTwo:
         assert metrics.value("engine.steps") == 2 * self.EPOCHS
         assert dict(train.opens) == {0: self.EPOCHS, 1: self.EPOCHS, 2: self.EPOCHS}
         assert metrics.value("engine.records") == 10 * self.EPOCHS
+
+
+class TestUnevenValidation:
+    """Every mode averages its ranks' own validation means, so stepped
+    and bound-0 ``ssgd`` equal threaded ranks bit for bit when the
+    validation set does not split evenly over the ranks (5 samples; and
+    6, where only the order of the sum differs, at a seed it shows)."""
+
+    @pytest.mark.parametrize("n_val, seed", [(5, 0), (6, 5)])
+    def test_val_loss_equal_across_modes(self, n_val, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((8 + n_val, 1, 16, 16, 16)).astype(np.float32)
+        y = rng.uniform(0.2, 0.8, size=(8 + n_val, 3)).astype(np.float32)
+        train, val = InMemoryData(x[:8], y[:8]), InMemoryData(x[8:], y[8:])
+        val_loss = {
+            mode: run_engine(mode, 2, epochs=1, seed=seed, train=train, val=val)[2]
+            for mode in ("stepped", "threaded", "ssgd")
+        }
+        assert val_loss["stepped"] == val_loss["threaded"] == val_loss["ssgd"], val_loss
 
 
 class TestGoldenPreRefactor:

@@ -3,9 +3,10 @@
 With the same seed and fault plan, the ``process`` backend — ranks as
 real OS processes, real SIGKILLs, shared-memory collectives — produces
 **bitwise** identical History curves and final parameters to the thread
-backend under a crash/recovery schedule and a quorum-loss restart, and
-leaves no process or segment behind.  Its fault-free runs are cells of
-the contract's engine line (``tests/contract/test_engine_line.py``).
+backend fault-free, under a crash/recovery schedule and under a
+quorum-loss restart, and leaves no process or segment behind.  More
+fault-free configurations are cells of the contract's engine line
+(``tests/contract/test_engine_line.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ from repro.comm.plugin import PluginConfig
 from repro.comm.process import ShmLayout
 from repro.core import process_backend
 from repro.core.elastic import ElasticConfig
-from repro.core.engine import EngineConfig, ThreadedBackend, TrainingEngine
+from repro.core.engine import (
+    EngineConfig,
+    SteppedBackend,
+    ThreadedBackend,
+    TrainingEngine,
+)
 from repro.core.optimizer import OptimizerConfig
 from repro.core.process_backend import ProcessBackend
 from repro.core.topology import tiny_16
@@ -37,19 +43,42 @@ def assert_bitwise_equal(h1, h2, p1, p2):
     assert np.array_equal(p1, p2)
 
 
-def run_elastic(backend_cls, plan, elastic, epochs=3, n_ranks=4):
-    # Rank threads share one injector; worker processes each build
-    # their own from the shipped plan.
-    faults = {"plan": plan} if backend_cls is ProcessBackend else {"injector": FaultInjector(plan)}
-    backend = backend_cls(
-        tiny_16(), dataset(8), optimizer_config=OPT, n_ranks=n_ranks, elastic=elastic, **faults
-    )
-    engine = TrainingEngine(backend, EngineConfig(epochs=epochs, validate=False))
+def run(backend_cls, n_ranks, epochs, validate, **kwargs):
+    backend = backend_cls(tiny_16(), dataset(8), optimizer_config=OPT, n_ranks=n_ranks, **kwargs)
+    engine = TrainingEngine(backend, EngineConfig(epochs=epochs, validate=validate))
     history = engine.run()
     return history, engine.final_model.get_flat_parameters(), engine.group_stats
 
 
+def run_distributed(backend_cls, n_ranks=2, epochs=2):
+    return run(backend_cls, n_ranks, epochs, validate=True)
+
+
+def run_elastic(backend_cls, plan, elastic, epochs=3, n_ranks=4):
+    # Rank threads share one injector; worker processes each build
+    # their own from the shipped plan.
+    faults = {"plan": plan} if backend_cls is ProcessBackend else {"injector": FaultInjector(plan)}
+    return run(backend_cls, n_ranks, epochs, validate=False, elastic=elastic, **faults)
+
+
 class TestDeterminismGate:
+    def test_process_matches_threaded_and_stepped_fault_free(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_SHM_REGISTRY", str(tmp_path))
+        h_thr, p_thr, _ = run_distributed(ThreadedBackend)
+        h_step, p_step, _ = run_distributed(SteppedBackend)
+        h_proc, p_proc, stats = run_distributed(ProcessBackend)
+        assert_bitwise_equal(h_thr, h_proc, p_thr, p_proc)
+        assert_bitwise_equal(h_step, h_proc, p_step, p_proc)
+        assert stats["backend"] == "process"
+        assert stats["max_param_divergence"] == 0.0
+        assert stats["reductions"] > 0
+        assert stats["restarts"] == 0
+        # Every worker ran to completion and exited cleanly.
+        assert set(stats["exit_codes"]) == {"0.0", "1.0"}
+        assert set(stats["exit_codes"].values()) == {0}
+
     def test_process_matches_threaded_under_sigkill_and_rejoin(
         self, tmp_path, monkeypatch
     ):

@@ -1,7 +1,8 @@
 """End-to-end tests for the bounded-staleness training backends
-(``mode="ssgd"`` / ``"sagn"``): the group's report, seeded straggler
-replay, monitor lifecycle, and composition with gradient compression.
-That bound 0 is the synchronous run, bit for bit, is the contract's
+(``mode="ssgd"`` / ``"sagn"``): bitwise equivalence to the synchronous
+baselines at bound 0 over four ranks, the group's report, seeded
+straggler replay, monitor lifecycle, and composition with gradient
+compression.  More bound-0 configurations are cells of the contract's
 engine line (``tests/contract/test_engine_line.py``)."""
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from repro.comm.plugin import PluginConfig
 from repro.comm.stale import StalenessConfig
-from repro.core.engine import EngineConfig, TrainingEngine
+from repro.core.engine import EngineConfig, SteppedBackend, ThreadedBackend, TrainingEngine
 from repro.core.model import CosmoFlowModel
 from repro.core.optimizer import OptimizerConfig
 from repro.core.stale_backend import StaleBackend
@@ -22,16 +23,18 @@ from tests.contract import dataset
 OPT = OptimizerConfig(eta0=5e-3, decay_steps=50)
 
 
-def run_engine(*, epochs=2, n=16, ranks=4, compression="none", batch_size=1, **backend_kwargs):
-    backend = StaleBackend(
+def run_engine(backend_cls=StaleBackend, *, epochs=2, n=16, ranks=4, compression="none",
+               validate=False, batch_size=1, **backend_kwargs):
+    backend = backend_cls(
         tiny_16(),
         dataset(n),
+        val_data=dataset(4, seed=9) if validate else None,
         optimizer_config=OPT,
         n_ranks=ranks,
         plugin_config=PluginConfig(compression=compression),
         **backend_kwargs,
     )
-    config = EngineConfig(epochs=epochs, validate=False, batch_size=batch_size)
+    config = EngineConfig(epochs=epochs, validate=validate, batch_size=batch_size)
     engine = TrainingEngine(backend, config)
     hist = engine.run()
     return engine, hist
@@ -41,7 +44,30 @@ SYNC_STALENESS = StalenessConfig(staleness_bound=0, quarantine_factor=None)
 
 
 class TestSyncEquivalence:
-    """``ssgd`` with bound 0 and no faults."""
+    """``ssgd`` with bound 0 and no faults is the synchronous run,
+    bitwise."""
+
+    def test_bitwise_equal_to_stepped_and_threaded(self):
+        t_ssgd, h_ssgd = run_engine(stale_mode="ssgd", staleness=SYNC_STALENESS, validate=True)
+        t_step, h_step = run_engine(SteppedBackend, validate=True)
+        t_thr, h_thr = run_engine(ThreadedBackend, validate=True)
+        assert h_ssgd.train_loss == h_step.train_loss == h_thr.train_loss
+        assert h_ssgd.val_loss == h_step.val_loss == h_thr.val_loss
+        p_ssgd = t_ssgd.final_model.parameter_arrays()
+        for other in (t_step, t_thr):
+            for a, b in zip(p_ssgd, other.final_model.parameter_arrays()):
+                assert np.array_equal(a, b)
+
+    def test_sagn_window_one_also_bitwise(self):
+        cfg = StalenessConfig(staleness_bound=0, window=1, quarantine_factor=None)
+        t_sagn, h_sagn = run_engine(stale_mode="sagn", staleness=cfg)
+        t_step, h_step = run_engine(SteppedBackend)
+        assert h_sagn.train_loss == h_step.train_loss
+        for a, b in zip(
+            t_sagn.final_model.parameter_arrays(),
+            t_step.final_model.parameter_arrays(),
+        ):
+            assert np.array_equal(a, b)
 
     def test_default_staleness_config_attached(self):
         backend = StaleBackend(tiny_16(), dataset(4))
